@@ -102,6 +102,10 @@ impl Machine {
         sim.spawn_daemon_on_lane(lane, proc, &format!("{name}-netisr"), move |ctx| {
             rx_machine.rx_loop(ctx);
         });
+        // Kernel handlers capture protocol objects that hold this machine;
+        // emptying the table is what lets the whole machine be freed.
+        let sinks_of = machine.clone();
+        sim.on_teardown(move || sinks_of.inner.sinks.lock().clear());
         machine
     }
 

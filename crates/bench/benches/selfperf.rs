@@ -7,12 +7,15 @@
 //! Run with `cargo bench -p bench --bench selfperf`. Pass `-- --quick` (or
 //! set `SELFPERF_QUICK=1`) for the reduced CI workload. With
 //! `SELFPERF_GATE=1` the run fails on any hot-path regression of more than
-//! 10% over its backend's recorded baseline, or on a serial/parallel
-//! determinism mismatch.
+//! 10% over its backend's recorded baseline, on a serial/parallel
+//! determinism mismatch, or when dropped worlds stay resident.
 
 use std::process::ExitCode;
 
-use bench::selfperf::{self, memory_baselines_for, GATE_REGRESSION_FACTOR, MEMORY_GATE_FACTOR};
+use bench::selfperf::{
+    self, memory_baselines_for, GATE_REGRESSION_FACTOR, MEMORY_GATE_FACTOR,
+    RETAINED_GATE_KIB_PER_WORLD,
+};
 
 fn out_path() -> std::path::PathBuf {
     if let Ok(p) = std::env::var("SELFPERF_OUT") {
@@ -99,6 +102,10 @@ fn main() -> ExitCode {
                 w.vm_hwm_kb
             );
         }
+        println!(
+            "    dropped worlds   {:>8.3} KiB retained per world  (gate {:.1})",
+            report.retained_kib_per_world, RETAINED_GATE_KIB_PER_WORLD
+        );
     } else {
         println!("\n  memory: /proc/self/status unavailable, block skipped");
     }
@@ -147,6 +154,14 @@ fn main() -> ExitCode {
                     );
                     failed = true;
                 }
+            }
+            if report.retained_kib_per_world > RETAINED_GATE_KIB_PER_WORLD {
+                eprintln!(
+                    "selfperf GATE: [{}] dropped worlds retain {:.3} KiB each, more \
+                     than {RETAINED_GATE_KIB_PER_WORLD:.1}: a world is not being freed",
+                    mem.backend, report.retained_kib_per_world
+                );
+                failed = true;
             }
         }
         if failed {

@@ -46,7 +46,9 @@
 //! The report also carries a **memory** block: the resident-set growth of
 //! booting a 32- and a 1024-machine fleet world (the machine-state diet's
 //! observable), measured before any other workload warms the allocator and
-//! gated on bytes per machine.
+//! gated on bytes per machine; and `retained_kib_per_world`, what a world
+//! leaves behind once it has been built, run and dropped (gated at
+//! [`RETAINED_GATE_KIB_PER_WORLD`]).
 //!
 //! The `selfperf` bench binary runs everything and writes
 //! `BENCH_selfperf.json` at the repository root.
@@ -54,6 +56,7 @@
 use std::time::Instant;
 
 use apps::fleet::{build_fleet, FleetSpec, FleetStack};
+use apps::{asp, ProtoImpl, RunConfig};
 use chaos::{run_chaos, ChaosConfig, Stack};
 use desim::par::par_map;
 use desim::{Backend, LaneId, QueueStats, SimChannel, SimDuration, Simulation, WindowStats};
@@ -485,7 +488,9 @@ pub fn memory_baselines_for(backend: Backend) -> MemoryBaselines {
     }
 }
 
-fn proc_status_kb(field: &str) -> Option<u64> {
+/// A `kB` field of `/proc/self/status` (`"VmRSS:"`, `"VmHWM:"`); `None`
+/// where there is no procfs.
+pub fn proc_status_kb(field: &str) -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     status
         .lines()
@@ -526,6 +531,60 @@ pub fn measure_memory(backend: Backend) -> MemoryUse {
         small: world_footprint(backend, 32, 4, 2),
         large: world_footprint(backend, 1024, 16, 8),
     }
+}
+
+/// More resident growth per built, run and dropped world than this fails
+/// the `SELFPERF_GATE=1` run. A world that is not reclaimed keeps 9 KiB or
+/// more (a bare 3-machine stack), so anything that passes is allocator
+/// noise, not a leak.
+pub const RETAINED_GATE_KIB_PER_WORLD: f64 = 1.0;
+
+/// One retention pass: 500 chaos worlds on each stack and 8 small ASP
+/// clusters, each built, run and dropped. Returns the number of worlds.
+fn retention_pass() -> u32 {
+    let mut worlds = 0;
+    for stack in [Stack::Kernel, Stack::User] {
+        for seed in 0..500 {
+            let cfg = ChaosConfig::for_seed(stack, seed, 10, 10, SimDuration::from_millis(500));
+            let _ = run_chaos(&cfg);
+            worlds += 1;
+        }
+    }
+    for i in 0..8 {
+        let imp = [ProtoImpl::KernelSpace, ProtoImpl::UserSpace][i % 2];
+        asp::run(&RunConfig::new(8, imp, i as u64), &asp::AspParams::small());
+        worlds += 1;
+    }
+    worlds
+}
+
+/// Resident KiB a world leaves behind after it has been dropped, on the
+/// process-default backend (the worlds build their own `Simulation`s): the
+/// `VmRSS` growth across one [`retention_pass`] divided by its worlds, after
+/// a first pass has warmed the allocator up to the series' working set.
+///
+/// Resident set is an upper bound on what the worlds keep, and on the
+/// os-threads backend a loose one: every world starts ~20 OS threads, glibc
+/// hands each a malloc arena (8 per core) and never compacts them, so
+/// `VmRSS` creeps by 0-3 KiB per world for tens of thousands of worlds
+/// while live heap is exactly flat (`tests/world_reclaim.rs` counts it;
+/// `MALLOC_ARENA_MAX=1` removes the creep). A leak shows in every pass and
+/// allocator settling does not, so the smallest growth of up to six passes
+/// counts, stopping at the first one under the gate. 0 where
+/// `/proc/self/status` is unreadable.
+pub fn measure_retention() -> f64 {
+    retention_pass();
+    let mut least = f64::INFINITY;
+    for _ in 0..6 {
+        let before = proc_status_kb("VmRSS:").unwrap_or(0);
+        let worlds = retention_pass();
+        let after = proc_status_kb("VmRSS:").unwrap_or(0);
+        least = least.min(after.saturating_sub(before) as f64 / f64::from(worlds));
+        if least <= RETAINED_GATE_KIB_PER_WORLD {
+            break;
+        }
+    }
+    least
 }
 
 /// Runs `measure` `reps` times and returns the run with the median wall
@@ -683,6 +742,9 @@ pub struct SelfPerfReport {
     pub shard_scaling: ShardScaling,
     /// Boot footprint of the fleet worlds on the process-default backend.
     pub memory: MemoryUse,
+    /// Resident KiB per built, run and dropped world on the same backend
+    /// (see [`measure_retention`]).
+    pub retained_kib_per_world: f64,
 }
 
 impl SelfPerfReport {
@@ -800,13 +862,15 @@ impl SelfPerfReport {
             .collect();
         let mb = memory_baselines_for(self.memory.backend);
         format!(
-            "{{\n  \"schema\": \"selfperf-v7\",\n  \"generated_by\": \
+            "{{\n  \"schema\": \"selfperf-v8\",\n  \"generated_by\": \
              \"cargo bench -p bench --bench selfperf\",\n  \"quick\": {},\n  \
              \"host_cores\": {},\n  \"gate_regression_factor\": {:.2},\n  \
              \"hot_path\": {{\n    {}\n  }},\n  \"baseline_ns_per_event\": {{\n    \
              {}\n  }},\n  \"memory\": {{\n    \"backend\": \"{}\",\n    \
              \"available\": {},\n    \"gate_factor\": {:.2},\n    \
-             \"small\": {},\n    \"large\": {},\n    \"note\": \"{}\"\n  }},\n  \
+             \"small\": {},\n    \"large\": {},\n    \
+             \"retained_kib_per_world\": {:.3},\n    \
+             \"retained_gate_kib_per_world\": {:.1},\n    \"note\": \"{}\"\n  }},\n  \
              \"shard_scaling\": {{\n    \"serial\": {},\n    \
              \"parallel\": {},\n    \"runners\": {},\n    \"host_cores\": {},\n    \
              \"degenerate\": {},\n    \"speedup\": {:.2},\n    \
@@ -823,6 +887,8 @@ impl SelfPerfReport {
             MEMORY_GATE_FACTOR,
             world(&self.memory.small, mb.small_bytes_per_machine),
             world(&self.memory.large, mb.large_bytes_per_machine),
+            self.retained_kib_per_world,
+            RETAINED_GATE_KIB_PER_WORLD,
             mb.note,
             hot(&self.shard_scaling.serial),
             hot(&self.shard_scaling.parallel),
@@ -897,6 +963,7 @@ pub fn run(quick: bool) -> SelfPerfReport {
     // Memory first: the wall-clock workloads would warm the allocator and
     // hide the worlds' growth behind already-resident arenas.
     let memory = measure_memory(Backend::default_backend());
+    let retained_kib_per_world = measure_retention();
     SelfPerfReport {
         quick,
         host_cores: desim::par::default_jobs(),
@@ -908,6 +975,7 @@ pub fn run(quick: bool) -> SelfPerfReport {
         parallel: chaos_sweep_perf(seeds, 0),
         shard_scaling: measure_shard_scaling(quick),
         memory,
+        retained_kib_per_world,
     }
 }
 
@@ -1084,15 +1152,17 @@ mod tests {
                     vm_hwm_kb: 50_000,
                 },
             },
+            retained_kib_per_world: 0.25,
         };
         let json = report.to_json();
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains("\"schema\": \"selfperf-v7\""));
+        assert!(json.contains("\"schema\": \"selfperf-v8\""));
         assert!(json.contains("\"fibers\""));
         assert!(json.contains("\"os-threads\""));
         assert!(json.contains("\"gate_regression_factor\": 1.10"));
         assert!(json.contains("\"fleet\""));
         assert!(json.contains("\"memory\""));
+        assert!(json.contains("\"retained_kib_per_world\": 0.250"));
         assert!(json.contains("\"bytes_per_machine\": 16384"));
         assert!(json.contains("\"shard_scaling\""));
         assert!(json.contains("\"runners\": 4"));

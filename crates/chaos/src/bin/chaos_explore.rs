@@ -144,8 +144,17 @@ fn main() -> ExitCode {
         summary.null_plans,
         summary.recovery_traffic
     );
+    // Peak resident set next to the throughput: every world is dropped
+    // when its run ends, so a long sweep must show this flat.
+    let peak_rss = std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|s| {
+            let line = s.lines().find(|l| l.starts_with("VmHWM:"))?;
+            Some(format!(", peak RSS {}", line["VmHWM:".len()..].trim()))
+        })
+        .unwrap_or_default();
     println!(
-        "chaos-explore: {} jobs, {:.2}s wall, {:.1} seeds/sec",
+        "chaos-explore: {} jobs, {:.2}s wall, {:.1} seeds/sec{peak_rss}",
         desim::par::effective_jobs(opts.jobs),
         wall.as_secs_f64(),
         summary.runs as f64 / wall.as_secs_f64().max(1e-9)

@@ -211,6 +211,9 @@ pub struct Simulation {
     perturb_seed: Option<u64>,
     tracing_cap: Option<usize>,
     string_trace: bool,
+    /// Run by `Drop` once every thread has unwound (see
+    /// [`Simulation::on_teardown`]).
+    teardown: Vec<Box<dyn FnOnce() + Send>>,
 }
 
 impl fmt::Debug for Simulation {
@@ -331,6 +334,7 @@ impl SimulationBuilder {
             perturb_seed: None,
             tracing_cap: None,
             string_trace: false,
+            teardown: Vec::new(),
         }
     }
 }
@@ -569,6 +573,19 @@ impl Simulation {
             core.state.lock().perturb =
                 Some(SmallRng::seed_from_u64(shard::lane_seed(seed, idx as u64)));
         }
+    }
+
+    /// Registers `f` to run when the simulation is dropped, after every
+    /// simulated thread has been unwound and joined.
+    ///
+    /// This is how worlds built on the simulation get freed: a layer that
+    /// owns an upcall table (handler closures pointing back *up* the stack
+    /// at objects that hold the layer itself) registers a closure here that
+    /// empties the table, which breaks the ownership cycle once nothing can
+    /// run any more. Closures run in registration order and must not panic
+    /// or block.
+    pub fn on_teardown(&mut self, f: impl FnOnce() + Send + 'static) {
+        self.teardown.push(Box::new(f));
     }
 
     /// Adds a processor (one CPU) and returns its id.
@@ -1163,6 +1180,9 @@ impl Drop for Simulation {
     fn drop(&mut self) {
         for core in std::iter::once(&self.core).chain(self.extra.iter()) {
             core.initiate_shutdown();
+        }
+        for f in std::mem::take(&mut self.teardown) {
+            f();
         }
     }
 }

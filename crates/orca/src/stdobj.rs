@@ -545,6 +545,15 @@ impl BufferHandle {
 /// exchange): writers publish a value for `(round, slot)`, readers block
 /// until it appears. Replicated: publishing is one broadcast, every read is
 /// local.
+///
+/// **One reader per replica, one read per entry.** The guarded read
+/// *consumes* its entry at the replica it runs on, so a board holds only
+/// what has been published and not yet read there — however far a slow
+/// node lags, it still finds every round, and nothing stays for the life
+/// of the run. The read is still routed as read-only (a local operation, no
+/// communication): replicas differ only in which entries their own reader
+/// has already taken, which no other node can observe. A second read of
+/// the same `(round, slot)` on one node blocks forever.
 #[derive(Debug)]
 pub struct IterBoard {
     entries: std::collections::HashMap<(u64, u32), Bytes>,
@@ -554,8 +563,11 @@ pub struct IterBoard {
 pub mod board_ops {
     /// Publish `(round, slot, bytes)`.
     pub const PUBLISH: u16 = 0;
-    /// Guarded read of `(round, slot)`: blocks until published.
+    /// Guarded read of `(round, slot)`: blocks until published, then takes
+    /// the entry from the local replica.
     pub const GET: u16 = 1;
+    /// Number of entries the local replica holds (read-only).
+    pub const LEN: u16 = 2;
 }
 
 impl IterBoard {
@@ -582,21 +594,22 @@ impl ObjectType for IterBoard {
             board_ops::GET => {
                 let round = r.get_u64().expect("round");
                 let slot = r.get_u32().expect("slot");
-                match self.entries.get(&(round, slot)) {
+                match self.entries.remove(&(round, slot)) {
                     Some(data) => {
                         let mut w = WireWriter::with_capacity(4 + data.len());
-                        w.put_bytes(data);
+                        w.put_bytes(&data);
                         OpResult::Done(w.finish())
                     }
                     None => OpResult::Blocked,
                 }
             }
+            board_ops::LEN => done_i64(self.entries.len() as i64),
             _ => panic!("unknown IterBoard op {op}"),
         }
     }
 
     fn is_read_only(&self, op: OpCode) -> bool {
-        op == board_ops::GET
+        matches!(op, board_ops::GET | board_ops::LEN)
     }
 
     fn type_name(&self) -> &'static str {
@@ -630,7 +643,9 @@ impl BoardHandle {
         Ok(())
     }
 
-    /// Reads `(round, slot)`, blocking until it has been published.
+    /// Reads `(round, slot)`, blocking until it has been published, and
+    /// takes it off this node's replica (see [`IterBoard`]: each node reads
+    /// an entry at most once).
     ///
     /// # Errors
     ///
@@ -639,8 +654,20 @@ impl BoardHandle {
         let mut w = WireWriter::with_capacity(12);
         w.put_u64(round).put_u32(slot);
         let result = self.rts.invoke(ctx, self.id, board_ops::GET, &w.finish())?;
-        let mut r = WireReader::new(&result);
-        Ok(Bytes::copy_from_slice(r.get_bytes().expect("data")))
+        let len = WireReader::new(&result).get_bytes().expect("data").len();
+        // The result is one length-prefixed field: hand out the payload as
+        // a view of it instead of copying it a second time.
+        Ok(result.slice(4..4 + len))
+    }
+
+    /// Number of published entries this node has not read yet.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`OrcaError`] from the runtime.
+    pub fn len(&self, ctx: &Ctx) -> Result<usize, OrcaError> {
+        let result = self.rts.invoke(ctx, self.id, board_ops::LEN, &[])?;
+        Ok(WireReader::new(&result).get_i64().expect("i64 result") as usize)
     }
 }
 
@@ -744,11 +771,15 @@ mod tests {
         board.apply(board_ops::PUBLISH, &w.finish());
         let mut w = WireWriter::new();
         w.put_u64(3).put_u32(1);
-        match board.apply(board_ops::GET, &w.finish()) {
+        let get = w.finish();
+        match board.apply(board_ops::GET, &get) {
             OpResult::Done(b) => {
                 assert_eq!(WireReader::new(&b).get_bytes().unwrap(), b"row");
             }
             other => panic!("expected row, got {other:?}"),
         }
+        // Consume-once: the read took the entry, a second one blocks.
+        assert_eq!(board.apply(board_ops::GET, &get), OpResult::Blocked);
+        assert!(board.entries.is_empty());
     }
 }

@@ -2,6 +2,7 @@
 //! consistency, RPC routing, guarded operations with continuations, and the
 //! standard objects.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex as StdMutex};
 
 use chaos::testutil::{self, Stack};
@@ -247,6 +248,58 @@ fn iter_board_publish_get() {
         for node in 0..3 {
             assert_eq!(world.rts(node).stats().rpcs, 0, "board reads are local");
         }
+    }
+}
+
+/// The board retires an entry when the local reader takes it, never by
+/// age: a node that falls far behind must still find every round, and once
+/// everyone has read everything every replica is empty.
+#[test]
+fn iter_board_laggard_reads_every_round() {
+    const ROUNDS: u64 = 120;
+    for kernel in [true, false] {
+        let mut sim = Simulation::new(9);
+        let (_net, world) = build(&mut sim, 3, kernel);
+        let id = ObjId(6);
+        world.create_replicated(id, || orca::IterBoard::new());
+        let fast_round = Arc::new(AtomicU64::new(0));
+        let max_lead = Arc::new(AtomicU64::new(0));
+        for node in 0..3u32 {
+            let rts = world.rts(node);
+            let fast_round = Arc::clone(&fast_round);
+            let max_lead = Arc::clone(&max_lead);
+            sim.spawn(
+                rts.panda().machine().proc(),
+                &format!("p{node}"),
+                move |ctx| {
+                    let board = BoardHandle::new(Arc::clone(&rts), id);
+                    for round in 0..ROUNDS {
+                        // Nodes 0 and 1 take turns publishing (one pivot
+                        // row per round, as in ASP); node 2 only reads, and
+                        // slowly.
+                        if u64::from(node) == round % 2 {
+                            board
+                                .publish(ctx, round, 0, &round.to_be_bytes())
+                                .expect("publish");
+                        }
+                        if node == 2 {
+                            ctx.compute(desim::ms(10));
+                            let lead = fast_round.load(Ordering::Relaxed).saturating_sub(round);
+                            max_lead.fetch_max(lead, Ordering::Relaxed);
+                        }
+                        let data = board.get(ctx, round, 0).expect("get");
+                        assert_eq!(data[..], round.to_be_bytes());
+                        if node == 0 {
+                            fast_round.store(round, Ordering::Relaxed);
+                        }
+                    }
+                    assert_eq!(board.len(ctx).expect("len"), 0, "node {node} read it all");
+                },
+            );
+        }
+        sim.run().expect("no deadlock");
+        let lead = max_lead.load(Ordering::Relaxed);
+        assert!(lead >= 50, "the fast nodes ran only {lead} rounds ahead");
     }
 }
 

@@ -188,6 +188,10 @@ impl UserGroup {
                 move |ctx| seq_group.sequencer_thread(ctx, chan),
             );
         }
+        // Same cycle as `UserRpc`: the delivery handler captures objects
+        // that hold this node's Panda instance.
+        let handler_of = Arc::clone(&group);
+        sim.on_teardown(move || *handler_of.handler.lock() = None);
         group
     }
 

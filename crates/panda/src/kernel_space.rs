@@ -29,6 +29,7 @@ fn node_port(n: NodeId) -> Port {
     Port(0x5000 + u64::from(n))
 }
 
+#[derive(Default)]
 struct Handlers {
     rpc: Option<RpcHandler>,
     group: Option<GroupHandler>,
@@ -104,10 +105,7 @@ impl KernelSpacePanda {
                 machine: machine.clone(),
                 client,
                 member: member.clone(),
-                handlers: Arc::new(Mutex::new(Handlers {
-                    rpc: None,
-                    group: None,
-                })),
+                handlers: Arc::default(),
             });
             // RPC daemon pool: each thread loops get_request -> upcall ->
             // put_reply. A deferred reply parks the daemon on a slot until
@@ -167,6 +165,14 @@ impl KernelSpacePanda {
             );
             out.push(panda);
         }
+        // The handlers installed from above capture objects that hold these
+        // nodes (an `OrcaRts`, a test's replier): drop them at teardown.
+        let nodes = out.clone();
+        sim.on_teardown(move || {
+            for node in &nodes {
+                *node.handlers.lock() = Handlers::default();
+            }
+        });
         out
     }
 

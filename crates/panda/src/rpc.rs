@@ -116,6 +116,10 @@ impl UserRpc {
                 ack_rpc.ack_daemon(ctx);
             },
         );
+        // The handler installed from above captures objects that hold this
+        // node's Panda instance (and through it this module).
+        let handler_of = Arc::clone(&rpc);
+        sim.on_teardown(move || *handler_of.handler.lock() = None);
         rpc
     }
 

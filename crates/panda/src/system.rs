@@ -141,6 +141,7 @@ impl PandaHeader {
 /// daemon thread; must run to completion quickly.
 pub type ModuleUpcall = Arc<dyn Fn(&Ctx, PandaHeader, Bytes) + Send + Sync>;
 
+#[derive(Default)]
 struct Upcalls {
     rpc: Option<ModuleUpcall>,
     group: Option<ModuleUpcall>,
@@ -174,10 +175,7 @@ impl SysLayer {
         let sys = Arc::new(SysLayer {
             machine: machine.clone(),
             node,
-            upcalls: Arc::new(Mutex::new(Upcalls {
-                rpc: None,
-                group: None,
-            })),
+            upcalls: Arc::default(),
         });
         let daemon_sys = Arc::clone(&sys);
         sim.spawn_daemon_on_lane(
@@ -186,6 +184,10 @@ impl SysLayer {
             &format!("{}-pandad", machine.name()),
             move |ctx| daemon_sys.receive_daemon(ctx, inbox),
         );
+        // The module upcalls capture `UserRpc`/`UserGroup`, which hold this
+        // layer: drop them once nothing can run any more.
+        let upcalls = Arc::clone(&sys.upcalls);
+        sim.on_teardown(move || *upcalls.lock() = Upcalls::default());
         sys
     }
 
