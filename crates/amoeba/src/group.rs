@@ -14,20 +14,30 @@
 //! retransmission consume interrupt-level CPU and never cost a thread
 //! switch — the structural advantage the paper measures for the kernel-space
 //! implementation (Section 4.3).
+//!
+//! The protocol's decisions live in [`core`], shared with the user-space
+//! implementation; this file is the kernel *placement*: the 52-byte wire
+//! header, the interrupt-context handler that feeds the core and replays
+//! its outputs, the kernel CPU charges, the blocking `grp_send`/`grp_recv`
+//! system calls, and the resync daemon thread.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
 use bytes::{BufMut, Bytes, BytesMut};
 use desim::trace::{Layer, Phase};
-use desim::{Ctx, RecvTimeoutError, SimChannel, SimDuration, SimTime, SwitchCharge};
+use desim::{Ctx, RecvTimeoutError, SimChannel, SimDuration, SwitchCharge};
 use ethernet::McastAddr;
 use flip::{FlipAddr, FlipMessage};
 use parking_lot::Mutex;
 
 use crate::cost::AMOEBA_GROUP_HEADER_BYTES;
 use crate::machine::{fragments_of, Machine};
+
+pub mod core;
+
+use self::core::{Assigned, Kind, MemberCore, Note, Out, SeqCore, To, Wire};
 
 /// A message delivered by the group protocol, identical (payload and order)
 /// at every member.
@@ -137,51 +147,7 @@ impl GroupSpec {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Kind {
-    /// Small message to the sequencer (PB): body attached.
-    Req,
-    /// Large-message announcement to the sequencer (BB): data went by
-    /// multicast separately.
-    ReqBb,
-    /// Sequenced message multicast by the sequencer: body attached.
-    Seq,
-    /// Large-message data multicast by the sender.
-    BbData,
-    /// Sequencer's ordering decision for a BB message.
-    Accept,
-    /// Receiver asks the sequencer to resend history from `seqno`.
-    RetransReq,
-    /// Periodic delivery-progress report for history trimming.
-    Status,
-}
-
-impl Kind {
-    fn to_byte(self) -> u8 {
-        match self {
-            Kind::Req => 0,
-            Kind::ReqBb => 1,
-            Kind::Seq => 2,
-            Kind::BbData => 3,
-            Kind::Accept => 4,
-            Kind::RetransReq => 5,
-            Kind::Status => 6,
-        }
-    }
-    fn from_byte(b: u8) -> Option<Kind> {
-        Some(match b {
-            0 => Kind::Req,
-            1 => Kind::ReqBb,
-            2 => Kind::Seq,
-            3 => Kind::BbData,
-            4 => Kind::Accept,
-            5 => Kind::RetransReq,
-            6 => Kind::Status,
-            _ => return None,
-        })
-    }
-}
-
+/// The decoded Amoeba group header.
 struct Header {
     kind: Kind,
     sender: u32,
@@ -191,16 +157,17 @@ struct Header {
 }
 
 impl Header {
-    fn encode_with(&self, body: &[u8]) -> Bytes {
-        let mut buf = BytesMut::with_capacity(AMOEBA_GROUP_HEADER_BYTES + body.len());
-        buf.put_u8(self.kind.to_byte());
-        buf.put_u32(self.sender);
-        buf.put_u64(self.msg_id);
-        buf.put_u64(self.seqno);
-        buf.put_u64(self.piggyback);
+    /// The one place a core output becomes Amoeba wire bytes.
+    fn encode(w: &Wire) -> Bytes {
+        let mut buf = BytesMut::with_capacity(AMOEBA_GROUP_HEADER_BYTES + w.payload.len());
+        buf.put_u8(w.kind.to_byte());
+        buf.put_u32(w.sender);
+        buf.put_u64(w.msg_id);
+        buf.put_u64(w.seq);
+        buf.put_u64(w.piggyback);
         buf.put_slice(&[0u8; AMOEBA_GROUP_HEADER_BYTES - 29]);
         debug_assert_eq!(buf.len(), AMOEBA_GROUP_HEADER_BYTES);
-        buf.put_slice(body);
+        buf.put_slice(&w.payload);
         buf.freeze()
     }
 
@@ -224,40 +191,34 @@ impl Header {
     }
 }
 
-/// Per-member receiver state (every member, including the sequencer).
-struct MemberState {
-    next_deliver: u64,
-    ooo: BTreeMap<u64, (u32, u64, Bytes)>,
-    bb_store: HashMap<(u32, u64), Bytes>,
-    accepts: BTreeMap<u64, (u32, u64)>,
-    delivered_msg: HashMap<u32, u64>,
-    send_waiters: HashMap<u64, SimChannel<u64>>,
-    next_msg_id: u64,
-    since_status: u64,
-    last_status_at: SimTime,
-    last_gap_request: u64,
-}
-
-/// Sequencer-only state.
-struct SeqState {
-    next_seq: u64,
-    history: BTreeMap<u64, (u32, u64, Bytes)>,
-    seen: HashMap<(u32, u64), u64>,
-    delivered: Vec<u64>,
-    pending_bb: HashMap<(u32, u64), u64>,
-    history_overflow_drops: u64,
-}
-
+/// One member's protocol state: the receive side every member runs, the
+/// sequencer on the member that hosts it, and the senders blocked in
+/// `grp_send`.
 struct GroupState {
-    member: MemberState,
-    seq: Option<SeqState>,
+    member: MemberCore,
+    seq: Option<SeqCore>,
+    send_waiters: HashMap<u64, SimChannel<u64>>,
 }
 
-/// Wire traffic produced by the (locked) protocol state machine, executed
-/// after the lock is released because transmission sleeps in virtual time.
-enum WireOut {
-    Unicast(FlipAddr, Bytes),
-    Multicast(Bytes),
+/// Messages (and their bytes) one handler run handed to the application.
+#[derive(Default)]
+struct Delivered {
+    count: usize,
+    bytes: usize,
+}
+
+fn trace_note(ctx: &Ctx, note: &Note) {
+    note.render(|name, args| ctx.trace_instant(Layer::Group, name, args));
+}
+
+/// Traces a sequencer step's notes at the instant it ran; its wires stay in
+/// `outs` for [`GroupMember::transmit`].
+fn trace_notes(ctx: &Ctx, outs: &[Out]) {
+    for out in outs {
+        if let Out::Note(note) = out {
+            trace_note(ctx, note);
+        }
+    }
 }
 
 /// One member's handle on an Amoeba kernel group.
@@ -287,28 +248,10 @@ impl GroupMember {
     /// sequencer, entirely inside its kernel.
     pub fn join(machine: &Machine, spec: GroupSpec, my_id: u32) -> GroupMember {
         let is_seq = my_id as usize == spec.sequencer;
-        let n = spec.member_addrs.len();
         let state = Arc::new(Mutex::new(GroupState {
-            member: MemberState {
-                next_deliver: 1,
-                ooo: BTreeMap::new(),
-                bb_store: HashMap::new(),
-                accepts: BTreeMap::new(),
-                delivered_msg: HashMap::new(),
-                send_waiters: HashMap::new(),
-                next_msg_id: 1,
-                since_status: 0,
-                last_status_at: SimTime::ZERO,
-                last_gap_request: 0,
-            },
-            seq: is_seq.then(|| SeqState {
-                next_seq: 1,
-                history: BTreeMap::new(),
-                seen: HashMap::new(),
-                delivered: vec![0; n],
-                pending_bb: HashMap::new(),
-                history_overflow_drops: 0,
-            }),
+            member: MemberCore::new(my_id, spec.sequencer as u32, &spec.config),
+            seq: is_seq.then(|| SeqCore::new(spec.member_addrs.len(), &spec.config)),
+            send_waiters: HashMap::new(),
         }));
         let member = GroupMember {
             machine: machine.clone(),
@@ -350,8 +293,7 @@ impl GroupMember {
     /// Number of sequenced-but-undeliverable messages currently buffered
     /// (diagnostics; non-zero implies a gap).
     pub fn backlog(&self) -> usize {
-        let st = self.state.lock();
-        st.member.ooo.len() + st.member.accepts.len()
+        self.state.lock().member.backlog()
     }
 
     /// History entries the sequencer had to drop because the buffer
@@ -361,7 +303,7 @@ impl GroupMember {
             .lock()
             .seq
             .as_ref()
-            .map_or(0, |s| s.history_overflow_drops)
+            .map_or(0, SeqCore::overflow_drops)
     }
 
     /// Broadcasts `payload` to the group with total ordering. Blocks until
@@ -375,36 +317,16 @@ impl GroupMember {
     pub fn send(&self, ctx: &Ctx, payload: Bytes) -> Result<u64, GroupError> {
         let cost = self.machine.cost().clone();
         let cfg = &self.spec.config;
-        let (msg_id, waiter) = {
+        let (req, bb, waiter) = {
             let mut st = self.state.lock();
-            let id = st.member.next_msg_id;
-            st.member.next_msg_id += 1;
+            let (req, bb) = st.member.new_request(&payload);
             let w = SimChannel::new();
-            st.member.send_waiters.insert(id, w.clone());
-            (id, w)
+            st.send_waiters.insert(req.msg_id, w.clone());
+            (req, bb, w)
         };
-        let piggyback = self.state.lock().member.next_deliver - 1;
-        let big = payload.len() > cfg.bb_threshold;
-        let req_kind = if big { Kind::ReqBb } else { Kind::Req };
-        let req_body = if big { Bytes::new() } else { payload.clone() };
-        let req_wire = Header {
-            kind: req_kind,
-            sender: self.my_id,
-            msg_id,
-            seqno: 0,
-            piggyback,
-        }
-        .encode_with(&req_body);
-        let bb_wire = big.then(|| {
-            Header {
-                kind: Kind::BbData,
-                sender: self.my_id,
-                msg_id,
-                seqno: 0,
-                piggyback,
-            }
-            .encode_with(&payload)
-        });
+        let msg_id = req.msg_id;
+        let req_wire = Header::encode(&req);
+        let bb_wire = bb.as_ref().map(Header::encode);
         ctx.trace_emit(
             Layer::Group,
             Phase::Begin,
@@ -412,7 +334,7 @@ impl GroupMember {
             &[
                 ("msg_id", msg_id),
                 ("bytes", payload.len() as u64),
-                ("bb", u64::from(big)),
+                ("bb", u64::from(bb_wire.is_some())),
             ],
         );
         // Enter the kernel: traps, copy, per-packet processing.
@@ -467,7 +389,7 @@ impl GroupMember {
                 Err(RecvTimeoutError::Closed) => break,
             }
         }
-        self.state.lock().member.send_waiters.remove(&msg_id);
+        self.state.lock().send_waiters.remove(&msg_id);
         if result.is_ok() {
             // Return from the blocking grp_send: the kernel woke us directly
             // from the interrupt handler, so `Auto` charges no switch.
@@ -497,27 +419,19 @@ impl GroupMember {
         ctx.trace_cost(Layer::Group, "syscall", cost.syscall_enter);
         ctx.compute(cost.syscall_enter);
         let msg = loop {
-            let gap = {
-                let st = self.state.lock();
-                !st.member.ooo.is_empty() || !st.member.accepts.is_empty()
-            };
-            if gap {
+            if self.backlog() > 0 {
                 match self.inbox.recv_timeout(ctx, self.spec.config.gap_poll) {
                     Ok(m) => break m,
                     Err(RecvTimeoutError::Timeout) => {
-                        let next = self.state.lock().member.next_deliver;
-                        let req = Header {
-                            kind: Kind::RetransReq,
-                            sender: self.my_id,
-                            msg_id: 0,
-                            seqno: next,
-                            piggyback: next - 1,
-                        }
-                        .encode_with(&[]);
-                        ctx.trace_instant(Layer::Group, "retrans_req_tx", &[("from_seq", next)]);
+                        let req = self.state.lock().member.retrans_wire();
+                        ctx.trace_instant(Layer::Group, "retrans_req_tx", &[("from_seq", req.seq)]);
                         ctx.trace_cost(Layer::Group, "kernel_packet_send", cost.kernel_packet_send);
                         ctx.compute(cost.kernel_packet_send);
-                        self.send_unicast_raw(ctx, self.spec.sequencer_addr(), req);
+                        self.send_unicast_raw(
+                            ctx,
+                            self.spec.sequencer_addr(),
+                            Header::encode(&req),
+                        );
                     }
                     Err(RecvTimeoutError::Closed) => unreachable!("inbox never closes"),
                 }
@@ -553,6 +467,27 @@ impl GroupMember {
         }
     }
 
+    /// Sends the wires among `outs` in order, charging each through
+    /// `charge` (interrupt level in the handler, thread level in the resync
+    /// daemon). Transmission sleeps in virtual time, so this runs after the
+    /// state lock is released.
+    fn transmit(&self, ctx: &Ctx, outs: Vec<Out>, charge: impl Fn(SimDuration)) {
+        for out in outs {
+            let Out::Wire(w) = out else { continue };
+            let wire = Header::encode(&w);
+            let c = self.machine.cost().kernel_packet_send * fragments_of(wire.len());
+            ctx.trace_cost(Layer::Group, "kernel_packet_send", c);
+            charge(c);
+            match w.to {
+                To::Group => self.send_group_raw(ctx, wire),
+                To::Sequencer => self.send_unicast_raw(ctx, self.spec.sequencer_addr(), wire),
+                To::Member(m) => {
+                    self.send_unicast_raw(ctx, self.spec.member_addrs[m as usize], wire);
+                }
+            }
+        }
+    }
+
     /// The kernel protocol handler (interrupt context or local dispatch).
     fn kernel_handle(&self, ctx: &Ctx, msg: FlipMessage) {
         let Some((header, body)) = Header::decode(&msg.payload) else {
@@ -563,306 +498,108 @@ impl GroupMember {
         let (outs, icost) = {
             let mut st = self.state.lock();
             let mut outs = Vec::new();
-            let mut deliveries = 0usize;
-            let mut delivered_bytes = 0usize;
-            self.state_machine(
-                ctx,
-                &mut st,
-                header,
-                body,
-                &mut outs,
-                &mut deliveries,
-                &mut delivered_bytes,
-            );
+            let mut delivered = Delivered::default();
+            self.state_machine(ctx, &mut st, header, body, &mut outs, &mut delivered);
             let cost = self.machine.cost();
             ctx.trace_cost(Layer::Group, "protocol_layer", cost.protocol_layer);
             ctx.trace_cost(
                 Layer::Group,
                 "user_deliver",
-                cost.user_deliver * deliveries as u64,
+                cost.user_deliver * delivered.count as u64,
             );
-            ctx.trace_cost(Layer::Group, "copy", cost.copy(delivered_bytes));
+            ctx.trace_cost(Layer::Group, "copy", cost.copy(delivered.bytes));
             let icost = cost.protocol_layer
-                + cost.user_deliver * deliveries as u64
-                + cost.copy(delivered_bytes);
+                + cost.user_deliver * delivered.count as u64
+                + cost.copy(delivered.bytes);
             (outs, icost)
         };
         ctx.interrupt_compute(icost);
-        for out in outs {
-            match out {
-                WireOut::Unicast(dst, wire) => {
-                    let c = self.machine.cost().kernel_packet_send * fragments_of(wire.len());
-                    ctx.trace_cost(Layer::Group, "kernel_packet_send", c);
-                    ctx.interrupt_compute(c);
-                    self.send_unicast_raw(ctx, dst, wire);
-                }
-                WireOut::Multicast(wire) => {
-                    let c = self.machine.cost().kernel_packet_send * fragments_of(wire.len());
-                    ctx.trace_cost(Layer::Group, "kernel_packet_send", c);
-                    ctx.interrupt_compute(c);
-                    self.send_group_raw(ctx, wire);
-                }
-            }
-        }
+        self.transmit(ctx, outs, |c| ctx.interrupt_compute(c));
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Feeds one decoded frame to the cores. The kernel placement: the
+    /// sequencer shares the handler (and the lock) with its own member, so
+    /// it places its own copy the moment it assigns a number.
     fn state_machine(
         &self,
         ctx: &Ctx,
         st: &mut GroupState,
         header: Header,
         body: Bytes,
-        outs: &mut Vec<WireOut>,
-        deliveries: &mut usize,
-        delivered_bytes: &mut usize,
+        outs: &mut Vec<Out>,
+        delivered: &mut Delivered,
     ) {
-        match header.kind {
+        let Header {
+            kind,
+            sender,
+            msg_id,
+            seqno,
+            piggyback,
+        } = header;
+        match kind {
             Kind::Req | Kind::ReqBb => {
-                let key = (header.sender, header.msg_id);
-                let bb_data = st.member.bb_store.get(&key).cloned();
                 let Some(seq) = st.seq.as_mut() else { return };
-                if (header.sender as usize) < seq.delivered.len() {
-                    let d = &mut seq.delivered[header.sender as usize];
-                    *d = (*d).max(header.piggyback);
+                let member = &st.member;
+                let payload = (kind == Kind::Req).then_some(body);
+                let bb_data = || member.bb_data(sender, msg_id);
+                let assigned = seq.request(sender, msg_id, payload, piggyback, bb_data, outs);
+                trace_notes(ctx, outs);
+                if let Some(assigned) = assigned {
+                    self.place_own(ctx, st, sender, msg_id, assigned);
+                    self.try_deliver(ctx, st, outs, delivered);
                 }
-                if let Some(&assigned) = seq.seen.get(&key) {
-                    ctx.trace_instant(
-                        Layer::Group,
-                        "dup_suppressed",
-                        &[("sender", u64::from(header.sender)), ("seq", assigned)],
-                    );
-                    // Duplicate REQ: the sender missed its own message. For
-                    // BB-sized entries the sender still holds the data, so a
-                    // small accept suffices and avoids re-flooding the wire.
-                    if let Some((s, m, payload)) = seq.history.get(&assigned) {
-                        let wire = if payload.len() > self.spec.config.bb_threshold {
-                            Header {
-                                kind: Kind::Accept,
-                                sender: *s,
-                                msg_id: *m,
-                                seqno: assigned,
-                                piggyback: 0,
-                            }
-                            .encode_with(&[])
-                        } else {
-                            Header {
-                                kind: Kind::Seq,
-                                sender: *s,
-                                msg_id: *m,
-                                seqno: assigned,
-                                piggyback: 0,
-                            }
-                            .encode_with(payload)
-                        };
-                        outs.push(WireOut::Unicast(
-                            self.spec.member_addrs[header.sender as usize],
-                            wire,
-                        ));
-                    }
-                    return;
-                }
-                let payload = match header.kind {
-                    Kind::Req => body,
-                    _ => match bb_data {
-                        Some(data) => data,
-                        None => {
-                            // BB data not here yet; hold the request.
-                            seq.pending_bb.insert(key, header.piggyback);
-                            return;
-                        }
-                    },
-                };
-                self.assign_seq(ctx, st, header.sender, header.msg_id, payload, outs);
-                self.try_deliver(ctx, st, deliveries, delivered_bytes, outs);
             }
             Kind::BbData => {
-                let key = (header.sender, header.msg_id);
-                let already = st
-                    .member
-                    .delivered_msg
-                    .get(&header.sender)
-                    .is_some_and(|&m| m >= header.msg_id);
-                if !already {
-                    st.member.bb_store.insert(key, body.clone());
-                }
-                // If an accept already arrived, the message can now be placed.
-                let slot = st
-                    .member
-                    .accepts
-                    .iter()
-                    .find(|(_, k)| **k == key)
-                    .map(|(s, _)| *s);
-                if let Some(s) = slot {
-                    st.member.accepts.remove(&s);
-                    st.member
-                        .ooo
-                        .insert(s, (header.sender, header.msg_id, body.clone()));
-                }
+                st.member.on_bb_data(sender, msg_id, body.clone());
                 // The sequencer may have been waiting for this data.
-                if st.seq.is_some() {
-                    let pending = st
-                        .seq
-                        .as_mut()
-                        .and_then(|sq| sq.pending_bb.remove(&key))
-                        .is_some();
-                    if pending {
-                        self.assign_seq(ctx, st, header.sender, header.msg_id, body, outs);
-                    }
+                let assigned = st
+                    .seq
+                    .as_mut()
+                    .and_then(|seq| seq.bb_arrived(sender, msg_id, || Some(body), outs));
+                trace_notes(ctx, outs);
+                if let Some(assigned) = assigned {
+                    self.place_own(ctx, st, sender, msg_id, assigned);
                 }
-                self.try_deliver(ctx, st, deliveries, delivered_bytes, outs);
+                self.try_deliver(ctx, st, outs, delivered);
             }
-            Kind::Seq => {
-                if header.seqno >= st.member.next_deliver {
-                    st.member
-                        .ooo
-                        .insert(header.seqno, (header.sender, header.msg_id, body));
-                    st.member.accepts.remove(&header.seqno);
+            Kind::Seq | Kind::Accept => {
+                let fresh = if kind == Kind::Seq {
+                    st.member.on_seq(seqno, sender, msg_id, body)
                 } else {
-                    self.stale_seq_status(ctx, st, outs);
+                    st.member.on_accept(seqno, sender, msg_id)
+                };
+                // A stale (already-delivered) Seq/Accept means the sequencer
+                // resent history we did not need: report our true progress
+                // so its resync stops targeting us. Only with resync on.
+                if !fresh && !self.spec.config.resync_interval.is_zero() {
+                    outs.extend(st.member.stale_status(ctx.now()).map(Out::Wire));
                 }
-                self.try_deliver(ctx, st, deliveries, delivered_bytes, outs);
-                self.request_gap_fill(st, outs);
-            }
-            Kind::Accept => {
-                if header.seqno >= st.member.next_deliver {
-                    let key = (header.sender, header.msg_id);
-                    if let Some(data) = st.member.bb_store.get(&key).cloned() {
-                        st.member.ooo.insert(header.seqno, (key.0, key.1, data));
-                    } else {
-                        st.member.accepts.insert(header.seqno, key);
-                    }
-                } else {
-                    self.stale_seq_status(ctx, st, outs);
-                }
-                self.try_deliver(ctx, st, deliveries, delivered_bytes, outs);
-                self.request_gap_fill(st, outs);
+                self.try_deliver(ctx, st, outs, delivered);
+                outs.extend(st.member.gap_request().map(Out::Wire));
             }
             Kind::RetransReq => {
-                ctx.trace_instant(
-                    Layer::Group,
-                    "retrans_req_rx",
-                    &[
-                        ("sender", u64::from(header.sender)),
-                        ("from_seq", header.seqno),
-                    ],
-                );
-                let Some(seq) = st.seq.as_mut() else { return };
-                if (header.sender as usize) < seq.delivered.len() {
-                    let d = &mut seq.delivered[header.sender as usize];
-                    *d = (*d).max(header.piggyback);
-                }
-                let from = header.seqno;
-                let to = (from + self.spec.config.retrans_chunk).min(seq.next_seq);
-                for s in from..to {
-                    if let Some((sender, msg_id, payload)) = seq.history.get(&s) {
-                        let wire = Header {
-                            kind: Kind::Seq,
-                            sender: *sender,
-                            msg_id: *msg_id,
-                            seqno: s,
-                            piggyback: 0,
-                        }
-                        .encode_with(payload);
-                        outs.push(WireOut::Unicast(
-                            self.spec.member_addrs[header.sender as usize],
-                            wire,
-                        ));
-                    }
+                if let Some(seq) = st.seq.as_mut() {
+                    seq.retrans_request(sender, seqno, piggyback, outs);
+                    trace_notes(ctx, outs);
                 }
             }
             Kind::Status => {
-                let Some(seq) = st.seq.as_mut() else { return };
-                if (header.sender as usize) < seq.delivered.len() {
-                    let d = &mut seq.delivered[header.sender as usize];
-                    *d = (*d).max(header.piggyback);
+                if let Some(seq) = st.seq.as_mut() {
+                    seq.status(sender, piggyback);
+                    seq.trim_history();
                 }
-                Self::trim_history(seq, self.spec.config.history_max);
-            } // Handled above; a member never receives raw user traffic here.
+            }
         }
     }
 
-    /// Sequencer: assign the next sequence number and emit the ordering
-    /// multicast (data for PB, accept for BB).
-    fn assign_seq(
-        &self,
-        ctx: &Ctx,
-        st: &mut GroupState,
-        sender: u32,
-        msg_id: u64,
-        payload: Bytes,
-        outs: &mut Vec<WireOut>,
-    ) {
-        let cfg = &self.spec.config;
-        let big = payload.len() > cfg.bb_threshold;
-        let seq = st.seq.as_mut().expect("assign_seq runs on the sequencer");
-        let s = seq.next_seq;
-        seq.next_seq += 1;
-        ctx.trace_instant(
-            Layer::Group,
-            "seq_assign",
-            &[
-                ("seq", s),
-                ("sender", u64::from(sender)),
-                ("msg_id", msg_id),
-            ],
-        );
-        seq.seen.insert((sender, msg_id), s);
-        seq.history.insert(s, (sender, msg_id, payload.clone()));
-        Self::trim_history(seq, cfg.history_max);
-        let wire = if big {
-            Header {
-                kind: Kind::Accept,
-                sender,
-                msg_id,
-                seqno: s,
-                piggyback: 0,
-            }
-            .encode_with(&[])
-        } else {
-            Header {
-                kind: Kind::Seq,
-                sender,
-                msg_id,
-                seqno: s,
-                piggyback: 0,
-            }
-            .encode_with(&payload)
-        };
-        outs.push(WireOut::Multicast(wire));
-        // The sequencer places its own copy directly (its member handler will
-        // also see the multicast loopback, which dedups harmlessly).
-        if s >= st.member.next_deliver {
-            st.member.ooo.insert(s, (sender, msg_id, payload));
-            st.member.accepts.remove(&s);
-        }
-        if !cfg.resync_interval.is_zero() {
+    /// The sequencer places its own copy directly (its member handler will
+    /// also see the multicast loopback, which dedups harmlessly) and wakes
+    /// the resync daemon.
+    fn place_own(&self, ctx: &Ctx, st: &mut GroupState, sender: u32, msg_id: u64, a: Assigned) {
+        st.member.place_own(a.seq, sender, msg_id, a.payload);
+        if !self.spec.config.resync_interval.is_zero() {
             let _ = self.resync_wake.send(ctx, ());
         }
-    }
-
-    /// A stale (already-delivered) Seq/Accept means the sequencer resent
-    /// history we did not need: report our true progress so its resync
-    /// stops targeting us. Throttled; only active when resync is enabled.
-    fn stale_seq_status(&self, ctx: &Ctx, st: &mut GroupState, outs: &mut Vec<WireOut>) {
-        if self.spec.config.resync_interval.is_zero() || self.is_sequencer() {
-            return;
-        }
-        let now = ctx.now();
-        if now.saturating_duration_since(st.member.last_status_at) < SimDuration::from_millis(1) {
-            return;
-        }
-        st.member.since_status = 0;
-        st.member.last_status_at = now;
-        let wire = Header {
-            kind: Kind::Status,
-            sender: self.my_id,
-            msg_id: 0,
-            seqno: 0,
-            piggyback: st.member.next_deliver - 1,
-        }
-        .encode_with(&[]);
-        outs.push(WireOut::Unicast(self.spec.sequencer_addr(), wire));
     }
 
     /// The sequencer's laggard-resync daemon body (kernel thread). Spawn on
@@ -879,8 +616,7 @@ impl GroupMember {
         loop {
             let lagging = {
                 let st = self.state.lock();
-                let seq = st.seq.as_ref().expect("sequencer state");
-                seq.delivered.iter().copied().min().unwrap_or(0) + 1 < seq.next_seq
+                st.seq.as_ref().expect("sequencer state").lagging()
             };
             if lagging {
                 match self.resync_wake.recv_timeout(ctx, interval) {
@@ -897,95 +633,15 @@ impl GroupMember {
         }
     }
 
-    /// One resync round: resend missing history to each laggard, bounded by
-    /// `retrans_chunk` and a per-member byte budget per round so the
-    /// backstop can never flood the wire. The duplicates a wrong guess
-    /// causes prompt the member to report its true progress, which stops
-    /// the resync.
     fn resync_laggards(&self, ctx: &Ctx) {
-        let cost = self.machine.cost().clone();
-        let mut outs: Vec<WireOut> = Vec::new();
+        let mut outs = Vec::new();
         {
             let st = self.state.lock();
             let seq = st.seq.as_ref().expect("sequencer state");
-            let top = seq.next_seq;
-            for (m, &d) in seq.delivered.iter().enumerate() {
-                if d + 1 >= top || m == self.spec.sequencer {
-                    continue;
-                }
-                ctx.trace_instant(
-                    Layer::Group,
-                    "resync",
-                    &[("member", m as u64), ("from_seq", d + 1)],
-                );
-                let to = (d + 1 + self.spec.config.retrans_chunk).min(top);
-                let mut budget: usize = 8192;
-                let mut sent_any = false;
-                for s in (d + 1)..to {
-                    let Some((snd, mid, data)) = seq.history.get(&s) else {
-                        continue;
-                    };
-                    let big = data.len() > self.spec.config.bb_threshold;
-                    // The member still holds data it sent itself: a small
-                    // accept suffices instead of re-flooding the payload.
-                    let wire = if big && *snd == m as u32 {
-                        Header {
-                            kind: Kind::Accept,
-                            sender: *snd,
-                            msg_id: *mid,
-                            seqno: s,
-                            piggyback: 0,
-                        }
-                        .encode_with(&[])
-                    } else {
-                        // The first resend is exempt from the byte budget:
-                        // it is what repairs a genuinely lost message.
-                        if sent_any && data.len() > budget {
-                            break;
-                        }
-                        budget = budget.saturating_sub(data.len());
-                        Header {
-                            kind: Kind::Seq,
-                            sender: *snd,
-                            msg_id: *mid,
-                            seqno: s,
-                            piggyback: 0,
-                        }
-                        .encode_with(data)
-                    };
-                    sent_any = true;
-                    outs.push(WireOut::Unicast(self.spec.member_addrs[m], wire));
-                }
-            }
+            seq.resync_round(&mut outs);
         }
-        for out in outs {
-            let WireOut::Unicast(dst, wire) = out else {
-                unreachable!("resync only unicasts")
-            };
-            let c = cost.kernel_packet_send * fragments_of(wire.len());
-            ctx.trace_cost(Layer::Group, "kernel_packet_send", c);
-            ctx.compute(c);
-            self.send_unicast_raw(ctx, dst, wire);
-        }
-    }
-
-    fn trim_history(seq: &mut SeqState, max: usize) {
-        let min_delivered = seq.delivered.iter().copied().min().unwrap_or(0);
-        let keys: Vec<u64> = seq
-            .history
-            .range(..=min_delivered)
-            .map(|(k, _)| *k)
-            .collect();
-        for k in keys {
-            let e = seq.history.remove(&k).expect("key from range");
-            seq.seen.remove(&(e.0, e.1));
-        }
-        while seq.history.len() > max {
-            let (&k, _) = seq.history.iter().next().expect("non-empty");
-            let e = seq.history.remove(&k).expect("key exists");
-            seq.seen.remove(&(e.0, e.1));
-            seq.history_overflow_drops += 1;
-        }
+        trace_notes(ctx, &outs);
+        self.transmit(ctx, outs, |c| ctx.compute(c));
     }
 
     /// Deliver everything contiguous; wake local senders; emit status.
@@ -993,95 +649,36 @@ impl GroupMember {
         &self,
         ctx: &Ctx,
         st: &mut GroupState,
-        deliveries: &mut usize,
-        delivered_bytes: &mut usize,
-        outs: &mut Vec<WireOut>,
+        outs: &mut Vec<Out>,
+        delivered: &mut Delivered,
     ) {
-        loop {
-            let next = st.member.next_deliver;
-            let Some((sender, msg_id, payload)) = st.member.ooo.remove(&next) else {
-                break;
-            };
-            st.member.accepts.remove(&next);
-            st.member.bb_store.remove(&(sender, msg_id));
-            let dm = st.member.delivered_msg.entry(sender).or_insert(0);
-            *dm = (*dm).max(msg_id);
-            *deliveries += 1;
-            *delivered_bytes += payload.len();
-            ctx.trace_instant(
-                Layer::Group,
-                "deliver",
-                &[
-                    ("seq", next),
-                    ("sender", u64::from(sender)),
-                    ("bytes", payload.len() as u64),
-                ],
-            );
+        while let Some(d) = st.member.pop_deliverable() {
+            delivered.count += 1;
+            delivered.bytes += d.payload.len();
+            trace_note(ctx, &d.note());
             let _ = self.inbox.send(
                 ctx,
                 GroupMessage {
-                    sender,
-                    seq: next,
-                    payload,
+                    sender: d.sender,
+                    seq: d.seq,
+                    payload: d.payload,
                 },
             );
-            if sender == self.my_id {
-                if let Some(w) = st.member.send_waiters.remove(&msg_id) {
-                    let _ = w.send(ctx, next);
+            if d.sender == self.my_id {
+                if let Some(w) = st.send_waiters.remove(&d.msg_id) {
+                    let _ = w.send(ctx, d.seq);
                 }
             }
-            st.member.next_deliver += 1;
-            st.member.since_status += 1;
         }
-        // Report progress when the interval passes or, with resync enabled,
-        // promptly (throttled) once the member is fully caught up — without
-        // the prompt report an idle stretch makes the sequencer believe
-        // members lag and its resync resends history nobody needs.
-        let caught_up = st.member.ooo.is_empty() && st.member.accepts.is_empty();
-        let prompt_due = !self.spec.config.resync_interval.is_zero()
-            && caught_up
-            && st.member.since_status > 0
-            && ctx
-                .now()
-                .saturating_duration_since(st.member.last_status_at)
-                >= SimDuration::from_millis(10);
-        let due = st.member.since_status >= self.spec.config.status_interval || prompt_due;
-        if due && !self.is_sequencer() {
-            st.member.since_status = 0;
-            st.member.last_status_at = ctx.now();
-            let wire = Header {
-                kind: Kind::Status,
-                sender: self.my_id,
-                msg_id: 0,
-                seqno: 0,
-                piggyback: st.member.next_deliver - 1,
+        // The sequencer reads its own member's progress directly; everyone
+        // else reports it — promptly once caught up, but only with resync
+        // on (the fault-free configuration stays free of extra traffic).
+        match st.seq.as_mut() {
+            Some(seq) => seq.status(self.my_id, st.member.delivered()),
+            None => {
+                let prompt = !self.spec.config.resync_interval.is_zero();
+                outs.extend(st.member.status_due(ctx.now(), prompt).map(Out::Wire));
             }
-            .encode_with(&[]);
-            outs.push(WireOut::Unicast(self.spec.sequencer_addr(), wire));
-        } else if self.is_sequencer() {
-            let next = st.member.next_deliver;
-            let seq = st.seq.as_mut().expect("sequencer state");
-            seq.delivered[self.spec.sequencer] = seq.delivered[self.spec.sequencer].max(next - 1);
-        }
-    }
-
-    /// If a gap is visible (buffered messages ahead of `next_deliver`), ask
-    /// the sequencer once per gap position to fill it.
-    fn request_gap_fill(&self, st: &mut GroupState, outs: &mut Vec<WireOut>) {
-        let next = st.member.next_deliver;
-        let has_ahead = st.member.ooo.keys().next().is_some_and(|&k| k > next)
-            || st.member.accepts.keys().next().is_some_and(|&k| k > next);
-        if has_ahead && st.member.last_gap_request < next && !self.is_sequencer() {
-            st.member.last_gap_request = next;
-            let wire = Header {
-                kind: Kind::RetransReq,
-                sender: self.my_id,
-                msg_id: 0,
-                seqno: next,
-                piggyback: next - 1,
-            }
-            .encode_with(&[]);
-            outs.push(WireOut::Unicast(self.spec.sequencer_addr(), wire));
         }
     }
 }
@@ -1092,14 +689,15 @@ mod tests {
 
     #[test]
     fn header_roundtrip() {
-        let h = Header {
+        let wire = Header::encode(&Wire {
             kind: Kind::Accept,
             sender: 3,
             msg_id: 9,
-            seqno: 1234,
+            seq: 1234,
             piggyback: 1200,
-        };
-        let wire = h.encode_with(b"xyz");
+            payload: Bytes::from_static(b"xyz"),
+            to: To::Group,
+        });
         assert_eq!(wire.len(), AMOEBA_GROUP_HEADER_BYTES + 3);
         let (h2, body) = Header::decode(&wire).expect("decode");
         assert_eq!(h2.kind, Kind::Accept);

@@ -22,7 +22,7 @@
 #![warn(missing_debug_implementations)]
 
 mod cost;
-mod group;
+pub mod group;
 mod machine;
 mod rpc;
 

@@ -37,7 +37,7 @@ mod system;
 mod transport;
 mod user_space;
 
-pub use group::{UserGroup, UserGroupConfig};
+pub use group::UserGroup;
 pub use kernel_space::KernelSpacePanda;
 pub use system::{
     panda_addr, panda_eth_group, panda_group_addr, Module, ModuleUpcall, PandaHeader, SysLayer,

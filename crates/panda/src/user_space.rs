@@ -9,11 +9,11 @@ use std::sync::Arc;
 use bytes::Bytes;
 use desim::{Ctx, Simulation};
 
-use amoeba::Machine;
+use amoeba::{GroupConfig, Machine};
 
-use crate::group::{UserGroup, UserGroupConfig};
+use crate::group::UserGroup;
 use crate::rpc::UserRpc;
-use crate::system::SysLayer;
+use crate::system::{SysLayer, PANDA_GROUP_HEADER_BYTES};
 use crate::transport::{
     CommError, GroupHandler, NodeId, Panda, PandaConfig, ReplyTicket, RpcHandler, TicketInner,
 };
@@ -61,12 +61,13 @@ impl UserSpacePanda {
             config.sequencer_node
         };
         assert!(sequencer < n_members, "sequencer must be a member");
-        let group_config = UserGroupConfig {
+        let group_config = GroupConfig {
+            bb_threshold: flip::FLIP_FRAGMENT_BYTES - PANDA_GROUP_HEADER_BYTES,
             send_timeout: config.group_send_timeout,
             send_retries: config.group_send_retries,
             resync_interval: config.group_resync_interval,
             status_interval: config.group_status_interval,
-            ..UserGroupConfig::default()
+            ..GroupConfig::default()
         };
         let mut out = Vec::new();
         for (i, machine) in machines.iter().enumerate() {
