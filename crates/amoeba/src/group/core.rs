@@ -13,7 +13,7 @@
 //! operation a shell calls and when (DESIGN.md lists every one); nothing in
 //! here knows which stack it is running in.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use bytes::Bytes;
 use desim::{SimDuration, SimTime};
@@ -192,6 +192,43 @@ pub struct Assigned {
 /// A history entry: `(sender, msg_id, payload)`.
 type Entry = (u32, u64, Bytes);
 
+/// Which of one sender's messages have been seen (sequenced, at the
+/// sequencer; delivered, at a member). Message ids are per-sender monotone,
+/// so this is a watermark — every id through `through` — plus the few ids
+/// seen above it (nonblocking sends can arrive out of order). At the
+/// sequencer it outlives the history entries: a late copy of a request is a
+/// duplicate however long ago its message was acknowledged and trimmed.
+#[derive(Debug, Clone, Default)]
+struct Seen {
+    through: u64,
+    above: BTreeSet<u64>,
+}
+
+impl Seen {
+    fn contains(&self, msg_id: u64) -> bool {
+        msg_id <= self.through || self.above.contains(&msg_id)
+    }
+
+    /// Records `msg_id`, advancing the watermark over every id it now
+    /// reaches. An id the sender abandoned leaves a hole that never fills:
+    /// once more than `cap` ids wait above it the hole is given up (a copy
+    /// that late is dropped), so the set cannot grow without bound.
+    fn insert(&mut self, msg_id: u64, cap: usize) {
+        if msg_id == self.through.saturating_add(1) {
+            self.through = msg_id;
+        } else {
+            self.above.insert(msg_id);
+        }
+        while let Some(&low) = self.above.first() {
+            if low > self.through.saturating_add(1) && self.above.len() <= cap {
+                break;
+            }
+            self.through = self.through.max(low);
+            self.above.pop_first();
+        }
+    }
+}
+
 /// The sequencer: assigns sequence numbers, remembers what it ordered, and
 /// resends it on request.
 #[derive(Debug)]
@@ -201,11 +238,12 @@ pub struct SeqCore {
     retrans_chunk: u64,
     next_seq: u64,
     history: BTreeMap<u64, Entry>,
-    seen: HashMap<(u32, u64), u64>,
+    /// Per sender; at most `history_max` ids above each watermark.
+    seen: Vec<Seen>,
     /// Highest sequence number each member is known to have delivered.
     delivered: Vec<u64>,
     /// BB requests whose data has not reached the sequencer yet.
-    pending_bb: HashMap<(u32, u64), u64>,
+    pending_bb: HashSet<(u32, u64)>,
     overflow_drops: u64,
 }
 
@@ -218,18 +256,19 @@ impl SeqCore {
             retrans_chunk: config.retrans_chunk,
             next_seq: 1,
             history: BTreeMap::new(),
-            seen: HashMap::new(),
+            seen: vec![Seen::default(); n_members],
             delivered: vec![0; n_members],
-            pending_bb: HashMap::new(),
+            pending_bb: HashSet::new(),
             overflow_drops: 0,
         }
     }
 
     /// A send request (`payload` is `None` for a BB announcement, whose
     /// data `bb_data` looks up at the sequencer's own member). A repeated
-    /// request is answered from history; a BB request whose data has not
-    /// arrived is held for [`SeqCore::bb_arrived`]. Requests from outside
-    /// the group are ignored.
+    /// request is answered from history, or dropped if its entry has been
+    /// trimmed (every member, the sender included, delivered it); a BB
+    /// request whose data has not arrived is held for
+    /// [`SeqCore::bb_arrived`]. Requests from outside the group are ignored.
     pub fn request(
         &mut self,
         sender: u32,
@@ -243,27 +282,27 @@ impl SeqCore {
             return None;
         }
         self.status(sender, piggyback);
-        let key = (sender, msg_id);
-        if let Some(&assigned) = self.seen.get(&key) {
-            out.push(Out::Note(Note::DupSuppressed {
-                sender,
-                seq: assigned,
-            }));
-            // The sender missed its own message. It still holds BB-sized
-            // data, so a small accept suffices and avoids re-flooding the
-            // wire.
-            if let Some(entry) = self.history.get(&assigned) {
+        if self.seen[sender as usize].contains(msg_id) {
+            let sequenced = self
+                .history
+                .iter()
+                .find(|(_, e)| (e.0, e.1) == (sender, msg_id));
+            if let Some((&seq, entry)) = sequenced {
+                out.push(Out::Note(Note::DupSuppressed { sender, seq }));
+                // The sender missed its own message. It still holds
+                // BB-sized data, so a small accept suffices and avoids
+                // re-flooding the wire.
                 let kind = if entry.2.len() > self.bb_threshold {
                     Kind::Accept
                 } else {
                     Kind::Seq
                 };
-                out.push(Out::Wire(resend(kind, assigned, entry, sender)));
+                out.push(Out::Wire(resend(kind, seq, entry, sender)));
             }
             return None;
         }
         let Some(payload) = payload.or_else(bb_data) else {
-            self.pending_bb.insert(key, piggyback);
+            self.pending_bb.insert((sender, msg_id));
             return None;
         };
         Some(self.assign(sender, msg_id, payload, out))
@@ -278,7 +317,9 @@ impl SeqCore {
         data: impl FnOnce() -> Option<Bytes>,
         out: &mut Vec<Out>,
     ) -> Option<Assigned> {
-        self.pending_bb.remove(&(sender, msg_id))?;
+        if !self.pending_bb.remove(&(sender, msg_id)) {
+            return None;
+        }
         Some(self.assign(sender, msg_id, data()?, out))
     }
 
@@ -374,13 +415,10 @@ impl SeqCore {
             .map(|(k, _)| *k)
             .collect();
         for k in keys {
-            let e = self.history.remove(&k).expect("key from range");
-            self.seen.remove(&(e.0, e.1));
+            self.history.remove(&k);
         }
         while self.history.len() > self.history_max {
-            let (&k, _) = self.history.iter().next().expect("non-empty");
-            let e = self.history.remove(&k).expect("key exists");
-            self.seen.remove(&(e.0, e.1));
+            self.history.pop_first();
             self.overflow_drops += 1;
         }
     }
@@ -390,12 +428,25 @@ impl SeqCore {
         self.overflow_drops
     }
 
+    /// History entries currently held (never more than `history_max`).
+    pub fn history_len(&self) -> usize {
+        self.history.len()
+    }
+
+    /// Message ids remembered above the per-sender watermarks, over all
+    /// senders (diagnostics; never more than `history_max` per sender).
+    pub fn dedup_len(&self) -> usize {
+        self.seen.iter().map(|s| s.above.len()).sum()
+    }
+
     fn is_member(&self, id: u32) -> bool {
         (id as usize) < self.delivered.len()
     }
 
     /// Assigns the next sequence number and emits the ordering multicast
-    /// (data for PB, accept for BB).
+    /// (data for PB, accept for BB). Callers have checked that `sender` is a
+    /// member and `msg_id` unseen; a request held for its data stops being
+    /// held, so the data's arrival cannot order the message a second time.
     fn assign(&mut self, sender: u32, msg_id: u64, payload: Bytes, out: &mut Vec<Out>) -> Assigned {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -404,7 +455,8 @@ impl SeqCore {
             sender,
             msg_id,
         }));
-        self.seen.insert((sender, msg_id), seq);
+        self.seen[sender as usize].insert(msg_id, self.history_max);
+        self.pending_bb.remove(&(sender, msg_id));
         self.history.insert(seq, (sender, msg_id, payload.clone()));
         self.trim_history();
         let big = payload.len() > self.bb_threshold;
@@ -456,8 +508,10 @@ pub struct MemberCore {
     accepts: BTreeMap<u64, (u32, u64)>,
     /// BB data not delivered yet.
     bb_store: HashMap<(u32, u64), Bytes>,
-    /// Highest message id delivered per sender.
-    delivered_msg: HashMap<u32, u64>,
+    /// What has been delivered, per sender: BB data arriving (again) for
+    /// one of those is not kept.
+    delivered_msg: HashMap<u32, Seen>,
+    dedup_cap: usize,
     since_status: u64,
     last_status_at: SimTime,
     last_gap_request: u64,
@@ -477,6 +531,7 @@ impl MemberCore {
             accepts: BTreeMap::new(),
             bb_store: HashMap::new(),
             delivered_msg: HashMap::new(),
+            dedup_cap: config.history_max,
             since_status: 0,
             last_status_at: SimTime::ZERO,
             last_gap_request: 0,
@@ -541,7 +596,7 @@ impl MemberCore {
         let already = self
             .delivered_msg
             .get(&sender)
-            .is_some_and(|&m| m >= msg_id);
+            .is_some_and(|seen| seen.contains(msg_id));
         if !already {
             self.bb_store.insert(key, body.clone());
         }
@@ -571,8 +626,10 @@ impl MemberCore {
         let (sender, msg_id, payload) = self.ooo.remove(&seq)?;
         self.accepts.remove(&seq);
         self.bb_store.remove(&(sender, msg_id));
-        let dm = self.delivered_msg.entry(sender).or_insert(0);
-        *dm = (*dm).max(msg_id);
+        self.delivered_msg
+            .entry(sender)
+            .or_default()
+            .insert(msg_id, self.dedup_cap);
         self.next_deliver += 1;
         self.since_status += 1;
         Some(Delivery {

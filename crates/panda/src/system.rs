@@ -332,6 +332,30 @@ mod tests {
         assert!(PandaHeader::decode(&Bytes::from(junk)).is_none());
     }
 
+    proptest::proptest! {
+        /// Garbage, and a valid frame of either module cut anywhere, decode
+        /// to `None` or a header — never a panic.
+        #[test]
+        fn decode_never_panics_on_garbage_or_truncation(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..120),
+            module in 0u8..2,
+            cut in 0usize..120,
+        ) {
+            let mut garbage = bytes.clone();
+            let _ = PandaHeader::decode(&Bytes::from(garbage.clone()));
+            if let Some(b) = garbage.first_mut() {
+                *b = module; // a known module gets past the first check
+            }
+            let _ = PandaHeader::decode(&Bytes::from(garbage));
+            let module = Module::from_byte(module).expect("0 and 1 are the modules");
+            let header = PandaHeader { module, kind: 5, src: 3, msg_id: 9, a: u64::MAX, b: 0 };
+            let wire = header.encode_with(&bytes);
+            let cut = cut.min(wire.len());
+            let decoded = PandaHeader::decode(&wire.slice(..cut));
+            assert_eq!(decoded.is_some(), cut >= module.header_bytes());
+        }
+    }
+
     #[test]
     fn header_sizes_match_paper() {
         assert_eq!(Module::Rpc.header_bytes(), 64);
