@@ -409,13 +409,11 @@ impl SeqCore {
     /// beyond `history_max`.
     pub fn trim_history(&mut self) {
         let min_delivered = self.delivered.iter().copied().min().unwrap_or(0);
-        let keys: Vec<u64> = self
-            .history
-            .range(..=min_delivered)
-            .map(|(k, _)| *k)
-            .collect();
-        for k in keys {
-            self.history.remove(&k);
+        while let Some(oldest) = self.history.first_entry() {
+            if *oldest.key() > min_delivered {
+                break;
+            }
+            oldest.remove();
         }
         while self.history.len() > self.history_max {
             self.history.pop_first();
@@ -567,11 +565,8 @@ impl MemberCore {
     /// A sequenced message arrived. Returns `false` if it was already
     /// delivered (the sequencer resent history this member did not need).
     pub fn on_seq(&mut self, seq: u64, sender: u32, msg_id: u64, body: Bytes) -> bool {
-        if seq < self.next_deliver {
-            return false;
-        }
         self.place_own(seq, sender, msg_id, body);
-        true
+        seq >= self.next_deliver
     }
 
     /// The ordering decision for a BB message arrived; it is placed once
