@@ -16,20 +16,22 @@
 //! across all lanes, opens the window `[T_min, T_min + lookahead)`, lets
 //! every lane advance independently (and in parallel, up to the configured
 //! shard count) until its next event would land at or past the window end,
-//! and then — with all lanes stopped — flushes every link's outbox into its
-//! destination lane. Because a message sent during the window was sent at
-//! some `t ≥ T_min`, it is delivered at `t + delay ≥ T_min + lookahead`,
-//! i.e. at or past the window end: no lane can ever receive a message for
-//! an instant it has already executed, and no lane's intra-window schedule
-//! can depend on what other lanes did concurrently.
+//! and then — with all lanes stopped — flushes every link that carried
+//! traffic into its destination lane. Because a message sent during the
+//! window was sent at some `t ≥ T_min`, it is delivered at `t + delay ≥
+//! T_min + lookahead`, i.e. at or past the window end: no lane can ever
+//! receive a message for an instant it has already executed, and no lane's
+//! intra-window schedule can depend on what other lanes did concurrently.
 //!
 //! **Bit-identity follows by construction.** The window boundaries depend
 //! only on queue contents and the lookahead; the barrier-time flush order
-//! is the fixed link registration order; and each lane's pop order within
-//! a window is its own `(time, tie, seq)` order (see `queue.rs`). None of
-//! that mentions how many OS threads advance lanes concurrently, so
-//! `shards=1` and `shards=N` produce byte-identical traces, reports, and
-//! hashes — the property `tests/shard_equivalence.rs` pins.
+//! is the fixed link registration order (restricted to the links that
+//! carried traffic — a quiet link's flush had no effect); and each lane's
+//! pop order within a window is its own `(time, tie, seq)` order (see
+//! `queue.rs`). None of that mentions how many OS threads advance lanes
+//! concurrently, so `shards=1` and `shards=N` produce byte-identical
+//! traces, reports, and hashes — the property `tests/shard_equivalence.rs`
+//! pins.
 //!
 //! # Shard-count selection
 //!
@@ -46,7 +48,7 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -152,21 +154,6 @@ pub(crate) fn default_shards() -> ShardCount {
     ShardCount::Auto
 }
 
-/// What one barrier-time [`XPort::flush`] did.
-pub(crate) enum FlushResult {
-    /// Nothing was sent since the last flush: the dirty-flag fast path
-    /// returned after one atomic swap, taking no lock.
-    Quiet,
-    /// The outbox was merged into the pending list; the earliest pending
-    /// delivery was already covered by a queued injection event.
-    Merged,
-    /// The outbox was merged and a fresh injection event was pushed into
-    /// the destination lane's queue at this instant. The driver folds it
-    /// into the lane's published next-event slot, so a lane made runnable
-    /// only by this flush is not skipped.
-    Armed(SimTime),
-}
-
 /// Barrier-side face of a cross-lane link, held by the `Simulation` driver.
 /// Only called between windows, when no lane is running.
 pub(crate) trait XPort: Send + Sync {
@@ -181,17 +168,119 @@ pub(crate) trait XPort: Send + Sync {
     /// Moves everything sent during the last window into the destination
     /// lane's pending list and, when the earliest pending delivery is not
     /// already covered by a queued injection event, pushes one directly
-    /// into the destination lane's event queue. `floor` is the committed
-    /// global horizon: conservative lookahead guarantees every delivery
-    /// lands at or past it, which is debug-asserted here (the
-    /// cross-shard-injection assertion of `queue.rs`'s module docs).
+    /// into the destination lane's event queue and returns its instant
+    /// (the driver folds it into the lane's published next-event slot, so
+    /// a lane made runnable only by this flush is not skipped). `floor` is
+    /// the committed global horizon: conservative lookahead guarantees
+    /// every delivery lands at or past it, which is debug-asserted here
+    /// (the cross-shard-injection assertion of `queue.rs`'s module docs).
     ///
-    /// Quiet links — nothing sent since the last flush — return
-    /// [`FlushResult::Quiet`] after a single atomic swap on the link's
-    /// dirty flag, taking no lock at all: the common case in switch-tree
-    /// topologies, where most windows carry no cross-lane traffic on most
-    /// links.
-    fn flush(&self, floor: SimTime) -> FlushResult;
+    /// Called only for links whose bit [`LinkTable::flush_dirty`] found set,
+    /// i.e. whose outbox is non-empty. A quiet link is never visited: its
+    /// flush would have been a no-op, since anything still pending already
+    /// has an injection event queued (armed at flush or re-armed at
+    /// delivery).
+    fn flush(&self, floor: SimTime) -> Option<SimTime>;
+}
+
+/// One link's bit in the [`LinkTable`] dirty bitmap.
+struct DirtyBit {
+    word: Arc<AtomicU64>,
+    mask: u64,
+}
+
+/// Every cross-lane link of a simulation, in registration order — the
+/// barrier-time flush order, part of the deterministic merge — plus a dirty
+/// bitmap over registration indices, one `AtomicU64` word per 64 links.
+///
+/// A link's first send of a window (the one that finds its outbox empty)
+/// raises its bit; [`LinkTable::flush_dirty`] swaps each word to zero and
+/// flushes only the set bits, in ascending order. So the between-window
+/// phase costs O(words + links with traffic), not O(links): a 1024-machine
+/// switch tree registers ~600 links and has well under one with traffic per
+/// window.
+#[derive(Default)]
+pub(crate) struct LinkTable {
+    ports: Vec<Arc<dyn XPort>>,
+    dirty: Vec<Arc<AtomicU64>>,
+}
+
+impl LinkTable {
+    /// Number of registered links.
+    pub(crate) fn len(&self) -> usize {
+        self.ports.len()
+    }
+
+    /// The minimum delay over all links (`None` without links).
+    pub(crate) fn lookahead(&self) -> Option<SimDuration> {
+        self.ports.iter().map(|x| x.min_delay()).min()
+    }
+
+    /// Builds a link's shared state, registers its delivery hook with the
+    /// destination lane and its port (with the next dirty bit) here, and
+    /// returns the sender for [`crate::Simulation::cross_link`] to hand
+    /// out. Deliveries happen via barrier-time injection events, so no
+    /// daemon is spawned anywhere.
+    pub(crate) fn register<T: Send + 'static>(
+        &mut self,
+        delay: SimDuration,
+        src_core: &Arc<Core>,
+        dst_core: &Arc<Core>,
+        dst_lane: usize,
+        dst: SimChannel<T>,
+    ) -> XSender<T> {
+        assert!(
+            !delay.is_zero(),
+            "cross-lane links need a positive delay: it is the lookahead that \
+             makes parallel windows safe"
+        );
+        let i = self.ports.len();
+        if i / 64 == self.dirty.len() {
+            self.dirty.push(Arc::new(AtomicU64::new(0)));
+        }
+        let idx = dst_core.state.lock().injectors.len();
+        let shared = Arc::new(XShared {
+            delay,
+            dst_lane,
+            idx,
+            dirty: DirtyBit {
+                word: Arc::clone(&self.dirty[i / 64]),
+                mask: 1 << (i % 64),
+            },
+            outbox: Mutex::new(Vec::new()),
+            pending: Mutex::new(PendingBox {
+                q: VecDeque::new(),
+                armed: Vec::new(),
+            }),
+            dst_core: Arc::clone(dst_core),
+            dst,
+            src_core_addr: Arc::as_ptr(src_core) as usize,
+        });
+        let registered = dst_core.register_injector(Arc::clone(&shared) as Arc<dyn LaneInjector>);
+        debug_assert_eq!(registered, idx);
+        self.ports.push(Arc::clone(&shared) as Arc<dyn XPort>);
+        XSender { shared }
+    }
+
+    /// Flushes every link that was sent on since the last call, in
+    /// registration order, calling `armed(dst_lane, instant)` for each
+    /// fresh injection event. Returns the number of links flushed. Only
+    /// called between windows, when no lane is running.
+    pub(crate) fn flush_dirty(&self, floor: SimTime, mut armed: impl FnMut(usize, SimTime)) -> u64 {
+        let mut flushed = 0;
+        for (w, word) in self.dirty.iter().enumerate() {
+            let mut bits = word.swap(0, Ordering::Acquire);
+            while bits != 0 {
+                let xp = &self.ports[w * 64 + bits.trailing_zeros() as usize];
+                bits &= bits - 1;
+                flushed += 1;
+                if let Some(t) = xp.flush(floor) {
+                    armed(xp.dst_lane(), t);
+                }
+            }
+        }
+        flushed
+    }
 }
 
 /// Shared state of one [`XSender`] link.
@@ -200,8 +289,9 @@ pub(crate) trait XPort: Send + Sync {
 /// value early:
 ///
 /// 1. `send` (source lane, during a window) appends `(now + delay, value)`
-///    to the `outbox` — invisible to the destination — and raises the
-///    link's dirty flag.
+///    to the `outbox` — invisible to the destination. The send that finds
+///    the outbox empty also raises the link's bit in the [`LinkTable`]
+///    dirty bitmap, so the barrier visits this link and no quiet one.
 /// 2. `flush` (driver, at the window barrier) merges the outbox into
 ///    `pending`, sorted by delivery time, and pushes an *injection event*
 ///    ([`LaneInjector`]) into the destination lane's queue at the earliest
@@ -219,9 +309,9 @@ struct XShared<T> {
     /// This link's index in the destination lane's injector table; carried
     /// by every injection event the link arms.
     idx: usize,
-    /// Set by `send`, cleared by `flush`; lets a quiet window skip the
-    /// outbox and pending locks entirely.
-    dirty: AtomicBool,
+    /// Raised by the first `send` of a window, cleared by the driver's
+    /// [`LinkTable::flush_dirty`] just before it flushes this link.
+    dirty: DirtyBit,
     /// `(delivery instant, value)` pairs sent during the current window, in
     /// send order (per-lane virtual time is monotone, so also time order).
     outbox: Mutex<Vec<(SimTime, T)>>,
@@ -294,13 +384,7 @@ impl<T: Send + 'static> XPort for XShared<T> {
         self.dst_lane
     }
 
-    fn flush(&self, floor: SimTime) -> FlushResult {
-        // Quiet link: nothing was sent since the last flush, and anything
-        // still pending already has an injection event queued (armed at
-        // flush or re-armed at delivery). One uncontended atomic, no locks.
-        if !self.dirty.swap(false, Ordering::Acquire) {
-            return FlushResult::Quiet;
-        }
+    fn flush(&self, floor: SimTime) -> Option<SimTime> {
         let out: Vec<(SimTime, T)> = std::mem::take(&mut *self.outbox.lock());
         let front = {
             let mut p = self.pending.lock();
@@ -313,12 +397,9 @@ impl<T: Send + 'static> XPort for XShared<T> {
                 let pos = p.q.partition_point(|e| e.0 <= at);
                 p.q.insert(pos, (at, v));
             }
-            let front = match p.q.front().map(|e| e.0) {
-                Some(f) => f,
-                None => return FlushResult::Merged,
-            };
+            let front = p.q.front().expect("a dirty link has sent something").0;
             if !p.needs_arm(front) {
-                return FlushResult::Merged;
+                return None;
             }
             p.armed.push(front);
             front
@@ -331,7 +412,7 @@ impl<T: Send + 'static> XPort for XShared<T> {
             .state
             .lock()
             .schedule_injection(front, self.idx);
-        FlushResult::Armed(front)
+        Some(front)
     }
 }
 
@@ -376,57 +457,21 @@ impl<T: Send + 'static> XSender<T> {
             "XSender used from a lane other than its source lane"
         );
         let at = ctx.now() + self.shared.delay;
-        self.shared.outbox.lock().push((at, value));
-        // Raised after the push; the window barrier orders both against the
-        // driver's flush, so Release is belt-and-braces, not load-bearing.
-        self.shared.dirty.store(true, Ordering::Release);
+        let mut out = self.shared.outbox.lock();
+        if out.is_empty() {
+            // First send since the last flush. The window barrier orders
+            // this against the driver's swap, so Release is belt-and-braces,
+            // not load-bearing.
+            let bit = &self.shared.dirty;
+            bit.word.fetch_or(bit.mask, Ordering::Release);
+        }
+        out.push((at, value));
     }
 
     /// The link's fixed delivery delay.
     pub fn delay(&self) -> SimDuration {
         self.shared.delay
     }
-}
-
-/// Builds a link's shared state, registers its delivery hook with the
-/// destination lane, and returns `(sender, port)` for
-/// [`crate::Simulation::cross_link`] to wire up: the port goes into the
-/// driver's flush list; deliveries happen via barrier-time injection
-/// events, so no daemon is spawned anywhere.
-pub(crate) fn new_link<T: Send + 'static>(
-    delay: SimDuration,
-    src_core: &Arc<Core>,
-    dst_core: &Arc<Core>,
-    dst_lane: usize,
-    dst: SimChannel<T>,
-) -> (XSender<T>, Arc<dyn XPort>) {
-    assert!(
-        !delay.is_zero(),
-        "cross-lane links need a positive delay: it is the lookahead that \
-         makes parallel windows safe"
-    );
-    let idx = dst_core.state.lock().injectors.len();
-    let shared = Arc::new(XShared {
-        delay,
-        dst_lane,
-        idx,
-        dirty: AtomicBool::new(false),
-        outbox: Mutex::new(Vec::new()),
-        pending: Mutex::new(PendingBox {
-            q: VecDeque::new(),
-            armed: Vec::new(),
-        }),
-        dst_core: Arc::clone(dst_core),
-        dst,
-        src_core_addr: Arc::as_ptr(src_core) as usize,
-    });
-    let registered = dst_core.register_injector(Arc::clone(&shared) as Arc<dyn LaneInjector>);
-    debug_assert_eq!(registered, idx);
-    let sender = XSender {
-        shared: Arc::clone(&shared),
-    };
-    let port: Arc<dyn XPort> = shared as Arc<dyn XPort>;
-    (sender, port)
 }
 
 /// One lane's published position, written lock-free by whichever runner
@@ -441,8 +486,6 @@ pub(crate) struct LaneSlot {
     /// Mirror of the lane's `events_processed`.
     pub events: AtomicU64,
 }
-
-use std::sync::atomic::AtomicU64;
 
 /// Sense-reversing window gate: the coordinator opens each window by
 /// bumping a generation counter and the workers report completion by

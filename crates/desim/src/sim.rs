@@ -15,7 +15,7 @@ use crate::core::{
 use crate::ctx::Ctx;
 use crate::fiber;
 use crate::queue::QueueStats;
-use crate::shard::{self, FlushResult, LaneId, LaneSlot, ShardCount, WindowGate, XPort, XSender};
+use crate::shard::{self, LaneId, LaneSlot, LinkTable, ShardCount, WindowGate, XSender};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{CounterSnapshot, TraceEvent, Tracer};
 
@@ -25,6 +25,8 @@ pub enum SimError {
     /// The event queue drained while non-daemon threads were still blocked.
     Deadlock {
         /// `(thread name, what it was blocked on)` for each stuck thread.
+        /// With more than one lane the name is prefixed by the thread's
+        /// lane, as in `lane1/sink`.
         blocked: Vec<(String, &'static str)>,
     },
     /// The configured event budget was exhausted (see
@@ -98,8 +100,10 @@ pub struct WindowStats {
     pub events: u64,
     /// Cross-lane flushes that had traffic to merge.
     pub flushes: u64,
-    /// Cross-lane flushes elided by the dirty-flag fast path (one relaxed
-    /// atomic swap, no lock).
+    /// Links with nothing to flush: registered links minus links flushed,
+    /// summed over flush rounds (one before each window, plus the round
+    /// that ends a run). The driver never touches these links — their bits
+    /// in the dirty bitmap were clear.
     pub flushes_elided: u64,
     /// Lane-windows skipped because the lane's published next event lay at
     /// or past the window edge (no state lock taken).
@@ -196,7 +200,7 @@ pub struct Simulation {
     extra: Vec<Arc<Core>>,
     /// Cross-lane links in registration order — which is the barrier-time
     /// flush order, part of the deterministic merge.
-    xports: Vec<Arc<dyn XPort>>,
+    links: LinkTable,
     shards: ShardCount,
     /// Cumulative window-engine accounting (see [`Simulation::window_stats`]).
     window_stats: WindowStats,
@@ -323,7 +327,7 @@ impl SimulationBuilder {
                 self.expected_threads,
             ),
             extra: Vec::new(),
-            xports: Vec::new(),
+            links: LinkTable::default(),
             shards,
             window_stats: WindowStats::default(),
             seed: self.seed,
@@ -393,7 +397,7 @@ impl Simulation {
     /// all cross-lane links, or `None` when no links exist (lanes are then
     /// fully independent and each runs to completion in one window).
     pub fn lookahead(&self) -> Option<SimDuration> {
-        self.xports.iter().map(|x| x.min_delay()).min()
+        self.links.lookahead()
     }
 
     /// Adds a scheduler lane and returns its id.
@@ -522,15 +526,12 @@ impl Simulation {
             dst_proc.0 < self.lane_core(dst_lane).state.lock().procs.len(),
             "cross_link {name}: {dst_proc:?} is not a processor of {dst_lane}"
         );
-        let (sender, port) = shard::new_link(
-            delay,
-            self.lane_core(src_lane),
-            self.lane_core(dst_lane),
-            dst_lane.index(),
-            dst,
+        let (src, dst_core) = (
+            Arc::clone(self.lane_core(src_lane)),
+            Arc::clone(self.lane_core(dst_lane)),
         );
-        self.xports.push(port);
-        sender
+        self.links
+            .register(delay, &src, &dst_core, dst_lane.index(), dst)
     }
 
     /// Sets the context-switch cost used for processors added *afterwards*.
@@ -654,7 +655,7 @@ impl Simulation {
     }
 
     fn run_inner(&mut self, stop_on: Option<(usize, ThreadId)>) -> Result<SimReport, SimError> {
-        if self.extra.is_empty() && self.xports.is_empty() {
+        if self.extra.is_empty() && self.links.len() == 0 {
             return self.run_classic(stop_on.map(|(_, t)| t));
         }
         self.run_windowed(stop_on)
@@ -690,16 +691,27 @@ impl Simulation {
     }
 
     /// Queue(s) drained: every non-daemon thread must have finished, and a
-    /// `stop_on` target reaching this point never finished.
+    /// `stop_on` target reaching this point never finished. On a
+    /// multi-lane simulation each blocked thread's name carries its lane
+    /// (`lane2/client-7`), since thread names need not be unique across
+    /// lanes.
     fn drained_result(&self, had_target: bool) -> Result<SimReport, SimError> {
+        let multi = self.lanes() > 1;
         let mut blocked: Vec<(String, &'static str)> = Vec::new();
-        for core in self.cores() {
+        for (lane, core) in self.cores().enumerate() {
             let st = core.state.lock();
             blocked.extend(
                 st.threads
                     .iter()
                     .filter(|t| t.state != ThreadState::Finished && !t.daemon)
-                    .map(|t| (t.name.to_string(), t.blocked_on)),
+                    .map(|t| {
+                        let name = if multi {
+                            format!("lane{lane}/{}", t.name)
+                        } else {
+                            t.name.to_string()
+                        };
+                        (name, t.blocked_on)
+                    }),
             );
         }
         if !blocked.is_empty() || had_target {
@@ -712,8 +724,9 @@ impl Simulation {
     /// scheme and the bit-identity argument). Structure per round, with
     /// every lane stopped between the gate's `done` and the next `open`:
     ///
-    /// 1. flush every cross-lane link, in registration order (dirty links
-    ///    only — a quiet link costs one atomic swap);
+    /// 1. flush every cross-lane link that carried traffic, in registration
+    ///    order — one swap per 64 links of the dirty bitmap, quiet links
+    ///    never touched;
     /// 2. stop if the target finished, a lane hit its event budget, or the
     ///    summed budget is exhausted — all read from the lanes' published
     ///    atomic slots, no state lock;
@@ -775,9 +788,10 @@ impl Simulation {
         // edge are skipped lock-free (their slots are already current).
         let drive = |runner: usize| {
             let w = wend.load(AO::Acquire);
+            let mut idle = 0;
             for li in (runner..lanes).step_by(runners) {
                 if slots[li].next.load(AO::Relaxed) >= w {
-                    skipped.fetch_add(1, AO::Relaxed);
+                    idle += 1;
                     continue;
                 }
                 let core = &cores[li];
@@ -808,6 +822,9 @@ impl Simulation {
                     }
                 }
             }
+            if idle > 0 {
+                skipped.fetch_add(idle, AO::Relaxed);
+            }
         };
 
         // Ok(true) = target finished, Ok(false) = drained, Err(()) = budget.
@@ -832,24 +849,20 @@ impl Simulation {
             // Committed horizon: every instant below it is finished history
             // on every lane, so cross-lane flushes must land at or past it.
             let mut floor = SimTime::ZERO;
+            let links = self.links.len() as u64;
             let out = loop {
-                for xp in &self.xports {
-                    match xp.flush(floor) {
-                        FlushResult::Quiet => stats.flushes_elided += 1,
-                        FlushResult::Merged => stats.flushes += 1,
-                        FlushResult::Armed(t) => {
-                            stats.flushes += 1;
-                            // Fold the armed instant into the destination's
-                            // published position so `T_min` and the skip see
-                            // it. Coordinator-only phase: plain load/store.
-                            let slot = &slots[xp.dst_lane()].next;
-                            let t_ns = t.as_nanos();
-                            if t_ns < slot.load(AO::Relaxed) {
-                                slot.store(t_ns, AO::Relaxed);
-                            }
-                        }
+                let flushed = self.links.flush_dirty(floor, |dst, t| {
+                    // Fold the armed instant into the destination's
+                    // published position so `T_min` and the skip see it.
+                    // Coordinator-only phase: plain load/store.
+                    let slot = &slots[dst].next;
+                    let t_ns = t.as_nanos();
+                    if t_ns < slot.load(AO::Relaxed) {
+                        slot.store(t_ns, AO::Relaxed);
                     }
-                }
+                });
+                stats.flushes += flushed;
+                stats.flushes_elided += links - flushed;
                 if let Some((sl, _)) = stop {
                     if outcomes[sl].load(AO::Acquire) == OUT_TARGET {
                         break Ok(true);

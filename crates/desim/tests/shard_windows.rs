@@ -104,6 +104,8 @@ fn run_ring(seed: u64, specs: &[LaneSpec], delays_us: &[u64], shards: usize) -> 
     for h in &handles {
         assert!(h.is_finished());
     }
+    let links = if n > 1 { n as u64 } else { 0 };
+    assert_flush_accounting(&sim.window_stats(), links);
     Artifacts {
         per_lane_traces: lanes
             .iter()
@@ -222,7 +224,7 @@ fn two_lane_ring_is_shard_count_independent() {
 fn quiet_windows_elide_flush_work() {
     // Lane 0 fires one early burst at lane 1, then lane 1 grinds through a
     // long local program: every later window carries no cross traffic, so
-    // its flush must be elided (dirty-flag fast path) and drained lane 0
+    // its flush must be elided (its dirty bit stays clear) and drained lane 0
     // skipped without taking its state lock.
     let mut sim = Simulation::builder().seed(5).shards(2).build();
     let l1 = sim.add_lane();
@@ -255,6 +257,127 @@ fn quiet_windows_elide_flush_work() {
         "drained lane 0 must be skipped lock-free: {w:?}"
     );
     assert_eq!(w.events, sim.report().events);
+}
+
+/// Every window the driver runs one flush round over all links, plus the
+/// closing round that finds the run over: each round flushes or elides
+/// every registered link exactly once.
+fn assert_flush_accounting(w: &WindowStats, links: u64) {
+    assert_eq!(
+        w.flushes + w.flushes_elided,
+        (w.windows + 1) * links,
+        "each flush round visits or elides every link once: {w:?}"
+    );
+}
+
+/// Links registered by [`run_fan_in`]: three words of the dirty bitmap.
+const FAN_IN_LINKS: u64 = 135;
+
+/// Three sender lanes fan [`FAN_IN_LINKS`] links into one sink lane (link
+/// `k` leaves lane `1 + k % 3`, so registration order interleaves the
+/// senders). Every sender sends on all its links at one instant, in
+/// *reverse* registration order, then on every seventh link at a second
+/// instant. Returns every `(link, arrival instant)` the sink saw, in
+/// arrival order, and the window counters.
+fn run_fan_in(shards: usize) -> (Vec<(u64, SimTime)>, WindowStats) {
+    let mut sim = Simulation::builder().seed(17).shards(shards).build();
+    let senders: Vec<LaneId> = (0..3).map(|_| sim.add_lane()).collect();
+    let sink_proc = sim.add_processor("sink");
+    let procs: Vec<_> = senders
+        .iter()
+        .enumerate()
+        .map(|(i, &l)| sim.add_processor_on(l, &format!("src{i}")))
+        .collect();
+    let inbox: SimChannel<u64> = SimChannel::new();
+    let mut per_lane: Vec<Vec<(u64, desim::XSender<u64>)>> = vec![Vec::new(); 3];
+    for k in 0..FAN_IN_LINKS {
+        let s = (k % 3) as usize;
+        let tx = sim.cross_link(
+            &format!("fan-{k}"),
+            us(20),
+            senders[s],
+            LaneId::ZERO,
+            sink_proc,
+            inbox.clone(),
+        );
+        per_lane[s].push((k, tx));
+    }
+    for (s, links) in per_lane.into_iter().enumerate() {
+        sim.spawn_on_lane(senders[s], procs[s], &format!("send{s}"), move |ctx| {
+            ctx.sleep(us(5));
+            for (k, tx) in links.iter().rev() {
+                tx.send(ctx, *k);
+            }
+            ctx.sleep(us(100));
+            for (k, tx) in links.iter().rev().filter(|(k, _)| k % 7 == 0) {
+                tx.send(ctx, *k);
+            }
+        });
+    }
+    let seen = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+    let log = std::sync::Arc::clone(&seen);
+    sim.spawn_daemon(sink_proc, "sink", move |ctx| {
+        while let Some(k) = inbox.recv(ctx) {
+            log.lock().unwrap().push((k, ctx.now()));
+        }
+    });
+    sim.run().expect("fan-in runs to completion");
+    let arrivals = seen.lock().unwrap().clone();
+    (
+        arrivals,
+        WindowStats {
+            barrier_wait_ns: 0,
+            ..sim.window_stats()
+        },
+    )
+}
+
+#[test]
+fn same_instant_fan_in_arrives_in_link_registration_order() {
+    let (arrivals, w) = run_fan_in(1);
+    let burst = SimTime::ZERO + us(25);
+    let late = SimTime::ZERO + us(125);
+    let expected: Vec<(u64, SimTime)> = (0..FAN_IN_LINKS)
+        .map(|k| (k, burst))
+        .chain((0..FAN_IN_LINKS).filter(|k| k % 7 == 0).map(|k| (k, late)))
+        .collect();
+    assert_eq!(arrivals, expected);
+    // Every link in the burst and every seventh in the second round, each
+    // flushed once; no other flush.
+    assert_eq!(w.flushes, FAN_IN_LINKS + FAN_IN_LINKS.div_ceil(7));
+    assert_flush_accounting(&w, FAN_IN_LINKS);
+    for shards in [2, 0] {
+        assert_eq!(run_fan_in(shards), (arrivals.clone(), w), "shards {shards}");
+    }
+}
+
+#[test]
+fn windowed_deadlock_names_the_lane() {
+    let mut sim = Simulation::builder().seed(2).shards(2).build();
+    let l1 = sim.add_lane();
+    let p0 = sim.add_processor("m0");
+    let p1 = sim.add_processor_on(l1, "m1");
+    let inbox: SimChannel<u64> = SimChannel::new();
+    let tx = sim.cross_link("x", us(10), LaneId::ZERO, l1, p1, inbox.clone());
+    let never: SimChannel<u64> = SimChannel::new();
+    sim.spawn(p0, "waiter", move |ctx| {
+        tx.send(ctx, 1);
+        let _ = never.recv(ctx); // nobody ever sends
+    });
+    sim.spawn_on_lane(l1, p1, "waiter", move |ctx| {
+        assert_eq!(inbox.recv(ctx), Some(1));
+        let _ = inbox.recv(ctx); // the only sender is stuck
+    });
+    match sim.run() {
+        Err(desim::SimError::Deadlock { blocked }) => assert_eq!(
+            blocked,
+            vec![
+                ("lane0/waiter".to_owned(), "chan.recv"),
+                ("lane1/waiter".to_owned(), "chan.recv"),
+            ]
+        ),
+        other => panic!("expected a deadlock, got {other:?}"),
+    }
 }
 
 fn lane_spec() -> impl Strategy<Value = LaneSpec> {
@@ -294,7 +417,7 @@ proptest! {
     }
 
     /// Topologies where lanes sit fully idle: the idle-lane skip and the
-    /// dirty-flag flush elision must not change a single observable — every
+    /// dirty-bitmap flush elision must not change a single observable — every
     /// delivery instant, trace line, and clock matches the serial
     /// (`shards=1`) reference exactly, and the window-engine counters
     /// themselves are shard-count independent.

@@ -11,10 +11,21 @@
 //! ```
 
 use apps::fleet::{run_fleet, FleetReport, FleetSpec, FleetStack, ThinkDist};
-use desim::Backend;
+use desim::{Backend, WindowStats};
+
+/// A run's window-engine counters without the wall-clock gate wait — the
+/// part `WindowStats` documents as deterministic. `result_hash` leaves
+/// them out, so the matrices compare them separately.
+fn window_counters(r: &FleetReport) -> WindowStats {
+    WindowStats {
+        barrier_wait_ns: 0,
+        ..r.window_stats
+    }
+}
 
 /// Runs `spec` over {os-threads, fibers} × shards {1, 2, auto} and asserts
-/// every run hashes identically. Returns the reference report.
+/// every run hashes identically and has identical window counters. Returns
+/// the reference report.
 fn assert_matrix_identical(spec: &FleetSpec) -> FleetReport {
     let reference = run_fleet(spec, Backend::OsThreads, 1);
     assert!(reference.ops > 0, "fleet did work: {}", reference.summary());
@@ -31,6 +42,11 @@ fn assert_matrix_identical(spec: &FleetSpec) -> FleetReport {
                 reference.summary(),
                 r.summary(),
             );
+            assert_eq!(
+                window_counters(&r),
+                window_counters(&reference),
+                "window counters diverged on {backend:?} x shards {shards}"
+            );
         }
     }
     reference
@@ -44,6 +60,30 @@ fn percentiles_are_sane(r: &FleetReport) {
     assert!(r.throughput() > 0.0, "throughput emitted: {}", r.summary());
 }
 
+/// Window counters of the 96-machine kernel fleet below, recorded before
+/// the flush barrier went from visiting every link to visiting only links
+/// with traffic. Any change to the window or flush machinery that alters
+/// one of them fails here, in every backend × shards cell.
+const KERNEL_96_WINDOWS: WindowStats = WindowStats {
+    windows: 2470,
+    events: 24070,
+    flushes: 1029,
+    flushes_elided: 112637,
+    lanes_skipped: 4789,
+    barrier_wait_ns: 0,
+};
+
+/// Window counters of the 48-machine user fleet below (see
+/// [`KERNEL_96_WINDOWS`]).
+const USER_48_WINDOWS: WindowStats = WindowStats {
+    windows: 3698,
+    events: 20111,
+    flushes: 648,
+    flushes_elided: 73332,
+    lanes_skipped: 5686,
+    barrier_wait_ns: 0,
+};
+
 #[test]
 fn kernel_fleet_identical_across_backends_and_shards() {
     // 8 servers on the backbone, 88 clients over 11 leaves, 3 edge
@@ -55,6 +95,7 @@ fn kernel_fleet_identical_across_backends_and_shards() {
     spec.mean_think = desim::ms(6);
     let r = assert_matrix_identical(&spec);
     percentiles_are_sane(&r);
+    assert_eq!(window_counters(&r), KERNEL_96_WINDOWS);
     assert_eq!(r.timeouts, 0, "no timeouts at this load: {}", r.summary());
     assert!(
         r.group_sends > 0,
@@ -71,6 +112,7 @@ fn user_fleet_identical_across_backends_and_shards() {
     spec.mean_think = desim::ms(6);
     let r = assert_matrix_identical(&spec);
     percentiles_are_sane(&r);
+    assert_eq!(window_counters(&r), USER_48_WINDOWS);
     assert!(
         r.group_sends > 0,
         "group service exercised: {}",
