@@ -9,6 +9,7 @@
 //! carry the call id so executions can be tallied per call.
 
 use std::collections::HashMap;
+use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex as StdMutex};
 
@@ -128,12 +129,30 @@ impl Fnv {
             self.0 = self.0.wrapping_mul(0x1_0000_01b3);
         }
     }
-    fn str(&mut self, s: &str) {
+    fn bytes(&mut self, s: &str) {
         for b in s.bytes() {
             self.0 ^= u64::from(b);
             self.0 = self.0.wrapping_mul(0x1_0000_01b3);
         }
+    }
+    fn str(&mut self, s: &str) {
+        self.bytes(s);
         self.u64(s.len() as u64);
+    }
+    /// Hashes what `self.str(&v.to_string())` hashes, without the `String`.
+    fn display(&mut self, v: impl fmt::Display) {
+        struct Counted<'a>(&'a mut Fnv, u64);
+        impl fmt::Write for Counted<'_> {
+            fn write_str(&mut self, s: &str) -> fmt::Result {
+                self.0.bytes(s);
+                self.1 += s.len() as u64;
+                Ok(())
+            }
+        }
+        let mut w = Counted(self, 0);
+        fmt::Write::write_fmt(&mut w, format_args!("{v}")).expect("hashing never fails");
+        let len = w.1;
+        self.u64(len);
     }
 }
 
@@ -360,8 +379,8 @@ fn run_chaos_inner(cfg: &ChaosConfig) -> ChaosOutcome {
     // --- trace hash ---------------------------------------------------------
     let mut h = Fnv::new();
     for c in &art.counters {
-        h.str(&c.proc.to_string());
-        h.str(&c.layer.to_string());
+        h.display(c.proc);
+        h.str(c.layer.as_str());
         h.str(c.name);
         h.u64(c.count);
         h.u64(c.total);

@@ -7,7 +7,7 @@
 use std::collections::HashMap;
 
 use desim::trace::{CounterSnapshot, Layer, TraceEvent};
-use desim::{SimDuration, SimError, SimReport};
+use desim::{ProcId, SimDuration, SimError, SimReport};
 use ethernet::SegmentStats;
 
 /// How one RPC call ended, from the client's point of view.
@@ -64,6 +64,27 @@ fn counter(counters: &[CounterSnapshot], layer: Layer, name: &str) -> u64 {
         .filter(|c| c.layer == layer && c.name == name)
         .map(|c| c.count)
         .sum()
+}
+
+/// The first event that runs its processor's clock backwards, rendered as
+/// a violation. A world has a handful of processors, so the last time per
+/// processor lives in a short list scanned linearly.
+fn clock_violation(events: &[TraceEvent]) -> Option<String> {
+    let mut last: Vec<(ProcId, u64)> = Vec::new();
+    for e in events {
+        let t = e.time.duration_since(desim::SimTime::ZERO).as_nanos();
+        match last.iter_mut().find(|(p, _)| *p == e.proc) {
+            Some((_, prev)) if t < *prev => {
+                return Some(format!(
+                    "clock ran backwards on {}: {} -> {} ns at {}/{}",
+                    e.proc, prev, t, e.layer, e.name
+                ));
+            }
+            Some((_, prev)) => *prev = t,
+            None => last.push((e.proc, t)),
+        }
+    }
+    None
 }
 
 /// Runs every invariant check; returns the violations found (empty = pass).
@@ -161,20 +182,8 @@ pub fn check(art: &RunArtifacts) -> Vec<String> {
     // 4. Per-processor clock monotonicity over the trace window: the ring
     //    buffer holds events in emission order, and emission order must
     //    never run backwards on any one processor.
-    let mut last: HashMap<String, u64> = HashMap::new();
-    for e in &art.events {
-        let t = e.time.duration_since(desim::SimTime::ZERO).as_nanos();
-        let key = e.proc.to_string();
-        if let Some(prev) = last.get(&key) {
-            if t < *prev {
-                v.push(format!(
-                    "clock ran backwards on {key}: {} -> {} ns at {}/{}",
-                    prev, t, e.layer, e.name
-                ));
-                break;
-            }
-        }
-        last.insert(key, t);
+    if let Some(backwards) = clock_violation(&art.events) {
+        v.push(backwards);
     }
 
     // 5. Frame conservation: every transmitted frame is accounted for —
@@ -266,4 +275,83 @@ pub fn check(art: &RunArtifacts) -> Vec<String> {
     }
 
     v
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use desim::trace::{ArgVec, Phase};
+    use desim::{SimTime, Simulation, ThreadId};
+
+    /// Artifacts of a run that passes every check but the clock check,
+    /// carrying `events` (built by `trace`) as its trace window.
+    fn artifacts(trace: impl FnOnce([ProcId; 3], ThreadId) -> Vec<TraceEvent>) -> RunArtifacts {
+        let mut sim = Simulation::new(1);
+        let procs = ["m0", "m1", "m2"].map(|name| sim.add_processor(name));
+        let thread = sim.spawn(procs[0], "t", |_| {}).id();
+        let sim_result = sim.run();
+        RunArtifacts {
+            executions: HashMap::new(),
+            rpc_outcomes: Vec::new(),
+            send_failures: Vec::new(),
+            deliveries: Vec::new(),
+            counters: Vec::new(),
+            events: trace(procs, thread),
+            stats: SegmentStats::default(),
+            held_pending: 0,
+            partitions_left: 0,
+            downs_left: 0,
+            expected_rpcs: 0,
+            expected_sender0: 0,
+            expected_sender2: 0,
+            plan_is_null: false,
+            max_virtual: SimDuration::from_millis(1),
+            sim_result,
+        }
+    }
+
+    /// `(processor index, ns)` pairs as events in that emission order.
+    fn events(procs: [ProcId; 3], thread: ThreadId, at: &[(usize, u64)]) -> Vec<TraceEvent> {
+        at.iter()
+            .map(|&(p, ns)| TraceEvent {
+                time: SimTime::ZERO + SimDuration::from_nanos(ns),
+                proc: procs[p],
+                thread,
+                layer: Layer::Rpc,
+                phase: Phase::Instant,
+                name: "tx",
+                args: ArgVec::from_slice(&[]),
+            })
+            .collect()
+    }
+
+    /// Each processor's clock is monotone, the interleaving is not.
+    const INTERLEAVED: [(usize, u64); 7] = [
+        (0, 100),
+        (1, 50),
+        (2, 10),
+        (0, 100),
+        (1, 60),
+        (2, 200),
+        (0, 150),
+    ];
+
+    #[test]
+    fn interleaved_monotone_processors_pass() {
+        let art = artifacts(|procs, thread| events(procs, thread, &INTERLEAVED));
+        assert_eq!(check(&art), Vec::<String>::new());
+    }
+
+    #[test]
+    fn one_backwards_event_is_one_violation() {
+        let art = artifacts(|procs, thread| {
+            let mut at = INTERLEAVED.to_vec();
+            at.extend([(1, 40), (2, 300), (1, 70)]);
+            events(procs, thread, &at)
+        });
+        assert_eq!(
+            check(&art),
+            ["clock ran backwards on p1: 60 -> 40 ns at rpc/tx"]
+        );
+    }
 }

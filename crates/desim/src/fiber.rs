@@ -11,8 +11,21 @@
 //!
 //! The primitive is vendored in-tree (no external crate): `global_asm!`
 //! blocks for x86_64 and aarch64 Linux, and direct `extern "C"`
-//! declarations of `mmap`/`mprotect`/`munmap` for the guard-paged stacks
-//! (std already links libc, so the symbols are always available).
+//! declarations of `mmap`/`mprotect`/`madvise`/`munmap` for the
+//! guard-paged stacks (std already links libc, so the symbols are always
+//! available).
+//!
+//! # Stack reuse
+//!
+//! A dropped stack goes back to a process-wide pool (at most
+//! [`FIBER_STACK_POOL_CAP`] stacks) with its usable pages released by
+//! `madvise(MADV_DONTNEED)`, and the next fiber asking for the same length
+//! takes it from there. A reused stack is indistinguishable from a fresh
+//! one — same guard page, zero-filled pages on first touch, nothing
+//! resident while it waits — but costs one syscall per thread instead of
+//! three (`mmap`, `mprotect`, `munmap`). Chaos sweeps build and drop
+//! thousands of worlds of about 18 threads each and pay that cost for
+//! every one.
 //!
 //! # Safety model
 //!
@@ -53,6 +66,13 @@ pub(crate) const SUPPORTED: bool = cfg!(all(
 /// and bound, Orca marshalling) need with a wide margin.
 pub(crate) const DEFAULT_STACK_SIZE: usize = 1 << 20;
 
+/// Most fiber stacks the process keeps for reuse (see "Stack reuse" in the
+/// module docs). A pooled stack holds address space and two mappings but
+/// no resident pages; stacks dropped beyond this bound are unmapped. 1024
+/// covers every world short of a fleet (a chaos world has about 18
+/// threads).
+pub const FIBER_STACK_POOL_CAP: usize = 1024;
+
 /// A suspended execution context's save slot: the stack pointer written by
 /// `desim_fiber_switch` when the context suspends.
 ///
@@ -82,6 +102,7 @@ impl ContextCell {
 ))]
 mod imp {
     use super::*;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
 
     // ---------------------------------------------------------------
     // Context switch, x86_64 SysV: save the callee-saved registers on
@@ -209,6 +230,7 @@ desim_fiber_boot:
             ) -> *mut c_void;
             pub fn munmap(addr: *mut c_void, len: usize) -> i32;
             pub fn mprotect(addr: *mut c_void, len: usize, prot: i32) -> i32;
+            pub fn madvise(addr: *mut c_void, len: usize, advice: i32) -> i32;
             pub fn sysconf(name: i32) -> i64;
         }
 
@@ -218,6 +240,7 @@ desim_fiber_boot:
         pub const MAP_PRIVATE: i32 = 0x2;
         pub const MAP_ANONYMOUS: i32 = 0x20;
         pub const MAP_STACK: i32 = 0x20000;
+        pub const MADV_DONTNEED: i32 = 4;
         pub const _SC_PAGESIZE: i32 = 30;
     }
 
@@ -231,39 +254,82 @@ desim_fiber_boot:
         })
     }
 
+    /// Free stacks as `(base, len)` mappings in `stacks[..len]`, the most
+    /// recently dropped last. Every entry's usable pages were released
+    /// with `MADV_DONTNEED`, and its guard page is still `PROT_NONE`.
+    ///
+    /// A fixed array rather than a `Vec`: a block the pool allocated
+    /// mid-run would stay live at the top of the malloc heap and keep the
+    /// memory freed below it resident (a quarter MiB of extra peak RSS
+    /// over the Table 3 worlds).
+    struct FreeList {
+        len: usize,
+        stacks: [(usize, usize); FIBER_STACK_POOL_CAP],
+    }
+
+    impl FreeList {
+        /// Removes the most recently pooled stack of `len` bytes and
+        /// returns its base.
+        fn take(&mut self, len: usize) -> Option<usize> {
+            let i = self.stacks[..self.len]
+                .iter()
+                .rposition(|&(_, l)| l == len)?;
+            let base = self.stacks[i].0;
+            self.len -= 1;
+            self.stacks[i] = self.stacks[self.len];
+            Some(base)
+        }
+    }
+
+    struct StackPool(Mutex<FreeList>);
+
+    impl StackPool {
+        const fn new() -> StackPool {
+            StackPool(Mutex::new(FreeList {
+                len: 0,
+                stacks: [(0, 0); FIBER_STACK_POOL_CAP],
+            }))
+        }
+
+        /// The free list. No update can panic halfway, so a lock poisoned
+        /// by a panicking holder still guards a valid list.
+        fn free(&self) -> MutexGuard<'_, FreeList> {
+            self.0.lock().unwrap_or_else(PoisonError::into_inner)
+        }
+    }
+
+    /// The pool every fiber stack of the process comes from and returns to.
+    static STACKS: StackPool = StackPool::new();
+
     /// An anonymous mapping of `usable + guard page` bytes. The lowest
     /// page is `PROT_NONE`: stacks grow down, so overflow hits the guard
     /// and faults instead of silently corrupting the neighbouring
-    /// allocation. Unmapped on drop.
+    /// allocation. Returned to its pool on drop, or unmapped when the
+    /// pool is full.
     struct FiberStack {
         base: *mut u8,
         len: usize,
+        pool: &'static StackPool,
     }
 
     impl FiberStack {
         fn new(stack_size: usize) -> FiberStack {
+            FiberStack::take(&STACKS, stack_size)
+        }
+
+        /// A stack of `stack_size` usable bytes, rounded up to whole
+        /// pages, from `pool`; mapped fresh only when the pool holds no
+        /// stack of that length.
+        fn take(pool: &'static StackPool, stack_size: usize) -> FiberStack {
             let page = page_size();
             let usable = stack_size.max(page).div_ceil(page) * page;
             let len = usable + page;
-            let base = unsafe {
-                sys::mmap(
-                    std::ptr::null_mut(),
-                    len,
-                    sys::PROT_READ | sys::PROT_WRITE,
-                    sys::MAP_PRIVATE | sys::MAP_ANONYMOUS | sys::MAP_STACK,
-                    -1,
-                    0,
-                )
-            };
-            assert!(
-                base as isize != -1 && !base.is_null(),
-                "fiber stack mmap({len}) failed"
-            );
-            let rc = unsafe { sys::mprotect(base, page, sys::PROT_NONE) };
-            assert_eq!(rc, 0, "fiber stack guard mprotect failed");
+            let pooled = pool.free().take(len);
+            let base = pooled.unwrap_or_else(|| map_stack(len, page));
             FiberStack {
                 base: base as *mut u8,
                 len,
+                pool,
             }
         }
 
@@ -273,10 +339,60 @@ desim_fiber_boot:
         }
     }
 
+    /// Maps `len` bytes whose lowest `page` is the guard; returns the base.
+    fn map_stack(len: usize, page: usize) -> usize {
+        // SAFETY: an anonymous private mapping at an address of the
+        // kernel's choosing aliases nothing; the result is checked below.
+        let base = unsafe {
+            sys::mmap(
+                std::ptr::null_mut(),
+                len,
+                sys::PROT_READ | sys::PROT_WRITE,
+                sys::MAP_PRIVATE | sys::MAP_ANONYMOUS | sys::MAP_STACK,
+                -1,
+                0,
+            )
+        };
+        assert!(
+            base as isize != -1 && !base.is_null(),
+            "fiber stack mmap({len}) failed"
+        );
+        // SAFETY: the lowest page of the mapping just created, which
+        // nothing references yet.
+        let rc = unsafe { sys::mprotect(base, page, sys::PROT_NONE) };
+        assert_eq!(rc, 0, "fiber stack guard mprotect failed");
+        base as usize
+    }
+
     impl Drop for FiberStack {
         fn drop(&mut self) {
+            let page = page_size();
+            let mut free = self.pool.free();
+            if free.len < FIBER_STACK_POOL_CAP {
+                // SAFETY: the usable part of a mapping this stack owns.
+                // Its fiber never runs again (a `Fiber` drops only after
+                // its final switch-out or without ever starting), so no
+                // live frame sits in the pages released here; the guard
+                // page below them is left as it is.
+                let rc = unsafe {
+                    sys::madvise(
+                        self.base.add(page).cast(),
+                        self.len - page,
+                        sys::MADV_DONTNEED,
+                    )
+                };
+                if rc == 0 {
+                    let at = free.len;
+                    free.stacks[at] = (self.base as usize, self.len);
+                    free.len += 1;
+                    return;
+                }
+            }
+            drop(free);
+            // SAFETY: the whole mapping this stack owns, which nothing
+            // references any more (see above).
             unsafe {
-                sys::munmap(self.base as *mut _, self.len);
+                sys::munmap(self.base.cast(), self.len);
             }
         }
     }
@@ -441,9 +557,22 @@ desim_fiber_boot:
             assert_eq!(hits.load(Ordering::Relaxed), 2);
         }
 
+        /// The permission field (`rw-p`, `---p`, …) of the
+        /// `/proc/self/maps` line whose range holds `addr`.
+        fn perms_at(addr: usize) -> Option<String> {
+            let maps = std::fs::read_to_string("/proc/self/maps").expect("read /proc/self/maps");
+            maps.lines().find_map(|line| {
+                let (range, rest) = line.split_once(' ')?;
+                let (lo, hi) = range.split_once('-')?;
+                let lo = usize::from_str_radix(lo, 16).ok()?;
+                let hi = usize::from_str_radix(hi, 16).ok()?;
+                (lo <= addr && addr < hi).then(|| rest.split(' ').next().unwrap_or("").to_string())
+            })
+        }
+
         /// Guard page: the mapping's lowest page must reject writes. We
-        /// only check the mapping exists with the right span here (a
-        /// fault test would take the process down).
+        /// check its protection in `/proc/self/maps` (a fault test would
+        /// take the process down).
         #[test]
         fn stack_has_guard_page() {
             let page = page_size();
@@ -451,6 +580,77 @@ desim_fiber_boot:
             assert_eq!(stack.len % page, 0);
             assert!(stack.len >= 8 * 1024 + page);
             assert_eq!(stack.top() - stack.base as usize, stack.len);
+            assert_eq!(perms_at(stack.base as usize).as_deref(), Some("---p"));
+            assert_eq!(
+                perms_at(stack.base as usize + page).as_deref(),
+                Some("rw-p")
+            );
+        }
+
+        /// Each test below owns a pool, so tests running in parallel (and
+        /// their fibers, which use the process-wide pool) cannot take or
+        /// evict its stacks.
+        #[test]
+        fn reused_stack_is_the_same_mapping_zero_filled_behind_its_guard() {
+            static POOL: StackPool = StackPool::new();
+            let page = page_size();
+            let first = FiberStack::take(&POOL, 4 * page);
+            let (base, len) = (first.base as usize, first.len);
+            // SAFETY: the usable pages of a stack no fiber runs on.
+            unsafe { std::ptr::write_bytes(first.base.add(page), 0xa5, len - page) };
+            drop(first);
+            assert_eq!(POOL.free().len, 1);
+
+            let again = FiberStack::take(&POOL, 4 * page);
+            assert_eq!((again.base as usize, again.len), (base, len));
+            assert_eq!(POOL.free().len, 0);
+            // SAFETY: the same usable pages, now owned by `again`.
+            let usable = unsafe { std::slice::from_raw_parts(again.base.add(page), len - page) };
+            assert!(
+                usable.iter().all(|&b| b == 0),
+                "a reused stack must read as zero-filled"
+            );
+            assert_eq!(perms_at(base).as_deref(), Some("---p"));
+            assert_eq!(perms_at(base + page).as_deref(), Some("rw-p"));
+        }
+
+        #[test]
+        fn stacks_of_different_lengths_never_mix() {
+            static POOL: StackPool = StackPool::new();
+            let page = page_size();
+            let small = FiberStack::take(&POOL, 2 * page);
+            let small_base = small.base;
+            drop(small);
+
+            let big = FiberStack::take(&POOL, 3 * page);
+            assert_ne!(big.base, small_base);
+            assert_eq!(big.len, 4 * page);
+            assert_eq!(POOL.free().len, 1, "the small stack still waits");
+            drop(big);
+
+            let small = FiberStack::take(&POOL, 2 * page);
+            assert_eq!((small.base, small.len), (small_base, 3 * page));
+            assert_eq!(POOL.free().len, 1, "the big stack still waits");
+        }
+
+        #[test]
+        fn pool_never_exceeds_its_cap() {
+            static POOL: StackPool = StackPool::new();
+            let page = page_size();
+            let stacks: Vec<FiberStack> = (0..FIBER_STACK_POOL_CAP + 8)
+                .map(|_| FiberStack::take(&POOL, page))
+                .collect();
+            let kept: Vec<usize> = stacks[..FIBER_STACK_POOL_CAP]
+                .iter()
+                .map(|s| s.base as usize)
+                .collect();
+            drop(stacks);
+            let free = POOL.free();
+            assert_eq!(free.len, FIBER_STACK_POOL_CAP);
+            assert!(free.stacks[..free.len]
+                .iter()
+                .map(|&(base, _)| base)
+                .eq(kept));
         }
     }
 }

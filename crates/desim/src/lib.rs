@@ -61,6 +61,7 @@ pub use backend::{set_backend_override, Backend};
 pub use channel::{PendingWake, RecvTimeoutError, SendError, SimChannel};
 pub use core::{ProcId, ThreadId};
 pub use ctx::{Ctx, SwitchCharge};
+pub use fiber::FIBER_STACK_POOL_CAP;
 pub use queue::QueueStats;
 pub use shard::{set_shards_override, LaneId, XSender};
 pub use sim::{
