@@ -74,23 +74,33 @@ pub fn generate_graph(seed: u64, n: usize) -> Vec<Vec<i32>> {
 
 /// Sequential Floyd–Warshall (reference for correctness tests).
 pub fn solve_sequential(graph: &[Vec<i32>]) -> i64 {
-    let n = graph.len();
     let mut d: Vec<Vec<i32>> = graph.to_vec();
-    for k in 0..n {
-        for i in 0..n {
-            let dik = d[i][k];
-            if dik >= INF {
-                continue;
-            }
-            for j in 0..n {
-                let via = dik + d[k][j];
-                if via < d[i][j] {
-                    d[i][j] = via;
-                }
-            }
+    let mut pivot = Vec::new();
+    for k in 0..d.len() {
+        // A copy, so every row can be relaxed in place; `d[k][k] == 0`, so
+        // row k itself does not change in round k.
+        pivot.clone_from(&d[k]);
+        for row in &mut d {
+            relax(row, k, &pivot);
         }
     }
     checksum(&d)
+}
+
+/// One Floyd–Warshall step for one row through pivot `k`: `row[j] =
+/// min(row[j], row[k] + pivot[j])`, where `pivot` is row `k`. Returns
+/// whether the row was relaxed; a row with no path to `k` (`row[k] == INF`)
+/// is skipped. Branch-free so that it vectorises; it cannot overflow,
+/// because `row[k] < INF` and every entry is at most `INF = i32::MAX / 4`.
+fn relax(row: &mut [i32], k: usize, pivot: &[i32]) -> bool {
+    let dik = row[k];
+    if dik >= INF {
+        return false;
+    }
+    for (cell, &dkj) in row.iter_mut().zip(pivot) {
+        *cell = (*cell).min(dik + dkj);
+    }
+    true
 }
 
 /// Distance-matrix checksum: XOR of per-row hashes, so it composes the same
@@ -122,8 +132,8 @@ fn rows_of(node: u32, nodes: u32, n: usize) -> std::ops::Range<usize> {
     start..start + len
 }
 
-/// Runs ASP; the checksum is the distance-matrix checksum of node 0's rows
-/// combined across nodes deterministically (verified equal across runs).
+/// Runs ASP; the checksum is the XOR of every node's row hashes, which is
+/// [`checksum`] of the whole distance matrix for any row partition.
 pub fn run(cfg: &RunConfig, params: &AspParams) -> AppReport {
     let graph = std::sync::Arc::new(generate_graph(params.instance_seed, params.vertices));
     let mut cluster = build_cluster(cfg);
@@ -160,17 +170,9 @@ pub fn run(cfg: &RunConfig, params: &AspParams) -> AppReport {
             // Relax this node's block against the pivot row.
             let mut relaxations = 0u64;
             for row in block.iter_mut() {
-                let dik = row[k];
-                if dik >= INF {
-                    continue;
+                if relax(row, k, &row_k) {
+                    relaxations += n as u64;
                 }
-                for (j, cell) in row.iter_mut().enumerate() {
-                    let via = dik + row_k[j];
-                    if via < *cell {
-                        *cell = via;
-                    }
-                }
-                relaxations += n as u64;
             }
             ctx.compute_sliced(
                 params.relax_cost * relaxations.max(1),
@@ -201,6 +203,43 @@ mod tests {
                 }
             }
             assert!(covered.iter().all(|&c| c), "all rows assigned");
+        }
+    }
+
+    #[test]
+    fn relax_matches_the_compare_and_store_loop() {
+        // Entries include 0, INF - 1 and INF; the pivot row has a 0 at k,
+        // like every distance-matrix row.
+        let vals = [0, 1, 7, 999, 1100, INF / 2, INF - 1, INF];
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            vals[(state % vals.len() as u64) as usize]
+        };
+        for n in [1usize, 2, 3, 7, 8, 9, 31, 64, 65] {
+            for k in 0..n {
+                for _ in 0..8 {
+                    let mut pivot: Vec<i32> = (0..n).map(|_| next()).collect();
+                    pivot[k] = 0;
+                    let row: Vec<i32> = (0..n).map(|_| next()).collect();
+                    let mut want = row.clone();
+                    let relaxed = want[k] < INF;
+                    if relaxed {
+                        let dik = want[k];
+                        for (j, cell) in want.iter_mut().enumerate() {
+                            let via = dik + pivot[j];
+                            if via < *cell {
+                                *cell = via;
+                            }
+                        }
+                    }
+                    let mut got = row.clone();
+                    assert_eq!(relax(&mut got, k, &pivot), relaxed, "{row:?} k {k}");
+                    assert_eq!(got, want, "row {row:?} k {k} pivot {pivot:?}");
+                }
+            }
         }
     }
 

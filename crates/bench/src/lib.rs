@@ -732,12 +732,25 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads `TABLE3_SCALE` from the environment (`paper` or `small`).
+    /// Reads `TABLE3_SCALE` from the environment (`paper` or `small`);
+    /// `default` when it is unset.
+    ///
+    /// # Panics
+    ///
+    /// On any other value, so that a typo cannot turn a smoke pass into a
+    /// paper-scale run.
     pub fn from_env(default: Scale) -> Scale {
-        match std::env::var("TABLE3_SCALE").as_deref() {
-            Ok("paper") => Scale::Paper,
-            Ok("small") => Scale::Small,
-            _ => default,
+        match std::env::var("TABLE3_SCALE") {
+            Err(std::env::VarError::NotPresent) => default,
+            value => Scale::parse(value.as_deref().unwrap_or("<not unicode>")),
+        }
+    }
+
+    fn parse(value: &str) -> Scale {
+        match value {
+            "paper" => Scale::Paper,
+            "small" => Scale::Small,
+            other => panic!("TABLE3_SCALE={other:?}: the accepted values are `paper` and `small`"),
         }
     }
 }
@@ -808,5 +821,21 @@ pub fn run_app(app: &str, imp: ProtoImpl, nodes: u32, scale: Scale) -> AppReport
         ("leq", Scale::Paper) => apps::leq::run(&cfg, &apps::leq::LeqParams::paper()),
         ("leq", Scale::Small) => apps::leq::run(&cfg, &apps::leq::LeqParams::small()),
         _ => panic!("unknown application {app}"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Scale;
+
+    #[test]
+    fn scale_accepts_two_names_and_panics_on_typos() {
+        assert_eq!(Scale::parse("paper"), Scale::Paper);
+        assert_eq!(Scale::parse("small"), Scale::Small);
+        for typo in ["Small", "smal", "PAPER", "", " small"] {
+            let err = std::panic::catch_unwind(|| Scale::parse(typo)).expect_err(typo);
+            let msg = err.downcast_ref::<String>().expect("a formatted message");
+            assert!(msg.contains("`paper` and `small`"), "{msg}");
+        }
     }
 }
