@@ -398,12 +398,6 @@ pub(crate) struct ProcRecord {
     pub interrupt_time: SimDuration,
 }
 
-pub(crate) struct TraceEntry {
-    pub time: SimTime,
-    pub thread: Arc<str>,
-    pub message: String,
-}
-
 /// What [`CoreState::next_live`] found at the head of the queue.
 pub(crate) enum NextEvent {
     /// A live wake; the thread has been marked `Running` and traced.
@@ -445,8 +439,6 @@ pub(crate) struct CoreState {
     /// separate from `rng` so enabling it does not disturb protocol-visible
     /// randomness, and `None` by default so it is zero-cost when off.
     pub perturb: Option<SmallRng>,
-    pub trace: Option<Vec<TraceEntry>>,
-    pub trace_cap: usize,
     /// Structured tracer; `Some` iff `Core::trace_on` is `true`.
     pub tracer: Option<Tracer>,
 }
@@ -704,8 +696,6 @@ impl Core {
                 injectors: Vec::new(),
                 rng: SmallRng::seed_from_u64(seed),
                 perturb: None,
-                trace: None,
-                trace_cap: 100_000,
                 tracer: None,
             }),
             backend,

@@ -6,8 +6,7 @@ use std::sync::Arc;
 use rand::RngExt;
 
 use crate::core::{
-    shutdown_unwind_unless_panicking, Core, ExecRef, ProcId, ThreadExec, ThreadId, TraceEntry,
-    WakeStatus,
+    shutdown_unwind_unless_panicking, Core, ExecRef, ProcId, ThreadExec, ThreadId, WakeStatus,
 };
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Layer, Phase};
@@ -391,28 +390,5 @@ impl Ctx {
             return;
         }
         self.trace_emit(layer, Phase::Instant, category, &[("ns", d.as_nanos())]);
-    }
-
-    /// Records a trace message if tracing is enabled
-    /// (see [`crate::Simulation::enable_trace`]).
-    pub fn trace(&self, message: impl AsRef<str>) {
-        let mut st = self.core.state.lock();
-        if st.trace.is_none() {
-            return;
-        }
-        let now = st.now;
-        // Refcount bump, not a `String` allocation — this is the only
-        // per-message cost besides the push itself.
-        let name = std::sync::Arc::clone(&st.threads[self.tid.0].name);
-        let cap = st.trace_cap;
-        if let Some(buf) = st.trace.as_mut() {
-            if buf.len() < cap {
-                buf.push(TraceEntry {
-                    time: now,
-                    thread: name,
-                    message: message.as_ref().to_owned(),
-                });
-            }
-        }
     }
 }

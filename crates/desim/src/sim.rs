@@ -214,7 +214,6 @@ pub struct Simulation {
     max_events: Option<u64>,
     perturb_seed: Option<u64>,
     tracing_cap: Option<usize>,
-    string_trace: bool,
     /// Run by `Drop` once every thread has unwound (see
     /// [`Simulation::on_teardown`]).
     teardown: Vec<Box<dyn FnOnce() + Send>>,
@@ -337,7 +336,6 @@ impl SimulationBuilder {
             max_events: None,
             perturb_seed: None,
             tracing_cap: None,
-            string_trace: false,
             teardown: Vec::new(),
         }
     }
@@ -431,9 +429,6 @@ impl Simulation {
                 st.tracer = Some(Tracer::new(cap));
                 core.trace_on
                     .store(true, std::sync::atomic::Ordering::Relaxed);
-            }
-            if self.string_trace {
-                st.trace = Some(Vec::new());
             }
         }
         self.extra.push(core);
@@ -1133,34 +1128,6 @@ impl Simulation {
             names.extend(core.state.lock().threads.iter().map(|t| t.name.to_string()));
         }
         names
-    }
-
-    /// Starts collecting trace messages emitted via [`Ctx::trace`].
-    pub fn enable_trace(&mut self) {
-        self.string_trace = true;
-        for core in self.cores() {
-            core.state.lock().trace = Some(Vec::new());
-        }
-    }
-
-    /// Drains and returns collected trace lines, formatted
-    /// `T+<time> [<thread>] <message>`. Multi-lane: merged by time, ties in
-    /// lane order (deterministic — both sides of the merge are).
-    pub fn take_trace(&mut self) -> Vec<String> {
-        let mut entries: Vec<(SimTime, String)> = Vec::new();
-        for core in self.cores() {
-            let mut st = core.state.lock();
-            if let Some(buf) = st.trace.take() {
-                st.trace = Some(Vec::new());
-                entries.extend(
-                    buf.iter()
-                        .map(|e| (e.time, format!("T+{} [{}] {}", e.time, e.thread, e.message))),
-                );
-            }
-        }
-        // Stable: same-instant lines keep lane-major append order.
-        entries.sort_by_key(|(t, _)| *t);
-        entries.into_iter().map(|(_, line)| line).collect()
     }
 
     /// Number of events still queued (diagnostics; summed over lanes).

@@ -268,23 +268,6 @@ fn determinism_same_seed_same_schedule() {
 }
 
 #[test]
-fn trace_collects_messages() {
-    let mut sim = Simulation::new(0);
-    sim.enable_trace();
-    let cpu = sim.add_processor("m0");
-    let h = sim.spawn(cpu, "t", |ctx| {
-        ctx.trace("hello");
-        ctx.sleep(us(3));
-        ctx.trace("world");
-    });
-    sim.run_until_finished(&h).expect("run");
-    let trace = sim.take_trace();
-    assert_eq!(trace.len(), 2);
-    assert!(trace[0].contains("hello"));
-    assert!(trace[1].contains("world") && trace[1].contains("3.000us"));
-}
-
-#[test]
 fn compute_sliced_lets_other_threads_interleave() {
     // One long sliced computation plus a short compute from another thread:
     // the short one runs within a quantum, not after the whole slab.

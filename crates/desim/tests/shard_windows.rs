@@ -4,12 +4,12 @@
 //! Deterministic smoke tests pin the cross-link delivery semantics; the
 //! proptest sweeps random topologies (lane counts, link delays — i.e.
 //! random lookahead windows, thread programs) and asserts that every
-//! observable — per-lane event pop order (via structured trace renders),
-//! per-lane final virtual clocks, event counts, reports, and string-trace
-//! merges — matches a serial (`shards(1)`) reference execution exactly.
+//! observable — per-lane event pop order and every cross-lane receive (via
+//! structured trace renders), per-lane final virtual clocks, event counts,
+//! and reports — matches a serial (`shards(1)`) reference execution exactly.
 //! Failures minimize through proptest's shrinking.
 
-use desim::{us, LaneId, SimChannel, SimTime, Simulation, WindowStats};
+use desim::{us, LaneId, Layer, SimChannel, SimTime, Simulation, WindowStats};
 use proptest::prelude::*;
 
 /// Everything observable about one run, for exact comparison.
@@ -20,7 +20,6 @@ struct Artifacts {
     final_time: SimTime,
     events: u64,
     proc_names: Vec<String>,
-    trace_lines: Vec<String>,
     switches: Vec<u64>,
     /// Window-engine accounting with the wall-clock gate wait zeroed —
     /// window count, flush/elision split, and idle-lane skips are
@@ -44,7 +43,6 @@ fn run_ring(seed: u64, specs: &[LaneSpec], delays_us: &[u64], shards: usize) -> 
     let n = specs.len();
     let mut sim = Simulation::builder().seed(seed).shards(shards).build();
     sim.enable_tracing_with_capacity(1 << 16);
-    sim.enable_trace();
 
     let lanes: Vec<LaneId> = (0..n)
         .map(|i| if i == 0 { LaneId::ZERO } else { sim.add_lane() })
@@ -95,7 +93,7 @@ fn run_ring(seed: u64, specs: &[LaneSpec], delays_us: &[u64], shards: usize) -> 
         let inbox = inboxes[i].clone();
         sim.spawn_daemon_on_lane(lanes[i], procs[i], &format!("recv-{i}"), move |ctx| {
             while let Some(v) = inbox.recv(ctx) {
-                ctx.trace(format!("got {:x} at {}", v, ctx.now()));
+                ctx.trace_instant(Layer::App, "got", &[("v", v)]);
             }
         });
     }
@@ -120,7 +118,6 @@ fn run_ring(seed: u64, specs: &[LaneSpec], delays_us: &[u64], shards: usize) -> 
         final_time: report.final_time,
         events: report.events,
         proc_names: sim.proc_names(),
-        trace_lines: sim.take_trace(),
         switches: report.procs.iter().map(|p| p.switches).collect(),
         windows: WindowStats {
             barrier_wait_ns: 0,
@@ -212,7 +209,11 @@ fn two_lane_ring_is_shard_count_independent() {
     let delays = vec![30, 45];
     let reference = run_ring(0xA5, &specs, &delays, 1);
     assert!(
-        reference.trace_lines.iter().any(|l| l.contains("got")),
+        reference
+            .per_lane_traces
+            .iter()
+            .flatten()
+            .any(|l| l.contains("app/got")),
         "ring must actually deliver cross-lane traffic"
     );
     for shards in [2, 4, 0] {

@@ -3,28 +3,42 @@
 //! A [`Network`] owns any number of shared-medium segments. Each segment is
 //! driven by a daemon thread that serializes transmissions at the configured
 //! bandwidth (half-duplex, like the paper's 10 Mbit/s Ethernet) and then
-//! delivers the frame to every matching attachment. A [`Switch`] connects
-//! segments store-and-forward; multicast and broadcast frames are flooded to
-//! all other segments.
+//! delivers the frame to every matching attachment.
+//!
+//! # The switch
+//!
+//! Switches join segments store-and-forward. There is one switch, built two
+//! ways: [`Network::add_switch`] joins peer segments (a *flat* switch, the
+//! paper's processor pool), and [`Network::add_switch_with_uplink`] joins
+//! leaf segments to a shared backbone (an *edge* switch, one level of a
+//! switch tree). Every port is a promiscuous capture attachment on its
+//! segment plus one daemon on that segment's processor, holding a link to
+//! every other port of the switch. A port forwards only frames that entered
+//! the switch through it: a unicast goes out of the port that leads to the
+//! destination's home segment, and multicast and broadcast frames are
+//! flooded. The two shapes differ only in their uplink:
+//!
+//! - a flat switch has none: a unicast to a station behind no port is
+//!   dropped, and every multicast is flooded to every other port;
+//! - an edge switch routes unicasts for stations behind none of its leaves
+//!   up the uplink, and prunes multicast floods to the ports that lead to
+//!   members.
 //!
 //! # Sharding: segments as the unit of parallelism
 //!
 //! A segment can be placed on a dedicated scheduler lane with
 //! [`Network::add_segment_on`], which lets the simulation advance segments
-//! concurrently under desim's conservative windowed driver. [`Network::add_switch`]
-//! detects segment placement automatically: when every connected segment
-//! lives on one lane it spawns the classic in-lane port daemons (bit-identical
-//! to the unsharded build), and when segments span lanes it builds a mesh of
-//! cross-lane links whose delay is the switch's store-and-forward latency
-//! ([`NetConfig::switch_latency`]) — that latency is exactly the conservative
-//! lookahead the windowed driver uses, exposed via
-//! [`Network::min_cross_segment_latency`].
-//!
-//! Forwarding semantics differ in one documented way: the classic switch's
-//! port daemon *sleeps* for the hop latency (frames behind it on the same
-//! port queue up), while a cross-lane hop is *pipelined* — each frame arrives
-//! `switch_latency` after capture, but the port does not block. Arrival
-//! times for an isolated frame are identical.
+//! concurrently under desim's conservative windowed driver. A switch link
+//! between segments on one lane is *local*: the port sleeps the hop latency
+//! ([`NetConfig::switch_latency`]) and then enqueues the frame, so frames
+//! behind it on the same port queue up. A link between lanes is a
+//! cross-lane link whose delay is the hop latency: the frame is
+//! *pipelined*, arriving `switch_latency` after capture without blocking
+//! the port. That is the only forwarding difference; an isolated frame
+//! arrives at the same instant either way. The cross-lane delay is the
+//! conservative lookahead of the windowed driver
+//! ([`Simulation::lookahead`]), so building one needs a positive
+//! `switch_latency`.
 //!
 //! ## Fault injection under sharding
 //!
@@ -283,8 +297,6 @@ struct HeldDelivery {
 }
 
 struct SegmentInner {
-    #[allow(dead_code)]
-    name: String,
     tx: SimChannel<Frame>,
     attachments: Vec<Attachment>,
     stats: SegmentStats,
@@ -307,9 +319,6 @@ struct NetInner {
     segments: Vec<SegmentInner>,
     /// Static station directory: `mac -> segment` (index by `MacAddr.0`).
     mac_home: Vec<Option<SegmentId>>,
-    /// Minimum delay over all cross-lane switch hops built so far (the
-    /// conservative lookahead this network contributes to the simulation).
-    min_cross_latency: Option<SimDuration>,
     /// Network-wide multicast membership counts (for switch-tree pruning).
     mcast_total: HashMap<McastAddr, u32>,
     /// True once segments span more than one scheduler lane; gates the
@@ -375,7 +384,6 @@ impl Network {
             inner: Arc::new(Mutex::new(NetInner {
                 segments: Vec::new(),
                 mac_home: Vec::new(),
-                min_cross_latency: None,
                 mcast_total: HashMap::new(),
                 multi_lane: false,
             })),
@@ -433,7 +441,6 @@ impl Network {
                 }
             }
             inner.segments.push(SegmentInner {
-                name: name.to_owned(),
                 tx: tx.clone(),
                 attachments: Vec::new(),
                 stats: SegmentStats::default(),
@@ -455,14 +462,6 @@ impl Network {
     /// The scheduler lane a segment's daemon runs on.
     pub fn segment_lane(&self, segment: SegmentId) -> LaneId {
         self.inner.lock().segments[segment.0].lane
-    }
-
-    /// Minimum store-and-forward latency over the cross-lane switch hops
-    /// built so far — the conservative lookahead this network contributes
-    /// (`None` until a cross-lane switch exists; the simulation computes the
-    /// same bound itself from its registered links).
-    pub fn min_cross_segment_latency(&self) -> Option<SimDuration> {
-        self.inner.lock().min_cross_latency
     }
 
     /// Attaches a station to `segment` and returns its NIC.
@@ -496,81 +495,19 @@ impl Network {
         }
     }
 
-    /// Connects `segments` with a store-and-forward switch.
+    /// Connects `segments` with a flat store-and-forward switch.
     ///
-    /// Unicast frames are forwarded to the destination's home segment;
-    /// multicast and broadcast frames are flooded to all other segments.
-    /// A single switch per network is supported (no loop protection).
+    /// Unicast frames are forwarded to the destination's home segment when
+    /// it is one of `segments`; multicast and broadcast frames are flooded to
+    /// all other segments. A single flat switch per network is supported
+    /// (no loop protection).
     ///
-    /// Placement is detected automatically: if every segment lives on one
-    /// scheduler lane the classic in-lane port daemons are spawned
-    /// (bit-identical to the unsharded build); if segments span lanes, each
-    /// segment gets its own port daemon on its own lane and hops between
-    /// lanes ride cross-lane links of delay [`NetConfig::switch_latency`]
-    /// (pipelined: the port does not block for the hop; see module docs).
+    /// Every port runs on its segment's lane. Hops between segments on one
+    /// lane sleep the switch latency; hops onto another lane ride cross-lane
+    /// links of delay [`NetConfig::switch_latency`], which must then be
+    /// positive (see the module docs).
     pub fn add_switch(&mut self, sim: &mut Simulation, segments: &[SegmentId], name: &str) {
-        let lanes: Vec<LaneId> = segments.iter().map(|&s| self.segment_lane(s)).collect();
-        if lanes.iter().all(|&l| l == lanes[0]) {
-            let proc = sim.add_processor_on(lanes[0], &format!("switch-{name}"));
-            for &seg in segments {
-                let port_rx = self.add_switch_port(seg);
-                let net = self.clone();
-                let all: Vec<SegmentId> = segments.to_vec();
-                sim.spawn_daemon_on_lane(lanes[0], proc, &format!("sw-{name}-{seg}"), move |ctx| {
-                    net.switch_port_daemon(ctx, seg, &all, port_rx);
-                });
-            }
-            return;
-        }
-        // Cross-lane switch: one port daemon per segment, on that segment's
-        // lane, plus a link (cross-lane or local channel) to every other
-        // connected segment.
-        assert!(
-            !self.cfg.switch_latency.is_zero(),
-            "a cross-lane switch needs a positive switch_latency (it is the lookahead)"
-        );
-        for (i, &seg) in segments.iter().enumerate() {
-            let port_rx = self.add_switch_port(seg);
-            let (my_lane, my_proc) = {
-                let inner = self.inner.lock();
-                (inner.segments[seg.0].lane, inner.segments[seg.0].proc)
-            };
-            let mut links: Vec<(SegmentId, PortLink)> = Vec::new();
-            for (j, &dst) in segments.iter().enumerate() {
-                if j == i {
-                    continue;
-                }
-                let (dst_lane, dst_proc, dst_tx) = {
-                    let inner = self.inner.lock();
-                    let s = &inner.segments[dst.0];
-                    (s.lane, s.proc, s.tx.clone())
-                };
-                let link = if dst_lane == my_lane {
-                    PortLink::Local(dst_tx)
-                } else {
-                    PortLink::Cross(sim.cross_link(
-                        &format!("sw-{name}-{seg}-{dst}"),
-                        self.cfg.switch_latency,
-                        my_lane,
-                        dst_lane,
-                        dst_proc,
-                        dst_tx,
-                    ))
-                };
-                links.push((dst, link));
-            }
-            {
-                let mut inner = self.inner.lock();
-                inner.min_cross_latency = Some(match inner.min_cross_latency {
-                    Some(cur) => cur.min(self.cfg.switch_latency),
-                    None => self.cfg.switch_latency,
-                });
-            }
-            let net = self.clone();
-            sim.spawn_daemon_on_lane(my_lane, my_proc, &format!("sw-{name}-{seg}"), move |ctx| {
-                net.sharded_switch_port_daemon(ctx, seg, &links, port_rx);
-            });
-        }
+        self.build_switch(sim, segments, None, name);
     }
 
     /// Connects `leaves` to a shared `uplink` segment with an edge switch —
@@ -588,10 +525,8 @@ impl Network {
     /// exist beyond this switch's leaves (broadcast is never pruned).
     ///
     /// Stations must attach either to a leaf or to the backbone itself —
-    /// the tree is two-level (edge switches never cascade). Every port runs
-    /// on its segment's lane; hops onto another lane ride cross-lane links
-    /// of delay [`NetConfig::switch_latency`], which therefore must be
-    /// positive.
+    /// the tree is two-level (edge switches never cascade). Ports are placed
+    /// and linked as in [`Network::add_switch`].
     pub fn add_switch_with_uplink(
         &mut self,
         sim: &mut Simulation,
@@ -600,67 +535,69 @@ impl Network {
         name: &str,
     ) {
         assert!(
-            !self.cfg.switch_latency.is_zero(),
-            "an edge switch needs a positive switch_latency (it is the lookahead)"
-        );
-        assert!(
             !leaves.contains(&uplink),
             "the uplink segment cannot also be a leaf of the same switch"
         );
-        let mut ports: Vec<SegmentId> = leaves.to_vec();
-        ports.push(uplink);
-        let mut any_cross = false;
-        for (i, &seg) in ports.iter().enumerate() {
-            let port_rx = self.add_switch_port(seg);
-            let (my_lane, my_proc) = {
-                let inner = self.inner.lock();
-                (inner.segments[seg.0].lane, inner.segments[seg.0].proc)
-            };
-            let mut links: Vec<(SegmentId, PortLink)> = Vec::new();
-            for (j, &dst) in ports.iter().enumerate() {
-                if j == i {
+        self.build_switch(sim, leaves, Some(uplink), name);
+    }
+
+    /// Builds one switch with a port on every leaf and then on the uplink,
+    /// each linked to every other port in port order. That order is also
+    /// the cross-lane links' registration order, which is the windowed
+    /// driver's flush order.
+    fn build_switch(
+        &mut self,
+        sim: &mut Simulation,
+        leaves: &[SegmentId],
+        uplink: Option<SegmentId>,
+        name: &str,
+    ) {
+        let ports: Vec<SegmentId> = leaves.iter().copied().chain(uplink).collect();
+        let placed: Vec<(LaneId, ProcId, SimChannel<Frame>)> = {
+            let inner = self.inner.lock();
+            ports
+                .iter()
+                .map(|s| {
+                    let s = &inner.segments[s.0];
+                    (s.lane, s.proc, s.tx.clone())
+                })
+                .collect()
+        };
+        for (&seg, &(lane, proc, _)) in ports.iter().zip(&placed) {
+            let rx = self.add_switch_port(seg);
+            let mut links = Vec::with_capacity(ports.len() - 1);
+            for (&dst, (dst_lane, dst_proc, dst_tx)) in ports.iter().zip(&placed) {
+                if dst == seg {
                     continue;
                 }
-                let (dst_lane, dst_proc, dst_tx) = {
-                    let inner = self.inner.lock();
-                    let s = &inner.segments[dst.0];
-                    (s.lane, s.proc, s.tx.clone())
-                };
-                let link = if dst_lane == my_lane {
-                    PortLink::Local(dst_tx)
+                let link = if *dst_lane == lane {
+                    PortLink::Local(dst_tx.clone())
                 } else {
-                    any_cross = true;
+                    assert!(
+                        !self.cfg.switch_latency.is_zero(),
+                        "a cross-lane switch hop needs a positive switch_latency (it is the lookahead)"
+                    );
                     PortLink::Cross(sim.cross_link(
                         &format!("sw-{name}-{seg}-{dst}"),
                         self.cfg.switch_latency,
-                        my_lane,
-                        dst_lane,
-                        dst_proc,
-                        dst_tx,
+                        lane,
+                        *dst_lane,
+                        *dst_proc,
+                        dst_tx.clone(),
                     ))
                 };
                 links.push((dst, link));
             }
-            let is_uplink_port = seg == uplink;
-            let my_leaves: Vec<SegmentId> = leaves.to_vec();
+            let port = SwitchPort {
+                seg,
+                rx,
+                leaves: leaves.to_vec(),
+                uplink,
+                links,
+            };
             let net = self.clone();
-            sim.spawn_daemon_on_lane(my_lane, my_proc, &format!("sw-{name}-{seg}"), move |ctx| {
-                net.tree_switch_port_daemon(
-                    ctx,
-                    seg,
-                    is_uplink_port,
-                    &my_leaves,
-                    &links,
-                    uplink,
-                    port_rx,
-                );
-            });
-        }
-        if any_cross {
-            let mut inner = self.inner.lock();
-            inner.min_cross_latency = Some(match inner.min_cross_latency {
-                Some(cur) => cur.min(self.cfg.switch_latency),
-                None => self.cfg.switch_latency,
+            sim.spawn_daemon_on_lane(lane, proc, &format!("sw-{name}-{seg}"), move |ctx| {
+                net.switch_port_daemon(ctx, &port);
             });
         }
     }
@@ -949,92 +886,44 @@ impl Network {
         }
     }
 
-    fn switch_port_daemon(
-        &self,
-        ctx: &Ctx,
-        my_segment: SegmentId,
-        all_segments: &[SegmentId],
-        port_rx: SimChannel<Frame>,
-    ) {
-        while let Some(frame) = port_rx.recv(ctx) {
-            let src_home = self.inner.lock().home_of(frame.src);
-            // Only forward frames that originated on this port's segment;
-            // anything else was injected by the switch itself.
-            if src_home != Some(my_segment) {
+    /// Forwards every frame that entered the switch through `port` (see the
+    /// module docs).
+    fn switch_port_daemon(&self, ctx: &Ctx, port: &SwitchPort) {
+        let is_uplink = port.uplink == Some(port.seg);
+        while let Some(frame) = port.rx.recv(ctx) {
+            let Some(src) = self.inner.lock().home_of(frame.src) else {
+                continue;
+            };
+            // Inbound gate: forward only frames whose source lives on this
+            // port's side of the switch — everything else is a copy this
+            // switch (or a sibling on the backbone) injected itself.
+            let inbound = if is_uplink {
+                !port.leaves.contains(&src)
+            } else {
+                src == port.seg
+            };
+            if !inbound {
                 continue;
             }
             match frame.dst {
                 Dest::Unicast(mac) => {
-                    let dst_home = self.inner.lock().home_of(mac);
-                    match dst_home {
-                        Some(seg) if seg != my_segment => {
-                            ctx.trace_cost(Layer::Net, "switch_hop", self.cfg.switch_latency);
-                            ctx.sleep(self.cfg.switch_latency);
-                            let tx = self.inner.lock().segments[seg.0].tx.clone();
-                            let _ = tx.send(ctx, frame);
-                        }
-                        _ => {} // local traffic or unknown station: no forward
-                    }
-                }
-                Dest::Multicast(_) | Dest::Broadcast => {
-                    ctx.trace_cost(Layer::Net, "switch_hop", self.cfg.switch_latency);
-                    ctx.sleep(self.cfg.switch_latency);
-                    let txs: Vec<_> = {
-                        let inner = self.inner.lock();
-                        all_segments
-                            .iter()
-                            .filter(|s| **s != my_segment)
-                            .map(|s| inner.segments[s.0].tx.clone())
-                            .collect()
+                    let Some(dst) = self.inner.lock().home_of(mac) else {
+                        continue;
                     };
-                    // Flood is a fan-out too: enqueue on every other
-                    // segment, then wake their daemons in one batch.
-                    let mut wakes: Vec<PendingWake> = Vec::new();
-                    for tx in txs {
-                        if let Ok(Some(w)) = tx.send_deferred(frame.clone()) {
-                            wakes.push(w);
+                    let out = if port.leaves.contains(&dst) {
+                        dst
+                    } else {
+                        // Not behind this switch: route toward the backbone,
+                        // unless the frame came from there.
+                        match port.uplink {
+                            Some(up) if !is_uplink => up,
+                            _ => continue,
                         }
-                    }
-                    if !wakes.is_empty() {
-                        ctx.commit_wakes(wakes);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Port daemon for a cross-lane switch. Runs on the port segment's own
-    /// lane; hops to same-lane segments behave like the classic switch
-    /// (sleep, then enqueue), hops to other lanes ride a cross-lane link
-    /// that adds the same latency without blocking this port.
-    ///
-    /// For floods, cross-lane sends happen first (the link stamps arrival
-    /// `switch_latency` from now), then the daemon sleeps the hop latency
-    /// and enqueues on same-lane segments — so every destination sees the
-    /// frame at the same virtual instant the classic switch would deliver it.
-    fn sharded_switch_port_daemon(
-        &self,
-        ctx: &Ctx,
-        my_segment: SegmentId,
-        links: &[(SegmentId, PortLink)],
-        port_rx: SimChannel<Frame>,
-    ) {
-        while let Some(frame) = port_rx.recv(ctx) {
-            let src_home = self.inner.lock().home_of(frame.src);
-            // Only forward frames that originated on this port's segment;
-            // anything else was injected by the switch itself.
-            if src_home != Some(my_segment) {
-                continue;
-            }
-            match frame.dst {
-                Dest::Unicast(mac) => {
-                    let dst_home = self.inner.lock().home_of(mac);
-                    let Some(seg) = dst_home else { continue };
-                    if seg == my_segment {
-                        continue; // local traffic: no forward
-                    }
-                    let Some((_, link)) = links.iter().find(|(s, _)| *s == seg) else {
-                        continue; // destination not behind this switch
+                    };
+                    // A port has no link to its own segment: local traffic
+                    // is not forwarded.
+                    let Some((_, link)) = port.links.iter().find(|(s, _)| *s == out) else {
+                        continue;
                     };
                     ctx.trace_cost(Layer::Net, "switch_hop", self.cfg.switch_latency);
                     match link {
@@ -1045,143 +934,38 @@ impl Network {
                         PortLink::Cross(x) => x.send(ctx, frame),
                     }
                 }
-                Dest::Multicast(_) | Dest::Broadcast => {
-                    ctx.trace_cost(Layer::Net, "switch_hop", self.cfg.switch_latency);
-                    let mut any_local = false;
-                    for (_, link) in links {
-                        if let PortLink::Cross(x) = link {
-                            x.send(ctx, frame.clone());
-                        } else {
-                            any_local = true;
-                        }
-                    }
-                    if any_local {
-                        ctx.sleep(self.cfg.switch_latency);
-                        let mut wakes: Vec<PendingWake> = Vec::new();
-                        for (_, link) in links {
-                            if let PortLink::Local(tx) = link {
-                                if let Ok(Some(w)) = tx.send_deferred(frame.clone()) {
-                                    wakes.push(w);
-                                }
-                            }
-                        }
-                        if !wakes.is_empty() {
-                            ctx.commit_wakes(wakes);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    /// Port daemon of an edge switch (see [`Network::add_switch_with_uplink`]).
-    /// Runs on its segment's lane; same-lane hops sleep then enqueue
-    /// (classic store-and-forward), cross-lane hops ride a link that adds
-    /// the same latency without blocking the port.
-    #[allow(clippy::too_many_arguments)]
-    fn tree_switch_port_daemon(
-        &self,
-        ctx: &Ctx,
-        my_segment: SegmentId,
-        is_uplink_port: bool,
-        leaves: &[SegmentId],
-        links: &[(SegmentId, PortLink)],
-        uplink: SegmentId,
-        port_rx: SimChannel<Frame>,
-    ) {
-        while let Some(frame) = port_rx.recv(ctx) {
-            let Some(src) = self.inner.lock().home_of(frame.src) else {
-                continue;
-            };
-            // Inbound gate: forward only frames whose source lives on this
-            // port's side of the switch — everything else is a copy this
-            // switch (or a sibling on the backbone) injected itself.
-            let inbound = if is_uplink_port {
-                !leaves.contains(&src)
-            } else {
-                src == my_segment
-            };
-            if !inbound {
-                continue;
-            }
-            match frame.dst {
-                Dest::Unicast(mac) => {
-                    let Some(dst) = self.inner.lock().home_of(mac) else {
-                        continue;
-                    };
-                    if dst == my_segment {
-                        continue; // local traffic: no forward
-                    }
-                    let out = if leaves.contains(&dst) {
-                        links.iter().find(|(s, _)| *s == dst)
-                    } else if !is_uplink_port {
-                        // Not behind this switch: route toward the backbone.
-                        links.iter().find(|(s, _)| *s == uplink)
-                    } else {
-                        None // backbone-side destination already saw it there
-                    };
-                    let Some((_, link)) = out else { continue };
-                    ctx.trace_cost(Layer::Net, "switch_hop", self.cfg.switch_latency);
-                    match link {
-                        PortLink::Local(tx) => {
-                            ctx.sleep(self.cfg.switch_latency);
-                            let _ = tx.send(ctx, frame);
-                        }
-                        PortLink::Cross(x) => x.send(ctx, frame.clone()),
-                    }
-                }
-                Dest::Multicast(g) => {
-                    self.tree_flood(ctx, &frame, links, leaves, uplink, is_uplink_port, Some(g));
-                }
-                Dest::Broadcast => {
-                    self.tree_flood(ctx, &frame, links, leaves, uplink, is_uplink_port, None);
-                }
+                Dest::Multicast(g) => self.flood(ctx, port, &frame, Some(g)),
+                Dest::Broadcast => self.flood(ctx, port, &frame, None),
             }
         }
     }
 
-    /// Floods a frame out of an edge-switch port, pruning multicast to the
-    /// ports that actually lead to members. Cross-lane sends go first (the
-    /// link stamps arrival `switch_latency` from now), then the port sleeps
-    /// the hop latency and enqueues on same-lane segments in one batch.
-    #[allow(clippy::too_many_arguments)]
-    fn tree_flood(
-        &self,
-        ctx: &Ctx,
-        frame: &Frame,
-        links: &[(SegmentId, PortLink)],
-        leaves: &[SegmentId],
-        uplink: SegmentId,
-        is_uplink_port: bool,
-        group: Option<McastAddr>,
-    ) {
+    /// Floods a frame out of every other port of the switch. An edge switch
+    /// prunes a multicast to the ports that lead to members; a flat switch
+    /// floods it everywhere. Cross-lane sends go first (the link stamps
+    /// arrival `switch_latency` from now), then the port sleeps the hop and
+    /// enqueues on its same-lane segments in one batch, so every
+    /// destination sees the frame at the same instant.
+    fn flood(&self, ctx: &Ctx, port: &SwitchPort, frame: &Frame, group: Option<McastAddr>) {
         let targets: Vec<&PortLink> = {
             let inner = self.inner.lock();
-            links
+            let members = |g: McastAddr, s: SegmentId| {
+                inner.segments[s.0]
+                    .mcast_members
+                    .get(&g)
+                    .copied()
+                    .unwrap_or(0)
+            };
+            port.links
                 .iter()
-                .filter(|(s, _)| match group {
-                    None => true,
-                    Some(g) if *s == uplink && !is_uplink_port => {
+                .filter(|(s, _)| match (group, port.uplink) {
+                    (Some(g), Some(up)) if *s == up => {
                         // Up the tree only if members exist beyond our leaves.
-                        let under: u32 = leaves
-                            .iter()
-                            .map(|l| {
-                                inner.segments[l.0]
-                                    .mcast_members
-                                    .get(&g)
-                                    .copied()
-                                    .unwrap_or(0)
-                            })
-                            .sum();
+                        let under: u32 = port.leaves.iter().map(|&l| members(g, l)).sum();
                         inner.mcast_total.get(&g).copied().unwrap_or(0) > under
                     }
-                    Some(g) => {
-                        inner.segments[s.0]
-                            .mcast_members
-                            .get(&g)
-                            .copied()
-                            .unwrap_or(0)
-                            > 0
-                    }
+                    (Some(g), Some(_)) => members(g, *s) > 0,
+                    _ => true,
                 })
                 .map(|(_, l)| l)
                 .collect()
@@ -1192,10 +976,9 @@ impl Network {
         ctx.trace_cost(Layer::Net, "switch_hop", self.cfg.switch_latency);
         let mut any_local = false;
         for link in &targets {
-            if let PortLink::Cross(x) = link {
-                x.send(ctx, frame.clone());
-            } else {
-                any_local = true;
+            match link {
+                PortLink::Cross(x) => x.send(ctx, frame.clone()),
+                PortLink::Local(_) => any_local = true,
             }
         }
         if any_local {
@@ -1215,10 +998,24 @@ impl Network {
     }
 }
 
-/// One forwarding edge of a cross-lane switch port.
+/// One port of a switch: everything its daemon forwards by.
+struct SwitchPort {
+    /// The segment this port captures from.
+    seg: SegmentId,
+    /// The capture queue (a promiscuous attachment on `seg`).
+    rx: SimChannel<Frame>,
+    /// Every port's segment but the uplink (all of them on a flat switch).
+    leaves: Vec<SegmentId>,
+    /// The backbone segment of an edge switch; `None` on a flat switch.
+    uplink: Option<SegmentId>,
+    /// A link to every other port, in port order.
+    links: Vec<(SegmentId, PortLink)>,
+}
+
+/// One forwarding edge of a switch port.
 enum PortLink {
     /// Destination segment lives on the same lane: enqueue directly on its
-    /// medium after sleeping the hop latency (classic semantics).
+    /// medium after sleeping the hop latency.
     Local(SimChannel<Frame>),
     /// Destination segment lives on another lane: a cross-lane link carries
     /// the frame with the hop latency as its delay.

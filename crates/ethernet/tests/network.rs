@@ -1,11 +1,14 @@
 //! Integration tests: delivery semantics, medium serialization, the switch,
 //! and fault injection.
 
+use std::sync::Arc;
+
 use bytes::Bytes;
-use desim::{us, SimChannel, Simulation};
+use desim::{us, LaneId, SimChannel, SimTime, Simulation};
 use ethernet::{
     Dest, GilbertElliott, MacAddr, McastAddr, NetConfig, Network, FRAME_OVERHEAD_BYTES,
 };
+use parking_lot::Mutex;
 
 fn payload(n: usize) -> Bytes {
     Bytes::from(vec![0xabu8; n])
@@ -211,6 +214,111 @@ fn switch_floods_multicast_to_other_segments_once() {
         assert!(c.rx().is_empty());
     });
     sim.run_until_finished(&h).expect("run");
+}
+
+#[test]
+fn flat_switch_floods_multicast_to_memberless_segments() {
+    let mut sim = Simulation::new(1);
+    let mut net = Network::new(NetConfig::default());
+    let s0 = net.add_segment(&mut sim, "s0");
+    let s1 = net.add_segment(&mut sim, "s1");
+    let s2 = net.add_segment(&mut sim, "s2");
+    net.add_switch(&mut sim, &[s0, s1, s2], "sw");
+    let a = net.attach(MacAddr(0), s0);
+    let b = net.attach(MacAddr(1), s1);
+    let c = net.attach(MacAddr(2), s2);
+    let g = McastAddr(3);
+    b.join_group(g);
+    let m = sim.add_processor("m");
+    let h = sim.spawn(m, "t", move |ctx| {
+        a.send(ctx, Dest::Multicast(g), payload(10));
+        assert!(b.rx().recv(ctx).is_some(), "member behind the switch");
+        ctx.sleep(us(2000));
+        assert!(c.rx().is_empty(), "non-member filtered in hardware");
+    });
+    sim.run_until_finished(&h).expect("run");
+    assert_eq!(
+        net.segment_stats(s2).frames,
+        1,
+        "a flat switch does not prune: the memberless segment carries the flood"
+    );
+}
+
+/// `(source station, arrival ns)` of every frame one station received.
+type ArrivalLog = Vec<(u32, u64)>;
+
+/// Three segments, one station each, behind one flat switch: all on the
+/// root lane, or each segment on a lane of its own. Station `i` unicasts to
+/// station `i + 1` (mod 3) in slot `i` of five 1 ms rounds, and station 0
+/// broadcasts in slot 3 of round 2. Slots are 300 µs apart, so no two frames
+/// ever share a medium and the arrival instants measure the switch hops
+/// alone. Returns each station's log and the lookahead.
+fn flat_switch_arrivals(lane_per_segment: bool) -> (Vec<ArrivalLog>, Option<desim::SimDuration>) {
+    let mut sim = Simulation::new(9);
+    let mut net = Network::new(NetConfig::default());
+    let lane_ids: Vec<LaneId> = (0..3)
+        .map(|i| {
+            if lane_per_segment && i > 0 {
+                sim.add_lane()
+            } else {
+                LaneId::ZERO
+            }
+        })
+        .collect();
+    let segs: Vec<_> = (0..3)
+        .map(|i| net.add_segment_on(&mut sim, &format!("s{i}"), lane_ids[i]))
+        .collect();
+    net.add_switch(&mut sim, &segs, "sw");
+    let logs: Vec<Arc<Mutex<ArrivalLog>>> = (0..3).map(|_| Arc::default()).collect();
+    for i in 0..3 {
+        let lane = lane_ids[i];
+        let nic = net.attach(MacAddr(i as u32), segs[i]);
+        let proc = sim.add_processor_on(lane, &format!("m{i}"));
+        let tx = nic.clone();
+        let dst = MacAddr(((i + 1) % 3) as u32);
+        sim.spawn_on_lane(lane, proc, &format!("tx{i}"), move |ctx| {
+            let wait_for_slot = |round: u64, slot: u64| {
+                let at = SimTime::ZERO + us(1000 * round + 300 * slot);
+                ctx.sleep(at.duration_since(ctx.now()));
+            };
+            for round in 0..5u64 {
+                wait_for_slot(round, i as u64);
+                tx.send(ctx, Dest::Unicast(dst), payload(100));
+                if i == 0 && round == 2 {
+                    wait_for_slot(round, 3);
+                    tx.send(ctx, Dest::Broadcast, payload(46));
+                }
+            }
+        });
+        let log = Arc::clone(&logs[i]);
+        sim.spawn_daemon_on_lane(lane, proc, &format!("rx{i}"), move |ctx| {
+            while let Some(f) = nic.rx().recv(ctx) {
+                log.lock().push((f.src.0, ctx.now().as_nanos()));
+            }
+        });
+    }
+    sim.run().expect("run");
+    let logs = logs.iter().map(|l| l.lock().clone()).collect();
+    (logs, sim.lookahead())
+}
+
+#[test]
+fn flat_switch_local_and_cross_lane_links_deliver_at_identical_instants() {
+    let (one_lane, no_links) = flat_switch_arrivals(false);
+    let (three_lanes, lookahead) = flat_switch_arrivals(true);
+    assert_eq!(no_links, None, "one lane: every hop is a local link");
+    assert_eq!(
+        lookahead,
+        Some(us(30)),
+        "three lanes: every hop crosses lanes"
+    );
+    // Five unicasts from the neighbour, plus the broadcast at stations 1, 2.
+    let counts: Vec<usize> = one_lane.iter().map(Vec::len).collect();
+    assert_eq!(counts, [5, 6, 6]);
+    // The broadcast leaves at 2.9 ms: two 67.2 µs wire transits and a hop.
+    let broadcast_at = 2_900_000 + 2 * (46 + FRAME_OVERHEAD_BYTES) as u64 * 800 + 30_000;
+    assert!(one_lane[1].contains(&(0, broadcast_at)), "{one_lane:?}");
+    assert_eq!(one_lane, three_lanes);
 }
 
 #[test]

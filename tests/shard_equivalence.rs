@@ -206,7 +206,6 @@ struct LanedArtifacts {
     rx_counts: Vec<u64>,
     stats: ethernet::SegmentStats,
     lane_traces: Vec<Vec<String>>,
-    trace_lines: Vec<String>,
 }
 
 /// A three-segment, three-lane switched Ethernet under static faults:
@@ -217,7 +216,6 @@ struct LanedArtifacts {
 fn faulted_multiseg(seed: u64) -> LanedArtifacts {
     let mut sim = Simulation::builder().seed(seed).build();
     sim.enable_tracing_with_capacity(1 << 15);
-    sim.enable_trace();
     let mut net = Network::new(NetConfig::default());
     let lanes = [LaneId::ZERO, sim.add_lane(), sim.add_lane()];
     let segs: Vec<SegmentId> = (0..3)
@@ -279,7 +277,6 @@ fn faulted_multiseg(seed: u64) -> LanedArtifacts {
                     .collect()
             })
             .collect(),
-        trace_lines: sim.take_trace(),
     }
 }
 
@@ -293,7 +290,6 @@ fn faulted_multiseg(seed: u64) -> LanedArtifacts {
 fn many_idle_lanes(seed: u64) -> (LanedArtifacts, desim::WindowStats) {
     let mut sim = Simulation::builder().seed(seed).build();
     sim.enable_tracing_with_capacity(1 << 15);
-    sim.enable_trace();
     let mut net = Network::new(NetConfig::default());
     let lanes: Vec<LaneId> = (0..8)
         .map(|i| if i == 0 { LaneId::ZERO } else { sim.add_lane() })
@@ -344,7 +340,6 @@ fn many_idle_lanes(seed: u64) -> (LanedArtifacts, desim::WindowStats) {
                     .collect()
             })
             .collect(),
-        trace_lines: sim.take_trace(),
     };
     // The gate wait is wall-clock; everything else in the block is part of
     // the deterministic surface and compared across cells below.
