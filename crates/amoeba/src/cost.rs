@@ -15,9 +15,10 @@ pub const AMOEBA_GROUP_HEADER_BYTES: usize = 52;
 
 /// Per-operation CPU costs of the simulated machines.
 ///
-/// All costs are charged through `desim`'s CPU model: thread-level costs via
-/// `compute` (subject to context-switch charges and interrupt preemption) and
-/// interrupt-level costs via `interrupt_compute` (which preempt thread work).
+/// All costs are charged through `desim`'s `Ctx::charge`, which attributes
+/// each term and occupies the CPU: `On::Thread` (subject to context-switch
+/// charges and interrupt preemption) or `On::Interrupt` (which preempts
+/// thread work).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CostModel {
     /// Full thread context switch (the paper measures two of these, 140 µs,

@@ -27,7 +27,7 @@ use std::sync::Arc;
 
 use bytes::{BufMut, Bytes, BytesMut};
 use desim::trace::{Layer, Phase};
-use desim::{Ctx, RecvTimeoutError, SimChannel, SimDuration, SwitchCharge};
+use desim::{Ctx, On, RecvTimeoutError, SimChannel, SimDuration};
 use ethernet::McastAddr;
 use flip::{FlipAddr, FlipMessage};
 use parking_lot::Mutex;
@@ -340,24 +340,17 @@ impl GroupMember {
         // Enter the kernel: traps, copy, per-packet processing.
         let wire_frags =
             fragments_of(req_wire.len()) + bb_wire.as_ref().map_or(0, |w| fragments_of(w.len()));
-        ctx.trace_cost(
+        ctx.charge(
             Layer::Group,
-            "syscall",
-            cost.syscall(cost.shallow_call_depth),
+            On::Thread,
+            &[
+                ("syscall", cost.syscall(cost.shallow_call_depth)),
+                ("protocol_layer", cost.protocol_layer),
+                ("copy", cost.copy(payload.len())),
+                ("kernel_packet_send", cost.kernel_packet_send * wire_frags),
+            ],
         );
-        ctx.trace_cost(Layer::Group, "protocol_layer", cost.protocol_layer);
-        ctx.trace_cost(Layer::Group, "copy", cost.copy(payload.len()));
-        ctx.trace_cost(
-            Layer::Group,
-            "kernel_packet_send",
-            cost.kernel_packet_send * wire_frags,
-        );
-        ctx.compute(
-            cost.syscall(cost.shallow_call_depth)
-                + cost.protocol_layer
-                + cost.copy(payload.len())
-                + cost.kernel_packet_send * wire_frags,
-        );
+        let resend = cost.kernel_packet_send * fragments_of(req_wire.len());
         let mut result = Err(GroupError::Timeout);
         for attempt in 0..cfg.send_retries {
             if attempt > 0 {
@@ -366,12 +359,7 @@ impl GroupMember {
                     "retransmit",
                     &[("msg_id", msg_id), ("attempt", u64::from(attempt))],
                 );
-                ctx.trace_cost(
-                    Layer::Group,
-                    "kernel_packet_send",
-                    cost.kernel_packet_send * fragments_of(req_wire.len()),
-                );
-                ctx.compute(cost.kernel_packet_send * fragments_of(req_wire.len()));
+                ctx.charge(Layer::Group, On::Thread, &[("kernel_packet_send", resend)]);
             }
             if let Some(bb) = &bb_wire {
                 if attempt == 0 {
@@ -392,15 +380,11 @@ impl GroupMember {
         self.state.lock().send_waiters.remove(&msg_id);
         if result.is_ok() {
             // Return from the blocking grp_send: the kernel woke us directly
-            // from the interrupt handler, so `Auto` charges no switch.
-            ctx.trace_cost(
+            // from the interrupt handler, so `Thread` pays no switch.
+            ctx.charge(
                 Layer::Group,
-                "window_trap",
-                cost.window_trap * cost.shallow_call_depth,
-            );
-            ctx.compute_charged(
-                cost.window_trap * cost.shallow_call_depth,
-                SwitchCharge::Auto,
+                On::Thread,
+                &[("window_trap", cost.window_trap * cost.shallow_call_depth)],
             );
         }
         ctx.trace_emit(
@@ -416,8 +400,7 @@ impl GroupMember {
     /// sequence). Blocks until one is available.
     pub fn recv(&self, ctx: &Ctx) -> GroupMessage {
         let cost = self.machine.cost().clone();
-        ctx.trace_cost(Layer::Group, "syscall", cost.syscall_enter);
-        ctx.compute(cost.syscall_enter);
+        ctx.charge(Layer::Group, On::Thread, &[("syscall", cost.syscall_enter)]);
         let msg = loop {
             if self.backlog() > 0 {
                 match self.inbox.recv_timeout(ctx, self.spec.config.gap_poll) {
@@ -425,8 +408,11 @@ impl GroupMember {
                     Err(RecvTimeoutError::Timeout) => {
                         let req = self.state.lock().member.retrans_wire();
                         ctx.trace_instant(Layer::Group, "retrans_req_tx", &[("from_seq", req.seq)]);
-                        ctx.trace_cost(Layer::Group, "kernel_packet_send", cost.kernel_packet_send);
-                        ctx.compute(cost.kernel_packet_send);
+                        ctx.charge(
+                            Layer::Group,
+                            On::Thread,
+                            &[("kernel_packet_send", cost.kernel_packet_send)],
+                        );
                         self.send_unicast_raw(
                             ctx,
                             self.spec.sequencer_addr(),
@@ -439,12 +425,11 @@ impl GroupMember {
                 break self.inbox.recv(ctx).expect("inbox never closes");
             }
         };
-        ctx.trace_cost(
+        ctx.charge(
             Layer::Group,
-            "window_trap",
-            cost.window_trap * cost.shallow_call_depth,
+            On::Thread,
+            &[("window_trap", cost.window_trap * cost.shallow_call_depth)],
         );
-        ctx.compute(cost.window_trap * cost.shallow_call_depth);
         msg
     }
 
@@ -467,17 +452,16 @@ impl GroupMember {
         }
     }
 
-    /// Sends the wires among `outs` in order, charging each through
-    /// `charge` (interrupt level in the handler, thread level in the resync
-    /// daemon). Transmission sleeps in virtual time, so this runs after the
-    /// state lock is released.
-    fn transmit(&self, ctx: &Ctx, outs: Vec<Out>, charge: impl Fn(SimDuration)) {
+    /// Sends the wires among `outs` in order, charging each `on` the CPU
+    /// (interrupt level in the handler, thread level in the resync daemon).
+    /// Transmission sleeps in virtual time, so this runs after the state
+    /// lock is released.
+    fn transmit(&self, ctx: &Ctx, outs: Vec<Out>, on: On) {
         for out in outs {
             let Out::Wire(w) = out else { continue };
             let wire = Header::encode(&w);
             let c = self.machine.cost().kernel_packet_send * fragments_of(wire.len());
-            ctx.trace_cost(Layer::Group, "kernel_packet_send", c);
-            charge(c);
+            ctx.charge(Layer::Group, on, &[("kernel_packet_send", c)]);
             match w.to {
                 To::Group => self.send_group_raw(ctx, wire),
                 To::Sequencer => self.send_unicast_raw(ctx, self.spec.sequencer_addr(), wire),
@@ -495,26 +479,23 @@ impl GroupMember {
         };
         // Run the state machine under the lock; collect wire traffic and CPU
         // charges to execute afterwards (transmission sleeps).
-        let (outs, icost) = {
+        let mut outs = Vec::new();
+        let mut delivered = Delivered::default();
+        {
             let mut st = self.state.lock();
-            let mut outs = Vec::new();
-            let mut delivered = Delivered::default();
             self.state_machine(ctx, &mut st, header, body, &mut outs, &mut delivered);
-            let cost = self.machine.cost();
-            ctx.trace_cost(Layer::Group, "protocol_layer", cost.protocol_layer);
-            ctx.trace_cost(
-                Layer::Group,
-                "user_deliver",
-                cost.user_deliver * delivered.count as u64,
-            );
-            ctx.trace_cost(Layer::Group, "copy", cost.copy(delivered.bytes));
-            let icost = cost.protocol_layer
-                + cost.user_deliver * delivered.count as u64
-                + cost.copy(delivered.bytes);
-            (outs, icost)
-        };
-        ctx.interrupt_compute(icost);
-        self.transmit(ctx, outs, |c| ctx.interrupt_compute(c));
+        }
+        let cost = self.machine.cost();
+        ctx.charge(
+            Layer::Group,
+            On::Interrupt,
+            &[
+                ("protocol_layer", cost.protocol_layer),
+                ("user_deliver", cost.user_deliver * delivered.count as u64),
+                ("copy", cost.copy(delivered.bytes)),
+            ],
+        );
+        self.transmit(ctx, outs, On::Interrupt);
     }
 
     /// Feeds one decoded frame to the cores. The kernel placement: the
@@ -641,7 +622,7 @@ impl GroupMember {
             seq.resync_round(&mut outs);
         }
         trace_notes(ctx, &outs);
-        self.transmit(ctx, outs, |c| ctx.compute(c));
+        self.transmit(ctx, outs, On::Thread);
     }
 
     /// Deliver everything contiguous; wake local senders; emit status.

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use desim::trace::Layer;
-use desim::{Ctx, LaneId, ProcId, SimChannel, Simulation};
+use desim::{Ctx, LaneId, On, ProcId, SimChannel, Simulation};
 use ethernet::{MacAddr, McastAddr, Network, SegmentId};
 use flip::{FlipAddr, FlipIface, FlipMessage, FLIP_FRAGMENT_BYTES};
 use parking_lot::Mutex;
@@ -115,9 +115,14 @@ impl Machine {
         let cost = &self.inner.cost;
         while let Some(frame) = rx.recv(ctx) {
             // Interrupt entry plus kernel per-packet receive processing.
-            ctx.trace_cost(Layer::Flip, "interrupt", cost.interrupt_overhead);
-            ctx.trace_cost(Layer::Flip, "kernel_packet_recv", cost.kernel_packet_recv);
-            ctx.interrupt_compute(cost.interrupt_overhead + cost.kernel_packet_recv);
+            ctx.charge(
+                Layer::Flip,
+                On::Interrupt,
+                &[
+                    ("interrupt", cost.interrupt_overhead),
+                    ("kernel_packet_recv", cost.kernel_packet_recv),
+                ],
+            );
             for msg in self.inner.iface.handle_frame(ctx, &frame) {
                 self.dispatch(ctx, msg);
             }
@@ -142,9 +147,14 @@ impl Machine {
                 // Crossing into user space: wakeup bookkeeping plus copying
                 // the message out of kernel buffers.
                 let cost = &self.inner.cost;
-                ctx.trace_cost(Layer::Flip, "user_deliver", cost.user_deliver);
-                ctx.trace_cost(Layer::Flip, "copy", cost.copy(msg.payload.len()));
-                ctx.interrupt_compute(cost.user_deliver + cost.copy(msg.payload.len()));
+                ctx.charge(
+                    Layer::Flip,
+                    On::Interrupt,
+                    &[
+                        ("user_deliver", cost.user_deliver),
+                        ("copy", cost.copy(msg.payload.len())),
+                    ],
+                );
                 let _ = channel.send(ctx, msg);
             }
             None => {
@@ -215,13 +225,8 @@ impl Machine {
     /// interrupt level and short-circuits local destinations through the
     /// dispatch table.
     pub fn kernel_send(&self, ctx: &Ctx, src: FlipAddr, dst: FlipAddr, payload: Bytes) {
-        let frags = fragments_of(payload.len());
-        ctx.trace_cost(
-            Layer::Flip,
-            "kernel_packet_send",
-            self.inner.cost.kernel_packet_send * frags,
-        );
-        ctx.interrupt_compute(self.inner.cost.kernel_packet_send * frags);
+        let c = self.inner.cost.kernel_packet_send * fragments_of(payload.len());
+        ctx.charge(Layer::Flip, On::Interrupt, &[("kernel_packet_send", c)]);
         if let Some(local) = self.inner.iface.send(ctx, src, dst, payload) {
             self.dispatch(ctx, local);
         }
@@ -230,13 +235,8 @@ impl Machine {
     /// Multicasts from kernel context; the local copy (FLIP groups do not
     /// loop frames back) is dispatched through the local sink.
     pub fn kernel_send_group(&self, ctx: &Ctx, src: FlipAddr, group: FlipAddr, payload: Bytes) {
-        let frags = fragments_of(payload.len());
-        ctx.trace_cost(
-            Layer::Flip,
-            "kernel_packet_send",
-            self.inner.cost.kernel_packet_send * frags,
-        );
-        ctx.interrupt_compute(self.inner.cost.kernel_packet_send * frags);
+        let c = self.inner.cost.kernel_packet_send * fragments_of(payload.len());
+        ctx.charge(Layer::Flip, On::Interrupt, &[("kernel_packet_send", c)]);
         if let Some(local) = self.inner.iface.send_group(ctx, src, group, payload) {
             self.dispatch(ctx, local);
         }
@@ -246,15 +246,7 @@ impl Machine {
     /// implementation is built on): charges the full trap, copy, per-packet,
     /// and unoptimized-interface costs on the calling thread, then transmits.
     pub fn flip_send_syscall(&self, ctx: &Ctx, src: FlipAddr, dst: FlipAddr, payload: Bytes) {
-        let cost = &self.inner.cost;
-        let frags = fragments_of(payload.len());
-        self.trace_flip_syscall_costs(ctx, payload.len(), frags);
-        ctx.compute(
-            cost.syscall(cost.deep_call_depth)
-                + cost.flip_user_interface
-                + cost.copy(payload.len())
-                + cost.kernel_packet_send * frags,
-        );
+        self.charge_flip_syscall(ctx, payload.len());
         if let Some(local) = self.inner.iface.send(ctx, src, dst, payload) {
             self.dispatch(ctx, local);
         }
@@ -270,33 +262,25 @@ impl Machine {
         group: FlipAddr,
         payload: Bytes,
     ) {
-        let cost = &self.inner.cost;
-        let frags = fragments_of(payload.len());
-        self.trace_flip_syscall_costs(ctx, payload.len(), frags);
-        ctx.compute(
-            cost.syscall(cost.deep_call_depth)
-                + cost.flip_user_interface
-                + cost.copy(payload.len())
-                + cost.kernel_packet_send * frags,
-        );
+        self.charge_flip_syscall(ctx, payload.len());
         if let Some(local) = self.inner.iface.send_group(ctx, src, group, payload) {
             self.dispatch(ctx, local);
         }
     }
 
-    /// Emits per-component cost events for the FLIP send syscall path.
-    fn trace_flip_syscall_costs(&self, ctx: &Ctx, len: usize, frags: u64) {
-        if !ctx.tracing_enabled() {
-            return;
-        }
-        let cost = &self.inner.cost;
-        ctx.trace_cost(Layer::Flip, "syscall", cost.syscall(cost.deep_call_depth));
-        ctx.trace_cost(Layer::Flip, "flip_user_interface", cost.flip_user_interface);
-        ctx.trace_cost(Layer::Flip, "copy", cost.copy(len));
-        ctx.trace_cost(
+    /// Charges the FLIP send syscall for `len` payload bytes on the calling
+    /// thread: trap, unoptimized interface, copy and per-packet processing.
+    fn charge_flip_syscall(&self, ctx: &Ctx, len: usize) {
+        let (cost, frags) = (&self.inner.cost, fragments_of(len));
+        ctx.charge(
             Layer::Flip,
-            "kernel_packet_send",
-            cost.kernel_packet_send * frags,
+            On::Thread,
+            &[
+                ("syscall", cost.syscall(cost.deep_call_depth)),
+                ("flip_user_interface", cost.flip_user_interface),
+                ("copy", cost.copy(len)),
+                ("kernel_packet_send", cost.kernel_packet_send * frags),
+            ],
         );
     }
 

@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use bytes::{BufMut, Bytes, BytesMut};
 use desim::trace::{Layer, Phase};
-use desim::{Ctx, RecvTimeoutError, SimChannel, SimDuration, SwitchCharge, ThreadId};
+use desim::{Ctx, On, RecvTimeoutError, SimChannel, SimDuration, ThreadId};
 use ethernet::MacAddr;
 use flip::{FlipAddr, FlipMessage};
 use parking_lot::Mutex;
@@ -283,11 +283,14 @@ impl RpcServer {
                         // thread (one context switch at the server, as the
                         // paper counts for both implementations).
                         let cost = self.machine.cost();
-                        ctx.trace_cost(Layer::Rpc, "protocol_layer", cost.protocol_layer);
-                        ctx.trace_cost(Layer::Rpc, "user_deliver", cost.user_deliver);
-                        ctx.trace_cost(Layer::Rpc, "copy", cost.copy(body.len()));
-                        ctx.interrupt_compute(
-                            cost.protocol_layer + cost.user_deliver + cost.copy(body.len()),
+                        ctx.charge(
+                            Layer::Rpc,
+                            On::Interrupt,
+                            &[
+                                ("protocol_layer", cost.protocol_layer),
+                                ("user_deliver", cost.user_deliver),
+                                ("copy", cost.copy(body.len())),
+                            ],
                         );
                         let token = ReplyToken {
                             client: header.client,
@@ -314,19 +317,17 @@ impl RpcServer {
     /// Charged as a blocking system call on the calling thread.
     pub fn get_request(&self, ctx: &Ctx) -> (Bytes, ReplyToken) {
         let cost = self.machine.cost();
-        ctx.trace_cost(Layer::Rpc, "syscall", cost.syscall_enter);
-        ctx.compute(cost.syscall_enter);
+        ctx.charge(Layer::Rpc, On::Thread, &[("syscall", cost.syscall_enter)]);
         let (body, mut token) = self
             .queue
             .recv(ctx)
             .expect("service queue lives as long as the server");
         // Returning from the blocking syscall: window traps on the way out.
-        ctx.trace_cost(
+        ctx.charge(
             Layer::Rpc,
-            "window_trap",
-            cost.window_trap * cost.shallow_call_depth,
+            On::Thread,
+            &[("window_trap", cost.window_trap * cost.shallow_call_depth)],
         );
-        ctx.compute(cost.window_trap * cost.shallow_call_depth);
         token.served_by = Some(ctx.thread_id());
         (body, token)
     }
@@ -350,19 +351,18 @@ impl RpcServer {
             "reply_tx",
             &[("seq", token.seq), ("bytes", reply.len() as u64)],
         );
-        ctx.trace_cost(Layer::Rpc, "syscall", cost.syscall(cost.shallow_call_depth));
-        ctx.trace_cost(Layer::Rpc, "protocol_layer", cost.protocol_layer);
-        ctx.trace_cost(Layer::Rpc, "copy", cost.copy(reply.len()));
-        ctx.trace_cost(
+        ctx.charge(
             Layer::Rpc,
-            "kernel_packet_send",
-            cost.kernel_packet_send * fragments_of(wire_len),
-        );
-        ctx.compute(
-            cost.syscall(cost.shallow_call_depth)
-                + cost.protocol_layer
-                + cost.copy(reply.len())
-                + cost.kernel_packet_send * fragments_of(wire_len),
+            On::Thread,
+            &[
+                ("syscall", cost.syscall(cost.shallow_call_depth)),
+                ("protocol_layer", cost.protocol_layer),
+                ("copy", cost.copy(reply.len())),
+                (
+                    "kernel_packet_send",
+                    cost.kernel_packet_send * fragments_of(wire_len),
+                ),
+            ],
         );
         {
             let mut st = self.state.lock();
@@ -479,12 +479,11 @@ impl RpcClient {
             "reply_rx",
             &[("seq", header.seq), ("bytes", body.len() as u64)],
         );
-        ctx.trace_cost(
+        ctx.charge(
             Layer::Rpc,
-            "protocol_layer",
-            self.machine.cost().protocol_layer,
+            On::Interrupt,
+            &[("protocol_layer", self.machine.cost().protocol_layer)],
         );
-        ctx.interrupt_compute(self.machine.cost().protocol_layer);
         // Wake the blocked client directly from the interrupt handler — this
         // is the kernel-space fast path: no context switch is charged because
         // no other thread gets scheduled in between.
@@ -535,19 +534,16 @@ impl RpcClient {
         );
         // Entering the kernel, protocol processing, copying the request,
         // per-packet processing.
-        ctx.trace_cost(Layer::Rpc, "syscall", cost.syscall(cost.shallow_call_depth));
-        ctx.trace_cost(Layer::Rpc, "protocol_layer", cost.protocol_layer);
-        ctx.trace_cost(Layer::Rpc, "copy", cost.copy(request.len()));
-        ctx.trace_cost(
+        let packet_send = cost.kernel_packet_send * fragments_of(wire.len());
+        ctx.charge(
             Layer::Rpc,
-            "kernel_packet_send",
-            cost.kernel_packet_send * fragments_of(wire.len()),
-        );
-        ctx.compute(
-            cost.syscall(cost.shallow_call_depth)
-                + cost.protocol_layer
-                + cost.copy(request.len())
-                + cost.kernel_packet_send * fragments_of(wire.len()),
+            On::Thread,
+            &[
+                ("syscall", cost.syscall(cost.shallow_call_depth)),
+                ("protocol_layer", cost.protocol_layer),
+                ("copy", cost.copy(request.len())),
+                ("kernel_packet_send", packet_send),
+            ],
         );
         let mut result = Err(RpcError::Timeout);
         let mut attempt = 0u32;
@@ -561,12 +557,11 @@ impl RpcClient {
                         "retransmit",
                         &[("seq", seq), ("attempt", u64::from(attempt))],
                     );
-                    ctx.trace_cost(
+                    ctx.charge(
                         Layer::Rpc,
-                        "kernel_packet_send",
-                        cost.kernel_packet_send * fragments_of(wire.len()),
+                        On::Thread,
+                        &[("kernel_packet_send", packet_send)],
                     );
-                    ctx.compute(cost.kernel_packet_send * fragments_of(wire.len()));
                 }
                 ctx.trace_instant(Layer::Rpc, "request_tx", &[("seq", seq)]);
                 if let Some(local) =
@@ -612,16 +607,13 @@ impl RpcClient {
             }
         }
         if result.is_ok() {
-            // Return from the blocking trans() syscall. The `Auto` charge
-            // stays free when only interrupt work ran while we were blocked.
-            ctx.trace_cost(
+            // Return from the blocking trans() syscall. The `Thread` charge
+            // pays no switch when only interrupt work ran while we were
+            // blocked.
+            ctx.charge(
                 Layer::Rpc,
-                "window_trap",
-                cost.window_trap * cost.shallow_call_depth,
-            );
-            ctx.compute_charged(
-                cost.window_trap * cost.shallow_call_depth,
-                SwitchCharge::Auto,
+                On::Thread,
+                &[("window_trap", cost.window_trap * cost.shallow_call_depth)],
             );
         }
         ctx.trace_emit(

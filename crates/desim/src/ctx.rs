@@ -12,25 +12,30 @@ use crate::time::{SimDuration, SimTime};
 use crate::trace::{Layer, Phase};
 use crate::ThreadHandle;
 
-/// How a [`Ctx::compute_charged`] call accounts for the context switch that
-/// (possibly) precedes it.
+/// Where a [`Ctx::charge`] spends the sum of its terms.
 ///
 /// The Amoeba paper's central asymmetry is *who pays for thread switches*:
 /// kernel-space protocol work runs at interrupt level and resumes the blocked
 /// caller directly, while user-space protocol work runs in ordinary threads
-/// and pays for scheduling. `Auto` lets that asymmetry emerge from the CPU
-/// model; `Fixed` is used where the paper reports a measured, path-specific
-/// cost (e.g. the 110 µs interrupt-to-sequencer-thread dispatch).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SwitchCharge {
-    /// Charge the processor's context-switch cost iff the previous
-    /// thread-level occupant was a different thread.
-    #[default]
-    Auto,
-    /// Charge exactly this duration (counted as a switch when non-zero).
-    Fixed(SimDuration),
-    /// Charge nothing.
-    Free,
+/// and pays for scheduling. `Thread` lets that asymmetry emerge from the CPU
+/// model; `ThreadSwitch` is used where the paper reports a measured,
+/// path-specific cost (e.g. the 110 µs interrupt-to-sequencer-thread
+/// dispatch).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum On {
+    /// Thread-level work, as [`Ctx::compute`].
+    Thread,
+    /// Thread-level work that pays exactly this switch cost (counted as a
+    /// switch when non-zero) instead of the processor's.
+    ThreadSwitch(SimDuration),
+    /// Interrupt-level work: it does not wait for the CPU, and any
+    /// concurrent thread-level work on the same processor is extended by
+    /// it. It does not update the "last thread" register, so a thread
+    /// resumed right after interrupt processing pays no context switch —
+    /// the kernel-space fast path the paper measures.
+    Interrupt,
+    /// No CPU: attribution only, for latency spent off any processor.
+    Off,
 }
 
 /// Handle through which a simulated thread talks to the simulation.
@@ -126,13 +131,33 @@ impl Ctx {
     /// The call acquires the processor (FIFO among threads), pays the
     /// context-switch cost if another thread ran since this one last held the
     /// CPU, and is extended by any interrupt-level work that steals the CPU
-    /// while it runs.
+    /// while it runs. Named protocol costs go through [`Ctx::charge`].
     pub fn compute(&self, d: SimDuration) {
-        self.compute_charged(d, SwitchCharge::Auto);
+        self.thread_compute(d, None);
     }
 
-    /// [`Ctx::compute`] with an explicit context-switch accounting policy.
-    pub fn compute_charged(&self, d: SimDuration, charge: SwitchCharge) {
+    /// Charges the named cost `terms` of `layer` in one occupancy: emits one
+    /// cost instant (`("ns", d)`, what the latency budget sums) per non-zero
+    /// term, in order, at the call instant, then spends the sum `on` the
+    /// processor. Splitting one occupancy over several calls would release
+    /// and re-acquire the CPU in between and move virtual time. A zero-sum
+    /// `Thread` charge still takes the CPU and pays the switch.
+    pub fn charge(&self, layer: Layer, on: On, terms: &[(&'static str, SimDuration)]) {
+        for &(name, d) in terms.iter().filter(|(_, d)| !d.is_zero()) {
+            self.trace_instant(layer, name, &[("ns", d.as_nanos())]);
+        }
+        let d = terms.iter().map(|&(_, d)| d).sum();
+        match on {
+            On::Thread => self.thread_compute(d, None),
+            On::ThreadSwitch(cs) => self.thread_compute(d, Some(cs)),
+            On::Interrupt => self.interrupt_compute(d),
+            On::Off => {}
+        }
+    }
+
+    /// Thread-level CPU work; `switch` overrides the processor's
+    /// context-switch cost (`None` charges it iff another thread ran last).
+    fn thread_compute(&self, d: SimDuration, switch: Option<SimDuration>) {
         let me = self.tid;
         let proc = self.processor();
         // Acquire the CPU.
@@ -163,8 +188,8 @@ impl Ctx {
         let cs = {
             let mut st = self.core.state.lock();
             let pr = &mut st.procs[proc.0];
-            match charge {
-                SwitchCharge::Auto => {
+            match switch {
+                None => {
                     if pr.last_thread_holder.is_some() && pr.last_thread_holder != Some(me) {
                         pr.switches += 1;
                         pr.switch_cost
@@ -172,13 +197,12 @@ impl Ctx {
                         SimDuration::ZERO
                     }
                 }
-                SwitchCharge::Fixed(c) => {
+                Some(c) => {
                     if !c.is_zero() {
                         pr.switches += 1;
                     }
                     c
                 }
-                SwitchCharge::Free => SimDuration::ZERO,
             }
         };
         if !cs.is_zero() && self.core.tracing_enabled() {
@@ -244,15 +268,8 @@ impl Ctx {
         }
     }
 
-    /// Performs `d` of interrupt-level CPU work on this thread's processor.
-    ///
-    /// Interrupt work preempts thread-level work: it does not wait for the
-    /// CPU, and any concurrent thread-level [`Ctx::compute`] on the same
-    /// processor is extended by `d`. It also does not update the
-    /// "last thread" register, so a thread resumed right after interrupt
-    /// processing pays no context switch — the kernel-space fast path the
-    /// paper measures.
-    pub fn interrupt_compute(&self, d: SimDuration) {
+    /// Interrupt-level CPU work (see [`On::Interrupt`]).
+    fn interrupt_compute(&self, d: SimDuration) {
         if d.is_zero() {
             return;
         }
@@ -379,16 +396,5 @@ impl Ctx {
     #[inline]
     pub fn trace_end(&self, layer: Layer, name: &'static str, args: &[(&'static str, u64)]) {
         self.trace_emit(layer, Phase::End, name, args);
-    }
-
-    /// Emits a cost-accounting event: `d` of virtual time attributed to the
-    /// cost-model category `category`. The latency-budget report aggregates
-    /// these per category.
-    #[inline]
-    pub fn trace_cost(&self, layer: Layer, category: &'static str, d: SimDuration) {
-        if d.is_zero() {
-            return;
-        }
-        self.trace_emit(layer, Phase::Instant, category, &[("ns", d.as_nanos())]);
     }
 }

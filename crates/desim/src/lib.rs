@@ -9,8 +9,8 @@
 //! - a per-machine **CPU model**: [`Ctx::compute`] occupies the machine's
 //!   processor (FIFO), pays a context-switch cost when a different thread ran
 //!   last, and is *preempted* (extended) by interrupt-level work charged via
-//!   [`Ctx::interrupt_compute`] — the mechanism at the heart of the
-//!   kernel-space vs user-space comparison this workspace reproduces;
+//!   [`Ctx::charge`] with [`On::Interrupt`] — the mechanism at the heart of
+//!   the kernel-space vs user-space comparison this workspace reproduces;
 //! - blocking primitives in virtual time: [`SimMutex`], [`SimCondvar`], and
 //!   [`SimChannel`] with timeouts.
 //!
@@ -60,7 +60,7 @@ mod wheel;
 pub use backend::{set_backend_override, Backend};
 pub use channel::{PendingWake, RecvTimeoutError, SendError, SimChannel};
 pub use core::{ProcId, ThreadId};
-pub use ctx::{Ctx, SwitchCharge};
+pub use ctx::{Ctx, On};
 pub use fiber::FIBER_STACK_POOL_CAP;
 pub use queue::QueueStats;
 pub use shard::{set_shards_override, LaneId, XSender};

@@ -1,8 +1,8 @@
 //! Integration tests for the desim scheduler, CPU model, and determinism.
 
 use desim::{
-    ms, secs, us, Backend, SimChannel, SimCondvar, SimDuration, SimError, SimMutex, SimTime,
-    Simulation, SwitchCharge,
+    ms, secs, us, Backend, Layer, On, Phase, SimChannel, SimCondvar, SimDuration, SimError,
+    SimMutex, SimTime, Simulation,
 };
 
 #[test]
@@ -99,27 +99,131 @@ fn switch_charge_policies() {
     let mut sim = Simulation::new(0);
     let cpu = sim.add_processor_with_switch_cost("m0", us(70));
     let h = sim.spawn(cpu, "a", |ctx| {
-        ctx.compute_charged(us(10), SwitchCharge::Free);
-        ctx.compute_charged(us(10), SwitchCharge::Fixed(us(110)));
+        let work = [("work", us(10))];
+        ctx.charge(Layer::App, On::ThreadSwitch(SimDuration::ZERO), &work);
+        ctx.charge(Layer::App, On::ThreadSwitch(us(110)), &work);
         assert_eq!(ctx.now().as_micros_f64(), 130.0);
     });
     sim.run_until_finished(&h).expect("run");
     assert_eq!(
         sim.report().procs[0].switches,
         1,
-        "only the Fixed charge counts"
+        "only the non-zero ThreadSwitch charge counts"
+    );
+}
+
+/// The cost instants of one layer in a traced run: `(time, name, ns)`.
+fn cost_instants(sim: &mut Simulation, layer: Layer) -> Vec<(u64, &'static str, u64)> {
+    sim.take_trace_events()
+        .into_iter()
+        .filter(|e| e.layer == layer)
+        .map(|e| {
+            assert_eq!(e.phase, Phase::Instant);
+            (e.time.as_nanos(), e.name, e.args.get("ns").expect("ns"))
+        })
+        .collect()
+}
+
+#[test]
+fn charge_emits_one_instant_per_nonzero_term_at_the_call_instant() {
+    let mut sim = Simulation::new(0);
+    sim.enable_tracing();
+    let cpu = sim.add_processor("m0");
+    let h = sim.spawn(cpu, "a", |ctx| {
+        ctx.sleep(us(5));
+        let terms = [("b", us(3)), ("zero", SimDuration::ZERO), ("a", us(4))];
+        ctx.charge(Layer::App, On::Thread, &terms);
+        assert_eq!(ctx.now().as_micros_f64(), 12.0, "occupies the sum");
+    });
+    sim.run_until_finished(&h).expect("run");
+    assert_eq!(
+        cost_instants(&mut sim, Layer::App),
+        vec![(5_000, "b", 3_000), (5_000, "a", 4_000)],
+        "in order, at the call instant, none for the zero term"
     );
 }
 
 #[test]
-fn interrupt_compute_extends_thread_compute() {
+fn thread_charge_occupies_the_sum_and_pays_one_switch() {
+    let mut sim = Simulation::new(0);
+    let cpu = sim.add_processor_with_switch_cost("m0", us(70));
+    let a = sim.spawn(cpu, "a", |ctx| ctx.compute(us(10)));
+    sim.run_until_finished(&a).expect("a");
+    let b = sim.spawn(cpu, "b", |ctx| {
+        let t0 = ctx.now();
+        let terms = [("x", us(10)), ("y", us(20))];
+        ctx.charge(Layer::App, On::Thread, &terms);
+        assert_eq!(
+            (ctx.now() - t0).as_micros_f64(),
+            100.0,
+            "70us switch + 30us"
+        );
+        ctx.charge(Layer::App, On::Thread, &terms);
+        assert_eq!((ctx.now() - t0).as_micros_f64(), 130.0, "no self-switch");
+    });
+    sim.run_until_finished(&b).expect("b");
+    assert_eq!(sim.report().procs[0].switches, 1);
+}
+
+#[test]
+fn zero_sum_thread_charge_still_takes_the_cpu() {
+    let mut sim = Simulation::new(0);
+    let cpu = sim.add_processor_with_switch_cost("m0", us(70));
+    let a = sim.spawn(cpu, "a", |ctx| ctx.compute(us(10)));
+    sim.run_until_finished(&a).expect("a");
+    let b = sim.spawn(cpu, "b", |ctx| {
+        let t0 = ctx.now();
+        ctx.charge(Layer::App, On::Thread, &[("none", SimDuration::ZERO)]);
+        assert_eq!((ctx.now() - t0).as_micros_f64(), 70.0, "the switch alone");
+    });
+    sim.run_until_finished(&b).expect("b");
+    assert_eq!(sim.report().procs[0].switches, 1);
+    // `b` now holds the "last thread" register: the next thread pays.
+    let c = sim.spawn(cpu, "c", |ctx| ctx.compute(us(10)));
+    sim.run_until_finished(&c).expect("c");
+    assert_eq!(sim.report().procs[0].switches, 2);
+}
+
+#[test]
+fn off_charge_takes_no_time_and_no_cpu() {
+    let mut sim = Simulation::new(0);
+    sim.enable_tracing();
+    let cpu = sim.add_processor_with_switch_cost("m0", us(70));
+    let busy = sim.spawn(cpu, "busy", |ctx| {
+        ctx.compute(us(100));
+        assert_eq!(ctx.now().as_micros_f64(), 100.0, "not extended");
+    });
+    let h = sim.spawn(cpu, "hop", |ctx| {
+        ctx.sleep(us(10));
+        ctx.charge(Layer::Net, On::Off, &[("switch_hop", us(30))]);
+        assert_eq!(ctx.now().as_micros_f64(), 10.0, "no wait for the held CPU");
+    });
+    sim.run_until_finished(&h).expect("hop");
+    sim.run_until_finished(&busy).expect("busy");
+    let report = sim.report();
+    assert_eq!(report.procs[0].interrupt_time, SimDuration::ZERO);
+    assert_eq!(report.procs[0].switches, 0);
+    assert_eq!(
+        cost_instants(&mut sim, Layer::Net),
+        vec![(10_000, "switch_hop", 30_000)]
+    );
+}
+
+#[test]
+fn interrupt_charge_extends_thread_compute() {
     let mut sim = Simulation::new(0);
     let cpu = sim.add_processor("m0");
     // Interrupt work lands in the middle of a 100us thread compute; the
     // thread compute must stretch by the stolen 30us.
     sim.spawn(cpu, "irq", |ctx| {
         ctx.sleep(us(20));
-        ctx.interrupt_compute(us(30)); // finishes (and is charged) at t=50
+        // Finishes (and is charged) at t=50.
+        ctx.charge(
+            Layer::App,
+            On::Interrupt,
+            &[("entry", us(10)), ("handler", us(20))],
+        );
+        assert_eq!(ctx.now().as_micros_f64(), 50.0);
     });
     let h = sim.spawn(cpu, "worker", |ctx| {
         ctx.compute(us(100));
@@ -144,7 +248,7 @@ fn interrupt_does_not_update_last_thread_holder() {
     });
     sim.spawn(cpu, "irq", |ctx| {
         ctx.sleep(us(50));
-        ctx.interrupt_compute(us(20));
+        ctx.charge(Layer::App, On::Interrupt, &[("irq", us(20))]);
     });
     sim.run_until_finished(&h).expect("run");
     assert_eq!(sim.report().procs[0].switches, 0);

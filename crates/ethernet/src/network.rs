@@ -60,7 +60,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use desim::trace::{Layer, Phase};
-use desim::{Ctx, LaneId, PendingWake, ProcId, SimChannel, SimDuration, Simulation, XSender};
+use desim::{Ctx, LaneId, On, PendingWake, ProcId, SimChannel, SimDuration, Simulation, XSender};
 use parking_lot::Mutex;
 
 use crate::frame::{Dest, Frame, MacAddr, McastAddr};
@@ -925,10 +925,11 @@ impl Network {
                     let Some((_, link)) = port.links.iter().find(|(s, _)| *s == out) else {
                         continue;
                     };
-                    ctx.trace_cost(Layer::Net, "switch_hop", self.cfg.switch_latency);
+                    let hop = self.cfg.switch_latency;
+                    ctx.charge(Layer::Net, On::Off, &[("switch_hop", hop)]);
                     match link {
                         PortLink::Local(tx) => {
-                            ctx.sleep(self.cfg.switch_latency);
+                            ctx.sleep(hop);
                             let _ = tx.send(ctx, frame);
                         }
                         PortLink::Cross(x) => x.send(ctx, frame),
@@ -973,7 +974,8 @@ impl Network {
         if targets.is_empty() {
             return;
         }
-        ctx.trace_cost(Layer::Net, "switch_hop", self.cfg.switch_latency);
+        let hop = self.cfg.switch_latency;
+        ctx.charge(Layer::Net, On::Off, &[("switch_hop", hop)]);
         let mut any_local = false;
         for link in &targets {
             match link {
@@ -982,7 +984,7 @@ impl Network {
             }
         }
         if any_local {
-            ctx.sleep(self.cfg.switch_latency);
+            ctx.sleep(hop);
             let mut wakes: Vec<PendingWake> = Vec::new();
             for link in &targets {
                 if let PortLink::Local(tx) = link {

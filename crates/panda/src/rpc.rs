@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use desim::trace::{Layer, Phase};
-use desim::{Ctx, RecvTimeoutError, SimChannel, SimMutex, Simulation};
+use desim::{Ctx, On, RecvTimeoutError, SimChannel, SimMutex, Simulation};
 use parking_lot::Mutex;
 
 use crate::system::{Module, PandaHeader, SysLayer};
@@ -163,12 +163,8 @@ impl UserRpc {
             "call",
             &[("seq", seq), ("bytes", request.len() as u64)],
         );
-        ctx.trace_cost(
-            Layer::Rpc,
-            "protocol_layer",
-            self.sys.machine().cost().protocol_layer,
-        );
-        ctx.compute(self.sys.machine().cost().protocol_layer);
+        let protocol = self.sys.machine().cost().protocol_layer;
+        ctx.charge(Layer::Rpc, On::Thread, &[("protocol_layer", protocol)]);
         let mut result = Err(CommError::Timeout);
         let mut attempt = 0u32;
         let mut sent = false;
@@ -242,12 +238,8 @@ impl UserRpc {
             "reply_tx",
             &[("seq", seq), ("bytes", reply.len() as u64)],
         );
-        ctx.trace_cost(
-            Layer::Rpc,
-            "protocol_layer",
-            self.sys.machine().cost().protocol_layer,
-        );
-        ctx.compute(self.sys.machine().cost().protocol_layer);
+        let protocol = self.sys.machine().cost().protocol_layer;
+        ctx.charge(Layer::Rpc, On::Thread, &[("protocol_layer", protocol)]);
         {
             let mut inc = self.incoming.lock();
             let conn = inc.entry(client).or_insert_with(new_in_conn);
@@ -268,12 +260,8 @@ impl UserRpc {
 
     /// System-layer upcall for RPC traffic (runs on the receive daemon).
     fn upcall(&self, ctx: &Ctx, header: PandaHeader, body: Bytes) {
-        ctx.trace_cost(
-            Layer::Rpc,
-            "protocol_layer",
-            self.sys.machine().cost().protocol_layer,
-        );
-        ctx.compute(self.sys.machine().cost().protocol_layer);
+        let protocol = self.sys.machine().cost().protocol_layer;
+        ctx.charge(Layer::Rpc, On::Thread, &[("protocol_layer", protocol)]);
         match header.kind {
             KIND_REQUEST => self.handle_request(ctx, header, body),
             KIND_REPLY => {

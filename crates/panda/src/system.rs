@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use bytes::{BufMut, Bytes, BytesMut};
 use desim::trace::Layer;
-use desim::{Ctx, SimChannel, Simulation};
+use desim::{Ctx, On, SimChannel, Simulation};
 use ethernet::McastAddr;
 use flip::{FlipAddr, FlipMessage};
 use parking_lot::Mutex;
@@ -210,8 +210,11 @@ impl SysLayer {
         while let Some(fm) = inbox.recv(ctx) {
             // Return from the blocking receive syscall with Panda's deep
             // stack: all register windows fault back in.
-            ctx.trace_cost(Layer::Flip, "syscall", cost.syscall(cost.deep_call_depth));
-            ctx.compute(cost.syscall(cost.deep_call_depth));
+            ctx.charge(
+                Layer::Flip,
+                On::Thread,
+                &[("syscall", cost.syscall(cost.deep_call_depth))],
+            );
             let Some((header, body)) = PandaHeader::decode(&fm.payload) else {
                 continue;
             };
@@ -240,12 +243,8 @@ impl SysLayer {
     /// Sends a Panda message to node `dst`. Charges Panda's own (portable)
     /// fragmentation layer plus the user-level FLIP send syscall.
     pub fn send(&self, ctx: &Ctx, dst: NodeId, header: PandaHeader, body: &Bytes) {
-        ctx.trace_cost(
-            Layer::Flip,
-            "fragmentation_layer",
-            self.machine.cost().fragmentation_layer,
-        );
-        ctx.compute(self.machine.cost().fragmentation_layer);
+        let frag = self.machine.cost().fragmentation_layer;
+        ctx.charge(Layer::Flip, On::Thread, &[("fragmentation_layer", frag)]);
         let wire = header.encode_with(body);
         self.machine
             .flip_send_syscall(ctx, panda_addr(self.node), panda_addr(dst), wire);
@@ -263,12 +262,8 @@ impl SysLayer {
         charge_fragmentation: bool,
     ) {
         if charge_fragmentation {
-            ctx.trace_cost(
-                Layer::Flip,
-                "fragmentation_layer",
-                self.machine.cost().fragmentation_layer,
-            );
-            ctx.compute(self.machine.cost().fragmentation_layer);
+            let frag = self.machine.cost().fragmentation_layer;
+            ctx.charge(Layer::Flip, On::Thread, &[("fragmentation_layer", frag)]);
         }
         let wire = header.encode_with(body);
         self.machine

@@ -11,10 +11,10 @@
 
 use amoeba::CostModel;
 use bench::{
-    budget_total, derive_budget, group_latency, group_latency_traced, rpc_latency,
-    rpc_latency_traced, rpc_span, rpc_trace, Which,
+    budget_total, derive_budget, group_latency, group_latency_traced, group_span, group_trace,
+    rpc_latency, rpc_latency_traced, rpc_span, rpc_trace, RpcTraceRun, Which,
 };
-use desim::{SimDuration, Simulation};
+use desim::{SimDuration, SimTime, Simulation};
 
 #[test]
 fn tracing_is_zero_cost_in_virtual_time() {
@@ -153,6 +153,123 @@ fn trace_budget_agrees_with_ablation_within_5_percent() {
             "{name}: trace-derived {traced_us:.1} us vs ablation {ablated_us:.1} us"
         );
     }
+}
+
+/// Asserts a traced run's span length and its budget over `span` as exact
+/// `(layer, term, count, total ns)` lines, in `derive_budget` order.
+fn check(
+    what: &str,
+    run: RpcTraceRun,
+    span: (SimTime, SimTime),
+    latency_ns: u64,
+    want: &[(&str, &str, u64, u64)],
+) {
+    assert_eq!(run.latency.as_nanos(), latency_ns, "{what}: span");
+    let got: Vec<_> = derive_budget(&run.events, span.0, span.1)
+        .into_iter()
+        .map(|l| (l.layer.to_string(), l.name, l.count, l.total.as_nanos()))
+        .collect();
+    let want: Vec<_> = want
+        .iter()
+        .map(|&(layer, name, n, ns)| (layer.to_string(), name, n, ns))
+        .collect();
+    assert_eq!(got, want, "{what}: budget lines");
+}
+
+/// The Section 4 budgets of one null RPC and one null group send on each
+/// stack, pinned line by line. Every cost instant inside the measured span
+/// counts, so a change to where any cost is charged or attributed moves a
+/// line here.
+#[test]
+fn section4_budgets_are_pinned() {
+    let cost = CostModel::default();
+    let run = rpc_trace(0, Which::Kernel, &cost, 1);
+    let span = rpc_span(&run.events).expect("span");
+    // 1437.2 of 1258.0 us: the ack and the server re-arming overlap the span.
+    check(
+        "kernel null RPC",
+        run,
+        span,
+        1_258_000,
+        &[
+            ("rpc", "protocol_layer", 4, 440_000),
+            ("net", "wire", 3, 324_800),
+            ("flip", "kernel_packet_recv", 3, 195_000),
+            ("rpc", "kernel_packet_send", 2, 110_000),
+            ("rpc", "syscall", 3, 96_000),
+            ("flip", "interrupt", 3, 75_000),
+            ("sched", "switch", 1, 70_000),
+            ("flip", "kernel_packet_send", 1, 55_000),
+            ("rpc", "window_trap", 2, 36_000),
+            ("rpc", "user_deliver", 1, 35_000),
+            ("rpc", "copy", 2, 400),
+        ],
+    );
+    let run = rpc_trace(0, Which::User, &cost, 1);
+    let span = rpc_span(&run.events).expect("span");
+    check(
+        "user null RPC",
+        run,
+        span,
+        1_494_000,
+        &[
+            ("rpc", "protocol_layer", 4, 440_000),
+            ("net", "wire", 2, 227_200),
+            ("flip", "syscall", 4, 224_000),
+            ("sched", "switch", 2, 140_000),
+            ("flip", "kernel_packet_recv", 2, 130_000),
+            ("flip", "kernel_packet_send", 2, 110_000),
+            ("flip", "user_deliver", 2, 70_000),
+            ("flip", "flip_user_interface", 2, 50_000),
+            ("flip", "interrupt", 2, 50_000),
+            ("flip", "fragmentation_layer", 2, 40_000),
+            ("flip", "copy", 4, 12_800),
+        ],
+    );
+    let run = group_trace(0, Which::Kernel, &cost, 1);
+    let span = group_span(&run.events).expect("span");
+    check(
+        "kernel null group send",
+        run,
+        span,
+        1_272_000,
+        &[
+            ("group", "protocol_layer", 4, 440_000),
+            ("sched", "switch", 4, 280_000),
+            ("net", "wire", 2, 208_000),
+            ("flip", "kernel_packet_recv", 2, 130_000),
+            ("group", "kernel_packet_send", 2, 110_000),
+            ("group", "syscall", 3, 78_000),
+            ("group", "user_deliver", 2, 70_000),
+            ("group", "window_trap", 3, 54_000),
+            ("flip", "interrupt", 2, 50_000),
+        ],
+    );
+    let run = group_trace(0, Which::User, &cost, 1);
+    let span = group_span(&run.events).expect("span");
+    // 1907.8 of 1524.8 us: the sequencer's 110 us dispatch is attributed
+    // twice, as `group/sequencer_dispatch` and as `sched/switch`.
+    check(
+        "user null group send",
+        run,
+        span,
+        1_524_800,
+        &[
+            ("group", "protocol_layer", 4, 440_000),
+            ("sched", "switch", 4, 320_000),
+            ("flip", "syscall", 5, 280_000),
+            ("net", "wire", 2, 188_800),
+            ("flip", "kernel_packet_recv", 2, 130_000),
+            ("flip", "kernel_packet_send", 2, 110_000),
+            ("group", "sequencer_dispatch", 1, 110_000),
+            ("flip", "user_deliver", 3, 105_000),
+            ("group", "syscall", 2, 94_000),
+            ("flip", "flip_user_interface", 2, 50_000),
+            ("flip", "interrupt", 2, 50_000),
+            ("flip", "fragmentation_layer", 1, 20_000),
+            ("flip", "copy", 5, 10_000),
+        ],
+    );
 }
 
 /// A minimal JSON validator — the build is offline and carries no JSON
