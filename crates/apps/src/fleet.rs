@@ -340,8 +340,8 @@ pub struct FleetReport {
     pub frames: u64,
     /// Total wire bytes the network carried.
     pub wire_bytes: u64,
-    /// Scheduler events the simulation processed (wall-clock denominator
-    /// for the selfperf `fleet` hot path).
+    /// Scheduler events the simulation processed (the denominator of a
+    /// host-time-per-event figure).
     pub sim_events: u64,
     /// Window-engine accounting of the run. Everything except
     /// `barrier_wait_ns` is deterministic per spec; `barrier_wait_ns` is
@@ -422,8 +422,8 @@ impl FleetReport {
 
 /// A booted-but-not-yet-run fleet: every machine, daemon, server, and
 /// client thread exists; no virtual time has passed. Split from
-/// [`run_fleet`] so the selfperf memory probe can measure the resident
-/// footprint of a booted world in isolation.
+/// [`run_fleet`] so a caller can time the boot, or measure the resident
+/// footprint of a booted world, apart from the run.
 #[derive(Debug)]
 pub struct FleetWorld {
     sim: Simulation,

@@ -4,8 +4,6 @@
 
 #![warn(missing_docs)]
 
-pub mod selfperf;
-
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 

@@ -137,12 +137,13 @@ fn main() -> ExitCode {
     let wall = wall_start.elapsed();
     println!(
         "chaos-explore: {} runs, {} failures, {} nondeterministic, \
-         {} null plans, recovery traffic {}",
+         {} null plans, recovery traffic {}, aggregate {:016x}",
         summary.runs,
         summary.failures.len(),
         summary.nondeterministic.len(),
         summary.null_plans,
-        summary.recovery_traffic
+        summary.recovery_traffic,
+        summary.aggregate_hash()
     );
     // Peak resident set next to the throughput: every world is dropped
     // when its run ends, so a long sweep must show this flat.

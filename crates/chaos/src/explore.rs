@@ -92,6 +92,19 @@ pub struct ExploreSummary {
     pub seed_hashes: Vec<(Stack, u64, u64)>,
 }
 
+impl ExploreSummary {
+    /// FNV-1a over every per-run trace hash (little-endian bytes) in sweep
+    /// order: one number that two sweeps share only if every run matched.
+    pub fn aggregate_hash(&self) -> u64 {
+        self.seed_hashes
+            .iter()
+            .flat_map(|&(_, _, hash)| hash.to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |acc, byte| {
+                (acc ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+}
+
 /// The one-line command that reproduces a single run.
 pub fn repro_command(cfg: &ChaosConfig) -> String {
     format!(
@@ -250,4 +263,24 @@ pub fn explore(opts: &ExploreOptions) -> ExploreSummary {
         );
     }
     summary
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{explore, ExploreOptions};
+
+    #[test]
+    fn aggregate_hash_is_independent_of_jobs() {
+        let sweep = |jobs| {
+            explore(&ExploreOptions {
+                seeds: 3,
+                verify_every: 0,
+                minimize: false,
+                jobs,
+                ..Default::default()
+            })
+            .aggregate_hash()
+        };
+        assert_eq!(sweep(1), sweep(4));
+    }
 }

@@ -38,7 +38,7 @@
 //! is the virtual instant, `tie` is the (usually zero) schedule-perturbation
 //! draw, and `seq` is the per-queue monotone insertion counter. Every
 //! observable artifact of the simulator — golden trace renders, Table 1
-//! latencies, chaos hashes, the selfperf sweep aggregate — is downstream of
+//! latencies, chaos hashes, the chaos sweep aggregate — is downstream of
 //! this order, and the windowed parallel scheduler (`crate::shard`) relies
 //! on it for bit-identity: a lane's pop order within a window depends only
 //! on the lane's own queue contents, never on how many shards advance

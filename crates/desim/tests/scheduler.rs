@@ -547,6 +547,16 @@ fn backends_agree_on_schedule_and_stale_wake_counters() {
             // stale timer wakes when the message wins.
             while ch.recv_timeout(ctx, us(5)).is_ok() {}
         });
+        // Sixteen sleepers on staggered strides keep the event queue
+        // sixteen timers deep.
+        for i in 0..16u64 {
+            let cpu = sim.add_processor(&format!("z{i}"));
+            sim.spawn(cpu, &format!("sleeper{i}"), move |ctx| {
+                for _ in 0..50 {
+                    ctx.sleep(SimDuration::from_nanos(11 + i * 7 % 97));
+                }
+            });
+        }
         sim.run().expect("run");
         let report = sim.report();
         (report.final_time, report.events, sim.stale_wakes())

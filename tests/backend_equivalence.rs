@@ -13,9 +13,9 @@
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use amoeba::CostModel;
-use bench::selfperf::chaos_sweep_perf;
 use bench::{group_trace, rpc_trace, Which};
 use chaos::engine::{run_chaos, ChaosConfig};
+use chaos::explore::{explore, ExploreOptions};
 use chaos::plan::{FaultPlan, TimedFault, TimedKind};
 use chaos::Stack;
 use desim::{set_backend_override, Backend, SimDuration};
@@ -127,6 +127,19 @@ fn chaos_golden_hashes_pinned_on_both_backends() {
     }
 }
 
+/// The standard chaos sweep (both stacks, seeds from 0) folded to its
+/// aggregate hash, without determinism re-runs or minimization.
+fn sweep_aggregate(seeds: u64, jobs: usize) -> u64 {
+    explore(&ExploreOptions {
+        seeds,
+        verify_every: 0,
+        minimize: false,
+        jobs,
+        ..Default::default()
+    })
+    .aggregate_hash()
+}
+
 #[test]
 fn full_sweep_aggregate_hash_pinned_on_both_backends() {
     // The 50-seeds-per-stack sweep (100 chaos runs) folded to one FNV-1a
@@ -134,7 +147,7 @@ fn full_sweep_aggregate_hash_pinned_on_both_backends() {
     // every RNG draw, retransmission, and recovery path in 100 runs has
     // to replay identically for this to hold.
     const SWEEP_AGGREGATE_HASH: u64 = 0x1b4a2b4b8ac97945;
-    let runs = on_each_backend(|| chaos_sweep_perf(50, 1).aggregate_hash);
+    let runs = on_each_backend(|| sweep_aggregate(50, 1));
     for (backend, hash) in &runs {
         assert_eq!(
             *hash, SWEEP_AGGREGATE_HASH,
@@ -153,12 +166,11 @@ fn parallel_sweep_runs_fibers_inside_par_map_workers() {
     }
     let _guard = override_lock();
     set_backend_override(Some(Backend::Fibers));
-    let serial = chaos_sweep_perf(8, 1);
-    let parallel = chaos_sweep_perf(8, 8);
+    let serial = sweep_aggregate(8, 1);
+    let parallel = sweep_aggregate(8, 8);
     set_backend_override(None);
-    assert_eq!(serial.runs, parallel.runs);
     assert_eq!(
-        serial.aggregate_hash, parallel.aggregate_hash,
+        serial, parallel,
         "jobs=1 vs jobs=8 sweep diverged with fibers in the workers"
     );
 }

@@ -24,9 +24,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use amoeba::CostModel;
-use bench::selfperf::chaos_sweep_perf;
 use bench::{group_trace, rpc_trace, Which};
 use chaos::engine::{run_chaos, ChaosConfig};
+use chaos::explore::{explore, ExploreOptions};
 use chaos::plan::{FaultPlan, TimedFault, TimedKind};
 use chaos::Stack;
 use desim::{
@@ -186,7 +186,16 @@ fn full_sweep_aggregate_hash_pinned_under_every_shard_count() {
     // aggregate — every RNG draw, retransmission, and recovery path in 100
     // runs has to replay identically under every runner count.
     const SWEEP_AGGREGATE_HASH: u64 = 0x1b4a2b4b8ac97945;
-    let runs = on_each_shard_count(|| chaos_sweep_perf(50, 1).aggregate_hash);
+    let runs = on_each_shard_count(|| {
+        explore(&ExploreOptions {
+            seeds: 50,
+            verify_every: 0,
+            minimize: false,
+            jobs: 1,
+            ..Default::default()
+        })
+        .aggregate_hash()
+    });
     for (shards, hash) in &runs {
         assert_eq!(
             *hash,

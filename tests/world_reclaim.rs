@@ -14,7 +14,6 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, Weak};
 
 use apps::fleet::{run_fleet, FleetSpec, FleetStack};
 use apps::{asp, build_cluster, leq, run_workers, ProtoImpl, RunConfig};
-use bench::selfperf::proc_status_kb;
 use bytes::Bytes;
 use chaos::engine::{run_chaos, ChaosConfig};
 use chaos::testutil::{build_stack, Stack};
@@ -224,7 +223,13 @@ fn fleet_sized_world_is_freed_after_a_run() {
             let canary = Arc::new(());
             let weak = Arc::downgrade(&canary);
             let mut sim = Simulation::new(4);
+            let heap = LIVE_HEAP.load(Ordering::Relaxed);
             let (_net, machines, nodes) = boot(&mut sim, &spec.topology(), stack);
+            let booted = LIVE_HEAP.load(Ordering::Relaxed) - heap;
+            assert!(
+                booted > 96 * 1024,
+                "96 booted machines hold real state ({booted} heap bytes, {backend})"
+            );
             assert!(sim.lanes() > 1, "the fleet world is multi-lane");
             for n in &nodes {
                 install_canary_handlers(n, &canary);
@@ -298,8 +303,16 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// This process's resident set in KiB; `None` where there is no procfs.
 fn vm_rss_kib() -> Option<i64> {
-    proc_status_kb("VmRSS:").map(|kib| kib as i64)
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    status
+        .lines()
+        .find(|l| l.starts_with("VmRSS:"))?
+        .split_whitespace()
+        .nth(1)?
+        .parse()
+        .ok()
 }
 
 /// What a second pass of `world(0..worlds)` left behind: live heap bytes
