@@ -180,18 +180,18 @@ impl<T> SimChannel<T> {
     pub fn recv(&self, ctx: &Ctx) -> Option<T> {
         let me = ctx.thread_id();
         loop {
-            {
-                let mut inner = self.inner.lock();
-                if let Some(v) = inner.queue.pop_front() {
-                    return Some(v);
-                }
-                if inner.closed {
-                    return None;
-                }
-                let wid = ctx.core().state.lock().prepare_block(me, "chan.recv");
-                inner.recv_waiters.push_back((me, wid));
+            let mut inner = self.inner.lock();
+            if let Some(v) = inner.queue.pop_front() {
+                return Some(v);
             }
-            if ctx.yield_blocked() == WakeStatus::Shutdown {
+            if inner.closed {
+                return None;
+            }
+            let mut core = ctx.core().state.lock();
+            let wid = core.prepare_block(me, "chan.recv");
+            inner.recv_waiters.push_back((me, wid));
+            drop(inner);
+            if ctx.yield_blocked(core) == WakeStatus::Shutdown {
                 shutdown_unwind_unless_panicking();
                 return None; // benign value for unwinding destructors
             }
@@ -208,27 +208,25 @@ impl<T> SimChannel<T> {
         let me = ctx.thread_id();
         let deadline = ctx.now() + timeout;
         loop {
-            {
-                let mut inner = self.inner.lock();
-                if let Some(v) = inner.queue.pop_front() {
-                    return Ok(v);
-                }
-                if inner.closed {
-                    return Err(RecvTimeoutError::Closed);
-                }
-                let mut core = ctx.core().state.lock();
-                if core.now >= deadline {
-                    // Deregister: a leftover entry would swallow a future
-                    // sender's wake and starve a live receiver.
-                    inner.recv_waiters.retain(|(t, _)| *t != me);
-                    return Err(RecvTimeoutError::Timeout);
-                }
-                let wid = core.prepare_block(me, "chan.recv_timeout");
-                core.schedule_wake(deadline, me, wid);
-                drop(core);
-                inner.recv_waiters.push_back((me, wid));
+            let mut inner = self.inner.lock();
+            if let Some(v) = inner.queue.pop_front() {
+                return Ok(v);
             }
-            if ctx.yield_blocked() == WakeStatus::Shutdown {
+            if inner.closed {
+                return Err(RecvTimeoutError::Closed);
+            }
+            let mut core = ctx.core().state.lock();
+            if core.now >= deadline {
+                // Deregister: a leftover entry would swallow a future
+                // sender's wake and starve a live receiver.
+                inner.recv_waiters.retain(|(t, _)| *t != me);
+                return Err(RecvTimeoutError::Timeout);
+            }
+            let wid = core.prepare_block(me, "chan.recv_timeout");
+            core.schedule_wake(deadline, me, wid);
+            inner.recv_waiters.push_back((me, wid));
+            drop(inner);
+            if ctx.yield_blocked(core) == WakeStatus::Shutdown {
                 shutdown_unwind_unless_panicking();
                 return Err(RecvTimeoutError::Closed);
             }

@@ -37,7 +37,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering a
 use std::sync::{Arc, OnceLock};
 use std::thread::Thread;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
@@ -1075,14 +1075,22 @@ fn finish_thread(core: &Core, tid: ThreadId, panic_msg: Option<String>) {
 ///
 /// Lives here (not in `ctx.rs`) so all turn-protocol code sits next to
 /// [`Conduit`], [`fiber`] and [`Core::resume_and_wait`]. Called by
-/// `Ctx::yield_blocked` after `prepare_block` + wake registration.
+/// `Ctx::yield_blocked` with the guard under which the caller ran
+/// `prepare_block` and registered its wake: `next_live` runs under that
+/// same acquisition, so one blocking transition costs one state-lock round
+/// trip. The guard is dropped before any switch.
 ///
 /// The branch structure — shutdown check, then one `next_live` call, then
 /// self-wake / direct grant / chain break — is shared verbatim by both
 /// backends, so the *order* of queue pops, RNG draws and trace events (and
 /// with it every golden hash) cannot depend on the backend; only the
 /// switch mechanism at the leaves differs.
-pub(crate) fn yield_blocked(core: &Core, tid: ThreadId, exec: &ExecRef) -> WakeStatus {
+pub(crate) fn yield_blocked(
+    core: &Core,
+    mut st: MutexGuard<'_, CoreState>,
+    tid: ThreadId,
+    exec: &ExecRef,
+) -> WakeStatus {
     enum Next {
         /// Break the chain; the scheduler decides (drain, budget, shutdown).
         Sched,
@@ -1091,23 +1099,21 @@ pub(crate) fn yield_blocked(core: &Core, tid: ThreadId, exec: &ExecRef) -> WakeS
         /// Hand the turn straight to the woken thread: one switch.
         Grant(ResumeTarget),
     }
+    if st.shutdown {
+        // Tear-down in progress: never yield again (the scheduler is
+        // gone); let the caller unwind or return a benign value.
+        return WakeStatus::Shutdown;
+    }
     let window_limit = core.window_limit.load(AtomicOrdering::Relaxed);
-    let next = {
-        let mut st = core.state.lock();
-        if st.shutdown {
-            // Tear-down in progress: never yield again (the scheduler is
-            // gone); let the caller unwind or return a benign value.
-            return WakeStatus::Shutdown;
-        }
-        match st.next_live(window_limit) {
-            // A window edge breaks the hand-off chain exactly like a drain:
-            // the next event belongs to a later window and only the driver
-            // may open it.
-            NextEvent::Drained | NextEvent::LimitHit | NextEvent::WindowEdge => Next::Sched,
-            NextEvent::Live(t) if t == tid => Next::SelfWake,
-            NextEvent::Live(t) => Next::Grant(st.threads[t.0].exec.target()),
-        }
+    let next = match st.next_live(window_limit) {
+        // A window edge breaks the hand-off chain exactly like a drain:
+        // the next event belongs to a later window and only the driver
+        // may open it.
+        NextEvent::Drained | NextEvent::LimitHit | NextEvent::WindowEdge => Next::Sched,
+        NextEvent::Live(t) if t == tid => Next::SelfWake,
+        NextEvent::Live(t) => Next::Grant(st.threads[t.0].exec.target()),
     };
+    drop(st);
     match (next, exec) {
         (Next::SelfWake, _) => WakeStatus::Woken,
         (Next::Grant(target), ExecRef::Os(conduit)) => {

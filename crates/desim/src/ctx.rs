@@ -3,10 +3,12 @@
 
 use std::sync::Arc;
 
+use parking_lot::MutexGuard;
 use rand::RngExt;
 
 use crate::core::{
-    shutdown_unwind_unless_panicking, Core, ExecRef, ProcId, ThreadExec, ThreadId, WakeStatus,
+    shutdown_unwind_unless_panicking, Core, CoreState, ExecRef, ProcId, ThreadExec, ThreadId,
+    WakeStatus,
 };
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Layer, Phase};
@@ -51,6 +53,8 @@ pub struct Ctx {
     /// at construction so blocking never re-fetches it from the thread
     /// table under the state lock.
     exec: ExecRef,
+    /// The processor this thread runs on; a thread never migrates.
+    proc: ProcId,
 }
 
 impl std::fmt::Debug for Ctx {
@@ -61,15 +65,25 @@ impl std::fmt::Debug for Ctx {
 
 impl Ctx {
     pub(crate) fn new(core: Arc<Core>, tid: ThreadId) -> Self {
-        let exec = match &core.state.lock().threads[tid.0].exec {
-            ThreadExec::Os { conduit, .. } => ExecRef::Os(Arc::clone(conduit)),
-            // The raw pointer stays valid for the `Ctx`'s whole life: the
-            // boxed fiber is heap-stable and thread records are never
-            // removed while the core behind `self.core` is alive.
-            ThreadExec::Fiber(f) => ExecRef::Fiber(&**f as *const _),
-            ThreadExec::Retired => unreachable!("retired threads never get a Ctx"),
+        let (exec, proc) = {
+            let st = core.state.lock();
+            let rec = &st.threads[tid.0];
+            let exec = match &rec.exec {
+                ThreadExec::Os { conduit, .. } => ExecRef::Os(Arc::clone(conduit)),
+                // The raw pointer stays valid for the `Ctx`'s whole life: the
+                // boxed fiber is heap-stable and thread records are never
+                // removed while the core behind `self.core` is alive.
+                ThreadExec::Fiber(f) => ExecRef::Fiber(&**f as *const _),
+                ThreadExec::Retired => unreachable!("retired threads never get a Ctx"),
+            };
+            (exec, rec.proc)
         };
-        Ctx { core, tid, exec }
+        Ctx {
+            core,
+            tid,
+            exec,
+            proc,
+        }
     }
 
     pub(crate) fn core(&self) -> &Arc<Core> {
@@ -88,7 +102,7 @@ impl Ctx {
 
     /// Returns the processor this thread runs on.
     pub fn processor(&self) -> ProcId {
-        self.core.state.lock().threads[self.tid.0].proc
+        self.proc
     }
 
     /// Returns this thread's diagnostic name.
@@ -98,15 +112,17 @@ impl Ctx {
 
     /// Yields control and resumes once the registered wake fires.
     ///
-    /// Callers must have registered a wait via `prepare_block` while holding
-    /// the core lock. Unwinds the thread if the simulation is shutting down.
+    /// `st` is the guard under which the caller registered its wait via
+    /// `prepare_block`; the next event is popped under it, so a blocking
+    /// transition takes the state lock once. Returns
+    /// [`WakeStatus::Shutdown`] if the simulation is shutting down.
     ///
     /// This is the entry to the hand-off fast path (see `core`'s module
     /// docs): if this thread's own wake heads the queue it returns without
     /// any OS-level switch, and if another thread's wake does it grants that
     /// thread directly instead of detouring through the scheduler.
-    pub(crate) fn yield_blocked(&self) -> WakeStatus {
-        crate::core::yield_blocked(&self.core, self.tid, &self.exec)
+    pub(crate) fn yield_blocked(&self, st: MutexGuard<'_, CoreState>) -> WakeStatus {
+        crate::core::yield_blocked(&self.core, st, self.tid, &self.exec)
     }
 
     /// Suspends the thread for `d` of virtual time without occupying a CPU.
@@ -114,14 +130,15 @@ impl Ctx {
     /// Use this to model pure waiting (timers, wire propagation). To model
     /// work that keeps the processor busy, use [`Ctx::compute`].
     pub fn sleep(&self, d: SimDuration) {
-        let _ = {
-            let mut st = self.core.state.lock();
-            let wid = st.prepare_block(self.tid, "sleep");
-            let at = st.now + d;
-            st.schedule_wake(at, self.tid, wid);
-            wid
-        };
-        if self.yield_blocked() == WakeStatus::Shutdown {
+        self.sleep_locked(self.core.state.lock(), d);
+    }
+
+    /// [`Ctx::sleep`] under a state-lock acquisition the caller already holds.
+    fn sleep_locked(&self, mut st: MutexGuard<'_, CoreState>, d: SimDuration) {
+        let wid = st.prepare_block(self.tid, "sleep");
+        let at = st.now + d;
+        st.schedule_wake(at, self.tid, wid);
+        if self.yield_blocked(st) == WakeStatus::Shutdown {
             shutdown_unwind_unless_panicking();
         }
     }
@@ -157,56 +174,52 @@ impl Ctx {
 
     /// Thread-level CPU work; `switch` overrides the processor's
     /// context-switch cost (`None` charges it iff another thread ran last).
+    ///
+    /// Two state-lock acquisitions when the CPU is free: one acquires it,
+    /// charges the switch and blocks for the occupancy; one per wake reads
+    /// the theft and releases (or re-blocks for the stolen time). Waiting
+    /// for a held CPU adds one for the wait and one after the grant.
     fn thread_compute(&self, d: SimDuration, switch: Option<SimDuration>) {
         let me = self.tid;
-        let proc = self.processor();
+        let proc = self.proc;
+        let mut st = self.core.state.lock();
         // Acquire the CPU.
-        let acquired = {
-            let mut st = self.core.state.lock();
-            let pr = &mut st.procs[proc.0];
-            debug_assert_ne!(pr.holder, Some(me), "recursive compute on one CPU");
-            if pr.holder.is_none() {
-                pr.holder = Some(me);
-                true
-            } else {
-                let wid = st.prepare_block(me, "cpu");
-                st.procs[proc.0].waiters.push_back((me, wid));
-                false
-            }
-        };
-        if !acquired {
-            if self.yield_blocked() == WakeStatus::Shutdown {
+        let pr = &mut st.procs[proc.0];
+        debug_assert_ne!(pr.holder, Some(me), "recursive compute on one CPU");
+        if pr.holder.is_none() {
+            pr.holder = Some(me);
+        } else {
+            let wid = st.prepare_block(me, "cpu");
+            st.procs[proc.0].waiters.push_back((me, wid));
+            if self.yield_blocked(st) == WakeStatus::Shutdown {
                 shutdown_unwind_unless_panicking();
             }
+            st = self.core.state.lock();
             debug_assert_eq!(
-                self.core.state.lock().procs[proc.0].holder,
+                st.procs[proc.0].holder,
                 Some(me),
                 "woken CPU waiter must have been granted the CPU"
             );
         }
         // Context-switch charge.
-        let cs = {
-            let mut st = self.core.state.lock();
-            let pr = &mut st.procs[proc.0];
-            match switch {
-                None => {
-                    if pr.last_thread_holder.is_some() && pr.last_thread_holder != Some(me) {
-                        pr.switches += 1;
-                        pr.switch_cost
-                    } else {
-                        SimDuration::ZERO
-                    }
+        let pr = &mut st.procs[proc.0];
+        let cs = match switch {
+            None => {
+                if pr.last_thread_holder.is_some() && pr.last_thread_holder != Some(me) {
+                    pr.switches += 1;
+                    pr.switch_cost
+                } else {
+                    SimDuration::ZERO
                 }
-                Some(c) => {
-                    if !c.is_zero() {
-                        pr.switches += 1;
-                    }
-                    c
+            }
+            Some(c) => {
+                if !c.is_zero() {
+                    pr.switches += 1;
                 }
+                c
             }
         };
         if !cs.is_zero() && self.core.tracing_enabled() {
-            let mut st = self.core.state.lock();
             st.trace_event(
                 me,
                 Layer::Sched,
@@ -216,26 +229,23 @@ impl Ctx {
             );
         }
         // Occupy the CPU, extended by interrupt-level theft.
-        let start = self.now();
+        let start = st.now;
         let mut remaining = d + cs;
         while !remaining.is_zero() {
-            let s0 = self.core.state.lock().procs[proc.0].stolen_total;
-            self.sleep(remaining);
-            let s1 = self.core.state.lock().procs[proc.0].stolen_total;
-            remaining = s1 - s0;
+            let s0 = st.procs[proc.0].stolen_total;
+            self.sleep_locked(st, remaining);
+            st = self.core.state.lock();
+            remaining = st.procs[proc.0].stolen_total - s0;
         }
         // Release and grant to the next waiter, if any.
-        {
-            let mut st = self.core.state.lock();
-            let elapsed = st.now.saturating_duration_since(start);
-            let pr = &mut st.procs[proc.0];
-            pr.busy += elapsed;
-            pr.holder = None;
-            pr.last_thread_holder = Some(me);
-            if let Some((t, w)) = pr.waiters.pop_front() {
-                pr.holder = Some(t);
-                st.schedule_wake_now(t, w);
-            }
+        let elapsed = st.now.saturating_duration_since(start);
+        let pr = &mut st.procs[proc.0];
+        pr.busy += elapsed;
+        pr.holder = None;
+        pr.last_thread_holder = Some(me);
+        if let Some((t, w)) = pr.waiters.pop_front() {
+            pr.holder = Some(t);
+            st.schedule_wake_now(t, w);
         }
     }
 
@@ -274,9 +284,8 @@ impl Ctx {
             return;
         }
         self.sleep(d);
-        let proc = self.processor();
         let mut st = self.core.state.lock();
-        let pr = &mut st.procs[proc.0];
+        let pr = &mut st.procs[self.proc.0];
         pr.stolen_total += d;
         pr.interrupt_time += d;
     }
@@ -286,7 +295,7 @@ impl Ctx {
     where
         F: FnOnce(&Ctx) + Send + 'static,
     {
-        self.spawn_on(self.processor(), name, f)
+        self.spawn_on(self.proc, name, f)
     }
 
     /// Spawns a new simulated thread on the given processor.

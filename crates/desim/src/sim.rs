@@ -159,15 +159,13 @@ impl ThreadHandle {
             "cross-lane join: use a cross-lane link instead"
         );
         loop {
-            {
-                let mut st = self.core.state.lock();
-                if st.threads[self.tid.0].state == ThreadState::Finished {
-                    return;
-                }
-                let wid = st.prepare_block(ctx.thread_id(), "join");
-                st.threads[self.tid.0].joiners.push((ctx.thread_id(), wid));
+            let mut st = ctx.core().state.lock();
+            if st.threads[self.tid.0].state == ThreadState::Finished {
+                return;
             }
-            if ctx.yield_blocked() == WakeStatus::Shutdown {
+            let wid = st.prepare_block(ctx.thread_id(), "join");
+            st.threads[self.tid.0].joiners.push((ctx.thread_id(), wid));
+            if ctx.yield_blocked(st) == WakeStatus::Shutdown {
                 crate::core::shutdown_unwind_unless_panicking();
                 return;
             }

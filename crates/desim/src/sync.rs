@@ -96,24 +96,22 @@ impl<T> SimMutex<T> {
         let me = ctx.thread_id();
         let mut registered = false;
         loop {
-            {
-                let mut st = self.inner.state.lock();
-                if registered && st.owner == Some(me) {
-                    break; // the releaser handed the lock to us while we slept
-                }
-                if !st.locked {
-                    st.locked = true;
-                    st.owner = Some(me);
-                    break;
-                }
-                assert_ne!(st.owner, Some(me), "SimMutex is not reentrant");
-                let mut core = ctx.core().state.lock();
-                let wid = core.prepare_block(me, "mutex");
-                drop(core);
-                st.waiters.push_back((me, wid));
-                registered = true;
+            let mut st = self.inner.state.lock();
+            if registered && st.owner == Some(me) {
+                break; // the releaser handed the lock to us while we slept
             }
-            if ctx.yield_blocked() == WakeStatus::Shutdown {
+            if !st.locked {
+                st.locked = true;
+                st.owner = Some(me);
+                break;
+            }
+            assert_ne!(st.owner, Some(me), "SimMutex is not reentrant");
+            let mut core = ctx.core().state.lock();
+            let wid = core.prepare_block(me, "mutex");
+            st.waiters.push_back((me, wid));
+            registered = true;
+            drop(st);
+            if ctx.yield_blocked(core) == WakeStatus::Shutdown {
                 shutdown_unwind_unless_panicking();
                 // Already unwinding (a destructor re-entered): best-effort
                 // force-acquire so teardown can proceed.
@@ -245,7 +243,11 @@ impl SimCondvar {
             ws.push_back((me, wid));
         }
         drop(guard);
-        if ctx.yield_blocked() == WakeStatus::Shutdown {
+        // The one blocking primitive that re-locks the state to yield:
+        // dropping the `SimMutexGuard` releases the mutex, and handing it to
+        // a waiter schedules that waiter's wake under the state lock, so the
+        // registration's guard cannot be held across the release.
+        if ctx.yield_blocked(ctx.core().state.lock()) == WakeStatus::Shutdown {
             shutdown_unwind_unless_panicking();
         }
         mutex.lock(ctx)

@@ -421,6 +421,36 @@ fn shutdown_under_load_on(backend: Backend) {
     // Drop the simulation while threads are parked in every blocking
     // primitive; shutdown must unpark and unwind all of them (the test
     // passing IS the assertion — a lost wakeup would hang here forever).
+    let sim = parked_in_every_primitive(backend);
+    drop(sim); // initiate_shutdown: every parked thread must unwind
+
+    // Run a second copy to drain instead: the sleeper, the CPU hog and the
+    // CPU waiter finish, and the deadlock report names every other thread
+    // with the primitive it is parked in.
+    let mut sim = parked_in_every_primitive(backend);
+    match sim.run() {
+        Err(SimError::Deadlock { blocked }) => {
+            let blocked: Vec<(&str, &str)> =
+                blocked.iter().map(|(n, on)| (n.as_str(), *on)).collect();
+            assert_eq!(
+                blocked,
+                [
+                    ("holder", "chan.recv"),
+                    ("mutex-waiter", "mutex"),
+                    ("cv-waiter", "condvar"),
+                    ("recv-waiter", "chan.recv"),
+                    ("joiner", "join"),
+                ]
+            );
+        }
+        other => panic!("expected deadlock, got {other:?}"),
+    }
+    drop(sim); // the five still parked must unwind too
+}
+
+/// Builds a world with a thread parked in every blocking primitive and runs
+/// it until its controller finishes.
+fn parked_in_every_primitive(backend: Backend) -> Simulation {
     use std::sync::Arc;
 
     let mut sim = Simulation::builder().seed(321).backend(backend).build();
@@ -467,6 +497,7 @@ fn shutdown_under_load_on(backend: Backend) {
     });
     // Blocked waiting for a CPU another thread occupies.
     sim.spawn(m1, "hog", move |ctx| {
+        assert_eq!(ctx.processor(), m1);
         ctx.compute(secs(1000));
     });
     sim.spawn(m1, "cpu-waiter", move |ctx| {
@@ -479,7 +510,7 @@ fn shutdown_under_load_on(backend: Backend) {
     });
     sim.run_until_finished(&controller)
         .expect("controller finishes while everyone else is parked");
-    drop(sim); // initiate_shutdown: every parked thread must unwind
+    sim
 }
 
 #[test]

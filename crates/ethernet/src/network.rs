@@ -654,6 +654,10 @@ impl Network {
             let seg = &inner.segments[id.0];
             (seg.tx.clone(), seg.ns_per_byte, inner.multi_lane)
         };
+        // Reused across frames: one carried frame's receivers and the wakes
+        // its fan-out defers.
+        let mut targets: Vec<(Option<MacAddr>, SimChannel<Frame>)> = Vec::new();
+        let mut wakes: Vec<PendingWake> = Vec::new();
         while let Some(frame) = tx.recv(ctx) {
             // A crashed sender's NIC transmits nothing: the frame vanishes
             // before it touches the medium (no busy time, no wire drop).
@@ -674,9 +678,11 @@ impl Network {
             );
             ctx.sleep(wire); // the medium is busy; later frames queue behind
             ctx.trace_emit(Layer::Net, Phase::End, "wire", &[("ns", wire.as_nanos())]);
-            let dropped = {
+            // One fault-state acquisition after the wire: the loss draw, then
+            // the snapshot the fan-out below reads.
+            let (dropped, f) = {
                 let mut faults = self.faults.lock();
-                if faults.force_drop_next > 0 {
+                let dropped = if faults.force_drop_next > 0 {
                     assert!(
                         !multi_lane,
                         "FaultState::force_drop_next is restricted to single-lane networks: \
@@ -710,11 +716,13 @@ impl Network {
                         let burst = if ge.bad { ge.loss_bad } else { ge.loss_good };
                         p = p.max(burst);
                     }
-                    drop(faults);
                     p > 0.0 && ctx.rand_bool(p)
-                }
+                };
+                (dropped, faults.clone())
             };
-            {
+            // One segment-state acquisition: the medium's stats and, for a
+            // carried frame, the receivers it reaches.
+            let mut held = {
                 let mut inner = self.inner.lock();
                 let seg = &mut inner.segments[id.0];
                 seg.stats.busy += wire;
@@ -723,15 +731,32 @@ impl Network {
                 } else {
                     seg.stats.frames += 1;
                     seg.stats.wire_bytes += frame.wire_bytes() as u64;
+                    targets.extend(
+                        seg.attachments
+                            .iter()
+                            .filter(|a| {
+                                a.promiscuous
+                                    || match frame.dst {
+                                        Dest::Unicast(m) => a.mac == Some(m),
+                                        Dest::Multicast(g) => a.groups.contains(&g),
+                                        Dest::Broadcast => true,
+                                    }
+                            })
+                            .filter(|a| a.mac != Some(frame.src)) // no self-delivery
+                            .map(|a| (a.mac, a.rx.clone())),
+                    );
                 }
-            }
+                !seg.held.is_empty()
+            };
             if dropped {
                 ctx.trace_instant(
                     Layer::Net,
                     "wire_drop",
                     &[("bytes", frame.wire_bytes() as u64)],
                 );
-                self.release_held(ctx, id);
+                if held {
+                    self.release_held(ctx, id);
+                }
                 continue;
             }
             ctx.trace_instant(
@@ -742,24 +767,6 @@ impl Network {
                     ("src", u64::from(frame.src.0)),
                 ],
             );
-            let targets: Vec<(Option<MacAddr>, SimChannel<Frame>)> = {
-                let inner = self.inner.lock();
-                inner.segments[id.0]
-                    .attachments
-                    .iter()
-                    .filter(|a| {
-                        a.promiscuous
-                            || match frame.dst {
-                                Dest::Unicast(m) => a.mac == Some(m),
-                                Dest::Multicast(g) => a.groups.contains(&g),
-                                Dest::Broadcast => true,
-                            }
-                    })
-                    .filter(|a| a.mac != Some(frame.src)) // no self-delivery
-                    .map(|a| (a.mac, a.rx.clone()))
-                    .collect()
-            };
-            let f = self.faults.lock().clone();
             // One fan-out: enqueue the frame on every reachable attachment
             // first, then commit all receiver wakes in one batch below.
             // Capture order == the old per-target send order, and only this
@@ -767,8 +774,7 @@ impl Network {
             // draws, and per-receiver pick order are bit-identical to
             // unbatched delivery. Fault draws stay per delivery, in the
             // same RNG order (reachability, rx-loss, reorder, dup).
-            let mut wakes: Vec<PendingWake> = Vec::new();
-            for (mac, target) in targets {
+            for (mac, target) in targets.drain(..) {
                 // Reachability first — purely deterministic, no RNG draws.
                 if let Some(m) = mac {
                     if f.is_down(m) || f.is_partitioned(frame.src, m) {
@@ -798,6 +804,7 @@ impl Network {
                         dst_mac: mac,
                         frame: frame.clone(),
                     });
+                    held = true;
                     ctx.trace_instant(
                         Layer::Net,
                         "rx_held",
@@ -818,9 +825,13 @@ impl Network {
                 }
             }
             if !wakes.is_empty() {
-                ctx.commit_wakes(wakes);
+                ctx.commit_wakes(wakes.drain(..));
             }
-            self.release_held(ctx, id);
+            // Only this daemon queues hold-backs on its segment, so with
+            // none outstanding and none added the release would be a no-op.
+            if held {
+                self.release_held(ctx, id);
+            }
         }
     }
 

@@ -372,16 +372,13 @@ impl FlipIface {
         header: PacketHeader,
         data: Bytes,
     ) -> Vec<FlipMessage> {
-        let deliverable = {
-            let st = self.state.lock();
-            if header.multicast {
-                st.groups.contains_key(&header.dst)
-            } else {
-                st.local.contains(&header.dst)
-            }
+        let mut st = self.state.lock();
+        let deliverable = if header.multicast {
+            st.groups.contains_key(&header.dst)
+        } else {
+            st.local.contains(&header.dst)
         };
         if !deliverable {
-            let mut st = self.state.lock();
             st.stats.misdelivered += 1;
             drop(st);
             ctx.trace_instant(Layer::Flip, "misdelivered", &[("bytes", data.len() as u64)]);
@@ -403,7 +400,6 @@ impl FlipIface {
         }
 
         let now = ctx.now();
-        let mut st = self.state.lock();
         st.stats.packets_received += 1;
         if st.route_learning {
             st.routes.entry(header.src).or_insert(from_mac);
