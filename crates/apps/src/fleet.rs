@@ -10,7 +10,7 @@
 //! service, so both protocol families carry load.
 //!
 //! Arrivals depend only on the per-client RNG and virtual time — never on
-//! wall-clock, the execution backend, or the shard count — so one spec
+//! wall-clock or the shard count — so one spec
 //! produces bit-identical [`FleetReport`]s (checkable via
 //! [`FleetReport::result_hash`]) under every runner configuration. That is
 //! the scale-out determinism contract the `fleet_scale` tests pin.
@@ -383,7 +383,7 @@ impl FleetReport {
     /// FNV-1a hash over every observable of the run: op/timeout/group
     /// counters, the full latency histogram, network frame and byte totals,
     /// and the drain time. Two runs of the same [`FleetSpec`] must produce
-    /// the same hash on any backend and shard count.
+    /// the same hash on any shard count.
     pub fn result_hash(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         fnv(&mut h, self.ops);
@@ -458,7 +458,10 @@ impl FleetWorld {
 }
 
 /// Boots the fleet described by `spec` without running it.
-pub fn build_fleet(spec: &FleetSpec, backend: Backend, shards: usize) -> FleetWorld {
+///
+/// `Backend` has one variant and is ignored; the parameter stays because the
+/// `benchmark/` scoreboard calls this signature (see `desim::Backend`).
+pub fn build_fleet(spec: &FleetSpec, _backend: Backend, shards: usize) -> FleetWorld {
     let topo_spec = spec.topology();
     // Every machine runs a netisr daemon plus one to six role threads; three
     // per machine covers the client-heavy lanes that dominate at scale.
@@ -466,7 +469,6 @@ pub fn build_fleet(spec: &FleetSpec, backend: Backend, shards: usize) -> FleetWo
     let expected = topo_spec.max_machines_per_lane() as usize * 3;
     let mut sim = Simulation::builder()
         .seed(spec.seed)
-        .backend(backend)
         .shards(shards)
         .expected_threads(expected)
         .build();
@@ -494,11 +496,11 @@ pub fn build_fleet(spec: &FleetSpec, backend: Backend, shards: usize) -> FleetWo
     FleetWorld { sim, net, agg }
 }
 
-/// Boots the fleet described by `spec` on the given backend / shard count and
-/// runs it to completion. The report is bit-identical across backends and
-/// shard counts (`shards` 0 = auto).
-pub fn run_fleet(spec: &FleetSpec, backend: Backend, shards: usize) -> FleetReport {
-    build_fleet(spec, backend, shards).run()
+/// Boots the fleet described by `spec` on the given shard count and runs it
+/// to completion. The report is bit-identical across shard counts (`shards`
+/// 0 = auto).
+pub fn run_fleet(spec: &FleetSpec, shards: usize) -> FleetReport {
+    build_fleet(spec, Backend::Fibers, shards).run()
 }
 
 /// The port server `s` answers on.

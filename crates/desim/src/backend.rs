@@ -1,145 +1,32 @@
-//! Execution-backend selection: how simulated threads are multiplexed
-//! onto OS resources.
+//! The name of the one way simulated threads run.
 //!
-//! The simulator's observable behaviour — virtual time, pick order, trace
-//! hashes, chaos coin flips — is **bit-identical** across backends; only
-//! wall-clock cost differs. Selection priority, highest first:
-//!
-//! 1. [`crate::SimulationBuilder::backend`] — explicit per-simulation choice.
-//! 2. [`set_backend_override`] — a process-global override, for tests and
-//!    harnesses that construct simulations indirectly.
-//! 3. The `DESIM_BACKEND` environment variable (`fibers` / `os-threads`),
-//!    read afresh at each `Simulation` construction.
-//! 4. The target default: [`Backend::Fibers`] where the vendored context
-//!    switch exists (64-bit Linux on x86_64/aarch64), [`Backend::OsThreads`]
-//!    elsewhere.
-//!
-//! Requesting `Fibers` on an unsupported target falls back to
-//! `OsThreads` — behaviour is identical, so the fallback is safe.
+//! Every simulated thread is a stackful fiber on the scheduler's OS thread
+//! (see `crate::fiber`); there is nothing to select. `Backend` remains
+//! only because the `benchmark/` scoreboard, which is edited on its own,
+//! names `Backend::default_backend()` and passes a `Backend` to
+//! `apps::fleet::build_fleet`. Both go when the scoreboard stops naming
+//! them.
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::fmt;
 
-use crate::fiber;
-
-/// How simulated threads execute: parked OS threads or user-space fibers.
+/// How simulated threads execute: always as user-space fibers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Backend {
-    /// One OS thread per simulated thread, handed control through an
-    /// atomic-turn park/unpark conduit. Works everywhere; also what
-    /// `par::par_map` workers are built from.
-    OsThreads,
-    /// All simulated threads run as stackful coroutines on the
-    /// scheduler's OS thread, switched in user space (one register
-    /// save/restore per hand-off instead of a futex syscall pair).
+    /// Every simulated thread is a stackful coroutine on the scheduler's OS
+    /// thread, switched in user space (one register save/restore per
+    /// hand-off).
     Fibers,
 }
 
 impl Backend {
-    /// The canonical name, as accepted by `DESIM_BACKEND`.
-    pub fn name(self) -> &'static str {
-        match self {
-            Backend::OsThreads => "os-threads",
-            Backend::Fibers => "fibers",
-        }
-    }
-
-    /// Parses a backend name (`"fibers"`, `"os-threads"`, and common
-    /// spelling variants). Returns `None` for unknown names.
-    pub fn parse(s: &str) -> Option<Backend> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "fibers" | "fiber" => Some(Backend::Fibers),
-            "os-threads" | "os_threads" | "os" | "threads" => Some(Backend::OsThreads),
-            _ => None,
-        }
-    }
-
-    /// Whether the fiber backend's vendored context switch exists for
-    /// this target (64-bit Linux on x86_64 or aarch64).
-    pub fn fibers_supported() -> bool {
-        fiber::SUPPORTED
-    }
-
-    /// Degrades `Fibers` to `OsThreads` on targets without the switch.
-    pub(crate) fn resolve(self) -> Backend {
-        match self {
-            Backend::Fibers if !Self::fibers_supported() => Backend::OsThreads,
-            other => other,
-        }
-    }
-
-    /// The backend a plain `Simulation::new` gets: the process override
-    /// if set, else `DESIM_BACKEND`, else the target default (`Fibers`
-    /// where supported). Panics on an unparseable `DESIM_BACKEND` value
-    /// so typos fail loudly instead of silently changing performance.
+    /// The backend every simulation runs on.
     pub fn default_backend() -> Backend {
-        if let Some(b) = override_get() {
-            return b.resolve();
-        }
-        if let Ok(v) = std::env::var("DESIM_BACKEND") {
-            match Backend::parse(&v) {
-                Some(b) => return b.resolve(),
-                None => panic!(
-                    "DESIM_BACKEND={v:?} is not a backend (use \"fibers\" or \"os-threads\")"
-                ),
-            }
-        }
-        if Self::fibers_supported() {
-            Backend::Fibers
-        } else {
-            Backend::OsThreads
-        }
+        Backend::Fibers
     }
 }
 
-impl std::fmt::Display for Backend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-// 0 = no override, 1 = os-threads, 2 = fibers.
-static OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Sets (or clears, with `None`) a process-global backend override that
-/// outranks `DESIM_BACKEND` but not an explicit
-/// [`crate::SimulationBuilder::backend`] call. Intended for tests that
-/// drive code which constructs `Simulation`s internally; tests sharing a
-/// process must serialize around it.
-pub fn set_backend_override(backend: Option<Backend>) {
-    let v = match backend {
-        None => 0,
-        Some(Backend::OsThreads) => 1,
-        Some(Backend::Fibers) => 2,
-    };
-    OVERRIDE.store(v, Ordering::SeqCst);
-}
-
-fn override_get() -> Option<Backend> {
-    match OVERRIDE.load(Ordering::SeqCst) {
-        1 => Some(Backend::OsThreads),
-        2 => Some(Backend::Fibers),
-        _ => None,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parse_accepts_canonical_and_variant_names() {
-        assert_eq!(Backend::parse("fibers"), Some(Backend::Fibers));
-        assert_eq!(Backend::parse("Fiber"), Some(Backend::Fibers));
-        assert_eq!(Backend::parse("os-threads"), Some(Backend::OsThreads));
-        assert_eq!(Backend::parse("OS_THREADS"), Some(Backend::OsThreads));
-        assert_eq!(Backend::parse("green"), None);
-    }
-
-    #[test]
-    fn names_round_trip() {
-        for b in [Backend::OsThreads, Backend::Fibers] {
-            assert_eq!(Backend::parse(b.name()), Some(b));
-            assert_eq!(format!("{b}"), b.name());
-        }
+impl fmt::Display for Backend {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("fibers")
     }
 }

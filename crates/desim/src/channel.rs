@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::core::{shutdown_unwind_unless_panicking, ThreadId, WakeStatus};
+use crate::core::{ThreadId, WakeStatus};
 use crate::time::SimDuration;
 use crate::Ctx;
 
@@ -192,7 +192,7 @@ impl<T> SimChannel<T> {
             inner.recv_waiters.push_back((me, wid));
             drop(inner);
             if ctx.yield_blocked(core) == WakeStatus::Shutdown {
-                shutdown_unwind_unless_panicking();
+                ctx.shutdown_unwind();
                 return None; // benign value for unwinding destructors
             }
         }
@@ -227,7 +227,7 @@ impl<T> SimChannel<T> {
             inner.recv_waiters.push_back((me, wid));
             drop(inner);
             if ctx.yield_blocked(core) == WakeStatus::Shutdown {
-                shutdown_unwind_unless_panicking();
+                ctx.shutdown_unwind();
                 return Err(RecvTimeoutError::Closed);
             }
         }

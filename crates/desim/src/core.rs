@@ -2,17 +2,12 @@
 //! and the simulated threads.
 //!
 //! Exactly one party runs at a time: either the scheduler (inside
-//! `Simulation::run*`) or a single simulated thread. Control is handed back
-//! and forth through the **execution backend seam**: each simulated thread
-//! owns a [`ThreadExec`] — a parked OS thread with a [`Conduit`] hand-off
-//! cell ([`crate::Backend::OsThreads`]), or a stackful user-space fiber
-//! switched with one register save/restore ([`crate::Backend::Fibers`]).
-//! Everything above the seam — event queue, virtual clock, wake
-//! generations, pick order, RNG draws — is backend-independent, which is
-//! what makes the two backends bit-identical in observable behaviour.
-//! Because of the strict alternation the global [`CoreState`] mutex is
-//! never contended; it exists to satisfy the borrow checker and `Send`
-//! bounds, not for parallelism.
+//! `Simulation::run*`) or a single simulated thread. Every simulated thread
+//! is a stackful user-space fiber on the scheduler's OS thread (see
+//! `crate::fiber`), and control moves between them with one register
+//! save/restore. Because of the strict alternation the global
+//! [`CoreState`] mutex is never contended; it exists to satisfy the borrow
+//! checker and `Send` bounds, not for parallelism.
 //!
 //! # Hot-path hand-off
 //!
@@ -21,28 +16,25 @@
 //! that would otherwise just publish its block: if the event wakes *itself*
 //! (a timer that is already due — the common case for `sleep`) it simply
 //! keeps running with **zero** switches of any kind; if it wakes another
-//! thread it grants that thread directly — one park/unpark (OS backend) or
-//! one user-space context switch (fiber backend) instead of the two of a
-//! round trip through the scheduler. The scheduler only regains the turn
-//! when the chain breaks: the queue drains, the event budget runs out, or a
-//! thread finishes. Everything the scheduler observed per event before —
-//! clock advance, event counts, stale-wake skips, trace emission — happens
-//! identically inside [`CoreState::next_live`], which both parties and both
-//! backends share, so virtual time and traces are bit-identical to the
+//! thread it grants that thread directly — one context switch instead of
+//! the two of a round trip through the scheduler. The scheduler only
+//! regains the turn when the chain breaks: the queue drains, the event
+//! budget runs out, or a thread finishes. Everything the scheduler observed
+//! per event before — clock advance, event counts, stale-wake skips, trace
+//! emission — happens identically inside [`CoreState::next_live`], which
+//! both parties share, so virtual time and traces are bit-identical to the
 //! scheduler-centric design.
 
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering as AtomicOrdering};
-use std::sync::{Arc, OnceLock};
-use std::thread::Thread;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
+use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::backend::Backend;
-use crate::fiber;
+use crate::fiber::{self, Fiber};
 use crate::queue::{Event, EventQueue};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{ArgVec, Layer, Phase, TraceEvent, Tracer};
@@ -97,22 +89,6 @@ pub(crate) enum WakeStatus {
 /// Payload used to unwind simulated threads when the simulation is dropped.
 pub(crate) struct ShutdownUnwind;
 
-/// Unwinds the current simulated thread because the simulation is shutting
-/// down. If the thread is already unwinding (a destructor re-entered a
-/// blocking primitive), returns so the caller can produce a benign fallback
-/// value instead of triggering a double panic.
-///
-/// On the fiber backend `std::thread::panicking()` is per *host* OS thread,
-/// which is exact whenever the in-flight panic belongs to this fiber — the
-/// scheduler shuts the simulation down before re-raising a simulated
-/// thread's panic precisely so its own unwind never overlaps fiber teardown
-/// (see [`Core::step`]).
-pub(crate) fn shutdown_unwind_unless_panicking() {
-    if !std::thread::panicking() {
-        panic::panic_any(ShutdownUnwind);
-    }
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ThreadState {
     /// Waiting for a wake event (also the initial state before first run).
@@ -123,162 +99,20 @@ pub(crate) enum ThreadState {
     Finished,
 }
 
-const TURN_WAIT: u8 = 0;
-const TURN_RUN: u8 = 1;
-
-/// Grant kinds carried through a [`Conduit`] or a fiber's grant cell: why
-/// the thread was resumed. Replaces the post-wake `shutdown` re-check under
-/// the state lock — the granter already knows, so the woken side pays zero
-/// lock acquisitions.
+/// Grant kinds staged in a fiber's grant cell: why the thread was resumed.
+/// Replaces the post-wake `shutdown` re-check under the state lock — the
+/// granter already knows, so the woken side pays zero lock acquisitions.
 pub(crate) const GRANT_RUN: u8 = 0;
 pub(crate) const GRANT_SHUTDOWN: u8 = 1;
-
-/// Whether this host has more than one hardware thread; probed once. On a
-/// multicore box the hand-off partner can flip the turn while we spin, so a
-/// short spin before parking skips the futex syscall on the common path. On
-/// a single core spinning only burns the quantum the partner needs.
-pub(crate) fn spin_before_park() -> bool {
-    static MULTICORE: OnceLock<bool> = OnceLock::new();
-    *MULTICORE.get_or_init(|| std::thread::available_parallelism().is_ok_and(|n| n.get() > 1))
-}
-
-/// Hand-off cell owned by one simulated thread (OS-thread backend).
-///
-/// The turn is a single atomic flipped with release/acquire ordering and the
-/// waiting side parks its OS thread (`std::thread::park`), so a hand-off is
-/// one store + one targeted `unpark`. Any party may grant the turn — the
-/// scheduler or a directly-handing-off sibling thread. The owning side
-/// registers its `Thread` handle before first waiting; a granter that runs
-/// before the handle is registered skips the unpark, which is safe because
-/// the registrant re-checks the turn after registering and never parks on a
-/// turn it already holds. Stale unpark tokens (from a grant that raced a
-/// non-parked partner) only cause one spurious loop iteration.
-pub(crate) struct Conduit {
-    /// [`TURN_WAIT`] or [`TURN_RUN`]; release/acquire hand-off.
-    turn: AtomicU8,
-    /// Why the last grant happened ([`GRANT_RUN`] / [`GRANT_SHUTDOWN`]).
-    /// Written before the `turn` release-store, read after the acquire-load,
-    /// so it needs no ordering of its own.
-    kind: AtomicU8,
-    /// OS-thread handle backing the simulated thread; set exactly once.
-    thread: OnceLock<Thread>,
-}
-
-impl Conduit {
-    pub(crate) fn new() -> Arc<Self> {
-        Arc::new(Conduit {
-            turn: AtomicU8::new(TURN_WAIT),
-            kind: AtomicU8::new(GRANT_RUN),
-            thread: OnceLock::new(),
-        })
-    }
-
-    #[inline]
-    fn wait_run(&self) {
-        if spin_before_park() {
-            for _ in 0..128 {
-                if self.turn.load(AtomicOrdering::Acquire) == TURN_RUN {
-                    return;
-                }
-                std::hint::spin_loop();
-            }
-        }
-        while self.turn.load(AtomicOrdering::Acquire) != TURN_RUN {
-            std::thread::park();
-        }
-    }
-
-    /// Gives the owning thread the turn. Callable from the scheduler or from
-    /// another simulated thread performing a direct hand-off.
-    pub(crate) fn grant(&self, kind: u8) {
-        self.kind.store(kind, AtomicOrdering::Relaxed);
-        self.turn.store(TURN_RUN, AtomicOrdering::Release);
-        if let Some(t) = self.thread.get() {
-            t.unpark();
-        }
-    }
-
-    /// Owner side: give up the turn *before* granting it elsewhere, so a
-    /// grant that comes straight back (a short hand-off chain) is not
-    /// clobbered by a later store.
-    #[inline]
-    fn relinquish(&self) {
-        self.turn.store(TURN_WAIT, AtomicOrdering::Release);
-    }
-
-    /// Owner side: wait until the scheduler gives us the first turn.
-    pub(crate) fn wait_for_turn(&self) {
-        let _ = self.thread.set(std::thread::current());
-        self.wait_run();
-    }
-
-    /// Owner side: park until granted again; returns the grant kind.
-    #[inline]
-    fn wait_granted(&self) -> u8 {
-        self.wait_run();
-        self.kind.load(AtomicOrdering::Relaxed)
-    }
-}
-
-/// The execution resource backing one simulated thread — the per-thread
-/// half of the backend seam. Everything the scheduler does with it goes
-/// through [`ThreadExec::target`] / [`Core::resume_and_wait`]; everything
-/// the thread itself does goes through [`ExecRef`] / [`yield_blocked`].
-pub(crate) enum ThreadExec {
-    /// A parked OS thread handed control through a [`Conduit`].
-    Os {
-        conduit: Arc<Conduit>,
-        os_handle: Option<std::thread::JoinHandle<()>>,
-    },
-    /// A stackful user-space fiber on the scheduler's own OS thread.
-    Fiber(Box<fiber::Fiber>),
-    /// Spawned during shutdown: no execution resource was ever created and
-    /// the body never runs (the record is born `Finished`).
-    Retired,
-}
-
-impl ThreadExec {
-    /// The resumable address of this thread, for the scheduler side.
-    ///
-    /// Raw pointers instead of `Arc::clone`/`&Box`: the target must outlive
-    /// the state-lock release in `step`/`yield_blocked`, which it does
-    /// because thread records are never removed while the owning `Core` is
-    /// alive, and both pointees (`Arc` payload, boxed fiber) are heap-stable
-    /// across `threads` Vec reallocations. This saves two refcount RMWs per
-    /// event on the hot path.
-    fn target(&self) -> ResumeTarget {
-        match self {
-            ThreadExec::Os { conduit, .. } => ResumeTarget::Os(Arc::as_ptr(conduit)),
-            ThreadExec::Fiber(f) => ResumeTarget::Fiber(&**f as *const fiber::Fiber),
-            ThreadExec::Retired => unreachable!("retired threads are born Finished"),
-        }
-    }
-}
-
-/// A resumable thread address, as handed from the event queue to whichever
-/// party (scheduler or yielding thread) performs the switch. See
-/// [`ThreadExec::target`] for the lifetime argument.
-#[derive(Clone, Copy)]
-pub(crate) enum ResumeTarget {
-    Os(*const Conduit),
-    Fiber(*const fiber::Fiber),
-}
-
-/// A simulated thread's cached handle to its *own* execution resource, held
-/// inside [`Ctx`] so blocking never re-fetches it from the thread table
-/// under the state lock. Same lifetime argument as [`ResumeTarget`].
-pub(crate) enum ExecRef {
-    Os(Arc<Conduit>),
-    Fiber(*const fiber::Fiber),
-}
 
 pub(crate) struct ThreadRecord {
     /// Shared so diagnostics and tracing can take a reference-counted copy
     /// instead of allocating a fresh `String` on hot paths.
     pub name: Arc<str>,
     pub proc: ProcId,
-    /// Execution resource behind the backend seam.
-    pub exec: ThreadExec,
+    /// The fiber the thread runs on; `None` for a thread spawned during
+    /// shutdown, which never runs (its record is born `Finished`).
+    pub fiber: Option<Box<Fiber>>,
     pub state: ThreadState,
     /// Monotonic token; a wake event only fires if its token matches.
     pub wait_id: u64,
@@ -287,6 +121,22 @@ pub(crate) struct ThreadRecord {
     pub daemon: bool,
     pub joiners: Vec<(ThreadId, u64)>,
     pub panic: Option<String>,
+}
+
+impl ThreadRecord {
+    /// The resumable address of this thread, for whichever party (the
+    /// scheduler or a yielding thread) performs the switch.
+    ///
+    /// A raw pointer instead of a borrow: the fiber must outlive the
+    /// state-lock release in `step`/`yield_blocked`, which it does because
+    /// thread records are never removed while the owning `Core` is alive
+    /// and the boxed fiber is heap-stable across `threads` Vec
+    /// reallocations.
+    pub(crate) fn fiber_ptr(&self) -> *const Fiber {
+        self.fiber
+            .as_deref()
+            .expect("retired threads are born Finished")
+    }
 }
 
 /// Dense per-thread wake-generation slot, the cancellation index consulted
@@ -309,10 +159,9 @@ struct WakeSlot {
 }
 
 /// The wake-generation table plus its stale-wake counter, owned by exactly
-/// one [`CoreState`] — i.e. it lives *behind* the backend seam. Every
-/// simulation instance, whatever its backend, counts its own cancelled
-/// wakes; a process that runs an OS-thread simulation and a fiber
-/// simulation side by side can never share or double-count this state.
+/// one [`CoreState`]. Every simulation instance counts its own cancelled
+/// wakes; two simulations running side by side in one process can never
+/// share or double-count this state.
 pub(crate) struct WakeTable {
     slots: Vec<WakeSlot>,
     /// Dead wakes consumed so far (cancelled generations); diagnostics only.
@@ -513,8 +362,7 @@ impl CoreState {
     /// runs out. Every popped event — dead or live — advances the clock and
     /// `events_processed` exactly as the scheduler always has, so virtual
     /// time and event counts are independent of *who* drives the queue (the
-    /// scheduler or a blocking thread's hand-off fast path) and of which
-    /// backend executes the threads.
+    /// scheduler or a blocking thread's hand-off fast path).
     ///
     /// `window_limit` is the exclusive upper bound (in nanoseconds) on the
     /// instants this lane may process, `u64::MAX` for none — the caller
@@ -616,14 +464,11 @@ impl CoreState {
 
 pub(crate) struct Core {
     pub state: Mutex<CoreState>,
-    /// Which execution backend this simulation's threads run on. Fixed at
-    /// construction; see [`crate::Backend`] for the selection rules.
-    backend: Backend,
-    /// Usable stack size for fiber-backed threads.
+    /// Usable stack size for each thread's fiber.
     fiber_stack_size: usize,
-    /// The scheduler's own saved context (fiber backend): where a yielding
-    /// fiber switches to on a chain break, and what `resume_and_wait` saves
-    /// into before switching a fiber in. Unused on the OS-thread backend.
+    /// The scheduler's own saved context: where a yielding fiber switches
+    /// to on a chain break, and what `resume_and_wait` saves into before
+    /// switching a fiber in.
     sched_ctx: fiber::ContextCell,
     /// Mirrors `CoreState::tracer.is_some()`; lives outside the mutex so
     /// disabled-tracing call sites pay one relaxed load and nothing else.
@@ -641,16 +486,6 @@ pub(crate) struct Core {
     /// scheduler is not necessarily the one the scheduler resumed, so the
     /// flag must carry *who* panicked.
     panicked_tid: AtomicUsize,
-    /// True when the scheduler holds the turn; flipped with release/acquire
-    /// ordering like the per-thread conduits. A yielding thread that cannot
-    /// continue the hand-off chain stores `true` and unparks `sched_thread`.
-    /// OS-thread backend only; fibers switch into `sched_ctx` instead.
-    sched_turn: AtomicBool,
-    /// OS-thread handle of the scheduler side. Re-registered on every
-    /// `resume_and_wait` because the `Simulation` may move between OS
-    /// threads across runs; the lock is never contended (strict
-    /// alternation), so it costs one CAS.
-    sched_thread: Mutex<Option<Thread>>,
 }
 
 const NO_PANIC: usize = usize::MAX;
@@ -676,12 +511,7 @@ impl Core {
     /// this lane (the `expected_threads` builder hint; boot schedules one
     /// start wake per thread, all at the same instant). Floored at the
     /// historical 256 default so un-hinted worlds lose nothing.
-    pub(crate) fn new(
-        seed: u64,
-        backend: Backend,
-        fiber_stack_size: usize,
-        queue_capacity: usize,
-    ) -> Arc<Core> {
+    pub(crate) fn new(seed: u64, fiber_stack_size: usize, queue_capacity: usize) -> Arc<Core> {
         Arc::new(Core {
             state: Mutex::new(CoreState {
                 now: SimTime::ZERO,
@@ -698,20 +528,12 @@ impl Core {
                 perturb: None,
                 tracer: None,
             }),
-            backend,
             fiber_stack_size,
             sched_ctx: fiber::ContextCell::new(),
             trace_on: AtomicBool::new(false),
             window_limit: AtomicU64::new(u64::MAX),
             panicked_tid: AtomicUsize::new(NO_PANIC),
-            sched_turn: AtomicBool::new(true),
-            sched_thread: Mutex::new(None),
         })
-    }
-
-    /// The execution backend this simulation was built with.
-    pub(crate) fn backend(&self) -> Backend {
-        self.backend
     }
 
     /// True if structured tracing is enabled (one relaxed atomic load).
@@ -737,49 +559,17 @@ impl Core {
         id
     }
 
-    /// Thread side (OS backend): the calling simulated thread hands the turn
-    /// back to the scheduler (chain break: drain, budget, or thread exit).
-    pub(crate) fn wake_scheduler(&self) {
-        self.sched_turn.store(true, AtomicOrdering::Release);
-        if let Some(t) = self.sched_thread.lock().as_ref() {
-            t.unpark();
-        }
-    }
-
     /// Scheduler side: give `target` the turn and wait until some thread
     /// hands the turn back (possibly after a long direct hand-off chain).
     ///
-    /// OS backend: grant the conduit and park. Fiber backend: stage the
-    /// grant kind and perform one user-space context switch; the call
-    /// returns when any fiber switches back into `sched_ctx`.
-    fn resume_and_wait(&self, target: ResumeTarget, kind: u8) {
-        match target {
-            ResumeTarget::Os(conduit) => {
-                // SAFETY: see `ThreadExec::target`.
-                let conduit = unsafe { &*conduit };
-                *self.sched_thread.lock() = Some(std::thread::current());
-                self.sched_turn.store(false, AtomicOrdering::Release);
-                conduit.grant(kind);
-                if spin_before_park() {
-                    for _ in 0..128 {
-                        if self.sched_turn.load(AtomicOrdering::Acquire) {
-                            return;
-                        }
-                        std::hint::spin_loop();
-                    }
-                }
-                while !self.sched_turn.load(AtomicOrdering::Acquire) {
-                    std::thread::park();
-                }
-            }
-            ResumeTarget::Fiber(f) => {
-                // SAFETY: see `ThreadExec::target`; strict alternation makes
-                // the save-slot traffic race-free (module docs in `fiber`).
-                unsafe {
-                    (*f).set_grant(kind);
-                    fiber::switch(self.sched_ctx.slot(), (*f).sp_slot());
-                }
-            }
+    /// Stages the grant kind and performs one user-space context switch;
+    /// the call returns when any fiber switches back into `sched_ctx`.
+    fn resume_and_wait(&self, target: *const Fiber, kind: u8) {
+        // SAFETY: see `ThreadRecord::fiber_ptr`; strict alternation makes
+        // the save-slot traffic race-free (module docs in `fiber`).
+        unsafe {
+            (*target).set_grant(kind);
+            fiber::switch(self.sched_ctx.slot(), (*target).sp_slot());
         }
     }
 
@@ -795,23 +585,42 @@ impl Core {
     where
         F: FnOnce(&Ctx) + Send + 'static,
     {
-        match self.backend {
-            Backend::OsThreads => self.spawn_os_thread(proc, name, daemon, f),
-            Backend::Fibers => self.spawn_fiber(proc, name, daemon, f),
+        let mut st = self.state.lock();
+        if st.shutdown {
+            // Never build a fiber during teardown: its entry closure would
+            // hold an `Arc<Core>` in a cycle nothing is left to break.
+            return Self::register_thread(&mut st, proc, name, daemon, None);
         }
+        let core = Arc::clone(self);
+        let tid_for_entry = ThreadId(st.threads.len());
+        let entry: fiber::EntryFn = Box::new(move || {
+            let panic_msg = run_thread_body(&core, tid_for_entry, f);
+            finish_thread(&core, tid_for_entry, panic_msg);
+            // Return the scheduler slot and drop every capture (notably the
+            // `Arc<Core>`) *before* the final switch-out, so a finished
+            // fiber's dead stack keeps nothing alive. The slot stays valid:
+            // the driving `Simulation` owns its own `Arc<Core>`.
+            let slot = core.sched_ctx.slot();
+            drop(core);
+            slot
+        });
+        let fiber = Fiber::new(self.fiber_stack_size, entry);
+        let tid = Self::register_thread(&mut st, proc, name, daemon, Some(fiber));
+        debug_assert_eq!(tid, tid_for_entry);
+        tid
     }
 
     /// Registers the bookkeeping every new thread shares: the record, its
     /// wake slot, and (unless the simulation is shutting down, in which
     /// case the record is born `Finished` and the body never runs) the
-    /// spawn trace event and start wake. Returns `(tid, live)`.
+    /// spawn trace event and start wake.
     fn register_thread(
         st: &mut CoreState,
         proc: ProcId,
         name: &str,
         daemon: bool,
-        exec: ThreadExec,
-    ) -> (ThreadId, bool) {
+        fiber: Option<Box<Fiber>>,
+    ) -> ThreadId {
         assert!(
             proc.0 < st.procs.len(),
             "spawn: unknown processor {proc}; call add_processor first"
@@ -821,7 +630,7 @@ impl Core {
         st.threads.push(ThreadRecord {
             name: Arc::from(name),
             proc,
-            exec,
+            fiber,
             state: if live {
                 ThreadState::Blocked
             } else {
@@ -840,87 +649,6 @@ impl Core {
         } else {
             st.wake.push_retired();
         }
-        (tid, live)
-    }
-
-    fn spawn_os_thread<F>(
-        self: &Arc<Self>,
-        proc: ProcId,
-        name: &str,
-        daemon: bool,
-        f: F,
-    ) -> ThreadId
-    where
-        F: FnOnce(&Ctx) + Send + 'static,
-    {
-        let conduit = Conduit::new();
-        let (tid, live) = {
-            let mut st = self.state.lock();
-            Self::register_thread(
-                &mut st,
-                proc,
-                name,
-                daemon,
-                ThreadExec::Os {
-                    conduit: Arc::clone(&conduit),
-                    os_handle: None,
-                },
-            )
-        };
-        if !live {
-            return tid;
-        }
-
-        let core = Arc::clone(self);
-        let thread_conduit = Arc::clone(&conduit);
-        let os_name = format!("sim-{name}");
-        let handle = std::thread::Builder::new()
-            .name(os_name)
-            .spawn(move || {
-                thread_conduit.wait_for_turn();
-                let panic_msg = run_thread_body(&core, tid, f);
-                finish_thread(&core, tid, panic_msg);
-                // Exit always returns the turn to the scheduler — never a
-                // direct hand-off — so `stop_on` and panic checks cannot be
-                // bypassed by a chain.
-                thread_conduit.relinquish();
-                core.wake_scheduler();
-            })
-            .expect("failed to spawn OS thread backing a simulated thread");
-
-        if let ThreadExec::Os { os_handle, .. } = &mut self.state.lock().threads[tid.0].exec {
-            *os_handle = Some(handle);
-        }
-        tid
-    }
-
-    fn spawn_fiber<F>(self: &Arc<Self>, proc: ProcId, name: &str, daemon: bool, f: F) -> ThreadId
-    where
-        F: FnOnce(&Ctx) + Send + 'static,
-    {
-        let mut st = self.state.lock();
-        if st.shutdown {
-            // Never build a fiber during teardown: its entry closure would
-            // hold an `Arc<Core>` in a cycle nothing is left to break.
-            let (tid, _) = Self::register_thread(&mut st, proc, name, daemon, ThreadExec::Retired);
-            return tid;
-        }
-        let core = Arc::clone(self);
-        let tid_for_entry = ThreadId(st.threads.len());
-        let entry: fiber::EntryFn = Box::new(move || {
-            let panic_msg = run_thread_body(&core, tid_for_entry, f);
-            finish_thread(&core, tid_for_entry, panic_msg);
-            // Return the scheduler slot and drop every capture (notably the
-            // `Arc<Core>`) *before* the final switch-out, so a finished
-            // fiber's dead stack keeps nothing alive. The slot stays valid:
-            // the driving `Simulation` owns its own `Arc<Core>`.
-            let slot = core.sched_ctx.slot();
-            drop(core);
-            slot
-        });
-        let fiber = fiber::Fiber::new(self.fiber_stack_size, entry);
-        let (tid, _) = Self::register_thread(&mut st, proc, name, daemon, ThreadExec::Fiber(fiber));
-        debug_assert_eq!(tid, tid_for_entry);
         tid
     }
 
@@ -947,7 +675,7 @@ impl Core {
                 NextEvent::Drained => return StepResult::Drained,
                 NextEvent::LimitHit => return StepResult::LimitExceeded,
                 NextEvent::WindowEdge => return StepResult::WindowEdge,
-                NextEvent::Live(tid) => st.threads[tid.0].exec.target(),
+                NextEvent::Live(tid) => st.threads[tid.0].fiber_ptr(),
             }
         };
         self.resume_and_wait(target, GRANT_RUN);
@@ -959,12 +687,9 @@ impl Core {
                 rec.panic.take().map(|msg| (Arc::clone(&rec.name), msg))
             };
             if let Some((name, msg)) = panic_info {
-                // Tear the simulation down *before* unwinding the scheduler:
-                // fibers resumed for shutdown from an already-panicking host
-                // thread would observe `std::thread::panicking()` and take
-                // benign returns instead of `ShutdownUnwind`. Shutting down
-                // first unwinds every remaining thread cleanly on both
-                // backends; the later `Drop` shutdown becomes a no-op.
+                // Tear the simulation down *before* unwinding the scheduler,
+                // so every remaining thread unwinds here and the later
+                // `Drop` shutdown becomes a no-op.
                 self.initiate_shutdown();
                 panic!("simulated thread '{name}' panicked: {msg}");
             }
@@ -993,12 +718,12 @@ impl Core {
         // A destructor may block again during unwinding (it receives benign
         // fallback values), so several rounds can be needed.
         for _ in 0..64 {
-            let pending: Vec<ResumeTarget> = {
+            let pending: Vec<*const Fiber> = {
                 let st = self.state.lock();
                 st.threads
                     .iter()
                     .filter(|t| t.state != ThreadState::Finished)
-                    .map(|t| t.exec.target())
+                    .map(ThreadRecord::fiber_ptr)
                     .collect()
             };
             if pending.is_empty() {
@@ -1007,19 +732,6 @@ impl Core {
             for target in pending {
                 self.resume_and_wait(target, GRANT_SHUTDOWN);
             }
-        }
-        let handles: Vec<_> = {
-            let mut st = self.state.lock();
-            st.threads
-                .iter_mut()
-                .filter_map(|t| match &mut t.exec {
-                    ThreadExec::Os { os_handle, .. } => os_handle.take(),
-                    _ => None,
-                })
-                .collect()
-        };
-        for h in handles {
-            let _ = h.join();
         }
         // Fiber stacks are released when the thread records drop with the
         // `Core` itself; after the rounds above every fiber has run its
@@ -1030,7 +742,7 @@ impl Core {
 /// Runs a simulated thread's body under `catch_unwind`, unless the
 /// simulation began shutting down before the body first ran. Returns the
 /// panic message for real panics (`ShutdownUnwind` is the expected teardown
-/// path and reports nothing). Shared by both backends.
+/// path and reports nothing).
 fn run_thread_body<F>(core: &Arc<Core>, tid: ThreadId, f: F) -> Option<String>
 where
     F: FnOnce(&Ctx) + Send + 'static,
@@ -1053,7 +765,7 @@ where
 }
 
 /// Records a thread's exit: panic flag, wake disarm, `Finished` state, and
-/// joiner wakes. Shared by both backends.
+/// joiner wakes.
 fn finish_thread(core: &Core, tid: ThreadId, panic_msg: Option<String>) {
     let mut st = core.state.lock();
     if panic_msg.is_some() {
@@ -1074,100 +786,54 @@ fn finish_thread(core: &Core, tid: ThreadId, panic_msg: Option<String>) {
 /// Thread-side blocking yield: the other half of the hand-off fast path.
 ///
 /// Lives here (not in `ctx.rs`) so all turn-protocol code sits next to
-/// [`Conduit`], [`fiber`] and [`Core::resume_and_wait`]. Called by
-/// `Ctx::yield_blocked` with the guard under which the caller ran
-/// `prepare_block` and registered its wake: `next_live` runs under that
-/// same acquisition, so one blocking transition costs one state-lock round
-/// trip. The guard is dropped before any switch.
+/// [`Core::resume_and_wait`]. Called by `Ctx::yield_blocked` with the guard
+/// under which the caller ran `prepare_block` and registered its wake:
+/// `next_live` runs under that same acquisition, so one blocking transition
+/// costs one state-lock round trip. The guard is dropped before any switch.
 ///
 /// The branch structure — shutdown check, then one `next_live` call, then
-/// self-wake / direct grant / chain break — is shared verbatim by both
-/// backends, so the *order* of queue pops, RNG draws and trace events (and
-/// with it every golden hash) cannot depend on the backend; only the
-/// switch mechanism at the leaves differs.
+/// self-wake / direct grant / chain break — fixes the *order* of queue
+/// pops, RNG draws and trace events, and with it every golden hash.
 pub(crate) fn yield_blocked(
     core: &Core,
     mut st: MutexGuard<'_, CoreState>,
     tid: ThreadId,
-    exec: &ExecRef,
+    me: *const Fiber,
 ) -> WakeStatus {
-    enum Next {
-        /// Break the chain; the scheduler decides (drain, budget, shutdown).
-        Sched,
-        /// Our own wake was the queue head: keep running, zero switches.
-        SelfWake,
-        /// Hand the turn straight to the woken thread: one switch.
-        Grant(ResumeTarget),
-    }
     if st.shutdown {
         // Tear-down in progress: never yield again (the scheduler is
         // gone); let the caller unwind or return a benign value.
         return WakeStatus::Shutdown;
     }
     let window_limit = core.window_limit.load(AtomicOrdering::Relaxed);
-    let next = match st.next_live(window_limit) {
-        // A window edge breaks the hand-off chain exactly like a drain:
-        // the next event belongs to a later window and only the driver
-        // may open it.
-        NextEvent::Drained | NextEvent::LimitHit | NextEvent::WindowEdge => Next::Sched,
-        NextEvent::Live(t) if t == tid => Next::SelfWake,
-        NextEvent::Live(t) => Next::Grant(st.threads[t.0].exec.target()),
+    let resume = match st.next_live(window_limit) {
+        // Break the chain; the scheduler decides (drain, budget,
+        // shutdown). A window edge breaks it exactly like a drain: the
+        // next event belongs to a later window and only the driver may
+        // open it.
+        NextEvent::Drained | NextEvent::LimitHit | NextEvent::WindowEdge => core.sched_ctx.slot(),
+        // Our own wake was the queue head: keep running, zero switches.
+        NextEvent::Live(t) if t == tid => return WakeStatus::Woken,
+        // Hand the turn straight to the woken thread: one switch.
+        NextEvent::Live(t) => {
+            let next = st.threads[t.0].fiber_ptr();
+            // SAFETY: see `ThreadRecord::fiber_ptr`; `next` is suspended.
+            unsafe {
+                (*next).set_grant(GRANT_RUN);
+                (*next).sp_slot()
+            }
+        }
     };
     drop(st);
-    match (next, exec) {
-        (Next::SelfWake, _) => WakeStatus::Woken,
-        (Next::Grant(target), ExecRef::Os(conduit)) => {
-            conduit.relinquish();
-            match target {
-                // SAFETY: thread records (and their conduit Arcs / fiber
-                // boxes) are never removed while the core is alive; see
-                // `ThreadExec::target`.
-                ResumeTarget::Os(c) => unsafe { (*c).grant(GRANT_RUN) },
-                ResumeTarget::Fiber(_) => {
-                    unreachable!("fiber target under the os-threads backend")
-                }
-            }
-            match conduit.wait_granted() {
-                GRANT_SHUTDOWN => WakeStatus::Shutdown,
-                _ => WakeStatus::Woken,
-            }
-        }
-        (Next::Grant(target), ExecRef::Fiber(me)) => {
-            match target {
-                ResumeTarget::Fiber(next_fiber) => {
-                    // SAFETY: same lifetime argument as above; the switch
-                    // hands this OS thread to `next_fiber` and returns when
-                    // someone grants us again.
-                    unsafe {
-                        (*next_fiber).set_grant(GRANT_RUN);
-                        fiber::switch((**me).sp_slot(), (*next_fiber).sp_slot());
-                    }
-                }
-                ResumeTarget::Os(_) => unreachable!("os target under the fiber backend"),
-            }
-            match unsafe { (**me).grant() } {
-                GRANT_SHUTDOWN => WakeStatus::Shutdown,
-                _ => WakeStatus::Woken,
-            }
-        }
-        (Next::Sched, ExecRef::Os(conduit)) => {
-            conduit.relinquish();
-            core.wake_scheduler();
-            match conduit.wait_granted() {
-                GRANT_SHUTDOWN => WakeStatus::Shutdown,
-                _ => WakeStatus::Woken,
-            }
-        }
-        (Next::Sched, ExecRef::Fiber(me)) => {
-            // SAFETY: as above; the scheduler context is suspended inside
-            // `resume_and_wait` (strict alternation), so its slot is valid.
-            unsafe {
-                fiber::switch((**me).sp_slot(), core.sched_ctx.slot());
-            }
-            match unsafe { (**me).grant() } {
-                GRANT_SHUTDOWN => WakeStatus::Shutdown,
-                _ => WakeStatus::Woken,
-            }
+    // SAFETY: `me` is this thread's own fiber (see `ThreadRecord::fiber_ptr`
+    // for its lifetime), and `resume` is the slot of a suspended context:
+    // the woken fiber, or the scheduler inside `resume_and_wait` (strict
+    // alternation). The switch returns when someone grants us again.
+    unsafe {
+        fiber::switch((*me).sp_slot(), resume);
+        match (*me).grant() {
+            GRANT_SHUTDOWN => WakeStatus::Shutdown,
+            _ => WakeStatus::Woken,
         }
     }
 }

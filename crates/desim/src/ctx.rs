@@ -1,15 +1,15 @@
 //! The per-thread handle simulated code uses to interact with virtual time,
 //! the CPU model, and the scheduler.
 
+use std::cell::Cell;
+use std::panic;
 use std::sync::Arc;
 
 use parking_lot::MutexGuard;
 use rand::RngExt;
 
-use crate::core::{
-    shutdown_unwind_unless_panicking, Core, CoreState, ExecRef, ProcId, ThreadExec, ThreadId,
-    WakeStatus,
-};
+use crate::core::{Core, CoreState, ProcId, ShutdownUnwind, ThreadId, WakeStatus};
+use crate::fiber::Fiber;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Layer, Phase};
 use crate::ThreadHandle;
@@ -49,12 +49,17 @@ pub enum On {
 pub struct Ctx {
     core: Arc<Core>,
     tid: ThreadId,
-    /// This thread's own execution resource (conduit or fiber), cached once
-    /// at construction so blocking never re-fetches it from the thread
-    /// table under the state lock.
-    exec: ExecRef,
+    /// This thread's own fiber, cached once at construction so blocking
+    /// never re-fetches it from the thread table under the state lock. The
+    /// pointer stays valid for the `Ctx`'s whole life: the boxed fiber is
+    /// heap-stable and thread records are never removed while `core` is
+    /// alive.
+    exec: *const Fiber,
     /// The processor this thread runs on; a thread never migrates.
     proc: ProcId,
+    /// Set once this thread has raised its `ShutdownUnwind` (see
+    /// [`Ctx::shutdown_unwind`]).
+    shutdown_raised: Cell<bool>,
 }
 
 impl std::fmt::Debug for Ctx {
@@ -68,21 +73,14 @@ impl Ctx {
         let (exec, proc) = {
             let st = core.state.lock();
             let rec = &st.threads[tid.0];
-            let exec = match &rec.exec {
-                ThreadExec::Os { conduit, .. } => ExecRef::Os(Arc::clone(conduit)),
-                // The raw pointer stays valid for the `Ctx`'s whole life: the
-                // boxed fiber is heap-stable and thread records are never
-                // removed while the core behind `self.core` is alive.
-                ThreadExec::Fiber(f) => ExecRef::Fiber(&**f as *const _),
-                ThreadExec::Retired => unreachable!("retired threads never get a Ctx"),
-            };
-            (exec, rec.proc)
+            (rec.fiber_ptr(), rec.proc)
         };
         Ctx {
             core,
             tid,
             exec,
             proc,
+            shutdown_raised: Cell::new(false),
         }
     }
 
@@ -122,7 +120,28 @@ impl Ctx {
     /// any OS-level switch, and if another thread's wake does it grants that
     /// thread directly instead of detouring through the scheduler.
     pub(crate) fn yield_blocked(&self, st: MutexGuard<'_, CoreState>) -> WakeStatus {
-        crate::core::yield_blocked(&self.core, st, self.tid, &self.exec)
+        crate::core::yield_blocked(&self.core, st, self.tid, self.exec)
+    }
+
+    /// Unwinds this thread because the simulation is shutting down — once.
+    /// If the thread already raised its `ShutdownUnwind` (a destructor
+    /// re-entered a blocking primitive during that unwind), returns so the
+    /// caller can produce a benign fallback value instead of a double panic.
+    ///
+    /// The flag is per simulated thread on purpose: every fiber shares its
+    /// host OS thread's `std::thread::panicking()`, so a host thread that
+    /// drops a `Simulation` while unwinding its own panic would otherwise
+    /// send every thread down the benign path, and a thread looping on
+    /// [`Ctx::sleep`] would spin forever.
+    pub(crate) fn shutdown_unwind(&self) {
+        if !self.shutdown_raised.replace(true) {
+            panic::panic_any(ShutdownUnwind);
+        }
+    }
+
+    /// True once this thread has raised its `ShutdownUnwind`.
+    pub(crate) fn shutdown_raised(&self) -> bool {
+        self.shutdown_raised.get()
     }
 
     /// Suspends the thread for `d` of virtual time without occupying a CPU.
@@ -139,7 +158,7 @@ impl Ctx {
         let at = st.now + d;
         st.schedule_wake(at, self.tid, wid);
         if self.yield_blocked(st) == WakeStatus::Shutdown {
-            shutdown_unwind_unless_panicking();
+            self.shutdown_unwind();
         }
     }
 
@@ -192,7 +211,7 @@ impl Ctx {
             let wid = st.prepare_block(me, "cpu");
             st.procs[proc.0].waiters.push_back((me, wid));
             if self.yield_blocked(st) == WakeStatus::Shutdown {
-                shutdown_unwind_unless_panicking();
+                self.shutdown_unwind();
             }
             st = self.core.state.lock();
             debug_assert_eq!(

@@ -5,7 +5,8 @@
 //!
 //! - a virtual clock with nanosecond resolution ([`SimTime`], [`SimDuration`]);
 //! - simulated threads written as ordinary blocking Rust closures, multiplexed
-//!   one-at-a-time under a deterministic scheduler ([`Simulation`], [`Ctx`]);
+//!   one-at-a-time under a deterministic scheduler ([`Simulation`], [`Ctx`]),
+//!   each on a user-space fiber;
 //! - a per-machine **CPU model**: [`Ctx::compute`] occupies the machine's
 //!   processor (FIFO), pays a context-switch cost when a different thread ran
 //!   last, and is *preempted* (extended) by interrupt-level work charged via
@@ -43,6 +44,17 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+// The fiber context switch is vendored assembly for these targets only, and
+// it is the only way a simulated thread runs.
+#[cfg(not(all(
+    target_os = "linux",
+    target_pointer_width = "64",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+)))]
+compile_error!(
+    "desim runs simulated threads on fibers, which support only 64-bit Linux on x86_64 or aarch64"
+);
+
 mod backend;
 mod channel;
 mod core;
@@ -57,7 +69,7 @@ mod time;
 pub mod trace;
 mod wheel;
 
-pub use backend::{set_backend_override, Backend};
+pub use backend::Backend;
 pub use channel::{PendingWake, RecvTimeoutError, SendError, SimChannel};
 pub use core::{ProcId, ThreadId};
 pub use ctx::{Ctx, On};

@@ -49,7 +49,7 @@
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 
@@ -491,8 +491,8 @@ pub(crate) struct LaneSlot {
 /// bumping a generation counter and the workers report completion by
 /// decrementing an active count — one atomic store-and-wait pair per
 /// window instead of the two `std::sync::Barrier` futex round trips the
-/// driver used to pay. Waiters spin briefly (multicore hosts only, same
-/// heuristic as the scheduler hand-off) and then `yield_now`, which on an
+/// driver used to pay. Waiters spin briefly (multicore hosts only, see
+/// [`spin_before_park`]) and then `yield_now`, which on an
 /// oversubscribed host immediately schedules the runner holding the work —
 /// the profile that made the old barrier cost ~90 µs per window on the
 /// one-core reference container.
@@ -507,13 +507,23 @@ pub(crate) struct WindowGate {
     spin: bool,
 }
 
+/// Whether this host has more than one hardware thread; probed once. On a
+/// multicore box the runner being waited for can finish while we spin, so
+/// a short spin before yielding skips the scheduler round trip on the
+/// common path. On a single core spinning only burns the quantum the
+/// partner needs.
+fn spin_before_park() -> bool {
+    static MULTICORE: OnceLock<bool> = OnceLock::new();
+    *MULTICORE.get_or_init(|| std::thread::available_parallelism().is_ok_and(|n| n.get() > 1))
+}
+
 impl WindowGate {
     pub(crate) fn new(workers: usize) -> WindowGate {
         WindowGate {
             gen: AtomicU64::new(0),
             active: AtomicUsize::new(0),
             workers,
-            spin: crate::core::spin_before_park(),
+            spin: spin_before_park(),
         }
     }
 

@@ -7,7 +7,6 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::backend::Backend;
 use crate::channel::SimChannel;
 use crate::core::{
     install_quiet_shutdown_hook, Core, ProcId, StepResult, ThreadId, ThreadState, WakeStatus,
@@ -89,7 +88,7 @@ pub struct SimReport {
 /// loop ever ran.
 ///
 /// Everything except `barrier_wait_ns` is deterministic for a given
-/// program, seed, and topology — independent of shard count and backend.
+/// program, seed, and topology — independent of shard count.
 /// `barrier_wait_ns` is wall-clock time the coordinator spent waiting for
 /// worker runners at the window gate and must never feed a result hash.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -166,7 +165,7 @@ impl ThreadHandle {
             let wid = st.prepare_block(ctx.thread_id(), "join");
             st.threads[self.tid.0].joiners.push((ctx.thread_id(), wid));
             if ctx.yield_blocked(st) == WakeStatus::Shutdown {
-                crate::core::shutdown_unwind_unless_panicking();
+                ctx.shutdown_unwind();
                 return;
             }
         }
@@ -237,18 +236,14 @@ impl fmt::Debug for Simulation {
 /// # Examples
 ///
 /// ```
-/// use desim::{Backend, Simulation};
+/// use desim::Simulation;
 ///
-/// let sim = Simulation::builder()
-///     .seed(42)
-///     .backend(Backend::OsThreads)
-///     .build();
-/// assert_eq!(sim.backend(), Backend::OsThreads);
+/// let sim = Simulation::builder().seed(42).shards(1).build();
+/// assert_eq!(sim.shards(), 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct SimulationBuilder {
     seed: u64,
-    backend: Option<Backend>,
     fiber_stack_size: usize,
     shards: Option<usize>,
     expected_threads: usize,
@@ -261,20 +256,9 @@ impl SimulationBuilder {
         self
     }
 
-    /// Explicit execution backend, outranking the `DESIM_BACKEND`
-    /// environment variable and [`crate::set_backend_override`]. Requesting
-    /// [`Backend::Fibers`] on a target without the vendored context switch
-    /// silently degrades to [`Backend::OsThreads`] (observable behaviour is
-    /// identical).
-    pub fn backend(mut self, backend: Backend) -> Self {
-        self.backend = Some(backend);
-        self
-    }
-
-    /// Usable stack size for fiber-backed simulated threads (default
-    /// 1 MiB). Pages are mapped lazily, so a generous size costs only
-    /// address space; each stack additionally gets one guard page. Ignored
-    /// by the OS-thread backend.
+    /// Usable stack size of each simulated thread's fiber (default 1 MiB).
+    /// Pages are mapped lazily, so a generous size costs only address
+    /// space; each stack additionally gets one guard page.
     pub fn fiber_stack_size(mut self, bytes: usize) -> Self {
         self.fiber_stack_size = bytes;
         self
@@ -307,22 +291,13 @@ impl SimulationBuilder {
     /// Builds the simulation.
     pub fn build(self) -> Simulation {
         install_quiet_shutdown_hook();
-        let backend = match self.backend {
-            Some(b) => b.resolve(),
-            None => Backend::default_backend(),
-        };
         let shards = match self.shards {
             Some(0) => ShardCount::Auto,
             Some(n) => ShardCount::Fixed(n),
             None => shard::default_shards(),
         };
         Simulation {
-            core: Core::new(
-                self.seed,
-                backend,
-                self.fiber_stack_size,
-                self.expected_threads,
-            ),
+            core: Core::new(self.seed, self.fiber_stack_size, self.expected_threads),
             extra: Vec::new(),
             links: LinkTable::default(),
             shards,
@@ -340,27 +315,20 @@ impl SimulationBuilder {
 }
 
 impl Simulation {
-    /// Creates a simulation seeded with `seed` for all randomness, on the
-    /// default execution backend (see [`Backend::default_backend`]).
+    /// Creates a simulation seeded with `seed` for all randomness.
     pub fn new(seed: u64) -> Self {
         Self::builder().seed(seed).build()
     }
 
-    /// Returns a builder for configuring seed, execution backend, and
-    /// fiber stack size.
+    /// Returns a builder for configuring seed, shard count, fiber stack
+    /// size and queue capacity.
     pub fn builder() -> SimulationBuilder {
         SimulationBuilder {
             seed: 0,
-            backend: None,
             fiber_stack_size: fiber::DEFAULT_STACK_SIZE,
             shards: None,
             expected_threads: 0,
         }
-    }
-
-    /// The execution backend this simulation runs its threads on.
-    pub fn backend(&self) -> Backend {
-        self.core.backend()
     }
 
     /// All lanes, lane 0 first.
@@ -411,7 +379,6 @@ impl Simulation {
         let idx = self.extra.len() + 1;
         let core = Core::new(
             shard::lane_seed(self.seed, idx as u64),
-            self.backend(),
             self.fiber_stack_size,
             self.expected_threads,
         );
@@ -962,8 +929,8 @@ impl Simulation {
     /// Window-engine accounting, cumulative across runs (all-zero when only
     /// the classic serial loop ever ran). Everything except
     /// `barrier_wait_ns` is deterministic per program/seed/topology —
-    /// independent of shard count and backend; `barrier_wait_ns` is
-    /// wall-clock and must never feed a result hash.
+    /// independent of shard count; `barrier_wait_ns` is wall-clock and
+    /// must never feed a result hash.
     pub fn window_stats(&self) -> WindowStats {
         self.window_stats
     }

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::core::{shutdown_unwind_unless_panicking, ThreadId, WakeStatus};
+use crate::core::{ThreadId, WakeStatus};
 use crate::Ctx;
 
 struct MutexInner<T> {
@@ -112,7 +112,7 @@ impl<T> SimMutex<T> {
             registered = true;
             drop(st);
             if ctx.yield_blocked(core) == WakeStatus::Shutdown {
-                shutdown_unwind_unless_panicking();
+                ctx.shutdown_unwind();
                 // Already unwinding (a destructor re-entered): best-effort
                 // force-acquire so teardown can proceed.
                 let mut st = self.inner.state.lock();
@@ -126,7 +126,7 @@ impl<T> SimMutex<T> {
         // during teardown can it still be held by an unwinding owner.
         let data = self.inner.data.try_lock();
         assert!(
-            data.is_some() || std::thread::panicking(),
+            data.is_some() || ctx.shutdown_raised(),
             "SimMutex data lock unavailable outside teardown"
         );
         SimMutexGuard {
@@ -248,7 +248,7 @@ impl SimCondvar {
         // a waiter schedules that waiter's wake under the state lock, so the
         // registration's guard cannot be held across the release.
         if ctx.yield_blocked(ctx.core().state.lock()) == WakeStatus::Shutdown {
-            shutdown_unwind_unless_panicking();
+            ctx.shutdown_unwind();
         }
         mutex.lock(ctx)
     }

@@ -7,7 +7,7 @@
 
 use std::sync::Mutex;
 
-use desim::{us, Backend, SimChannel, Simulation, FIBER_STACK_POOL_CAP};
+use desim::{us, SimChannel, Simulation, FIBER_STACK_POOL_CAP};
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -25,7 +25,6 @@ fn mapping_count() -> usize {
 fn cycle(fibers: usize, stack: usize) {
     let mut sim = Simulation::builder()
         .seed(5)
-        .backend(Backend::Fibers)
         .fiber_stack_size(stack)
         .build();
     let m0 = sim.add_processor("m0");
@@ -47,9 +46,6 @@ fn fiber_create_drop_cycles_release_guard_paged_stacks() {
     // cycle must unwind all live fibers and release their guard-paged
     // stacks, so the process mapping count stays flat instead of growing
     // by (threads × cycles) stack mappings.
-    if !Backend::fibers_supported() {
-        return;
-    }
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     cycle(8, 1 << 20); // warm up allocator, lazy runtime mappings, stack pool
     let before = mapping_count();
@@ -70,9 +66,6 @@ fn mixed_size_worlds_leave_at_most_the_pool_behind() {
     // A world far larger than the stack pool, between two tiny worlds with
     // another stack length: the pool keeps at most its cap of stacks (two
     // mappings each: guard page and usable pages) and unmaps the rest.
-    if !Backend::fibers_supported() {
-        return;
-    }
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let before = mapping_count();
     cycle(1, 64 << 10);

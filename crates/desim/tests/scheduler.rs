@@ -1,8 +1,8 @@
 //! Integration tests for the desim scheduler, CPU model, and determinism.
 
 use desim::{
-    ms, secs, us, Backend, Layer, On, Phase, SimChannel, SimCondvar, SimDuration, SimError,
-    SimMutex, SimTime, Simulation,
+    ms, secs, us, Layer, On, Phase, SimChannel, SimCondvar, SimDuration, SimError, SimMutex,
+    SimTime, Simulation,
 };
 
 #[test]
@@ -417,17 +417,18 @@ fn compute_sliced_rejects_zero_quantum() {
     let _ = sim.run();
 }
 
-fn shutdown_under_load_on(backend: Backend) {
+#[test]
+fn shutdown_under_load_reclaims_threads_blocked_in_every_primitive() {
     // Drop the simulation while threads are parked in every blocking
     // primitive; shutdown must unpark and unwind all of them (the test
     // passing IS the assertion — a lost wakeup would hang here forever).
-    let sim = parked_in_every_primitive(backend);
+    let sim = parked_in_every_primitive();
     drop(sim); // initiate_shutdown: every parked thread must unwind
 
     // Run a second copy to drain instead: the sleeper, the CPU hog and the
     // CPU waiter finish, and the deadlock report names every other thread
     // with the primitive it is parked in.
-    let mut sim = parked_in_every_primitive(backend);
+    let mut sim = parked_in_every_primitive();
     match sim.run() {
         Err(SimError::Deadlock { blocked }) => {
             let blocked: Vec<(&str, &str)> =
@@ -450,10 +451,10 @@ fn shutdown_under_load_on(backend: Backend) {
 
 /// Builds a world with a thread parked in every blocking primitive and runs
 /// it until its controller finishes.
-fn parked_in_every_primitive(backend: Backend) -> Simulation {
+fn parked_in_every_primitive() -> Simulation {
     use std::sync::Arc;
 
-    let mut sim = Simulation::builder().seed(321).backend(backend).build();
+    let mut sim = Simulation::new(321);
     let m0 = sim.add_processor("m0");
     let m1 = sim.add_processor("m1");
     let mutex = Arc::new(SimMutex::new(0u32));
@@ -514,54 +515,13 @@ fn parked_in_every_primitive(backend: Backend) -> Simulation {
 }
 
 #[test]
-fn shutdown_under_load_reclaims_threads_blocked_in_every_primitive() {
-    shutdown_under_load_on(Backend::OsThreads);
-}
-
-#[test]
-fn shutdown_under_load_reclaims_fibers_blocked_in_every_primitive() {
-    if !Backend::fibers_supported() {
-        return;
-    }
-    shutdown_under_load_on(Backend::Fibers);
-}
-
-#[test]
-fn builder_selects_backend_explicitly() {
-    let sim = Simulation::builder()
-        .seed(1)
-        .backend(Backend::OsThreads)
-        .build();
-    assert_eq!(sim.backend(), Backend::OsThreads);
-    if Backend::fibers_supported() {
-        let sim = Simulation::builder()
-            .seed(1)
-            .backend(Backend::Fibers)
-            .build();
-        assert_eq!(sim.backend(), Backend::Fibers);
-    }
-}
-
-#[test]
-fn backend_override_takes_effect_for_default_constructor() {
-    // The override outranks DESIM_BACKEND and the target default. Both
-    // backends behave identically, so flipping the process default under
-    // concurrently-running tests is safe; still restore it promptly.
-    desim::set_backend_override(Some(Backend::OsThreads));
-    let sim = Simulation::new(1);
-    let picked = sim.backend();
-    desim::set_backend_override(None);
-    assert_eq!(picked, Backend::OsThreads);
-}
-
-#[test]
-fn backends_agree_on_schedule_and_stale_wake_counters() {
-    // The same program on both backends must produce identical virtual
-    // end times, event counts, and stale-wake counters — the counters
-    // live behind the per-simulation backend seam, so two simulations in
-    // one process never share or double-count them.
-    fn run_on(backend: Backend) -> (SimTime, u64, u64) {
-        let mut sim = Simulation::builder().seed(42).backend(backend).build();
+fn same_seed_runs_agree_on_schedule_and_stale_wake_counters() {
+    // Two runs of the same program must produce identical virtual end
+    // times, event counts, and stale-wake counters — each simulation owns
+    // its counters, so two simulations in one process never share or
+    // double-count them.
+    fn run() -> (SimTime, u64, u64) {
+        let mut sim = Simulation::new(42);
         let m0 = sim.add_processor("m0");
         let m1 = sim.add_processor("m1");
         let ch: SimChannel<u32> = SimChannel::new();
@@ -592,12 +552,39 @@ fn backends_agree_on_schedule_and_stale_wake_counters() {
         let report = sim.report();
         (report.final_time, report.events, sim.stale_wakes())
     }
-    let os = run_on(Backend::OsThreads);
-    if Backend::fibers_supported() {
-        let fib = run_on(Backend::Fibers);
-        assert_eq!(os, fib, "os-threads vs fibers diverged");
-    }
-    // Run os-threads again after the fiber run: counters must match the
-    // first os run exactly (nothing accumulated across simulations).
-    assert_eq!(os, run_on(Backend::OsThreads));
+    let first = run();
+    assert!(first.2 > 0, "the recv_timeout races leave stale wakes");
+    // Counters must match the first run exactly (nothing accumulated
+    // across simulations).
+    assert_eq!(first, run());
+}
+
+#[test]
+fn host_panic_teardown_unwinds_sleep_loops() {
+    // The host thread is already unwinding when the `Simulation` drops (a
+    // failing assertion after the run, say). Teardown must still unwind a
+    // daemon that loops on `sleep`: a benign return there would spin
+    // forever. The world lives on a thread of its own, so a regression
+    // fails here instead of hanging the suite.
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let world = std::thread::spawn(move || {
+        let outcome = std::panic::catch_unwind(|| {
+            let mut sim = Simulation::new(9);
+            let cpu = sim.add_processor("m0");
+            sim.spawn_daemon(cpu, "ticker", |ctx| loop {
+                ctx.sleep(us(1000));
+            });
+            let main = sim.spawn(cpu, "main", |ctx| ctx.sleep(us(2500)));
+            sim.run_until_finished(&main).expect("run");
+            panic!("host assertion fails while the simulation is alive");
+        });
+        done_tx.send(outcome.is_err()).expect("report the outcome");
+    });
+    let host_panicked = done_rx
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .expect("dropping the simulation under a host panic hung");
+    assert!(host_panicked, "the host panic propagates after teardown");
+    world
+        .join()
+        .expect("the world's host thread caught its panic");
 }

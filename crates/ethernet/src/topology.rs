@@ -5,7 +5,7 @@
 //! backbone, and how many scheduler lanes the segments spread over — and
 //! [`TopologySpec::build`] realizes it on a [`Network`]. Placement is a pure
 //! function of the spec: machine numbering, segment assignment, and lane
-//! assignment never depend on the execution backend or the shard count, so
+//! assignment never depend on the shard count, so
 //! one spec produces bit-identical runs under any runner configuration (the
 //! shard count only decides how many OS threads drive the fixed lane set).
 //!

@@ -2,22 +2,18 @@
 //!
 //! The scale-out story rests on placement being a pure function of the
 //! [`TopologySpec`]: machine→segment→lane assignment must not depend on the
-//! execution backend or the shard count, or runs stop being bit-identical
+//! shard count, or runs stop being bit-identical
 //! across runner configurations. These tests pin that down directly, without
 //! running any protocol traffic.
 
-use desim::{Backend, LaneId, Simulation};
+use desim::{LaneId, Simulation};
 use ethernet::{NetConfig, Network, TopologySpec};
 use proptest::prelude::*;
 
 /// Realizes `spec` on a fresh simulation and returns the full placement map
 /// as plain numbers (debug-format identities, stable across processes).
-fn placement(spec: &TopologySpec, backend: Backend, shards: usize) -> Vec<(String, String)> {
-    let mut sim = Simulation::builder()
-        .seed(7)
-        .backend(backend)
-        .shards(shards)
-        .build();
+fn placement(spec: &TopologySpec, shards: usize) -> Vec<(String, String)> {
+    let mut sim = Simulation::builder().seed(7).shards(shards).build();
     let mut net = Network::new(NetConfig::default());
     let topo = spec.build(&mut sim, &mut net, "pool");
     (0..spec.machines)
@@ -48,14 +44,13 @@ fn spec_strategy() -> impl Strategy<Value = TopologySpec> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Placement is identical across backends and shard counts: the shard
-    /// knob only decides how many OS threads drive the lanes.
+    /// Placement is identical across shard counts: the shard knob only
+    /// decides how many OS threads drive the lanes.
     #[test]
-    fn placement_independent_of_backend_and_shards(spec in spec_strategy()) {
-        let reference = placement(&spec, Backend::OsThreads, 1);
-        prop_assert_eq!(&reference, &placement(&spec, Backend::Fibers, 1));
-        prop_assert_eq!(&reference, &placement(&spec, Backend::Fibers, 2));
-        prop_assert_eq!(&reference, &placement(&spec, Backend::OsThreads, 0));
+    fn placement_independent_of_shards(spec in spec_strategy()) {
+        let reference = placement(&spec, 1);
+        prop_assert_eq!(&reference, &placement(&spec, 2));
+        prop_assert_eq!(&reference, &placement(&spec, 0));
     }
 
     /// Structural invariants of the placement map itself.

@@ -1,6 +1,5 @@
 //! Scale-out determinism: the open-loop client fleet over the multi-segment
-//! switch tree must produce bit-identical reports across execution backends
-//! and shard counts.
+//! switch tree must produce bit-identical reports across shard counts.
 //!
 //! The small matrices run on every `cargo test`. The 1k- and 10k-machine
 //! fleets are `#[ignore]`d (minutes of wall-clock in debug builds) and run
@@ -11,7 +10,7 @@
 //! ```
 
 use apps::fleet::{run_fleet, FleetReport, FleetSpec, FleetStack, ThinkDist};
-use desim::{Backend, WindowStats};
+use desim::WindowStats;
 
 /// A run's window-engine counters without the wall-clock gate wait — the
 /// part `WindowStats` documents as deterministic. `result_hash` leaves
@@ -23,31 +22,26 @@ fn window_counters(r: &FleetReport) -> WindowStats {
     }
 }
 
-/// Runs `spec` over {os-threads, fibers} × shards {1, 2, auto} and asserts
-/// every run hashes identically and has identical window counters. Returns
-/// the reference report.
+/// Runs `spec` over shards {1, 2, auto} and asserts every run hashes
+/// identically and has identical window counters. Returns the shards-1
+/// report.
 fn assert_matrix_identical(spec: &FleetSpec) -> FleetReport {
-    let reference = run_fleet(spec, Backend::OsThreads, 1);
+    let reference = run_fleet(spec, 1);
     assert!(reference.ops > 0, "fleet did work: {}", reference.summary());
-    for backend in [Backend::OsThreads, Backend::Fibers] {
-        for shards in [1usize, 2, 0] {
-            if backend == Backend::OsThreads && shards == 1 {
-                continue; // the reference run
-            }
-            let r = run_fleet(spec, backend, shards);
-            assert_eq!(
-                r.result_hash(),
-                reference.result_hash(),
-                "fleet diverged on {backend:?} x shards {shards}:\n  ref {}\n  got {}",
-                reference.summary(),
-                r.summary(),
-            );
-            assert_eq!(
-                window_counters(&r),
-                window_counters(&reference),
-                "window counters diverged on {backend:?} x shards {shards}"
-            );
-        }
+    for shards in [2usize, 0] {
+        let r = run_fleet(spec, shards);
+        assert_eq!(
+            r.result_hash(),
+            reference.result_hash(),
+            "fleet diverged on shards {shards}:\n  ref {}\n  got {}",
+            reference.summary(),
+            r.summary(),
+        );
+        assert_eq!(
+            window_counters(&r),
+            window_counters(&reference),
+            "window counters diverged on shards {shards}"
+        );
     }
     reference
 }
@@ -63,7 +57,7 @@ fn percentiles_are_sane(r: &FleetReport) {
 /// Window counters of the 96-machine kernel fleet below, recorded before
 /// the flush barrier went from visiting every link to visiting only links
 /// with traffic. Any change to the window or flush machinery that alters
-/// one of them fails here, in every backend × shards cell.
+/// one of them fails here, in every shards cell.
 const KERNEL_96_WINDOWS: WindowStats = WindowStats {
     windows: 2470,
     events: 24070,
@@ -127,8 +121,8 @@ fn heavy_tailed_arrivals_are_deterministic_too() {
     spec.think = ThinkDist::Pareto;
     spec.duration = desim::ms(60);
     spec.mean_think = desim::ms(6);
-    let a = run_fleet(&spec, Backend::OsThreads, 1);
-    let b = run_fleet(&spec, Backend::Fibers, 0);
+    let a = run_fleet(&spec, 1);
+    let b = run_fleet(&spec, 0);
     assert_eq!(a.result_hash(), b.result_hash());
     assert!(a.ops > 0);
 }
@@ -149,30 +143,9 @@ fn fleet_scale_1k() {
     }
 }
 
-/// The largest world the os-threads backend can host: every simulated
-/// thread is a real OS thread costing ~4 VM mappings (stack + guard +
-/// signal stack), so the default `vm.max_map_count` of 65530 caps a
-/// process near 16k threads — about a 4k-machine kernel fleet at two
-/// threads per machine. Full cross-backend × shard matrix. Release-only.
-#[test]
-#[ignore = "thousands of simulated threads; run with --release -- --ignored"]
-fn fleet_scale_4k_cross_backend() {
-    let mut spec = FleetSpec::new(4112, 16, FleetStack::Kernel);
-    spec.lanes = 8;
-    spec.duration = desim::ms(40);
-    spec.mean_think = desim::ms(100);
-    spec.group_every = 128;
-    let r = assert_matrix_identical(&spec);
-    percentiles_are_sane(&r);
-    println!("4k kernel: {}", r.summary());
-}
-
-/// The 10k-machine fleet of the scale study, on the fiber backend: 20k+
-/// fiber stacks are two mappings each, which fits the default
-/// `vm.max_map_count`; 20k+ OS threads (four mappings each, see
-/// [`fleet_scale_4k_cross_backend`]) do not, so os-threads sits this one
-/// out and backend equivalence rests on the 4k matrix. Kernel stack only
-/// (the user stack's five-plus threads per node would blow the same
+/// The 10k-machine fleet of the scale study: 20k+ fiber stacks are two
+/// mappings each, which fits the default `vm.max_map_count`. Kernel stack
+/// only (the user stack's five-plus threads per node would blow that
 /// budget). Asserts bit-identity across shard counts and emits the
 /// percentile summary. Release-only.
 #[test]
@@ -183,23 +156,23 @@ fn fleet_scale_10k() {
     spec.duration = desim::ms(40);
     spec.mean_think = desim::ms(200);
     spec.group_every = 256;
-    let reference = run_fleet(&spec, Backend::Fibers, 1);
+    let reference = run_fleet(&spec, 1);
     assert!(reference.ops > 0, "fleet did work: {}", reference.summary());
     for shards in [2usize, 0] {
-        let r = run_fleet(&spec, Backend::Fibers, shards);
+        let r = run_fleet(&spec, shards);
         assert_eq!(
             r.result_hash(),
             reference.result_hash(),
-            "10k fleet diverged on fibers x shards {shards}:\n  ref {}\n  got {}",
+            "10k fleet diverged on shards {shards}:\n  ref {}\n  got {}",
             reference.summary(),
             r.summary(),
         );
     }
     percentiles_are_sane(&reference);
-    println!("10k kernel (fibers): {}", reference.summary());
+    println!("10k kernel: {}", reference.summary());
 }
 
-/// The [`fleet_scale_10k`] world, single fibers run, pinned to its recorded
+/// The [`fleet_scale_10k`] world, single run, pinned to its recorded
 /// result hash. The shard matrix above proves the run is internally
 /// consistent; this cell proves it is the *same* run the repo has always
 /// produced — the regression gate for anything that touches event order at
@@ -217,7 +190,7 @@ fn fleet_scale_10k_pinned() {
     spec.duration = desim::ms(40);
     spec.mean_think = desim::ms(200);
     spec.group_every = 256;
-    let r = run_fleet(&spec, Backend::Fibers, 0);
+    let r = run_fleet(&spec, 0);
     assert_eq!(
         r.result_hash(),
         PINNED_HASH,

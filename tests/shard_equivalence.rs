@@ -3,8 +3,7 @@
 //! order, RNG draws, trace emission, and window boundaries all live above
 //! the runner seam — which OS thread drives a lane never changes what the
 //! lane executes — so every pinned artefact in this repository must come
-//! out byte-identical for `shards` 1, 2, and auto, on both execution
-//! backends.
+//! out byte-identical for `shards` 1, 2, and auto.
 //!
 //! Two layers of evidence:
 //!
@@ -16,9 +15,8 @@
 //!    loss drawing from per-lane RNGs — whose full observable surface
 //!    (traces, stats, counts, clocks) is compared across shard counts.
 //!
-//! The shard override is process-global state, like the backend override;
-//! every test serializes on one mutex and restores the override before
-//! releasing it.
+//! The shard override is process-global state; every test serializes on
+//! one mutex and restores the override before releasing it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
@@ -29,13 +27,10 @@ use chaos::engine::{run_chaos, ChaosConfig};
 use chaos::explore::{explore, ExploreOptions};
 use chaos::plan::{FaultPlan, TimedFault, TimedKind};
 use chaos::Stack;
-use desim::{
-    set_backend_override, set_shards_override, us, Backend, LaneId, SimDuration, SimTime,
-    Simulation,
-};
+use desim::{set_shards_override, us, LaneId, SimDuration, SimTime, Simulation};
 use ethernet::{Dest, MacAddr, NetConfig, Network, SegmentId};
 
-/// Serializes tests that flip process-wide overrides (shards, backend).
+/// Serializes tests that flip the process-wide shard override.
 fn override_lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     LOCK.get_or_init(|| Mutex::new(()))
@@ -70,29 +65,10 @@ fn on_each_shard_count<T>(mut f: impl FnMut() -> T) -> Vec<(usize, T)> {
     out
 }
 
-/// Runs `f` under every backend × shard-count combination.
-fn on_each_backend_and_shard_count<T>(mut f: impl FnMut() -> T) -> Vec<(Backend, usize, T)> {
-    let _guard = override_lock();
-    let mut out = Vec::new();
-    for backend in [Backend::OsThreads, Backend::Fibers] {
-        if backend == Backend::Fibers && !Backend::fibers_supported() {
-            continue;
-        }
-        set_backend_override(Some(backend));
-        for shards in SHARD_COUNTS {
-            set_shards_override(Some(shards));
-            out.push((backend, shards, f()));
-        }
-    }
-    set_shards_override(None);
-    set_backend_override(None);
-    out
-}
-
 #[test]
 fn golden_traces_render_identically_across_shard_counts() {
     let cost = CostModel::default();
-    let runs = on_each_backend_and_shard_count(|| {
+    let runs = on_each_shard_count(|| {
         let mut renders: Vec<String> = Vec::new();
         for which in [Which::Kernel, Which::User] {
             let rpc = rpc_trace(1024, which, &cost, 1);
@@ -102,12 +78,12 @@ fn golden_traces_render_identically_across_shard_counts() {
         }
         renders
     });
-    let (b0, s0, first) = &runs[0];
-    for (backend, shards, renders) in &runs[1..] {
+    let (s0, first) = &runs[0];
+    for (shards, renders) in &runs[1..] {
         assert_eq!(
             first,
             renders,
-            "rendered traces diverged: {b0}/shards={} vs {backend}/shards={}",
+            "rendered traces diverged: shards={} vs shards={}",
             shards_label(*s0),
             shards_label(*shards)
         );
@@ -117,22 +93,24 @@ fn golden_traces_render_identically_across_shard_counts() {
 #[test]
 fn table1_spot_values_identical_across_shard_counts() {
     let cost = CostModel::default();
-    let runs = on_each_backend_and_shard_count(|| {
+    let runs = on_each_shard_count(|| {
         let mut spots = Vec::new();
         for size in [0usize, 1024] {
             for which in [Which::Kernel, Which::User] {
                 spots.push(bench::rpc_latency(size, which, &cost));
                 spots.push(bench::group_latency(size, which, &cost));
             }
+            spots.push(bench::system_layer_latency(size, false, &cost));
+            spots.push(bench::system_layer_latency(size, true, &cost));
         }
         spots
     });
-    let (_, _, first) = &runs[0];
-    for (backend, shards, spots) in &runs[1..] {
+    let (_, first) = &runs[0];
+    for (shards, spots) in &runs[1..] {
         assert_eq!(
             first,
             spots,
-            "Table 1 spot latencies diverged on {backend}/shards={}",
+            "Table 1 spot latencies diverged with shards={}",
             shards_label(*shards)
         );
     }
@@ -158,23 +136,23 @@ fn golden_chaos_config(stack: Stack) -> ChaosConfig {
 fn chaos_golden_hashes_pinned_under_every_shard_count() {
     const KERNEL_GOLDEN_HASH: u64 = 0x00be_a365_d90a_3418;
     const USER_GOLDEN_HASH: u64 = 0x08bb_c947_aebe_de62;
-    let runs = on_each_backend_and_shard_count(|| {
+    let runs = on_each_shard_count(|| {
         [
             run_chaos(&golden_chaos_config(Stack::Kernel)).trace_hash,
             run_chaos(&golden_chaos_config(Stack::User)).trace_hash,
         ]
     });
-    for (backend, shards, [kernel, user]) in &runs {
+    for (shards, [kernel, user]) in &runs {
         assert_eq!(
             *kernel,
             KERNEL_GOLDEN_HASH,
-            "kernel chaos golden hash diverged on {backend}/shards={}",
+            "kernel chaos golden hash diverged with shards={}",
             shards_label(*shards)
         );
         assert_eq!(
             *user,
             USER_GOLDEN_HASH,
-            "user chaos golden hash diverged on {backend}/shards={}",
+            "user chaos golden hash diverged with shards={}",
             shards_label(*shards)
         );
     }
@@ -295,7 +273,7 @@ fn faulted_multiseg(seed: u64) -> LanedArtifacts {
 /// immediately and their links never turn dirty, so every window exercises
 /// the window engine's idle-lane skip and dirty-flag flush elision — while
 /// the full observable surface must stay byte-identical across shard
-/// counts and backends.
+/// counts.
 fn many_idle_lanes(seed: u64) -> (LanedArtifacts, desim::WindowStats) {
     let mut sim = Simulation::builder().seed(seed).build();
     sim.enable_tracing_with_capacity(1 << 15);
@@ -361,8 +339,8 @@ fn many_idle_lanes(seed: u64) -> (LanedArtifacts, desim::WindowStats) {
 
 #[test]
 fn many_idle_lane_topology_pins_the_skip_path() {
-    let runs = on_each_backend_and_shard_count(|| many_idle_lanes(0x1D7E));
-    let (b0, s0, (first, first_w)) = &runs[0];
+    let runs = on_each_shard_count(|| many_idle_lanes(0x1D7E));
+    let (s0, (first, first_w)) = &runs[0];
 
     assert!(
         first.rx_counts[0] > 0 && first.rx_counts[1] > 0,
@@ -379,11 +357,11 @@ fn many_idle_lane_topology_pins_the_skip_path() {
         "quiet links dominate this topology: {first_w:?}"
     );
 
-    for (backend, shards, (artifacts, w)) in &runs[1..] {
+    for (shards, (artifacts, w)) in &runs[1..] {
         assert_eq!(
             (first, first_w),
             (artifacts, w),
-            "idle-lane observables diverged: {b0}/shards={} vs {backend}/shards={}",
+            "idle-lane observables diverged: shards={} vs shards={}",
             shards_label(*s0),
             shards_label(*shards)
         );
@@ -392,8 +370,8 @@ fn many_idle_lane_topology_pins_the_skip_path() {
 
 #[test]
 fn faulted_multilane_topology_is_shard_count_independent() {
-    let runs = on_each_backend_and_shard_count(|| faulted_multiseg(0xD15C));
-    let (b0, s0, first) = &runs[0];
+    let runs = on_each_shard_count(|| faulted_multiseg(0xD15C));
+    let (s0, first) = &runs[0];
 
     // The topology must actually exercise what it claims to: cross-segment
     // delivery, wire-loss coin flips, and both static fault kinds.
@@ -413,11 +391,11 @@ fn faulted_multilane_topology_is_shard_count_independent() {
         "partition/crash must drop deliveries"
     );
 
-    for (backend, shards, artifacts) in &runs[1..] {
+    for (shards, artifacts) in &runs[1..] {
         assert_eq!(
             first,
             artifacts,
-            "multi-lane observables diverged: {b0}/shards={} vs {backend}/shards={}",
+            "multi-lane observables diverged: shards={} vs shards={}",
             shards_label(*s0),
             shards_label(*shards)
         );
