@@ -1,13 +1,17 @@
-//! Open-loop client fleet: scale-out workload for the multi-segment tree.
+//! Closed-loop client fleet with think time: scale-out workload for the
+//! multi-segment tree.
 //!
 //! A [`FleetSpec`] describes a pool built by the hierarchical topology
 //! builder — servers on the backbone, clients filling the leaf segments —
 //! and a request workload: every client thread sleeps a think time drawn
-//! from its own deterministic RNG ([`ThinkDist::Exp`] gives Poisson
-//! arrivals, [`ThinkDist::Pareto`] a heavy tail), fires an RPC at a server,
-//! and records the virtual-time latency in a log-bucketed histogram. Every
-//! `group_every`-th request a server additionally broadcasts to the group
-//! service, so both protocol families carry load.
+//! from its own deterministic RNG ([`ThinkDist::Exp`] gives exponential
+//! gaps, [`ThinkDist::Pareto`] a heavy tail), fires an RPC at a server,
+//! blocks until the reply (or the timeout), and records the virtual-time
+//! latency in a log-bucketed histogram. The next think time starts only
+//! then, so each client has at most one request outstanding and slows down
+//! when the servers queue. Every `group_every`-th request a server
+//! additionally broadcasts to the group service, so both protocol families
+//! carry load.
 //!
 //! Arrivals depend only on the per-client RNG and virtual time — never on
 //! wall-clock or the shard count — so one spec
@@ -16,11 +20,9 @@
 //! the scale-out determinism contract the `fleet_scale` tests pin.
 //!
 //! Both stacks avoid FLIP locate broadcast storms at fleet scale: client →
-//! server routes are pre-seeded at boot ([`flip` route installation]) and
+//! server routes are pre-seeded at boot (`FlipIface::install_route`) and
 //! servers learn client routes from arriving requests (route learning), so
 //! a 10k-machine fleet performs zero locate floods.
-//!
-//! [`flip` route installation]: https://docs.rs/flip
 
 use std::sync::Arc;
 
@@ -29,8 +31,9 @@ use amoeba::{
 };
 use bytes::Bytes;
 use desim::{Backend, Ctx, SimDuration, Simulation};
-use ethernet::{MacAddr, NetConfig, Network, TopologySpec};
-use panda::{panda_addr, Panda, PandaConfig, ReplyTicket, UserSpacePanda};
+use ethernet::{MacAddr, Network, TopologySpec};
+use panda::world::{self, Stack, World};
+use panda::{panda_addr, PandaConfig, ReplyTicket};
 use parking_lot::Mutex;
 
 /// Base port servers listen on: server `s` serves `Port(FLEET_PORT_BASE + s)`.
@@ -67,7 +70,8 @@ impl FleetStack {
 /// Think-time distribution between a client's requests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ThinkDist {
-    /// Exponential think times: each client is a Poisson process.
+    /// Exponential think times: memoryless gaps between a reply and the
+    /// client's next request.
     Exp,
     /// Pareto (α = 1.5) think times: heavy-tailed, bursty arrivals. Samples
     /// are capped at 100× the mean so one draw cannot silence a client for
@@ -112,8 +116,8 @@ pub struct FleetSpec {
 
 impl FleetSpec {
     /// A fleet with the scale-study defaults: 8 clients per leaf, 4 leaves
-    /// per edge switch, a 100 Mbit/s backbone, Poisson clients with 20 ms
-    /// mean think time, 128-byte requests, 256-byte replies, a group
+    /// per edge switch, a 100 Mbit/s backbone, exponential think times
+    /// with a 20 ms mean, 128-byte requests, 256-byte replies, a group
     /// broadcast every 16th request, over 200 ms of virtual time.
     pub fn new(machines: u32, servers: u32, stack: FleetStack) -> FleetSpec {
         assert!(
@@ -161,7 +165,7 @@ const SUB_BITS: u32 = 5;
 const N_BUCKETS: usize = ((64 - SUB_BITS as usize) * SUB_COUNT as usize) + SUB_COUNT as usize;
 
 /// Log-linear latency histogram over nanoseconds (HDR-style: buckets are
-/// powers of two split into [`SUB_COUNT`] linear sub-buckets). Recording is
+/// powers of two split into 32 linear sub-buckets). Recording is
 /// commutative, so clients on different scheduler lanes can share one
 /// histogram without perturbing determinism.
 #[derive(Debug, Clone)]
@@ -472,22 +476,7 @@ pub fn build_fleet(spec: &FleetSpec, _backend: Backend, shards: usize) -> FleetW
         .shards(shards)
         .expected_threads(expected)
         .build();
-    let mut net = Network::new(NetConfig::default());
-    let topo = topo_spec.build(&mut sim, &mut net, "fleet");
-    let cost = Arc::new(CostModel::default());
-    let machines: Vec<Machine> = (0..spec.machines)
-        .map(|i| {
-            Machine::boot_on(
-                &mut sim,
-                &mut net,
-                topo.segment_of(i),
-                MacAddr(i),
-                &format!("m{i}"),
-                Arc::clone(&cost),
-                topo.lane_of(i),
-            )
-        })
-        .collect();
+    let World { net, machines } = world::boot(&mut sim, &topo_spec, CostModel::default());
     let agg = Arc::new(Mutex::new(FleetAgg::default()));
     match spec.stack {
         FleetStack::Kernel => build_kernel_fleet(&mut sim, spec, &machines, &agg),
@@ -650,7 +639,7 @@ fn build_user_fleet(
     agg: &Arc<Mutex<FleetAgg>>,
 ) {
     let servers = spec.servers;
-    let nodes = UserSpacePanda::build(sim, machines, &PandaConfig::default());
+    let nodes = world::build_stack(sim, machines, Stack::User, &PandaConfig::default());
     let reply = Bytes::from(vec![0u8; spec.reply_bytes]);
     let group_payload = Bytes::from(vec![0u8; GROUP_PAYLOAD_BYTES]);
     for (i, node) in nodes.iter().enumerate() {

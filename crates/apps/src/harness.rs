@@ -7,11 +7,12 @@
 use std::fmt;
 use std::sync::Arc;
 
-use amoeba::{CostModel, Machine};
+use amoeba::CostModel;
 use desim::{Ctx, SimDuration, Simulation};
-use ethernet::{MacAddr, NetConfig, Network, TopologySpec};
+use ethernet::{Network, TopologySpec};
 use orca::{OrcaRts, OrcaWorld, RtsStats};
-use panda::{KernelSpacePanda, Panda, PandaConfig, UserSpacePanda};
+use panda::world::{self, Stack, World};
+use panda::PandaConfig;
 
 /// Scheduling quantum used by application compute phases: work is charged
 /// in slices of this size so protocol daemons interleave, approximating
@@ -122,50 +123,15 @@ impl fmt::Debug for Cluster {
 /// when more than one segment, the chosen Panda implementation, and the Orca
 /// world on top.
 pub fn build_cluster(cfg: &RunConfig) -> Cluster {
+    let stack = match cfg.implementation {
+        ProtoImpl::KernelSpace => Stack::Kernel,
+        ProtoImpl::UserSpace => Stack::User,
+        ProtoImpl::UserSpaceDedicated => Stack::UserDedicated,
+    };
     let mut sim = Simulation::new(cfg.seed);
-    let mut net = Network::new(NetConfig::default());
-    let total_machines = match cfg.implementation {
-        ProtoImpl::UserSpaceDedicated => cfg.nodes + 1,
-        _ => cfg.nodes,
-    };
-    let topo =
-        TopologySpec::flat(total_machines, cfg.per_segment).build(&mut sim, &mut net, "pool");
-    let cost = Arc::new(CostModel::default());
-    let machines: Vec<Machine> = (0..total_machines)
-        .map(|i| {
-            Machine::boot_on(
-                &mut sim,
-                &mut net,
-                topo.segment_of(i),
-                MacAddr(i),
-                &format!("m{i}"),
-                Arc::clone(&cost),
-                topo.lane_of(i),
-            )
-        })
-        .collect();
-    let pandas: Vec<Arc<dyn Panda>> = match cfg.implementation {
-        ProtoImpl::KernelSpace => {
-            KernelSpacePanda::build(&mut sim, &machines, &PandaConfig::default())
-                .into_iter()
-                .map(|p| p as Arc<dyn Panda>)
-                .collect()
-        }
-        ProtoImpl::UserSpace => UserSpacePanda::build(&mut sim, &machines, &PandaConfig::default())
-            .into_iter()
-            .map(|p| p as Arc<dyn Panda>)
-            .collect(),
-        ProtoImpl::UserSpaceDedicated => {
-            let pc = PandaConfig {
-                dedicated_sequencer: true,
-                ..PandaConfig::default()
-            };
-            UserSpacePanda::build(&mut sim, &machines, &pc)
-                .into_iter()
-                .map(|p| p as Arc<dyn Panda>)
-                .collect()
-        }
-    };
+    let topology = TopologySpec::flat(stack.n_machines(cfg.nodes), cfg.per_segment);
+    let World { net, machines } = world::boot(&mut sim, &topology, CostModel::default());
+    let pandas = world::build_stack(&mut sim, &machines, stack, &PandaConfig::default());
     assert_eq!(pandas.len() as u32, cfg.nodes);
     let world = OrcaWorld::build(&pandas);
     Cluster { sim, net, world }

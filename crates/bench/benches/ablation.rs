@@ -6,8 +6,9 @@
 //! Run with `cargo bench -p bench --bench ablation`.
 
 use amoeba::CostModel;
-use bench::{group_latency, rpc_latency, Which};
+use bench::{group_latency, rpc_latency};
 use desim::SimDuration;
+use panda::world::Stack;
 
 struct Term {
     name: &'static str,
@@ -58,10 +59,10 @@ fn main() {
         },
     ];
 
-    let rpc_user0 = rpc_latency(0, Which::User, &base);
-    let rpc_kernel0 = rpc_latency(0, Which::Kernel, &base);
-    let grp_user0 = group_latency(0, Which::User, &base);
-    let grp_kernel0 = group_latency(0, Which::Kernel, &base);
+    let rpc_user0 = rpc_latency(0, Stack::User, &base);
+    let rpc_kernel0 = rpc_latency(0, Stack::Kernel, &base);
+    let grp_user0 = group_latency(0, Stack::User, &base);
+    let grp_kernel0 = group_latency(0, Stack::Kernel, &base);
     println!("Ablation of the user-space overhead (null messages)\n");
     println!(
         "baseline gaps: RPC {:+.0} us (paper +290), group {:+.0} us (paper +230)\n",
@@ -75,8 +76,8 @@ fn main() {
     for t in terms {
         let mut c = base.clone();
         (t.zero)(&mut c);
-        let rpc = rpc_latency(0, Which::User, &c);
-        let grp = group_latency(0, Which::User, &c);
+        let rpc = rpc_latency(0, Stack::User, &c);
+        let grp = group_latency(0, Stack::User, &c);
         let d_rpc = (rpc_user0.as_micros_f64() - rpc.as_micros_f64()).round();
         let d_grp = (grp_user0.as_micros_f64() - grp.as_micros_f64()).round();
         println!(

@@ -11,9 +11,10 @@
 use amoeba::CostModel;
 use bench::{
     budget_total, derive_budget, format_budget, group_span, group_trace, rpc_span, rpc_trace,
-    RpcTraceRun, Which,
+    RpcTraceRun,
 };
 use desim::SimTime;
+use panda::world::Stack;
 
 fn print_budget(op: &str, label: &str, run: &RpcTraceRun, (from, to): (SimTime, SimTime)) {
     let lines = derive_budget(&run.events, from, to);
@@ -28,11 +29,11 @@ fn print_budget(op: &str, label: &str, run: &RpcTraceRun, (from, to): (SimTime, 
 
 fn main() {
     let cost = CostModel::default();
-    for (label, which) in [("kernel-space", Which::Kernel), ("user-space", Which::User)] {
-        let run = rpc_trace(0, which, &cost, 1);
+    for (label, stack) in [("kernel-space", Stack::Kernel), ("user-space", Stack::User)] {
+        let run = rpc_trace(0, stack, &cost, 1);
         let span = rpc_span(&run.events).expect("span present");
         print_budget("null RPC", label, &run, span);
-        let run = group_trace(0, which, &cost, 1);
+        let run = group_trace(0, stack, &cost, 1);
         let span = group_span(&run.events).expect("span present");
         print_budget("null group send", label, &run, span);
     }

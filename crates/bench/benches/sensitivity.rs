@@ -8,8 +8,9 @@
 //! overheads dominate (the gap's share of total latency grows).
 
 use amoeba::CostModel;
-use bench::{rpc_latency, Which};
+use bench::rpc_latency;
 use desim::SimDuration;
+use panda::world::Stack;
 
 fn main() {
     println!("Sensitivity of the null-RPC latency gap (user - kernel)\n");
@@ -23,8 +24,8 @@ fn main() {
             context_switch: SimDuration::from_micros(cs),
             ..CostModel::default()
         };
-        let user = rpc_latency(0, Which::User, &cost);
-        let kernel = rpc_latency(0, Which::Kernel, &cost);
+        let user = rpc_latency(0, Stack::User, &cost);
+        let kernel = rpc_latency(0, Stack::Kernel, &cost);
         println!(
             "{:>12} {:>12.2} {:>12.2} {:>12.0}",
             cs,
@@ -43,8 +44,8 @@ fn main() {
             window_trap: SimDuration::from_micros(trap),
             ..CostModel::default()
         };
-        let user = rpc_latency(0, Which::User, &cost);
-        let kernel = rpc_latency(0, Which::Kernel, &cost);
+        let user = rpc_latency(0, Stack::User, &cost);
+        let kernel = rpc_latency(0, Stack::Kernel, &cost);
         println!(
             "{:>12} {:>12.2} {:>12.2} {:>12.0}",
             trap,

@@ -7,13 +7,14 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use amoeba::{CostModel, Machine};
+use amoeba::CostModel;
 use bytes::Bytes;
 use desim::par::par_map;
 use desim::trace::{Layer, Phase, TraceEvent};
 use desim::{SimChannel, SimDuration, SimTime, Simulation};
-use ethernet::{MacAddr, NetConfig, Network};
-use panda::{KernelSpacePanda, Module, Panda, PandaConfig, PandaHeader, SysLayer, UserSpacePanda};
+use ethernet::TopologySpec;
+use panda::world::{boot, build_stack, Stack};
+use panda::{Module, PandaConfig, PandaHeader, SysLayer};
 
 /// Message sizes of Table 1 (bytes).
 pub const TABLE1_SIZES: [usize; 5] = [0, 1024, 2048, 3072, 4096];
@@ -102,37 +103,15 @@ pub const PAPER_TABLE1: [Table1Row; 5] = [
     },
 ];
 
-fn boot_pair(sim: &mut Simulation, cost: &CostModel) -> (Network, Vec<Machine>) {
-    boot_n(sim, 2, cost)
-}
-
-fn boot_n(sim: &mut Simulation, n: u32, cost: &CostModel) -> (Network, Vec<Machine>) {
-    let mut net = Network::new(NetConfig::default());
-    let seg = net.add_segment(sim, "s0");
-    let machines = (0..n)
-        .map(|i| {
-            Machine::boot(
-                sim,
-                &mut net,
-                seg,
-                MacAddr(i),
-                &format!("m{i}"),
-                cost.clone(),
-            )
-        })
-        .collect();
-    (net, machines)
-}
-
 /// Measures the one-way latency of the Panda **system layer** primitives
 /// (user space): a ping-pong where each side answers from within the
 /// receive-daemon upcall, divided by two. `multicast` sends to the Panda
 /// FLIP group instead of the peer endpoint.
 pub fn system_layer_latency(size: usize, multicast: bool, cost: &CostModel) -> SimDuration {
     let mut sim = Simulation::new(42);
-    let (_net, machines) = boot_pair(&mut sim, cost);
-    let sys0 = SysLayer::start(&mut sim, &machines[0], 0);
-    let sys1 = SysLayer::start(&mut sim, &machines[1], 1);
+    let world = boot(&mut sim, &TopologySpec::flat(2, 2), cost.clone());
+    let sys0 = SysLayer::start(&mut sim, &world.machines[0], 0);
+    let sys1 = SysLayer::start(&mut sim, &world.machines[1], 1);
     let iters = 40u64;
     let payload = Bytes::from(vec![0u8; size]);
     let done: SimChannel<u64> = SimChannel::new();
@@ -189,7 +168,7 @@ pub fn system_layer_latency(size: usize, multicast: bool, cost: &CostModel) -> S
     }));
     let start_sys = Arc::clone(&sys0);
     let start_payload = payload;
-    let h = sim.spawn(machines[0].proc(), "driver", move |ctx| {
+    let h = sim.spawn(world.machines[0].proc(), "driver", move |ctx| {
         let msg = PandaHeader {
             module: Module::Rpc,
             kind: 0,
@@ -210,57 +189,27 @@ pub fn system_layer_latency(size: usize, multicast: bool, cost: &CostModel) -> S
     SimDuration::from_nanos(sim.now().as_nanos() / (iters * 2))
 }
 
-/// Which Panda implementation a protocol-level measurement uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Which {
-    /// Kernel-space protocols.
-    Kernel,
-    /// User-space protocols.
-    User,
-}
-
-fn build_pandas(
-    sim: &mut Simulation,
-    machines: &[Machine],
-    which: Which,
-    sequencer_node: u32,
-) -> Vec<Arc<dyn Panda>> {
-    let cfg = PandaConfig {
-        sequencer_node,
-        ..PandaConfig::default()
-    };
-    match which {
-        Which::Kernel => KernelSpacePanda::build(sim, machines, &cfg)
-            .into_iter()
-            .map(|p| p as Arc<dyn Panda>)
-            .collect(),
-        Which::User => UserSpacePanda::build(sim, machines, &cfg)
-            .into_iter()
-            .map(|p| p as Arc<dyn Panda>)
-            .collect(),
-    }
-}
-
 /// Measures Panda RPC latency: requests of `size` bytes, empty replies,
 /// reply sent from within the upcall (Table 1, RPC columns).
-pub fn rpc_latency(size: usize, which: Which, cost: &CostModel) -> SimDuration {
-    rpc_latency_inner(size, which, cost, false)
+pub fn rpc_latency(size: usize, stack: Stack, cost: &CostModel) -> SimDuration {
+    rpc_latency_inner(size, stack, cost, false)
 }
 
 /// [`rpc_latency`] with tracing enabled. Tracing is zero-cost in virtual
 /// time, so this must return a bit-identical duration — the property the
 /// zero-cost regression test asserts.
-pub fn rpc_latency_traced(size: usize, which: Which, cost: &CostModel) -> SimDuration {
-    rpc_latency_inner(size, which, cost, true)
+pub fn rpc_latency_traced(size: usize, stack: Stack, cost: &CostModel) -> SimDuration {
+    rpc_latency_inner(size, stack, cost, true)
 }
 
-fn rpc_latency_inner(size: usize, which: Which, cost: &CostModel, trace: bool) -> SimDuration {
+fn rpc_latency_inner(size: usize, stack: Stack, cost: &CostModel, trace: bool) -> SimDuration {
     let mut sim = Simulation::new(43);
     if trace {
         sim.enable_tracing();
     }
-    let (_net, machines) = boot_pair(&mut sim, cost);
-    let nodes = build_pandas(&mut sim, &machines, which, 0);
+    let n = stack.n_machines(2);
+    let world = boot(&mut sim, &TopologySpec::flat(n, n), cost.clone());
+    let nodes = build_stack(&mut sim, &world.machines, stack, &PandaConfig::default());
     let server = Arc::clone(&nodes[1]);
     let replier = Arc::clone(&nodes[1]);
     server.set_rpc_handler(Arc::new(move |ctx, _from, _req, ticket| {
@@ -274,7 +223,7 @@ fn rpc_latency_inner(size: usize, which: Which, cost: &CostModel, trace: bool) -
     let client = Arc::clone(&nodes[0]);
     let elapsed = Arc::new(AtomicU64::new(0));
     let out = Arc::clone(&elapsed);
-    let h = sim.spawn(machines[0].proc(), "client", move |ctx| {
+    let h = sim.spawn(world.machines[0].proc(), "client", move |ctx| {
         let req = Bytes::from(vec![0u8; size]);
         // Warmup resolves FLIP routes.
         client.rpc(ctx, 1, req.clone()).expect("warmup");
@@ -291,23 +240,28 @@ fn rpc_latency_inner(size: usize, which: Which, cost: &CostModel, trace: bool) -
 /// Measures group latency: a 2-member group, the sender waits for its own
 /// message back from the sequencer on the *other* machine (Table 1, group
 /// columns).
-pub fn group_latency(size: usize, which: Which, cost: &CostModel) -> SimDuration {
-    group_latency_inner(size, which, cost, false)
+pub fn group_latency(size: usize, stack: Stack, cost: &CostModel) -> SimDuration {
+    group_latency_inner(size, stack, cost, false)
 }
 
 /// [`group_latency`] with tracing enabled (see [`rpc_latency_traced`]).
-pub fn group_latency_traced(size: usize, which: Which, cost: &CostModel) -> SimDuration {
-    group_latency_inner(size, which, cost, true)
+pub fn group_latency_traced(size: usize, stack: Stack, cost: &CostModel) -> SimDuration {
+    group_latency_inner(size, stack, cost, true)
 }
 
-fn group_latency_inner(size: usize, which: Which, cost: &CostModel, trace: bool) -> SimDuration {
+fn group_latency_inner(size: usize, stack: Stack, cost: &CostModel, trace: bool) -> SimDuration {
     let mut sim = Simulation::new(44);
     if trace {
         sim.enable_tracing();
     }
-    let (_net, machines) = boot_pair(&mut sim, cost);
+    let n = stack.n_machines(2);
+    let world = boot(&mut sim, &TopologySpec::flat(n, n), cost.clone());
     // Sequencer on machine 1; sender on machine 0 (the paper's setup).
-    let nodes = build_pandas(&mut sim, &machines, which, 1);
+    let config = PandaConfig {
+        sequencer_node: 1,
+        ..PandaConfig::default()
+    };
+    let nodes = build_stack(&mut sim, &world.machines, stack, &config);
     for n in &nodes {
         n.set_group_handler(Arc::new(|_, _| {}));
         n.set_rpc_handler(Arc::new(|_, _, _, _| {}));
@@ -316,7 +270,7 @@ fn group_latency_inner(size: usize, which: Which, cost: &CostModel, trace: bool)
     let sender = Arc::clone(&nodes[0]);
     let elapsed = Arc::new(AtomicU64::new(0));
     let out = Arc::clone(&elapsed);
-    let h = sim.spawn(machines[0].proc(), "sender", move |ctx| {
+    let h = sim.spawn(world.machines[0].proc(), "sender", move |ctx| {
         let msg = Bytes::from(vec![0u8; size]);
         sender.group_send(ctx, msg.clone()).expect("warmup");
         let t0 = ctx.now();
@@ -345,10 +299,10 @@ pub fn table1_jobs(cost: &CostModel, jobs: usize) -> Vec<Table1Row> {
         match i % COLS {
             0 => system_layer_latency(size, false, cost).as_millis_f64(),
             1 => system_layer_latency(size, true, cost).as_millis_f64(),
-            2 => rpc_latency(size, Which::User, cost).as_millis_f64(),
-            3 => rpc_latency(size, Which::Kernel, cost).as_millis_f64(),
-            4 => group_latency(size, Which::User, cost).as_millis_f64(),
-            _ => group_latency(size, Which::Kernel, cost).as_millis_f64(),
+            2 => rpc_latency(size, Stack::User, cost).as_millis_f64(),
+            3 => rpc_latency(size, Stack::Kernel, cost).as_millis_f64(),
+            4 => group_latency(size, Stack::User, cost).as_millis_f64(),
+            _ => group_latency(size, Stack::Kernel, cost).as_millis_f64(),
         }
     });
     TABLE1_SIZES
@@ -388,10 +342,11 @@ pub const PAPER_TABLE2: Table2Row = Table2Row {
 };
 
 /// RPC throughput: back-to-back 8000-byte requests with empty replies.
-pub fn rpc_throughput(which: Which, cost: &CostModel) -> f64 {
+pub fn rpc_throughput(stack: Stack, cost: &CostModel) -> f64 {
     let mut sim = Simulation::new(45);
-    let (_net, machines) = boot_pair(&mut sim, cost);
-    let nodes = build_pandas(&mut sim, &machines, which, 0);
+    let n = stack.n_machines(2);
+    let world = boot(&mut sim, &TopologySpec::flat(n, n), cost.clone());
+    let nodes = build_stack(&mut sim, &world.machines, stack, &PandaConfig::default());
     let replier = Arc::clone(&nodes[1]);
     nodes[1].set_rpc_handler(Arc::new(move |ctx, _f, _r, t| {
         replier.reply(ctx, t, Bytes::new());
@@ -405,7 +360,7 @@ pub fn rpc_throughput(which: Which, cost: &CostModel) -> f64 {
     let client = Arc::clone(&nodes[0]);
     let elapsed = Arc::new(AtomicU64::new(0));
     let out = Arc::clone(&elapsed);
-    let h = sim.spawn(machines[0].proc(), "client", move |ctx| {
+    let h = sim.spawn(world.machines[0].proc(), "client", move |ctx| {
         let req = Bytes::from(vec![0u8; size]);
         client.rpc(ctx, 1, req.clone()).expect("warmup");
         let t0 = ctx.now();
@@ -422,10 +377,11 @@ pub fn rpc_throughput(which: Which, cost: &CostModel) -> f64 {
 
 /// Group throughput: several members stream 8000-byte messages in parallel;
 /// reported as ordered payload bytes delivered per second at one member.
-pub fn group_throughput(which: Which, cost: &CostModel) -> f64 {
+pub fn group_throughput(stack: Stack, cost: &CostModel) -> f64 {
     let mut sim = Simulation::new(46);
-    let (_net, machines) = boot_n(&mut sim, 8, cost);
-    let nodes = build_pandas(&mut sim, &machines, which, 0);
+    let n = stack.n_machines(8);
+    let world = boot(&mut sim, &TopologySpec::flat(n, n), cost.clone());
+    let nodes = build_stack(&mut sim, &world.machines, stack, &PandaConfig::default());
     let size = 8000usize;
     let threads_per_node = 2u64;
     let per_sender = 6u64;
@@ -471,10 +427,10 @@ pub fn table2(cost: &CostModel) -> Table2Row {
 /// measurements are independent simulations (see [`table1_jobs`]).
 pub fn table2_jobs(cost: &CostModel, jobs: usize) -> Table2Row {
     let cells = par_map(jobs, 4, |i| match i {
-        0 => rpc_throughput(Which::User, cost),
-        1 => rpc_throughput(Which::Kernel, cost),
-        2 => group_throughput(Which::User, cost),
-        _ => group_throughput(Which::Kernel, cost),
+        0 => rpc_throughput(Stack::User, cost),
+        1 => rpc_throughput(Stack::Kernel, cost),
+        2 => group_throughput(Stack::User, cost),
+        _ => group_throughput(Stack::Kernel, cost),
     });
     Table2Row {
         rpc_user_kbs: cells[0],
@@ -528,11 +484,12 @@ pub struct RpcTraceRun {
 /// together with the latency of the last call. The workload is identical to
 /// [`rpc_latency`] (same seed, same machines), just fewer iterations: route
 /// warmup plus `iters` measured calls.
-pub fn rpc_trace(size: usize, which: Which, cost: &CostModel, iters: u64) -> RpcTraceRun {
+pub fn rpc_trace(size: usize, stack: Stack, cost: &CostModel, iters: u64) -> RpcTraceRun {
     let mut sim = Simulation::new(43);
     sim.enable_tracing();
-    let (_net, machines) = boot_pair(&mut sim, cost);
-    let nodes = build_pandas(&mut sim, &machines, which, 0);
+    let n = stack.n_machines(2);
+    let world = boot(&mut sim, &TopologySpec::flat(n, n), cost.clone());
+    let nodes = build_stack(&mut sim, &world.machines, stack, &PandaConfig::default());
     let server = Arc::clone(&nodes[1]);
     let replier = Arc::clone(&nodes[1]);
     server.set_rpc_handler(Arc::new(move |ctx, _from, _req, ticket| {
@@ -543,7 +500,7 @@ pub fn rpc_trace(size: usize, which: Which, cost: &CostModel, iters: u64) -> Rpc
     }
     nodes[0].set_rpc_handler(Arc::new(|_, _, _, _| {}));
     let client = Arc::clone(&nodes[0]);
-    let h = sim.spawn(machines[0].proc(), "client", move |ctx| {
+    let h = sim.spawn(world.machines[0].proc(), "client", move |ctx| {
         let req = Bytes::from(vec![0u8; size]);
         client.rpc(ctx, 1, req.clone()).expect("warmup");
         for _ in 0..iters.max(1) {
@@ -566,17 +523,23 @@ pub fn rpc_trace(size: usize, which: Which, cost: &CostModel, iters: u64) -> Rpc
 /// trace together with the latency of the last send. The workload is
 /// identical to [`group_latency`] (same seed, sequencer on the *other*
 /// machine), just fewer iterations.
-pub fn group_trace(size: usize, which: Which, cost: &CostModel, iters: u64) -> RpcTraceRun {
+pub fn group_trace(size: usize, stack: Stack, cost: &CostModel, iters: u64) -> RpcTraceRun {
     let mut sim = Simulation::new(44);
     sim.enable_tracing();
-    let (_net, machines) = boot_pair(&mut sim, cost);
-    let nodes = build_pandas(&mut sim, &machines, which, 1);
+    let n = stack.n_machines(2);
+    let world = boot(&mut sim, &TopologySpec::flat(n, n), cost.clone());
+    // Sequencer on machine 1; sender on machine 0 (the paper's setup).
+    let config = PandaConfig {
+        sequencer_node: 1,
+        ..PandaConfig::default()
+    };
+    let nodes = build_stack(&mut sim, &world.machines, stack, &config);
     for n in &nodes {
         n.set_group_handler(Arc::new(|_, _| {}));
         n.set_rpc_handler(Arc::new(|_, _, _, _| {}));
     }
     let sender = Arc::clone(&nodes[0]);
-    let h = sim.spawn(machines[0].proc(), "sender", move |ctx| {
+    let h = sim.spawn(world.machines[0].proc(), "sender", move |ctx| {
         let msg = Bytes::from(vec![0u8; size]);
         sender.group_send(ctx, msg.clone()).expect("warmup");
         for _ in 0..iters.max(1) {

@@ -6,19 +6,19 @@
 //! under that plan, and assert the protocol's end-to-end invariants —
 //! exactly-once RPC execution, gap-free identical total order at every
 //! member, per-machine clock monotonicity, and frame conservation. A failing
-//! seed reproduces forever; [`explore`] sweeps thousands of seeds and, on
+//! seed reproduces forever; [`explore()`] sweeps thousands of seeds and, on
 //! failure, prints a one-line repro command plus a minimized fault plan.
 //!
 //! Layers:
 //! - [`plan`] — seeded [`plan::FaultPlan`] generation (loss, burst loss,
 //!   duplication, reordering, partitions, crash/reboot, schedule
 //!   perturbation) and greedy plan minimization;
-//! - [`testutil`] — the shared 3-machine world scaffold used by the engine
-//!   and by integration tests across the workspace;
+//! - [`testutil`] — re-exports of [`panda::world`] plus the single-segment
+//!   shorthands the engine and the workspace's integration tests boot with;
 //! - [`engine`] — one chaos run: boot a stack, drive a mixed RPC/broadcast
 //!   workload under the plan, collect artifacts, hash the trace;
 //! - [`invariants`] — the checks applied to a run's artifacts;
-//! - [`explore`] — the seed sweep behind the `chaos-explore` binary.
+//! - [`mod@explore`] — the seed sweep behind the `chaos-explore` binary.
 
 #![warn(missing_docs)]
 

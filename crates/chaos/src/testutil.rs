@@ -1,116 +1,19 @@
-//! The shared simulation scaffold: one Ethernet segment, `n` booted
-//! machines, and a Panda stack on top.
-//!
-//! Every integration test in the workspace used to copy-paste this block;
-//! it now lives here so tests and the chaos engine boot identical worlds.
+//! The chaos engine's world scaffold: re-exports of [`panda::world`] plus
+//! two single-segment shorthands the engine and the tests call.
 
 use std::sync::Arc;
 
-use amoeba::{CostModel, Machine};
+use amoeba::CostModel;
 use desim::Simulation;
-use ethernet::{MacAddr, NetConfig, Network, TopologySpec};
-use panda::{KernelSpacePanda, Panda, PandaConfig, UserSpacePanda};
+use ethernet::TopologySpec;
+use panda::{Panda, PandaConfig};
 
-/// Which Panda implementation a world runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Stack {
-    /// Kernel-space: Amoeba's in-kernel RPC and group protocols.
-    Kernel,
-    /// User-space: Panda's own protocols over FLIP, sequencer on node 0.
-    User,
-    /// User-space with the sequencer on a dedicated extra machine.
-    UserDedicated,
-}
-
-impl Stack {
-    /// Short lowercase name, as used on the `chaos-explore` command line.
-    pub fn name(self) -> &'static str {
-        match self {
-            Stack::Kernel => "kernel",
-            Stack::User => "user",
-            Stack::UserDedicated => "user-dedicated",
-        }
-    }
-
-    /// Machines a world with `n_nodes` app nodes needs (a dedicated
-    /// sequencer occupies one machine beyond the app nodes).
-    pub fn n_machines(self, n_nodes: u32) -> u32 {
-        match self {
-            Stack::UserDedicated => n_nodes + 1,
-            _ => n_nodes,
-        }
-    }
-}
-
-/// A booted network plus machines, before any protocol stack.
-pub struct World {
-    /// The (single-segment) network.
-    pub net: Network,
-    /// Machines with MACs `0..n`, named `m0..`.
-    pub machines: Vec<Machine>,
-}
+pub use panda::world::{build_stack, Stack, World};
 
 /// Boots `n` machines with MACs `0..n` on one fresh segment, with the
 /// default cost model.
 pub fn boot_machines(sim: &mut Simulation, n: u32) -> World {
-    boot_machines_with(sim, n, CostModel::default())
-}
-
-/// Boots `n` machines with an explicit cost model.
-pub fn boot_machines_with(sim: &mut Simulation, n: u32, cost: CostModel) -> World {
-    let mut net = Network::new(NetConfig::default());
-    // One leaf holding every station: the single-segment world, built
-    // through the shared topology builder (placement identical to the
-    // historical hand-rolled `add_segment("seg0")`).
-    let topo = TopologySpec::flat(n, n.max(1)).build(sim, &mut net, "pool");
-    let cost = Arc::new(cost);
-    let machines = (0..n)
-        .map(|i| {
-            Machine::boot_on(
-                sim,
-                &mut net,
-                topo.segment_of(i),
-                MacAddr(i),
-                &format!("m{i}"),
-                Arc::clone(&cost),
-                topo.lane_of(i),
-            )
-        })
-        .collect();
-    World { net, machines }
-}
-
-/// Builds the chosen Panda stack over already-booted machines.
-///
-/// For [`Stack::UserDedicated`], `machines` must include the extra
-/// sequencer machine (see [`Stack::n_machines`]); the returned nodes cover
-/// all machines, with the dedicated sequencer last.
-pub fn build_stack(
-    sim: &mut Simulation,
-    machines: &[Machine],
-    stack: Stack,
-    config: &PandaConfig,
-) -> Vec<Arc<dyn Panda>> {
-    match stack {
-        Stack::Kernel => KernelSpacePanda::build(sim, machines, config)
-            .into_iter()
-            .map(|p| p as Arc<dyn Panda>)
-            .collect(),
-        Stack::User => UserSpacePanda::build(sim, machines, config)
-            .into_iter()
-            .map(|p| p as Arc<dyn Panda>)
-            .collect(),
-        Stack::UserDedicated => {
-            let cfg = PandaConfig {
-                dedicated_sequencer: true,
-                ..config.clone()
-            };
-            UserSpacePanda::build(sim, machines, &cfg)
-                .into_iter()
-                .map(|p| p as Arc<dyn Panda>)
-                .collect()
-        }
-    }
+    panda::world::boot(sim, &TopologySpec::flat(n, n.max(1)), CostModel::default())
 }
 
 /// Boots a world and a stack in one call: `n_nodes` app nodes (plus a

@@ -107,9 +107,9 @@ pub struct WindowStats {
     /// Lane-windows skipped because the lane's published next event lay at
     /// or past the window edge (no state lock taken).
     pub lanes_skipped: u64,
-    /// Wall-clock nanoseconds the coordinator spent in
-    /// [`crate::shard`]'s window gate waiting for worker runners. Zero on
-    /// single-runner hosts (the coordinator drives every lane itself).
+    /// Wall-clock nanoseconds the coordinator spent in the windowed
+    /// driver's gate waiting for worker runners. Zero on single-runner
+    /// hosts (the coordinator drives every lane itself).
     pub barrier_wait_ns: u64,
 }
 
@@ -270,7 +270,7 @@ impl SimulationBuilder {
     /// [`crate::set_shards_override`]. Effective parallelism is
     /// `min(shards, lanes)`, so the knob never affects a single-lane
     /// simulation, and it never affects observable results on any
-    /// simulation — only wall-clock time (see [`crate::shard`]).
+    /// simulation — only wall-clock time (see [`Simulation::add_lane`]).
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = Some(shards);
         self
@@ -374,7 +374,7 @@ impl Simulation {
     /// lanes interact only through [`Simulation::cross_link`]. With more
     /// than one lane, [`Simulation::run`] switches to conservative windowed
     /// execution — observably identical to serial, parallel up to the
-    /// configured shard count (see [`crate::shard`]).
+    /// configured shard count (see [`SimulationBuilder::shards`]).
     pub fn add_lane(&mut self) -> LaneId {
         let idx = self.extra.len() + 1;
         let core = Core::new(

@@ -3,7 +3,7 @@
 //!
 //! The far tier holds every event strictly later than the instant the clock
 //! sits at. At fleet scale (ROADMAP item 1: 10k machines) that is thousands
-//! of pending Poisson think-time timers and wire-propagation sleeps per
+//! of pending exponential think-time timers and wire-propagation sleeps per
 //! lane, and the old `BinaryHeap` paid an `O(log n)` sift over a
 //! cache-hostile array on every one of them. The wheel makes the push and
 //! the amortized pop `O(1)` in the pending-timer population:

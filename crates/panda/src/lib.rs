@@ -26,6 +26,9 @@
 //!   (amoeba::Rpc*,          (SysLayer + UserRpc + UserGroup
 //!    amoeba::GroupMember)    over Machine::flip_*_syscall)
 //! ```
+//!
+//! [`world`] is the one place a machine pool is booted and a stack chosen
+//! over it ([`world::boot`], [`world::build_stack`]).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -36,6 +39,7 @@ mod rpc;
 mod system;
 mod transport;
 mod user_space;
+pub mod world;
 
 pub use group::UserGroup;
 pub use kernel_space::KernelSpacePanda;

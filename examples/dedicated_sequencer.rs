@@ -12,58 +12,19 @@ use std::sync::Arc;
 use bytes::Bytes;
 use orca_panda::prelude::*;
 
-#[derive(Clone, Copy)]
-enum Config {
-    Kernel,
-    User,
-    UserDedicated,
-}
-
-fn run(config: Config, workers: u32) -> f64 {
-    let label = match config {
-        Config::Kernel => "kernel-space",
-        Config::User => "user-space",
-        Config::UserDedicated => "user-space-dedicated",
+fn run(stack: Stack, workers: u32) -> f64 {
+    let label = match stack {
+        Stack::Kernel => "kernel-space",
+        Stack::User => "user-space",
+        Stack::UserDedicated => "user-space-dedicated",
     };
     let mut sim = Simulation::new(9);
-    let mut net = Network::new(NetConfig::default());
-    let seg = net.add_segment(&mut sim, "seg0");
-    let total_machines = match config {
-        Config::UserDedicated => workers + 1,
-        _ => workers,
-    };
-    let machines: Vec<Machine> = (0..total_machines)
-        .map(|i| {
-            Machine::boot(
-                &mut sim,
-                &mut net,
-                seg,
-                MacAddr(i),
-                &format!("m{i}"),
-                CostModel::default(),
-            )
-        })
-        .collect();
-    let nodes: Vec<Arc<dyn Panda>> = match config {
-        Config::Kernel => KernelSpacePanda::build(&mut sim, &machines, &PandaConfig::default())
-            .into_iter()
-            .map(|p| p as Arc<dyn Panda>)
-            .collect(),
-        Config::User => UserSpacePanda::build(&mut sim, &machines, &PandaConfig::default())
-            .into_iter()
-            .map(|p| p as Arc<dyn Panda>)
-            .collect(),
-        Config::UserDedicated => {
-            let cfg = PandaConfig {
-                dedicated_sequencer: true,
-                ..PandaConfig::default()
-            };
-            UserSpacePanda::build(&mut sim, &machines, &cfg)
-                .into_iter()
-                .map(|p| p as Arc<dyn Panda>)
-                .collect()
-        }
-    };
+    let n = stack.n_machines(workers);
+    let World {
+        net: _net,
+        machines,
+    } = world::boot(&mut sim, &TopologySpec::flat(n, n), CostModel::default());
+    let nodes = world::build_stack(&mut sim, &machines, stack, &PandaConfig::default());
     for n in &nodes {
         n.set_group_handler(Arc::new(|_, _| {}));
         n.set_rpc_handler(Arc::new(|_, _, _, _| {}));
@@ -91,9 +52,9 @@ fn run(config: Config, workers: u32) -> f64 {
 fn main() {
     println!("Broadcast-heavy workload (the LEQ pattern):\n");
     for workers in [4u32, 8, 16] {
-        let kernel = run(Config::Kernel, workers);
-        let user = run(Config::User, workers);
-        let dedicated = run(Config::UserDedicated, workers);
+        let kernel = run(Stack::Kernel, workers);
+        let user = run(Stack::User, workers);
+        let dedicated = run(Stack::UserDedicated, workers);
         println!(
             "   -> user-space overhead {:+5.1}% vs kernel; dedicating the sequencer recovers {:+5.1}%\n",
             (user / kernel - 1.0) * 100.0,

@@ -12,39 +12,16 @@ use std::sync::Arc;
 use bytes::Bytes;
 use orca_panda::prelude::*;
 
-fn run(kernel_space: bool, loss: f64) {
-    let label = if kernel_space {
-        "kernel-space"
-    } else {
-        "user-space"
+fn run(stack: Stack, loss: f64) {
+    let label = match stack {
+        Stack::Kernel => "kernel-space",
+        _ => "user-space",
     };
     let mut sim = Simulation::new(0xfa_17);
-    let mut net = Network::new(NetConfig::default());
-    let seg = net.add_segment(&mut sim, "seg0");
-    let machines: Vec<Machine> = (0..3)
-        .map(|i| {
-            Machine::boot(
-                &mut sim,
-                &mut net,
-                seg,
-                MacAddr(i),
-                &format!("m{i}"),
-                CostModel::default(),
-            )
-        })
-        .collect();
+    let World { net, machines } =
+        world::boot(&mut sim, &TopologySpec::flat(3, 3), CostModel::default());
     net.faults().lock().rx_loss_prob = loss;
-    let nodes: Vec<Arc<dyn Panda>> = if kernel_space {
-        KernelSpacePanda::build(&mut sim, &machines, &PandaConfig::default())
-            .into_iter()
-            .map(|p| p as Arc<dyn Panda>)
-            .collect()
-    } else {
-        UserSpacePanda::build(&mut sim, &machines, &PandaConfig::default())
-            .into_iter()
-            .map(|p| p as Arc<dyn Panda>)
-            .collect()
-    };
+    let nodes = world::build_stack(&mut sim, &machines, stack, &PandaConfig::default());
 
     // RPC server with an execution counter (exactly-once check).
     let executions = Arc::new(AtomicU64::new(0));
@@ -103,7 +80,7 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(6.0);
     println!("Receiver-side frame loss {loss}% on every machine:\n");
-    run(true, loss / 100.0);
-    run(false, loss / 100.0);
+    run(Stack::Kernel, loss / 100.0);
+    run(Stack::User, loss / 100.0);
     println!("\nBoth stacks recover: at-most-once RPC + gap-free total order.");
 }

@@ -16,38 +16,17 @@ use std::sync::Arc;
 use orca::BufferHandle;
 use orca_panda::prelude::*;
 
-fn run(kernel_space: bool) -> (f64, u64) {
-    let label = if kernel_space {
-        "kernel-space"
-    } else {
-        "user-space"
+fn run(stack: Stack) -> (f64, u64) {
+    let label = match stack {
+        Stack::Kernel => "kernel-space",
+        _ => "user-space",
     };
     let mut sim = Simulation::new(3);
-    let mut net = Network::new(NetConfig::default());
-    let seg = net.add_segment(&mut sim, "seg0");
-    let machines: Vec<Machine> = (0..2)
-        .map(|i| {
-            Machine::boot(
-                &mut sim,
-                &mut net,
-                seg,
-                MacAddr(i),
-                &format!("m{i}"),
-                CostModel::default(),
-            )
-        })
-        .collect();
-    let nodes: Vec<Arc<dyn Panda>> = if kernel_space {
-        KernelSpacePanda::build(&mut sim, &machines, &PandaConfig::default())
-            .into_iter()
-            .map(|p| p as Arc<dyn Panda>)
-            .collect()
-    } else {
-        UserSpacePanda::build(&mut sim, &machines, &PandaConfig::default())
-            .into_iter()
-            .map(|p| p as Arc<dyn Panda>)
-            .collect()
-    };
+    let World {
+        net: _net,
+        machines,
+    } = world::boot(&mut sim, &TopologySpec::flat(2, 2), CostModel::default());
+    let nodes = world::build_stack(&mut sim, &machines, stack, &PandaConfig::default());
     let world = OrcaWorld::build(&nodes);
     // The buffer lives on node 1 (the producer); node 0 does remote
     // guarded gets that block until the producer puts.
@@ -83,8 +62,8 @@ fn run(kernel_space: bool) -> (f64, u64) {
 
 fn main() {
     println!("Remote guarded BufGet resumed by the owner's BufPut:\n");
-    let (t_kernel, sw_kernel) = run(true);
-    let (t_user, sw_user) = run(false);
+    let (t_kernel, sw_kernel) = run(Stack::Kernel);
+    let (t_user, sw_user) = run(Stack::User);
     println!("\nkernel-space: {t_kernel:.1} ms / {sw_kernel} switches;  user-space: {t_user:.1} ms / {sw_user} switches");
     println!("The kernel path must route each deferred reply back through the parked");
     println!("get_request daemon (signal + context switch); the user path replies");

@@ -9,39 +9,18 @@ use std::sync::Arc;
 use bytes::Bytes;
 use orca_panda::prelude::*;
 
-fn demo(kernel_space: bool) {
-    let label = if kernel_space {
-        "kernel-space"
-    } else {
-        "user-space"
+fn demo(stack: Stack) {
+    let label = match stack {
+        Stack::Kernel => "kernel-space",
+        _ => "user-space",
     };
     let mut sim = Simulation::new(7);
-    let mut net = Network::new(NetConfig::default());
-    let seg = net.add_segment(&mut sim, "seg0");
-    let machines: Vec<Machine> = (0..2)
-        .map(|i| {
-            Machine::boot(
-                &mut sim,
-                &mut net,
-                seg,
-                MacAddr(i),
-                &format!("m{i}"),
-                CostModel::default(),
-            )
-        })
-        .collect();
+    let World {
+        net: _net,
+        machines,
+    } = world::boot(&mut sim, &TopologySpec::flat(2, 2), CostModel::default());
 
-    let nodes: Vec<Arc<dyn Panda>> = if kernel_space {
-        KernelSpacePanda::build(&mut sim, &machines, &PandaConfig::default())
-            .into_iter()
-            .map(|p| p as Arc<dyn Panda>)
-            .collect()
-    } else {
-        UserSpacePanda::build(&mut sim, &machines, &PandaConfig::default())
-            .into_iter()
-            .map(|p| p as Arc<dyn Panda>)
-            .collect()
-    };
+    let nodes = world::build_stack(&mut sim, &machines, stack, &PandaConfig::default());
 
     // Node 1 serves an uppercase service, replying from within the upcall.
     let replier = Arc::clone(&nodes[1]);
@@ -81,8 +60,8 @@ fn demo(kernel_space: bool) {
 
 fn main() {
     println!("Two machines, 10 Mbit/s Ethernet, both Panda implementations:\n");
-    demo(true);
-    demo(false);
+    demo(Stack::Kernel);
+    demo(Stack::User);
     println!("\n(kernel-space is faster at the primitive level — Table 1 of the paper;");
     println!(" run the benches to see where user space wins back at application level.)");
 }

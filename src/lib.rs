@@ -27,17 +27,13 @@
 //! use bytes::Bytes;
 //! use orca_panda::prelude::*;
 //!
-//! // Boot two machines on one Ethernet segment.
+//! // Boot two machines on one Ethernet segment, and the user-space Panda
+//! // implementation on them.
 //! let mut sim = Simulation::new(7);
-//! let mut net = Network::new(NetConfig::default());
-//! let seg = net.add_segment(&mut sim, "seg0");
-//! let machines: Vec<Machine> = (0..2)
-//!     .map(|i| Machine::boot(&mut sim, &mut net, seg, MacAddr(i),
-//!                            &format!("m{i}"), CostModel::default()))
-//!     .collect();
+//! let pool = world::boot(&mut sim, &TopologySpec::flat(2, 2), CostModel::default());
+//! let nodes = world::build_stack(&mut sim, &pool.machines, Stack::User, &PandaConfig::default());
 //!
-//! // Bring up the user-space Panda implementation and an echo service.
-//! let nodes = UserSpacePanda::build(&mut sim, &machines, &PandaConfig::default());
+//! // An echo service on node 1.
 //! let echo = Arc::clone(&nodes[1]);
 //! nodes[1].set_rpc_handler(Arc::new(move |ctx, _from, req, ticket| {
 //!     echo.reply(ctx, ticket, req);
@@ -46,7 +42,7 @@
 //! nodes[0].set_rpc_handler(Arc::new(|_, _, _, _| {}));
 //!
 //! let client = Arc::clone(&nodes[0]);
-//! let proc = machines[0].proc();
+//! let proc = pool.machines[0].proc();
 //! let done = sim.spawn(proc, "client", move |ctx| {
 //!     let reply = client.rpc(ctx, 1, Bytes::from_static(b"hello")).expect("rpc");
 //!     assert_eq!(&reply[..], b"hello");
@@ -68,8 +64,9 @@ pub use panda;
 pub mod prelude {
     pub use amoeba::{CostModel, Machine};
     pub use desim::{ms, secs, us, Ctx, SimDuration, SimTime, Simulation};
-    pub use ethernet::{Dest, MacAddr, NetConfig, Network};
+    pub use ethernet::{Dest, MacAddr, NetConfig, Network, TopologySpec};
     pub use orca::{ObjId, OrcaRts, OrcaWorld, Placement};
+    pub use panda::world::{self, Stack, World};
     pub use panda::{
         GroupDelivery, KernelSpacePanda, Panda, PandaConfig, ReplyTicket, UserSpacePanda,
     };

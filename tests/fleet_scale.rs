@@ -1,5 +1,6 @@
-//! Scale-out determinism: the open-loop client fleet over the multi-segment
-//! switch tree must produce bit-identical reports across shard counts.
+//! Scale-out determinism: the closed-loop think-time client fleet over the
+//! multi-segment switch tree must produce bit-identical reports across shard
+//! counts.
 //!
 //! The small matrices run on every `cargo test`. The 1k- and 10k-machine
 //! fleets are `#[ignore]`d (minutes of wall-clock in debug builds) and run
@@ -79,7 +80,7 @@ const USER_48_WINDOWS: WindowStats = WindowStats {
 };
 
 #[test]
-fn kernel_fleet_identical_across_backends_and_shards() {
+fn kernel_fleet_identical_across_shards() {
     // 8 servers on the backbone, 88 clients over 11 leaves, 3 edge
     // switches, 4 scheduler lanes: every tree-routing and cross-lane path
     // is exercised.
@@ -99,7 +100,7 @@ fn kernel_fleet_identical_across_backends_and_shards() {
 }
 
 #[test]
-fn user_fleet_identical_across_backends_and_shards() {
+fn user_fleet_identical_across_shards() {
     let mut spec = FleetSpec::new(48, 4, FleetStack::User);
     spec.lanes = 3;
     spec.duration = desim::ms(60);

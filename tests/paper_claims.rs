@@ -2,7 +2,8 @@
 //! asserted against the full simulated stack.
 
 use amoeba::CostModel;
-use bench::{group_latency, rpc_latency, system_layer_latency, Which};
+use bench::{group_latency, rpc_latency, system_layer_latency};
+use panda::world::Stack;
 
 /// Section 4.2 / Table 1: the kernel-space RPC is faster than the
 /// user-space RPC, and the gap is a few hundred microseconds, not an order
@@ -10,8 +11,8 @@ use bench::{group_latency, rpc_latency, system_layer_latency, Which};
 #[test]
 fn kernel_rpc_beats_user_rpc_by_fractions_of_a_millisecond() {
     let cost = CostModel::default();
-    let user = rpc_latency(0, Which::User, &cost).as_micros_f64();
-    let kernel = rpc_latency(0, Which::Kernel, &cost).as_micros_f64();
+    let user = rpc_latency(0, Stack::User, &cost).as_micros_f64();
+    let kernel = rpc_latency(0, Stack::Kernel, &cost).as_micros_f64();
     let gap = user - kernel;
     assert!(
         gap > 0.0,
@@ -27,8 +28,8 @@ fn kernel_rpc_beats_user_rpc_by_fractions_of_a_millisecond() {
 #[test]
 fn kernel_group_beats_user_group_by_fractions_of_a_millisecond() {
     let cost = CostModel::default();
-    let user = group_latency(0, Which::User, &cost).as_micros_f64();
-    let kernel = group_latency(0, Which::Kernel, &cost).as_micros_f64();
+    let user = group_latency(0, Stack::User, &cost).as_micros_f64();
+    let kernel = group_latency(0, Stack::Kernel, &cost).as_micros_f64();
     let gap = user - kernel;
     assert!(
         gap > 0.0,
@@ -59,9 +60,9 @@ fn multicast_costs_about_the_same_as_unicast() {
 #[test]
 fn latency_scales_with_size_and_fragmentation() {
     let cost = CostModel::default();
-    let l0 = rpc_latency(0, Which::User, &cost).as_millis_f64();
-    let l2 = rpc_latency(2048, Which::User, &cost).as_millis_f64();
-    let l4 = rpc_latency(4096, Which::User, &cost).as_millis_f64();
+    let l0 = rpc_latency(0, Stack::User, &cost).as_millis_f64();
+    let l2 = rpc_latency(2048, Stack::User, &cost).as_millis_f64();
+    let l4 = rpc_latency(4096, Stack::User, &cost).as_millis_f64();
     assert!(l2 > l0 + 1.0, "2 KB adds about 2 ms of wire time");
     assert!(l4 > l2 + 1.0, "4 KB adds more wire time");
     assert!(l4 < 3.0 * l2, "no super-linear blowup");
@@ -75,8 +76,8 @@ fn latency_scales_with_size_and_fragmentation() {
 #[test]
 fn free_cost_model_leaves_only_the_two_way_protocol_advantage() {
     let cost = CostModel::free();
-    let user = rpc_latency(0, Which::User, &cost).as_micros_f64();
-    let kernel = rpc_latency(0, Which::Kernel, &cost).as_micros_f64();
+    let user = rpc_latency(0, Stack::User, &cost).as_micros_f64();
+    let kernel = rpc_latency(0, Stack::Kernel, &cost).as_micros_f64();
     let gap = kernel - user;
     assert!(
         gap > 0.0,
@@ -94,14 +95,14 @@ fn free_cost_model_leaves_only_the_two_way_protocol_advantage() {
 #[test]
 fn full_stack_runs_are_deterministic() {
     let cost = CostModel::default();
-    let a = rpc_latency(1024, Which::User, &cost);
-    let b = rpc_latency(1024, Which::User, &cost);
+    let a = rpc_latency(1024, Stack::User, &cost);
+    let b = rpc_latency(1024, Stack::User, &cost);
     assert_eq!(
         a, b,
         "identical seeds must give identical virtual latencies"
     );
-    let g1 = group_latency(512, Which::Kernel, &cost);
-    let g2 = group_latency(512, Which::Kernel, &cost);
+    let g1 = group_latency(512, Stack::Kernel, &cost);
+    let g2 = group_latency(512, Stack::Kernel, &cost);
     assert_eq!(g1, g2);
 }
 

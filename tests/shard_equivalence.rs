@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use amoeba::CostModel;
-use bench::{group_trace, rpc_trace, Which};
+use bench::{group_trace, rpc_trace};
 use chaos::engine::{run_chaos, ChaosConfig};
 use chaos::explore::{explore, ExploreOptions};
 use chaos::plan::{FaultPlan, TimedFault, TimedKind};
@@ -70,10 +70,10 @@ fn golden_traces_render_identically_across_shard_counts() {
     let cost = CostModel::default();
     let runs = on_each_shard_count(|| {
         let mut renders: Vec<String> = Vec::new();
-        for which in [Which::Kernel, Which::User] {
-            let rpc = rpc_trace(1024, which, &cost, 1);
+        for stack in [Stack::Kernel, Stack::User] {
+            let rpc = rpc_trace(1024, stack, &cost, 1);
             renders.extend(rpc.events.iter().map(|e| e.render()));
-            let group = group_trace(1024, which, &cost, 1);
+            let group = group_trace(1024, stack, &cost, 1);
             renders.extend(group.events.iter().map(|e| e.render()));
         }
         renders
@@ -96,9 +96,9 @@ fn table1_spot_values_identical_across_shard_counts() {
     let runs = on_each_shard_count(|| {
         let mut spots = Vec::new();
         for size in [0usize, 1024] {
-            for which in [Which::Kernel, Which::User] {
-                spots.push(bench::rpc_latency(size, which, &cost));
-                spots.push(bench::group_latency(size, which, &cost));
+            for stack in [Stack::Kernel, Stack::User] {
+                spots.push(bench::rpc_latency(size, stack, &cost));
+                spots.push(bench::group_latency(size, stack, &cost));
             }
             spots.push(bench::system_layer_latency(size, false, &cost));
             spots.push(bench::system_layer_latency(size, true, &cost));

@@ -11,8 +11,9 @@
 //! it with `TRACE_GOLDEN_DUMP=1 cargo test --test trace_golden -- --nocapture`.
 
 use amoeba::CostModel;
-use bench::{group_trace, rpc_trace, RpcTraceRun, Which};
+use bench::{group_trace, rpc_trace, RpcTraceRun};
 use desim::trace::{Layer, Phase, TraceEvent};
+use panda::world::Stack;
 
 /// The emission-order slice of the **last** `span_name` span: from its
 /// `Begin` event through its matching `End` on the same thread. Slicing by
@@ -78,22 +79,22 @@ fn renders(run: &RpcTraceRun) -> Vec<String> {
 #[test]
 fn null_rpc_traces_are_deterministic_and_match_golden() {
     let cost = CostModel::default();
-    for (which, span_name, label, expected) in [
+    for (stack, span_name, label, expected) in [
         (
-            Which::Kernel,
+            Stack::Kernel,
             "trans",
             "null RPC, kernel-space",
             KERNEL_NULL_RPC.as_slice(),
         ),
         (
-            Which::User,
+            Stack::User,
             "call",
             "null RPC, user-space",
             USER_NULL_RPC.as_slice(),
         ),
     ] {
-        let a = rpc_trace(0, which, &cost, 1);
-        let b = rpc_trace(0, which, &cost, 1);
+        let a = rpc_trace(0, stack, &cost, 1);
+        let b = rpc_trace(0, stack, &cost, 1);
         assert_eq!(
             renders(&a),
             renders(&b),
@@ -106,20 +107,20 @@ fn null_rpc_traces_are_deterministic_and_match_golden() {
 #[test]
 fn group_1kb_traces_are_deterministic_and_match_golden() {
     let cost = CostModel::default();
-    for (which, label, expected) in [
+    for (stack, label, expected) in [
         (
-            Which::Kernel,
+            Stack::Kernel,
             "1 KB group, kernel-space",
             KERNEL_1KB_GROUP.as_slice(),
         ),
         (
-            Which::User,
+            Stack::User,
             "1 KB group, user-space",
             USER_1KB_GROUP.as_slice(),
         ),
     ] {
-        let a = group_trace(1024, which, &cost, 1);
-        let b = group_trace(1024, which, &cost, 1);
+        let a = group_trace(1024, stack, &cost, 1);
+        let b = group_trace(1024, stack, &cost, 1);
         assert_eq!(
             renders(&a),
             renders(&b),

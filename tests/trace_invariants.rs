@@ -22,7 +22,7 @@ use desim::trace::{Layer, Phase, TraceEvent};
 use orca_panda::prelude::*;
 use proptest::prelude::*;
 
-use bench::{group_trace, rpc_trace, Which};
+use bench::{group_trace, rpc_trace};
 
 fn assert_monotone_per_proc(events: &[TraceEvent]) {
     let mut last: HashMap<desim::ProcId, SimTime> = HashMap::new();
@@ -80,11 +80,11 @@ proptest! {
         group in any::<bool>(),
     ) {
         let cost = CostModel::default();
-        let which = if kernel { Which::Kernel } else { Which::User };
+        let stack = if kernel { Stack::Kernel } else { Stack::User };
         let run = if group {
-            group_trace(size, which, &cost, 1)
+            group_trace(size, stack, &cost, 1)
         } else {
-            rpc_trace(size, which, &cost, 1)
+            rpc_trace(size, stack, &cost, 1)
         };
         prop_assert!(!run.events.is_empty());
         assert_monotone_per_proc(&run.events);

@@ -12,26 +12,27 @@
 use amoeba::CostModel;
 use bench::{
     budget_total, derive_budget, group_latency, group_latency_traced, group_span, group_trace,
-    rpc_latency, rpc_latency_traced, rpc_span, rpc_trace, RpcTraceRun, Which,
+    rpc_latency, rpc_latency_traced, rpc_span, rpc_trace, RpcTraceRun,
 };
 use desim::{SimDuration, SimTime, Simulation};
+use panda::world::Stack;
 
 #[test]
 fn tracing_is_zero_cost_in_virtual_time() {
     let cost = CostModel::default();
-    for which in [Which::Kernel, Which::User] {
+    for stack in [Stack::Kernel, Stack::User] {
         for size in [0usize, 1024, 4096] {
             assert_eq!(
-                rpc_latency(size, which, &cost),
-                rpc_latency_traced(size, which, &cost),
-                "rpc {which:?} @ {size}: tracing must not move the virtual clock"
+                rpc_latency(size, stack, &cost),
+                rpc_latency_traced(size, stack, &cost),
+                "rpc {stack:?} @ {size}: tracing must not move the virtual clock"
             );
         }
         for size in [0usize, 1024] {
             assert_eq!(
-                group_latency(size, which, &cost),
-                group_latency_traced(size, which, &cost),
-                "group {which:?} @ {size}: tracing must not move the virtual clock"
+                group_latency(size, stack, &cost),
+                group_latency_traced(size, stack, &cost),
+                "group {stack:?} @ {size}: tracing must not move the virtual clock"
             );
         }
     }
@@ -45,12 +46,12 @@ fn tracing_is_zero_cost_in_virtual_time() {
 fn table1_spot_values_match_pre_tracing_documented_outputs() {
     let cost = CostModel::default();
     let ms2 = |d: SimDuration| (d.as_millis_f64() * 100.0).round() / 100.0;
-    assert_eq!(ms2(rpc_latency(0, Which::User, &cost)), 1.49);
-    assert_eq!(ms2(rpc_latency(0, Which::Kernel, &cost)), 1.26);
-    assert_eq!(ms2(group_latency(0, Which::User, &cost)), 1.60);
-    assert_eq!(ms2(group_latency(0, Which::Kernel, &cost)), 1.27);
-    assert_eq!(ms2(rpc_latency(1024, Which::User, &cost)), 2.42);
-    assert_eq!(ms2(rpc_latency(1024, Which::Kernel, &cost)), 2.18);
+    assert_eq!(ms2(rpc_latency(0, Stack::User, &cost)), 1.49);
+    assert_eq!(ms2(rpc_latency(0, Stack::Kernel, &cost)), 1.26);
+    assert_eq!(ms2(group_latency(0, Stack::User, &cost)), 1.60);
+    assert_eq!(ms2(group_latency(0, Stack::Kernel, &cost)), 1.27);
+    assert_eq!(ms2(rpc_latency(1024, Stack::User, &cost)), 2.42);
+    assert_eq!(ms2(rpc_latency(1024, Stack::Kernel, &cost)), 2.18);
 }
 
 #[test]
@@ -65,7 +66,7 @@ fn disabling_tracing_discards_state_and_restores_silence() {
 
 #[test]
 fn chrome_trace_export_is_valid_json_with_four_layers() {
-    let run = rpc_trace(0, Which::Kernel, &CostModel::default(), 1);
+    let run = rpc_trace(0, Stack::Kernel, &CostModel::default(), 1);
     json::validate(&run.chrome_json).expect("chrome trace must be valid JSON");
     for layer in ["sched", "net", "flip", "rpc"] {
         assert!(
@@ -91,7 +92,7 @@ fn pct_diff(a: f64, b: f64) -> f64 {
 #[test]
 fn trace_budget_agrees_with_ablation_within_5_percent() {
     let base = CostModel::default();
-    let run = rpc_trace(0, Which::User, &base, 1);
+    let run = rpc_trace(0, Stack::User, &base, 1);
     let (from, to) = rpc_span(&run.events).expect("span");
     let lines = derive_budget(&run.events, from, to);
     let term = |name: &str| -> f64 {
@@ -111,11 +112,11 @@ fn trace_budget_agrees_with_ablation_within_5_percent() {
     );
 
     // Term by term against the ablation deltas.
-    let base_lat = rpc_latency(0, Which::User, &base).as_micros_f64();
+    let base_lat = rpc_latency(0, Stack::User, &base).as_micros_f64();
     let delta = |zero: &dyn Fn(&mut CostModel)| -> f64 {
         let mut c = base.clone();
         zero(&mut c);
-        base_lat - rpc_latency(0, Which::User, &c).as_micros_f64()
+        base_lat - rpc_latency(0, Stack::User, &c).as_micros_f64()
     };
 
     let checks: [(&str, f64, f64); 4] = [
@@ -183,7 +184,7 @@ fn check(
 #[test]
 fn section4_budgets_are_pinned() {
     let cost = CostModel::default();
-    let run = rpc_trace(0, Which::Kernel, &cost, 1);
+    let run = rpc_trace(0, Stack::Kernel, &cost, 1);
     let span = rpc_span(&run.events).expect("span");
     // 1437.2 of 1258.0 us: the ack and the server re-arming overlap the span.
     check(
@@ -205,7 +206,7 @@ fn section4_budgets_are_pinned() {
             ("rpc", "copy", 2, 400),
         ],
     );
-    let run = rpc_trace(0, Which::User, &cost, 1);
+    let run = rpc_trace(0, Stack::User, &cost, 1);
     let span = rpc_span(&run.events).expect("span");
     check(
         "user null RPC",
@@ -226,7 +227,7 @@ fn section4_budgets_are_pinned() {
             ("flip", "copy", 4, 12_800),
         ],
     );
-    let run = group_trace(0, Which::Kernel, &cost, 1);
+    let run = group_trace(0, Stack::Kernel, &cost, 1);
     let span = group_span(&run.events).expect("span");
     check(
         "kernel null group send",
@@ -245,7 +246,7 @@ fn section4_budgets_are_pinned() {
             ("flip", "interrupt", 2, 50_000),
         ],
     );
-    let run = group_trace(0, Which::User, &cost, 1);
+    let run = group_trace(0, Stack::User, &cost, 1);
     let span = group_span(&run.events).expect("span");
     // 1907.8 of 1524.8 us: the sequencer's 110 us dispatch is attributed
     // twice, as `group/sequencer_dispatch` and as `sched/switch`.

@@ -16,8 +16,6 @@ use apps::fleet::{run_fleet, FleetSpec, FleetStack};
 use apps::{asp, build_cluster, leq, run_workers, ProtoImpl, RunConfig};
 use bytes::Bytes;
 use chaos::engine::{run_chaos, ChaosConfig};
-use chaos::testutil::{build_stack, Stack};
-use ethernet::TopologySpec;
 use orca::{BoardHandle, IterBoard};
 use orca_panda::prelude::*;
 
@@ -38,23 +36,8 @@ fn boot(
     spec: &TopologySpec,
     stack: Stack,
 ) -> (Network, Vec<Machine>, Vec<Arc<dyn Panda>>) {
-    let mut net = Network::new(NetConfig::default());
-    let topo = spec.build(sim, &mut net, "pool");
-    let cost = Arc::new(CostModel::default());
-    let machines: Vec<Machine> = (0..spec.machines)
-        .map(|i| {
-            Machine::boot_on(
-                sim,
-                &mut net,
-                topo.segment_of(i),
-                MacAddr(i),
-                &format!("m{i}"),
-                Arc::clone(&cost),
-                topo.lane_of(i),
-            )
-        })
-        .collect();
-    let nodes = build_stack(sim, &machines, stack, &PandaConfig::default());
+    let World { net, machines } = world::boot(sim, spec, CostModel::default());
+    let nodes = world::build_stack(sim, &machines, stack, &PandaConfig::default());
     (net, machines, nodes)
 }
 
