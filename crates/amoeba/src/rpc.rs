@@ -634,6 +634,37 @@ impl RpcClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Garbage, and a valid frame cut anywhere, decode to `None` or a
+        /// header — never a panic.
+        #[test]
+        fn decode_never_panics_on_garbage_or_truncation(
+            bytes in proptest::collection::vec(any::<u8>(), 0..120),
+            kind in 0u8..4,
+            cut in 0usize..120,
+        ) {
+            let mut garbage = bytes.clone();
+            let _ = Header::decode(&Bytes::from(garbage.clone()));
+            if let Some(b) = garbage.first_mut() {
+                *b = kind; // a known kind gets past the first check
+            }
+            let _ = Header::decode(&Bytes::from(garbage));
+            let wire = Header {
+                kind: Kind::from_byte(kind).expect("0..4 are the four kinds"),
+                seq: u64::MAX,
+                client: FlipAddr(3),
+                port: Port(9),
+            }
+            .encode_with(&bytes);
+            let cut = cut.min(wire.len());
+            let decoded = Header::decode(&wire.slice(..cut));
+            prop_assert_eq!(decoded.is_some(), cut >= AMOEBA_RPC_HEADER_BYTES);
+        }
+    }
 
     #[test]
     fn header_roundtrip() {

@@ -192,17 +192,28 @@ pub fn system_layer_latency(size: usize, multicast: bool, cost: &CostModel) -> S
 /// Measures Panda RPC latency: requests of `size` bytes, empty replies,
 /// reply sent from within the upcall (Table 1, RPC columns).
 pub fn rpc_latency(size: usize, stack: Stack, cost: &CostModel) -> SimDuration {
-    rpc_latency_inner(size, stack, cost, false)
+    rpc_latency_inner(size, stack, cost, false, TABLE1_ITERS).0
 }
 
 /// [`rpc_latency`] with tracing enabled. Tracing is zero-cost in virtual
 /// time, so this must return a bit-identical duration — the property the
 /// zero-cost regression test asserts.
 pub fn rpc_latency_traced(size: usize, stack: Stack, cost: &CostModel) -> SimDuration {
-    rpc_latency_inner(size, stack, cost, true)
+    rpc_latency_inner(size, stack, cost, true, TABLE1_ITERS).0
 }
 
-fn rpc_latency_inner(size: usize, stack: Stack, cost: &CostModel, trace: bool) -> SimDuration {
+/// Measured calls (or sends) per Table 1 cell, after one warmup.
+const TABLE1_ITERS: u64 = 40;
+
+/// The Table 1 RPC world: a route warmup, then `iters` measured calls.
+/// Returns the mean latency and the simulation, for its trace.
+fn rpc_latency_inner(
+    size: usize,
+    stack: Stack,
+    cost: &CostModel,
+    trace: bool,
+    iters: u64,
+) -> (SimDuration, Simulation) {
     let mut sim = Simulation::new(43);
     if trace {
         sim.enable_tracing();
@@ -219,7 +230,6 @@ fn rpc_latency_inner(size: usize, stack: Stack, cost: &CostModel, trace: bool) -
         n.set_group_handler(Arc::new(|_, _| {}));
     }
     nodes[0].set_rpc_handler(Arc::new(|_, _, _, _| {}));
-    let iters = 40u64;
     let client = Arc::clone(&nodes[0]);
     let elapsed = Arc::new(AtomicU64::new(0));
     let out = Arc::clone(&elapsed);
@@ -234,22 +244,30 @@ fn rpc_latency_inner(size: usize, stack: Stack, cost: &CostModel, trace: bool) -
         out.store((ctx.now() - t0).as_nanos() / iters, Ordering::SeqCst);
     });
     sim.run_until_finished(&h).expect("rpc bench completes");
-    SimDuration::from_nanos(elapsed.load(Ordering::SeqCst))
+    (SimDuration::from_nanos(elapsed.load(Ordering::SeqCst)), sim)
 }
 
 /// Measures group latency: a 2-member group, the sender waits for its own
 /// message back from the sequencer on the *other* machine (Table 1, group
 /// columns).
 pub fn group_latency(size: usize, stack: Stack, cost: &CostModel) -> SimDuration {
-    group_latency_inner(size, stack, cost, false)
+    group_latency_inner(size, stack, cost, false, TABLE1_ITERS).0
 }
 
 /// [`group_latency`] with tracing enabled (see [`rpc_latency_traced`]).
 pub fn group_latency_traced(size: usize, stack: Stack, cost: &CostModel) -> SimDuration {
-    group_latency_inner(size, stack, cost, true)
+    group_latency_inner(size, stack, cost, true, TABLE1_ITERS).0
 }
 
-fn group_latency_inner(size: usize, stack: Stack, cost: &CostModel, trace: bool) -> SimDuration {
+/// The Table 1 group world: a warmup send, then `iters` measured sends.
+/// Returns the mean latency and the simulation, for its trace.
+fn group_latency_inner(
+    size: usize,
+    stack: Stack,
+    cost: &CostModel,
+    trace: bool,
+    iters: u64,
+) -> (SimDuration, Simulation) {
     let mut sim = Simulation::new(44);
     if trace {
         sim.enable_tracing();
@@ -266,7 +284,6 @@ fn group_latency_inner(size: usize, stack: Stack, cost: &CostModel, trace: bool)
         n.set_group_handler(Arc::new(|_, _| {}));
         n.set_rpc_handler(Arc::new(|_, _, _, _| {}));
     }
-    let iters = 40u64;
     let sender = Arc::clone(&nodes[0]);
     let elapsed = Arc::new(AtomicU64::new(0));
     let out = Arc::clone(&elapsed);
@@ -280,7 +297,7 @@ fn group_latency_inner(size: usize, stack: Stack, cost: &CostModel, trace: bool)
         out.store((ctx.now() - t0).as_nanos() / iters, Ordering::SeqCst);
     });
     sim.run_until_finished(&h).expect("group bench completes");
-    SimDuration::from_nanos(elapsed.load(Ordering::SeqCst))
+    (SimDuration::from_nanos(elapsed.load(Ordering::SeqCst)), sim)
 }
 
 /// Produces the full reproduced Table 1 with the given cost model.
@@ -481,78 +498,31 @@ pub struct RpcTraceRun {
 }
 
 /// Runs the Table 1 RPC workload with tracing enabled and returns the trace
-/// together with the latency of the last call. The workload is identical to
-/// [`rpc_latency`] (same seed, same machines), just fewer iterations: route
-/// warmup plus `iters` measured calls.
+/// together with the latency of the last call: [`rpc_latency`]'s world,
+/// just fewer iterations (route warmup plus `iters` measured calls).
 pub fn rpc_trace(size: usize, stack: Stack, cost: &CostModel, iters: u64) -> RpcTraceRun {
-    let mut sim = Simulation::new(43);
-    sim.enable_tracing();
-    let n = stack.n_machines(2);
-    let world = boot(&mut sim, &TopologySpec::flat(n, n), cost.clone());
-    let nodes = build_stack(&mut sim, &world.machines, stack, &PandaConfig::default());
-    let server = Arc::clone(&nodes[1]);
-    let replier = Arc::clone(&nodes[1]);
-    server.set_rpc_handler(Arc::new(move |ctx, _from, _req, ticket| {
-        replier.reply(ctx, ticket, Bytes::new());
-    }));
-    for n in &nodes {
-        n.set_group_handler(Arc::new(|_, _| {}));
-    }
-    nodes[0].set_rpc_handler(Arc::new(|_, _, _, _| {}));
-    let client = Arc::clone(&nodes[0]);
-    let h = sim.spawn(world.machines[0].proc(), "client", move |ctx| {
-        let req = Bytes::from(vec![0u8; size]);
-        client.rpc(ctx, 1, req.clone()).expect("warmup");
-        for _ in 0..iters.max(1) {
-            client.rpc(ctx, 1, req.clone()).expect("rpc");
-        }
-    });
-    sim.run_until_finished(&h)
-        .expect("traced rpc run completes");
-    let chrome_json = sim.chrome_trace_json();
-    let events = sim.take_trace_events();
-    let span = rpc_span(&events).expect("traced run contains an RPC span");
-    RpcTraceRun {
-        latency: span.1.saturating_duration_since(span.0),
-        events,
-        chrome_json,
-    }
+    let (_, sim) = rpc_latency_inner(size, stack, cost, true, iters.max(1));
+    trace_run(sim, rpc_span)
 }
 
 /// Runs the Table 1 group workload with tracing enabled and returns the
-/// trace together with the latency of the last send. The workload is
-/// identical to [`group_latency`] (same seed, sequencer on the *other*
-/// machine), just fewer iterations.
+/// trace together with the latency of the last send: [`group_latency`]'s
+/// world (sequencer on the *other* machine), just fewer iterations.
 pub fn group_trace(size: usize, stack: Stack, cost: &CostModel, iters: u64) -> RpcTraceRun {
-    let mut sim = Simulation::new(44);
-    sim.enable_tracing();
-    let n = stack.n_machines(2);
-    let world = boot(&mut sim, &TopologySpec::flat(n, n), cost.clone());
-    // Sequencer on machine 1; sender on machine 0 (the paper's setup).
-    let config = PandaConfig {
-        sequencer_node: 1,
-        ..PandaConfig::default()
-    };
-    let nodes = build_stack(&mut sim, &world.machines, stack, &config);
-    for n in &nodes {
-        n.set_group_handler(Arc::new(|_, _| {}));
-        n.set_rpc_handler(Arc::new(|_, _, _, _| {}));
-    }
-    let sender = Arc::clone(&nodes[0]);
-    let h = sim.spawn(world.machines[0].proc(), "sender", move |ctx| {
-        let msg = Bytes::from(vec![0u8; size]);
-        sender.group_send(ctx, msg.clone()).expect("warmup");
-        for _ in 0..iters.max(1) {
-            sender.group_send(ctx, msg.clone()).expect("send");
-        }
-    });
-    sim.run_until_finished(&h)
-        .expect("traced group run completes");
+    let (_, sim) = group_latency_inner(size, stack, cost, true, iters.max(1));
+    trace_run(sim, group_span)
+}
+
+/// Exports a finished traced run; `span` finds the measured operation.
+fn trace_run(
+    mut sim: Simulation,
+    span: fn(&[TraceEvent]) -> Option<(SimTime, SimTime)>,
+) -> RpcTraceRun {
     let chrome_json = sim.chrome_trace_json();
     let events = sim.take_trace_events();
-    let span = group_span(&events).expect("traced run contains a group span");
+    let (begin, end) = span(&events).expect("traced run contains the measured span");
     RpcTraceRun {
-        latency: span.1.saturating_duration_since(span.0),
+        latency: end.saturating_duration_since(begin),
         events,
         chrome_json,
     }

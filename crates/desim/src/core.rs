@@ -251,16 +251,14 @@ pub(crate) struct ProcRecord {
 pub(crate) enum NextEvent {
     /// A live wake; the thread has been marked `Running` and traced.
     Live(ThreadId),
-    /// The queue is empty.
-    Drained,
+    /// Nothing is due in this window: the queue is empty, or its head sits
+    /// at or past the window limit (see `crate::shard`) and stays queued
+    /// for a later window.
+    Paused,
     /// `events_processed` reached `max_events` (checked before every pop,
     /// including between dead-wake skips, exactly as the old per-iteration
     /// check did).
     LimitHit,
-    /// The queue head sits at or past the current window limit (windowed
-    /// parallel execution only; see `crate::shard`). The event stays
-    /// queued — it belongs to a later window.
-    WindowEdge,
 }
 
 pub(crate) struct CoreState {
@@ -366,10 +364,10 @@ impl CoreState {
     ///
     /// `window_limit` is the exclusive upper bound (in nanoseconds) on the
     /// instants this lane may process, `u64::MAX` for none — the caller
-    /// reads it from [`Core::window_limit`], so the classic serial path
-    /// pays one integer compare per pop and no lock traffic. Events at or
-    /// past the bound stay queued; [`NextEvent::WindowEdge`] is reported
-    /// instead (windowed parallel execution only; see `crate::shard`).
+    /// reads it from [`Core::window_limit`], so an unbounded window (one
+    /// lane, or lanes without links) pays one integer compare per pop and
+    /// no lock traffic. Events at or past the bound stay queued and
+    /// [`NextEvent::Paused`] is reported, as for an empty queue.
     pub(crate) fn next_live(&mut self, window_limit: u64) -> NextEvent {
         loop {
             if let Some(l) = self.max_events {
@@ -379,12 +377,12 @@ impl CoreState {
             }
             if window_limit != u64::MAX {
                 match self.queue.peek_time() {
-                    Some(t) if t.as_nanos() >= window_limit => return NextEvent::WindowEdge,
+                    Some(t) if t.as_nanos() >= window_limit => return NextEvent::Paused,
                     _ => {}
                 }
             }
             let Some(ev) = self.queue.pop() else {
-                return NextEvent::Drained;
+                return NextEvent::Paused;
             };
             debug_assert!(ev.time >= self.now);
             self.now = ev.time;
@@ -474,8 +472,8 @@ pub(crate) struct Core {
     /// disabled-tracing call sites pay one relaxed load and nothing else.
     pub trace_on: AtomicBool,
     /// Exclusive upper bound (nanoseconds) on the instants this lane may
-    /// process in the current window; `u64::MAX` = unbounded (the classic
-    /// serial mode and link-free windows). Lives outside the mutex so the
+    /// process in the current window; `u64::MAX` = unbounded (between runs,
+    /// and in link-free windows). Lives outside the mutex so the
     /// windowed driver can set every lane's bound without a single lock
     /// acquisition; the window gate's release/acquire edges order the
     /// stores against runner reads, and within one turn plain program order
@@ -496,14 +494,13 @@ pub(crate) enum StepResult {
     /// One or more threads were resumed (a hand-off chain may have run many
     /// events) and the turn came back to the scheduler.
     Progress,
-    /// The event queue is empty.
-    Drained,
+    /// The event queue is empty, or its next event belongs to a later
+    /// window.
+    Paused,
     /// The `stop_on` thread has finished.
     TargetFinished,
     /// `events_processed` reached the configured limit.
     LimitExceeded,
-    /// The next event belongs to a later window (windowed execution only).
-    WindowEdge,
 }
 
 impl Core {
@@ -672,9 +669,8 @@ impl Core {
                 }
             }
             match st.next_live(window_limit) {
-                NextEvent::Drained => return StepResult::Drained,
+                NextEvent::Paused => return StepResult::Paused,
                 NextEvent::LimitHit => return StepResult::LimitExceeded,
-                NextEvent::WindowEdge => return StepResult::WindowEdge,
                 NextEvent::Live(tid) => st.threads[tid.0].fiber_ptr(),
             }
         };
@@ -807,11 +803,9 @@ pub(crate) fn yield_blocked(
     }
     let window_limit = core.window_limit.load(AtomicOrdering::Relaxed);
     let resume = match st.next_live(window_limit) {
-        // Break the chain; the scheduler decides (drain, budget,
-        // shutdown). A window edge breaks it exactly like a drain: the
-        // next event belongs to a later window and only the driver may
-        // open it.
-        NextEvent::Drained | NextEvent::LimitHit | NextEvent::WindowEdge => core.sched_ctx.slot(),
+        // Break the chain; the scheduler decides (drain, window edge,
+        // budget, shutdown). Only the driver may open a later window.
+        NextEvent::Paused | NextEvent::LimitHit => core.sched_ctx.slot(),
         // Our own wake was the queue head: keep running, zero switches.
         NextEvent::Live(t) if t == tid => return WakeStatus::Woken,
         // Hand the turn straight to the woken thread: one switch.

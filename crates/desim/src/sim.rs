@@ -1,6 +1,7 @@
-//! The simulation driver: owns the virtual clock and runs the event loop —
-//! the classic serial loop for single-lane simulations, or the conservative
-//! windowed parallel loop (see [`crate::shard`]) once lanes exist.
+//! The simulation driver: owns the lanes and runs every simulation through
+//! one conservative windowed loop (see [`crate::shard`]). A single lane with
+//! no links is its one-window case: the window is unbounded and the lane
+//! runs until its queue drains.
 
 use std::fmt;
 use std::sync::Arc;
@@ -82,10 +83,9 @@ pub struct SimReport {
     pub procs: Vec<ProcReport>,
 }
 
-/// Window-engine accounting for the conservative windowed driver,
-/// cumulative across runs of one [`Simulation`] (see
-/// [`Simulation::window_stats`]). All-zero when only the classic serial
-/// loop ever ran.
+/// Window-engine accounting: coordination across lanes, cumulative across
+/// runs of one [`Simulation`] (see [`Simulation::window_stats`]). A
+/// one-lane simulation coordinates nothing, so its stats stay all-zero.
 ///
 /// Everything except `barrier_wait_ns` is deterministic for a given
 /// program, seed, and topology — independent of shard count.
@@ -191,10 +191,10 @@ impl ThreadHandle {
 /// assert_eq!(report.final_time.as_micros_f64(), 100.0);
 /// ```
 pub struct Simulation {
-    /// Lane 0: the default lane every pre-lane API targets.
-    core: Arc<Core>,
-    /// Lanes 1.. (see [`Simulation::add_lane`]).
-    extra: Vec<Arc<Core>>,
+    /// Every lane, indexed by [`LaneId`] (see [`Simulation::add_lane`]);
+    /// lane 0 is the one the lane-less API (`spawn`, `add_processor`, …)
+    /// targets.
+    lanes: Vec<Arc<Core>>,
     /// Cross-lane links in registration order — which is the barrier-time
     /// flush order, part of the deterministic merge.
     links: LinkTable,
@@ -218,12 +218,12 @@ pub struct Simulation {
 
 impl fmt::Debug for Simulation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let st = self.core.state.lock();
+        let st = self.lanes[0].state.lock();
         f.debug_struct("Simulation")
             .field("now", &st.now)
             .field("threads", &st.threads.len())
             .field("procs", &st.procs.len())
-            .field("lanes", &(1 + self.extra.len()))
+            .field("lanes", &self.lanes.len())
             .finish()
     }
 }
@@ -296,9 +296,8 @@ impl SimulationBuilder {
             Some(n) => ShardCount::Fixed(n),
             None => shard::default_shards(),
         };
-        Simulation {
-            core: Core::new(self.seed, self.fiber_stack_size, self.expected_threads),
-            extra: Vec::new(),
+        let mut sim = Simulation {
+            lanes: Vec::new(),
             links: LinkTable::default(),
             shards,
             window_stats: WindowStats::default(),
@@ -310,7 +309,9 @@ impl SimulationBuilder {
             perturb_seed: None,
             tracing_cap: None,
             teardown: Vec::new(),
-        }
+        };
+        sim.add_lane();
+        sim
     }
 }
 
@@ -331,30 +332,26 @@ impl Simulation {
         }
     }
 
-    /// All lanes, lane 0 first.
-    fn cores(&self) -> impl Iterator<Item = &Arc<Core>> {
-        std::iter::once(&self.core).chain(self.extra.iter())
-    }
-
     fn lane_core(&self, lane: LaneId) -> &Arc<Core> {
-        if lane.0 == 0 {
-            &self.core
-        } else {
-            self.extra
-                .get(lane.index() - 1)
-                .unwrap_or_else(|| panic!("unknown lane {lane}; call add_lane first"))
-        }
+        self.lanes
+            .get(lane.index())
+            .unwrap_or_else(|| panic!("unknown lane {lane}; call add_lane first"))
     }
 
     /// Number of scheduler lanes (at least 1).
     pub fn lanes(&self) -> usize {
-        1 + self.extra.len()
+        self.lanes.len()
     }
 
     /// The effective runner count a windowed run would use on this host:
     /// the configured shard count clamped to the lane count.
     pub fn shards(&self) -> usize {
-        self.shards.resolve().min(self.lanes()).max(1)
+        match self.lanes() {
+            // One lane has one runner: skip `auto`'s host-core probe,
+            // which costs more than a short run.
+            1 => 1,
+            lanes => self.shards.resolve().min(lanes),
+        }
     }
 
     /// The lookahead windowed execution would use: the minimum delay over
@@ -372,11 +369,11 @@ impl Simulation {
     /// buffers. Processors and threads are placed on it with
     /// [`Simulation::add_processor_on`] / [`Simulation::spawn_on_lane`];
     /// lanes interact only through [`Simulation::cross_link`]. With more
-    /// than one lane, [`Simulation::run`] switches to conservative windowed
-    /// execution — observably identical to serial, parallel up to the
-    /// configured shard count (see [`SimulationBuilder::shards`]).
+    /// than one lane, [`Simulation::run`]'s windows run the lanes in
+    /// parallel up to the configured shard count (see
+    /// [`SimulationBuilder::shards`]) — observably identical to serial.
     pub fn add_lane(&mut self) -> LaneId {
-        let idx = self.extra.len() + 1;
+        let idx = self.lanes.len();
         let core = Core::new(
             shard::lane_seed(self.seed, idx as u64),
             self.fiber_stack_size,
@@ -396,7 +393,7 @@ impl Simulation {
                     .store(true, std::sync::atomic::Ordering::Relaxed);
             }
         }
-        self.extra.push(core);
+        self.lanes.push(core);
         LaneId(idx as u32)
     }
 
@@ -508,7 +505,7 @@ impl Simulation {
     /// every pop.
     pub fn set_max_events(&mut self, limit: u64) {
         self.max_events = Some(limit);
-        for core in self.cores() {
+        for core in self.lanes.iter() {
             core.state.lock().max_events = Some(limit);
         }
     }
@@ -527,7 +524,7 @@ impl Simulation {
         use rand::rngs::SmallRng;
         use rand::SeedableRng;
         self.perturb_seed = Some(seed);
-        for (idx, core) in self.cores().enumerate() {
+        for (idx, core) in self.lanes.iter().enumerate() {
             // Per-lane derived streams (lane 0 keeps `seed` verbatim), so a
             // lane's tie draws depend only on its own schedule — never on
             // how other lanes interleave.
@@ -549,33 +546,33 @@ impl Simulation {
         self.teardown.push(Box::new(f));
     }
 
-    /// Adds a processor (one CPU) and returns its id.
+    /// Adds a processor (one CPU) on lane 0 and returns its id.
     pub fn add_processor(&mut self, name: &str) -> ProcId {
-        self.core.add_processor(name, self.default_switch_cost)
+        self.add_processor_on(LaneId::ZERO, name)
     }
 
-    /// Adds a processor with an explicit context-switch cost.
+    /// Adds a processor with an explicit context-switch cost on lane 0.
     pub fn add_processor_with_switch_cost(&mut self, name: &str, cost: SimDuration) -> ProcId {
-        self.core.add_processor(name, cost)
+        self.add_processor_with_switch_cost_on(LaneId::ZERO, name, cost)
     }
 
-    /// Spawns a simulated thread on `proc`; it starts when the run begins.
+    /// Spawns a simulated thread on lane 0's `proc`; it starts when the run
+    /// begins.
     pub fn spawn<F>(&mut self, proc: ProcId, name: &str, f: F) -> ThreadHandle
     where
         F: FnOnce(&Ctx) + Send + 'static,
     {
-        let tid = self.core.spawn_thread(proc, name, false, f);
-        ThreadHandle::new(Arc::clone(&self.core), tid)
+        self.spawn_on_lane(LaneId::ZERO, proc, name, f)
     }
 
-    /// Spawns a daemon thread: it may remain blocked forever without the run
-    /// being reported as a deadlock (e.g. protocol receive daemons).
+    /// Spawns a daemon thread on lane 0: it may remain blocked forever
+    /// without the run being reported as a deadlock (e.g. protocol receive
+    /// daemons).
     pub fn spawn_daemon<F>(&mut self, proc: ProcId, name: &str, f: F) -> ThreadHandle
     where
         F: FnOnce(&Ctx) + Send + 'static,
     {
-        let tid = self.core.spawn_thread(proc, name, true, f);
-        ThreadHandle::new(Arc::clone(&self.core), tid)
+        self.spawn_daemon_on_lane(LaneId::ZERO, proc, name, f)
     }
 
     /// Runs until the event queue drains.
@@ -593,7 +590,7 @@ impl Simulation {
     ///
     /// Propagates panics from simulated threads.
     pub fn run(&mut self) -> Result<SimReport, SimError> {
-        self.run_inner(None)
+        self.run_windowed(None)
     }
 
     /// Runs until `target` finishes (or the queue drains first).
@@ -608,46 +605,11 @@ impl Simulation {
     /// Propagates panics from simulated threads.
     pub fn run_until_finished(&mut self, target: &ThreadHandle) -> Result<SimReport, SimError> {
         let lane = self
-            .cores()
+            .lanes
+            .iter()
             .position(|c| Arc::ptr_eq(c, &target.core))
             .expect("thread handle belongs to another simulation");
-        self.run_inner(Some((lane, target.id())))
-    }
-
-    fn run_inner(&mut self, stop_on: Option<(usize, ThreadId)>) -> Result<SimReport, SimError> {
-        if self.extra.is_empty() && self.links.len() == 0 {
-            return self.run_classic(stop_on.map(|(_, t)| t));
-        }
-        self.run_windowed(stop_on)
-    }
-
-    /// The single-lane event loop — byte-identical to what every simulation
-    /// ran before lanes existed (the windowed driver is dispatched only
-    /// when a second lane or a link exists).
-    fn run_classic(&mut self, stop_on: Option<ThreadId>) -> Result<SimReport, SimError> {
-        // The stop/limit checks live inside `Core::step` so the whole event
-        // loop — including skipping cancelled wakes — runs under a single
-        // state lock acquisition per resumption. Most events never even
-        // reach this loop: blocking threads hand the turn directly to each
-        // other and the scheduler only sees chain breaks.
-        loop {
-            match self.core.step(stop_on) {
-                StepResult::Progress => {}
-                StepResult::TargetFinished => return Ok(self.report()),
-                StepResult::LimitExceeded => {
-                    let limit = self
-                        .core
-                        .state
-                        .lock()
-                        .max_events
-                        .expect("limit was configured");
-                    return Err(SimError::EventLimitExceeded { limit });
-                }
-                StepResult::WindowEdge => unreachable!("window limit outside windowed execution"),
-                StepResult::Drained => break,
-            }
-        }
-        self.drained_result(stop_on.is_some())
+        self.run_windowed(Some((lane, target.id())))
     }
 
     /// Queue(s) drained: every non-daemon thread must have finished, and a
@@ -658,7 +620,7 @@ impl Simulation {
     fn drained_result(&self, had_target: bool) -> Result<SimReport, SimError> {
         let multi = self.lanes() > 1;
         let mut blocked: Vec<(String, &'static str)> = Vec::new();
-        for (lane, core) in self.cores().enumerate() {
+        for (lane, core) in self.lanes.iter().enumerate() {
             let st = core.state.lock();
             blocked.extend(
                 st.threads
@@ -680,8 +642,8 @@ impl Simulation {
         Ok(self.report())
     }
 
-    /// The conservative windowed driver (see [`crate::shard`] for the
-    /// scheme and the bit-identity argument). Structure per round, with
+    /// The one run driver: conservative windows (see [`crate::shard`] for
+    /// the scheme and the bit-identity argument). Structure per round, with
     /// every lane stopped between the gate's `done` and the next `open`:
     ///
     /// 1. flush every cross-lane link that carried traffic, in registration
@@ -700,17 +662,22 @@ impl Simulation {
     ///    is skipped without taking its state lock; each driven lane
     ///    republishes its slot under the one lock acquisition it already
     ///    pays.
+    ///
+    /// One lane with no links is the one-window case: the window is
+    /// unbounded, one runner (the caller) steps the lane until it pauses
+    /// on a drained queue, the target or the budget, and the next round
+    /// ends the run. Its stats are not added to [`Simulation::window_stats`].
     fn run_windowed(&mut self, stop: Option<(usize, ThreadId)>) -> Result<SimReport, SimError> {
         use std::panic;
         use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering as AO};
         use std::time::Instant;
 
-        let cores: Vec<Arc<Core>> = self.cores().cloned().collect();
+        let cores = &self.lanes;
         let lanes = cores.len();
         let runners = self.shards();
         let lookahead = self.lookahead();
 
-        const OUT_PAUSED: u8 = 0; // Drained or WindowEdge
+        const OUT_PAUSED: u8 = 0; // drained or at the window edge
         const OUT_LIMIT: u8 = 1;
         const OUT_TARGET: u8 = 2;
         let outcomes: Vec<AtomicU8> = (0..lanes).map(|_| AtomicU8::new(OUT_PAUSED)).collect();
@@ -759,7 +726,7 @@ impl Simulation {
                 let result = panic::catch_unwind(panic::AssertUnwindSafe(|| loop {
                     match core.step(stop_t) {
                         StepResult::Progress => {}
-                        StepResult::Drained | StepResult::WindowEdge => break OUT_PAUSED,
+                        StepResult::Paused => break OUT_PAUSED,
                         StepResult::TargetFinished => break OUT_TARGET,
                         StepResult::LimitExceeded => break OUT_LIMIT,
                     }
@@ -853,11 +820,11 @@ impl Simulation {
                     None => u64::MAX,
                 };
                 wend.store(wend_ns, AO::Relaxed);
-                for c in &cores {
+                for c in cores {
                     c.window_limit.store(wend_ns, AO::Relaxed);
                 }
                 #[cfg(debug_assertions)]
-                for c in &cores {
+                for c in cores {
                     c.state.lock().set_window_floor(SimTime::from_nanos(t_min));
                 }
                 stats.windows += 1;
@@ -884,7 +851,7 @@ impl Simulation {
                     // The panicking lane already shut itself down inside
                     // `Core::step`; shut the rest down before unwinding so
                     // every fiber unwinds cleanly (`Drop` becomes a no-op).
-                    for c in &cores {
+                    for c in cores {
                         c.initiate_shutdown();
                     }
                     panic::resume_unwind(payload);
@@ -897,12 +864,12 @@ impl Simulation {
 
         // Leave no window bound behind: post-run accessors and later runs
         // (multi-phase workloads re-enter `run`) expect unbounded lanes.
-        for c in &cores {
+        for c in cores {
             c.window_limit
                 .store(u64::MAX, std::sync::atomic::Ordering::Relaxed);
         }
         #[cfg(debug_assertions)]
-        for c in &cores {
+        for c in cores {
             c.state.lock().set_window_floor(SimTime::ZERO);
         }
         stats.events = slots
@@ -911,12 +878,14 @@ impl Simulation {
             .sum::<u64>()
             - start_events;
         stats.lanes_skipped = skipped.load(std::sync::atomic::Ordering::Relaxed);
-        self.window_stats.windows += stats.windows;
-        self.window_stats.events += stats.events;
-        self.window_stats.flushes += stats.flushes;
-        self.window_stats.flushes_elided += stats.flushes_elided;
-        self.window_stats.lanes_skipped += stats.lanes_skipped;
-        self.window_stats.barrier_wait_ns += stats.barrier_wait_ns;
+        if lanes > 1 {
+            self.window_stats.windows += stats.windows;
+            self.window_stats.events += stats.events;
+            self.window_stats.flushes += stats.flushes;
+            self.window_stats.flushes_elided += stats.flushes_elided;
+            self.window_stats.lanes_skipped += stats.lanes_skipped;
+            self.window_stats.barrier_wait_ns += stats.barrier_wait_ns;
+        }
         match outcome {
             Ok(true) => Ok(self.report()),
             Ok(false) => self.drained_result(stop.is_some()),
@@ -926,9 +895,9 @@ impl Simulation {
         }
     }
 
-    /// Window-engine accounting, cumulative across runs (all-zero when only
-    /// the classic serial loop ever ran). Everything except
-    /// `barrier_wait_ns` is deterministic per program/seed/topology —
+    /// Window-engine accounting, cumulative across runs; all-zero on a
+    /// one-lane simulation, which has no lanes to coordinate. Everything
+    /// except `barrier_wait_ns` is deterministic per program/seed/topology —
     /// independent of shard count; `barrier_wait_ns` is wall-clock and
     /// must never feed a result hash.
     pub fn window_stats(&self) -> WindowStats {
@@ -938,7 +907,8 @@ impl Simulation {
     /// Returns the current virtual time (on a multi-lane simulation: the
     /// most-advanced lane's clock).
     pub fn now(&self) -> SimTime {
-        self.cores()
+        self.lanes
+            .iter()
             .map(|c| c.state.lock().now)
             .max()
             .expect("at least one lane")
@@ -957,7 +927,7 @@ impl Simulation {
         let mut final_time = SimTime::ZERO;
         let mut events = 0u64;
         let mut procs = Vec::new();
-        for core in self.cores() {
+        for core in self.lanes.iter() {
             let st = core.state.lock();
             final_time = final_time.max(st.now);
             events += st.events_processed;
@@ -985,7 +955,7 @@ impl Simulation {
     /// (per lane, on a multi-lane simulation).
     pub fn enable_tracing_with_capacity(&mut self, cap: usize) {
         self.tracing_cap = Some(cap);
-        for core in self.cores() {
+        for core in self.lanes.iter() {
             core.state.lock().tracer = Some(Tracer::new(cap));
             core.trace_on
                 .store(true, std::sync::atomic::Ordering::Relaxed);
@@ -995,7 +965,7 @@ impl Simulation {
     /// Stops structured tracing and discards buffered events and counters.
     pub fn disable_tracing(&mut self) {
         self.tracing_cap = None;
-        for core in self.cores() {
+        for core in self.lanes.iter() {
             core.trace_on
                 .store(false, std::sync::atomic::Ordering::Relaxed);
             core.state.lock().tracer = None;
@@ -1007,7 +977,7 @@ impl Simulation {
     /// [`Simulation::lane_trace_events`] for other lanes (thread and
     /// processor ids in trace events are lane-local).
     pub fn take_trace_events(&mut self) -> Vec<TraceEvent> {
-        match self.core.state.lock().tracer.as_mut() {
+        match self.lanes[0].state.lock().tracer.as_mut() {
             Some(tr) => tr.drain(),
             None => Vec::new(),
         }
@@ -1031,18 +1001,19 @@ impl Simulation {
     /// Returns aggregate per-`(processor, layer, name)` counters, sorted.
     /// Lane 0 only (`ProcId`s are lane-local).
     pub fn trace_counters(&self) -> Vec<CounterSnapshot> {
-        match self.core.state.lock().tracer.as_ref() {
+        match self.lanes[0].state.lock().tracer.as_ref() {
             Some(tr) => tr.counters(),
             None => Vec::new(),
         }
     }
 
-    /// Number of events evicted from the ring buffer so far (lane 0).
+    /// Number of events evicted from the ring buffers so far, summed over
+    /// lanes (each lane keeps its own ring).
     pub fn trace_dropped(&self) -> u64 {
-        match self.core.state.lock().tracer.as_ref() {
-            Some(tr) => tr.dropped(),
-            None => 0,
-        }
+        self.lanes
+            .iter()
+            .map(|c| c.state.lock().tracer.as_ref().map_or(0, Tracer::dropped))
+            .sum()
     }
 
     /// Serializes currently buffered events as chrome://tracing JSON
@@ -1056,7 +1027,7 @@ impl Simulation {
         let mut events = Vec::new();
         let mut procs = Vec::new();
         let mut threads = Vec::new();
-        for core in self.cores() {
+        for core in self.lanes.iter() {
             let (p_off, t_off) = (procs.len(), threads.len());
             let st = core.state.lock();
             procs.extend(st.procs.iter().map(|p| p.name.clone()));
@@ -1079,7 +1050,7 @@ impl Simulation {
     /// multi-lane simulation; `ProcId`s themselves are lane-local).
     pub fn proc_names(&self) -> Vec<String> {
         let mut names = Vec::new();
-        for core in self.cores() {
+        for core in self.lanes.iter() {
             names.extend(core.state.lock().procs.iter().map(|p| p.name.clone()));
         }
         names
@@ -1089,7 +1060,7 @@ impl Simulation {
     /// multi-lane simulation; `ThreadId`s themselves are lane-local).
     pub fn thread_names(&self) -> Vec<String> {
         let mut names = Vec::new();
-        for core in self.cores() {
+        for core in self.lanes.iter() {
             names.extend(core.state.lock().threads.iter().map(|t| t.name.to_string()));
         }
         names
@@ -1097,7 +1068,7 @@ impl Simulation {
 
     /// Number of events still queued (diagnostics; summed over lanes).
     pub fn pending_events(&self) -> usize {
-        self.cores().map(|c| c.state.lock().queue_len()).sum()
+        self.lanes.iter().map(|c| c.state.lock().queue_len()).sum()
     }
 
     /// Number of cancelled (dead-generation) wakes consumed so far
@@ -1105,7 +1076,7 @@ impl Simulation {
     /// popped — virtual time is independent of how cheaply they are
     /// recognized.
     pub fn stale_wakes(&self) -> u64 {
-        self.cores().map(|c| c.state.lock().wake.stale()).sum()
+        self.lanes.iter().map(|c| c.state.lock().wake.stale()).sum()
     }
 
     /// Event-queue accounting summed over lanes (see [`QueueStats`]): tier
@@ -1114,7 +1085,7 @@ impl Simulation {
     /// not of wall-clock or shard count.
     pub fn queue_stats(&self) -> QueueStats {
         let mut total = QueueStats::default();
-        for core in self.cores() {
+        for core in self.lanes.iter() {
             total.merge(&core.state.lock().queue_stats());
         }
         total
@@ -1123,7 +1094,7 @@ impl Simulation {
 
 impl Drop for Simulation {
     fn drop(&mut self) {
-        for core in std::iter::once(&self.core).chain(self.extra.iter()) {
+        for core in &self.lanes {
             core.initiate_shutdown();
         }
         for f in std::mem::take(&mut self.teardown) {

@@ -1,8 +1,8 @@
 //! Integration tests for the desim scheduler, CPU model, and determinism.
 
 use desim::{
-    ms, secs, us, Layer, On, Phase, SimChannel, SimCondvar, SimDuration, SimError, SimMutex,
-    SimTime, Simulation,
+    ms, secs, us, LaneId, Layer, On, Phase, SimChannel, SimCondvar, SimDuration, SimError,
+    SimMutex, SimTime, Simulation,
 };
 
 #[test]
@@ -322,6 +322,34 @@ fn join_waits_for_completion() {
     });
     sim.run_until_finished(&parent).expect("run");
     assert!(child.is_finished());
+}
+
+/// A target that finished in an earlier run stops the driver before it
+/// pops a single event, on one lane and on two; a later `run` still drains
+/// what is left.
+#[test]
+fn rerunning_a_finished_target_processes_nothing() {
+    for lanes in [1, 2] {
+        let mut sim = Simulation::new(0);
+        let lane = if lanes == 2 {
+            sim.add_lane()
+        } else {
+            LaneId::ZERO
+        };
+        let cpu = sim.add_processor_on(lane, "m0");
+        let quick = sim.spawn_on_lane(lane, cpu, "quick", |ctx| ctx.sleep(us(1)));
+        let sleeper = sim.spawn_on_lane(lane, cpu, "sleeper", |ctx| ctx.sleep(us(100)));
+        sim.run_until_finished(&quick).expect("quick finishes");
+        assert!(!sleeper.is_finished(), "lanes {lanes}");
+        let events = sim.report().events;
+        sim.run_until_finished(&quick)
+            .expect("a finished target is not a deadlock");
+        assert_eq!(sim.report().events, events, "lanes {lanes}");
+        assert!(!sleeper.is_finished(), "lanes {lanes}");
+        sim.run().expect("the sleeper drains");
+        assert!(sleeper.is_finished(), "lanes {lanes}");
+        assert_eq!(sim.now(), SimTime::ZERO + us(100));
+    }
 }
 
 #[test]

@@ -104,6 +104,10 @@ fn run_ring(seed: u64, specs: &[LaneSpec], delays_us: &[u64], shards: usize) -> 
     }
     let links = if n > 1 { n as u64 } else { 0 };
     assert_flush_accounting(&sim.window_stats(), links);
+    if n == 1 {
+        // One lane coordinates nothing: no window reaches the stats.
+        assert_eq!(sim.window_stats(), WindowStats::default());
+    }
     Artifacts {
         per_lane_traces: lanes
             .iter()
@@ -350,6 +354,22 @@ fn same_instant_fan_in_arrives_in_link_registration_order() {
     for shards in [2, 0] {
         assert_eq!(run_fan_in(shards), (arrivals.clone(), w), "shards {shards}");
     }
+}
+
+#[test]
+fn trace_dropped_counts_every_lane() {
+    // Lane 0 stays idle; lane 1 overflows its 8-event ring.
+    let mut sim = Simulation::new(4);
+    sim.enable_tracing_with_capacity(8);
+    let l1 = sim.add_lane();
+    let p1 = sim.add_processor_on(l1, "m1");
+    sim.spawn_on_lane(l1, p1, "chatty", |ctx| {
+        for i in 0..100 {
+            ctx.trace_instant(Layer::App, "tick", &[("i", i)]);
+        }
+    });
+    sim.run().expect("chatty finishes");
+    assert!(sim.trace_dropped() > 0, "lane 1 evictions are counted");
 }
 
 #[test]

@@ -119,9 +119,14 @@ impl KernelSpacePanda {
                     &format!("{}-rpcd{}", machine.name(), d),
                     move |ctx| loop {
                         let (req, token) = server.get_request(ctx);
+                        let Some((from, body)) = decode_from(&req) else {
+                            // No node-id prefix: not a Panda request. Answer
+                            // it empty, with no upcall, and keep serving.
+                            server.put_reply(ctx, token, Bytes::new());
+                            continue;
+                        };
                         let slot: SimChannel<Bytes> = SimChannel::new();
                         let ticket = ReplyTicket(TicketInner::Kernel { slot: slot.clone() });
-                        let (from, body) = decode_from(&req);
                         let handler = panda_d
                             .handlers
                             .lock()
@@ -191,9 +196,11 @@ fn encode_from(from: NodeId, body: &Bytes) -> Bytes {
     buf.freeze()
 }
 
-fn decode_from(wire: &Bytes) -> (NodeId, Bytes) {
-    let from = NodeId::from_be_bytes(wire[..4].try_into().expect("4-byte prefix"));
-    (from, wire.slice(4..))
+/// Splits a request into its caller and body; `None` for a request too
+/// short to carry the prefix (it reached the port from outside Panda).
+fn decode_from(wire: &Bytes) -> Option<(NodeId, Bytes)> {
+    let from = NodeId::from_be_bytes(wire.get(..4)?.try_into().ok()?);
+    Some((from, wire.slice(4..)))
 }
 
 impl Panda for KernelSpacePanda {
@@ -247,5 +254,51 @@ impl Panda for KernelSpacePanda {
             .send(ctx, msg)
             .map(|_seq| ())
             .map_err(|amoeba::GroupError::Timeout| CommError::Timeout)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    use amoeba::CostModel;
+    use ethernet::TopologySpec;
+
+    use super::*;
+    use crate::world;
+
+    #[test]
+    fn short_request_is_answered_empty_and_the_daemon_keeps_serving() {
+        let mut sim = Simulation::new(1);
+        let w = world::boot(&mut sim, &TopologySpec::flat(3, 3), CostModel::default());
+        let nodes = KernelSpacePanda::build(&mut sim, &w.machines[..2], &PandaConfig::default());
+        let upcalls = Arc::new(AtomicU64::new(0));
+        let (count, echo) = (Arc::clone(&upcalls), Arc::clone(&nodes[1]));
+        nodes[1].set_rpc_handler(Arc::new(move |ctx, _from, req, ticket| {
+            count.fetch_add(1, Ordering::Relaxed);
+            echo.reply(ctx, ticket, req);
+        }));
+        for n in &nodes {
+            n.set_group_handler(Arc::new(|_, _| {}));
+        }
+        // A machine outside the Panda world sends a 2-byte request, too
+        // short for the node-id prefix, straight to node 1's port.
+        let stranger = RpcClient::install(&w.machines[2], RpcConfig::default());
+        let h = sim.spawn(w.machines[2].proc(), "stranger", move |ctx| {
+            let reply = stranger.trans(ctx, node_port(1), Bytes::from_static(b"hi"));
+            assert_eq!(reply, Ok(Bytes::new()));
+        });
+        sim.run_until_finished(&h)
+            .expect("the short request is answered");
+        assert_eq!(upcalls.load(Ordering::Relaxed), 0);
+
+        let client = Arc::clone(&nodes[0]);
+        let h = sim.spawn(client.machine().proc(), "client", move |ctx| {
+            let reply = client.rpc(ctx, 1, Bytes::from_static(b"ping"));
+            assert_eq!(reply, Ok(Bytes::from_static(b"ping")));
+        });
+        sim.run_until_finished(&h)
+            .expect("node 1 still serves Panda RPC");
+        assert_eq!(upcalls.load(Ordering::Relaxed), 1);
     }
 }
