@@ -1,6 +1,7 @@
-//! Measurement harnesses behind the `cargo bench` targets: each function
+//! Measurement harnesses behind `cargo bench -p bench`: each function
 //! reproduces one table of the paper and returns structured rows so tests
-//! can assert the shapes and the bench binaries can print them.
+//! can assert the shapes and the `paper` bench can render them into
+//! EXPERIMENTS.md (see [`splice`]).
 
 #![warn(missing_docs)]
 
@@ -19,20 +20,48 @@ use panda::{Module, PandaConfig, PandaHeader, SysLayer};
 /// Message sizes of Table 1 (bytes).
 pub const TABLE1_SIZES: [usize; 5] = [0, 1024, 2048, 3072, 4096];
 
-/// Parses a `--jobs N` argument for the bench binaries, defaulting to `0`
-/// (one worker per core). Cargo's bench runner passes extra flags through
-/// (`cargo bench --bench X -- --jobs 4`); unknown arguments are ignored so
-/// the harnesses stay compatible with `--bench`-style filters.
-pub fn jobs_from_args() -> usize {
-    let mut args = std::env::args().skip(1);
+/// Measured calls, sends or ping-pong rounds per Table 1 cell (the RPC
+/// and group cells after one warmup).
+const TABLE1_ITERS: u64 = 40;
+
+/// Parses `--jobs N` out of the bench's arguments (without the program
+/// name), defaulting to `0` (one worker per core). Other arguments are
+/// ignored, because `cargo bench` passes `--bench`.
+///
+/// # Panics
+///
+/// When `--jobs` is not followed by a number, so that a typo cannot turn
+/// into "every core".
+pub fn jobs_from_args(args: impl IntoIterator<Item = String>) -> usize {
+    let mut args = args.into_iter();
+    let mut jobs = 0;
     while let Some(a) = args.next() {
         if a == "--jobs" {
-            if let Some(n) = args.next().and_then(|s| s.parse().ok()) {
-                return n;
-            }
+            let value = args.next().unwrap_or_default();
+            jobs = value.parse().unwrap_or_else(|_| {
+                panic!("--jobs {value:?}: the accepted form is `--jobs N`, N >= 0 (0 = per core)")
+            });
         }
     }
-    0
+    jobs
+}
+
+/// Replaces the body between `<!-- paper:NAME -->` and `<!-- /paper:NAME -->`
+/// in `doc` with `body`, each marker kept on its own line.
+///
+/// # Panics
+///
+/// When either marker is missing or they are out of order: a block the
+/// document does not hold would otherwise never be checked.
+pub fn splice(doc: &str, name: &str, body: &str) -> String {
+    let open = format!("<!-- paper:{name} -->\n");
+    let close = format!("<!-- /paper:{name} -->");
+    let (Some(start), Some(end)) = (doc.find(&open), doc.find(&close)) else {
+        panic!("the document lacks the `<!-- paper:{name} -->` or the `{close}` marker");
+    };
+    let start = start + open.len();
+    assert!(start <= end, "`{close}` precedes its opening marker");
+    format!("{}{}\n{}", &doc[..start], body.trim_end(), &doc[end..])
 }
 
 /// One row of Table 1 (all values in milliseconds).
@@ -112,7 +141,7 @@ pub fn system_layer_latency(size: usize, multicast: bool, cost: &CostModel) -> S
     let world = boot(&mut sim, &TopologySpec::flat(2, 2), cost.clone());
     let sys0 = SysLayer::start(&mut sim, &world.machines[0], 0);
     let sys1 = SysLayer::start(&mut sim, &world.machines[1], 1);
-    let iters = 40u64;
+    let iters = TABLE1_ITERS;
     let payload = Bytes::from(vec![0u8; size]);
     let done: SimChannel<u64> = SimChannel::new();
 
@@ -201,9 +230,6 @@ pub fn rpc_latency(size: usize, stack: Stack, cost: &CostModel) -> SimDuration {
 pub fn rpc_latency_traced(size: usize, stack: Stack, cost: &CostModel) -> SimDuration {
     rpc_latency_inner(size, stack, cost, true, TABLE1_ITERS).0
 }
-
-/// Measured calls (or sends) per Table 1 cell, after one warmup.
-const TABLE1_ITERS: u64 = 40;
 
 /// The Table 1 RPC world: a route warmup, then `iters` measured calls.
 /// Returns the mean latency and the simulation, for its trace.
@@ -300,16 +326,11 @@ fn group_latency_inner(
     (SimDuration::from_nanos(elapsed.load(Ordering::SeqCst)), sim)
 }
 
-/// Produces the full reproduced Table 1 with the given cost model.
-pub fn table1(cost: &CostModel) -> Vec<Table1Row> {
-    table1_jobs(cost, 1)
-}
-
-/// [`table1`] on up to `jobs` worker threads (`0` = auto). Each of the 30
-/// cells is an independent simulation, so they fan out over
-/// [`desim::par::par_map`] and are reassembled in table order — the rows
-/// are identical to a serial run for any job count.
-pub fn table1_jobs(cost: &CostModel, jobs: usize) -> Vec<Table1Row> {
+/// Produces the full reproduced Table 1 on up to `jobs` worker threads
+/// (`0` = auto). Each of the 30 cells is an independent simulation, so
+/// they fan out over [`desim::par::par_map`] and are reassembled in table
+/// order — the rows are identical to a serial run for any job count.
+pub fn table1(cost: &CostModel, jobs: usize) -> Vec<Table1Row> {
     const COLS: usize = 6;
     let cells = par_map(jobs, TABLE1_SIZES.len() * COLS, |i| {
         let size = TABLE1_SIZES[i / COLS];
@@ -435,14 +456,10 @@ pub fn group_throughput(stack: Stack, cost: &CostModel) -> f64 {
     (total as usize * size) as f64 / 1024.0 / secs
 }
 
-/// Produces the reproduced Table 2.
-pub fn table2(cost: &CostModel) -> Table2Row {
-    table2_jobs(cost, 1)
-}
-
-/// [`table2`] on up to `jobs` worker threads (`0` = auto); the four
-/// measurements are independent simulations (see [`table1_jobs`]).
-pub fn table2_jobs(cost: &CostModel, jobs: usize) -> Table2Row {
+/// Produces the reproduced Table 2 on up to `jobs` worker threads (`0` =
+/// auto); the four measurements are independent simulations (see
+/// [`table1`]).
+pub fn table2(cost: &CostModel, jobs: usize) -> Table2Row {
     let cells = par_map(jobs, 4, |i| match i {
         0 => rpc_throughput(Stack::User, cost),
         1 => rpc_throughput(Stack::Kernel, cost),
@@ -457,33 +474,74 @@ pub fn table2_jobs(cost: &CostModel, jobs: usize) -> Table2Row {
     }
 }
 
-/// Renders a Table 1 comparison (measured vs paper).
-pub fn format_table1(rows: &[Table1Row]) -> String {
-    let mut s = String::new();
-    s.push_str(
-        "size     unicast      multicast    RPC user     RPC kernel   group user   group kernel\n",
-    );
-    s.push_str(
-        "         sim  paper   sim  paper   sim  paper   sim  paper   sim  paper   sim  paper\n",
-    );
-    for (row, paper) in rows.iter().zip(PAPER_TABLE1.iter()) {
-        s.push_str(&format!(
-            "{:>4}Kb  {:>5.2} {:>5.2}  {:>5.2} {:>5.2}  {:>5.2} {:>5.2}  {:>5.2} {:>5.2}  {:>5.2} {:>5.2}  {:>5.2} {:>5.2}\n",
-            row.size / 1024,
-            row.unicast_user_ms, paper.unicast_user_ms,
-            row.multicast_user_ms, paper.multicast_user_ms,
-            row.rpc_user_ms, paper.rpc_user_ms,
-            row.rpc_kernel_ms, paper.rpc_kernel_ms,
-            row.group_user_ms, paper.group_user_ms,
-            row.group_kernel_ms, paper.group_kernel_ms,
-        ));
-    }
-    s
-}
-
 // ---------------------------------------------------------------------------
 // Trace capture and the Section 4 latency budget
 // ---------------------------------------------------------------------------
+
+/// One mechanism of the paper's Section 4.2/4.3 accounting of what the
+/// user-space protocols pay over the kernel-space ones.
+#[derive(Debug, Clone, Copy)]
+pub struct Mechanism {
+    /// The mechanism, as the paper names it.
+    pub name: &'static str,
+    /// The paper's share of the null-RPC gap (µs), if it gives one.
+    pub rpc_us: Option<f64>,
+    /// The paper's share of the null-group gap (µs), if it gives one.
+    pub group_us: Option<f64>,
+    /// The [`derive_budget`] terms that charge this mechanism.
+    pub terms: &'static [&'static str],
+    /// Zeroes the cost-model fields that price this mechanism.
+    pub zero: fn(&mut CostModel),
+}
+
+/// The paper's Section 4 accounting, the one copy of its µs figures.
+pub const PAPER_SECTION4: [Mechanism; 5] = [
+    Mechanism {
+        name: "context switches",
+        rpc_us: Some(140.0),
+        group_us: Some(110.0),
+        terms: &["switch", "sequencer_dispatch"],
+        zero: |c| {
+            c.context_switch = SimDuration::ZERO;
+            c.sequencer_thread_switch = SimDuration::ZERO;
+            c.sequencer_thread_switch_dedicated = SimDuration::ZERO;
+        },
+    },
+    Mechanism {
+        name: "window traps + crossings",
+        rpc_us: Some(50.0),
+        group_us: Some(50.0),
+        terms: &["syscall", "window_trap"],
+        zero: |c| {
+            c.window_trap = SimDuration::ZERO;
+            c.syscall_enter = SimDuration::ZERO;
+        },
+    },
+    Mechanism {
+        name: "double fragmentation",
+        rpc_us: Some(40.0),
+        group_us: Some(20.0),
+        terms: &["fragmentation_layer"],
+        zero: |c| c.fragmentation_layer = SimDuration::ZERO,
+    },
+    Mechanism {
+        name: "untuned user FLIP interface",
+        rpc_us: Some(54.0),
+        group_us: Some(30.0),
+        terms: &["flip_user_interface"],
+        zero: |c| c.flip_user_interface = SimDuration::ZERO,
+    },
+    Mechanism {
+        name: "user/kernel copies",
+        rpc_us: None,
+        group_us: Some(30.0),
+        terms: &["copy"],
+        zero: |c| c.copy_byte = SimDuration::ZERO,
+    },
+];
+
+/// The paper's total user − kernel gap (µs): `(null RPC, null group send)`.
+pub const PAPER_SECTION4_GAP_US: (f64, f64) = (290.0, 230.0);
 
 /// A traced RPC run: the full event stream, the virtual-time latency of the
 /// last (post-warmup) call, and a chrome://tracing export of the whole run.
@@ -618,35 +676,6 @@ pub fn budget_total(lines: &[BudgetLine]) -> SimDuration {
     lines.iter().fold(SimDuration::ZERO, |acc, l| acc + l.total)
 }
 
-/// Renders the budget as an aligned table (µs, descending).
-pub fn format_budget(lines: &[BudgetLine], latency: SimDuration) -> String {
-    let mut s = String::new();
-    s.push_str(&format!(
-        "{:<8} {:<22} {:>6} {:>10}\n",
-        "layer", "term", "count", "us"
-    ));
-    for l in lines {
-        s.push_str(&format!(
-            "{:<8} {:<22} {:>6} {:>10.1}\n",
-            l.layer.to_string(),
-            l.name,
-            l.count,
-            l.total.as_micros_f64()
-        ));
-    }
-    let total = budget_total(lines);
-    s.push_str(&format!(
-        "{:<8} {:<22} {:>6} {:>10.1}  (measured span: {:.1} us, accounted {:.1}%)\n",
-        "",
-        "total",
-        "",
-        total.as_micros_f64(),
-        latency.as_micros_f64(),
-        100.0 * total.as_nanos() as f64 / latency.as_nanos().max(1) as f64,
-    ));
-    s
-}
-
 // ---------------------------------------------------------------------------
 // Table 3: the application suite
 // ---------------------------------------------------------------------------
@@ -658,32 +687,8 @@ use apps::{AppReport, ProtoImpl, RunConfig};
 pub enum Scale {
     /// Paper-scale workloads (minutes of virtual time; slowest to simulate).
     Paper,
-    /// Reduced workloads for smoke runs and CI.
+    /// Reduced workloads for the smoke tests (`tests/paper_claims.rs`).
     Small,
-}
-
-impl Scale {
-    /// Reads `TABLE3_SCALE` from the environment (`paper` or `small`);
-    /// `default` when it is unset.
-    ///
-    /// # Panics
-    ///
-    /// On any other value, so that a typo cannot turn a smoke pass into a
-    /// paper-scale run.
-    pub fn from_env(default: Scale) -> Scale {
-        match std::env::var("TABLE3_SCALE") {
-            Err(std::env::VarError::NotPresent) => default,
-            value => Scale::parse(value.as_deref().unwrap_or("<not unicode>")),
-        }
-    }
-
-    fn parse(value: &str) -> Scale {
-        match value {
-            "paper" => Scale::Paper,
-            "small" => Scale::Small,
-            other => panic!("TABLE3_SCALE={other:?}: the accepted values are `paper` and `small`"),
-        }
-    }
 }
 
 /// The application names of Table 3, in the paper's order.
@@ -757,16 +762,35 @@ pub fn run_app(app: &str, imp: ProtoImpl, nodes: u32, scale: Scale) -> AppReport
 
 #[cfg(test)]
 mod tests {
-    use super::Scale;
+    use super::{jobs_from_args, splice};
+
+    fn args(s: &str) -> Vec<String> {
+        s.split_whitespace().map(String::from).collect()
+    }
 
     #[test]
-    fn scale_accepts_two_names_and_panics_on_typos() {
-        assert_eq!(Scale::parse("paper"), Scale::Paper);
-        assert_eq!(Scale::parse("small"), Scale::Small);
-        for typo in ["Small", "smal", "PAPER", "", " small"] {
-            let err = std::panic::catch_unwind(|| Scale::parse(typo)).expect_err(typo);
+    fn jobs_parse_a_number_and_panic_on_typos() {
+        assert_eq!(jobs_from_args(args("")), 0);
+        assert_eq!(jobs_from_args(args("--bench")), 0);
+        assert_eq!(jobs_from_args(args("--jobs 2 --bench")), 2);
+        assert_eq!(jobs_from_args(args("--bench --jobs 0")), 0);
+        for typo in ["--jobs two", "--jobs", "--jobs -1", "--jobs 2x --bench"] {
+            let err = std::panic::catch_unwind(|| jobs_from_args(args(typo))).expect_err(typo);
             let msg = err.downcast_ref::<String>().expect("a formatted message");
-            assert!(msg.contains("`paper` and `small`"), "{msg}");
+            assert!(msg.contains("`--jobs N`"), "{msg}");
         }
+    }
+
+    #[test]
+    fn splice_rewrites_one_block_and_panics_without_its_markers() {
+        let doc = "a\n<!-- paper:x -->\nold\n<!-- /paper:x -->\nb\n";
+        let new = splice(doc, "x", "new\n");
+        assert_eq!(new, "a\n<!-- paper:x -->\nnew\n<!-- /paper:x -->\nb\n");
+        assert_eq!(splice(&new, "x", "new"), new, "splicing is idempotent");
+        for name in ["y", "paper"] {
+            assert!(std::panic::catch_unwind(|| splice(doc, name, "z")).is_err());
+        }
+        let reversed = "<!-- /paper:x -->\n<!-- paper:x -->\n";
+        assert!(std::panic::catch_unwind(|| splice(reversed, "x", "z")).is_err());
     }
 }

@@ -451,6 +451,16 @@ impl FlipIface {
                 multicast: header.multicast,
             }];
         }
+        // Every sender cuts on the `FLIP_FRAGMENT_BYTES` grid
+        // (`transmit_fragments`), so a fragment off the grid or of the
+        // wrong length is hostile: accepting it could complete a message
+        // from overlapping fragments with bytes that were never sent.
+        let off = header.offset as usize;
+        if !off.is_multiple_of(FLIP_FRAGMENT_BYTES)
+            || data.len() != FLIP_FRAGMENT_BYTES.min(total.saturating_sub(off))
+        {
+            return Vec::new();
+        }
         let pool = &mut st.reassembly_pool;
         let entry = st.reassembly.entry(key).or_insert_with(|| {
             let mut buf = pool.pop().unwrap_or_default();
@@ -467,7 +477,6 @@ impl FlipIface {
         if entry.total_len != total {
             return Vec::new(); // inconsistent fragments: drop silently
         }
-        let off = header.offset as usize;
         let end = off + data.len();
         if end > total {
             return Vec::new();

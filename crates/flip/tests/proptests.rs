@@ -1,11 +1,12 @@
 //! Property-based tests: FLIP header codec and fragmentation/reassembly
-//! must round-trip arbitrary messages, including under fragment reordering.
+//! must round-trip arbitrary messages, including under fragment reordering,
+//! and hostile fragments must never complete a message early.
 
 use bytes::Bytes;
 use proptest::prelude::*;
 
 use desim::Simulation;
-use ethernet::{MacAddr, NetConfig, Network};
+use ethernet::{Dest, MacAddr, NetConfig, Network};
 use flip::{FlipAddr, FlipIface, PacketHeader, PacketType, FLIP_FRAGMENT_BYTES};
 
 proptest! {
@@ -93,5 +94,57 @@ proptest! {
         let frags = size.div_ceil(FLIP_FRAGMENT_BYTES);
         prop_assert!(frags * FLIP_FRAGMENT_BYTES >= size);
         prop_assert!((frags - 1) * FLIP_FRAGMENT_BYTES < size);
+    }
+
+    #[test]
+    fn hostile_fragments_never_deliver_a_short_or_gapped_message(
+        total in 1usize..4000,
+        frags in proptest::collection::vec((any::<u16>(), any::<u16>()), 1..8),
+    ) {
+        let mut sim = Simulation::new(7);
+        let mut net = Network::new(NetConfig::default());
+        let seg = net.add_segment(&mut sim, "s0");
+        let raw = net.attach(MacAddr(0), seg);
+        let rx = FlipIface::new(net.attach(MacAddr(1), seg));
+        rx.register(FlipAddr(9));
+        let proc = sim.add_processor("m");
+        // Arbitrary in-range `(offset, len)` pieces of one message, each
+        // fitting one frame; each byte carries its (non-zero) position
+        // pattern, so a gap shows.
+        let pieces: Vec<(usize, usize)> = frags
+            .iter()
+            .map(|&(o, l)| {
+                let off = usize::from(o) % total;
+                let fits = FLIP_FRAGMENT_BYTES.min(total - off);
+                (off, usize::from(l) % (fits + 1))
+            })
+            .collect();
+        let h = sim.spawn(proc, "driver", move |ctx| {
+            for &(off, len) in &pieces {
+                let header = PacketHeader {
+                    dst: FlipAddr(9),
+                    src: FlipAddr(1),
+                    msg_id: 5,
+                    offset: off as u32,
+                    total_len: total as u32,
+                    ptype: PacketType::Data,
+                    multicast: false,
+                };
+                let body: Vec<u8> = (off..off + len).map(|p| (p % 251) as u8 + 1).collect();
+                raw.send(ctx, Dest::Unicast(MacAddr(1)), header.encode_with(&body));
+            }
+            let frames = rx.nic().rx().clone();
+            for _ in &pieces {
+                let frame = frames.recv(ctx).expect("frame");
+                for m in rx.handle_frame(ctx, &frame) {
+                    assert_eq!(m.payload.len(), total, "delivered length");
+                    assert!(
+                        m.payload.iter().enumerate().all(|(p, &b)| b == (p % 251) as u8 + 1),
+                        "delivered bytes that were never sent"
+                    );
+                }
+            }
+        });
+        sim.run_until_finished(&h).expect("run");
     }
 }
