@@ -275,11 +275,6 @@ impl GroupMember {
         member
     }
 
-    /// This member's id within the group.
-    pub fn member_id(&self) -> u32 {
-        self.my_id
-    }
-
     /// `true` if this member hosts the sequencer.
     pub fn is_sequencer(&self) -> bool {
         self.my_id as usize == self.spec.sequencer
@@ -294,16 +289,6 @@ impl GroupMember {
     /// (diagnostics; non-zero implies a gap).
     pub fn backlog(&self) -> usize {
         self.state.lock().member.backlog()
-    }
-
-    /// History entries the sequencer had to drop because the buffer
-    /// overflowed (only meaningful on the sequencer member).
-    pub fn history_overflow_drops(&self) -> u64 {
-        self.state
-            .lock()
-            .seq
-            .as_ref()
-            .map_or(0, SeqCore::overflow_drops)
     }
 
     /// Broadcasts `payload` to the group with total ordering. Blocks until

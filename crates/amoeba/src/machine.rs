@@ -174,16 +174,9 @@ impl Machine {
         self.inner.sinks.lock().insert(addr, Sink::Kernel(handler));
     }
 
-    /// Registers a user-space endpoint; complete messages for `addr` are
-    /// copied out of the kernel into the returned channel.
-    pub fn register_user_endpoint(&self, addr: FlipAddr) -> SimChannel<FlipMessage> {
-        let ch = SimChannel::new();
-        self.register_user_endpoint_into(addr, ch.clone());
-        ch
-    }
-
-    /// Registers a user-space endpoint delivering into an existing channel
-    /// (so one receive daemon can serve several addresses).
+    /// Registers a user-space endpoint: complete messages for `addr` are
+    /// copied out of the kernel into `ch` (so one receive daemon can serve
+    /// several addresses).
     pub fn register_user_endpoint_into(&self, addr: FlipAddr, ch: SimChannel<FlipMessage>) {
         self.inner.iface.register(addr);
         self.inner.sinks.lock().insert(addr, Sink::User(ch));
@@ -196,14 +189,8 @@ impl Machine {
         self.inner.sinks.lock().insert(group, Sink::Kernel(handler));
     }
 
-    /// Joins FLIP group `group` with delivery to a user-space endpoint.
-    pub fn join_user_group(&self, group: FlipAddr, eth: McastAddr) -> SimChannel<FlipMessage> {
-        let ch = SimChannel::new();
-        self.join_user_group_into(group, eth, ch.clone());
-        ch
-    }
-
-    /// Joins FLIP group `group` delivering into an existing channel.
+    /// Joins FLIP group `group` with delivery to a user-space endpoint's
+    /// existing channel.
     pub fn join_user_group_into(
         &self,
         group: FlipAddr,
@@ -228,16 +215,6 @@ impl Machine {
         let c = self.inner.cost.kernel_packet_send * fragments_of(payload.len());
         ctx.charge(Layer::Flip, On::Interrupt, &[("kernel_packet_send", c)]);
         if let Some(local) = self.inner.iface.send(ctx, src, dst, payload) {
-            self.dispatch(ctx, local);
-        }
-    }
-
-    /// Multicasts from kernel context; the local copy (FLIP groups do not
-    /// loop frames back) is dispatched through the local sink.
-    pub fn kernel_send_group(&self, ctx: &Ctx, src: FlipAddr, group: FlipAddr, payload: Bytes) {
-        let c = self.inner.cost.kernel_packet_send * fragments_of(payload.len());
-        ctx.charge(Layer::Flip, On::Interrupt, &[("kernel_packet_send", c)]);
-        if let Some(local) = self.inner.iface.send_group(ctx, src, group, payload) {
             self.dispatch(ctx, local);
         }
     }
@@ -315,12 +292,6 @@ impl Machine {
     /// The machine's cost model.
     pub fn cost(&self) -> &CostModel {
         &self.inner.cost
-    }
-
-    /// The shared handle to the cost model (for booting further machines
-    /// without duplicating the calibration).
-    pub fn cost_shared(&self) -> Arc<CostModel> {
-        Arc::clone(&self.inner.cost)
     }
 
     /// Messages that arrived for an address with no registered sink.

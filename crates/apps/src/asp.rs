@@ -10,7 +10,7 @@
 use desim::SimDuration;
 use orca::{BoardHandle, ObjId};
 
-use crate::harness::{build_cluster, report, run_workers, AppReport, RunConfig};
+use crate::harness::{build_cluster, report, run_workers, seeded_rng, AppReport, RunConfig};
 
 /// ASP workload parameters.
 #[derive(Debug, Clone)]
@@ -48,13 +48,7 @@ const INF: i32 = i32::MAX / 4;
 
 /// Deterministic random digraph as an adjacency matrix of edge weights.
 pub fn generate_graph(seed: u64, n: usize) -> Vec<Vec<i32>> {
-    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
+    let mut next = seeded_rng(seed);
     let mut m = vec![vec![INF; n]; n];
     for (i, row) in m.iter_mut().enumerate() {
         row[i] = 0;
@@ -110,7 +104,7 @@ pub fn checksum(d: &[Vec<i32>]) -> i64 {
 }
 
 /// Order-sensitive hash of one row.
-pub fn row_hash(row: &[i32]) -> i64 {
+fn row_hash(row: &[i32]) -> i64 {
     let mut h = 0x9e37i64;
     for &v in row {
         if v < INF {

@@ -33,15 +33,13 @@ use bytes::Bytes;
 use desim::{Backend, Ctx, SimDuration, Simulation};
 use ethernet::{MacAddr, Network, TopologySpec};
 use panda::world::{self, Stack, World};
-use panda::{panda_addr, PandaConfig, ReplyTicket};
+use panda::{panda_addr, PandaConfig, ReplyTicket, KERNEL_SERVER_POOL};
 use parking_lot::Mutex;
 
 /// Base port servers listen on: server `s` serves `Port(FLEET_PORT_BASE + s)`.
 const FLEET_PORT_BASE: u64 = 0x6000;
 /// Group id of the kernel-space server replication group.
 const FLEET_GROUP_ID: u64 = 0x88;
-/// Worker threads parked in `get_request` per kernel server.
-const KERNEL_SERVER_POOL: usize = 4;
 /// Payload of the group broadcast a server issues every `group_every` ops.
 const GROUP_PAYLOAD_BYTES: usize = 32;
 

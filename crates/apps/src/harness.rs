@@ -19,6 +19,18 @@ use panda::PandaConfig;
 /// Amoeba's preemptive kernel threads.
 pub const CPU_QUANTUM: SimDuration = SimDuration::from_millis(1);
 
+/// The seeded generator every application builds its input with: a
+/// 13/7/17 xorshift64 started from a golden-ratio scramble of `seed`.
+pub(crate) fn seeded_rng(seed: u64) -> impl FnMut() -> u64 {
+    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    }
+}
+
 /// Which protocol implementation an experiment runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProtoImpl {

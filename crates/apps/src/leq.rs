@@ -17,7 +17,7 @@ use std::ops::Range;
 use desim::SimDuration;
 use orca::{BoardHandle, ObjId};
 
-use crate::harness::{build_cluster, report, run_workers, AppReport, RunConfig};
+use crate::harness::{build_cluster, report, run_workers, seeded_rng, AppReport, RunConfig};
 
 /// LEQ workload parameters.
 #[derive(Debug, Clone)]
@@ -66,13 +66,8 @@ pub struct System {
 impl System {
     /// Generates the system deterministically.
     pub fn generate(seed: u64, n: usize) -> System {
-        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state % 1000) as f64 / 1000.0
-        };
+        let mut rng = seeded_rng(seed);
+        let mut next = move || (rng() % 1000) as f64 / 1000.0;
         let mut a = vec![0.0; n * n];
         let mut b = vec![0.0; n];
         for i in 0..n {

@@ -13,7 +13,7 @@ use bytes::Bytes;
 use desim::SimDuration;
 use orca::{BufferHandle, ObjId};
 
-use crate::harness::{build_cluster, report, run_workers, AppReport, RunConfig};
+use crate::harness::{build_cluster, report, run_workers, seeded_rng, AppReport, RunConfig};
 
 /// Region Labeling workload parameters.
 #[derive(Debug, Clone)]
@@ -51,14 +51,8 @@ impl RlParams {
 }
 
 /// Generates a deterministic binary blob image (`true` = foreground).
-pub fn generate_image(seed: u64, size: usize) -> Vec<Vec<bool>> {
-    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
+fn generate_image(seed: u64, size: usize) -> Vec<Vec<bool>> {
+    let mut next = seeded_rng(seed);
     let mut img = vec![vec![false; size]; size];
     let blobs = (size / 8).max(4);
     for _ in 0..blobs {

@@ -52,7 +52,7 @@ impl SorParams {
 type Grid = Vec<Vec<f64>>;
 
 /// Fixed boundary conditions: hot top edge, cold elsewhere.
-pub fn initial_grid(size: usize) -> Grid {
+fn initial_grid(size: usize) -> Grid {
     initial_rows(size, 0..size)
 }
 

@@ -12,7 +12,7 @@ use bytes::Bytes;
 use desim::{Ctx, SimDuration};
 use orca::{IntHandle, ObjId, QueueHandle};
 
-use crate::harness::{build_cluster, report, run_workers, AppReport, RunConfig};
+use crate::harness::{build_cluster, report, run_workers, seeded_rng, AppReport, RunConfig};
 
 /// TSP workload parameters.
 #[derive(Debug, Clone)]
@@ -66,13 +66,7 @@ pub struct Instance {
 impl Instance {
     /// Generates a deterministic clustered instance.
     pub fn generate(seed: u64, n: usize) -> Instance {
-        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
+        let mut next = seeded_rng(seed);
         // Cities on a jittered ring: realistic enough, and branch-and-bound
         // prunes it well (a fully random or clustered layout blows the tree
         // up by orders of magnitude, which only changes the constant the
@@ -114,7 +108,7 @@ impl Instance {
     }
 
     /// A greedy nearest-neighbour tour length (the initial global bound).
-    pub fn nearest_neighbour_bound(&self) -> i64 {
+    fn nearest_neighbour_bound(&self) -> i64 {
         let mut visited = 1u64;
         let mut at = 0usize;
         let mut len = 0i64;
@@ -138,40 +132,6 @@ impl Instance {
             .map(|j| self.min_edge[j])
             .sum()
     }
-}
-
-/// Number of expansions the sequential solver performs (calibration aid).
-pub fn sequential_expansions(inst: &Instance) -> u64 {
-    let mut best = inst.nearest_neighbour_bound();
-    let mut expansions = 0u64;
-    dfs(inst, 0, 1, 0, &mut best, &mut expansions, &mut |_| {});
-    expansions
-}
-
-/// Expansions needed to search one job prefix against a fixed bound
-/// (calibration aid for job-size distribution).
-pub fn job_expansions(inst: &Instance, job: &[u8], bound: i64) -> u64 {
-    let mut visited = 1u64;
-    let mut at = 0usize;
-    let mut len = 0i64;
-    for &c in job {
-        let c = c as usize;
-        len += inst.d(at, c);
-        visited |= 1 << c;
-        at = c;
-    }
-    let mut best = bound;
-    let mut expansions = 0u64;
-    dfs(
-        inst,
-        at,
-        visited,
-        len,
-        &mut best,
-        &mut expansions,
-        &mut |_| {},
-    );
-    expansions
 }
 
 /// Exact sequential solver (reference for correctness tests).
@@ -217,7 +177,7 @@ fn dfs(
 }
 
 /// Generates all depth-`depth` tour prefixes (the job list).
-pub fn generate_jobs(n: usize, depth: usize) -> Vec<Vec<u8>> {
+fn generate_jobs(n: usize, depth: usize) -> Vec<Vec<u8>> {
     let mut jobs = Vec::new();
     let mut prefix = Vec::new();
     gen_rec(n, depth, 1u64, 0, &mut prefix, &mut jobs);

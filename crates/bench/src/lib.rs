@@ -221,26 +221,28 @@ pub fn system_layer_latency(size: usize, multicast: bool, cost: &CostModel) -> S
 /// Measures Panda RPC latency: requests of `size` bytes, empty replies,
 /// reply sent from within the upcall (Table 1, RPC columns).
 pub fn rpc_latency(size: usize, stack: Stack, cost: &CostModel) -> SimDuration {
-    rpc_latency_inner(size, stack, cost, false, TABLE1_ITERS).0
+    rpc_latency_inner(size, stack, cost, false, TABLE1_ITERS, 43).0 / TABLE1_ITERS
 }
 
 /// [`rpc_latency`] with tracing enabled. Tracing is zero-cost in virtual
 /// time, so this must return a bit-identical duration — the property the
 /// zero-cost regression test asserts.
 pub fn rpc_latency_traced(size: usize, stack: Stack, cost: &CostModel) -> SimDuration {
-    rpc_latency_inner(size, stack, cost, true, TABLE1_ITERS).0
+    rpc_latency_inner(size, stack, cost, true, TABLE1_ITERS, 43).0 / TABLE1_ITERS
 }
 
-/// The Table 1 RPC world: a route warmup, then `iters` measured calls.
-/// Returns the mean latency and the simulation, for its trace.
+/// The Table 1 RPC world, seeded with `seed`: a route warmup, then `iters`
+/// measured calls. Returns the total measured time and the simulation, for
+/// its trace.
 fn rpc_latency_inner(
     size: usize,
     stack: Stack,
     cost: &CostModel,
     trace: bool,
     iters: u64,
+    seed: u64,
 ) -> (SimDuration, Simulation) {
-    let mut sim = Simulation::new(43);
+    let mut sim = Simulation::new(seed);
     if trace {
         sim.enable_tracing();
     }
@@ -267,7 +269,7 @@ fn rpc_latency_inner(
         for _ in 0..iters {
             client.rpc(ctx, 1, req.clone()).expect("rpc");
         }
-        out.store((ctx.now() - t0).as_nanos() / iters, Ordering::SeqCst);
+        out.store((ctx.now() - t0).as_nanos(), Ordering::SeqCst);
     });
     sim.run_until_finished(&h).expect("rpc bench completes");
     (SimDuration::from_nanos(elapsed.load(Ordering::SeqCst)), sim)
@@ -379,43 +381,19 @@ pub const PAPER_TABLE2: Table2Row = Table2Row {
     group_kernel_kbs: 941.0,
 };
 
-/// RPC throughput: back-to-back 8000-byte requests with empty replies.
-pub fn rpc_throughput(stack: Stack, cost: &CostModel) -> f64 {
-    let mut sim = Simulation::new(45);
-    let n = stack.n_machines(2);
-    let world = boot(&mut sim, &TopologySpec::flat(n, n), cost.clone());
-    let nodes = build_stack(&mut sim, &world.machines, stack, &PandaConfig::default());
-    let replier = Arc::clone(&nodes[1]);
-    nodes[1].set_rpc_handler(Arc::new(move |ctx, _f, _r, t| {
-        replier.reply(ctx, t, Bytes::new());
-    }));
-    for n in &nodes {
-        n.set_group_handler(Arc::new(|_, _| {}));
-    }
-    nodes[0].set_rpc_handler(Arc::new(|_, _, _, _| {}));
-    let iters = 30u64;
-    let size = 8000usize;
-    let client = Arc::clone(&nodes[0]);
-    let elapsed = Arc::new(AtomicU64::new(0));
-    let out = Arc::clone(&elapsed);
-    let h = sim.spawn(world.machines[0].proc(), "client", move |ctx| {
-        let req = Bytes::from(vec![0u8; size]);
-        client.rpc(ctx, 1, req.clone()).expect("warmup");
-        let t0 = ctx.now();
-        for _ in 0..iters {
-            client.rpc(ctx, 1, req.clone()).expect("rpc");
-        }
-        out.store((ctx.now() - t0).as_nanos(), Ordering::SeqCst);
-    });
-    sim.run_until_finished(&h)
-        .expect("throughput bench completes");
-    let secs = elapsed.load(Ordering::SeqCst) as f64 / 1e9;
-    (iters as usize * size) as f64 / 1024.0 / secs
+/// RPC throughput: back-to-back 8000-byte requests with empty replies, in
+/// the Table 1 RPC world.
+fn rpc_throughput(stack: Stack, cost: &CostModel) -> f64 {
+    const ITERS: u64 = 30;
+    const SIZE: usize = 8000;
+    let (elapsed, _) = rpc_latency_inner(SIZE, stack, cost, false, ITERS, 45);
+    let secs = elapsed.as_nanos() as f64 / 1e9;
+    (ITERS as usize * SIZE) as f64 / 1024.0 / secs
 }
 
 /// Group throughput: several members stream 8000-byte messages in parallel;
 /// reported as ordered payload bytes delivered per second at one member.
-pub fn group_throughput(stack: Stack, cost: &CostModel) -> f64 {
+fn group_throughput(stack: Stack, cost: &CostModel) -> f64 {
     let mut sim = Simulation::new(46);
     let n = stack.n_machines(8);
     let world = boot(&mut sim, &TopologySpec::flat(n, n), cost.clone());
@@ -559,7 +537,7 @@ pub struct RpcTraceRun {
 /// together with the latency of the last call: [`rpc_latency`]'s world,
 /// just fewer iterations (route warmup plus `iters` measured calls).
 pub fn rpc_trace(size: usize, stack: Stack, cost: &CostModel, iters: u64) -> RpcTraceRun {
-    let (_, sim) = rpc_latency_inner(size, stack, cost, true, iters.max(1));
+    let (_, sim) = rpc_latency_inner(size, stack, cost, true, iters.max(1), 43);
     trace_run(sim, rpc_span)
 }
 

@@ -233,11 +233,6 @@ impl<T> SimChannel<T> {
         }
     }
 
-    /// Receives without blocking.
-    pub fn try_recv(&self) -> Option<T> {
-        self.inner.lock().queue.pop_front()
-    }
-
     /// Closes the channel: future sends fail, receivers drain then observe
     /// closure. Wakes all waiting receivers.
     pub fn close(&self, ctx: &Ctx) {
@@ -257,11 +252,6 @@ impl<T> SimChannel<T> {
     /// Returns `true` if no messages are queued.
     pub fn is_empty(&self) -> bool {
         self.inner.lock().queue.is_empty()
-    }
-
-    /// Returns `true` if the channel has been closed.
-    pub fn is_closed(&self) -> bool {
-        self.inner.lock().closed
     }
 }
 
@@ -356,17 +346,16 @@ mod tests {
     }
 
     #[test]
-    fn try_recv_and_len() {
+    fn len_counts_queued_messages() {
         let mut sim = Simulation::new(1);
         let cpu = sim.add_processor("m0");
         let ch = SimChannel::new();
         let h = sim.spawn(cpu, "t", move |ctx| {
             assert!(ch.is_empty());
-            assert_eq!(ch.try_recv(), None);
             ch.send(ctx, 5u8).expect("open");
             assert_eq!(ch.len(), 1);
-            assert_eq!(ch.try_recv(), Some(5));
-            assert!(!ch.is_closed());
+            assert_eq!(ch.recv(ctx), Some(5));
+            assert!(ch.is_empty());
         });
         sim.run_until_finished(&h).expect("run");
     }

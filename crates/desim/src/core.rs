@@ -411,10 +411,6 @@ impl CoreState {
         }
     }
 
-    pub(crate) fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
     /// This lane's queue accounting (see [`crate::QueueStats`]).
     pub(crate) fn queue_stats(&self) -> crate::queue::QueueStats {
         self.queue.stats()

@@ -44,7 +44,7 @@ pub enum On {
 ///
 /// A `Ctx` is handed to every thread body spawned via
 /// [`crate::Simulation::spawn`] or [`Ctx::spawn`]. All blocking primitives
-/// ([`crate::SimMutex`], [`crate::SimCondvar`], [`crate::SimChannel`]) take a
+/// ([`crate::SimMutex`], [`crate::SimChannel`]) take a
 /// `&Ctx` so they can suspend the calling thread in virtual time.
 pub struct Ctx {
     core: Arc<Core>,
@@ -326,16 +326,6 @@ impl Ctx {
         ThreadHandle::new(Arc::clone(&self.core), tid)
     }
 
-    /// Spawns a daemon thread on the given processor. Daemon threads may stay
-    /// blocked forever without the run being reported as deadlocked.
-    pub fn spawn_daemon_on<F>(&self, proc: ProcId, name: &str, f: F) -> ThreadHandle
-    where
-        F: FnOnce(&Ctx) + Send + 'static,
-    {
-        let tid = self.core.spawn_thread(proc, name, true, f);
-        ThreadHandle::new(Arc::clone(&self.core), tid)
-    }
-
     /// Commits wakes captured by [`crate::SimChannel::send_deferred`], in
     /// order, at the current instant, under a single scheduler-lock
     /// acquisition.
@@ -354,12 +344,6 @@ impl Ctx {
         }
     }
 
-    /// Returns a uniformly distributed `u64` from the simulation's
-    /// deterministic random number generator.
-    pub fn rand_u64(&self) -> u64 {
-        self.core.state.lock().rng.random()
-    }
-
     /// Returns a uniformly distributed value in `[0, n)`.
     ///
     /// # Panics
@@ -371,7 +355,7 @@ impl Ctx {
     }
 
     /// Returns a uniformly distributed `f64` in `[0, 1)`.
-    pub fn rand_f64(&self) -> f64 {
+    fn rand_f64(&self) -> f64 {
         self.core.state.lock().rng.random()
     }
 
@@ -412,17 +396,5 @@ impl Ctx {
     #[inline]
     pub fn trace_instant(&self, layer: Layer, name: &'static str, args: &[(&'static str, u64)]) {
         self.trace_emit(layer, Phase::Instant, name, args);
-    }
-
-    /// Opens a span; pair with [`Ctx::trace_end`] using the same name.
-    #[inline]
-    pub fn trace_begin(&self, layer: Layer, name: &'static str, args: &[(&'static str, u64)]) {
-        self.trace_emit(layer, Phase::Begin, name, args);
-    }
-
-    /// Closes a span opened by [`Ctx::trace_begin`].
-    #[inline]
-    pub fn trace_end(&self, layer: Layer, name: &'static str, args: &[(&'static str, u64)]) {
-        self.trace_emit(layer, Phase::End, name, args);
     }
 }

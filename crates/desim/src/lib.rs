@@ -12,8 +12,8 @@
 //!   last, and is *preempted* (extended) by interrupt-level work charged via
 //!   [`Ctx::charge`] with [`On::Interrupt`] — the mechanism at the heart of
 //!   the kernel-space vs user-space comparison this workspace reproduces;
-//! - blocking primitives in virtual time: [`SimMutex`], [`SimCondvar`], and
-//!   [`SimChannel`] with timeouts.
+//! - blocking primitives in virtual time: [`SimMutex`] and [`SimChannel`]
+//!   with timeouts.
 //!
 //! Determinism: with the same seed and program, every run produces the same
 //! schedule, the same virtual timestamps, and the same results.
@@ -79,6 +79,6 @@ pub use shard::{set_shards_override, LaneId, XSender};
 pub use sim::{
     ProcReport, SimError, SimReport, Simulation, SimulationBuilder, ThreadHandle, WindowStats,
 };
-pub use sync::{SimCondvar, SimMutex, SimMutexGuard};
+pub use sync::{SimMutex, SimMutexGuard};
 pub use time::{ms, secs, us, SimDuration, SimTime};
 pub use trace::{CounterSnapshot, Layer, Phase, TraceEvent};

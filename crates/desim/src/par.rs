@@ -15,14 +15,14 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Number of workers used when the caller requests `0` (auto): the host's
 /// available parallelism, or 1 if it cannot be determined.
-pub fn default_jobs() -> usize {
+pub(crate) fn default_jobs() -> usize {
     std::thread::available_parallelism()
         .map(NonZeroUsize::get)
         .unwrap_or(1)
 }
 
-/// Resolves a `--jobs`-style request: `0` means auto-detect
-/// ([`default_jobs`]), anything else is taken literally.
+/// Resolves a `--jobs`-style request: `0` means auto-detect (one worker per
+/// host core), anything else is taken literally.
 pub fn effective_jobs(requested: usize) -> usize {
     if requested == 0 {
         default_jobs()

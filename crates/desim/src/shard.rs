@@ -42,9 +42,7 @@
 //! 1. [`crate::SimulationBuilder::shards`] — explicit per-simulation choice.
 //! 2. [`set_shards_override`] — a process-global override, for tests and
 //!    harnesses that construct simulations indirectly.
-//! 3. The `DESIM_SHARDS` environment variable (a number, or `auto`/`0` for
-//!    one runner per host core), read afresh at each construction.
-//! 4. `auto`.
+//! 3. `auto`: one runner per host core.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -107,9 +105,7 @@ impl ShardCount {
     pub(crate) fn resolve(self) -> usize {
         match self {
             ShardCount::Fixed(n) => n.max(1),
-            ShardCount::Auto => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+            ShardCount::Auto => crate::par::default_jobs(),
         }
     }
 }
@@ -120,7 +116,7 @@ const NO_OVERRIDE: usize = usize::MAX;
 static OVERRIDE: AtomicUsize = AtomicUsize::new(NO_OVERRIDE);
 
 /// Sets (or clears, with `None`) a process-global shard-count override that
-/// outranks `DESIM_SHARDS` but not an explicit
+/// outranks `auto` but not an explicit
 /// [`crate::SimulationBuilder::shards`] call. `Some(0)` means `auto` (one
 /// runner per host core). Intended for tests and CLIs that drive code
 /// which constructs `Simulation`s internally; tests sharing a process must
@@ -132,26 +128,12 @@ pub fn set_shards_override(shards: Option<usize>) {
 }
 
 /// The shard count a simulation gets without an explicit builder call: the
-/// process override if set, else `DESIM_SHARDS`, else `auto`. Panics on an
-/// unparseable `DESIM_SHARDS` so typos fail loudly.
+/// process override if set, else `auto`.
 pub(crate) fn default_shards() -> ShardCount {
     match OVERRIDE.load(Ordering::SeqCst) {
-        NO_OVERRIDE => {}
-        0 => return ShardCount::Auto,
-        n => return ShardCount::Fixed(n),
+        NO_OVERRIDE | 0 => ShardCount::Auto,
+        n => ShardCount::Fixed(n),
     }
-    if let Ok(v) = std::env::var("DESIM_SHARDS") {
-        let t = v.trim();
-        if t.eq_ignore_ascii_case("auto") {
-            return ShardCount::Auto;
-        }
-        return match t.parse::<usize>() {
-            Ok(0) => ShardCount::Auto,
-            Ok(n) => ShardCount::Fixed(n),
-            Err(_) => panic!("DESIM_SHARDS={v:?} is not a shard count (use a number or \"auto\")"),
-        };
-    }
-    ShardCount::Auto
 }
 
 /// Barrier-side face of a cross-lane link, held by the `Simulation` driver.

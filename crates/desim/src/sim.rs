@@ -206,7 +206,6 @@ pub struct Simulation {
     /// Per-lane queue capacity hint (see
     /// [`SimulationBuilder::expected_threads`]); mirrored onto added lanes.
     expected_threads: usize,
-    default_switch_cost: SimDuration,
     // Configuration mirrored onto lanes created after the setter ran:
     max_events: Option<u64>,
     perturb_seed: Option<u64>,
@@ -266,8 +265,7 @@ impl SimulationBuilder {
 
     /// Explicit shard count — the maximum number of runner OS threads for
     /// windowed parallel execution (`0` = auto, one per host core) —
-    /// outranking the `DESIM_SHARDS` environment variable and
-    /// [`crate::set_shards_override`]. Effective parallelism is
+    /// outranking [`crate::set_shards_override`]. Effective parallelism is
     /// `min(shards, lanes)`, so the knob never affects a single-lane
     /// simulation, and it never affects observable results on any
     /// simulation — only wall-clock time (see [`Simulation::add_lane`]).
@@ -304,7 +302,6 @@ impl SimulationBuilder {
             seed: self.seed,
             fiber_stack_size: self.fiber_stack_size,
             expected_threads: self.expected_threads,
-            default_switch_cost: SimDuration::ZERO,
             max_events: None,
             perturb_seed: None,
             tracing_cap: None,
@@ -397,10 +394,10 @@ impl Simulation {
         LaneId(idx as u32)
     }
 
-    /// Adds a processor on the given lane (see [`Simulation::add_processor`]).
+    /// Adds a processor with no context-switch cost on the given lane (see
+    /// [`Simulation::add_processor`]).
     pub fn add_processor_on(&mut self, lane: LaneId, name: &str) -> ProcId {
-        self.lane_core(lane)
-            .add_processor(name, self.default_switch_cost)
+        self.lane_core(lane).add_processor(name, SimDuration::ZERO)
     }
 
     /// Adds a processor with an explicit context-switch cost on the given
@@ -489,11 +486,6 @@ impl Simulation {
         );
         self.links
             .register(delay, &src, &dst_core, dst_lane.index(), dst)
-    }
-
-    /// Sets the context-switch cost used for processors added *afterwards*.
-    pub fn set_default_switch_cost(&mut self, cost: SimDuration) {
-        self.default_switch_cost = cost;
     }
 
     /// Caps the total number of wake events; [`Simulation::run`] returns
@@ -1064,11 +1056,6 @@ impl Simulation {
             names.extend(core.state.lock().threads.iter().map(|t| t.name.to_string()));
         }
         names
-    }
-
-    /// Number of events still queued (diagnostics; summed over lanes).
-    pub fn pending_events(&self) -> usize {
-        self.lanes.iter().map(|c| c.state.lock().queue_len()).sum()
     }
 
     /// Number of cancelled (dead-generation) wakes consumed so far

@@ -136,22 +136,6 @@ impl<T> SimMutex<T> {
         }
     }
 
-    /// Attempts to acquire the lock without blocking.
-    pub fn try_lock<'a>(&'a self, ctx: &'a Ctx) -> Option<SimMutexGuard<'a, T>> {
-        let mut st = self.inner.state.lock();
-        if st.locked {
-            return None;
-        }
-        st.locked = true;
-        st.owner = Some(ctx.thread_id());
-        drop(st);
-        Some(SimMutexGuard {
-            mutex: self,
-            ctx,
-            data: Some(self.inner.data.lock()),
-        })
-    }
-
     fn unlock(&self, ctx: &Ctx) {
         let mut st = self.inner.state.lock();
         st.locked = false;
@@ -200,86 +184,10 @@ impl<T> Drop for SimMutexGuard<'_, T> {
     }
 }
 
-/// A condition variable for simulated threads, used with [`SimMutex`].
-///
-/// Waiting releases the associated mutex atomically with respect to the
-/// single-runner simulation invariant, and re-acquires it before returning.
-/// Waits may wake spuriously only in the sense that the awaited predicate
-/// must be re-checked (standard condition-variable discipline).
-#[derive(Clone)]
-pub struct SimCondvar {
-    waiters: Arc<Mutex<VecDeque<(ThreadId, u64)>>>,
-}
-
-impl fmt::Debug for SimCondvar {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SimCondvar")
-            .field("waiters", &self.waiters.lock().len())
-            .finish()
-    }
-}
-
-impl Default for SimCondvar {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl SimCondvar {
-    /// Creates a condition variable with no waiters.
-    pub fn new() -> Self {
-        SimCondvar {
-            waiters: Arc::new(Mutex::new(VecDeque::new())),
-        }
-    }
-
-    /// Releases `guard`, waits for a notification, and re-acquires the mutex.
-    pub fn wait<'a, T>(&self, ctx: &'a Ctx, guard: SimMutexGuard<'a, T>) -> SimMutexGuard<'a, T> {
-        let mutex = guard.mutex;
-        let me = ctx.thread_id();
-        {
-            let mut ws = self.waiters.lock();
-            let wid = ctx.core().state.lock().prepare_block(me, "condvar");
-            ws.push_back((me, wid));
-        }
-        drop(guard);
-        // The one blocking primitive that re-locks the state to yield:
-        // dropping the `SimMutexGuard` releases the mutex, and handing it to
-        // a waiter schedules that waiter's wake under the state lock, so the
-        // registration's guard cannot be held across the release.
-        if ctx.yield_blocked(ctx.core().state.lock()) == WakeStatus::Shutdown {
-            ctx.shutdown_unwind();
-        }
-        mutex.lock(ctx)
-    }
-
-    /// Wakes one waiter, if any. Returns `true` if a waiter was woken.
-    pub fn notify_one(&self, ctx: &Ctx) -> bool {
-        let mut ws = self.waiters.lock();
-        if let Some((t, w)) = ws.pop_front() {
-            ctx.core().state.lock().schedule_wake_now(t, w);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Wakes all waiters. Returns the number woken.
-    pub fn notify_all(&self, ctx: &Ctx) -> usize {
-        let mut ws = self.waiters.lock();
-        let n = ws.len();
-        let mut core = ctx.core().state.lock();
-        for (t, w) in ws.drain(..) {
-            core.schedule_wake_now(t, w);
-        }
-        n
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{us, SimDuration, Simulation};
+    use crate::{us, Simulation};
 
     #[test]
     fn mutex_serializes_critical_sections() {
@@ -310,61 +218,5 @@ mod tests {
             }
         });
         sim2.run_until_finished(&check).expect("check run");
-    }
-
-    #[test]
-    fn condvar_wakes_waiter() {
-        let mut sim = Simulation::new(1);
-        let cpu = sim.add_processor("m0");
-        let m = SimMutex::new(false);
-        let cv = SimCondvar::new();
-        let (m2, cv2) = (m.clone(), cv.clone());
-        let waiter = sim.spawn(cpu, "waiter", move |ctx| {
-            let mut g = m2.lock(ctx);
-            while !*g {
-                g = cv2.wait(ctx, g);
-            }
-            assert_eq!(ctx.now().as_micros_f64(), 50.0);
-        });
-        sim.spawn(cpu, "setter", move |ctx| {
-            ctx.sleep(us(50));
-            let mut g = m.lock(ctx);
-            *g = true;
-            cv.notify_one(ctx);
-        });
-        sim.run_until_finished(&waiter).expect("run");
-    }
-
-    #[test]
-    fn notify_without_waiters_is_noop() {
-        let mut sim = Simulation::new(1);
-        let cpu = sim.add_processor("m0");
-        let cv = SimCondvar::new();
-        let h = sim.spawn(cpu, "t", move |ctx| {
-            assert!(!cv.notify_one(ctx));
-            assert_eq!(cv.notify_all(ctx), 0);
-        });
-        sim.run_until_finished(&h).expect("run");
-    }
-
-    #[test]
-    fn try_lock_contention() {
-        let mut sim = Simulation::new(1);
-        let cpu = sim.add_processor("m0");
-        let m = SimMutex::new(());
-        let m2 = m.clone();
-        let h = sim.spawn(cpu, "a", move |ctx| {
-            let _g = m2.lock(ctx);
-            ctx.sleep(us(100));
-        });
-        let h2 = sim.spawn(cpu, "b", move |ctx| {
-            ctx.sleep(us(10));
-            assert!(m.try_lock(ctx).is_none());
-            ctx.sleep(us(200));
-            assert!(m.try_lock(ctx).is_some());
-        });
-        sim.run_until_finished(&h).expect("run a");
-        sim.run_until_finished(&h2).expect("run b");
-        let _ = SimDuration::ZERO;
     }
 }

@@ -141,16 +141,6 @@ impl SimDuration {
         SimDuration(s * 1_000_000_000)
     }
 
-    /// Creates a span from fractional microseconds, rounding to nanoseconds.
-    pub fn from_micros_f64(us: f64) -> Self {
-        SimDuration((us * 1_000.0).round().max(0.0) as u64)
-    }
-
-    /// Creates a span from fractional seconds, rounding to nanoseconds.
-    pub fn from_secs_f64(s: f64) -> Self {
-        SimDuration((s * 1_000_000_000.0).round().max(0.0) as u64)
-    }
-
     /// Returns the span in whole nanoseconds.
     pub const fn as_nanos(self) -> u64 {
         self.0
@@ -304,15 +294,6 @@ mod tests {
             SimTime::ZERO.saturating_duration_since(SimTime::from_nanos(10)),
             SimDuration::ZERO
         );
-    }
-
-    #[test]
-    fn fractional_constructors() {
-        assert_eq!(
-            SimDuration::from_micros_f64(0.8),
-            SimDuration::from_nanos(800)
-        );
-        assert_eq!(SimDuration::from_secs_f64(0.5), ms(500));
     }
 
     #[test]

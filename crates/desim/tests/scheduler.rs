@@ -1,8 +1,8 @@
 //! Integration tests for the desim scheduler, CPU model, and determinism.
 
 use desim::{
-    ms, secs, us, LaneId, Layer, On, Phase, SimChannel, SimCondvar, SimDuration, SimError,
-    SimMutex, SimTime, Simulation,
+    ms, secs, us, LaneId, Layer, On, Phase, SimChannel, SimDuration, SimError, SimMutex, SimTime,
+    Simulation,
 };
 
 #[test]
@@ -325,12 +325,12 @@ fn join_waits_for_completion() {
 }
 
 /// A target that finished in an earlier run stops the driver before it
-/// pops a single event, on one lane and on two; a later `run` still drains
-/// what is left.
+/// pops a single event, on one lane and on two (under every shard count);
+/// a later `run` still drains what is left.
 #[test]
 fn rerunning_a_finished_target_processes_nothing() {
-    for lanes in [1, 2] {
-        let mut sim = Simulation::new(0);
+    for (lanes, shards) in [(1, 1), (2, 1), (2, 2), (2, 0)] {
+        let mut sim = Simulation::builder().shards(shards).build();
         let lane = if lanes == 2 {
             sim.add_lane()
         } else {
@@ -340,15 +340,15 @@ fn rerunning_a_finished_target_processes_nothing() {
         let quick = sim.spawn_on_lane(lane, cpu, "quick", |ctx| ctx.sleep(us(1)));
         let sleeper = sim.spawn_on_lane(lane, cpu, "sleeper", |ctx| ctx.sleep(us(100)));
         sim.run_until_finished(&quick).expect("quick finishes");
-        assert!(!sleeper.is_finished(), "lanes {lanes}");
+        assert!(!sleeper.is_finished(), "lanes {lanes} shards {shards}");
         let events = sim.report().events;
         sim.run_until_finished(&quick)
             .expect("a finished target is not a deadlock");
-        assert_eq!(sim.report().events, events, "lanes {lanes}");
-        assert!(!sleeper.is_finished(), "lanes {lanes}");
+        assert_eq!(sim.report().events, events, "lanes {lanes} shards {shards}");
+        assert!(!sleeper.is_finished(), "lanes {lanes} shards {shards}");
         sim.run().expect("the sleeper drains");
-        assert!(sleeper.is_finished(), "lanes {lanes}");
-        assert_eq!(sim.now(), SimTime::ZERO + us(100));
+        assert!(sleeper.is_finished(), "lanes {lanes} shards {shards}");
+        assert_eq!(sim.now(), SimTime::ZERO + us(100), "shards {shards}");
     }
 }
 
@@ -466,7 +466,6 @@ fn shutdown_under_load_reclaims_threads_blocked_in_every_primitive() {
                 [
                     ("holder", "chan.recv"),
                     ("mutex-waiter", "mutex"),
-                    ("cv-waiter", "condvar"),
                     ("recv-waiter", "chan.recv"),
                     ("joiner", "join"),
                 ]
@@ -474,7 +473,7 @@ fn shutdown_under_load_reclaims_threads_blocked_in_every_primitive() {
         }
         other => panic!("expected deadlock, got {other:?}"),
     }
-    drop(sim); // the five still parked must unwind too
+    drop(sim); // the four still parked must unwind too
 }
 
 /// Builds a world with a thread parked in every blocking primitive and runs
@@ -486,8 +485,6 @@ fn parked_in_every_primitive() -> Simulation {
     let m0 = sim.add_processor("m0");
     let m1 = sim.add_processor("m1");
     let mutex = Arc::new(SimMutex::new(0u32));
-    let cv = Arc::new(SimCondvar::new());
-    let cv_mutex = Arc::new(SimMutex::new(false));
     let never: SimChannel<u8> = SimChannel::new();
 
     // Holds the mutex forever (blocked in chan.recv with the guard live).
@@ -502,13 +499,6 @@ fn parked_in_every_primitive() -> Simulation {
     sim.spawn(m0, "mutex-waiter", move |ctx| {
         ctx.sleep(us(1)); // let the holder take it first
         let _guard = waiter_mutex.lock(ctx);
-    });
-    // Blocked in condvar.wait.
-    let w_cv = Arc::clone(&cv);
-    let w_cv_mutex = Arc::clone(&cv_mutex);
-    sim.spawn(m0, "cv-waiter", move |ctx| {
-        let guard = w_cv_mutex.lock(ctx);
-        let _guard = w_cv.wait(ctx, guard);
     });
     // Blocked in chan.recv.
     let rx = never.clone();

@@ -132,26 +132,28 @@ fn run_ring(seed: u64, specs: &[LaneSpec], delays_us: &[u64], shards: usize) -> 
 
 #[test]
 fn cross_link_delivers_at_exactly_send_plus_delay() {
-    let mut sim = Simulation::new(7);
-    let l1 = sim.add_lane();
-    let p0 = sim.add_processor("m0");
-    let p1 = sim.add_processor_on(l1, "m1");
-    let inbox: SimChannel<u64> = SimChannel::new();
-    let tx = sim.cross_link("l01", us(30), LaneId::ZERO, l1, p1, inbox.clone());
-    sim.spawn(p0, "src", move |ctx| {
-        ctx.sleep(us(5));
-        tx.send(ctx, 42);
-        ctx.sleep(us(100));
-        tx.send(ctx, 43);
-    });
-    let sink = sim.spawn_on_lane(l1, p1, "sink", move |ctx| {
-        assert_eq!(inbox.recv(ctx), Some(42));
-        assert_eq!(ctx.now(), SimTime::ZERO + us(5) + us(30));
-        assert_eq!(inbox.recv(ctx), Some(43));
-        assert_eq!(ctx.now(), SimTime::ZERO + us(105) + us(30));
-    });
-    sim.run_until_finished(&sink).expect("sink finishes");
-    assert_eq!(sim.lookahead(), Some(us(30)));
+    for shards in [1, 2, 0] {
+        let mut sim = Simulation::builder().seed(7).shards(shards).build();
+        let l1 = sim.add_lane();
+        let p0 = sim.add_processor("m0");
+        let p1 = sim.add_processor_on(l1, "m1");
+        let inbox: SimChannel<u64> = SimChannel::new();
+        let tx = sim.cross_link("l01", us(30), LaneId::ZERO, l1, p1, inbox.clone());
+        sim.spawn(p0, "src", move |ctx| {
+            ctx.sleep(us(5));
+            tx.send(ctx, 42);
+            ctx.sleep(us(100));
+            tx.send(ctx, 43);
+        });
+        let sink = sim.spawn_on_lane(l1, p1, "sink", move |ctx| {
+            assert_eq!(inbox.recv(ctx), Some(42));
+            assert_eq!(ctx.now(), SimTime::ZERO + us(5) + us(30));
+            assert_eq!(inbox.recv(ctx), Some(43));
+            assert_eq!(ctx.now(), SimTime::ZERO + us(105) + us(30));
+        });
+        sim.run_until_finished(&sink).expect("sink finishes");
+        assert_eq!(sim.lookahead(), Some(us(30)));
+    }
 }
 
 #[test]
@@ -173,28 +175,32 @@ fn independent_lanes_drain_in_one_unbounded_window() {
 
 #[test]
 fn event_budget_stops_a_windowed_run() {
-    let mut sim = Simulation::new(11);
-    let l1 = sim.add_lane();
-    let p0 = sim.add_processor("a");
-    let p1 = sim.add_processor_on(l1, "b");
-    let inbox: SimChannel<u64> = SimChannel::new();
-    let tx = sim.cross_link("x", us(10), LaneId::ZERO, l1, p1, inbox.clone());
-    sim.set_max_events(500);
-    sim.spawn(p0, "spin", move |ctx| loop {
-        ctx.sleep(us(1));
-        tx.send(ctx, 0);
-    });
-    sim.spawn_daemon_on_lane(
-        l1,
-        p1,
-        "drain",
-        move |ctx| {
-            while inbox.recv(ctx).is_some() {}
-        },
-    );
-    match sim.run() {
-        Err(desim::SimError::EventLimitExceeded { limit }) => assert_eq!(limit, 500),
-        other => panic!("expected EventLimitExceeded, got {other:?}"),
+    for shards in [1, 2, 0] {
+        let mut sim = Simulation::builder().seed(11).shards(shards).build();
+        let l1 = sim.add_lane();
+        let p0 = sim.add_processor("a");
+        let p1 = sim.add_processor_on(l1, "b");
+        let inbox: SimChannel<u64> = SimChannel::new();
+        let tx = sim.cross_link("x", us(10), LaneId::ZERO, l1, p1, inbox.clone());
+        sim.set_max_events(500);
+        sim.spawn(p0, "spin", move |ctx| loop {
+            ctx.sleep(us(1));
+            tx.send(ctx, 0);
+        });
+        sim.spawn_daemon_on_lane(
+            l1,
+            p1,
+            "drain",
+            move |ctx| {
+                while inbox.recv(ctx).is_some() {}
+            },
+        );
+        match sim.run() {
+            Err(desim::SimError::EventLimitExceeded { limit }) => {
+                assert_eq!(limit, 500, "shards {shards}")
+            }
+            other => panic!("expected EventLimitExceeded, got {other:?}"),
+        }
     }
 }
 
@@ -358,18 +364,23 @@ fn same_instant_fan_in_arrives_in_link_registration_order() {
 
 #[test]
 fn trace_dropped_counts_every_lane() {
-    // Lane 0 stays idle; lane 1 overflows its 8-event ring.
-    let mut sim = Simulation::new(4);
-    sim.enable_tracing_with_capacity(8);
-    let l1 = sim.add_lane();
-    let p1 = sim.add_processor_on(l1, "m1");
-    sim.spawn_on_lane(l1, p1, "chatty", |ctx| {
-        for i in 0..100 {
-            ctx.trace_instant(Layer::App, "tick", &[("i", i)]);
-        }
-    });
-    sim.run().expect("chatty finishes");
-    assert!(sim.trace_dropped() > 0, "lane 1 evictions are counted");
+    for shards in [1, 2, 0] {
+        // Lane 0 stays idle; lane 1 overflows its 8-event ring.
+        let mut sim = Simulation::builder().seed(4).shards(shards).build();
+        sim.enable_tracing_with_capacity(8);
+        let l1 = sim.add_lane();
+        let p1 = sim.add_processor_on(l1, "m1");
+        sim.spawn_on_lane(l1, p1, "chatty", |ctx| {
+            for i in 0..100 {
+                ctx.trace_instant(Layer::App, "tick", &[("i", i)]);
+            }
+        });
+        sim.run().expect("chatty finishes");
+        assert!(
+            sim.trace_dropped() > 0,
+            "shards {shards}: lane 1 evictions are counted"
+        );
+    }
 }
 
 #[test]

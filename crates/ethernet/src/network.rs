@@ -194,13 +194,8 @@ impl FaultState {
         self.partitions.remove(&pair_key(a, b));
     }
 
-    /// Restores all severed links.
-    pub fn heal_all(&mut self) {
-        self.partitions.clear();
-    }
-
     /// True if the link between `a` and `b` is currently severed.
-    pub fn is_partitioned(&self, a: MacAddr, b: MacAddr) -> bool {
+    fn is_partitioned(&self, a: MacAddr, b: MacAddr) -> bool {
         self.partitions.contains(&pair_key(a, b))
     }
 
@@ -216,7 +211,7 @@ impl FaultState {
     }
 
     /// True if `mac`'s NIC is currently off the network.
-    pub fn is_down(&self, mac: MacAddr) -> bool {
+    fn is_down(&self, mac: MacAddr) -> bool {
         self.down.contains(&mac)
     }
 
@@ -228,19 +223,6 @@ impl FaultState {
     /// Number of currently crashed machines.
     pub fn down_count(&self) -> usize {
         self.down.len()
-    }
-
-    /// True if any fault knob is active (used by tests asserting a plan
-    /// really was cleaned up before the end of a run).
-    pub fn any_active(&self) -> bool {
-        self.wire_loss_prob > 0.0
-            || self.rx_loss_prob > 0.0
-            || self.force_drop_next > 0
-            || self.dup_prob > 0.0
-            || self.reorder_prob > 0.0
-            || self.gilbert.is_some()
-            || !self.partitions.is_empty()
-            || !self.down.is_empty()
     }
 }
 
@@ -389,16 +371,6 @@ impl Network {
             })),
             faults: Arc::new(Mutex::new(FaultState::default())),
         }
-    }
-
-    /// Nanoseconds to put one byte on the wire.
-    fn ns_per_byte(&self) -> u64 {
-        8_000_000_000 / self.cfg.bandwidth_bps
-    }
-
-    /// Time a frame occupies the medium.
-    pub fn wire_time(&self, frame: &Frame) -> SimDuration {
-        SimDuration::from_nanos(frame.wire_bytes() as u64 * self.ns_per_byte())
     }
 
     /// Returns the shared fault-injection state for runtime adjustment.

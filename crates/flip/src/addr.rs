@@ -33,11 +33,6 @@ impl FlipAddr {
     pub fn for_interface(mac: MacAddr) -> FlipAddr {
         FlipAddr(Self::IFACE_BIT | u64::from(mac.0))
     }
-
-    /// Returns `true` for interface addresses.
-    pub fn is_interface(self) -> bool {
-        self.0 & Self::IFACE_BIT != 0
-    }
 }
 
 impl fmt::Display for FlipAddr {
@@ -55,8 +50,6 @@ mod tests {
         let a = FlipAddr::for_interface(MacAddr(1));
         let b = FlipAddr::for_interface(MacAddr(2));
         assert_ne!(a, b);
-        assert!(a.is_interface());
-        assert!(!FlipAddr(42).is_interface());
     }
 
     #[test]

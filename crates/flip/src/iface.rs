@@ -167,11 +167,6 @@ impl FlipIface {
         self.state.lock().local.remove(&addr);
     }
 
-    /// Returns `true` if `addr` is registered locally.
-    pub fn is_local(&self, addr: FlipAddr) -> bool {
-        self.state.lock().local.contains(&addr)
-    }
-
     /// Installs a static route: data for `dst` goes straight to station
     /// `mac` without a locate broadcast. Locates are each a network-wide
     /// flood, so large fleets pre-seed the well-known service addresses at

@@ -31,11 +31,11 @@ impl std::error::Error for WireError {}
 /// use orca::{WireReader, WireWriter};
 ///
 /// let mut w = WireWriter::new();
-/// w.put_u32(7).put_str("hi").put_i64(-4);
+/// w.put_u32(7).put_bytes(b"hi").put_i64(-4);
 /// let bytes = w.finish();
 /// let mut r = WireReader::new(&bytes);
 /// assert_eq!(r.get_u32().unwrap(), 7);
-/// assert_eq!(r.get_str().unwrap(), "hi");
+/// assert_eq!(r.get_bytes().unwrap(), b"hi");
 /// assert_eq!(r.get_i64().unwrap(), -4);
 /// assert!(r.is_empty());
 /// ```
@@ -98,11 +98,6 @@ impl WireWriter {
         self.put_u32(v.len() as u32);
         self.buf.extend_from_slice(v);
         self
-    }
-
-    /// Appends a length-prefixed UTF-8 string.
-    pub fn put_str(&mut self, v: &str) -> &mut Self {
-        self.put_bytes(v.as_bytes())
     }
 
     /// Current encoded size.
@@ -217,16 +212,6 @@ impl<'a> WireReader<'a> {
         self.take(len)
     }
 
-    /// Reads a length-prefixed UTF-8 string.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError`] on exhaustion or invalid UTF-8.
-    pub fn get_str(&mut self) -> Result<&'a str, WireError> {
-        let at = self.pos;
-        std::str::from_utf8(self.get_bytes()?).map_err(|_| WireError { at })
-    }
-
     /// Returns `true` when all bytes have been consumed.
     pub fn is_empty(&self) -> bool {
         self.pos >= self.buf.len()
@@ -251,8 +236,7 @@ mod tests {
             .put_u64(4)
             .put_i64(-5)
             .put_f64(6.5)
-            .put_bytes(b"raw")
-            .put_str("text");
+            .put_bytes(b"raw");
         let b = w.finish();
         let mut r = WireReader::new(&b);
         assert_eq!(r.get_u8().unwrap(), 1);
@@ -262,7 +246,6 @@ mod tests {
         assert_eq!(r.get_i64().unwrap(), -5);
         assert_eq!(r.get_f64().unwrap(), 6.5);
         assert_eq!(r.get_bytes().unwrap(), b"raw");
-        assert_eq!(r.get_str().unwrap(), "text");
         assert!(r.is_empty());
     }
 
@@ -282,14 +265,5 @@ mod tests {
         let b = w.finish();
         let mut r = WireReader::new(&b);
         assert!(r.get_bytes().is_err());
-    }
-
-    #[test]
-    fn invalid_utf8_detected() {
-        let mut w = WireWriter::new();
-        w.put_bytes(&[0xff, 0xfe]);
-        let b = w.finish();
-        let mut r = WireReader::new(&b);
-        assert!(r.get_str().is_err());
     }
 }

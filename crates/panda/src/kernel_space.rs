@@ -24,6 +24,10 @@ use crate::transport::{
     CommError, GroupHandler, NodeId, Panda, PandaConfig, ReplyTicket, RpcHandler, TicketInner,
 };
 
+/// Server threads each kernel-space node parks in `get_request` (Amoeba
+/// servers block there, so implicit receipt needs a pool of them).
+pub const KERNEL_SERVER_POOL: usize = 4;
+
 /// RPC service port of node `n`.
 fn node_port(n: NodeId) -> Port {
     Port(0x5000 + u64::from(n))
@@ -110,7 +114,7 @@ impl KernelSpacePanda {
             // RPC daemon pool: each thread loops get_request -> upcall ->
             // put_reply. A deferred reply parks the daemon on a slot until
             // some other thread calls Panda::reply (the workaround).
-            for d in 0..config.rpc_server_pool {
+            for d in 0..KERNEL_SERVER_POOL {
                 let server = server.clone();
                 let panda_d = Arc::clone(&panda);
                 sim.spawn_daemon_on_lane(
@@ -179,11 +183,6 @@ impl KernelSpacePanda {
             }
         });
         out
-    }
-
-    /// The kernel group member (diagnostics).
-    pub fn group_member(&self) -> &GroupMember {
-        &self.member
     }
 }
 

@@ -66,7 +66,7 @@ impl Module {
         }
     }
     /// Header size this module puts on every message.
-    pub fn header_bytes(self) -> usize {
+    fn header_bytes(self) -> usize {
         match self {
             Module::Rpc => PANDA_RPC_HEADER_BYTES,
             Module::Group => PANDA_GROUP_HEADER_BYTES,

@@ -133,9 +133,6 @@ pub struct PandaConfig {
     /// User-space only: the sequencer runs on a dedicated extra machine
     /// (the paper's "User-space-dedicated" configuration).
     pub dedicated_sequencer: bool,
-    /// Kernel-space only: server thread pool size per node (Amoeba servers
-    /// park threads in `get_request`).
-    pub rpc_server_pool: usize,
     /// Explicit-acknowledgement delay: if no new request piggybacks the ack
     /// within this time, the user-space RPC client sends an explicit ack.
     pub ack_delay: SimDuration,
@@ -162,7 +159,6 @@ impl Default for PandaConfig {
             group_send_retries: 8,
             sequencer_node: 0,
             dedicated_sequencer: false,
-            rpc_server_pool: 4,
             ack_delay: SimDuration::from_millis(5),
             group_resync_interval: SimDuration::from_millis(250),
             group_status_interval: 20,
