@@ -14,7 +14,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex as StdMutex};
 
 use bytes::Bytes;
-use desim::trace::Layer;
 use desim::{SimDuration, Simulation};
 use panda::PandaConfig;
 
@@ -117,26 +116,26 @@ pub struct ChaosOutcome {
     pub recovery_traffic: u64,
 }
 
-struct Fnv(u64);
+/// 64-bit FNV-1a, the one hash behind every chaos trace hash and the
+/// sweep aggregate.
+pub(crate) struct Fnv(pub(crate) u64);
 
 impl Fnv {
-    fn new() -> Fnv {
+    pub(crate) fn new() -> Fnv {
         Fnv(0xcbf2_9ce4_8422_2325)
     }
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x1_0000_01b3);
-        }
+    /// Hashes `v`'s little-endian bytes.
+    pub(crate) fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
     }
-    fn bytes(&mut self, s: &str) {
-        for b in s.bytes() {
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
             self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x1_0000_01b3);
+            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
         }
     }
     fn str(&mut self, s: &str) {
-        self.bytes(s);
+        self.bytes(s.as_bytes());
         self.u64(s.len() as u64);
     }
     /// Hashes what `self.str(&v.to_string())` hashes, without the `String`.
@@ -144,7 +143,7 @@ impl Fnv {
         struct Counted<'a>(&'a mut Fnv, u64);
         impl fmt::Write for Counted<'_> {
             fn write_str(&mut self, s: &str) -> fmt::Result {
-                self.0.bytes(s);
+                self.0.bytes(s.as_bytes());
                 self.1 += s.len() as u64;
                 Ok(())
             }
@@ -411,13 +410,6 @@ fn run_chaos_inner(cfg: &ChaosConfig) -> ChaosOutcome {
     h.u64(art.stats.dup_deliveries);
     h.u64(art.stats.held_deliveries);
 
-    let counter = |layer: Layer, name: &str| -> u64 {
-        art.counters
-            .iter()
-            .filter(|c| c.layer == layer && c.name == name)
-            .map(|c| c.count)
-            .sum()
-    };
     let rpc_ok = art
         .rpc_outcomes
         .iter()
@@ -436,10 +428,18 @@ fn run_chaos_inner(cfg: &ChaosConfig) -> ChaosOutcome {
         rpc_bad: art.rpc_outcomes.len() as u64 - rpc_ok,
         bcast_ok: bcasts_ok,
         bcast_bad: (cfg.node0_broadcasts() + cfg.broadcasts).saturating_sub(bcasts_ok),
-        recovery_traffic: counter(Layer::Rpc, "retransmit")
-            + counter(Layer::Rpc, "dup_suppressed")
-            + counter(Layer::Group, "retransmit")
-            + counter(Layer::Group, "retrans_req_tx")
-            + counter(Layer::Group, "retrans_req_rx"),
+        recovery_traffic: invariants::recovery_traffic(&art.counters),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Fnv;
+
+    #[test]
+    fn fnv_matches_the_fnv1a_reference_vector() {
+        let mut h = Fnv::new();
+        h.bytes(b"a");
+        assert_eq!(h.0, 0xaf63_dc4c_8601_ec8c);
     }
 }

@@ -11,7 +11,7 @@
 use desim::par::par_map;
 use desim::SimDuration;
 
-use crate::engine::{run_chaos, ChaosConfig, ChaosOutcome};
+use crate::engine::{run_chaos, ChaosConfig, ChaosOutcome, Fnv};
 use crate::plan::FaultPlan;
 use crate::testutil::Stack;
 
@@ -96,12 +96,11 @@ impl ExploreSummary {
     /// FNV-1a over every per-run trace hash (little-endian bytes) in sweep
     /// order: one number that two sweeps share only if every run matched.
     pub fn aggregate_hash(&self) -> u64 {
-        self.seed_hashes
-            .iter()
-            .flat_map(|&(_, _, hash)| hash.to_le_bytes())
-            .fold(0xcbf2_9ce4_8422_2325, |acc, byte| {
-                (acc ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
-            })
+        let mut h = Fnv::new();
+        for &(_, _, hash) in &self.seed_hashes {
+            h.u64(hash);
+        }
+        h.0
     }
 }
 

@@ -66,6 +66,21 @@ fn counter(counters: &[CounterSnapshot], layer: Layer, name: &str) -> u64 {
         .sum()
 }
 
+/// Recovery traffic in the trace counters: retransmissions, retransmission
+/// requests and duplicate suppressions.
+pub(crate) fn recovery_traffic(counters: &[CounterSnapshot]) -> u64 {
+    [
+        (Layer::Rpc, "retransmit"),
+        (Layer::Rpc, "dup_suppressed"),
+        (Layer::Group, "retransmit"),
+        (Layer::Group, "retrans_req_tx"),
+        (Layer::Group, "retrans_req_rx"),
+    ]
+    .into_iter()
+    .map(|(layer, name)| counter(counters, layer, name))
+    .sum()
+}
+
 /// The first event that runs its processor's clock backwards, rendered as
 /// a violation. A world has a handful of processors, so the last time per
 /// processor lives in a short list scanned linearly.
@@ -262,11 +277,7 @@ pub fn check(art: &RunArtifacts) -> Vec<String> {
                 "null plan but the network injected faults ({drops})"
             ));
         }
-        let recovery = counter(&art.counters, Layer::Rpc, "retransmit")
-            + counter(&art.counters, Layer::Rpc, "dup_suppressed")
-            + counter(&art.counters, Layer::Group, "retransmit")
-            + counter(&art.counters, Layer::Group, "retrans_req_tx")
-            + counter(&art.counters, Layer::Group, "retrans_req_rx");
+        let recovery = recovery_traffic(&art.counters);
         if recovery > 0 {
             v.push(format!(
                 "null plan but recovery machinery engaged ({recovery} events)"

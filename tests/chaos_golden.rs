@@ -73,5 +73,5 @@ fn user_stack_sequencer_crash_golden() {
     check_golden(Stack::User, USER_GOLDEN_HASH);
 }
 
-const KERNEL_GOLDEN_HASH: u64 = 0x00be_a365_d90a_3418;
-const USER_GOLDEN_HASH: u64 = 0x08bb_c947_aebe_de62;
+const KERNEL_GOLDEN_HASH: u64 = 0x7cd2_e985_d90a_3418;
+const USER_GOLDEN_HASH: u64 = 0xfdc9_4ac4_aebe_de62;
