@@ -9,7 +9,9 @@
 //!   interrupt service loop, and the syscall entry points user-space code
 //!   (the Panda user-space implementation) uses to reach raw FLIP;
 //! - [`RpcServer`]/[`RpcClient`]: Amoeba's kernel-space 3-way RPC with the
-//!   `get_request`/`put_reply` same-thread restriction;
+//!   `get_request`/`put_reply` same-thread restriction, the kernel
+//!   placement of the RPC protocol that [`rpc::core`] (the at-most-once
+//!   table) and [`rpc::Waiting`] (the client loop) hold for both stacks;
 //! - [`GroupMember`]: Amoeba's kernel-space totally-ordered group
 //!   communication with the sequencer running in interrupt context.
 //!
@@ -24,7 +26,7 @@
 mod cost;
 pub mod group;
 mod machine;
-mod rpc;
+pub mod rpc;
 
 pub use cost::{CostModel, AMOEBA_GROUP_HEADER_BYTES, AMOEBA_RPC_HEADER_BYTES};
 pub use group::{GroupConfig, GroupError, GroupMember, GroupMessage, GroupSpec};

@@ -8,9 +8,16 @@
 //! request and the client kernel sends an explicit acknowledgement for the
 //! reply. Requests are retransmitted on timeout; the server suppresses
 //! duplicates and retransmits cached replies, giving at-most-once execution.
+//!
+//! The at-most-once table ([`core`]) and the client loop ([`Waiting`]) are
+//! shared with Panda's user-space RPC; this module is their kernel placement.
+
+pub mod core;
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::Hash;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::{BufMut, Bytes, BytesMut};
@@ -20,6 +27,7 @@ use ethernet::MacAddr;
 use flip::{FlipAddr, FlipMessage};
 use parking_lot::Mutex;
 
+use self::core::{Action, Kind, Table};
 use crate::cost::AMOEBA_RPC_HEADER_BYTES;
 use crate::machine::{fragments_of, Machine};
 
@@ -78,36 +86,6 @@ impl fmt::Display for RpcError {
 
 impl std::error::Error for RpcError {}
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Kind {
-    Request,
-    Reply,
-    Ack,
-    /// Server-alive probe answer: the request is held (e.g. a blocked
-    /// guarded operation); the client keeps waiting.
-    Working,
-}
-
-impl Kind {
-    fn to_byte(self) -> u8 {
-        match self {
-            Kind::Request => 0,
-            Kind::Reply => 1,
-            Kind::Ack => 2,
-            Kind::Working => 3,
-        }
-    }
-    fn from_byte(b: u8) -> Option<Kind> {
-        match b {
-            0 => Some(Kind::Request),
-            1 => Some(Kind::Reply),
-            2 => Some(Kind::Ack),
-            3 => Some(Kind::Working),
-            _ => None,
-        }
-    }
-}
-
 struct Header {
     kind: Kind,
     seq: u64,
@@ -116,12 +94,13 @@ struct Header {
 }
 
 impl Header {
-    fn encode_with(&self, body: &[u8]) -> Bytes {
+    /// Encodes a header plus `body`.
+    fn wire(kind: Kind, seq: u64, client: FlipAddr, port: Port, body: &[u8]) -> Bytes {
         let mut buf = BytesMut::with_capacity(AMOEBA_RPC_HEADER_BYTES + body.len());
-        buf.put_u8(self.kind.to_byte());
-        buf.put_u64(self.seq);
-        buf.put_u64(self.client.0);
-        buf.put_u64(self.port.0);
+        buf.put_u8(kind.to_byte());
+        buf.put_u64(seq);
+        buf.put_u64(client.0);
+        buf.put_u64(port.0);
         buf.put_slice(&[0u8; AMOEBA_RPC_HEADER_BYTES - 25]);
         debug_assert_eq!(buf.len(), AMOEBA_RPC_HEADER_BYTES);
         buf.put_slice(body);
@@ -151,21 +130,6 @@ impl Header {
 // Server
 // ---------------------------------------------------------------------------
 
-enum CacheEntry {
-    InProgress,
-    Done(Bytes),
-}
-
-struct ServerState {
-    cache: HashMap<(FlipAddr, u64), CacheEntry>,
-    /// Highest acknowledged (fully completed) sequence number per client.
-    /// Client sequence numbers increase monotonically, so a request at or
-    /// below the watermark is a stale duplicate whose retransmission was
-    /// still in flight when the ack cleared its cache entry — re-executing
-    /// it would break at-most-once semantics.
-    completed: HashMap<FlipAddr, u64>,
-}
-
 /// A kernel-registered RPC service; server threads block in
 /// [`RpcServer::get_request`].
 #[derive(Clone)]
@@ -173,7 +137,7 @@ pub struct RpcServer {
     machine: Machine,
     port: Port,
     queue: SimChannel<(Bytes, ReplyToken)>,
-    state: Arc<Mutex<ServerState>>,
+    table: Arc<Mutex<Table<FlipAddr>>>,
 }
 
 impl fmt::Debug for RpcServer {
@@ -198,16 +162,11 @@ pub struct ReplyToken {
 impl RpcServer {
     /// Registers a service on `machine` listening on `port`.
     pub fn register(machine: &Machine, port: Port) -> RpcServer {
-        let queue: SimChannel<(Bytes, ReplyToken)> = SimChannel::new();
-        let state = Arc::new(Mutex::new(ServerState {
-            cache: HashMap::new(),
-            completed: HashMap::new(),
-        }));
         let server = RpcServer {
             machine: machine.clone(),
             port,
-            queue: queue.clone(),
-            state: Arc::clone(&state),
+            queue: SimChannel::new(),
+            table: Arc::default(),
         };
         let handler_server = server.clone();
         machine.register_kernel_handler(
@@ -224,61 +183,11 @@ impl RpcServer {
         };
         match header.kind {
             Kind::Request => {
-                ctx.trace_instant(Layer::Rpc, "request_rx", &[("seq", header.seq)]);
-                let key = (header.client, header.seq);
-                let resend = {
-                    let mut st = self.state.lock();
-                    if st.completed.get(&header.client).copied().unwrap_or(0) >= header.seq {
-                        ctx.trace_instant(Layer::Rpc, "dup_suppressed", &[("seq", header.seq)]);
-                        ctx.trace_instant(Layer::Rpc, "stale_request", &[("seq", header.seq)]);
-                        return;
-                    }
-                    match st.cache.get(&key) {
-                        None => {
-                            st.cache.insert(key, CacheEntry::InProgress);
-                            None
-                        }
-                        Some(CacheEntry::InProgress) => {
-                            // Duplicate while in service (e.g. a blocked
-                            // guarded operation): tell the client the server
-                            // is alive so it keeps waiting (Amoeba probes
-                            // the server rather than giving up).
-                            let wire = Header {
-                                kind: Kind::Working,
-                                seq: header.seq,
-                                client: header.client,
-                                port: self.port,
-                            }
-                            .encode_with(&[]);
-                            ctx.trace_instant(Layer::Rpc, "dup_suppressed", &[("seq", header.seq)]);
-                            ctx.trace_instant(Layer::Rpc, "working_tx", &[("seq", header.seq)]);
-                            self.machine.kernel_send(
-                                ctx,
-                                port_addr(self.port),
-                                header.client,
-                                wire,
-                            );
-                            return;
-                        }
-                        Some(CacheEntry::Done(reply)) => Some(reply.clone()),
-                    }
-                };
-                match resend {
-                    Some(reply) => {
-                        // Lost reply: retransmit the cached one from the kernel.
-                        ctx.trace_instant(Layer::Rpc, "dup_suppressed", &[("seq", header.seq)]);
-                        ctx.trace_instant(Layer::Rpc, "reply_resend", &[("seq", header.seq)]);
-                        let wire = Header {
-                            kind: Kind::Reply,
-                            seq: header.seq,
-                            client: header.client,
-                            port: self.port,
-                        }
-                        .encode_with(&reply);
-                        self.machine
-                            .kernel_send(ctx, port_addr(self.port), header.client, wire);
-                    }
-                    None => {
+                let seq = header.seq;
+                ctx.trace_instant(Layer::Rpc, "request_rx", &[("seq", seq)]);
+                let action = self.table.lock().request(header.client, seq);
+                let (note, answer) = match action {
+                    Action::Deliver => {
                         // Cross into the server process: wake a get_request
                         // thread (one context switch at the server, as the
                         // paper counts for both implementations).
@@ -294,20 +203,31 @@ impl RpcServer {
                         );
                         let token = ReplyToken {
                             client: header.client,
-                            seq: header.seq,
+                            seq,
                             // Bound to the serving thread by get_request.
                             served_by: None,
                         };
                         let _ = self.queue.send(ctx, (body, token));
+                        return;
                     }
+                    Action::Ignore => ("stale_request", None),
+                    // Duplicate while in service (e.g. a blocked guarded
+                    // operation): tell the client the server is alive so it
+                    // keeps waiting (Amoeba probes the server rather than
+                    // giving up).
+                    Action::Working => ("working_tx", Some((Kind::Working, Bytes::new()))),
+                    // Lost reply: retransmit the cached one from the kernel.
+                    Action::Resend(reply) => ("reply_resend", Some((Kind::Reply, reply))),
+                };
+                ctx.trace_instant(Layer::Rpc, "dup_suppressed", &[("seq", seq)]);
+                ctx.trace_instant(Layer::Rpc, note, &[("seq", seq)]);
+                if let Some((kind, reply)) = answer {
+                    let wire = Header::wire(kind, seq, header.client, self.port, &reply);
+                    self.machine
+                        .kernel_send(ctx, port_addr(self.port), header.client, wire);
                 }
             }
-            Kind::Ack => {
-                let mut st = self.state.lock();
-                st.cache.remove(&(header.client, header.seq));
-                let w = st.completed.entry(header.client).or_insert(0);
-                *w = (*w).max(header.seq);
-            }
+            Kind::Ack => self.table.lock().ack(header.client, header.seq),
             Kind::Reply | Kind::Working => {} // not for the server side
         }
     }
@@ -364,18 +284,10 @@ impl RpcServer {
                 ),
             ],
         );
-        {
-            let mut st = self.state.lock();
-            st.cache
-                .insert((token.client, token.seq), CacheEntry::Done(reply.clone()));
-        }
-        let wire = Header {
-            kind: Kind::Reply,
-            seq: token.seq,
-            client: token.client,
-            port: self.port,
-        }
-        .encode_with(&reply);
+        self.table
+            .lock()
+            .reply(token.client, token.seq, reply.clone());
+        let wire = Header::wire(Kind::Reply, token.seq, token.client, self.port, &reply);
         // The packet-send cost was charged on the calling thread above; use
         // the iface directly to avoid double-charging in kernel_send.
         if let Some(local) =
@@ -397,23 +309,136 @@ impl RpcServer {
 // Client
 // ---------------------------------------------------------------------------
 
-/// Events carry the sequence number they answer: reply slots are pooled and
-/// reused across calls (a 10k-machine fleet would otherwise allocate a fresh
-/// channel per RPC), and a late duplicate from a slot's previous life must be
-/// recognizable so the new owner can discard it.
-enum ClientEvent {
-    Reply(u64, Bytes),
-    Working(u64),
+/// What a waiting call hears, tagged with the `(key, seq)` it answers: reply
+/// slots are pooled and reused across calls (a 10k-machine fleet would
+/// otherwise allocate a fresh channel per RPC), and a late duplicate from a
+/// slot's previous life must be recognizable so the new owner can discard
+/// it.
+enum ClientEvent<K> {
+    Reply((K, u64), Bytes),
+    Working((K, u64)),
 }
 
+type Slot<K> = SimChannel<ClientEvent<K>>;
+
 /// Reply slots kept for reuse per client endpoint. Concurrency per machine is
-/// tiny (a handful of app threads), so a short free list captures all reuse.
+/// tiny (a handful of app threads, and user space serializes calls per
+/// connection), so a short free list captures all reuse.
 const SLOT_POOL_MAX: usize = 4;
 
-struct ClientState {
-    next_seq: u64,
-    waiting: HashMap<u64, SimChannel<ClientEvent>>,
-    slot_pool: Vec<SimChannel<ClientEvent>>,
+#[derive(Debug, Default)]
+struct Slots<K> {
+    calls: HashMap<(K, u64), Slot<K>>,
+    pool: Vec<Slot<K>>,
+}
+
+/// The reply-wait side of an RPC client endpoint, shared by both placements:
+/// the calls in flight, keyed by `(key, seq)` (the kernel's seqs are per
+/// machine, so its key is `()`; Panda's are per connection, keyed by
+/// server), and the pool of reply slots.
+#[derive(Debug, Default)]
+pub struct Waiting<K> {
+    slots: Mutex<Slots<K>>,
+}
+
+/// One call in flight and its reply slot.
+#[derive(Debug)]
+pub struct Call<K> {
+    id: (K, u64),
+    slot: Slot<K>,
+}
+
+impl<K: Copy + Eq + Hash> Waiting<K> {
+    /// Registers call `(key, seq)` before its request goes out.
+    pub fn open(&self, key: K, seq: u64) -> Call<K> {
+        let (id, mut slots) = ((key, seq), self.slots.lock());
+        let slot = slots.pool.pop().unwrap_or_default();
+        slots.calls.insert(id, slot.clone());
+        Call { id, slot }
+    }
+
+    /// The call `(key, seq)` if it is still waiting. Its slot stays valid
+    /// while the shell finishes its bookkeeping, even if the call gives up
+    /// meanwhile (the slot's next owner discards the late event).
+    pub fn find(&self, key: K, seq: u64) -> Option<Call<K>> {
+        let id = (key, seq);
+        let slot = self.slots.lock().calls.get(&id).cloned()?;
+        Some(Call { id, slot })
+    }
+
+    /// The client loop: `send` transmits the request; a timeout
+    /// retransmits it with exponential backoff (`timeout << min(attempt,
+    /// 4)`) after charging `resend` on the calling thread, a Working answer
+    /// resets the attempt count. Returns the reply, or `None` once
+    /// `retries` retransmissions went unanswered.
+    pub fn wait(
+        &self,
+        call: Call<K>,
+        ctx: &Ctx,
+        timeout: SimDuration,
+        retries: u32,
+        resend: &[(&'static str, SimDuration)],
+        mut send: impl FnMut(),
+    ) -> Option<Bytes> {
+        let seq = call.id.1;
+        let mut reply = None;
+        let mut attempt = 0u32;
+        let mut sent = false;
+        while attempt <= retries {
+            if !sent {
+                if attempt > 0 {
+                    ctx.trace_instant(
+                        Layer::Rpc,
+                        "retransmit",
+                        &[("seq", seq), ("attempt", u64::from(attempt))],
+                    );
+                    if !resend.is_empty() {
+                        ctx.charge(Layer::Rpc, On::Thread, resend);
+                    }
+                }
+                ctx.trace_instant(Layer::Rpc, "request_tx", &[("seq", seq)]);
+                send();
+                sent = true;
+            }
+            let backoff = timeout * (1u64 << attempt.min(4));
+            match call.slot.recv_timeout(ctx, backoff) {
+                // Events from a pooled slot's previous life answer another
+                // call; discard them and keep waiting.
+                Ok(ClientEvent::Reply(id, _)) | Ok(ClientEvent::Working(id)) if id != call.id => {}
+                Ok(ClientEvent::Reply(_, r)) => {
+                    reply = Some(r);
+                    break;
+                }
+                // The server holds the request (a blocked guarded
+                // operation): keep waiting indefinitely while it confirms
+                // it is alive.
+                Ok(ClientEvent::Working(_)) => attempt = 0,
+                Err(RecvTimeoutError::Timeout) => {
+                    attempt += 1;
+                    sent = false;
+                }
+                Err(RecvTimeoutError::Closed) => break,
+            }
+        }
+        let mut slots = self.slots.lock();
+        slots.calls.remove(&call.id);
+        if slots.pool.len() < SLOT_POOL_MAX {
+            slots.pool.push(call.slot);
+        }
+        reply
+    }
+}
+
+impl<K> Call<K> {
+    /// Hands the reply to the waiting call.
+    pub fn reply(self, ctx: &Ctx, reply: Bytes) {
+        let _ = self.slot.send(ctx, ClientEvent::Reply(self.id, reply));
+    }
+
+    /// Tells the waiting call the server is alive and holds its request.
+    pub fn working(self, ctx: &Ctx) {
+        let _ = self.slot.send(ctx, ClientEvent::Working(self.id));
+    }
 }
 
 /// The kernel RPC client endpoint of a machine. One per machine; any number
@@ -422,7 +447,8 @@ struct ClientState {
 pub struct RpcClient {
     machine: Machine,
     config: RpcConfig,
-    state: Arc<Mutex<ClientState>>,
+    next_seq: Arc<AtomicU64>,
+    waiting: Arc<Waiting<()>>,
 }
 
 impl fmt::Debug for RpcClient {
@@ -436,15 +462,11 @@ impl fmt::Debug for RpcClient {
 impl RpcClient {
     /// Installs the kernel RPC client endpoint on `machine`.
     pub fn install(machine: &Machine, config: RpcConfig) -> RpcClient {
-        let state = Arc::new(Mutex::new(ClientState {
-            next_seq: 1,
-            waiting: HashMap::new(),
-            slot_pool: Vec::new(),
-        }));
         let client = RpcClient {
             machine: machine.clone(),
             config,
-            state: Arc::clone(&state),
+            next_seq: Arc::new(AtomicU64::new(1)),
+            waiting: Arc::default(),
         };
         let me = client_addr(machine.mac());
         let handler_client = client.clone();
@@ -462,16 +484,12 @@ impl RpcClient {
         if header.kind != Kind::Reply && header.kind != Kind::Working {
             return;
         }
-        let slot = {
-            let st = self.state.lock();
-            st.waiting.get(&header.seq).cloned()
-        };
-        let Some(slot) = slot else {
+        let Some(call) = self.waiting.find((), header.seq) else {
             return; // duplicate reply after completion; the ack already went out
         };
         if header.kind == Kind::Working {
             ctx.trace_instant(Layer::Rpc, "working_rx", &[("seq", header.seq)]);
-            let _ = slot.send(ctx, ClientEvent::Working(header.seq));
+            call.working(ctx);
             return;
         }
         ctx.trace_instant(
@@ -487,19 +505,13 @@ impl RpcClient {
         // Wake the blocked client directly from the interrupt handler — this
         // is the kernel-space fast path: no context switch is charged because
         // no other thread gets scheduled in between.
-        let _ = slot.send(ctx, ClientEvent::Reply(header.seq, body));
+        call.reply(ctx, body);
         // The kernel sends the explicit acknowledgement (3rd leg, off the
         // client's critical path).
-        let ack = Header {
-            kind: Kind::Ack,
-            seq: header.seq,
-            client: client_addr(self.machine.mac()),
-            port: header.port,
-        }
-        .encode_with(&[]);
+        let me = client_addr(self.machine.mac());
+        let ack = Header::wire(Kind::Ack, header.seq, me, header.port, &[]);
         ctx.trace_instant(Layer::Rpc, "ack_tx", &[("seq", header.seq)]);
-        self.machine
-            .kernel_send(ctx, client_addr(self.machine.mac()), msg.src, ack);
+        self.machine.kernel_send(ctx, me, msg.src, ack);
     }
 
     /// Performs a remote procedure call: sends `request` to `port` and blocks
@@ -511,21 +523,9 @@ impl RpcClient {
     pub fn trans(&self, ctx: &Ctx, port: Port, request: Bytes) -> Result<Bytes, RpcError> {
         let cost = self.machine.cost().clone();
         let me = client_addr(self.machine.mac());
-        let (seq, slot) = {
-            let mut st = self.state.lock();
-            let seq = st.next_seq;
-            st.next_seq += 1;
-            let slot = st.slot_pool.pop().unwrap_or_default();
-            st.waiting.insert(seq, slot.clone());
-            (seq, slot)
-        };
-        let wire = Header {
-            kind: Kind::Request,
-            seq,
-            client: me,
-            port,
-        }
-        .encode_with(&request);
+        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
+        let call = self.waiting.open((), seq);
+        let wire = Header::wire(Kind::Request, seq, me, port, &request);
         ctx.trace_emit(
             Layer::Rpc,
             Phase::Begin,
@@ -545,68 +545,19 @@ impl RpcClient {
                 ("kernel_packet_send", packet_send),
             ],
         );
-        let mut result = Err(RpcError::Timeout);
-        let mut attempt = 0u32;
-        let mut sent = false;
-        while attempt <= self.config.retries {
-            if !sent {
-                if attempt > 0 {
-                    // Kernel retransmission of the request.
-                    ctx.trace_instant(
-                        Layer::Rpc,
-                        "retransmit",
-                        &[("seq", seq), ("attempt", u64::from(attempt))],
-                    );
-                    ctx.charge(
-                        Layer::Rpc,
-                        On::Thread,
-                        &[("kernel_packet_send", packet_send)],
-                    );
-                }
-                ctx.trace_instant(Layer::Rpc, "request_tx", &[("seq", seq)]);
-                if let Some(local) =
-                    self.machine
-                        .iface()
-                        .send(ctx, me, port_addr(port), wire.clone())
-                {
-                    self.machine.dispatch(ctx, local);
-                }
-                sent = true;
+        // A kernel retransmission pays the per-packet send again.
+        let resend = [("kernel_packet_send", packet_send)];
+        let (timeout, retries) = (self.config.timeout, self.config.retries);
+        let reply = self.waiting.wait(call, ctx, timeout, retries, &resend, || {
+            let sent = self
+                .machine
+                .iface()
+                .send(ctx, me, port_addr(port), wire.clone());
+            if let Some(local) = sent {
+                self.machine.dispatch(ctx, local);
             }
-            let backoff = self.config.timeout * (1u64 << attempt.min(4));
-            match slot.recv_timeout(ctx, backoff) {
-                // Events from a pooled slot's previous life carry a stale
-                // sequence number; discard them and keep waiting.
-                Ok(ClientEvent::Reply(s, _)) | Ok(ClientEvent::Working(s)) if s != seq => {
-                    continue;
-                }
-                Ok(ClientEvent::Reply(_, reply)) => {
-                    result = Ok(reply);
-                    break;
-                }
-                Ok(ClientEvent::Working(_)) => {
-                    // The server holds the request (a blocked guarded
-                    // operation): keep waiting indefinitely while it
-                    // confirms it is alive.
-                    attempt = 0;
-                    continue;
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    attempt += 1;
-                    sent = false;
-                    continue;
-                }
-                Err(RecvTimeoutError::Closed) => break,
-            }
-        }
-        {
-            let mut st = self.state.lock();
-            st.waiting.remove(&seq);
-            if st.slot_pool.len() < SLOT_POOL_MAX {
-                st.slot_pool.push(slot);
-            }
-        }
-        if result.is_ok() {
+        });
+        if reply.is_some() {
             // Return from the blocking trans() syscall. The `Thread` charge
             // pays no switch when only interrupt work ran while we were
             // blocked.
@@ -620,9 +571,9 @@ impl RpcClient {
             Layer::Rpc,
             Phase::End,
             "trans",
-            &[("seq", seq), ("ok", u64::from(result.is_ok()))],
+            &[("seq", seq), ("ok", u64::from(reply.is_some()))],
         );
-        result
+        reply.ok_or(RpcError::Timeout)
     }
 
     /// The machine this client endpoint belongs to.
@@ -653,13 +604,8 @@ mod tests {
                 *b = kind; // a known kind gets past the first check
             }
             let _ = Header::decode(&Bytes::from(garbage));
-            let wire = Header {
-                kind: Kind::from_byte(kind).expect("0..4 are the four kinds"),
-                seq: u64::MAX,
-                client: FlipAddr(3),
-                port: Port(9),
-            }
-            .encode_with(&bytes);
+            let kind = Kind::from_byte(kind).expect("0..4 are the four kinds");
+            let wire = Header::wire(kind, u64::MAX, FlipAddr(3), Port(9), &bytes);
             let cut = cut.min(wire.len());
             let decoded = Header::decode(&wire.slice(..cut));
             prop_assert_eq!(decoded.is_some(), cut >= AMOEBA_RPC_HEADER_BYTES);
@@ -668,13 +614,7 @@ mod tests {
 
     #[test]
     fn header_roundtrip() {
-        let h = Header {
-            kind: Kind::Request,
-            seq: 42,
-            client: FlipAddr(0x77),
-            port: Port(9),
-        };
-        let wire = h.encode_with(b"body");
+        let wire = Header::wire(Kind::Request, 42, FlipAddr(0x77), Port(9), b"body");
         assert_eq!(wire.len(), AMOEBA_RPC_HEADER_BYTES + 4);
         let (h2, body) = Header::decode(&wire).expect("decode");
         assert_eq!(h2.kind, Kind::Request);
@@ -687,14 +627,7 @@ mod tests {
     #[test]
     fn bad_header_rejected() {
         assert!(Header::decode(&Bytes::from_static(&[0u8; 4])).is_none());
-        let mut wire = Header {
-            kind: Kind::Ack,
-            seq: 0,
-            client: FlipAddr(0),
-            port: Port(0),
-        }
-        .encode_with(&[])
-        .to_vec();
+        let mut wire = Header::wire(Kind::Ack, 0, FlipAddr(0), Port(0), &[]).to_vec();
         wire[0] = 99;
         assert!(Header::decode(&Bytes::from(wire)).is_none());
     }

@@ -2,6 +2,9 @@
 //! at-most-once under loss, the same-thread reply restriction, totally
 //! ordered group communication, and the BB large-message method.
 
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
+
 use amoeba::{GroupMember, GroupSpec, Machine, Port, RpcClient, RpcConfig, RpcServer};
 use bytes::Bytes;
 use chaos::testutil;
@@ -138,6 +141,71 @@ fn rpc_survives_lost_request_and_reply() {
     // request (cached reply retransmission served it).
     let execs = executions.load(std::sync::atomic::Ordering::SeqCst);
     assert_eq!(execs, 3, "each trans executed exactly once");
+}
+
+/// Which of thread A's frames [`race_two_calls`] loses.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Lose {
+    Request,
+    Reply,
+}
+
+/// Two `get_request` daemons serve one port on machine 1. After a warm-up
+/// call, thread A on machine 0 calls after `a_delay` and thread B after
+/// `b_delay`, so B's later call is acked while A's is still open; both must
+/// get their own request back. Returns how many times the server ran a
+/// request.
+fn race_two_calls(a_delay: u64, b_delay: u64, lose: Lose) -> u32 {
+    let mut sim = Simulation::new(11);
+    let (net, machines) = boot_cluster(&mut sim, 2);
+    let port = Port(3);
+    let server = RpcServer::register(&machines[1], port);
+    let executions = Arc::new(AtomicU32::new(0));
+    for d in 0..2 {
+        let (server, net, executions) = (server.clone(), net.clone(), executions.clone());
+        sim.spawn_daemon(machines[1].proc(), &format!("server{d}"), move |ctx| loop {
+            let (req, token) = server.get_request(ctx);
+            executions.fetch_add(1, Ordering::SeqCst);
+            if lose == Lose::Reply && &req[..] == b"A" {
+                // Long enough for B's call to be answered and acked.
+                ctx.sleep(ms(50));
+                net.faults().lock().force_drop_next = 1;
+            }
+            server.put_reply(ctx, token, req);
+        });
+    }
+    let client = RpcClient::install(&machines[0], RpcConfig::default());
+    let h = sim.spawn(machines[0].proc(), "A", move |ctx| {
+        client.trans(ctx, port, payload(4)).expect("warmup");
+        let b_client = client.clone();
+        let b = ctx.spawn("B", move |ctx| {
+            ctx.sleep(ms(b_delay));
+            let r = b_client.trans(ctx, port, Bytes::from_static(b"B"));
+            assert_eq!(&r.expect("B gets its reply")[..], b"B");
+        });
+        ctx.sleep(ms(a_delay));
+        if lose == Lose::Request {
+            net.faults().lock().force_drop_next = 1;
+        }
+        let r = client.trans(ctx, port, Bytes::from_static(b"A"));
+        assert_eq!(&r.expect("A gets its reply")[..], b"A");
+        b.join(ctx);
+    });
+    sim.run_until_finished(&h).expect("run");
+    executions.load(Ordering::SeqCst)
+}
+
+#[test]
+fn rpc_lost_reply_resent_after_a_later_call_is_acked() {
+    // A's retransmission must get the cached reply, not be dropped as a
+    // stale duplicate because a later seq was acked.
+    assert_eq!(race_two_calls(0, 1, Lose::Reply), 3, "each call ran once");
+}
+
+#[test]
+fn rpc_lost_request_runs_after_a_later_call_is_acked() {
+    // The server never ran A's call, so its retransmission is delivered.
+    assert_eq!(race_two_calls(1, 3, Lose::Request), 3, "each call ran once");
 }
 
 #[test]

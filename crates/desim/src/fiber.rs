@@ -334,12 +334,19 @@ fn map_stack(len: usize, page: usize) -> usize {
     };
     assert!(
         base as isize != -1 && !base.is_null(),
-        "fiber stack mmap({len}) failed"
+        "fiber stack mmap({len}) failed: {} (too many live fibers? see vm.max_map_count)",
+        std::io::Error::last_os_error()
     );
     // SAFETY: the lowest page of the mapping just created, which
     // nothing references yet.
     let rc = unsafe { sys::mprotect(base, page, sys::PROT_NONE) };
-    assert_eq!(rc, 0, "fiber stack guard mprotect failed");
+    assert_eq!(
+        rc,
+        0,
+        "fiber stack guard mprotect failed: {} (each fiber stack is two mappings; \
+         raise vm.max_map_count or run fewer fibers at once)",
+        std::io::Error::last_os_error()
+    );
     base as usize
 }
 

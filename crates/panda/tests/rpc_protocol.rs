@@ -88,15 +88,14 @@ fn quiet_client_sends_explicit_ack() {
         // Stay quiet past the ack delay.
         ctx.sleep(ms(20));
     });
-    let frames_before_wait = Arc::new(AtomicU64::new(0));
-    let _ = frames_before_wait;
     sim.run_until_finished(&h).expect("run");
     let _ = sim.run();
-    // At least: request + reply + explicit ack crossed the wire (plus locate).
-    let frames = net.total_stats().frames;
-    assert!(
-        frames >= 3,
-        "request, reply, and an explicit ack must be on the wire, saw {frames}"
+    // Exactly: a locate query and answer each way, request, reply, and the
+    // explicit ack (six frames without it).
+    assert_eq!(
+        net.total_stats().frames,
+        7,
+        "the explicit ack must be the one frame after request and reply"
     );
 }
 
@@ -206,5 +205,60 @@ fn duplicate_requests_do_not_reexecute() {
         executions.load(Ordering::SeqCst),
         2,
         "warmup + one real execution"
+    );
+}
+
+#[test]
+fn held_request_is_not_rerun_after_a_lost_explicit_ack() {
+    // The explicit ack of the warm-up reply is lost, so the next request
+    // piggybacks nothing. While a guard holds that request, its
+    // retransmissions must get Working, not run the handler again.
+    let mut sim = Simulation::new(6);
+    let cfg = PandaConfig {
+        rpc_timeout: ms(5),
+        ack_delay: ms(3),
+        ..PandaConfig::default()
+    };
+    let (net, machines, nodes) = world(&mut sim, 2, &cfg);
+    let executions = Arc::new(AtomicU64::new(0));
+    let held: SimChannel<panda::ReplyTicket> = SimChannel::new();
+    let (ex, held_in) = (Arc::clone(&executions), held.clone());
+    let replier = Arc::clone(&nodes[1]);
+    nodes[1].set_rpc_handler(Arc::new(move |ctx, _f, req, t| {
+        ex.fetch_add(1, Ordering::SeqCst);
+        match &req[..] {
+            b"hold" => drop(held_in.send(ctx, t)),
+            _ => replier.reply(ctx, t, req),
+        }
+    }));
+    for n in &nodes {
+        n.set_group_handler(Arc::new(|_, _| {}));
+    }
+    nodes[0].set_rpc_handler(Arc::new(|_, _, _, _| {}));
+    let guard = Arc::clone(&nodes[1]);
+    sim.spawn_daemon(machines[1].proc(), "guard", move |ctx| {
+        while let Some(t) = held.recv(ctx) {
+            ctx.sleep(ms(40));
+            guard.reply(ctx, t, Bytes::from_static(b"released"));
+        }
+    });
+    let client = Arc::clone(&nodes[0]);
+    let h = sim.spawn(machines[0].proc(), "client", move |ctx| {
+        client
+            .rpc(ctx, 1, Bytes::from_static(b"warm"))
+            .expect("warmup");
+        // The next frame on the wire is the explicit ack.
+        net.faults().lock().force_drop_next = 1;
+        ctx.sleep(ms(20));
+        let r = client
+            .rpc(ctx, 1, Bytes::from_static(b"hold"))
+            .expect("held rpc");
+        assert_eq!(&r[..], b"released");
+    });
+    sim.run_until_finished(&h).expect("run");
+    assert_eq!(
+        executions.load(Ordering::SeqCst),
+        2,
+        "warmup + one execution of the held request"
     );
 }

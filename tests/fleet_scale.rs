@@ -10,6 +10,8 @@
 //! cargo test --release --test fleet_scale -- --ignored
 //! ```
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 use apps::fleet::{run_fleet, FleetReport, FleetSpec, FleetStack, ThinkDist};
 use desim::WindowStats;
 
@@ -144,6 +146,24 @@ fn fleet_scale_1k() {
     }
 }
 
+/// The 10k-machine kernel fleet both 10k cells run.
+fn spec_10k() -> FleetSpec {
+    let mut spec = FleetSpec::new(10_016, 16, FleetStack::Kernel);
+    spec.lanes = 8;
+    spec.duration = desim::ms(40);
+    spec.mean_think = desim::ms(200);
+    spec.group_every = 256;
+    spec
+}
+
+/// Serializes the 10k cells: two 10k worlds at once hold more fiber-stack
+/// mappings than the default `vm.max_map_count` allows, so the documented
+/// `-- --ignored` run (parallel test threads) would fail in `mprotect`.
+fn lock_10k() -> MutexGuard<'static, ()> {
+    static TEN_K: Mutex<()> = Mutex::new(());
+    TEN_K.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// The 10k-machine fleet of the scale study: 20k+ fiber stacks are two
 /// mappings each, which fits the default `vm.max_map_count`. Kernel stack
 /// only (the user stack's five-plus threads per node would blow that
@@ -152,11 +172,8 @@ fn fleet_scale_1k() {
 #[test]
 #[ignore = "tens of thousands of simulated threads; run with --release -- --ignored"]
 fn fleet_scale_10k() {
-    let mut spec = FleetSpec::new(10_016, 16, FleetStack::Kernel);
-    spec.lanes = 8;
-    spec.duration = desim::ms(40);
-    spec.mean_think = desim::ms(200);
-    spec.group_every = 256;
+    let _one_at_a_time = lock_10k();
+    let spec = spec_10k();
     let reference = run_fleet(&spec, 1);
     assert!(reference.ops > 0, "fleet did work: {}", reference.summary());
     for shards in [2usize, 0] {
@@ -186,12 +203,8 @@ fn fleet_scale_10k_pinned() {
     // Recorded on the binary-heap far tier and unchanged by the timer-wheel
     // far tier — pop order is the public invariant both implement.
     const PINNED_HASH: u64 = 0x9391712da17eb8b6;
-    let mut spec = FleetSpec::new(10_016, 16, FleetStack::Kernel);
-    spec.lanes = 8;
-    spec.duration = desim::ms(40);
-    spec.mean_think = desim::ms(200);
-    spec.group_every = 256;
-    let r = run_fleet(&spec, 0);
+    let _one_at_a_time = lock_10k();
+    let r = run_fleet(&spec_10k(), 0);
     assert_eq!(
         r.result_hash(),
         PINNED_HASH,
