@@ -19,9 +19,11 @@
 //! implementation; this file is the kernel *placement*: the 52-byte wire
 //! header, the interrupt-context handler that feeds the core and replays
 //! its outputs, the kernel CPU charges, the blocking `grp_send`/`grp_recv`
-//! system calls, and the resync daemon thread.
+//! system calls, and the resync daemon thread. [`Sending`], the senders'
+//! wait-and-retransmit loop, is shared with the user-space implementation
+//! too.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -37,7 +39,7 @@ use crate::machine::{fragments_of, Machine};
 
 pub mod core;
 
-use self::core::{Assigned, Kind, MemberCore, Note, Out, SeqCore, To, Wire};
+use self::core::{Kind, MemberCore, Note, Out, SeqCore, To, Wire};
 
 /// A message delivered by the group protocol, identical (payload and order)
 /// at every member.
@@ -191,13 +193,103 @@ impl Header {
     }
 }
 
-/// One member's protocol state: the receive side every member runs, the
-/// sequencer on the member that hosts it, and the senders blocked in
-/// `grp_send`.
+/// One member's protocol state: the receive side every member runs, and the
+/// sequencer on the member that hosts it.
 struct GroupState {
     member: MemberCore,
     seq: Option<SeqCore>,
-    send_waiters: HashMap<u64, SimChannel<u64>>,
+}
+
+/// One member's senders waiting for their own message to come back
+/// sequenced, and the one send loop both placements run: the kernel's
+/// blocking `grp_send`, and in user space the blocking send and the flush of
+/// nonblocking sends.
+#[derive(Debug, Default)]
+pub struct Sending {
+    waiting: Mutex<BTreeMap<u64, Waiter>>,
+}
+
+#[derive(Debug)]
+struct Waiter {
+    wake: SimChannel<u64>,
+    /// A nonblocking send's request, kept for its flush to retransmit.
+    detached: Option<Wire>,
+}
+
+impl Sending {
+    /// Registers message `msg_id` before its request goes out; `detached`
+    /// is a nonblocking send's request. Returns the channel its sequence
+    /// number arrives on.
+    pub fn open(&self, msg_id: u64, detached: Option<Wire>) -> SimChannel<u64> {
+        let wake = SimChannel::new();
+        let waiter = Waiter {
+            wake: wake.clone(),
+            detached,
+        };
+        self.waiting.lock().insert(msg_id, waiter);
+        wake
+    }
+
+    /// The oldest nonblocking send not sequenced yet, and its channel.
+    pub fn oldest_detached(&self) -> Option<(Wire, SimChannel<u64>)> {
+        let waiting = self.waiting.lock();
+        let mut detached = waiting
+            .values()
+            .filter_map(|w| Some((w.detached.clone()?, &w.wake)));
+        detached.next().map(|(req, wake)| (req, wake.clone()))
+    }
+
+    /// The member delivered its own message `msg_id` as `seq`: if a sender
+    /// still waits for it, charge `charge` on the calling thread and wake it.
+    pub fn wake(&self, ctx: &Ctx, msg_id: u64, seq: u64, charge: &[(&'static str, SimDuration)]) {
+        let Some(waiter) = self.waiting.lock().remove(&msg_id) else {
+            return;
+        };
+        if !charge.is_empty() {
+            ctx.charge(Layer::Group, On::Thread, charge);
+        }
+        let _ = waiter.wake.send(ctx, seq);
+    }
+
+    /// The send loop: `send(attempt)` transmits the request; a timeout
+    /// retransmits it with backoff `send_timeout << min(attempt, 3)` after
+    /// tracing `retransmit` and charging `resend` on the calling thread.
+    /// Returns the sequence number, or `None` once `send_retries`
+    /// transmissions went unanswered.
+    pub fn wait(
+        &self,
+        ctx: &Ctx,
+        msg_id: u64,
+        wake: &SimChannel<u64>,
+        config: &GroupConfig,
+        resend: &[(&'static str, SimDuration)],
+        mut send: impl FnMut(u32),
+    ) -> Option<u64> {
+        let mut seq = None;
+        for attempt in 0..config.send_retries {
+            if attempt > 0 {
+                ctx.trace_instant(
+                    Layer::Group,
+                    "retransmit",
+                    &[("msg_id", msg_id), ("attempt", u64::from(attempt))],
+                );
+                if !resend.is_empty() {
+                    ctx.charge(Layer::Group, On::Thread, resend);
+                }
+            }
+            send(attempt);
+            match wake.recv_timeout(ctx, config.send_timeout * (1u64 << attempt.min(3))) {
+                Ok(s) => {
+                    seq = Some(s);
+                    break;
+                }
+                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Closed) => break,
+            }
+        }
+        self.waiting.lock().remove(&msg_id);
+        seq
+    }
 }
 
 /// Messages (and their bytes) one handler run handed to the application.
@@ -207,7 +299,8 @@ struct Delivered {
     bytes: usize,
 }
 
-fn trace_note(ctx: &Ctx, note: &Note) {
+/// Records a core trace note on the group layer.
+pub fn trace_note(ctx: &Ctx, note: &Note) {
     note.render(|name, args| ctx.trace_instant(Layer::Group, name, args));
 }
 
@@ -228,6 +321,7 @@ pub struct GroupMember {
     spec: Arc<GroupSpec>,
     my_id: u32,
     state: Arc<Mutex<GroupState>>,
+    sending: Arc<Sending>,
     inbox: SimChannel<GroupMessage>,
     resync_wake: SimChannel<()>,
 }
@@ -251,13 +345,13 @@ impl GroupMember {
         let state = Arc::new(Mutex::new(GroupState {
             member: MemberCore::new(my_id, spec.sequencer as u32, &spec.config),
             seq: is_seq.then(|| SeqCore::new(spec.member_addrs.len(), &spec.config)),
-            send_waiters: HashMap::new(),
         }));
         let member = GroupMember {
             machine: machine.clone(),
             spec: Arc::new(spec),
             my_id,
             state,
+            sending: Arc::default(),
             inbox: SimChannel::new(),
             resync_wake: SimChannel::new(),
         };
@@ -301,15 +395,9 @@ impl GroupMember {
     /// [`GroupError::Timeout`] if the message is never sequenced.
     pub fn send(&self, ctx: &Ctx, payload: Bytes) -> Result<u64, GroupError> {
         let cost = self.machine.cost().clone();
-        let cfg = &self.spec.config;
-        let (req, bb, waiter) = {
-            let mut st = self.state.lock();
-            let (req, bb) = st.member.new_request(&payload);
-            let w = SimChannel::new();
-            st.send_waiters.insert(req.msg_id, w.clone());
-            (req, bb, w)
-        };
+        let (req, bb) = self.state.lock().member.new_request(&payload);
         let msg_id = req.msg_id;
+        let wake = self.sending.open(msg_id, None);
         let req_wire = Header::encode(&req);
         let bb_wire = bb.as_ref().map(Header::encode);
         ctx.trace_emit(
@@ -336,33 +424,20 @@ impl GroupMember {
             ],
         );
         let resend = cost.kernel_packet_send * fragments_of(req_wire.len());
-        let mut result = Err(GroupError::Timeout);
-        for attempt in 0..cfg.send_retries {
-            if attempt > 0 {
-                ctx.trace_instant(
-                    Layer::Group,
-                    "retransmit",
-                    &[("msg_id", msg_id), ("attempt", u64::from(attempt))],
-                );
-                ctx.charge(Layer::Group, On::Thread, &[("kernel_packet_send", resend)]);
-            }
-            if let Some(bb) = &bb_wire {
-                if attempt == 0 {
+        let sent = self.sending.wait(
+            ctx,
+            msg_id,
+            &wake,
+            &self.spec.config,
+            &[("kernel_packet_send", resend)],
+            |attempt| {
+                if let (0, Some(bb)) = (attempt, &bb_wire) {
                     self.send_group_raw(ctx, bb.clone());
                 }
-            }
-            self.send_unicast_raw(ctx, self.spec.sequencer_addr(), req_wire.clone());
-            let backoff = cfg.send_timeout * (1u64 << attempt.min(3));
-            match waiter.recv_timeout(ctx, backoff) {
-                Ok(seq) => {
-                    result = Ok(seq);
-                    break;
-                }
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Closed) => break,
-            }
-        }
-        self.state.lock().send_waiters.remove(&msg_id);
+                self.send_unicast_raw(ctx, self.spec.sequencer_addr(), req_wire.clone());
+            },
+        );
+        let result = sent.ok_or(GroupError::Timeout);
         if result.is_ok() {
             // Return from the blocking grp_send: the kernel woke us directly
             // from the interrupt handler, so `Thread` pays no switch.
@@ -458,17 +533,56 @@ impl GroupMember {
     }
 
     /// The kernel protocol handler (interrupt context or local dispatch).
+    /// The kernel placement: the sequencer shares the handler (and the
+    /// lock) with its own member, so it places its own copy the moment it
+    /// assigns a number, and wakes the resync daemon.
     fn kernel_handle(&self, ctx: &Ctx, msg: FlipMessage) {
-        let Some((header, body)) = Header::decode(&msg.payload) else {
+        let Some((h, body)) = Header::decode(&msg.payload) else {
             return;
         };
-        // Run the state machine under the lock; collect wire traffic and CPU
+        // Run the cores under the lock; collect wire traffic and CPU
         // charges to execute afterwards (transmission sleeps).
         let mut outs = Vec::new();
         let mut delivered = Delivered::default();
         {
-            let mut st = self.state.lock();
-            self.state_machine(ctx, &mut st, header, body, &mut outs, &mut delivered);
+            let mut guard = self.state.lock();
+            let st = &mut *guard;
+            let stale = st
+                .member
+                .on_frame(h.kind, h.seqno, h.sender, h.msg_id, body.clone());
+            if let Some(seq) = st.seq.as_mut() {
+                let member = &st.member;
+                let bb_data = || member.bb_data(h.sender, h.msg_id);
+                let assigned = seq.on_frame(
+                    h.kind,
+                    h.sender,
+                    h.msg_id,
+                    h.seqno,
+                    h.piggyback,
+                    body,
+                    bb_data,
+                    &mut outs,
+                );
+                trace_notes(ctx, &outs);
+                if h.kind == Kind::Status {
+                    seq.trim_history();
+                }
+                if let Some(a) = assigned {
+                    // Its member handler will also see the multicast
+                    // loopback, which dedups harmlessly.
+                    st.member.place_own(a.seq, h.sender, h.msg_id, a.payload);
+                    if !self.spec.config.resync_interval.is_zero() {
+                        let _ = self.resync_wake.send(ctx, ());
+                    }
+                }
+            }
+            if stale {
+                outs.extend(st.member.stale_status(ctx.now()).map(Out::Wire));
+            }
+            self.try_deliver(ctx, st, &mut outs, &mut delivered);
+            if matches!(h.kind, Kind::Seq | Kind::Accept) {
+                outs.extend(st.member.gap_request().map(Out::Wire));
+            }
         }
         let cost = self.machine.cost();
         ctx.charge(
@@ -481,91 +595,6 @@ impl GroupMember {
             ],
         );
         self.transmit(ctx, outs, On::Interrupt);
-    }
-
-    /// Feeds one decoded frame to the cores. The kernel placement: the
-    /// sequencer shares the handler (and the lock) with its own member, so
-    /// it places its own copy the moment it assigns a number.
-    fn state_machine(
-        &self,
-        ctx: &Ctx,
-        st: &mut GroupState,
-        header: Header,
-        body: Bytes,
-        outs: &mut Vec<Out>,
-        delivered: &mut Delivered,
-    ) {
-        let Header {
-            kind,
-            sender,
-            msg_id,
-            seqno,
-            piggyback,
-        } = header;
-        match kind {
-            Kind::Req | Kind::ReqBb => {
-                let Some(seq) = st.seq.as_mut() else { return };
-                let member = &st.member;
-                let payload = (kind == Kind::Req).then_some(body);
-                let bb_data = || member.bb_data(sender, msg_id);
-                let assigned = seq.request(sender, msg_id, payload, piggyback, bb_data, outs);
-                trace_notes(ctx, outs);
-                if let Some(assigned) = assigned {
-                    self.place_own(ctx, st, sender, msg_id, assigned);
-                    self.try_deliver(ctx, st, outs, delivered);
-                }
-            }
-            Kind::BbData => {
-                st.member.on_bb_data(sender, msg_id, body.clone());
-                // The sequencer may have been waiting for this data.
-                let assigned = st
-                    .seq
-                    .as_mut()
-                    .and_then(|seq| seq.bb_arrived(sender, msg_id, || Some(body), outs));
-                trace_notes(ctx, outs);
-                if let Some(assigned) = assigned {
-                    self.place_own(ctx, st, sender, msg_id, assigned);
-                }
-                self.try_deliver(ctx, st, outs, delivered);
-            }
-            Kind::Seq | Kind::Accept => {
-                let fresh = if kind == Kind::Seq {
-                    st.member.on_seq(seqno, sender, msg_id, body)
-                } else {
-                    st.member.on_accept(seqno, sender, msg_id)
-                };
-                // A stale (already-delivered) Seq/Accept means the sequencer
-                // resent history we did not need: report our true progress
-                // so its resync stops targeting us. Only with resync on.
-                if !fresh && !self.spec.config.resync_interval.is_zero() {
-                    outs.extend(st.member.stale_status(ctx.now()).map(Out::Wire));
-                }
-                self.try_deliver(ctx, st, outs, delivered);
-                outs.extend(st.member.gap_request().map(Out::Wire));
-            }
-            Kind::RetransReq => {
-                if let Some(seq) = st.seq.as_mut() {
-                    seq.retrans_request(sender, seqno, piggyback, outs);
-                    trace_notes(ctx, outs);
-                }
-            }
-            Kind::Status => {
-                if let Some(seq) = st.seq.as_mut() {
-                    seq.status(sender, piggyback);
-                    seq.trim_history();
-                }
-            }
-        }
-    }
-
-    /// The sequencer places its own copy directly (its member handler will
-    /// also see the multicast loopback, which dedups harmlessly) and wakes
-    /// the resync daemon.
-    fn place_own(&self, ctx: &Ctx, st: &mut GroupState, sender: u32, msg_id: u64, a: Assigned) {
-        st.member.place_own(a.seq, sender, msg_id, a.payload);
-        if !self.spec.config.resync_interval.is_zero() {
-            let _ = self.resync_wake.send(ctx, ());
-        }
     }
 
     /// The sequencer's laggard-resync daemon body (kernel thread). Spawn on
@@ -631,20 +660,14 @@ impl GroupMember {
                 },
             );
             if d.sender == self.my_id {
-                if let Some(w) = st.send_waiters.remove(&d.msg_id) {
-                    let _ = w.send(ctx, d.seq);
-                }
+                self.sending.wake(ctx, d.msg_id, d.seq, &[]);
             }
         }
         // The sequencer reads its own member's progress directly; everyone
-        // else reports it — promptly once caught up, but only with resync
-        // on (the fault-free configuration stays free of extra traffic).
+        // else reports it.
         match st.seq.as_mut() {
             Some(seq) => seq.status(self.my_id, st.member.delivered()),
-            None => {
-                let prompt = !self.spec.config.resync_interval.is_zero();
-                outs.extend(st.member.status_due(ctx.now(), prompt).map(Out::Wire));
-            }
+            None => outs.extend(st.member.status_due(ctx.now()).map(Out::Wire)),
         }
     }
 }

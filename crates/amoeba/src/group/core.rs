@@ -263,13 +263,47 @@ impl SeqCore {
         }
     }
 
+    /// One frame addressed to the sequencer. `bb_data` looks up BB data in
+    /// the store of the sequencer's own member: the data of a BB request
+    /// (`ReqBb`), or of the held request a `BbData` frame may complete.
+    /// Returns the sequence number assigned, if any; the outputs go to
+    /// `out` in order. Frames from outside the group are ignored, and
+    /// `Seq`/`Accept` are no sequencer business.
+    #[allow(clippy::too_many_arguments)] // the decoded header fields
+    pub fn on_frame(
+        &mut self,
+        kind: Kind,
+        sender: u32,
+        msg_id: u64,
+        seq: u64,
+        piggyback: u64,
+        body: Bytes,
+        bb_data: impl FnOnce() -> Option<Bytes>,
+        out: &mut Vec<Out>,
+    ) -> Option<Assigned> {
+        match kind {
+            Kind::Req => self.request(sender, msg_id, Some(body), piggyback, bb_data, out),
+            Kind::ReqBb => self.request(sender, msg_id, None, piggyback, bb_data, out),
+            Kind::BbData => self.bb_arrived(sender, msg_id, bb_data, out),
+            Kind::RetransReq => {
+                self.retrans_request(sender, seq, piggyback, out);
+                None
+            }
+            Kind::Status => {
+                self.status(sender, piggyback);
+                None
+            }
+            Kind::Seq | Kind::Accept => None,
+        }
+    }
+
     /// A send request (`payload` is `None` for a BB announcement, whose
-    /// data `bb_data` looks up at the sequencer's own member). A repeated
-    /// request is answered from history, or dropped if its entry has been
-    /// trimmed (every member, the sender included, delivered it); a BB
-    /// request whose data has not arrived is held for
-    /// [`SeqCore::bb_arrived`]. Requests from outside the group are ignored.
-    pub fn request(
+    /// data `bb_data` looks up). A repeated request is answered from
+    /// history, or dropped if its entry has been trimmed (every member, the
+    /// sender included, delivered it); a BB request whose data has not
+    /// arrived is held for [`SeqCore::bb_arrived`]. Requests from outside
+    /// the group are ignored.
+    fn request(
         &mut self,
         sender: u32,
         msg_id: u64,
@@ -310,7 +344,7 @@ impl SeqCore {
 
     /// BB data reached the sequencer's machine: order the message if its
     /// request was being held for it.
-    pub fn bb_arrived(
+    fn bb_arrived(
         &mut self,
         sender: u32,
         msg_id: u64,
@@ -325,13 +359,7 @@ impl SeqCore {
 
     /// A member asks for history from `from` on; at most `retrans_chunk`
     /// entries are resent per request.
-    pub fn retrans_request(
-        &mut self,
-        requester: u32,
-        from: u64,
-        piggyback: u64,
-        out: &mut Vec<Out>,
-    ) {
+    fn retrans_request(&mut self, requester: u32, from: u64, piggyback: u64, out: &mut Vec<Out>) {
         if !self.is_member(requester) {
             return;
         }
@@ -498,6 +526,9 @@ pub struct MemberCore {
     sequencer: u32,
     bb_threshold: usize,
     status_interval: u64,
+    /// Resync is on: report progress promptly once caught up, and answer a
+    /// stale Seq/Accept with the true progress.
+    prompt: bool,
     next_msg_id: u64,
     next_deliver: u64,
     /// Sequenced messages waiting for their turn.
@@ -523,6 +554,7 @@ impl MemberCore {
             sequencer,
             bb_threshold: config.bb_threshold,
             status_interval: config.status_interval,
+            prompt: !config.resync_interval.is_zero(),
             next_msg_id: 1,
             next_deliver: 1,
             ooo: BTreeMap::new(),
@@ -562,16 +594,43 @@ impl MemberCore {
         }
     }
 
+    /// One frame addressed to this member: a sequenced message, the
+    /// ordering decision for a BB message (placed once its data is here),
+    /// or BB data (kept until ordered). Returns `true` if the frame was a
+    /// Seq/Accept already delivered — the sequencer resent history this
+    /// member did not need — and resync is on: the member should then
+    /// report its true progress so the resync stops targeting it. Other
+    /// kinds are sequencer business.
+    pub fn on_frame(
+        &mut self,
+        kind: Kind,
+        seq: u64,
+        sender: u32,
+        msg_id: u64,
+        body: Bytes,
+    ) -> bool {
+        let fresh = match kind {
+            Kind::Seq => self.on_seq(seq, sender, msg_id, body),
+            Kind::Accept => self.on_accept(seq, sender, msg_id),
+            Kind::BbData => {
+                self.on_bb_data(sender, msg_id, body);
+                true
+            }
+            Kind::Req | Kind::ReqBb | Kind::RetransReq | Kind::Status => true,
+        };
+        !fresh && self.prompt && self.me != self.sequencer
+    }
+
     /// A sequenced message arrived. Returns `false` if it was already
-    /// delivered (the sequencer resent history this member did not need).
-    pub fn on_seq(&mut self, seq: u64, sender: u32, msg_id: u64, body: Bytes) -> bool {
+    /// delivered.
+    fn on_seq(&mut self, seq: u64, sender: u32, msg_id: u64, body: Bytes) -> bool {
         self.place_own(seq, sender, msg_id, body);
         seq >= self.next_deliver
     }
 
     /// The ordering decision for a BB message arrived; it is placed once
     /// its data is here. Returns `false` if it was already delivered.
-    pub fn on_accept(&mut self, seq: u64, sender: u32, msg_id: u64) -> bool {
+    fn on_accept(&mut self, seq: u64, sender: u32, msg_id: u64) -> bool {
         if seq < self.next_deliver {
             return false;
         }
@@ -586,7 +645,7 @@ impl MemberCore {
 
     /// BB data arrived: keep it until ordered, or place it if the accept
     /// came first.
-    pub fn on_bb_data(&mut self, sender: u32, msg_id: u64, body: Bytes) {
+    fn on_bb_data(&mut self, sender: u32, msg_id: u64, body: Bytes) {
         let key = (sender, msg_id);
         let already = self
             .delivered_msg
@@ -659,15 +718,15 @@ impl MemberCore {
     }
 
     /// A progress report is due when `status_interval` deliveries have
-    /// passed or — with `prompt` — as soon as the member is fully caught up
-    /// (at most every 10 ms): without the prompt report an idle stretch
+    /// passed or — with resync on — as soon as the member is fully caught
+    /// up (at most every 10 ms): without the prompt report an idle stretch
     /// makes the sequencer believe members lag and its resync resends
     /// history nobody needs. The sequencer's own member never reports.
-    pub fn status_due(&mut self, now: SimTime, prompt: bool) -> Option<Wire> {
+    pub fn status_due(&mut self, now: SimTime) -> Option<Wire> {
         if self.me == self.sequencer {
             return None;
         }
-        let prompt_due = prompt
+        let prompt_due = self.prompt
             && self.backlog() == 0
             && self.since_status > 0
             && now.saturating_duration_since(self.last_status_at) >= SimDuration::from_millis(10);

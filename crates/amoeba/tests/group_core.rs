@@ -3,10 +3,13 @@
 //! reordering bag of in-flight frames, driven by a random script and checked
 //! against the reference total order after every step.
 //!
-//! The harness plays both placements (drawn per case): *kernel style* — the
-//! sequencer shares a handler with member 0 and places its own copy at
-//! assign time — and *user style* — the sequencer sees member 0 only
-//! through the multicast loopback and that member's BB store.
+//! Every frame goes through the cores' own dispatch, `SeqCore::on_frame`
+//! and `MemberCore::on_frame`, as in both shells. The harness plays both
+//! placements (drawn per case): *kernel style* — the sequencer shares a
+//! handler with member 0, places its own copy at assign time and reads that
+//! member's progress after each delivery run — and *user style* — the
+//! sequencer sees member 0 only through the multicast loopback and refreshes
+//! its progress before every frame.
 //!
 //! This is the evidence that the harness reaches the `trim_history` bug
 //! (ROADMAP item 1: forgetting which `(sender, msg_id)` were sequenced when
@@ -33,6 +36,7 @@ fn config() -> GroupConfig {
         history_max: HISTORY_MAX,
         retrans_chunk: 4,
         status_interval: 3,
+        resync_interval: SimDuration::from_millis(40),
         ..GroupConfig::default()
     }
 }
@@ -43,83 +47,39 @@ fn body(sender: u32, msg_id: u64, big: bool) -> Bytes {
     Bytes::from(vec![(sender as u8) ^ (msg_id as u8).wrapping_mul(31); len])
 }
 
-/// What either shell does with one frame addressed to the sequencer.
-/// Member 0 hosts the sequencer.
-fn feed_seq(
-    seq: &mut SeqCore,
-    member0: &mut MemberCore,
-    kernel_style: bool,
-    w: &Wire,
-    outs: &mut Vec<Out>,
-) {
-    // The user-space sequencer thread refreshes its own member's progress
-    // before every work item; the kernel's handler keeps it current.
-    seq.status(0, member0.delivered());
-    let assigned = match w.kind {
-        Kind::Req | Kind::ReqBb => {
-            let payload = (w.kind == Kind::Req).then(|| w.payload.clone());
-            let bb = || member0.bb_data(w.sender, w.msg_id);
-            seq.request(w.sender, w.msg_id, payload, w.piggyback, bb, outs)
-        }
-        Kind::BbData => {
-            // Kernel: the frame's body; user: whatever the store holds.
-            let data = || match kernel_style {
-                true => Some(w.payload.clone()),
-                false => member0.bb_data(w.sender, w.msg_id),
-            };
-            seq.bb_arrived(w.sender, w.msg_id, data, outs)
-        }
-        Kind::RetransReq => {
-            seq.retrans_request(w.sender, w.seq, w.piggyback, outs);
-            None
-        }
-        Kind::Status => {
-            seq.status(w.sender, w.piggyback);
-            None
-        }
-        Kind::Seq | Kind::Accept => None,
-    };
-    if !kernel_style || w.kind == Kind::Status {
-        seq.trim_history();
-    }
-    if let (true, Some(a)) = (kernel_style, assigned) {
-        member0.place_own(a.seq, w.sender, w.msg_id, a.payload);
+/// A member's progress report, as any member may send it.
+fn status(member: &MemberCore, me: u32) -> Wire {
+    Wire {
+        kind: Kind::Status,
+        sender: me,
+        msg_id: 0,
+        seq: 0,
+        piggyback: member.delivered(),
+        payload: Bytes::new(),
+        to: To::Sequencer,
     }
 }
 
-/// What either shell does with one frame addressed to a member: place it,
-/// then [`drain`].
-fn feed_member(
+/// The answer to a stale Seq/Accept, per style.
+fn stale_answer(
     member: &mut MemberCore,
+    me: u32,
     kernel_style: bool,
-    w: &Wire,
     now: SimTime,
-) -> (Vec<Delivery>, Vec<Wire>) {
-    let fresh = match w.kind {
-        Kind::Seq => member.on_seq(w.seq, w.sender, w.msg_id, w.payload.clone()),
-        Kind::Accept => member.on_accept(w.seq, w.sender, w.msg_id),
-        Kind::BbData => {
-            member.on_bb_data(w.sender, w.msg_id, w.payload.clone());
-            true
-        }
-        _ => true,
-    };
-    let stale = match (fresh, kernel_style) {
-        (true, _) => None,
-        (false, true) => member.stale_status(now),
-        (false, false) => Some(member.status_wire()),
-    };
-    let (popped, mut wires) = drain(member, now);
-    wires.splice(0..0, stale);
-    (popped, wires)
+) -> Option<Wire> {
+    match kernel_style {
+        true => member.stale_status(now),
+        false => Some(status(member, me)),
+    }
 }
 
-/// Pops what became deliverable and collects the member's own traffic.
-fn drain(member: &mut MemberCore, now: SimTime) -> (Vec<Delivery>, Vec<Wire>) {
+/// What either shell does after a member's core took a frame: pop what
+/// became deliverable, then send the member's own frames.
+fn drain(member: &mut MemberCore, stale: Option<Wire>, now: SimTime) -> (Vec<Delivery>, Vec<Wire>) {
     let popped = std::iter::from_fn(|| member.pop_deliverable()).collect();
-    let mut wires = Vec::new();
+    let mut wires: Vec<Wire> = stale.into_iter().collect();
     wires.extend(member.gap_request());
-    wires.extend(member.status_due(now, true));
+    wires.extend(member.status_due(now));
     (popped, wires)
 }
 
@@ -178,14 +138,26 @@ impl World {
     fn arrive(&mut self, dest: Dest, w: Wire) {
         match dest {
             Dest::Sequencer => {
+                if !self.kernel_style {
+                    self.seq.status(0, self.members[0].delivered());
+                }
                 let mut outs = Vec::new();
-                feed_seq(
-                    &mut self.seq,
-                    &mut self.members[0],
-                    self.kernel_style,
-                    &w,
+                let member0 = &self.members[0];
+                let bb_data = || member0.bb_data(w.sender, w.msg_id);
+                let assigned = self.seq.on_frame(
+                    w.kind,
+                    w.sender,
+                    w.msg_id,
+                    w.seq,
+                    w.piggyback,
+                    w.payload.clone(),
+                    bb_data,
                     &mut outs,
                 );
+                let held = matches!(w.kind, Kind::Req | Kind::ReqBb) && assigned.is_none();
+                if (self.kernel_style && w.kind == Kind::Status) || (!self.kernel_style && !held) {
+                    self.seq.trim_history();
+                }
                 for out in outs {
                     match out {
                         Out::Note(Note::SeqAssign {
@@ -204,14 +176,22 @@ impl World {
                 }
                 if self.kernel_style {
                     // The sequencer's own copy delivers in the same handler.
-                    let drained = drain(&mut self.members[0], self.now);
+                    if let Some(a) = assigned {
+                        self.members[0].place_own(a.seq, w.sender, w.msg_id, a.payload);
+                    }
+                    let drained = drain(&mut self.members[0], None, self.now);
                     self.delivered(0, drained);
                 }
             }
             Dest::Member(m) => {
+                let (style, now) = (self.kernel_style, self.now);
                 let member = &mut self.members[m as usize];
-                let fed = feed_member(member, self.kernel_style, &w, self.now);
-                self.delivered(m, fed);
+                let stale = member
+                    .on_frame(w.kind, w.seq, w.sender, w.msg_id, w.payload.clone())
+                    .then(|| stale_answer(member, m, style, now))
+                    .flatten();
+                let drained = drain(member, stale, now);
+                self.delivered(m, drained);
                 // Data reaching the sequencer's machine is news for the
                 // sequencer too: at once in the kernel's shared handler, as
                 // a queued work item in user space.
@@ -228,6 +208,11 @@ impl World {
     /// Checks member `m`'s deliveries against the reference order and
     /// launches its traffic.
     fn delivered(&mut self, m: u32, (popped, wires): (Vec<Delivery>, Vec<Wire>)) {
+        if self.kernel_style && m == 0 {
+            // The kernel sequencer reads its member's progress after every
+            // delivery run.
+            self.seq.status(0, self.members[0].delivered());
+        }
         for d in popped {
             self.logs[m as usize] += 1;
             assert_eq!(d.seq, self.logs[m as usize] as u64, "member {m}: gap-free");
@@ -284,12 +269,14 @@ impl World {
                     self.flight.push(self.flight[i].clone());
                 }
             }
-            7 => self.launch(self.members[m].status_wire()),
+            7 => self.launch(status(&self.members[m], m as u32)),
             8 => self.launch(self.members[m].retrans_wire()), // kernel `recv` poll
             9 => self.seq.trim_history(),
             10 => {
                 let mut outs = Vec::new();
-                self.seq.status(0, self.members[0].delivered());
+                if !self.kernel_style {
+                    self.seq.status(0, self.members[0].delivered());
+                }
                 self.seq.resync_round(&mut outs);
                 for out in outs {
                     if let Out::Wire(w) = out {
@@ -321,7 +308,7 @@ impl World {
                     bb.into_iter().for_each(|bb| self.launch(bb));
                     self.launch(req);
                 }
-                self.launch(self.members[m].status_wire());
+                self.launch(status(&self.members[m], m as u32));
             }
             self.step(10, 0, 11);
             while !self.flight.is_empty() {
@@ -382,8 +369,7 @@ proptest! {
     ) {
         let cfg = config();
         let mut seq = SeqCore::new(MEMBERS as usize, &cfg);
-        let mut member = MemberCore::new(0, 0, &cfg);
-        let mut other = MemberCore::new(1, 0, &cfg);
+        let mut members = [MemberCore::new(0, 0, &cfg), MemberCore::new(1, 0, &cfg)];
         let mut now = SimTime::ZERO;
         let edge = |x: u64| match x % 5 {
             0 => x % 4,
@@ -391,22 +377,30 @@ proptest! {
             _ => x,
         };
         for (kind, sender, msg_id, seqno, piggyback) in frames {
-            let w = Wire {
-                kind: Kind::from_byte(kind).expect("0..7 are the seven kinds"),
-                sender: if sender % 2 == 0 { sender % 4 } else { sender },
-                msg_id: edge(msg_id),
-                seq: edge(seqno),
-                piggyback: edge(piggyback),
-                payload: Bytes::from(vec![7u8; (msg_id % 40) as usize]),
-                to: To::Sequencer,
-            };
+            let (kind, sender) = (
+                Kind::from_byte(kind).expect("0..7 are the seven kinds"),
+                if sender % 2 == 0 { sender % 4 } else { sender },
+            );
+            let (msg_id, seqno, piggyback) = (edge(msg_id), edge(seqno), edge(piggyback));
+            let body = Bytes::from(vec![7u8; (msg_id % 40) as usize]);
             now += SimDuration::from_millis(seqno % 5);
             let mut outs = Vec::new();
-            feed_seq(&mut seq, &mut member, kernel_style, &w, &mut outs);
+            let bb_data = || members[0].bb_data(sender, msg_id);
+            let assigned =
+                seq.on_frame(kind, sender, msg_id, seqno, piggyback, body.clone(), bb_data, &mut outs);
+            seq.trim_history();
+            if let (true, Some(a)) = (kernel_style, assigned) {
+                members[0].place_own(a.seq, sender, msg_id, a.payload);
+            }
             seq.resync_round(&mut outs);
             let _ = seq.lagging();
-            let _ = feed_member(&mut member, kernel_style, &w, now);
-            let _ = feed_member(&mut other, kernel_style, &w, now);
+            for (me, member) in (0..).zip(&mut members) {
+                let stale = member
+                    .on_frame(kind, seqno, sender, msg_id, body.clone())
+                    .then(|| stale_answer(member, me, kernel_style, now))
+                    .flatten();
+                let _ = drain(member, stale, now);
+            }
             for out in outs {
                 if let Out::Wire(w) = out {
                     prop_assert!(!matches!(w.to, To::Member(m) if m >= MEMBERS));
@@ -427,7 +421,8 @@ fn an_abandoned_message_cannot_grow_the_dedup_state() {
     let mut seq = SeqCore::new(MEMBERS as usize, &cfg);
     let mut outs = Vec::new();
     let req = |seq: &mut SeqCore, msg_id, outs: &mut Vec<Out>| {
-        seq.request(1, msg_id, Some(body(1, msg_id, false)), 0, || None, outs)
+        let body = body(1, msg_id, false);
+        seq.on_frame(Kind::Req, 1, msg_id, 0, 0, body, || None, outs)
     };
     // msg 1 is lost on the way; 2.. arrive.
     for msg_id in 2..200 {

@@ -12,15 +12,15 @@
 //! This file is the user-space *placement*: the 40-byte Panda header, the
 //! receive-daemon upcall that runs the member core, the sequencer thread
 //! that runs the sequencer core (reaching its own member only through the
-//! multicast loopback), the user-level CPU charges, and the blocking and
-//! nonblocking send loops.
+//! multicast loopback), the user-level CPU charges, and the nonblocking send.
+//! The send loop is the kernel's ([`amoeba::group::Sending`]).
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use amoeba::group::core::{Delivery, Kind, MemberCore, Note, Out, SeqCore, To, Wire};
+use amoeba::group::{trace_note, Sending};
 use amoeba::GroupConfig;
 use bytes::Bytes;
 use desim::trace::{Layer, Phase};
@@ -35,18 +35,6 @@ use crate::transport::{CommError, GroupDelivery, GroupHandler, NodeId};
 /// store now"; its body is not forwarded).
 type SeqWork = (Kind, PandaHeader, Bytes);
 
-/// A delivery popped under the lock, with the local sender to wake.
-type Popped = (Delivery, Option<SimChannel<u64>>);
-
-/// Member-side state shared by the receive daemon and sending threads.
-struct MemberState {
-    core: MemberCore,
-    send_waiters: HashMap<u64, SimChannel<u64>>,
-    /// Outstanding nonblocking sends: `msg_id -> request`, for
-    /// retransmission at flush time.
-    pending_async: HashMap<u64, Wire>,
-}
-
 /// The user-space group module for one member node.
 pub struct UserGroup {
     sys: Arc<SysLayer>,
@@ -56,7 +44,9 @@ pub struct UserGroup {
     n_members: u32,
     sequencer: NodeId,
     dedicated: bool,
-    state: Mutex<MemberState>,
+    /// The member core, shared by the receive daemon and sending threads.
+    member: Mutex<MemberCore>,
+    sending: Sending,
     handler: Mutex<Option<GroupHandler>>,
     /// Present only on the sequencer node: feed to the sequencer thread.
     seq_chan: Option<SimChannel<SeqWork>>,
@@ -78,8 +68,6 @@ impl fmt::Debug for UserGroup {
 impl UserGroup {
     /// Creates the group module on `sys`, registering its upcall. If this
     /// node is the sequencer, the sequencer thread is spawned here.
-    /// (`config.gap_poll` is unused: Panda receives by upcall, so no
-    /// blocked receiver polls.)
     pub fn start(
         sim: &mut Simulation,
         sys: Arc<SysLayer>,
@@ -95,11 +83,8 @@ impl UserGroup {
             n_members,
             sequencer,
             dedicated,
-            state: Mutex::new(MemberState {
-                core: MemberCore::new(sys.node(), sequencer, &config),
-                send_waiters: HashMap::new(),
-                pending_async: HashMap::new(),
-            }),
+            member: Mutex::new(MemberCore::new(sys.node(), sequencer, &config)),
+            sending: Sending::default(),
             config,
             handler: Mutex::new(None),
             seq_chan: seq_chan.clone(),
@@ -132,7 +117,7 @@ impl UserGroup {
 
     /// Number of buffered not-yet-deliverable messages (diagnostics).
     pub fn backlog(&self) -> usize {
-        self.state.lock().core.backlog()
+        self.member.lock().backlog()
     }
 
     /// Sends one core output in the Panda wire format. Only the sending
@@ -159,16 +144,6 @@ impl UserGroup {
 
     // -- sending ----------------------------------------------------------
 
-    /// Allocates a message id and its waiter, and builds the request (plus
-    /// the data multicast of a BB-sized message).
-    fn begin_send(&self, payload: &Bytes) -> (Wire, Option<Wire>, SimChannel<u64>) {
-        let mut st = self.state.lock();
-        let (req, bb) = st.core.new_request(payload);
-        let waiter = SimChannel::new();
-        st.send_waiters.insert(req.msg_id, waiter.clone());
-        (req, bb, waiter)
-    }
-
     /// Broadcasts with total order; blocks until the message is sequenced
     /// and delivered locally.
     ///
@@ -176,8 +151,9 @@ impl UserGroup {
     ///
     /// [`CommError::Timeout`] if the sequencer never orders the message.
     pub fn send(&self, ctx: &Ctx, payload: Bytes) -> Result<(), CommError> {
-        let (req, bb, waiter) = self.begin_send(&payload);
+        let (req, bb) = self.member.lock().new_request(&payload);
         let msg_id = req.msg_id;
+        let wake = self.sending.open(msg_id, None);
         ctx.trace_emit(
             Layer::Group,
             Phase::Begin,
@@ -190,37 +166,21 @@ impl UserGroup {
         );
         let protocol = self.sys.machine().cost().protocol_layer;
         ctx.charge(Layer::Group, On::Thread, &[("protocol_layer", protocol)]);
-        let mut result = Err(CommError::Timeout);
-        for attempt in 0..=self.config.send_retries {
-            if attempt > 0 {
-                ctx.trace_instant(
-                    Layer::Group,
-                    "retransmit",
-                    &[("msg_id", msg_id), ("attempt", u64::from(attempt))],
-                );
-            }
-            if let (0, Some(bb)) = (attempt, &bb) {
-                self.transmit(ctx, bb);
-            }
-            self.transmit(ctx, &req);
-            let backoff = self.config.send_timeout * (1u64 << attempt.min(3));
-            match waiter.recv_timeout(ctx, backoff) {
-                Ok(_seq) => {
-                    result = Ok(());
-                    break;
+        let sent = self
+            .sending
+            .wait(ctx, msg_id, &wake, &self.config, &[], |attempt| {
+                if let (0, Some(bb)) = (attempt, &bb) {
+                    self.transmit(ctx, bb);
                 }
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Closed) => break,
-            }
-        }
-        self.state.lock().send_waiters.remove(&msg_id);
+                self.transmit(ctx, &req);
+            });
         ctx.trace_emit(
             Layer::Group,
             Phase::End,
             "grp_send",
-            &[("msg_id", msg_id), ("ok", u64::from(result.is_ok()))],
+            &[("msg_id", msg_id), ("ok", u64::from(sent.is_some()))],
         );
-        result
+        sent.map(drop).ok_or(CommError::Timeout)
     }
 
     /// Broadcasts without waiting for the sequencer — the paper's Section 6
@@ -229,14 +189,13 @@ impl UserGroup {
     /// is still guaranteed by the sequencer; call [`UserGroup::flush`] at a
     /// point where delivery must have happened. Returns the message id.
     pub fn send_nonblocking(&self, ctx: &Ctx, payload: Bytes) -> u64 {
-        let (req, bb, _waiter) = self.begin_send(&payload);
+        let (req, bb) = self.member.lock().new_request(&payload);
+        self.sending.open(req.msg_id, Some(req.clone()));
         if let Some(bb) = &bb {
             self.transmit(ctx, bb);
         }
         self.transmit(ctx, &req);
-        let msg_id = req.msg_id;
-        self.state.lock().pending_async.insert(msg_id, req);
-        msg_id
+        req.msg_id
     }
 
     /// Blocks until every outstanding nonblocking send has been sequenced
@@ -246,43 +205,20 @@ impl UserGroup {
     ///
     /// [`CommError::Timeout`] if the sequencer stops answering.
     pub fn flush(&self, ctx: &Ctx) -> Result<(), CommError> {
-        loop {
-            let next = {
-                let st = self.state.lock();
-                st.pending_async.keys().next().copied()
-            };
-            let Some(msg_id) = next else { return Ok(()) };
-            let waiter = self.state.lock().send_waiters.get(&msg_id).cloned();
-            let Some(waiter) = waiter else {
-                // Already delivered (the waiter fired before flush).
-                self.state.lock().pending_async.remove(&msg_id);
-                continue;
-            };
-            let mut done = false;
-            for _attempt in 0..=self.config.send_retries {
-                match waiter.recv_timeout(ctx, self.config.send_timeout) {
-                    Ok(_seq) => {
-                        done = true;
-                        break;
-                    }
-                    Err(RecvTimeoutError::Timeout) => {
-                        let req = self.state.lock().pending_async.get(&msg_id).cloned();
-                        let Some(req) = req else {
-                            done = true;
-                            break;
-                        };
+        while let Some((req, wake)) = self.sending.oldest_detached() {
+            let sent = self
+                .sending
+                .wait(ctx, req.msg_id, &wake, &self.config, &[], |attempt| {
+                    // The first transmission was the nonblocking send's.
+                    if attempt > 0 {
                         self.transmit(ctx, &req);
                     }
-                    Err(RecvTimeoutError::Closed) => break,
-                }
-            }
-            let mut st = self.state.lock();
-            st.pending_async.remove(&msg_id);
-            st.send_waiters.remove(&msg_id);
-            if !done {
+                });
+            if sent.is_none() {
                 return Err(CommError::Timeout);
             }
         }
+        Ok(())
     }
 
     // -- the sequencer thread ---------------------------------------------
@@ -345,27 +281,13 @@ impl UserGroup {
                 ],
             );
             let (sender, msg_id) = (header.src, header.msg_id);
-            let bb_data = || self.state.lock().core.bb_data(sender, msg_id);
-            match kind {
-                Kind::Req | Kind::ReqBb => {
-                    let payload = (kind == Kind::Req).then_some(body);
-                    let assigned =
-                        seq.request(sender, msg_id, payload, header.b, bb_data, &mut outs);
-                    self.replay(ctx, &mut outs);
-                    if assigned.is_none() {
-                        continue;
-                    }
-                }
-                Kind::BbData => {
-                    seq.bb_arrived(sender, msg_id, bb_data, &mut outs);
-                    self.replay(ctx, &mut outs);
-                }
-                Kind::RetransReq => {
-                    seq.retrans_request(sender, header.a, header.b, &mut outs);
-                    self.replay(ctx, &mut outs);
-                }
-                Kind::Status => seq.status(sender, header.b),
-                Kind::Seq | Kind::Accept => {}
+            let bb_data = || self.member.lock().bb_data(sender, msg_id);
+            let assigned = seq.on_frame(
+                kind, sender, msg_id, header.a, header.b, body, bb_data, &mut outs,
+            );
+            self.replay(ctx, &mut outs);
+            if matches!(kind, Kind::Req | Kind::ReqBb) && assigned.is_none() {
+                continue;
             }
             seq.trim_history();
         }
@@ -392,69 +314,44 @@ impl UserGroup {
         let Some(kind) = Kind::from_byte(header.kind) else {
             return;
         };
-        let (sender, msg_id) = (header.src, header.msg_id);
-        match kind {
-            Kind::Req | Kind::ReqBb | Kind::RetransReq | Kind::Status => {
-                // Sequencer-role traffic: forward to the sequencer thread.
-                if let Some(chan) = &self.seq_chan {
-                    let _ = chan.send(ctx, (kind, header, body));
-                }
+        if matches!(
+            kind,
+            Kind::Req | Kind::ReqBb | Kind::RetransReq | Kind::Status
+        ) {
+            // Sequencer-role traffic: forward to the sequencer thread.
+            if let Some(chan) = &self.seq_chan {
+                let _ = chan.send(ctx, (kind, header, body));
             }
-            Kind::BbData => {
-                let deliveries = {
-                    let mut st = self.state.lock();
-                    st.core.on_bb_data(sender, msg_id, body);
-                    self.collect_deliveries(&mut st)
-                };
-                if let Some(chan) = &self.seq_chan {
-                    let _ = chan.send(ctx, (kind, header, Bytes::new()));
-                }
-                self.run_deliveries(ctx, deliveries);
-                self.after_receive(ctx);
-            }
-            Kind::Seq | Kind::Accept => {
-                let (stale, deliveries) = {
-                    let mut st = self.state.lock();
-                    let fresh = if kind == Kind::Seq {
-                        st.core.on_seq(header.a, sender, msg_id, body)
-                    } else {
-                        st.core.on_accept(header.a, sender, msg_id)
-                    };
-                    // Tell the sequencer how far we really are, so resync
-                    // stops resending to us.
-                    let stale = (!fresh && self.sys.node() != self.sequencer)
-                        .then(|| st.core.status_wire());
-                    (stale, self.collect_deliveries(&mut st))
-                };
-                if let Some(status) = stale {
-                    self.transmit(ctx, &status);
-                }
-                self.run_deliveries(ctx, deliveries);
-                self.after_receive(ctx);
+            return;
+        }
+        let (stale, deliveries) = {
+            let mut member = self.member.lock();
+            let stale = member
+                .on_frame(kind, header.a, header.src, header.msg_id, body)
+                .then(|| member.status_wire());
+            let deliveries: Vec<Delivery> =
+                std::iter::from_fn(|| member.pop_deliverable()).collect();
+            self.local_delivered
+                .store(member.delivered(), Ordering::Relaxed);
+            (stale, deliveries)
+        };
+        if kind == Kind::BbData {
+            // The sequencer may hold a request for this data, now in the
+            // member's store.
+            if let Some(chan) = &self.seq_chan {
+                let _ = chan.send(ctx, (kind, header, Bytes::new()));
             }
         }
-    }
-
-    /// Pops every contiguous message (under the lock; no blocking).
-    fn collect_deliveries(&self, st: &mut MemberState) -> Vec<Popped> {
-        let mut out = Vec::new();
-        while let Some(d) = st.core.pop_deliverable() {
-            let wake = if d.sender == self.sys.node() {
-                st.pending_async.remove(&d.msg_id);
-                st.send_waiters.remove(&d.msg_id)
-            } else {
-                None
-            };
-            out.push((d, wake));
+        if let Some(status) = stale {
+            self.transmit(ctx, &status);
         }
-        self.local_delivered
-            .store(st.core.delivered(), Ordering::Relaxed);
-        out
+        self.run_deliveries(ctx, deliveries);
+        self.after_receive(ctx);
     }
 
     /// Upcalls the application and wakes blocked senders (outside the lock;
     /// charges CPU).
-    fn run_deliveries(&self, ctx: &Ctx, deliveries: Vec<Popped>) {
+    fn run_deliveries(&self, ctx: &Ctx, deliveries: Vec<Delivery>) {
         if deliveries.is_empty() {
             return;
         }
@@ -465,8 +362,8 @@ impl UserGroup {
             On::Thread,
             &[("protocol_layer", cost.protocol_layer)],
         );
-        for (d, wake) in deliveries {
-            let seq = d.seq;
+        for d in deliveries {
+            let (seq, msg_id, own) = (d.seq, d.msg_id, d.sender == self.sys.node());
             trace_note(ctx, &d.note());
             if let Some(h) = &handler {
                 h(
@@ -478,16 +375,12 @@ impl UserGroup {
                     },
                 );
             }
-            if let Some(w) = wake {
+            if own {
                 // Notifying the condition variable the sending client sleeps
                 // on is a system call with underflow traps on return — the
                 // ~40 us the paper charges the user-space group send path.
-                ctx.charge(
-                    Layer::Group,
-                    On::Thread,
-                    &[("syscall", cost.syscall(cost.shallow_call_depth))],
-                );
-                let _ = w.send(ctx, seq);
+                let notify = [("syscall", cost.syscall(cost.shallow_call_depth))];
+                self.sending.wake(ctx, msg_id, seq, &notify);
             }
         }
     }
@@ -496,15 +389,11 @@ impl UserGroup {
     /// prompt once caught up, on this stack always (resync is always on).
     fn after_receive(&self, ctx: &Ctx) {
         let (gap, status) = {
-            let mut st = self.state.lock();
-            (st.core.gap_request(), st.core.status_due(ctx.now(), true))
+            let mut member = self.member.lock();
+            (member.gap_request(), member.status_due(ctx.now()))
         };
         for w in gap.iter().chain(&status) {
             self.transmit(ctx, w);
         }
     }
-}
-
-fn trace_note(ctx: &Ctx, note: &Note) {
-    note.render(|name, args| ctx.trace_instant(Layer::Group, name, args));
 }

@@ -126,7 +126,7 @@ pub struct PandaConfig {
     pub rpc_retries: u32,
     /// Group send timeout before the request to the sequencer is repeated.
     pub group_send_timeout: SimDuration,
-    /// Group send (re)transmissions before giving up.
+    /// Group send transmissions before giving up.
     pub group_send_retries: u32,
     /// Which node hosts the sequencer.
     pub sequencer_node: NodeId,
@@ -140,8 +140,8 @@ pub struct PandaConfig {
     /// quickly laggards are brought back up to date when no new traffic
     /// flows). Chaos tests shrink this so recovery converges fast.
     pub group_resync_interval: SimDuration,
-    /// User-space only: a member reports progress to the sequencer after
-    /// this many deliveries.
+    /// A member reports progress to the sequencer after this many
+    /// deliveries.
     pub group_status_interval: u64,
     /// Kernel-space only: sequencer-driven laggard resync interval for the
     /// kernel group. `ZERO` disables it (the historical Amoeba behavior,

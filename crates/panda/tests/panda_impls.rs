@@ -7,9 +7,9 @@ use std::sync::{Arc, Mutex as StdMutex};
 
 use bytes::Bytes;
 use chaos::testutil::{self, Stack};
-use desim::{ms, SimChannel, Simulation};
+use desim::{ms, Layer, SimChannel, Simulation};
 use ethernet::Network;
-use panda::{GroupDelivery, Panda, PandaConfig};
+use panda::{CommError, GroupDelivery, Panda, PandaConfig};
 
 fn build_world(
     sim: &mut Simulation,
@@ -220,6 +220,49 @@ fn group_survives_packet_loss_both_impls() {
             assert_eq!(node_log.len(), total, "all messages delivered despite loss");
             assert_eq!(node_log, &log[0]);
         }
+    }
+}
+
+/// With the sequencer's machine down for the whole send, a group send
+/// makes exactly `group_send_retries` transmissions — the first plus one
+/// per `retransmit` note — and then reports the timeout, on every stack.
+#[test]
+fn group_send_gives_up_after_send_retries_transmissions() {
+    for which in all_impls() {
+        let mut sim = Simulation::new(17);
+        sim.enable_tracing();
+        let config = PandaConfig {
+            group_send_timeout: ms(10),
+            group_send_retries: 4,
+            ..PandaConfig::default()
+        };
+        let (world, nodes) = testutil::build_world(&mut sim, 2, which, &config);
+        let sequencer = match which {
+            Stack::UserDedicated => world.machines.len() - 1,
+            _ => config.sequencer_node as usize,
+        };
+        let mac = world.machines[sequencer].mac();
+        world.net.faults().lock().crash(mac);
+        for n in &nodes {
+            n.set_group_handler(Arc::new(|_, _| panic!("nothing is sequenced")));
+        }
+        let sender = Arc::clone(&nodes[1]);
+        let h = sim.spawn(sender.machine().proc(), "sender", move |ctx| {
+            let sent = sender.group_send(ctx, Bytes::from_static(b"lost"));
+            assert_eq!(sent, Err(CommError::Timeout), "{}", which.name());
+        });
+        sim.run_until_finished(&h).expect("run");
+        let retransmits = sim
+            .take_trace_events()
+            .iter()
+            .filter(|e| e.layer == Layer::Group && e.name == "retransmit")
+            .count() as u32;
+        assert_eq!(
+            retransmits + 1,
+            config.group_send_retries,
+            "{}: transmissions",
+            which.name()
+        );
     }
 }
 
