@@ -233,10 +233,9 @@ impl Sending {
     /// The oldest nonblocking send not sequenced yet, and its channel.
     pub fn oldest_detached(&self) -> Option<(Wire, SimChannel<u64>)> {
         let waiting = self.waiting.lock();
-        let mut detached = waiting
+        waiting
             .values()
-            .filter_map(|w| Some((w.detached.clone()?, &w.wake)));
-        detached.next().map(|(req, wake)| (req, wake.clone()))
+            .find_map(|w| Some((w.detached.clone()?, w.wake.clone())))
     }
 
     /// The member delivered its own message `msg_id` as `seq`: if a sender
@@ -290,13 +289,6 @@ impl Sending {
         self.waiting.lock().remove(&msg_id);
         seq
     }
-}
-
-/// Messages (and their bytes) one handler run handed to the application.
-#[derive(Default)]
-struct Delivered {
-    count: usize,
-    bytes: usize,
 }
 
 /// Records a core trace note on the group layer.
@@ -543,13 +535,14 @@ impl GroupMember {
         // Run the cores under the lock; collect wire traffic and CPU
         // charges to execute afterwards (transmission sleeps).
         let mut outs = Vec::new();
-        let mut delivered = Delivered::default();
+        let (mut delivered, mut bytes) = (0, 0);
         {
             let mut guard = self.state.lock();
             let st = &mut *guard;
+            let now = ctx.now();
             let stale = st
                 .member
-                .on_frame(h.kind, h.seqno, h.sender, h.msg_id, body.clone());
+                .on_frame(h.kind, h.seqno, h.sender, h.msg_id, body.clone(), now);
             if let Some(seq) = st.seq.as_mut() {
                 let member = &st.member;
                 let bb_data = || member.bb_data(h.sender, h.msg_id);
@@ -564,9 +557,6 @@ impl GroupMember {
                     &mut outs,
                 );
                 trace_notes(ctx, &outs);
-                if h.kind == Kind::Status {
-                    seq.trim_history();
-                }
                 if let Some(a) = assigned {
                     // Its member handler will also see the multicast
                     // loopback, which dedups harmlessly.
@@ -576,13 +566,28 @@ impl GroupMember {
                     }
                 }
             }
-            if stale {
-                outs.extend(st.member.stale_status(ctx.now()).map(Out::Wire));
+            outs.extend(stale.map(Out::Wire));
+            while let Some(d) = st.member.pop_deliverable() {
+                delivered += 1;
+                bytes += d.payload.len();
+                trace_note(ctx, &d.note());
+                let _ = self.inbox.send(
+                    ctx,
+                    GroupMessage {
+                        sender: d.sender,
+                        seq: d.seq,
+                        payload: d.payload,
+                    },
+                );
+                if d.sender == self.my_id {
+                    self.sending.wake(ctx, d.msg_id, d.seq, &[]);
+                }
             }
-            self.try_deliver(ctx, st, &mut outs, &mut delivered);
-            if matches!(h.kind, Kind::Seq | Kind::Accept) {
-                outs.extend(st.member.gap_request().map(Out::Wire));
+            // The sequencer reads its own member's progress directly.
+            if let Some(seq) = st.seq.as_mut() {
+                seq.status(self.my_id, st.member.delivered());
             }
+            outs.extend(st.member.after_receive(now).map(Out::Wire));
         }
         let cost = self.machine.cost();
         ctx.charge(
@@ -590,8 +595,8 @@ impl GroupMember {
             On::Interrupt,
             &[
                 ("protocol_layer", cost.protocol_layer),
-                ("user_deliver", cost.user_deliver * delivered.count as u64),
-                ("copy", cost.copy(delivered.bytes)),
+                ("user_deliver", cost.user_deliver * delivered),
+                ("copy", cost.copy(bytes)),
             ],
         );
         self.transmit(ctx, outs, On::Interrupt);
@@ -637,38 +642,6 @@ impl GroupMember {
         }
         trace_notes(ctx, &outs);
         self.transmit(ctx, outs, On::Thread);
-    }
-
-    /// Deliver everything contiguous; wake local senders; emit status.
-    fn try_deliver(
-        &self,
-        ctx: &Ctx,
-        st: &mut GroupState,
-        outs: &mut Vec<Out>,
-        delivered: &mut Delivered,
-    ) {
-        while let Some(d) = st.member.pop_deliverable() {
-            delivered.count += 1;
-            delivered.bytes += d.payload.len();
-            trace_note(ctx, &d.note());
-            let _ = self.inbox.send(
-                ctx,
-                GroupMessage {
-                    sender: d.sender,
-                    seq: d.seq,
-                    payload: d.payload,
-                },
-            );
-            if d.sender == self.my_id {
-                self.sending.wake(ctx, d.msg_id, d.seq, &[]);
-            }
-        }
-        // The sequencer reads its own member's progress directly; everyone
-        // else reports it.
-        match st.seq.as_mut() {
-            Some(seq) => seq.status(self.my_id, st.member.delivered()),
-            None => outs.extend(st.member.status_due(ctx.now()).map(Out::Wire)),
-        }
     }
 }
 

@@ -7,11 +7,13 @@
 //! take plain values (plus `now` where a throttle needs it) and return
 //! ordered outputs — [`Wire`] intents and trace [`Note`]s. There is no
 //! clock, no cost model, no I/O and no lock in here; a placement shell
-//! decodes frames into calls, charges CPU, and replays the outputs in order.
+//! decodes each frame, hands it to [`SeqCore::on_frame`] and
+//! [`MemberCore::on_frame`], charges CPU, and replays the outputs in order.
 //!
-//! Where the two stacks behave differently, the difference is which
-//! operation a shell calls and when (DESIGN.md lists every one); nothing in
-//! here knows which stack it is running in.
+//! Every protocol decision is made here: the answer each frame gets, when
+//! history is trimmed, the order a member's own frames leave in. What still
+//! differs between the stacks is where the cores run (DESIGN.md lists every
+//! difference); nothing in here knows which stack it is running in.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
@@ -378,10 +380,15 @@ impl SeqCore {
 
     /// `member` reports having delivered everything through `delivered`.
     /// Nobody can be ahead of the sequencer, so a larger claim is clamped.
+    /// New progress trims the history it acknowledges.
     pub fn status(&mut self, member: u32, delivered: u64) {
-        let tip = self.next_seq - 1;
-        if let Some(d) = self.delivered.get_mut(member as usize) {
-            *d = (*d).max(delivered.min(tip));
+        let claim = delivered.min(self.next_seq - 1);
+        let Some(d) = self.delivered.get_mut(member as usize) else {
+            return;
+        };
+        if claim > *d {
+            *d = claim;
+            self.trim_history();
         }
     }
 
@@ -434,8 +441,9 @@ impl SeqCore {
     }
 
     /// Drops history every member has acknowledged, then the oldest entries
-    /// beyond `history_max`.
-    pub fn trim_history(&mut self) {
+    /// beyond `history_max`. Every progress report and every assignment
+    /// trims, so entries held are never acknowledged by all.
+    fn trim_history(&mut self) {
         let min_delivered = self.delivered.iter().copied().min().unwrap_or(0);
         while let Some(oldest) = self.history.first_entry() {
             if *oldest.key() > min_delivered {
@@ -596,11 +604,11 @@ impl MemberCore {
 
     /// One frame addressed to this member: a sequenced message, the
     /// ordering decision for a BB message (placed once its data is here),
-    /// or BB data (kept until ordered). Returns `true` if the frame was a
-    /// Seq/Accept already delivered — the sequencer resent history this
-    /// member did not need — and resync is on: the member should then
-    /// report its true progress so the resync stops targeting it. Other
-    /// kinds are sequencer business.
+    /// or BB data (kept until ordered). Other kinds are sequencer business.
+    /// A Seq/Accept already delivered means the sequencer resent history
+    /// this member did not need: with resync on, the answer is a report of
+    /// the true progress, so the resync stops targeting this member — at
+    /// most one per millisecond, and it restarts the status interval.
     pub fn on_frame(
         &mut self,
         kind: Kind,
@@ -608,9 +616,13 @@ impl MemberCore {
         sender: u32,
         msg_id: u64,
         body: Bytes,
-    ) -> bool {
+        now: SimTime,
+    ) -> Option<Wire> {
         let fresh = match kind {
-            Kind::Seq => self.on_seq(seq, sender, msg_id, body),
+            Kind::Seq => {
+                self.place_own(seq, sender, msg_id, body);
+                seq >= self.next_deliver
+            }
             Kind::Accept => self.on_accept(seq, sender, msg_id),
             Kind::BbData => {
                 self.on_bb_data(sender, msg_id, body);
@@ -618,14 +630,16 @@ impl MemberCore {
             }
             Kind::Req | Kind::ReqBb | Kind::RetransReq | Kind::Status => true,
         };
-        !fresh && self.prompt && self.me != self.sequencer
-    }
-
-    /// A sequenced message arrived. Returns `false` if it was already
-    /// delivered.
-    fn on_seq(&mut self, seq: u64, sender: u32, msg_id: u64, body: Bytes) -> bool {
-        self.place_own(seq, sender, msg_id, body);
-        seq >= self.next_deliver
+        if fresh
+            || !self.prompt
+            || self.me == self.sequencer
+            || now.saturating_duration_since(self.last_status_at) < SimDuration::from_millis(1)
+        {
+            return None;
+        }
+        self.since_status = 0;
+        self.last_status_at = now;
+        Some(self.status_wire())
     }
 
     /// The ordering decision for a BB message arrived; it is placed once
@@ -694,9 +708,18 @@ impl MemberCore {
         })
     }
 
+    /// The member's own frames after a receive, once its deliveries are
+    /// popped, in the order they leave: a progress report if one is due,
+    /// then a retransmission request if a gap is visible. The stale answer
+    /// [`MemberCore::on_frame`] returned leaves before both.
+    pub fn after_receive(&mut self, now: SimTime) -> impl Iterator<Item = Wire> {
+        let status = self.status_due(now);
+        status.into_iter().chain(self.gap_request())
+    }
+
     /// If a gap is visible (buffered messages ahead of the next one to
     /// deliver), asks the sequencer to fill it — once per gap position.
-    pub fn gap_request(&mut self) -> Option<Wire> {
+    fn gap_request(&mut self) -> Option<Wire> {
         let next = self.next_deliver;
         let has_ahead = self.ooo.keys().next().is_some_and(|&k| k > next)
             || self.accepts.keys().next().is_some_and(|&k| k > next);
@@ -722,7 +745,7 @@ impl MemberCore {
     /// up (at most every 10 ms): without the prompt report an idle stretch
     /// makes the sequencer believe members lag and its resync resends
     /// history nobody needs. The sequencer's own member never reports.
-    pub fn status_due(&mut self, now: SimTime) -> Option<Wire> {
+    fn status_due(&mut self, now: SimTime) -> Option<Wire> {
         if self.me == self.sequencer {
             return None;
         }
@@ -739,22 +762,8 @@ impl MemberCore {
         }
     }
 
-    /// The answer to an already-delivered Seq/Accept, throttled to one per
-    /// millisecond: report true progress so a resync stops targeting this
-    /// member.
-    pub fn stale_status(&mut self, now: SimTime) -> Option<Wire> {
-        if self.me == self.sequencer
-            || now.saturating_duration_since(self.last_status_at) < SimDuration::from_millis(1)
-        {
-            return None;
-        }
-        self.since_status = 0;
-        self.last_status_at = now;
-        Some(self.status_wire())
-    }
-
-    /// An unconditional progress report.
-    pub fn status_wire(&self) -> Wire {
+    /// A progress report.
+    fn status_wire(&self) -> Wire {
         Wire {
             kind: Kind::Status,
             sender: self.me,

@@ -60,26 +60,11 @@ fn status(member: &MemberCore, me: u32) -> Wire {
     }
 }
 
-/// The answer to a stale Seq/Accept, per style.
-fn stale_answer(
-    member: &mut MemberCore,
-    me: u32,
-    kernel_style: bool,
-    now: SimTime,
-) -> Option<Wire> {
-    match kernel_style {
-        true => member.stale_status(now),
-        false => Some(status(member, me)),
-    }
-}
-
 /// What either shell does after a member's core took a frame: pop what
 /// became deliverable, then send the member's own frames.
 fn drain(member: &mut MemberCore, stale: Option<Wire>, now: SimTime) -> (Vec<Delivery>, Vec<Wire>) {
     let popped = std::iter::from_fn(|| member.pop_deliverable()).collect();
-    let mut wires: Vec<Wire> = stale.into_iter().collect();
-    wires.extend(member.gap_request());
-    wires.extend(member.status_due(now));
+    let wires = stale.into_iter().chain(member.after_receive(now)).collect();
     (popped, wires)
 }
 
@@ -154,10 +139,6 @@ impl World {
                     bb_data,
                     &mut outs,
                 );
-                let held = matches!(w.kind, Kind::Req | Kind::ReqBb) && assigned.is_none();
-                if (self.kernel_style && w.kind == Kind::Status) || (!self.kernel_style && !held) {
-                    self.seq.trim_history();
-                }
                 for out in outs {
                     match out {
                         Out::Note(Note::SeqAssign {
@@ -184,12 +165,10 @@ impl World {
                 }
             }
             Dest::Member(m) => {
-                let (style, now) = (self.kernel_style, self.now);
+                let now = self.now;
                 let member = &mut self.members[m as usize];
-                let stale = member
-                    .on_frame(w.kind, w.seq, w.sender, w.msg_id, w.payload.clone())
-                    .then(|| stale_answer(member, m, style, now))
-                    .flatten();
+                let stale =
+                    member.on_frame(w.kind, w.seq, w.sender, w.msg_id, w.payload.clone(), now);
                 let drained = drain(member, stale, now);
                 self.delivered(m, drained);
                 // Data reaching the sequencer's machine is news for the
@@ -271,7 +250,8 @@ impl World {
             }
             7 => self.launch(status(&self.members[m], m as u32)),
             8 => self.launch(self.members[m].retrans_wire()), // kernel `recv` poll
-            9 => self.seq.trim_history(),
+            // Idle: only the clock moves, so throttles can lapse.
+            9 => {}
             10 => {
                 let mut outs = Vec::new();
                 if !self.kernel_style {
@@ -330,7 +310,6 @@ impl World {
         assert_eq!(self.order.len(), self.sent.len());
         assert_eq!(self.logs, vec![self.sent.len(); MEMBERS as usize]);
         assert!(!self.seq.lagging(), "sequencer still believes someone lags");
-        self.seq.trim_history();
         assert_eq!(self.seq.history_len(), 0, "acknowledged history is trimmed");
         assert_eq!(self.seq.overflow_drops(), 0);
     }
@@ -340,7 +319,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
     /// Random interleavings of request / duplicate / loss / reorder / sender
-    /// retransmit / retrans-request / status / trim / resync keep: at most
+    /// retransmit / retrans-request / status / idle / resync keep: at most
     /// one seq per `(sender, msg_id)`, gap-free identical delivery at every
     /// member, bounded history and dedup state — and once the network
     /// heals, everything sent is delivered everywhere exactly once.
@@ -388,17 +367,13 @@ proptest! {
             let bb_data = || members[0].bb_data(sender, msg_id);
             let assigned =
                 seq.on_frame(kind, sender, msg_id, seqno, piggyback, body.clone(), bb_data, &mut outs);
-            seq.trim_history();
             if let (true, Some(a)) = (kernel_style, assigned) {
                 members[0].place_own(a.seq, sender, msg_id, a.payload);
             }
             seq.resync_round(&mut outs);
             let _ = seq.lagging();
-            for (me, member) in (0..).zip(&mut members) {
-                let stale = member
-                    .on_frame(kind, seqno, sender, msg_id, body.clone())
-                    .then(|| stale_answer(member, me, kernel_style, now))
-                    .flatten();
+            for member in &mut members {
+                let stale = member.on_frame(kind, seqno, sender, msg_id, body.clone(), now);
                 let _ = drain(member, stale, now);
             }
             for out in outs {

@@ -226,8 +226,7 @@ impl UserGroup {
     /// The sequencer: an ordinary user thread fed by the receive daemon.
     /// The user placement: it owns the sequencer core outright, sees its
     /// own member only through the multicast loopback (and the member's BB
-    /// store), trims history after every work item, and doubles as the
-    /// resync timer.
+    /// store), and doubles as the resync timer.
     fn sequencer_thread(&self, ctx: &Ctx, chan: SimChannel<SeqWork>) {
         let cost = self.sys.machine().cost().clone();
         let dispatch_charge = if self.dedicated {
@@ -282,14 +281,11 @@ impl UserGroup {
             );
             let (sender, msg_id) = (header.src, header.msg_id);
             let bb_data = || self.member.lock().bb_data(sender, msg_id);
-            let assigned = seq.on_frame(
+            // No own copy to place: the member gets the multicast.
+            seq.on_frame(
                 kind, sender, msg_id, header.a, header.b, body, bb_data, &mut outs,
             );
             self.replay(ctx, &mut outs);
-            if matches!(kind, Kind::Req | Kind::ReqBb) && assigned.is_none() {
-                continue;
-            }
-            seq.trim_history();
         }
     }
 
@@ -326,9 +322,7 @@ impl UserGroup {
         }
         let (stale, deliveries) = {
             let mut member = self.member.lock();
-            let stale = member
-                .on_frame(kind, header.a, header.src, header.msg_id, body)
-                .then(|| member.status_wire());
+            let stale = member.on_frame(kind, header.a, header.src, header.msg_id, body, ctx.now());
             let deliveries: Vec<Delivery> =
                 std::iter::from_fn(|| member.pop_deliverable()).collect();
             self.local_delivered
@@ -342,11 +336,11 @@ impl UserGroup {
                 let _ = chan.send(ctx, (kind, header, Bytes::new()));
             }
         }
-        if let Some(status) = stale {
-            self.transmit(ctx, &status);
-        }
         self.run_deliveries(ctx, deliveries);
-        self.after_receive(ctx);
+        let own = self.member.lock().after_receive(ctx.now());
+        for w in stale.into_iter().chain(own) {
+            self.transmit(ctx, &w);
+        }
     }
 
     /// Upcalls the application and wakes blocked senders (outside the lock;
@@ -382,18 +376,6 @@ impl UserGroup {
                 let notify = [("syscall", cost.syscall(cost.shallow_call_depth))];
                 self.sending.wake(ctx, msg_id, seq, &notify);
             }
-        }
-    }
-
-    /// Post-receive bookkeeping: gap repair, then the progress report —
-    /// prompt once caught up, on this stack always (resync is always on).
-    fn after_receive(&self, ctx: &Ctx) {
-        let (gap, status) = {
-            let mut member = self.member.lock();
-            (member.gap_request(), member.status_due(ctx.now()))
-        };
-        for w in gap.iter().chain(&status) {
-            self.transmit(ctx, w);
         }
     }
 }

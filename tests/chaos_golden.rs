@@ -74,4 +74,4 @@ fn user_stack_sequencer_crash_golden() {
 }
 
 const KERNEL_GOLDEN_HASH: u64 = 0x7cd2_e985_d90a_3418;
-const USER_GOLDEN_HASH: u64 = 0xfdc9_4ac4_aebe_de62;
+const USER_GOLDEN_HASH: u64 = 0x8c0b_485d_9928_3ddd;
