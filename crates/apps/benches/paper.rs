@@ -3,7 +3,7 @@
 //! and `table3`), prints them, and rewrites each in EXPERIMENTS.md between
 //! its `<!-- paper:NAME -->` and `<!-- /paper:NAME -->` markers.
 //!
-//! Run with `cargo bench -p bench`. Pass `-- --jobs N` to run the
+//! Run with `cargo bench -p apps --bench paper`. Pass `-- --jobs N` to run the
 //! independent simulations on N worker threads (default: one per core);
 //! every block is identical for any job count, so
 //! `git diff --exit-code -- EXPERIMENTS.md` afterwards checks that the
@@ -12,23 +12,23 @@
 use std::fmt::Write;
 
 use amoeba::CostModel;
-use apps::{AppReport, ProtoImpl};
-use bench::{
-    budget_total, derive_budget, group_latency, group_span, group_trace, paper_table3, rpc_latency,
-    rpc_span, rpc_trace, run_app, Mechanism, RpcTraceRun, Scale, PAPER_SECTION4,
+use apps::paper::{
+    self, budget_total, derive_budget, group_latency, group_span, group_trace, paper_table3,
+    rpc_latency, rpc_span, rpc_trace, run_app, Mechanism, RpcTraceRun, Scale, PAPER_SECTION4,
     PAPER_SECTION4_GAP_US, PAPER_TABLE1, PAPER_TABLE2, TABLE3_APPS,
 };
+use apps::{AppReport, ProtoImpl};
 use desim::par::par_map;
 use desim::{SimDuration, SimTime};
 use panda::world::Stack;
 
 fn main() {
-    let jobs = bench::jobs_from_args(std::env::args().skip(1));
+    let jobs = paper::jobs_from_args(std::env::args().skip(1));
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../EXPERIMENTS.md");
     let mut doc = std::fs::read_to_string(path).expect("read EXPERIMENTS.md");
     let mut emit = |name: &str, body: String| {
         println!("<!-- paper:{name} -->\n{body}");
-        doc = bench::splice(&doc, name, &body);
+        doc = paper::splice(&doc, name, &body);
     };
     let cost = CostModel::default();
     emit("table1", table1(&cost, jobs));
@@ -41,7 +41,7 @@ fn main() {
 }
 
 fn table1(cost: &CostModel, jobs: usize) -> String {
-    let rows = bench::table1(cost, jobs);
+    let rows = paper::table1(cost, jobs);
     let mut s = String::from(
         "| size | unicast | multicast | RPC user | RPC kernel | group user | group kernel |\n\
          |------|---------|-----------|----------|------------|------------|--------------|\n",
@@ -81,7 +81,7 @@ fn table1(cost: &CostModel, jobs: usize) -> String {
 }
 
 fn table2(cost: &CostModel, jobs: usize) -> String {
-    let (t, p) = (bench::table2(cost, jobs), PAPER_TABLE2);
+    let (t, p) = (paper::table2(cost, jobs), PAPER_TABLE2);
     let mut s = String::from("| | simulated | paper |\n|---|---|---|\n");
     for (label, sim, paper) in [
         ("RPC, user-space", t.rpc_user_kbs, p.rpc_user_kbs),

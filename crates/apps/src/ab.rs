@@ -146,12 +146,12 @@ pub fn run(cfg: &RunConfig, params: &AbParams) -> AppReport {
             let v = -negamax(&params, sig, 1, -SCORE_INF, -alpha, &mut || {
                 pending += 1;
                 if pending >= 64 {
-                    ctx.compute_sliced(params.visit_cost * pending, crate::harness::CPU_QUANTUM);
+                    ctx.compute(params.visit_cost * pending);
                     pending = 0;
                 }
             });
             if pending > 0 {
-                ctx.compute_sliced(params.visit_cost * pending, crate::harness::CPU_QUANTUM);
+                ctx.compute(params.visit_cost * pending);
             }
             if v > alpha {
                 best_neg.min_update(ctx, -v).expect("bound update");

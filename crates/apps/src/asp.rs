@@ -10,7 +10,9 @@
 use desim::SimDuration;
 use orca::{BoardHandle, ObjId};
 
-use crate::harness::{build_cluster, report, run_workers, seeded_rng, AppReport, RunConfig};
+use crate::harness::{
+    block_of, build_cluster, report, run_workers, seeded_rng, AppReport, RunConfig,
+};
 
 /// ASP workload parameters.
 #[derive(Debug, Clone)]
@@ -118,14 +120,6 @@ fn row_hash(row: &[i32]) -> i64 {
 
 const BOARD_OBJ: ObjId = ObjId(1);
 
-fn rows_of(node: u32, nodes: u32, n: usize) -> std::ops::Range<usize> {
-    let per = n / nodes as usize;
-    let extra = n % nodes as usize;
-    let start = node as usize * per + (node as usize).min(extra);
-    let len = per + usize::from((node as usize) < extra);
-    start..start + len
-}
-
 /// Runs ASP; the checksum is the XOR of every node's row hashes, which is
 /// [`checksum`] of the whole distance matrix for any row partition.
 pub fn run(cfg: &RunConfig, params: &AspParams) -> AppReport {
@@ -139,15 +133,15 @@ pub fn run(cfg: &RunConfig, params: &AspParams) -> AppReport {
         let board = BoardHandle::new(std::sync::Arc::clone(&rts), BOARD_OBJ);
         let n = params.vertices;
         let nodes = rts.nodes();
-        let my_rows = rows_of(node, nodes, n);
+        let my_rows = block_of(node, nodes, n);
         let mut block: Vec<Vec<i32>> = my_rows.clone().map(|i| graph[i].clone()).collect();
         for k in 0..n {
             // The owner of pivot row k broadcasts it.
             let owner = (0..nodes)
-                .find(|&m| rows_of(m, nodes, n).contains(&k))
+                .find(|&m| block_of(m, nodes, n).contains(&k))
                 .expect("owner");
             if owner == node {
-                let local_k = k - rows_of(node, nodes, n).start;
+                let local_k = k - block_of(node, nodes, n).start;
                 let mut buf = Vec::with_capacity(n * 4);
                 for &v in &block[local_k] {
                     buf.extend_from_slice(&v.to_be_bytes());
@@ -168,10 +162,7 @@ pub fn run(cfg: &RunConfig, params: &AspParams) -> AppReport {
                     relaxations += n as u64;
                 }
             }
-            ctx.compute_sliced(
-                params.relax_cost * relaxations.max(1),
-                crate::harness::CPU_QUANTUM,
-            );
+            ctx.compute(params.relax_cost * relaxations.max(1));
         }
         // Fold the block into a partition-independent checksum.
         block.iter().fold(0i64, |acc, row| acc ^ row_hash(row))
@@ -184,21 +175,6 @@ pub fn run(cfg: &RunConfig, params: &AspParams) -> AppReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn row_partition_covers_everything() {
-        for nodes in [1u32, 3, 8, 32] {
-            let n = 100;
-            let mut covered = vec![false; n];
-            for node in 0..nodes {
-                for i in rows_of(node, nodes, n) {
-                    assert!(!covered[i], "row {i} assigned twice");
-                    covered[i] = true;
-                }
-            }
-            assert!(covered.iter().all(|&c| c), "all rows assigned");
-        }
-    }
 
     #[test]
     fn relax_matches_the_compare_and_store_loop() {

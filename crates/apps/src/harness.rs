@@ -5,6 +5,7 @@
 //! statistics.
 
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 use amoeba::CostModel;
@@ -13,11 +14,6 @@ use ethernet::{Network, TopologySpec};
 use orca::{OrcaRts, OrcaWorld, RtsStats};
 use panda::world::{self, Stack, World};
 use panda::PandaConfig;
-
-/// Scheduling quantum used by application compute phases: work is charged
-/// in slices of this size so protocol daemons interleave, approximating
-/// Amoeba's preemptive kernel threads.
-pub const CPU_QUANTUM: SimDuration = SimDuration::from_millis(1);
 
 /// The seeded generator every application builds its input with: a
 /// 13/7/17 xorshift64 started from a golden-ratio scramble of `seed`.
@@ -29,6 +25,16 @@ pub(crate) fn seeded_rng(seed: u64) -> impl FnMut() -> u64 {
         state ^= state << 17;
         state
     }
+}
+
+/// The block of `0..n` that `node` of `nodes` owns: contiguous blocks in
+/// node order, the first `n % nodes` one longer than the rest.
+pub(crate) fn block_of(node: u32, nodes: u32, n: usize) -> Range<usize> {
+    let per = n / nodes as usize;
+    let extra = n % nodes as usize;
+    let start = node as usize * per + (node as usize).min(extra);
+    let len = per + usize::from((node as usize) < extra);
+    start..start + len
 }
 
 /// Which protocol implementation an experiment runs on.
@@ -214,5 +220,26 @@ pub fn report(
         rts,
         frames: net.frames,
         wire_bytes: net.wire_bytes,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::block_of;
+
+    #[test]
+    fn block_partition_assigns_every_index_once() {
+        for n in [64, 100, 130] {
+            for nodes in [1u32, 2, 3, 5, 7, 8, 16, 32] {
+                let mut covered = vec![false; n];
+                for node in 0..nodes {
+                    for i in block_of(node, nodes, n) {
+                        assert!(!covered[i], "{i} of {n} assigned twice over {nodes}");
+                        covered[i] = true;
+                    }
+                }
+                assert!(covered.iter().all(|&c| c), "{n} over {nodes}");
+            }
+        }
     }
 }

@@ -17,7 +17,9 @@ use std::ops::Range;
 use desim::SimDuration;
 use orca::{BoardHandle, ObjId};
 
-use crate::harness::{build_cluster, report, run_workers, seeded_rng, AppReport, RunConfig};
+use crate::harness::{
+    block_of, build_cluster, report, run_workers, seeded_rng, AppReport, RunConfig,
+};
 
 /// LEQ workload parameters.
 #[derive(Debug, Clone)]
@@ -166,14 +168,6 @@ pub fn checksum(x: &[f64]) -> i64 {
     h
 }
 
-fn slice_of(node: u32, nodes: u32, n: usize) -> Range<usize> {
-    let per = n / nodes as usize;
-    let extra = n % nodes as usize;
-    let start = node as usize * per + (node as usize).min(extra);
-    let len = per + usize::from((node as usize) < extra);
-    start..start + len
-}
-
 const BOARD_OBJ: ObjId = ObjId(1);
 
 /// Runs LEQ; checksum is the bit-exact solution hash.
@@ -188,15 +182,12 @@ pub fn run(cfg: &RunConfig, params: &LeqParams) -> AppReport {
         let board = BoardHandle::new(std::sync::Arc::clone(&rts), BOARD_OBJ);
         let nodes = rts.nodes();
         let mut x = vec![0.0f64; params.unknowns];
-        let my = slice_of(node, nodes, params.unknowns);
+        let my = block_of(node, nodes, params.unknowns);
         let mut slice = vec![0.0f64; my.len()];
         for iter in 0..params.iterations {
             // Compute my slice from the current full vector.
             sys.update_rows(my.clone(), &x, &mut slice);
-            ctx.compute_sliced(
-                params.mac_cost * (slice.len() as u64 * params.unknowns as u64),
-                crate::harness::CPU_QUANTUM,
-            );
+            ctx.compute(params.mac_cost * (slice.len() as u64 * params.unknowns as u64));
             // Broadcast it (one group message per node per iteration).
             let mut buf = Vec::with_capacity(slice.len() * 8);
             for &v in &slice {
@@ -209,7 +200,7 @@ pub fn run(cfg: &RunConfig, params: &LeqParams) -> AppReport {
             // (local guarded reads).
             for peer in 0..nodes {
                 let bytes = board.get(ctx, u64::from(iter), peer).expect("slice");
-                let range = slice_of(peer, nodes, params.unknowns);
+                let range = block_of(peer, nodes, params.unknowns);
                 for (k, c) in bytes.chunks_exact(8).enumerate() {
                     x[range.start + k] =
                         f64::from_bits(u64::from_be_bytes(c.try_into().expect("8 bytes")));
@@ -298,21 +289,6 @@ mod tests {
                 ax += sys.a[i * p.unknowns + j] * x[j];
             }
             assert!((ax - sys.b[i]).abs() < 1e-6, "row {i} residual too big");
-        }
-    }
-
-    #[test]
-    fn slice_partition_covers_everything() {
-        for nodes in [1u32, 5, 16, 32] {
-            let n = 130;
-            let mut covered = vec![false; n];
-            for node in 0..nodes {
-                for i in slice_of(node, nodes, n) {
-                    assert!(!covered[i]);
-                    covered[i] = true;
-                }
-            }
-            assert!(covered.iter().all(|&c| c));
         }
     }
 

@@ -12,6 +12,10 @@
 //! | [`rl`]  | guarded buffer exchange | user-space wins (continuation replies) |
 //! | [`sor`] | guarded buffer exchange | user-space wins; saturates ≥16 nodes |
 //! | [`leq`] | per-node broadcast every iteration | kernel wins unless the sequencer is dedicated |
+//!
+//! [`paper`] holds the paper's own numbers and one runner per paper world
+//! (Tables 1–3 and the Section 4 accounting) that the `paper` bench renders
+//! into EXPERIMENTS.md.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -23,6 +27,7 @@ pub mod asp;
 pub mod fleet;
 pub mod harness;
 pub mod leq;
+pub mod paper;
 pub mod rl;
 pub mod sor;
 pub mod tsp;

@@ -1,9 +1,8 @@
-//! Measurement harnesses behind `cargo bench -p bench`: each function
-//! reproduces one table of the paper and returns structured rows so tests
-//! can assert the shapes and the `paper` bench can render them into
+//! The paper instrument: the paper's own numbers (Tables 1–3 and the
+//! Section 4 accounting) and one runner per paper world. Each runner
+//! returns structured rows so tests can assert the shapes and the `paper`
+//! bench (`cargo bench -p apps --bench paper`) can render them into
 //! EXPERIMENTS.md (see [`splice`]).
-
-#![warn(missing_docs)]
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -12,17 +11,19 @@ use amoeba::CostModel;
 use bytes::Bytes;
 use desim::par::par_map;
 use desim::trace::{Layer, Phase, TraceEvent};
-use desim::{SimChannel, SimDuration, SimTime, Simulation};
+use desim::{Ctx, SimChannel, SimDuration, SimTime, Simulation};
 use ethernet::TopologySpec;
 use panda::world::{boot, build_stack, Stack};
-use panda::{Module, PandaConfig, PandaHeader, SysLayer};
+use panda::{Module, NodeId, PandaConfig, PandaHeader, SysLayer};
+
+use crate::{ab, asp, leq, rl, sor, tsp, AppReport, ProtoImpl, RunConfig};
 
 /// Message sizes of Table 1 (bytes).
 pub const TABLE1_SIZES: [usize; 5] = [0, 1024, 2048, 3072, 4096];
 
 /// Measured calls, sends or ping-pong rounds per Table 1 cell (the RPC
 /// and group cells after one warmup).
-const TABLE1_ITERS: u64 = 40;
+pub const TABLE1_ITERS: u64 = 40;
 
 /// Parses `--jobs N` out of the bench's arguments (without the program
 /// name), defaulting to `0` (one worker per core). Other arguments are
@@ -144,73 +145,48 @@ pub fn system_layer_latency(size: usize, multicast: bool, cost: &CostModel) -> S
     let iters = TABLE1_ITERS;
     let payload = Bytes::from(vec![0u8; size]);
     let done: SimChannel<u64> = SimChannel::new();
-
-    // Pong side: echo from within the upcall.
-    let pong_sys = Arc::clone(&sys1);
-    let pong_payload = payload.clone();
-    sys1.set_rpc_upcall(Arc::new(move |ctx, header, _body| {
-        if header.src != 0 {
-            return; // ignore our own multicast loopback
-        }
-        let reply = PandaHeader {
+    // One message of the ping-pong from node `1 - to` to node `to`.
+    let ping = move |sys: &SysLayer, ctx: &Ctx, to: NodeId, msg_id: u64| {
+        let header = PandaHeader {
             module: Module::Rpc,
             kind: 0,
-            src: 1,
-            msg_id: header.msg_id,
+            src: 1 - to,
+            msg_id,
             a: 0,
             b: 0,
         };
         if multicast {
-            pong_sys.send_group(ctx, reply, &pong_payload, true);
+            sys.send_group(ctx, header, &payload, true);
         } else {
-            pong_sys.send(ctx, 0, reply, &pong_payload);
+            sys.send(ctx, to, header, &payload);
         }
+    };
+
+    // Pong side: echo from within the upcall.
+    let (pong_sys, pong) = (Arc::clone(&sys1), ping.clone());
+    sys1.set_rpc_upcall(Arc::new(move |ctx, header, _body| {
+        if header.src != 0 {
+            return; // ignore our own multicast loopback
+        }
+        pong(&pong_sys, ctx, 0, header.msg_id);
     }));
     // Ping side: on receipt, send the next one; count rounds.
-    let rounds = Arc::new(AtomicU64::new(0));
-    let ping_sys = Arc::clone(&sys0);
-    let ping_payload = payload.clone();
-    let ping_rounds = Arc::clone(&rounds);
+    let rounds = AtomicU64::new(0);
+    let (ping_sys, next) = (Arc::clone(&sys0), ping.clone());
     let done_tx = done.clone();
     sys0.set_rpc_upcall(Arc::new(move |ctx, header, _body| {
         if header.src != 1 {
             return; // ignore our own multicast loopback
         }
-        let n = ping_rounds.fetch_add(1, Ordering::SeqCst) + 1;
+        let n = rounds.fetch_add(1, Ordering::SeqCst) + 1;
         if n >= iters {
             let _ = done_tx.send(ctx, n);
             return;
         }
-        let msg = PandaHeader {
-            module: Module::Rpc,
-            kind: 0,
-            src: 0,
-            msg_id: n,
-            a: 0,
-            b: 0,
-        };
-        if multicast {
-            ping_sys.send_group(ctx, msg, &ping_payload, true);
-        } else {
-            ping_sys.send(ctx, 1, msg, &ping_payload);
-        }
+        next(&ping_sys, ctx, 1, n);
     }));
-    let start_sys = Arc::clone(&sys0);
-    let start_payload = payload;
     let h = sim.spawn(world.machines[0].proc(), "driver", move |ctx| {
-        let msg = PandaHeader {
-            module: Module::Rpc,
-            kind: 0,
-            src: 0,
-            msg_id: 0,
-            a: 0,
-            b: 0,
-        };
-        if multicast {
-            start_sys.send_group(ctx, msg, &start_payload, true);
-        } else {
-            start_sys.send(ctx, 1, msg, &start_payload);
-        }
+        ping(&sys0, ctx, 1, 0);
         let _ = done.recv(ctx);
     });
     sim.run_until_finished(&h).expect("ping-pong completes");
@@ -221,20 +197,13 @@ pub fn system_layer_latency(size: usize, multicast: bool, cost: &CostModel) -> S
 /// Measures Panda RPC latency: requests of `size` bytes, empty replies,
 /// reply sent from within the upcall (Table 1, RPC columns).
 pub fn rpc_latency(size: usize, stack: Stack, cost: &CostModel) -> SimDuration {
-    rpc_latency_inner(size, stack, cost, false, TABLE1_ITERS, 43).0 / TABLE1_ITERS
+    rpc_world(size, stack, cost, false, TABLE1_ITERS, 43).0 / TABLE1_ITERS
 }
 
-/// [`rpc_latency`] with tracing enabled. Tracing is zero-cost in virtual
-/// time, so this must return a bit-identical duration — the property the
-/// zero-cost regression test asserts.
-pub fn rpc_latency_traced(size: usize, stack: Stack, cost: &CostModel) -> SimDuration {
-    rpc_latency_inner(size, stack, cost, true, TABLE1_ITERS, 43).0 / TABLE1_ITERS
-}
-
-/// The Table 1 RPC world, seeded with `seed`: a route warmup, then `iters`
-/// measured calls. Returns the total measured time and the simulation, for
-/// its trace.
-fn rpc_latency_inner(
+/// The Table 1 RPC world, seeded with `seed` and traced when `trace`: a
+/// route warmup, then `iters` measured calls. Returns the total measured
+/// time and the simulation, for its trace.
+pub fn rpc_world(
     size: usize,
     stack: Stack,
     cost: &CostModel,
@@ -279,17 +248,13 @@ fn rpc_latency_inner(
 /// message back from the sequencer on the *other* machine (Table 1, group
 /// columns).
 pub fn group_latency(size: usize, stack: Stack, cost: &CostModel) -> SimDuration {
-    group_latency_inner(size, stack, cost, false, TABLE1_ITERS).0
+    group_world(size, stack, cost, false, TABLE1_ITERS).0
 }
 
-/// [`group_latency`] with tracing enabled (see [`rpc_latency_traced`]).
-pub fn group_latency_traced(size: usize, stack: Stack, cost: &CostModel) -> SimDuration {
-    group_latency_inner(size, stack, cost, true, TABLE1_ITERS).0
-}
-
-/// The Table 1 group world: a warmup send, then `iters` measured sends.
-/// Returns the mean latency and the simulation, for its trace.
-fn group_latency_inner(
+/// The Table 1 group world, traced when `trace`: a warmup send, then
+/// `iters` measured sends. Returns the mean latency and the simulation, for
+/// its trace.
+pub fn group_world(
     size: usize,
     stack: Stack,
     cost: &CostModel,
@@ -386,7 +351,7 @@ pub const PAPER_TABLE2: Table2Row = Table2Row {
 fn rpc_throughput(stack: Stack, cost: &CostModel) -> f64 {
     const ITERS: u64 = 30;
     const SIZE: usize = 8000;
-    let (elapsed, _) = rpc_latency_inner(SIZE, stack, cost, false, ITERS, 45);
+    let (elapsed, _) = rpc_world(SIZE, stack, cost, false, ITERS, 45);
     let secs = elapsed.as_nanos() as f64 / 1e9;
     (ITERS as usize * SIZE) as f64 / 1024.0 / secs
 }
@@ -537,7 +502,7 @@ pub struct RpcTraceRun {
 /// together with the latency of the last call: [`rpc_latency`]'s world,
 /// just fewer iterations (route warmup plus `iters` measured calls).
 pub fn rpc_trace(size: usize, stack: Stack, cost: &CostModel, iters: u64) -> RpcTraceRun {
-    let (_, sim) = rpc_latency_inner(size, stack, cost, true, iters.max(1), 43);
+    let (_, sim) = rpc_world(size, stack, cost, true, iters.max(1), 43);
     trace_run(sim, rpc_span)
 }
 
@@ -545,7 +510,7 @@ pub fn rpc_trace(size: usize, stack: Stack, cost: &CostModel, iters: u64) -> Rpc
 /// trace together with the latency of the last send: [`group_latency`]'s
 /// world (sequencer on the *other* machine), just fewer iterations.
 pub fn group_trace(size: usize, stack: Stack, cost: &CostModel, iters: u64) -> RpcTraceRun {
-    let (_, sim) = group_latency_inner(size, stack, cost, true, iters.max(1));
+    let (_, sim) = group_world(size, stack, cost, true, iters.max(1));
     trace_run(sim, group_span)
 }
 
@@ -658,8 +623,6 @@ pub fn budget_total(lines: &[BudgetLine]) -> SimDuration {
 // Table 3: the application suite
 // ---------------------------------------------------------------------------
 
-use apps::{AppReport, ProtoImpl, RunConfig};
-
 /// Workload scale for the application table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
@@ -667,6 +630,16 @@ pub enum Scale {
     Paper,
     /// Reduced workloads for the smoke tests (`tests/paper_claims.rs`).
     Small,
+}
+
+impl Scale {
+    /// The application parameters at this scale.
+    fn pick<P>(self, paper: fn() -> P, small: fn() -> P) -> P {
+        match self {
+            Scale::Paper => paper(),
+            Scale::Small => small(),
+        }
+    }
 }
 
 /// The application names of Table 3, in the paper's order.
@@ -721,19 +694,25 @@ pub fn run_app(app: &str, imp: ProtoImpl, nodes: u32, scale: Scale) -> AppReport
         other => (other, nodes),
     };
     let cfg = RunConfig::new(workers, imp, 0x7ab1e3);
-    match (app, scale) {
-        ("tsp", Scale::Paper) => apps::tsp::run(&cfg, &apps::tsp::TspParams::paper()),
-        ("tsp", Scale::Small) => apps::tsp::run(&cfg, &apps::tsp::TspParams::small()),
-        ("asp", Scale::Paper) => apps::asp::run(&cfg, &apps::asp::AspParams::paper()),
-        ("asp", Scale::Small) => apps::asp::run(&cfg, &apps::asp::AspParams::small()),
-        ("ab", Scale::Paper) => apps::ab::run(&cfg, &apps::ab::AbParams::paper()),
-        ("ab", Scale::Small) => apps::ab::run(&cfg, &apps::ab::AbParams::small()),
-        ("rl", Scale::Paper) => apps::rl::run(&cfg, &apps::rl::RlParams::paper()),
-        ("rl", Scale::Small) => apps::rl::run(&cfg, &apps::rl::RlParams::small()),
-        ("sor", Scale::Paper) => apps::sor::run(&cfg, &apps::sor::SorParams::paper()),
-        ("sor", Scale::Small) => apps::sor::run(&cfg, &apps::sor::SorParams::small()),
-        ("leq", Scale::Paper) => apps::leq::run(&cfg, &apps::leq::LeqParams::paper()),
-        ("leq", Scale::Small) => apps::leq::run(&cfg, &apps::leq::LeqParams::small()),
+    match app {
+        "tsp" => tsp::run(
+            &cfg,
+            &scale.pick(tsp::TspParams::paper, tsp::TspParams::small),
+        ),
+        "asp" => asp::run(
+            &cfg,
+            &scale.pick(asp::AspParams::paper, asp::AspParams::small),
+        ),
+        "ab" => ab::run(&cfg, &scale.pick(ab::AbParams::paper, ab::AbParams::small)),
+        "rl" => rl::run(&cfg, &scale.pick(rl::RlParams::paper, rl::RlParams::small)),
+        "sor" => sor::run(
+            &cfg,
+            &scale.pick(sor::SorParams::paper, sor::SorParams::small),
+        ),
+        "leq" => leq::run(
+            &cfg,
+            &scale.pick(leq::LeqParams::paper, leq::LeqParams::small),
+        ),
         _ => panic!("unknown application {app}"),
     }
 }

@@ -13,7 +13,9 @@ use bytes::Bytes;
 use desim::SimDuration;
 use orca::{BufferHandle, ObjId};
 
-use crate::harness::{build_cluster, report, run_workers, seeded_rng, AppReport, RunConfig};
+use crate::harness::{
+    block_of, build_cluster, report, run_workers, seeded_rng, AppReport, RunConfig,
+};
 
 /// Region Labeling workload parameters.
 #[derive(Debug, Clone)]
@@ -151,14 +153,6 @@ pub fn checksum(labels: &Labels) -> i64 {
         .fold(0i64, |a, h| a ^ h)
 }
 
-fn strip_of(node: u32, nodes: u32, size: usize) -> std::ops::Range<usize> {
-    let per = size / nodes as usize;
-    let extra = size % nodes as usize;
-    let start = node as usize * per + (node as usize).min(extra);
-    let len = per + usize::from((node as usize) < extra);
-    start..start + len
-}
-
 fn encode_row(row: &[i64]) -> Vec<u8> {
     let mut v = Vec::with_capacity(row.len() * 8);
     for &l in row {
@@ -204,7 +198,7 @@ pub fn run(cfg: &RunConfig, params: &RlParams) -> AppReport {
     let params = params.clone();
     let (elapsed, results) = run_workers(&mut cluster, move |ctx, node, rts| {
         let nodes = rts.nodes();
-        let strip = strip_of(node, nodes, params.size);
+        let strip = block_of(node, nodes, params.size);
         let mut labels: Labels = all[strip.clone()].to_vec();
         let mut next: Labels = labels.clone();
         let up = (node > 0).then(|| {
@@ -242,7 +236,7 @@ pub fn run(cfg: &RunConfig, params: &RlParams) -> AppReport {
                 .map(|(_, neigh)| decode_row(&neigh.get(ctx).expect("get below")));
             let visits = sweep(&labels, &mut next, above.as_deref(), below.as_deref());
             std::mem::swap(&mut labels, &mut next);
-            ctx.compute_sliced(params.cell_cost * visits, crate::harness::CPU_QUANTUM);
+            ctx.compute(params.cell_cost * visits);
         }
         checksum(&labels)
     });
@@ -253,21 +247,6 @@ pub fn run(cfg: &RunConfig, params: &RlParams) -> AppReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn strips_partition_the_grid() {
-        for nodes in [1u32, 2, 7, 32] {
-            let size = 64;
-            let mut covered = vec![false; size];
-            for node in 0..nodes {
-                for r in strip_of(node, nodes, size) {
-                    assert!(!covered[r]);
-                    covered[r] = true;
-                }
-            }
-            assert!(covered.iter().all(|&c| c));
-        }
-    }
 
     #[test]
     fn row_codec_roundtrip() {

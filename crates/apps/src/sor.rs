@@ -12,7 +12,7 @@ use bytes::Bytes;
 use desim::SimDuration;
 use orca::{BufferHandle, ObjId};
 
-use crate::harness::{build_cluster, report, run_workers, AppReport, RunConfig};
+use crate::harness::{block_of, build_cluster, report, run_workers, AppReport, RunConfig};
 
 /// SOR workload parameters.
 #[derive(Debug, Clone)]
@@ -132,14 +132,6 @@ pub fn checksum(grid: &Grid) -> i64 {
         .fold(0i64, |a, h| a ^ h)
 }
 
-fn strip_of(node: u32, nodes: u32, size: usize) -> std::ops::Range<usize> {
-    let per = size / nodes as usize;
-    let extra = size % nodes as usize;
-    let start = node as usize * per + (node as usize).min(extra);
-    let len = per + usize::from((node as usize) < extra);
-    start..start + len
-}
-
 fn encode_row(row: &[f64]) -> Vec<u8> {
     let mut v = Vec::with_capacity(row.len() * 8);
     for &x in row {
@@ -184,7 +176,7 @@ pub fn run(cfg: &RunConfig, params: &SorParams) -> AppReport {
         if node >= active {
             return 0i64; // XOR identity: no strip, no checksum contribution
         }
-        let strip = strip_of(node, active, params.size);
+        let strip = block_of(node, active, params.size);
         let mut grid = initial_rows(params.size, strip.clone());
         let omega = f64::from(params.omega_milli) / 1000.0;
         let up = (node > 0).then(|| {
@@ -223,10 +215,7 @@ pub fn run(cfg: &RunConfig, params: &SorParams) -> AppReport {
                     above.as_deref(),
                     below.as_deref(),
                 );
-                ctx.compute_sliced(
-                    params.cell_cost * updates.max(1),
-                    crate::harness::CPU_QUANTUM,
-                );
+                ctx.compute(params.cell_cost * updates.max(1));
             }
         }
         checksum(&grid)

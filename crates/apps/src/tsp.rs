@@ -283,10 +283,7 @@ fn worker_loop(
             let mut on_expand = |_e: u64| {
                 pending += 1;
                 if pending >= interval {
-                    ctx.compute_sliced(
-                        params.expansion_cost * pending,
-                        crate::harness::CPU_QUANTUM,
-                    );
+                    ctx.compute(params.expansion_cost * pending);
                     pending = 0;
                 }
             };
@@ -301,7 +298,7 @@ fn worker_loop(
             );
         }
         if pending > 0 {
-            ctx.compute_sliced(params.expansion_cost * pending, crate::harness::CPU_QUANTUM);
+            ctx.compute(params.expansion_cost * pending);
         }
         if local_best < cached_bound {
             // Publish the improvement (totally ordered broadcast).

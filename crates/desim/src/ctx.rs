@@ -14,6 +14,9 @@ use crate::time::{SimDuration, SimTime};
 use crate::trace::{Layer, Phase};
 use crate::ThreadHandle;
 
+/// The longest stretch of [`Ctx::compute`] work that holds the processor.
+const CPU_QUANTUM: SimDuration = SimDuration::from_millis(1);
+
 /// Where a [`Ctx::charge`] spends the sum of its terms.
 ///
 /// The Amoeba paper's central asymmetry is *who pays for thread switches*:
@@ -25,7 +28,8 @@ use crate::ThreadHandle;
 /// dispatch).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum On {
-    /// Thread-level work, as [`Ctx::compute`].
+    /// Thread-level work in one occupancy: it waits for the CPU and pays
+    /// the context switch if another thread ran last.
     Thread,
     /// Thread-level work that pays exactly this switch cost (counted as a
     /// switch when non-zero) instead of the processor's.
@@ -164,12 +168,21 @@ impl Ctx {
 
     /// Performs `d` of CPU work on this thread's processor.
     ///
-    /// The call acquires the processor (FIFO among threads), pays the
-    /// context-switch cost if another thread ran since this one last held the
-    /// CPU, and is extended by any interrupt-level work that steals the CPU
-    /// while it runs. Named protocol costs go through [`Ctx::charge`].
+    /// Each slice of at most 1 ms (`CPU_QUANTUM`) acquires the processor (FIFO
+    /// among threads), pays the context-switch cost if another thread ran
+    /// since this one last held the CPU, and is extended by any
+    /// interrupt-level work that steals the CPU while it runs. Releasing
+    /// the CPU between slices lets protocol daemons interleave with long
+    /// application compute, approximating Amoeba's preemptive kernel
+    /// threads. `d` of zero takes no CPU. Named protocol costs go through
+    /// [`Ctx::charge`].
     pub fn compute(&self, d: SimDuration) {
-        self.thread_compute(d, None);
+        let mut remaining = d;
+        while !remaining.is_zero() {
+            let slice = remaining.min(CPU_QUANTUM);
+            self.thread_compute(slice, None);
+            remaining -= slice;
+        }
     }
 
     /// Charges the named cost `terms` of `layer` in one occupancy: emits one
@@ -265,35 +278,6 @@ impl Ctx {
         if let Some((t, w)) = pr.waiters.pop_front() {
             pr.holder = Some(t);
             st.schedule_wake_now(t, w);
-        }
-    }
-
-    /// Performs `d` of CPU work in slices of at most `quantum`, releasing
-    /// the processor between slices.
-    ///
-    /// This approximates preemptive scheduling: protocol daemons and other
-    /// threads interleave at quantum granularity instead of stalling behind
-    /// one long computation (Amoeba schedules its kernel threads
-    /// preemptively). Use for application compute phases; short protocol
-    /// charges can stay with [`Ctx::compute`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `quantum` is zero.
-    pub fn compute_sliced(&self, d: SimDuration, quantum: SimDuration) {
-        assert!(!quantum.is_zero(), "quantum must be positive");
-        let mut remaining = d;
-        loop {
-            if remaining.is_zero() {
-                break;
-            }
-            let slice = if remaining > quantum {
-                quantum
-            } else {
-                remaining
-            };
-            self.compute(slice);
-            remaining = remaining.saturating_sub(slice);
         }
     }
 

@@ -9,8 +9,8 @@
 //! makes both pay `O(log n)` sift costs against each other; splitting the
 //! instants apart makes the dominant same-instant traffic `O(1)`:
 //!
-//! - **near tier** (`bucket`): a FIFO of events whose time equals
-//!   `bucket_time`, the instant the clock currently sits at. With
+//! - **near tier** (`cur`): the events whose time equals `bucket_time`,
+//!   the instant the clock currently sits at, sorted by `(tie, seq)`. With
 //!   perturbation off, every new same-instant event has a monotonically
 //!   larger `seq` than everything already buffered, so `push` is a
 //!   `push_back` and `pop` is a `pop_front`. With perturbation on, the tie
@@ -25,11 +25,11 @@
 //!   carry the ordering proof.
 //!
 //! When the near tier runs dry the wheel extracts **all** events at its
-//! earliest instant — already sorted by `(tie, seq)` — into the `cur`
-//! drain buffer and `bucket_time` jumps forward to it. From that moment the
-//! far tier is strictly in the future again: new events *at* the instant go
-//! to the bucket, so `pop` only ever merges two same-instant FIFOs by
-//! `(tie, seq)`, which is exactly the full-key order of the old single-heap
+//! earliest instant — already sorted by `(tie, seq)` — into `cur` and
+//! `bucket_time` jumps forward to it. From that moment the far tier is
+//! strictly in the future again: new events *at* the instant join `cur` by
+//! the push rule above, so `cur` always holds the whole instant in full-key
+//! order, which is exactly the pop order of the old single-heap
 //! implementation — bit-identical pop order, golden traces, chaos hashes.
 //!
 //! # The `(time, tie, seq)` total order is a public invariant
@@ -195,14 +195,9 @@ pub(crate) struct EventQueue {
     /// forward, always to the time of a popped event — so it tracks the
     /// scheduler clock exactly.
     bucket_time: SimTime,
-    /// Near tier: events at `bucket_time` pushed since the clock got here,
-    /// sorted ascending by `(tie, seq)`.
-    bucket: VecDeque<Event>,
-    /// Drain buffer: events at `bucket_time` extracted from the far tier
-    /// when the clock jumped here (scheduled earlier, before the clock
-    /// reached this instant, with smaller `seq` than anything pushed
-    /// since), sorted ascending by `(tie, seq)`. Receives no pushes — a new
-    /// event at `bucket_time` goes to `bucket` — so it only ever drains.
+    /// Near tier: every event at `bucket_time`, sorted ascending by
+    /// `(tie, seq)`: first those the far tier held when the clock jumped
+    /// here, then those pushed since.
     cur: VecDeque<Event>,
     /// Far tier: events strictly later than `bucket_time`.
     wheel: Wheel,
@@ -226,8 +221,7 @@ impl EventQueue {
     pub(crate) fn with_capacity(cap: usize) -> Self {
         EventQueue {
             bucket_time: SimTime::ZERO,
-            bucket: VecDeque::with_capacity(cap),
-            cur: VecDeque::with_capacity(cap.min(64)),
+            cur: VecDeque::with_capacity(cap),
             wheel: Wheel::with_capacity(cap),
             peak_depth: 0,
             near_pushes: 0,
@@ -237,14 +231,14 @@ impl EventQueue {
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.bucket.len() + self.cur.len() + self.wheel.len()
+        self.cur.len() + self.wheel.len()
     }
 
     /// The earliest queued event's time, without popping. Dead-generation
     /// events count — they still advance the clock when popped, so the
     /// windowed driver must treat them as work below the window edge.
     pub(crate) fn peek_time(&self) -> Option<SimTime> {
-        if !self.bucket.is_empty() || !self.cur.is_empty() {
+        if !self.cur.is_empty() {
             // Near-tier events sit at `bucket_time`; the far tier is
             // strictly later, so it can't change the minimum.
             return Some(self.bucket_time);
@@ -285,15 +279,15 @@ impl EventQueue {
         } else {
             self.near_pushes += 1;
             // Same-instant fast path: with perturbation off (tie == 0
-            // always) the new seq is the largest yet, so the bucket stays
+            // always) the new seq is the largest yet, so the near tier stays
             // sorted with a plain push_back. A random tie draw can land
             // anywhere; fall back to binary insertion by (tie, seq).
-            match self.bucket.back() {
+            match self.cur.back() {
                 Some(last) if last.key() > ev.key() => {
-                    let at = self.bucket.partition_point(|e| e.key() < ev.key());
-                    self.bucket.insert(at, ev);
+                    let at = self.cur.partition_point(|e| e.key() < ev.key());
+                    self.cur.insert(at, ev);
                 }
-                _ => self.bucket.push_back(ev),
+                _ => self.cur.push_back(ev),
             }
         }
         let depth = self.len() as u64;
@@ -303,27 +297,14 @@ impl EventQueue {
     }
 
     pub(crate) fn pop(&mut self) -> Option<Event> {
-        match (self.bucket.front(), self.cur.front()) {
-            (None, None) => {
-                // Near tier dry: commit the clock jump to the far tier's
-                // earliest instant and drain everything at it into `cur`.
-                let t = self.wheel.take_min(&mut self.cur)?;
-                debug_assert!(t > self.bucket_time, "far tier was not strictly future");
-                self.bucket_time = t;
-                self.cur.pop_front()
-            }
-            (Some(_), None) => self.bucket.pop_front(),
-            (None, Some(_)) => self.cur.pop_front(),
-            // Both FIFOs hold events at `bucket_time`, each sorted by
-            // (tie, seq); merging by front compare is full-key order.
-            (Some(b), Some(c)) => {
-                if (c.tie, c.seq) < (b.tie, b.seq) {
-                    self.cur.pop_front()
-                } else {
-                    self.bucket.pop_front()
-                }
-            }
+        if self.cur.is_empty() {
+            // Near tier dry: commit the clock jump to the far tier's
+            // earliest instant and drain everything at it into `cur`.
+            let t = self.wheel.take_min(&mut self.cur)?;
+            debug_assert!(t > self.bucket_time, "far tier was not strictly future");
+            self.bucket_time = t;
         }
+        self.cur.pop_front()
     }
 }
 
@@ -371,9 +352,7 @@ mod tests {
         assert_eq!(q.pop().unwrap().seq, 1);
         // Clock jumps to 100 via the far tier.
         assert_eq!(q.pop().unwrap().seq, 0);
-        // New events at 100 land in the bucket; an *older* far event at 100
-        // (seq 2 below, pushed while it was still the future) must still
-        // order by seq against bucket traffic.
+        // New events at 100 join the near tier in seq order.
         q.push(ev(100, 0, 2));
         q.push(ev(100, 0, 3));
         assert_eq!(q.pop().unwrap().seq, 2);
@@ -445,9 +424,9 @@ mod tests {
         q.push(ev(100, 2, 1));
         q.push(ev(0, 0, 2));
         assert_eq!(q.pop().unwrap().seq, 2);
-        // Clock jumps to 100; ties 7 and 2 now sit in the drain buffer.
+        // Clock jumps to 100; ties 7 and 2 now sit in the near tier.
         assert_eq!(q.pop().unwrap().tie, 2);
-        // New pushes at 100 land in the bucket and must interleave by tie.
+        // New pushes at 100 join the near tier and must interleave by tie.
         q.push(ev(100, 5, 3));
         q.push(ev(100, 9, 4));
         let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.tie).collect();

@@ -400,18 +400,19 @@ fn determinism_same_seed_same_schedule() {
 }
 
 #[test]
-fn compute_sliced_lets_other_threads_interleave() {
-    // One long sliced computation plus a short compute from another thread:
-    // the short one runs within a quantum, not after the whole slab.
+fn long_compute_lets_a_short_one_run_within_one_quantum() {
+    // One long computation plus a short compute from another thread: the
+    // processor is released every 1 ms quantum, so the short one runs after
+    // the first quantum, not after the whole slab.
     let mut sim = Simulation::new(0);
-    let cpu = sim.add_processor("m0");
+    let cpu = sim.add_processor_with_switch_cost("m0", us(70));
     sim.spawn(cpu, "big", |ctx| {
-        ctx.compute_sliced(ms(100), ms(5));
+        ctx.compute(ms(100));
     });
     let h = sim.spawn(cpu, "small", |ctx| {
         ctx.compute(us(100));
         assert!(
-            ctx.now().as_millis_f64() < 15.0,
+            ctx.now() < SimTime::ZERO + ms(2),
             "short work interleaves at quantum granularity, finished at {}",
             ctx.now()
         );
@@ -420,29 +421,43 @@ fn compute_sliced_lets_other_threads_interleave() {
 }
 
 #[test]
-fn compute_sliced_total_time_is_preserved() {
+fn compute_alone_takes_exactly_its_duration() {
     let mut sim = Simulation::new(0);
-    let cpu = sim.add_processor("m0");
+    let cpu = sim.add_processor_with_switch_cost("m0", us(70));
     let h = sim.spawn(cpu, "only", |ctx| {
-        ctx.compute_sliced(ms(37), ms(5));
-        assert_eq!(
-            ctx.now().as_millis_f64(),
-            37.0,
-            "alone on the CPU: exact total"
-        );
+        ctx.compute(us(37_500));
+        assert_eq!(ctx.now(), SimTime::ZERO + us(37_500), "alone on the CPU");
     });
     sim.run_until_finished(&h).expect("run");
+    assert_eq!(
+        sim.report().procs[0].switches,
+        0,
+        "no switch between slices"
+    );
 }
 
 #[test]
-#[should_panic(expected = "quantum must be positive")]
-fn compute_sliced_rejects_zero_quantum() {
+fn zero_compute_takes_no_time_no_cpu_and_no_switch() {
+    // `b` computes zero while `a` holds the CPU: it neither waits for the
+    // processor nor becomes its last holder, so `a`'s next slice pays no
+    // switch either.
     let mut sim = Simulation::new(0);
-    let cpu = sim.add_processor("m0");
-    sim.spawn(cpu, "bad", |ctx| {
-        ctx.compute_sliced(ms(1), SimDuration::ZERO);
+    let cpu = sim.add_processor_with_switch_cost("m0", us(70));
+    sim.spawn(cpu, "a", |ctx| {
+        ctx.compute(us(10));
+        ctx.compute(us(10));
     });
-    let _ = sim.run();
+    let h = sim.spawn(cpu, "b", |ctx| {
+        ctx.sleep(us(5));
+        ctx.compute(SimDuration::ZERO);
+        assert_eq!(ctx.now(), SimTime::ZERO + us(5), "no wait for the busy CPU");
+    });
+    sim.run_until_finished(&h).expect("b");
+    sim.run().expect("a");
+    assert_eq!(sim.now(), SimTime::ZERO + us(20));
+    let report = sim.report();
+    assert_eq!(report.procs[0].switches, 0);
+    assert_eq!(report.procs[0].busy, us(20));
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! asserted against the full simulated stack.
 
 use amoeba::CostModel;
-use bench::{group_latency, rpc_latency, system_layer_latency};
+use apps::paper::{self, group_latency, rpc_latency, system_layer_latency};
 use panda::world::Stack;
 
 /// Section 4.2 / Table 1: the kernel-space RPC is faster than the
@@ -112,7 +112,7 @@ fn full_stack_runs_are_deterministic() {
 #[test]
 fn table3_harness_checksums_agree_across_implementations() {
     use apps::ProtoImpl;
-    for app in bench::TABLE3_APPS {
+    for app in paper::TABLE3_APPS {
         let mut sums = Vec::new();
         for imp in [
             ProtoImpl::KernelSpace,
@@ -120,7 +120,7 @@ fn table3_harness_checksums_agree_across_implementations() {
             ProtoImpl::UserSpaceDedicated,
         ] {
             for nodes in [1u32, 4] {
-                let r = bench::run_app(app, imp, nodes, bench::Scale::Small);
+                let r = paper::run_app(app, imp, nodes, paper::Scale::Small);
                 sums.push(r.checksum);
             }
         }
@@ -137,11 +137,11 @@ fn table3_harness_checksums_agree_across_implementations() {
 #[test]
 fn application_performance_is_comparable() {
     use apps::ProtoImpl;
-    for app in bench::TABLE3_APPS {
-        let k = bench::run_app(app, ProtoImpl::KernelSpace, 4, bench::Scale::Small)
+    for app in paper::TABLE3_APPS {
+        let k = paper::run_app(app, ProtoImpl::KernelSpace, 4, paper::Scale::Small)
             .elapsed
             .as_secs_f64();
-        let u = bench::run_app(app, ProtoImpl::UserSpace, 4, bench::Scale::Small)
+        let u = paper::run_app(app, ProtoImpl::UserSpace, 4, paper::Scale::Small)
             .elapsed
             .as_secs_f64();
         let ratio = u / k;

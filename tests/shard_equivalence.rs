@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use amoeba::CostModel;
-use bench::{group_trace, rpc_trace};
+use apps::paper::{self, group_trace, rpc_trace};
 use chaos::engine::{run_chaos, ChaosConfig};
 use chaos::explore::{explore, ExploreOptions};
 use chaos::plan::{FaultPlan, TimedFault, TimedKind};
@@ -97,11 +97,11 @@ fn table1_spot_values_identical_across_shard_counts() {
         let mut spots = Vec::new();
         for size in [0usize, 1024] {
             for stack in [Stack::Kernel, Stack::User] {
-                spots.push(bench::rpc_latency(size, stack, &cost));
-                spots.push(bench::group_latency(size, stack, &cost));
+                spots.push(paper::rpc_latency(size, stack, &cost));
+                spots.push(paper::group_latency(size, stack, &cost));
             }
-            spots.push(bench::system_layer_latency(size, false, &cost));
-            spots.push(bench::system_layer_latency(size, true, &cost));
+            spots.push(paper::system_layer_latency(size, false, &cost));
+            spots.push(paper::system_layer_latency(size, true, &cost));
         }
         spots
     });

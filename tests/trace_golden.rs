@@ -11,7 +11,7 @@
 //! it with `TRACE_GOLDEN_DUMP=1 cargo test --test trace_golden -- --nocapture`.
 
 use amoeba::CostModel;
-use bench::{group_trace, rpc_trace, RpcTraceRun};
+use apps::paper::{group_trace, rpc_trace, RpcTraceRun};
 use desim::trace::{Layer, Phase, TraceEvent};
 use panda::world::Stack;
 

@@ -22,7 +22,7 @@ use desim::trace::{Layer, Phase, TraceEvent};
 use orca_panda::prelude::*;
 use proptest::prelude::*;
 
-use bench::{group_trace, rpc_trace};
+use apps::paper::{group_trace, rpc_trace};
 
 fn assert_monotone_per_proc(events: &[TraceEvent]) {
     let mut last: HashMap<desim::ProcId, SimTime> = HashMap::new();

@@ -10,28 +10,32 @@
 //!   independent cost-zeroing measurement within 5%.
 
 use amoeba::CostModel;
-use bench::{
-    budget_total, derive_budget, group_latency, group_latency_traced, group_span, group_trace,
-    rpc_latency, rpc_latency_traced, rpc_span, rpc_trace, RpcTraceRun,
+use apps::paper::{
+    budget_total, derive_budget, group_latency, group_span, group_trace, group_world, rpc_latency,
+    rpc_span, rpc_trace, rpc_world, RpcTraceRun, TABLE1_ITERS,
 };
 use desim::{SimDuration, SimTime, Simulation};
 use panda::world::Stack;
 
+/// The Table 1 RPC and group worlds, traced and untraced, measure the same
+/// virtual time to the nanosecond.
 #[test]
 fn tracing_is_zero_cost_in_virtual_time() {
     let cost = CostModel::default();
     for stack in [Stack::Kernel, Stack::User] {
         for size in [0usize, 1024, 4096] {
+            let rpc = |trace| rpc_world(size, stack, &cost, trace, TABLE1_ITERS, 43).0;
             assert_eq!(
-                rpc_latency(size, stack, &cost),
-                rpc_latency_traced(size, stack, &cost),
+                rpc(false),
+                rpc(true),
                 "rpc {stack:?} @ {size}: tracing must not move the virtual clock"
             );
         }
         for size in [0usize, 1024] {
+            let group = |trace| group_world(size, stack, &cost, trace, TABLE1_ITERS).0;
             assert_eq!(
-                group_latency(size, stack, &cost),
-                group_latency_traced(size, stack, &cost),
+                group(false),
+                group(true),
                 "group {stack:?} @ {size}: tracing must not move the virtual clock"
             );
         }
