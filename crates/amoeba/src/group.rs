@@ -35,7 +35,7 @@ use flip::{FlipAddr, FlipMessage};
 use parking_lot::Mutex;
 
 use crate::cost::AMOEBA_GROUP_HEADER_BYTES;
-use crate::machine::{fragments_of, Machine};
+use crate::machine::{fragments_of, FlipDest, Machine, Sink};
 
 pub mod core;
 
@@ -348,15 +348,15 @@ impl GroupMember {
             resync_wake: SimChannel::new(),
         };
         let h1 = member.clone();
-        machine.register_kernel_handler(
+        machine.bind(
             member.spec.member_addrs[my_id as usize],
-            Arc::new(move |ctx, msg| h1.kernel_handle(ctx, msg)),
+            Sink::Kernel(Arc::new(move |ctx, msg| h1.kernel_handle(ctx, msg))),
         );
         let h2 = member.clone();
-        machine.join_kernel_group(
+        machine.join(
             member.spec.group,
             member.spec.eth,
-            Arc::new(move |ctx, msg| h2.kernel_handle(ctx, msg)),
+            Sink::Kernel(Arc::new(move |ctx, msg| h2.kernel_handle(ctx, msg))),
         );
         member
     }
@@ -424,9 +424,9 @@ impl GroupMember {
             &[("kernel_packet_send", resend)],
             |attempt| {
                 if let (0, Some(bb)) = (attempt, &bb_wire) {
-                    self.send_group_raw(ctx, bb.clone());
+                    self.send_to(ctx, To::Group, bb.clone());
                 }
-                self.send_unicast_raw(ctx, self.spec.sequencer_addr(), req_wire.clone());
+                self.send_to(ctx, To::Sequencer, req_wire.clone());
             },
         );
         let result = sent.ok_or(GroupError::Timeout);
@@ -465,11 +465,7 @@ impl GroupMember {
                             On::Thread,
                             &[("kernel_packet_send", cost.kernel_packet_send)],
                         );
-                        self.send_unicast_raw(
-                            ctx,
-                            self.spec.sequencer_addr(),
-                            Header::encode(&req),
-                        );
+                        self.send_to(ctx, To::Sequencer, Header::encode(&req));
                     }
                     Err(RecvTimeoutError::Closed) => unreachable!("inbox never closes"),
                 }
@@ -485,23 +481,16 @@ impl GroupMember {
         msg
     }
 
-    /// Raw kernel transmit helpers (no syscall charge; callers charge).
-    fn send_unicast_raw(&self, ctx: &Ctx, dst: FlipAddr, wire: Bytes) {
+    /// Sends `wire` from this member's endpoint to `to` (no charge; callers
+    /// charge).
+    fn send_to(&self, ctx: &Ctx, to: To, wire: Bytes) {
+        let dst = match to {
+            To::Group => FlipDest::Group(self.spec.group),
+            To::Sequencer => FlipDest::Addr(self.spec.sequencer_addr()),
+            To::Member(m) => FlipDest::Addr(self.spec.member_addrs[m as usize]),
+        };
         let src = self.spec.member_addrs[self.my_id as usize];
-        if let Some(local) = self.machine.iface().send(ctx, src, dst, wire) {
-            self.machine.dispatch(ctx, local);
-        }
-    }
-
-    fn send_group_raw(&self, ctx: &Ctx, wire: Bytes) {
-        let src = self.spec.member_addrs[self.my_id as usize];
-        if let Some(local) = self
-            .machine
-            .iface()
-            .send_group(ctx, src, self.spec.group, wire)
-        {
-            self.machine.dispatch(ctx, local);
-        }
+        self.machine.send(ctx, src, dst, wire);
     }
 
     /// Sends the wires among `outs` in order, charging each `on` the CPU
@@ -514,13 +503,7 @@ impl GroupMember {
             let wire = Header::encode(&w);
             let c = self.machine.cost().kernel_packet_send * fragments_of(wire.len());
             ctx.charge(Layer::Group, on, &[("kernel_packet_send", c)]);
-            match w.to {
-                To::Group => self.send_group_raw(ctx, wire),
-                To::Sequencer => self.send_unicast_raw(ctx, self.spec.sequencer_addr(), wire),
-                To::Member(m) => {
-                    self.send_unicast_raw(ctx, self.spec.member_addrs[m as usize], wire);
-                }
-            }
+            self.send_to(ctx, w.to, wire);
         }
     }
 

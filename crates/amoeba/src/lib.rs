@@ -30,7 +30,7 @@ pub mod rpc;
 
 pub use cost::{CostModel, AMOEBA_GROUP_HEADER_BYTES, AMOEBA_RPC_HEADER_BYTES};
 pub use group::{GroupConfig, GroupError, GroupMember, GroupMessage, GroupSpec};
-pub use machine::{fragments_of, KernelHandler, Machine};
+pub use machine::{fragments_of, FlipDest, KernelHandler, Machine, Sink};
 pub use rpc::{
     client_addr, port_addr, Port, ReplyToken, RpcClient, RpcConfig, RpcError, RpcServer,
 };

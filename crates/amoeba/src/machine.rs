@@ -1,6 +1,9 @@
 //! One simulated Amoeba machine: a CPU, a FLIP interface in the kernel, the
-//! network receive loop, and the cost-charging entry points through which all
-//! protocol code reaches the network.
+//! network receive loop, and the kernel boundary through which all protocol
+//! code reaches the network: [`Machine::bind`] and [`Machine::join`] route an
+//! address's messages to a kernel handler or a user endpoint, and every frame
+//! leaves through one send (charged by [`Machine::kernel_send`],
+//! [`Machine::flip_send_syscall`], or a kernel protocol's own system call).
 
 use std::collections::HashMap;
 use std::fmt;
@@ -19,9 +22,33 @@ use crate::cost::CostModel;
 /// network receive loop (it must not block).
 pub type KernelHandler = Arc<dyn Fn(&Ctx, FlipMessage) + Send + Sync>;
 
-enum Sink {
+/// Where the complete messages for a bound address go.
+#[derive(Clone)]
+pub enum Sink {
+    /// A kernel-resident protocol handler.
     Kernel(KernelHandler),
+    /// A user-space endpoint: messages are copied out of the kernel into the
+    /// channel (so one receive daemon can serve several addresses).
     User(SimChannel<FlipMessage>),
+}
+
+impl fmt::Debug for Sink {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Sink::Kernel(_) => "Sink::Kernel",
+            Sink::User(_) => "Sink::User",
+        })
+    }
+}
+
+/// Where a frame goes: one FLIP entity, or every member of a FLIP group.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FlipDest {
+    /// One entity, located on first use.
+    Addr(FlipAddr),
+    /// A group this machine joined; the sender's own copy is dispatched
+    /// locally, so a member sees its own group traffic.
+    Group(FlipAddr),
 }
 
 struct MachineInner {
@@ -132,18 +159,11 @@ impl Machine {
     /// Routes a complete FLIP message to its kernel handler or user endpoint.
     /// Runs in whatever context the caller is in (interrupt for network
     /// arrivals, the calling thread for local loopback).
-    pub(crate) fn dispatch(&self, ctx: &Ctx, msg: FlipMessage) {
-        let sink = {
-            let sinks = self.inner.sinks.lock();
-            match sinks.get(&msg.dst) {
-                Some(Sink::Kernel(h)) => Some(Ok(Arc::clone(h))),
-                Some(Sink::User(ch)) => Some(Err(ch.clone())),
-                None => None,
-            }
-        };
+    fn dispatch(&self, ctx: &Ctx, msg: FlipMessage) {
+        let sink = self.inner.sinks.lock().get(&msg.dst).cloned();
         match sink {
-            Some(Ok(handler)) => handler(ctx, msg),
-            Some(Err(channel)) => {
+            Some(Sink::Kernel(handler)) => handler(ctx, msg),
+            Some(Sink::User(channel)) => {
                 // Crossing into user space: wakeup bookkeeping plus copying
                 // the message out of kernel buffers.
                 let cost = &self.inner.cost;
@@ -168,87 +188,47 @@ impl Machine {
         }
     }
 
-    /// Registers a kernel-resident protocol handler for `addr`.
-    pub fn register_kernel_handler(&self, addr: FlipAddr, handler: KernelHandler) {
+    /// Binds `addr` to this machine: locates for it resolve here, and its
+    /// complete messages go to `sink`.
+    pub fn bind(&self, addr: FlipAddr, sink: Sink) {
         self.inner.iface.register(addr);
-        self.inner.sinks.lock().insert(addr, Sink::Kernel(handler));
+        self.inner.sinks.lock().insert(addr, sink);
     }
 
-    /// Registers a user-space endpoint: complete messages for `addr` are
-    /// copied out of the kernel into `ch` (so one receive daemon can serve
-    /// several addresses).
-    pub fn register_user_endpoint_into(&self, addr: FlipAddr, ch: SimChannel<FlipMessage>) {
-        self.inner.iface.register(addr);
-        self.inner.sinks.lock().insert(addr, Sink::User(ch));
-    }
-
-    /// Joins FLIP group `group` (Ethernet multicast `eth`) with a
-    /// kernel-resident handler.
-    pub fn join_kernel_group(&self, group: FlipAddr, eth: McastAddr, handler: KernelHandler) {
+    /// Joins FLIP group `group` (Ethernet multicast `eth`); its messages go
+    /// to `sink`.
+    pub fn join(&self, group: FlipAddr, eth: McastAddr, sink: Sink) {
         self.inner.iface.join_group(group, eth);
-        self.inner.sinks.lock().insert(group, Sink::Kernel(handler));
+        self.inner.sinks.lock().insert(group, sink);
     }
 
-    /// Joins FLIP group `group` with delivery to a user-space endpoint's
-    /// existing channel.
-    pub fn join_user_group_into(
-        &self,
-        group: FlipAddr,
-        eth: McastAddr,
-        ch: SimChannel<FlipMessage>,
-    ) {
-        self.inner.iface.join_group(group, eth);
-        self.inner.sinks.lock().insert(group, Sink::User(ch));
-    }
-
-    /// Removes the sink (kernel or user) registered for `addr`.
-    pub fn unregister(&self, addr: FlipAddr) {
-        self.inner.iface.unregister(addr);
-        self.inner.sinks.lock().remove(&addr);
+    /// Transmits `payload` from `src` and dispatches the local copy (a
+    /// destination bound here, or a group member's own copy). Charges
+    /// nothing: every caller has charged its own entry path.
+    pub(crate) fn send(&self, ctx: &Ctx, src: FlipAddr, dst: FlipDest, payload: Bytes) {
+        let local = match dst {
+            FlipDest::Addr(addr) => self.inner.iface.send(ctx, src, addr, payload),
+            FlipDest::Group(group) => self.inner.iface.send_group(ctx, src, group, payload),
+        };
+        if let Some(local) = local {
+            self.dispatch(ctx, local);
+        }
     }
 
     /// Sends from kernel context (a protocol handler or a syscall already
     /// charged by the caller): pays kernel per-packet transmit processing at
-    /// interrupt level and short-circuits local destinations through the
-    /// dispatch table.
+    /// interrupt level, then sends.
     pub fn kernel_send(&self, ctx: &Ctx, src: FlipAddr, dst: FlipAddr, payload: Bytes) {
         let c = self.inner.cost.kernel_packet_send * fragments_of(payload.len());
         ctx.charge(Layer::Flip, On::Interrupt, &[("kernel_packet_send", c)]);
-        if let Some(local) = self.inner.iface.send(ctx, src, dst, payload) {
-            self.dispatch(ctx, local);
-        }
+        self.send(ctx, src, FlipDest::Addr(dst), payload);
     }
 
     /// The user-level FLIP send syscall (the extension the paper's user-space
-    /// implementation is built on): charges the full trap, copy, per-packet,
-    /// and unoptimized-interface costs on the calling thread, then transmits.
-    pub fn flip_send_syscall(&self, ctx: &Ctx, src: FlipAddr, dst: FlipAddr, payload: Bytes) {
-        self.charge_flip_syscall(ctx, payload.len());
-        if let Some(local) = self.inner.iface.send(ctx, src, dst, payload) {
-            self.dispatch(ctx, local);
-        }
-    }
-
-    /// The user-level FLIP multicast syscall; same cost structure as
-    /// [`Machine::flip_send_syscall`]. The local copy is dispatched so a
-    /// member machine sees its own group traffic.
-    pub fn flip_send_group_syscall(
-        &self,
-        ctx: &Ctx,
-        src: FlipAddr,
-        group: FlipAddr,
-        payload: Bytes,
-    ) {
-        self.charge_flip_syscall(ctx, payload.len());
-        if let Some(local) = self.inner.iface.send_group(ctx, src, group, payload) {
-            self.dispatch(ctx, local);
-        }
-    }
-
-    /// Charges the FLIP send syscall for `len` payload bytes on the calling
-    /// thread: trap, unoptimized interface, copy and per-packet processing.
-    fn charge_flip_syscall(&self, ctx: &Ctx, len: usize) {
-        let (cost, frags) = (&self.inner.cost, fragments_of(len));
+    /// implementation is built on): charges the full trap, unoptimized
+    /// interface, copy and per-packet costs on the calling thread, then sends.
+    pub fn flip_send_syscall(&self, ctx: &Ctx, src: FlipAddr, dst: FlipDest, payload: Bytes) {
+        let (cost, len) = (&self.inner.cost, payload.len());
         ctx.charge(
             Layer::Flip,
             On::Thread,
@@ -256,9 +236,13 @@ impl Machine {
                 ("syscall", cost.syscall(cost.deep_call_depth)),
                 ("flip_user_interface", cost.flip_user_interface),
                 ("copy", cost.copy(len)),
-                ("kernel_packet_send", cost.kernel_packet_send * frags),
+                (
+                    "kernel_packet_send",
+                    cost.kernel_packet_send * fragments_of(len),
+                ),
             ],
         );
+        self.send(ctx, src, dst, payload);
     }
 
     /// The machine's CPU.
@@ -283,8 +267,8 @@ impl Machine {
         self.inner.iface.mac()
     }
 
-    /// The kernel FLIP interface (for protocol modules in this crate and for
-    /// tests; user code goes through the syscall wrappers).
+    /// The kernel FLIP interface, for routes and counters; frames go
+    /// through the machine's sends.
     pub fn iface(&self) -> &FlipIface {
         &self.inner.iface
     }

@@ -29,7 +29,7 @@ use parking_lot::Mutex;
 
 use self::core::{Action, Kind, Table};
 use crate::cost::AMOEBA_RPC_HEADER_BYTES;
-use crate::machine::{fragments_of, Machine};
+use crate::machine::{fragments_of, FlipDest, Machine, Sink};
 
 /// A service port (Amoeba capabilities reduced to their routing essence).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -169,9 +169,11 @@ impl RpcServer {
             table: Arc::default(),
         };
         let handler_server = server.clone();
-        machine.register_kernel_handler(
+        machine.bind(
             port_addr(port),
-            Arc::new(move |ctx, msg| handler_server.kernel_handle(ctx, msg)),
+            Sink::Kernel(Arc::new(move |ctx, msg| {
+                handler_server.kernel_handle(ctx, msg);
+            })),
         );
         server
     }
@@ -288,15 +290,8 @@ impl RpcServer {
             .lock()
             .reply(token.client, token.seq, reply.clone());
         let wire = Header::wire(Kind::Reply, token.seq, token.client, self.port, &reply);
-        // The packet-send cost was charged on the calling thread above; use
-        // the iface directly to avoid double-charging in kernel_send.
-        if let Some(local) =
-            self.machine
-                .iface()
-                .send(ctx, port_addr(self.port), token.client, wire)
-        {
-            self.machine.dispatch(ctx, local);
-        }
+        let (src, dst) = (port_addr(self.port), FlipDest::Addr(token.client));
+        self.machine.send(ctx, src, dst, wire);
     }
 
     /// The machine hosting this service.
@@ -470,9 +465,11 @@ impl RpcClient {
         };
         let me = client_addr(machine.mac());
         let handler_client = client.clone();
-        machine.register_kernel_handler(
+        machine.bind(
             me,
-            Arc::new(move |ctx, msg| handler_client.kernel_handle(ctx, msg)),
+            Sink::Kernel(Arc::new(move |ctx, msg| {
+                handler_client.kernel_handle(ctx, msg);
+            })),
         );
         client
     }
@@ -549,13 +546,8 @@ impl RpcClient {
         let resend = [("kernel_packet_send", packet_send)];
         let (timeout, retries) = (self.config.timeout, self.config.retries);
         let reply = self.waiting.wait(call, ctx, timeout, retries, &resend, || {
-            let sent = self
-                .machine
-                .iface()
-                .send(ctx, me, port_addr(port), wire.clone());
-            if let Some(local) = sent {
-                self.machine.dispatch(ctx, local);
-            }
+            let dst = FlipDest::Addr(port_addr(port));
+            self.machine.send(ctx, me, dst, wire.clone());
         });
         if reply.is_some() {
             // Return from the blocking trans() syscall. The `Thread` charge

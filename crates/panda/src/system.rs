@@ -17,7 +17,7 @@ use ethernet::McastAddr;
 use flip::{FlipAddr, FlipMessage};
 use parking_lot::Mutex;
 
-use amoeba::Machine;
+use amoeba::{FlipDest, Machine, Sink};
 
 use crate::transport::NodeId;
 
@@ -170,8 +170,12 @@ impl SysLayer {
     /// daemon.
     pub fn start(sim: &mut Simulation, machine: &Machine, node: NodeId) -> Arc<SysLayer> {
         let inbox: SimChannel<FlipMessage> = SimChannel::new();
-        machine.register_user_endpoint_into(panda_addr(node), inbox.clone());
-        machine.join_user_group_into(panda_group_addr(), panda_eth_group(), inbox.clone());
+        machine.bind(panda_addr(node), Sink::User(inbox.clone()));
+        machine.join(
+            panda_group_addr(),
+            panda_eth_group(),
+            Sink::User(inbox.clone()),
+        );
         let sys = Arc::new(SysLayer {
             machine: machine.clone(),
             node,
@@ -246,8 +250,9 @@ impl SysLayer {
         let frag = self.machine.cost().fragmentation_layer;
         ctx.charge(Layer::Flip, On::Thread, &[("fragmentation_layer", frag)]);
         let wire = header.encode_with(body);
+        let dst = FlipDest::Addr(panda_addr(dst));
         self.machine
-            .flip_send_syscall(ctx, panda_addr(self.node), panda_addr(dst), wire);
+            .flip_send_syscall(ctx, panda_addr(self.node), dst, wire);
     }
 
     /// Multicasts a Panda message to the whole group. `charge_fragmentation`
@@ -266,8 +271,9 @@ impl SysLayer {
             ctx.charge(Layer::Flip, On::Thread, &[("fragmentation_layer", frag)]);
         }
         let wire = header.encode_with(body);
+        let dst = FlipDest::Group(panda_group_addr());
         self.machine
-            .flip_send_group_syscall(ctx, panda_addr(self.node), panda_group_addr(), wire);
+            .flip_send_syscall(ctx, panda_addr(self.node), dst, wire);
     }
 
     /// The node this layer serves.
