@@ -304,60 +304,42 @@ impl RpcServer {
 // Client
 // ---------------------------------------------------------------------------
 
-/// What a waiting call hears, tagged with the `(key, seq)` it answers: reply
-/// slots are pooled and reused across calls (a 10k-machine fleet would
-/// otherwise allocate a fresh channel per RPC), and a late duplicate from a
-/// slot's previous life must be recognizable so the new owner can discard
-/// it.
-enum ClientEvent<K> {
-    Reply((K, u64), Bytes),
-    Working((K, u64)),
-}
-
-type Slot<K> = SimChannel<ClientEvent<K>>;
-
-/// Reply slots kept for reuse per client endpoint. Concurrency per machine is
-/// tiny (a handful of app threads, and user space serializes calls per
-/// connection), so a short free list captures all reuse.
-const SLOT_POOL_MAX: usize = 4;
-
-#[derive(Debug, Default)]
-struct Slots<K> {
-    calls: HashMap<(K, u64), Slot<K>>,
-    pool: Vec<Slot<K>>,
+/// What a waiting call hears on its reply slot.
+enum ClientEvent {
+    Reply(Bytes),
+    Working,
 }
 
 /// The reply-wait side of an RPC client endpoint, shared by both placements:
 /// the calls in flight, keyed by `(key, seq)` (the kernel's seqs are per
 /// machine, so its key is `()`; Panda's are per connection, keyed by
-/// server), and the pool of reply slots.
+/// server), each with a reply slot of its own.
 #[derive(Debug, Default)]
 pub struct Waiting<K> {
-    slots: Mutex<Slots<K>>,
+    calls: Mutex<HashMap<(K, u64), SimChannel<ClientEvent>>>,
 }
 
 /// One call in flight and its reply slot.
 #[derive(Debug)]
 pub struct Call<K> {
     id: (K, u64),
-    slot: Slot<K>,
+    slot: SimChannel<ClientEvent>,
 }
 
 impl<K: Copy + Eq + Hash> Waiting<K> {
     /// Registers call `(key, seq)` before its request goes out.
     pub fn open(&self, key: K, seq: u64) -> Call<K> {
-        let (id, mut slots) = ((key, seq), self.slots.lock());
-        let slot = slots.pool.pop().unwrap_or_default();
-        slots.calls.insert(id, slot.clone());
+        let (id, slot) = ((key, seq), SimChannel::new());
+        self.calls.lock().insert(id, slot.clone());
         Call { id, slot }
     }
 
     /// The call `(key, seq)` if it is still waiting. Its slot stays valid
-    /// while the shell finishes its bookkeeping, even if the call gives up
-    /// meanwhile (the slot's next owner discards the late event).
+    /// while the shell finishes its bookkeeping; if the call gives up
+    /// meanwhile, a late event lands in a slot nobody reads.
     pub fn find(&self, key: K, seq: u64) -> Option<Call<K>> {
         let id = (key, seq);
-        let slot = self.slots.lock().calls.get(&id).cloned()?;
+        let slot = self.calls.lock().get(&id).cloned()?;
         Some(Call { id, slot })
     }
 
@@ -397,17 +379,14 @@ impl<K: Copy + Eq + Hash> Waiting<K> {
             }
             let backoff = timeout * (1u64 << attempt.min(4));
             match call.slot.recv_timeout(ctx, backoff) {
-                // Events from a pooled slot's previous life answer another
-                // call; discard them and keep waiting.
-                Ok(ClientEvent::Reply(id, _)) | Ok(ClientEvent::Working(id)) if id != call.id => {}
-                Ok(ClientEvent::Reply(_, r)) => {
+                Ok(ClientEvent::Reply(r)) => {
                     reply = Some(r);
                     break;
                 }
                 // The server holds the request (a blocked guarded
                 // operation): keep waiting indefinitely while it confirms
                 // it is alive.
-                Ok(ClientEvent::Working(_)) => attempt = 0,
+                Ok(ClientEvent::Working) => attempt = 0,
                 Err(RecvTimeoutError::Timeout) => {
                     attempt += 1;
                     sent = false;
@@ -415,11 +394,7 @@ impl<K: Copy + Eq + Hash> Waiting<K> {
                 Err(RecvTimeoutError::Closed) => break,
             }
         }
-        let mut slots = self.slots.lock();
-        slots.calls.remove(&call.id);
-        if slots.pool.len() < SLOT_POOL_MAX {
-            slots.pool.push(call.slot);
-        }
+        self.calls.lock().remove(&call.id);
         reply
     }
 }
@@ -427,12 +402,12 @@ impl<K: Copy + Eq + Hash> Waiting<K> {
 impl<K> Call<K> {
     /// Hands the reply to the waiting call.
     pub fn reply(self, ctx: &Ctx, reply: Bytes) {
-        let _ = self.slot.send(ctx, ClientEvent::Reply(self.id, reply));
+        let _ = self.slot.send(ctx, ClientEvent::Reply(reply));
     }
 
     /// Tells the waiting call the server is alive and holds its request.
     pub fn working(self, ctx: &Ctx) {
-        let _ = self.slot.send(ctx, ClientEvent::Working(self.id));
+        let _ = self.slot.send(ctx, ClientEvent::Working);
     }
 }
 
@@ -577,6 +552,7 @@ impl RpcClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use desim::{ms, us, Simulation};
     use proptest::prelude::*;
 
     proptest! {
@@ -622,5 +598,34 @@ mod tests {
         let mut wire = Header::wire(Kind::Ack, 0, FlipAddr(0), Port(0), &[]).to_vec();
         wire[0] = 99;
         assert!(Header::decode(&Bytes::from(wire)).is_none());
+    }
+
+    /// A reply that finds its call and then arrives after the call gave up
+    /// (the kernel handler sleeps in its interrupt charge in between) must
+    /// not reach the next call: that call still gives up exactly one
+    /// timeout after it opened.
+    #[test]
+    fn a_late_reply_to_a_given_up_call_cannot_delay_the_next_call() {
+        let mut sim = Simulation::new(1);
+        let cpu = sim.add_processor("cpu");
+        let waiting = Arc::new(Waiting::<()>::default());
+        let stale_tx = SimChannel::<Call<()>>::new();
+        let stale_rx = stale_tx.clone();
+        sim.spawn_daemon(cpu, "late-reply", move |ctx| {
+            let stale = stale_rx.recv(ctx).expect("the stale handle arrives");
+            ctx.sleep(us(500));
+            stale.reply(ctx, Bytes::from_static(b"late"));
+        });
+        let h = sim.spawn(cpu, "client", move |ctx| {
+            let first = waiting.open((), 1);
+            let stale = waiting.find((), 1).expect("call 1 is waiting");
+            assert_eq!(waiting.wait(first, ctx, ms(1), 0, &[], || {}), None);
+            let opened = ctx.now();
+            let second = waiting.open((), 2);
+            let _ = stale_tx.send(ctx, stale);
+            assert_eq!(waiting.wait(second, ctx, ms(1), 0, &[], || {}), None);
+            assert_eq!(ctx.now().saturating_duration_since(opened), ms(1));
+        });
+        sim.run_until_finished(&h).expect("run");
     }
 }

@@ -79,9 +79,6 @@ struct PendingSend {
     queued_at: SimTime,
 }
 
-/// Cap on pooled reassembly buffers kept per interface.
-const REASSEMBLY_POOL_MAX: usize = 4;
-
 struct IfaceState {
     local: HashSet<FlipAddr>,
     groups: HashMap<FlipAddr, McastAddr>,
@@ -89,9 +86,6 @@ struct IfaceState {
     pending: HashMap<FlipAddr, VecDeque<PendingSend>>,
     last_locate: HashMap<FlipAddr, SimTime>,
     reassembly: HashMap<(FlipAddr, u64), Partial>,
-    /// Buffers recycled from timed-out partial messages; completed messages
-    /// escape as immutable payloads and cannot be pooled.
-    reassembly_pool: Vec<BytesMut>,
     next_msg_id: u64,
     /// When set, routes are learned from the source of arriving data
     /// packets (see [`FlipIface::set_route_learning`]). Off by default.
@@ -132,7 +126,6 @@ impl FlipIface {
                 pending: HashMap::new(),
                 last_locate: HashMap::new(),
                 reassembly: HashMap::new(),
-                reassembly_pool: Vec::new(),
                 next_msg_id: 1,
                 route_learning: false,
                 stats: FlipStats::default(),
@@ -194,15 +187,6 @@ impl FlipIface {
         self.nic.join_group(eth);
         let mut st = self.state.lock();
         st.groups.insert(group, eth);
-    }
-
-    /// Leaves `group`.
-    pub fn leave_group(&self, group: FlipAddr) {
-        let mut st = self.state.lock();
-        if let Some(eth) = st.groups.remove(&group) {
-            drop(st);
-            self.nic.leave_group(eth);
-        }
     }
 
     /// Sends `payload` unreliably from `src` to entity `dst`.
@@ -401,9 +385,7 @@ impl FlipIface {
         }
         // Lazy reassembly garbage collection. Runs for every data packet —
         // fast-path or not — so the set of partials that survive to a given
-        // instant is independent of the delivery path taken. Expired
-        // buffers feed the pool; their capacity is reused by later partials.
-        let st = &mut *st;
+        // instant is independent of the delivery path taken.
         let expired: Vec<(FlipAddr, u64)> = st
             .reassembly
             .iter()
@@ -411,13 +393,7 @@ impl FlipIface {
             .map(|(k, _)| *k)
             .collect();
         for k in expired {
-            if let Some(dead) = st.reassembly.remove(&k) {
-                if st.reassembly_pool.len() < REASSEMBLY_POOL_MAX {
-                    let mut buf = dead.buf;
-                    buf.clear();
-                    st.reassembly_pool.push(buf);
-                }
-            }
+            st.reassembly.remove(&k);
             st.stats.reassembly_drops += 1;
         }
 
@@ -456,18 +432,13 @@ impl FlipIface {
         {
             return Vec::new();
         }
-        let pool = &mut st.reassembly_pool;
-        let entry = st.reassembly.entry(key).or_insert_with(|| {
-            let mut buf = pool.pop().unwrap_or_default();
-            buf.reserve(total);
-            Partial {
-                total_len: total,
-                received: 0,
-                have: HashSet::new(),
-                buf,
-                started: now,
-                multicast: header.multicast,
-            }
+        let entry = st.reassembly.entry(key).or_insert_with(|| Partial {
+            total_len: total,
+            received: 0,
+            have: HashSet::new(),
+            buf: BytesMut::with_capacity(total),
+            started: now,
+            multicast: header.multicast,
         });
         if entry.total_len != total {
             return Vec::new(); // inconsistent fragments: drop silently
