@@ -443,7 +443,7 @@ pub const PAPER_SECTION4: [Mechanism; 5] = [
         name: "context switches",
         rpc_us: Some(140.0),
         group_us: Some(110.0),
-        terms: &["switch", "sequencer_dispatch"],
+        terms: &["switch"],
         zero: |c| {
             c.context_switch = SimDuration::ZERO;
             c.sequencer_thread_switch = SimDuration::ZERO;

@@ -260,17 +260,9 @@ impl UserGroup {
                 continue;
             };
             // Dispatch from the interrupt path to this thread: the paper's
-            // 110 us (60 us when this machine is a dedicated sequencer),
-            // plus the system call fetching the message from the network.
-            // The dispatch is counted twice in the budget: once here as
-            // `sequencer_dispatch` (attribution only) and once as the
-            // `sched/switch` the `ThreadSwitch` charge emits (a known
-            // deviation, DESIGN.md §8).
-            ctx.charge(
-                Layer::Group,
-                On::Off,
-                &[("sequencer_dispatch", dispatch_charge)],
-            );
+            // 110 us (60 us when this machine is a dedicated sequencer), paid
+            // as the switch, plus the system call fetching the message from
+            // the network.
             ctx.charge(
                 Layer::Group,
                 On::ThreadSwitch(dispatch_charge),
@@ -291,8 +283,10 @@ impl UserGroup {
 
     /// Replays a sequencer step in order: trace the notes, send the wires
     /// (each send blocks this thread in virtual time). Resync rounds are
-    /// not traced on this stack — they never were, and the pinned chaos
-    /// hashes cover the set of trace counters.
+    /// not traced on this stack: this sequencer can resync after the last
+    /// delivery of a fault-free run (its view of the members' final
+    /// progress is stale), which the clean-network check in
+    /// `tests/fault_injection.rs` would count as recovery traffic.
     fn replay(&self, ctx: &Ctx, outs: &mut Vec<Out>) {
         for out in outs.drain(..) {
             match out {

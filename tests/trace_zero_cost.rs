@@ -252,8 +252,6 @@ fn section4_budgets_are_pinned() {
     );
     let run = group_trace(0, Stack::User, &cost, 1);
     let span = group_span(&run.events).expect("span");
-    // 1907.8 of 1524.8 us: the sequencer's 110 us dispatch is attributed
-    // twice, as `group/sequencer_dispatch` and as `sched/switch`.
     check(
         "user null group send",
         run,
@@ -266,7 +264,6 @@ fn section4_budgets_are_pinned() {
             ("net", "wire", 2, 188_800),
             ("flip", "kernel_packet_recv", 2, 130_000),
             ("flip", "kernel_packet_send", 2, 110_000),
-            ("group", "sequencer_dispatch", 1, 110_000),
             ("flip", "user_deliver", 3, 105_000),
             ("group", "syscall", 2, 94_000),
             ("flip", "flip_user_interface", 2, 50_000),
