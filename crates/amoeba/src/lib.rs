@@ -6,8 +6,13 @@
 //!   machines (context switches, register-window traps, system calls,
 //!   interrupt processing, copies) — every constant an ablation knob;
 //! - [`Machine`]: one booted machine — CPU, kernel FLIP interface, network
-//!   interrupt service loop, and the syscall entry points user-space code
-//!   (the Panda user-space implementation) uses to reach raw FLIP;
+//!   interrupt service loop, and the kernel boundary every protocol frame
+//!   crosses: [`Machine::bind`]/[`Machine::join`] route an address to a
+//!   [`Sink`], and frames leave through one send, charged by
+//!   [`Machine::kernel_send`], by the user FLIP syscall
+//!   [`Machine::flip_send_syscall`] (what the Panda user-space
+//!   implementation uses to reach raw FLIP), or by a kernel protocol's own
+//!   system call;
 //! - [`RpcServer`]/[`RpcClient`]: Amoeba's kernel-space 3-way RPC with the
 //!   `get_request`/`put_reply` same-thread restriction, the kernel
 //!   placement of the RPC protocol that [`rpc::core`] (the at-most-once

@@ -228,7 +228,8 @@ impl Machine {
     /// implementation is built on): charges the full trap, unoptimized
     /// interface, copy and per-packet costs on the calling thread, then sends.
     pub fn flip_send_syscall(&self, ctx: &Ctx, src: FlipAddr, dst: FlipDest, payload: Bytes) {
-        let (cost, len) = (&self.inner.cost, payload.len());
+        let cost = &self.inner.cost;
+        let (len, frags) = (payload.len(), fragments_of(payload.len()));
         ctx.charge(
             Layer::Flip,
             On::Thread,
@@ -236,10 +237,7 @@ impl Machine {
                 ("syscall", cost.syscall(cost.deep_call_depth)),
                 ("flip_user_interface", cost.flip_user_interface),
                 ("copy", cost.copy(len)),
-                (
-                    "kernel_packet_send",
-                    cost.kernel_packet_send * fragments_of(len),
-                ),
+                ("kernel_packet_send", cost.kernel_packet_send * frags),
             ],
         );
         self.send(ctx, src, dst, payload);

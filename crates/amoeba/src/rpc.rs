@@ -168,12 +168,10 @@ impl RpcServer {
             queue: SimChannel::new(),
             table: Arc::default(),
         };
-        let handler_server = server.clone();
+        let handler = server.clone();
         machine.bind(
             port_addr(port),
-            Sink::Kernel(Arc::new(move |ctx, msg| {
-                handler_server.kernel_handle(ctx, msg);
-            })),
+            Sink::Kernel(Arc::new(move |ctx, msg| handler.kernel_handle(ctx, msg))),
         );
         server
     }
@@ -439,12 +437,10 @@ impl RpcClient {
             waiting: Arc::default(),
         };
         let me = client_addr(machine.mac());
-        let handler_client = client.clone();
+        let handler = client.clone();
         machine.bind(
             me,
-            Sink::Kernel(Arc::new(move |ctx, msg| {
-                handler_client.kernel_handle(ctx, msg);
-            })),
+            Sink::Kernel(Arc::new(move |ctx, msg| handler.kernel_handle(ctx, msg))),
         );
         client
     }

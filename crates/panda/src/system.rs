@@ -170,12 +170,9 @@ impl SysLayer {
     /// daemon.
     pub fn start(sim: &mut Simulation, machine: &Machine, node: NodeId) -> Arc<SysLayer> {
         let inbox: SimChannel<FlipMessage> = SimChannel::new();
-        machine.bind(panda_addr(node), Sink::User(inbox.clone()));
-        machine.join(
-            panda_group_addr(),
-            panda_eth_group(),
-            Sink::User(inbox.clone()),
-        );
+        let sink = Sink::User(inbox.clone());
+        machine.bind(panda_addr(node), sink.clone());
+        machine.join(panda_group_addr(), panda_eth_group(), sink);
         let sys = Arc::new(SysLayer {
             machine: machine.clone(),
             node,
