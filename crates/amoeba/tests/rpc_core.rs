@@ -7,9 +7,10 @@
 //! several calls in flight per client, seqs with gaps (the machine's calls
 //! to other ports take the rest), each reply acknowledged exactly
 //! ([`Table::ack`]) — and *user style* — one call at a time per client,
-//! every request and explicit ack covering all earlier seqs
-//! ([`Table::ack_through`]). Clients also give calls up, as a real client
-//! does when its retries run out.
+//! no acknowledgement frame at all, every request covering all earlier seqs
+//! ([`Table::ack_through`]), so the table holds at most one entry per
+//! client. Clients also give calls up, as a real client does when its
+//! retries run out.
 
 use std::collections::{HashMap, HashSet};
 
@@ -46,7 +47,7 @@ struct Client {
     next_seq: u64,
     /// Calls waiting for their reply.
     open: Vec<u64>,
-    /// The last call answered (user style acknowledges it explicitly).
+    /// The last call answered (kernel style acknowledges it again).
     last_answered: Option<u64>,
 }
 
@@ -85,7 +86,8 @@ impl World {
     /// the acknowledgement of every earlier call on the connection.
     fn serve(&mut self, client: u32, seq: u64) {
         if !self.kernel_style {
-            self.ack_through(client, seq.saturating_sub(1));
+            self.table.ack_through(client, seq.saturating_sub(1));
+            self.live.retain(|&(c, s), _| c != client || s >= seq);
         }
         let live = self.live.get(&(client, seq)).copied();
         match (live, self.table.request(client, seq)) {
@@ -109,19 +111,13 @@ impl World {
         }
     }
 
-    fn ack_through(&mut self, client: u32, seq: u64) {
-        self.table.ack_through(client, seq);
-        self.live.retain(|&(c, s), _| c != client || s > seq);
-    }
-
     fn arrive(&mut self, frame: Frame) {
         match frame {
             Frame::Request { client, seq } => self.serve(client, seq),
-            Frame::Ack { client, seq } if self.kernel_style => {
+            Frame::Ack { client, seq } => {
                 self.table.ack(client, seq);
                 self.live.remove(&(client, seq));
             }
-            Frame::Ack { client, seq } => self.ack_through(client, seq),
             Frame::Reply { client, seq, body } => {
                 let c = &mut self.clients[client as usize];
                 // A reply nobody waits for (a duplicate, or a call given
@@ -180,9 +176,9 @@ impl World {
                     self.flight.push(Frame::Request { client: m, seq });
                 }
             }
-            // An (explicit or repeated) ack of the last answered call.
+            // Kernel style: a repeated ack of the last answered call.
             3 => {
-                if let Some(seq) = c.last_answered {
+                if let Some(seq) = c.last_answered.filter(|_| self.kernel_style) {
                     self.flight.push(Frame::Ack { client: m, seq });
                 }
             }
@@ -212,6 +208,19 @@ impl World {
                     self.arrive(frame);
                 }
             }
+        }
+    }
+
+    /// User style sends no ack: each request acknowledges every earlier
+    /// call, so the table holds at most one entry, the newest call's, per
+    /// client.
+    fn check_user_style_holds_one_entry_per_client(&self) {
+        if self.kernel_style {
+            return;
+        }
+        for m in 0..CLIENTS {
+            let held = self.live.keys().filter(|&&(c, _)| c == m).count();
+            assert!(held <= 1, "client {m}: {held} live entries");
         }
     }
 
@@ -258,8 +267,10 @@ proptest! {
         let mut world = World::new(kernel_style);
         for (op, a, b) in script {
             world.step(op, a, b);
+            world.check_user_style_holds_one_entry_per_client();
         }
         world.heal();
+        world.check_user_style_holds_one_entry_per_client();
     }
 
     /// Hostile values cannot panic the table or make it deliver a call

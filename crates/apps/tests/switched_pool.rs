@@ -46,7 +46,7 @@ fn sor_on_three_switched_segments_is_pinned() {
         ),
         (
             ProtoImpl::UserSpace,
-            (225_415_700, 1846, 415_738, 0x314e_2eb8_68d4_1c27),
+            (224_070_400, 1793, 408_212, 0x314e_2eb8_68d4_1c27),
         ),
     ] {
         let r = apps::sor::run(&RunConfig::new(NODES, imp, 7), &params);

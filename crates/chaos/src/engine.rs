@@ -81,7 +81,6 @@ impl ChaosConfig {
             rpc_retries: 24,
             group_send_timeout: SimDuration::from_millis(10),
             group_send_retries: 24,
-            ack_delay: SimDuration::from_millis(2),
             group_resync_interval: SimDuration::from_millis(40),
             group_status_interval: 8,
             kernel_group_resync_interval: SimDuration::from_millis(40),
@@ -274,8 +273,7 @@ fn run_chaos_inner(cfg: &ChaosConfig) -> ChaosOutcome {
     sim.spawn(world.machines[0].proc(), "chaos-client", move |ctx| {
         let mut b0 = 0u64;
         for i in 0..rpcs {
-            // Vary the payload size deterministically so fragmentation and
-            // piggybacking paths both run.
+            // Vary the payload size deterministically.
             let len = 8 + (i as usize * 37) % 192;
             let mut body = vec![0x5au8; len];
             body[..8].copy_from_slice(&i.to_be_bytes());

@@ -155,11 +155,6 @@ impl FlipIface {
         self.state.lock().local.insert(addr);
     }
 
-    /// Removes `addr` from this machine (the entity moved or exited).
-    pub fn unregister(&self, addr: FlipAddr) {
-        self.state.lock().local.remove(&addr);
-    }
-
     /// Installs a static route: data for `dst` goes straight to station
     /// `mac` without a locate broadcast. Locates are each a network-wide
     /// flood, so large fleets pre-seed the well-known service addresses at

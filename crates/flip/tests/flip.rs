@@ -1,5 +1,5 @@
 //! End-to-end FLIP tests over the simulated Ethernet: locate resolution,
-//! fragmentation, groups, migration, and loss behaviour.
+//! fragmentation, groups, stale routes, and loss behaviour.
 
 use bytes::Bytes;
 use desim::{ms, Ctx, SimChannel, Simulation};
@@ -149,32 +149,27 @@ fn group_multicast_delivers_to_members_and_self() {
 }
 
 #[test]
-fn migration_invalidates_stale_route() {
+fn stale_route_is_evicted_and_relocated() {
     let mut sim = Simulation::new(1);
     let (_net, ifaces, inboxes) = cluster(&mut sim, 3);
     let dst = FlipAddr(500);
-    ifaces[1].register(dst);
+    ifaces[2].register(dst);
+    // A route to a station that does not host the address.
+    ifaces[0].install_route(dst, ifaces[1].mac());
     let tx = ifaces[0].clone();
-    let old_home = ifaces[1].clone();
-    let new_home = ifaces[2].clone();
-    let inbox1 = inboxes[1].clone();
+    let wrong = ifaces[1].clone();
     let inbox2 = inboxes[2].clone();
     let proc = sim.add_processor("driver");
     let h = sim.spawn(proc, "t", move |ctx| {
-        // First exchange caches the route to machine 1.
-        tx.send(ctx, FlipAddr(1), dst, payload(4));
-        assert!(inbox1.recv(ctx).is_some());
-        // The entity migrates to machine 2.
-        old_home.unregister(dst);
-        new_home.register(dst);
-        // Next send hits the stale route; machine 1 answers "not here",
-        // the route is evicted, and a retry re-locates to machine 2.
+        // The first send follows the stale route; machine 1 answers "not
+        // here", the route is evicted, and the next send locates machine 2.
         tx.send(ctx, FlipAddr(1), dst, payload(5));
         ctx.sleep(ms(1)); // allow NotHere to come back and evict
+        assert_eq!(wrong.stats().misdelivered, 1);
         tx.send(ctx, FlipAddr(1), dst, payload(6));
-        let msg = inbox2.recv(ctx).expect("delivered at the new home");
+        let msg = inbox2.recv(ctx).expect("delivered at the real home");
         assert_eq!(msg.payload.len(), 6);
-        assert_eq!(tx.stats().locates_sent, 2, "one locate per home");
+        assert_eq!(tx.stats().locates_sent, 1, "one locate, after the eviction");
     });
     sim.run_until_finished(&h).expect("run");
 }

@@ -1,11 +1,12 @@
 //! Panda's user-space RPC: a 2-way stop-and-wait protocol.
 //!
 //! The client sends a request; the server's reply doubles as the implicit
-//! acknowledgement of the request; the client acknowledges the reply by
-//! piggybacking on its next request over the same connection, falling back
-//! to an explicit acknowledgement after a short delay. This saves the
-//! explicit per-call acknowledgement of Amoeba's 3-way protocol
-//! (Section 2 of the paper).
+//! acknowledgement of the request; the client's next request over the same
+//! connection acknowledges the reply. There is no explicit acknowledgement
+//! frame, so a call costs two messages, not the three of Amoeba's 3-way
+//! protocol (Section 2 of the paper). Until the next request arrives, the
+//! server holds that client's last reply for a retransmission; stop-and-wait
+//! bounds this to one held reply per client.
 //!
 //! Unlike the kernel protocol, `pan_rpc_reply` is asynchronous: any thread
 //! may answer a held request, transmitting directly — no signalling of the
@@ -15,8 +16,7 @@
 //! The at-most-once table ([`amoeba::rpc::core`]) and the client's
 //! reply-wait loop ([`amoeba::rpc::Waiting`]) are the kernel's; this module
 //! is their user-space placement. Calls on a connection are serialized, so
-//! every request acknowledges all earlier ones ([`Table::ack_through`]),
-//! which makes the piggybacked ack in the header redundant for the server.
+//! every request acknowledges all earlier ones ([`Table::ack_through`]).
 
 use std::collections::HashMap;
 use std::fmt;
@@ -26,32 +26,25 @@ use amoeba::rpc::core::{Action, Kind, Table};
 use amoeba::rpc::Waiting;
 use bytes::Bytes;
 use desim::trace::{Layer, Phase};
-use desim::{Ctx, On, SimChannel, SimMutex, Simulation};
+use desim::{Ctx, On, SimMutex, Simulation};
 use parking_lot::Mutex;
 
 use crate::system::{Module, PandaHeader, SysLayer};
 use crate::transport::{CommError, NodeId, PandaConfig, ReplyTicket, RpcHandler, TicketInner};
 
-/// Client side of one connection (this node -> one server), behind the
-/// `SimMutex` that serializes calls (stop-and-wait): sequencing and the
-/// pending reply-acknowledgement.
-struct OutConn {
-    next_seq: u64,
-    pending_ack: Option<u64>,
-}
-
 /// The user-space Panda RPC module for one node.
 pub(crate) struct UserRpc {
     sys: Arc<SysLayer>,
     config: PandaConfig,
-    out: Mutex<HashMap<NodeId, Arc<SimMutex<OutConn>>>>,
+    /// Client side: the next seq of each connection (this node -> one
+    /// server), behind the `SimMutex` that serializes its calls
+    /// (stop-and-wait).
+    out: Mutex<HashMap<NodeId, Arc<SimMutex<u64>>>>,
     /// Server side: the at-most-once table, keyed by client node.
     table: Mutex<Table<NodeId>>,
     /// Client side: calls in flight, keyed by `(server, seq)`.
     waiting: Waiting<NodeId>,
     handler: Mutex<Option<RpcHandler>>,
-    /// Deferred explicit acknowledgements, drained by the ack daemon.
-    ack_queue: SimChannel<(NodeId, u64)>,
 }
 
 impl fmt::Debug for UserRpc {
@@ -63,8 +56,7 @@ impl fmt::Debug for UserRpc {
 }
 
 impl UserRpc {
-    /// Creates the RPC module, registers its system-layer upcall, and starts
-    /// the explicit-acknowledgement daemon.
+    /// Creates the RPC module and registers its system-layer upcall.
     pub(crate) fn start(
         sim: &mut Simulation,
         sys: Arc<SysLayer>,
@@ -77,22 +69,11 @@ impl UserRpc {
             table: Mutex::default(),
             waiting: Waiting::default(),
             handler: Mutex::new(None),
-            ack_queue: SimChannel::new(),
         });
         let upcall_rpc = Arc::clone(&rpc);
         sys.set_rpc_upcall(Arc::new(move |ctx, header, body| {
             upcall_rpc.upcall(ctx, header, body);
         }));
-        let ack_rpc = Arc::clone(&rpc);
-        let proc = sys.machine().proc();
-        sim.spawn_daemon_on_lane(
-            sys.machine().lane(),
-            proc,
-            &format!("{}-ackd", sys.machine().name()),
-            move |ctx| {
-                ack_rpc.ack_daemon(ctx);
-            },
-        );
         // The handler installed from above captures objects that hold this
         // node's Panda instance (and through it this module).
         let handler_of = Arc::clone(&rpc);
@@ -104,17 +85,17 @@ impl UserRpc {
         *self.handler.lock() = Some(handler);
     }
 
-    fn conn_to(&self, dst: NodeId) -> Arc<SimMutex<OutConn>> {
-        Arc::clone(self.out.lock().entry(dst).or_insert_with(|| {
-            Arc::new(SimMutex::new(OutConn {
-                next_seq: 1,
-                pending_ack: None,
-            }))
-        }))
+    fn conn_to(&self, dst: NodeId) -> Arc<SimMutex<u64>> {
+        Arc::clone(
+            self.out
+                .lock()
+                .entry(dst)
+                .or_insert_with(|| Arc::new(SimMutex::new(1))),
+        )
     }
 
-    /// The header of a server-to-client frame answering request `seq`.
-    fn answer(&self, kind: Kind, seq: u64) -> PandaHeader {
+    /// The header of this node's `kind` frame about call `seq`.
+    fn header(&self, kind: Kind, seq: u64) -> PandaHeader {
         PandaHeader {
             module: Module::Rpc,
             kind: kind.to_byte(),
@@ -130,19 +111,11 @@ impl UserRpc {
         let me = self.sys.node();
         assert_ne!(dst, me, "local invocations never go through RPC");
         let conn = self.conn_to(dst);
-        let mut st = conn.lock(ctx);
-        let seq = st.next_seq;
-        st.next_seq += 1;
-        let ack = st.pending_ack.take();
+        let mut next_seq = conn.lock(ctx);
+        let seq = *next_seq;
+        *next_seq += 1;
         let call = self.waiting.open(dst, seq);
-        let header = PandaHeader {
-            module: Module::Rpc,
-            kind: Kind::Request.to_byte(),
-            src: me,
-            msg_id: seq,
-            a: seq,
-            b: ack.unwrap_or(0),
-        };
+        let header = self.header(Kind::Request, seq);
         ctx.trace_emit(
             Layer::Rpc,
             Phase::Begin,
@@ -155,13 +128,7 @@ impl UserRpc {
         let reply = self.waiting.wait(call, ctx, timeout, retries, &[], || {
             self.sys.send(ctx, dst, header, &request)
         });
-        if reply.is_some() {
-            // The reply acknowledges implicitly on the next request; if none
-            // comes soon, the ack daemon sends an explicit one.
-            st.pending_ack = Some(seq);
-            let _ = self.ack_queue.send(ctx, (dst, seq));
-        }
-        drop(st);
+        drop(next_seq);
         ctx.trace_emit(
             Layer::Rpc,
             Phase::End,
@@ -183,7 +150,7 @@ impl UserRpc {
         ctx.charge(Layer::Rpc, On::Thread, &[("protocol_layer", protocol)]);
         self.table.lock().reply(client, seq, reply.clone());
         self.sys
-            .send(ctx, client, self.answer(Kind::Reply, seq), &reply);
+            .send(ctx, client, self.header(Kind::Reply, seq), &reply);
     }
 
     /// System-layer upcall for RPC traffic (runs on the receive daemon).
@@ -210,8 +177,8 @@ impl UserRpc {
                     call.working(ctx);
                 }
             }
-            Some(Kind::Ack) => self.table.lock().ack_through(header.src, header.b),
-            None => {}
+            // Nothing sends a user-space Ack: the next request acknowledges.
+            Some(Kind::Ack) | None => {}
         }
     }
 
@@ -246,30 +213,6 @@ impl UserRpc {
         };
         ctx.trace_instant(Layer::Rpc, "dup_suppressed", &[("seq", seq)]);
         ctx.trace_instant(Layer::Rpc, note, &[("seq", seq)]);
-        self.sys.send(ctx, client, self.answer(kind, seq), &body);
-    }
-
-    /// Sends explicit acknowledgements for replies that no later request
-    /// piggybacked in time.
-    fn ack_daemon(&self, ctx: &Ctx) {
-        while let Some((dst, seq)) = self.ack_queue.recv(ctx) {
-            ctx.sleep(self.config.ack_delay);
-            let conn = self.conn_to(dst);
-            let mut st = conn.lock(ctx);
-            if st.pending_ack == Some(seq) {
-                st.pending_ack = None;
-                drop(st);
-                ctx.trace_instant(Layer::Rpc, "ack_tx", &[("seq", seq)]);
-                let header = PandaHeader {
-                    module: Module::Rpc,
-                    kind: Kind::Ack.to_byte(),
-                    src: self.sys.node(),
-                    msg_id: seq,
-                    a: 0,
-                    b: seq,
-                };
-                self.sys.send(ctx, dst, header, &Bytes::new());
-            }
-        }
+        self.sys.send(ctx, client, self.header(kind, seq), &body);
     }
 }

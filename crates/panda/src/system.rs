@@ -75,9 +75,9 @@ impl Module {
 }
 
 /// The Panda wire header. Field meaning depends on the module/kind:
-/// for RPC `a` is the request sequence number and `b` the piggybacked
-/// acknowledgement; for group traffic `a` is the global sequence number and
-/// `b` the delivery-progress piggyback.
+/// for RPC `a` is the request sequence number and `b` is unused (0); for
+/// group traffic `a` is the global sequence number and `b` the
+/// delivery-progress piggyback.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PandaHeader {
     /// Protocol module.

@@ -133,9 +133,6 @@ pub struct PandaConfig {
     /// User-space only: the sequencer runs on a dedicated extra machine
     /// (the paper's "User-space-dedicated" configuration).
     pub dedicated_sequencer: bool,
-    /// Explicit-acknowledgement delay: if no new request piggybacks the ack
-    /// within this time, the user-space RPC client sends an explicit ack.
-    pub ack_delay: SimDuration,
     /// User-space only: sequencer resync interval while members lag (how
     /// quickly laggards are brought back up to date when no new traffic
     /// flows). Chaos tests shrink this so recovery converges fast.
@@ -159,7 +156,6 @@ impl Default for PandaConfig {
             group_send_retries: 8,
             sequencer_node: 0,
             dedicated_sequencer: false,
-            ack_delay: SimDuration::from_millis(5),
             group_resync_interval: SimDuration::from_millis(250),
             group_status_interval: 20,
             kernel_group_resync_interval: SimDuration::ZERO,

@@ -49,7 +49,8 @@ fn rpc_roundtrip_both_impls() {
                 .rpc(ctx, 1, Bytes::from_static(b"ping"))
                 .expect("rpc");
             assert_eq!(&reply[..], b"gnip");
-            // A second call exercises the piggybacked-ack path.
+            // A second call: on the user stack its request acknowledges
+            // the first reply.
             let reply = client.rpc(ctx, 1, Bytes::from_static(b"abc")).expect("rpc");
             assert_eq!(&reply[..], b"cba");
         });

@@ -1,27 +1,46 @@
 //! Protocol-level tests of the user-space Panda RPC: stop-and-wait
-//! serialization, piggybacked vs explicit acknowledgements, duplicate
+//! serialization, two frames per call with no explicit acknowledgement,
+//! the one reply held per client until its next request, duplicate
 //! suppression, and the Working (server-alive) mechanism.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use amoeba::Machine;
+use amoeba::rpc::core::Kind;
+use amoeba::{FlipDest, Machine};
 use bytes::Bytes;
 use chaos::testutil;
+use desim::trace::Layer;
 use desim::{ms, SimChannel, Simulation};
 use ethernet::Network;
-use panda::{Panda, PandaConfig, UserSpacePanda};
+use panda::{panda_addr, Module, Panda, PandaConfig, PandaHeader, UserSpacePanda};
 
+/// Two nodes: node 0 is the client, node 1 the server, whose RPC handler
+/// each test installs.
 fn world(
     sim: &mut Simulation,
-    n: u32,
     cfg: &PandaConfig,
 ) -> (Network, Vec<Machine>, Vec<Arc<UserSpacePanda>>) {
     // Booted through the shared scaffold; built directly as UserSpacePanda
     // because these tests poke protocol internals the Panda trait hides.
-    let w = testutil::boot_machines(sim, n);
+    let w = testutil::boot_machines(sim, 2);
     let nodes = UserSpacePanda::build(sim, &w.machines, cfg);
+    for n in &nodes {
+        n.set_group_handler(Arc::new(|_, _| {}));
+    }
+    nodes[0].set_rpc_handler(Arc::new(|_, _, _, _| {}));
     (w.net, w.machines, nodes)
+}
+
+/// Makes node 1 echo every request; counts the handler's executions.
+fn echo(nodes: &[Arc<UserSpacePanda>]) -> Arc<AtomicU64> {
+    let executions = Arc::new(AtomicU64::new(0));
+    let (ex, replier) = (Arc::clone(&executions), Arc::clone(&nodes[1]));
+    nodes[1].set_rpc_handler(Arc::new(move |ctx, _f, req, t| {
+        ex.fetch_add(1, Ordering::SeqCst);
+        replier.reply(ctx, t, req);
+    }));
+    executions
 }
 
 #[test]
@@ -30,7 +49,7 @@ fn stop_and_wait_serializes_calls_per_connection() {
     // lock must serialize them (the 2-way protocol allows one outstanding
     // request per connection).
     let mut sim = Simulation::new(1);
-    let (_net, machines, nodes) = world(&mut sim, 2, &PandaConfig::default());
+    let (_net, machines, nodes) = world(&mut sim, &PandaConfig::default());
     let in_service = Arc::new(AtomicU64::new(0));
     let overlap_seen = Arc::new(AtomicU64::new(0));
     let (ins, ovl) = (Arc::clone(&in_service), Arc::clone(&overlap_seen));
@@ -42,10 +61,6 @@ fn stop_and_wait_serializes_calls_per_connection() {
         ins.fetch_sub(1, Ordering::SeqCst);
         replier.reply(ctx, t, req);
     }));
-    for n in &nodes {
-        n.set_group_handler(Arc::new(|_, _| {}));
-    }
-    nodes[0].set_rpc_handler(Arc::new(|_, _, _, _| {}));
     for t in 0..2 {
         let client = Arc::clone(&nodes[0]);
         sim.spawn(machines[0].proc(), &format!("c{t}"), move |ctx| {
@@ -62,57 +77,81 @@ fn stop_and_wait_serializes_calls_per_connection() {
     );
 }
 
-#[test]
-fn quiet_client_sends_explicit_ack() {
-    // After a reply with no follow-up request, the explicit-ack daemon must
-    // release the server's cached reply.
-    let mut sim = Simulation::new(2);
-    let cfg = PandaConfig {
-        ack_delay: ms(3),
-        ..PandaConfig::default()
-    };
-    let (net, machines, nodes) = world(&mut sim, 2, &cfg);
-    let replier = Arc::clone(&nodes[1]);
-    nodes[1].set_rpc_handler(Arc::new(move |ctx, _f, req, t| {
-        replier.reply(ctx, t, req);
-    }));
-    for n in &nodes {
-        n.set_group_handler(Arc::new(|_, _| {}));
-    }
-    nodes[0].set_rpc_handler(Arc::new(|_, _, _, _| {}));
-    let client = Arc::clone(&nodes[0]);
-    let h = sim.spawn(machines[0].proc(), "client", move |ctx| {
-        client
-            .rpc(ctx, 1, Bytes::from_static(b"only"))
-            .expect("rpc");
-        // Stay quiet past the ack delay.
-        ctx.sleep(ms(20));
+/// Sends node 0's request `seq` to node 1 again, as a retransmission would
+/// but outside any call, and runs until the world drains.
+fn retransmit(sim: &mut Simulation, client: &Machine, seq: u64) {
+    let machine = client.clone();
+    let h = sim.spawn(client.proc(), "retransmit", move |ctx| {
+        let header = PandaHeader {
+            module: Module::Rpc,
+            kind: Kind::Request.to_byte(),
+            src: 0,
+            msg_id: seq,
+            a: seq,
+            b: 0,
+        };
+        let dst = FlipDest::Addr(panda_addr(1));
+        machine.flip_send_syscall(ctx, panda_addr(0), dst, header.encode_with(b"x"));
     });
     sim.run_until_finished(&h).expect("run");
-    let _ = sim.run();
-    // Exactly: a locate query and answer each way, request, reply, and the
-    // explicit ack (six frames without it).
-    assert_eq!(
-        net.total_stats().frames,
-        7,
-        "the explicit ack must be the one frame after request and reply"
-    );
+    sim.run().expect("drain");
+}
+
+/// How many RPC trace notes named `name` the run emitted.
+fn counter(sim: &Simulation, name: &str) -> u64 {
+    sim.trace_counters()
+        .iter()
+        .filter(|c| c.layer == Layer::Rpc && c.name == name)
+        .map(|c| c.count)
+        .sum()
 }
 
 #[test]
-fn back_to_back_calls_piggyback_the_ack() {
-    // Continuous calls piggyback acknowledgements: wire frames stay at
-    // request+reply per call (at most stray acks at the boundaries).
+fn quiet_call_sends_two_frames_and_holds_one_reply() {
+    // A call with no follow-up puts only its request and reply on the wire.
+    // The server holds that reply until the client's next request: a
+    // retransmission of the newest call is answered from it without running
+    // the handler, and one of an earlier call, which the newer request
+    // acknowledged, is ignored.
+    let mut sim = Simulation::new(2);
+    sim.enable_tracing();
+    let (net, machines, nodes) = world(&mut sim, &PandaConfig::default());
+    let executions = echo(&nodes);
+    let call = |sim: &mut Simulation| {
+        let client = Arc::clone(&nodes[0]);
+        let h = sim.spawn(machines[0].proc(), "client", move |ctx| {
+            client.rpc(ctx, 1, Bytes::from_static(b"x")).expect("rpc");
+        });
+        sim.run_until_finished(&h).expect("run");
+        sim.run().expect("drain");
+    };
+    let frames = || net.total_stats().frames;
+
+    call(&mut sim);
+    // A locate query and answer each way, the request and the reply.
+    assert_eq!(frames(), 6);
+    retransmit(&mut sim, &machines[0], 1);
+    assert_eq!(frames(), 8, "the retransmission and its answer");
+    assert_eq!(counter(&sim, "reply_resend"), 1, "from the held reply");
+
+    call(&mut sim);
+    assert_eq!(frames(), 10);
+    retransmit(&mut sim, &machines[0], 1);
+    assert_eq!(frames(), 11, "call 1's reply is no longer held");
+    retransmit(&mut sim, &machines[0], 2);
+    assert_eq!(frames(), 13, "call 2's reply is held");
+    assert_eq!(counter(&sim, "reply_resend"), 2);
+    assert_eq!(executions.load(Ordering::SeqCst), 2, "each call ran once");
+}
+
+#[test]
+fn back_to_back_calls_send_two_frames_each() {
+    // Each request acknowledges the previous reply: the wire carries
+    // request + reply per call and nothing else, even after the world
+    // drains.
     let mut sim = Simulation::new(3);
-    let (net, machines, nodes) = world(&mut sim, 2, &PandaConfig::default());
-    let replier = Arc::clone(&nodes[1]);
-    nodes[1].set_rpc_handler(Arc::new(move |ctx, _f, req, t| {
-        replier.reply(ctx, t, req);
-    }));
-    for n in &nodes {
-        n.set_group_handler(Arc::new(|_, _| {}));
-    }
-    nodes[0].set_rpc_handler(Arc::new(|_, _, _, _| {}));
+    let (net, machines, nodes) = world(&mut sim, &PandaConfig::default());
+    echo(&nodes);
     let calls = 20u64;
     let client = Arc::clone(&nodes[0]);
     let h = sim.spawn(machines[0].proc(), "client", move |ctx| {
@@ -121,12 +160,9 @@ fn back_to_back_calls_piggyback_the_ack() {
         }
     });
     sim.run_until_finished(&h).expect("run");
-    let frames_during_calls = net.total_stats().frames;
-    // 2 per call + locate query/reply + at most one trailing explicit ack.
-    assert!(
-        frames_during_calls <= 2 * calls + 4,
-        "piggybacking keeps the wire at ~2 frames per call, saw {frames_during_calls}"
-    );
+    sim.run().expect("drain");
+    // 2 per call + a locate query and answer each way.
+    assert_eq!(net.total_stats().frames, 2 * calls + 4);
 }
 
 #[test]
@@ -139,16 +175,12 @@ fn working_probe_waits_out_long_server_holds() {
         rpc_retries: 2, // raw budget (5+10+20 ms with backoff) << hold time
         ..PandaConfig::default()
     };
-    let (_net, machines, nodes) = world(&mut sim, 2, &cfg);
+    let (_net, machines, nodes) = world(&mut sim, &cfg);
     let held: SimChannel<panda::ReplyTicket> = SimChannel::new();
     let held_in = held.clone();
     nodes[1].set_rpc_handler(Arc::new(move |ctx, _f, _req, t| {
         let _ = held_in.send(ctx, t);
     }));
-    for n in &nodes {
-        n.set_group_handler(Arc::new(|_, _| {}));
-    }
-    nodes[0].set_rpc_handler(Arc::new(|_, _, _, _| {}));
     let replier = Arc::clone(&nodes[1]);
     sim.spawn(machines[1].proc(), "guard", move |ctx| {
         let t = held.recv(ctx).expect("ticket");
@@ -175,18 +207,8 @@ fn duplicate_requests_do_not_reexecute() {
         rpc_timeout: ms(10),
         ..PandaConfig::default()
     };
-    let (net, machines, nodes) = world(&mut sim, 2, &cfg);
-    let executions = Arc::new(AtomicU64::new(0));
-    let ex = Arc::clone(&executions);
-    let replier = Arc::clone(&nodes[1]);
-    nodes[1].set_rpc_handler(Arc::new(move |ctx, _f, req, t| {
-        ex.fetch_add(1, Ordering::SeqCst);
-        replier.reply(ctx, t, req);
-    }));
-    for n in &nodes {
-        n.set_group_handler(Arc::new(|_, _| {}));
-    }
-    nodes[0].set_rpc_handler(Arc::new(|_, _, _, _| {}));
+    let (net, machines, nodes) = world(&mut sim, &cfg);
+    let executions = echo(&nodes);
     let client = Arc::clone(&nodes[0]);
     let h = sim.spawn(machines[0].proc(), "client", move |ctx| {
         client
@@ -209,17 +231,17 @@ fn duplicate_requests_do_not_reexecute() {
 }
 
 #[test]
-fn held_request_is_not_rerun_after_a_lost_explicit_ack() {
-    // The explicit ack of the warm-up reply is lost, so the next request
-    // piggybacks nothing. While a guard holds that request, its
+fn held_request_is_not_rerun_after_a_lost_first_transmission() {
+    // The held request's first transmission is lost, so the server first
+    // sees a retransmission. While a guard holds that request, the later
     // retransmissions must get Working, not run the handler again.
     let mut sim = Simulation::new(6);
+    sim.enable_tracing();
     let cfg = PandaConfig {
         rpc_timeout: ms(5),
-        ack_delay: ms(3),
         ..PandaConfig::default()
     };
-    let (net, machines, nodes) = world(&mut sim, 2, &cfg);
+    let (net, machines, nodes) = world(&mut sim, &cfg);
     let executions = Arc::new(AtomicU64::new(0));
     let held: SimChannel<panda::ReplyTicket> = SimChannel::new();
     let (ex, held_in) = (Arc::clone(&executions), held.clone());
@@ -231,10 +253,6 @@ fn held_request_is_not_rerun_after_a_lost_explicit_ack() {
             _ => replier.reply(ctx, t, req),
         }
     }));
-    for n in &nodes {
-        n.set_group_handler(Arc::new(|_, _| {}));
-    }
-    nodes[0].set_rpc_handler(Arc::new(|_, _, _, _| {}));
     let guard = Arc::clone(&nodes[1]);
     sim.spawn_daemon(machines[1].proc(), "guard", move |ctx| {
         while let Some(t) = held.recv(ctx) {
@@ -247,15 +265,16 @@ fn held_request_is_not_rerun_after_a_lost_explicit_ack() {
         client
             .rpc(ctx, 1, Bytes::from_static(b"warm"))
             .expect("warmup");
-        // The next frame on the wire is the explicit ack.
-        net.faults().lock().force_drop_next = 1;
         ctx.sleep(ms(20));
+        // The next frame on the wire is the held request.
+        net.faults().lock().force_drop_next = 1;
         let r = client
             .rpc(ctx, 1, Bytes::from_static(b"hold"))
             .expect("held rpc");
         assert_eq!(&r[..], b"released");
     });
     sim.run_until_finished(&h).expect("run");
+    assert!(counter(&sim, "working_tx") >= 1, "held: got Working");
     assert_eq!(
         executions.load(Ordering::SeqCst),
         2,

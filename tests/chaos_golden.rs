@@ -74,4 +74,4 @@ fn user_stack_sequencer_crash_golden() {
 }
 
 const KERNEL_GOLDEN_HASH: u64 = 0x7cd2_e985_d90a_3418;
-const USER_GOLDEN_HASH: u64 = 0x9942_e957_f1a9_95ae;
+const USER_GOLDEN_HASH: u64 = 0xcb73_f63e_c3ad_b4ba;

@@ -73,11 +73,11 @@ const KERNEL_96_WINDOWS: WindowStats = WindowStats {
 /// Window counters of the 48-machine user fleet below (see
 /// [`KERNEL_96_WINDOWS`]).
 const USER_48_WINDOWS: WindowStats = WindowStats {
-    windows: 3698,
-    events: 20111,
-    flushes: 648,
-    flushes_elided: 73332,
-    lanes_skipped: 5686,
+    windows: 3158,
+    events: 16481,
+    flushes: 520,
+    flushes_elided: 62660,
+    lanes_skipped: 4929,
     barrier_wait_ns: 0,
 };
 

@@ -152,8 +152,8 @@ const KERNEL_NULL_RPC: [&str; 16] = [
     "rpc/trans.E",
 ];
 
-/// Panda's 2-way null RPC: no explicit acknowledgement frame (piggybacked),
-/// but each arrival crosses the system layer's receive daemon (`sys_upcall`).
+/// Panda's 2-way null RPC: no acknowledgement frame (the next request
+/// acknowledges), but each arrival crosses the system layer's receive daemon (`sys_upcall`).
 const USER_NULL_RPC: [&str; 14] = [
     "rpc/call.B",
     "rpc/request_tx.i",
