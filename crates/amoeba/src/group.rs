@@ -18,10 +18,10 @@
 //! The protocol's decisions live in [`core`], shared with the user-space
 //! implementation; this file is the kernel *placement*: the 52-byte wire
 //! header, the interrupt-context handler that feeds the core and replays
-//! its outputs, the kernel CPU charges, the blocking `grp_send`/`grp_recv`
-//! system calls, and the resync daemon thread. [`Sending`], the senders'
-//! wait-and-retransmit loop, is shared with the user-space implementation
-//! too.
+//! its outputs, the kernel CPU charges, and the blocking `grp_send`/`grp_recv`
+//! system calls, of which `grp_recv` also waits for the cores' deadlines.
+//! [`Sending`], the senders' wait-and-retransmit loop, is shared with the
+//! user-space implementation too.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 use bytes::{BufMut, Bytes, BytesMut};
 use desim::trace::{Layer, Phase};
-use desim::{Ctx, On, RecvTimeoutError, SimChannel, SimDuration};
+use desim::{Ctx, On, RecvTimeoutError, SimChannel, SimDuration, SimTime};
 use ethernet::McastAddr;
 use flip::{FlipAddr, FlipMessage};
 use parking_lot::Mutex;
@@ -83,17 +83,16 @@ pub struct GroupConfig {
     pub retrans_chunk: u64,
     /// How long a sender waits for its own message before retransmitting.
     pub send_timeout: SimDuration,
-    /// Poll interval used by blocked receivers while a gap is outstanding.
-    pub gap_poll: SimDuration,
     /// A member reports its delivery progress to the sequencer after this
     /// many deliveries (history flow control).
     pub status_interval: u64,
     /// Number of transmissions a `grp_send` attempts before giving up.
     pub send_retries: u32,
-    /// Sequencer-driven laggard resync: while any member is known to lag,
-    /// the sequencer resends missing history every interval. `ZERO`
-    /// disables it entirely (the historical behavior): no resync daemon
-    /// activity, no prompt status reports, bit-identical fault-free traces.
+    /// The group's one timer: while any member is known to lag, the
+    /// sequencer resends missing history this long after its last
+    /// assignment or resync round; a member that owes the sequencer news
+    /// sends it after half of this in which it heard and said nothing.
+    /// Must be non-zero.
     pub resync_interval: SimDuration,
 }
 
@@ -104,10 +103,9 @@ impl Default for GroupConfig {
             history_max: 4096,
             retrans_chunk: 32,
             send_timeout: SimDuration::from_millis(400),
-            gap_poll: SimDuration::from_millis(20),
             status_interval: 20,
             send_retries: 6,
-            resync_interval: SimDuration::ZERO,
+            resync_interval: SimDuration::from_millis(250),
         }
     }
 }
@@ -296,6 +294,13 @@ pub fn trace_note(ctx: &Ctx, note: &Note) {
     note.render(|name, args| ctx.trace_instant(Layer::Group, name, args));
 }
 
+/// Traces a retransmission request as it leaves (`retrans_req_tx`).
+pub fn trace_retrans_req(ctx: &Ctx, w: &Wire) {
+    if w.kind == Kind::RetransReq {
+        ctx.trace_instant(Layer::Group, "retrans_req_tx", &[("from_seq", w.seq)]);
+    }
+}
+
 /// Traces a sequencer step's notes at the instant it ran; its wires stay in
 /// `outs` for [`GroupMember::transmit`].
 fn trace_notes(ctx: &Ctx, outs: &[Out]) {
@@ -315,7 +320,6 @@ pub struct GroupMember {
     state: Arc<Mutex<GroupState>>,
     sending: Arc<Sending>,
     inbox: SimChannel<GroupMessage>,
-    resync_wake: SimChannel<()>,
 }
 
 impl fmt::Debug for GroupMember {
@@ -345,7 +349,6 @@ impl GroupMember {
             state,
             sending: Arc::default(),
             inbox: SimChannel::new(),
-            resync_wake: SimChannel::new(),
         };
         let h1 = member.clone();
         machine.bind(
@@ -361,20 +364,9 @@ impl GroupMember {
         member
     }
 
-    /// `true` if this member hosts the sequencer.
-    pub fn is_sequencer(&self) -> bool {
-        self.my_id as usize == self.spec.sequencer
-    }
-
     /// The machine this member runs on.
     pub fn machine(&self) -> &Machine {
         &self.machine
-    }
-
-    /// Number of sequenced-but-undeliverable messages currently buffered
-    /// (diagnostics; non-zero implies a gap).
-    pub fn backlog(&self) -> usize {
-        self.state.lock().member.backlog()
     }
 
     /// Broadcasts `payload` to the group with total ordering. Blocks until
@@ -449,28 +441,17 @@ impl GroupMember {
     }
 
     /// Receives the next message in total order (every member sees the same
-    /// sequence). Blocks until one is available.
+    /// sequence). Blocks until one is available; while none is, it acts on
+    /// the deadlines of this machine's cores — the member's, and on the
+    /// sequencer's machine the sequencer's.
     pub fn recv(&self, ctx: &Ctx) -> GroupMessage {
         let cost = self.machine.cost().clone();
         ctx.charge(Layer::Group, On::Thread, &[("syscall", cost.syscall_enter)]);
         let msg = loop {
-            if self.backlog() > 0 {
-                match self.inbox.recv_timeout(ctx, self.spec.config.gap_poll) {
-                    Ok(m) => break m,
-                    Err(RecvTimeoutError::Timeout) => {
-                        let req = self.state.lock().member.retrans_wire();
-                        ctx.trace_instant(Layer::Group, "retrans_req_tx", &[("from_seq", req.seq)]);
-                        ctx.charge(
-                            Layer::Group,
-                            On::Thread,
-                            &[("kernel_packet_send", cost.kernel_packet_send)],
-                        );
-                        self.send_to(ctx, To::Sequencer, Header::encode(&req));
-                    }
-                    Err(RecvTimeoutError::Closed) => unreachable!("inbox never closes"),
-                }
-            } else {
-                break self.inbox.recv(ctx).expect("inbox never closes");
+            match self.inbox.recv_until(ctx, self.next_deadline()) {
+                Ok(m) => break m,
+                Err(RecvTimeoutError::Timeout) => self.on_deadline(ctx),
+                Err(RecvTimeoutError::Closed) => unreachable!("inbox never closes"),
             }
         };
         ctx.charge(
@@ -494,12 +475,13 @@ impl GroupMember {
     }
 
     /// Sends the wires among `outs` in order, charging each `on` the CPU
-    /// (interrupt level in the handler, thread level in the resync daemon).
+    /// (interrupt level in the handler, thread level on a deadline).
     /// Transmission sleeps in virtual time, so this runs after the state
     /// lock is released.
     fn transmit(&self, ctx: &Ctx, outs: Vec<Out>, on: On) {
         for out in outs {
             let Out::Wire(w) = out else { continue };
+            trace_retrans_req(ctx, &w);
             let wire = Header::encode(&w);
             let c = self.machine.cost().kernel_packet_send * fragments_of(wire.len());
             ctx.charge(Layer::Group, on, &[("kernel_packet_send", c)]);
@@ -510,7 +492,7 @@ impl GroupMember {
     /// The kernel protocol handler (interrupt context or local dispatch).
     /// The kernel placement: the sequencer shares the handler (and the
     /// lock) with its own member, so it places its own copy the moment it
-    /// assigns a number, and wakes the resync daemon.
+    /// assigns a number.
     fn kernel_handle(&self, ctx: &Ctx, msg: FlipMessage) {
         let Some((h, body)) = Header::decode(&msg.payload) else {
             return;
@@ -537,6 +519,7 @@ impl GroupMember {
                     h.piggyback,
                     body,
                     bb_data,
+                    now,
                     &mut outs,
                 );
                 trace_notes(ctx, &outs);
@@ -544,9 +527,6 @@ impl GroupMember {
                     // Its member handler will also see the multicast
                     // loopback, which dedups harmlessly.
                     st.member.place_own(a.seq, h.sender, h.msg_id, a.payload);
-                    if !self.spec.config.resync_interval.is_zero() {
-                        let _ = self.resync_wake.send(ctx, ());
-                    }
                 }
             }
             outs.extend(stale.map(Out::Wire));
@@ -585,43 +565,25 @@ impl GroupMember {
         self.transmit(ctx, outs, On::Interrupt);
     }
 
-    /// The sequencer's laggard-resync daemon body (kernel thread). Spawn on
-    /// the sequencer machine when `config.resync_interval` is non-zero:
-    /// while any member is known to lag behind the history tip, missing
-    /// entries are resent every interval; when nobody lags the daemon
-    /// blocks until the next sequence number is assigned, so a quiesced
-    /// group generates no traffic and no timer events.
-    pub fn run_resync_daemon(&self, ctx: &Ctx) {
-        let interval = self.spec.config.resync_interval;
-        if interval.is_zero() || !self.is_sequencer() {
-            return;
-        }
-        loop {
-            let lagging = {
-                let st = self.state.lock();
-                st.seq.as_ref().expect("sequencer state").lagging()
-            };
-            if lagging {
-                match self.resync_wake.recv_timeout(ctx, interval) {
-                    Ok(()) => continue,
-                    Err(RecvTimeoutError::Timeout) => self.resync_laggards(ctx),
-                    Err(RecvTimeoutError::Closed) => return,
-                }
-            } else {
-                match self.resync_wake.recv(ctx) {
-                    Some(()) => continue,
-                    None => return,
-                }
-            }
-        }
+    /// The earliest deadline of this machine's cores (`recv` waits for it).
+    fn next_deadline(&self) -> Option<SimTime> {
+        let st = self.state.lock();
+        let seq = st.seq.as_ref().and_then(SeqCore::next_deadline);
+        seq.into_iter().chain(st.member.next_deadline()).min()
     }
 
-    fn resync_laggards(&self, ctx: &Ctx) {
+    /// Acts on whichever of this machine's core deadlines have passed
+    /// (kernel thread).
+    fn on_deadline(&self, ctx: &Ctx) {
+        let now = ctx.now();
         let mut outs = Vec::new();
         {
-            let st = self.state.lock();
-            let seq = st.seq.as_ref().expect("sequencer state");
-            seq.resync_round(&mut outs);
+            let mut guard = self.state.lock();
+            let st = &mut *guard;
+            if let Some(seq) = st.seq.as_mut() {
+                seq.on_deadline(now, &mut outs);
+            }
+            outs.extend(st.member.on_deadline(now).map(Out::Wire));
         }
         trace_notes(ctx, &outs);
         self.transmit(ctx, outs, On::Thread);

@@ -11,7 +11,8 @@
 //! [`MemberCore::on_frame`], charges CPU, and replays the outputs in order.
 //!
 //! Every protocol decision is made here: the answer each frame gets, when
-//! history is trimmed, the order a member's own frames leave in. What still
+//! history is trimmed, the order a member's own frames leave in, and every
+//! timer (`next_deadline`, which a shell thread waits for). What still
 //! differs between the stacks is where the cores run (DESIGN.md lists every
 //! difference); nothing in here knows which stack it is running in.
 
@@ -247,11 +248,20 @@ pub struct SeqCore {
     /// BB requests whose data has not reached the sequencer yet.
     pending_bb: HashSet<(u32, u64)>,
     overflow_drops: u64,
+    resync_interval: SimDuration,
+    /// The last assignment or resync round: the next round is due one
+    /// `resync_interval` later, while some member lags.
+    last_round: SimTime,
 }
 
 impl SeqCore {
-    /// A fresh sequencer for a group of `n_members`.
+    /// A fresh sequencer for a group of `n_members`. Panics if
+    /// `config.resync_interval` is zero.
     pub fn new(n_members: usize, config: &GroupConfig) -> SeqCore {
+        assert!(
+            !config.resync_interval.is_zero(),
+            "resync_interval must be non-zero"
+        );
         SeqCore {
             bb_threshold: config.bb_threshold,
             history_max: config.history_max,
@@ -262,6 +272,8 @@ impl SeqCore {
             delivered: vec![0; n_members],
             pending_bb: HashSet::new(),
             overflow_drops: 0,
+            resync_interval: config.resync_interval,
+            last_round: SimTime::ZERO,
         }
     }
 
@@ -269,8 +281,9 @@ impl SeqCore {
     /// the store of the sequencer's own member: the data of a BB request
     /// (`ReqBb`), or of the held request a `BbData` frame may complete.
     /// Returns the sequence number assigned, if any; the outputs go to
-    /// `out` in order. Frames from outside the group are ignored, and
-    /// `Seq`/`Accept` are no sequencer business.
+    /// `out` in order; an assignment at `now` restarts the resync timer.
+    /// Frames from outside the group are ignored, and `Seq`/`Accept` are no
+    /// sequencer business.
     #[allow(clippy::too_many_arguments)] // the decoded header fields
     pub fn on_frame(
         &mut self,
@@ -281,9 +294,10 @@ impl SeqCore {
         piggyback: u64,
         body: Bytes,
         bb_data: impl FnOnce() -> Option<Bytes>,
+        now: SimTime,
         out: &mut Vec<Out>,
     ) -> Option<Assigned> {
-        match kind {
+        let assigned = match kind {
             Kind::Req => self.request(sender, msg_id, Some(body), piggyback, bb_data, out),
             Kind::ReqBb => self.request(sender, msg_id, None, piggyback, bb_data, out),
             Kind::BbData => self.bb_arrived(sender, msg_id, bb_data, out),
@@ -296,7 +310,11 @@ impl SeqCore {
                 None
             }
             Kind::Seq | Kind::Accept => None,
+        };
+        if assigned.is_some() {
+            self.last_round = now;
         }
+        assigned
     }
 
     /// A send request (`payload` is `None` for a BB announcement, whose
@@ -397,12 +415,28 @@ impl SeqCore {
         self.delivered.iter().copied().min().unwrap_or(0) + 1 < self.next_seq
     }
 
+    /// While some member lags, a resync round is due `resync_interval`
+    /// after the last assignment or round.
+    pub fn next_deadline(&self) -> Option<SimTime> {
+        self.lagging()
+            .then(|| self.last_round + self.resync_interval)
+    }
+
+    /// Runs the resync round if [`SeqCore::next_deadline`] has passed at
+    /// `now`; afterwards the deadline is `None` or later than `now`.
+    pub fn on_deadline(&mut self, now: SimTime, out: &mut Vec<Out>) {
+        if self.next_deadline().is_some_and(|d| d <= now) {
+            self.resync_round(out);
+            self.last_round = now;
+        }
+    }
+
     /// One resync round: resend missing history to each laggard, bounded by
     /// `retrans_chunk` and a per-member byte budget per round so the
     /// backstop can never flood the wire. The duplicates a wrong guess
-    /// causes prompt the member to report its true progress, which stops
-    /// the resync.
-    pub fn resync_round(&self, out: &mut Vec<Out>) {
+    /// causes make the member report its true progress, which stops the
+    /// resync.
+    fn resync_round(&self, out: &mut Vec<Out>) {
         let top = self.next_seq;
         for (m, &d) in self.delivered.iter().enumerate() {
             if d + 1 >= top {
@@ -534,9 +568,8 @@ pub struct MemberCore {
     sequencer: u32,
     bb_threshold: usize,
     status_interval: u64,
-    /// Resync is on: report progress promptly once caught up, and answer a
-    /// stale Seq/Accept with the true progress.
-    prompt: bool,
+    /// How long the member stays quiet while it owes the sequencer news.
+    quiet_period: SimDuration,
     next_msg_id: u64,
     next_deliver: u64,
     /// Sequenced messages waiting for their turn.
@@ -551,18 +584,25 @@ pub struct MemberCore {
     dedup_cap: usize,
     since_status: u64,
     last_status_at: SimTime,
+    /// When it last heard a frame with no gap open, or asked for a gap.
+    last_heard: SimTime,
     last_gap_request: u64,
 }
 
 impl MemberCore {
-    /// Member `me` of a group sequenced by member `sequencer`.
+    /// Member `me` of a group sequenced by member `sequencer`. Panics if
+    /// `config.resync_interval` is zero.
     pub fn new(me: u32, sequencer: u32, config: &GroupConfig) -> MemberCore {
+        assert!(
+            !config.resync_interval.is_zero(),
+            "resync_interval must be non-zero"
+        );
         MemberCore {
             me,
             sequencer,
             bb_threshold: config.bb_threshold,
             status_interval: config.status_interval,
-            prompt: !config.resync_interval.is_zero(),
+            quiet_period: config.resync_interval / 2,
             next_msg_id: 1,
             next_deliver: 1,
             ooo: BTreeMap::new(),
@@ -572,6 +612,7 @@ impl MemberCore {
             dedup_cap: config.history_max,
             since_status: 0,
             last_status_at: SimTime::ZERO,
+            last_heard: SimTime::ZERO,
             last_gap_request: 0,
         }
     }
@@ -606,9 +647,9 @@ impl MemberCore {
     /// ordering decision for a BB message (placed once its data is here),
     /// or BB data (kept until ordered). Other kinds are sequencer business.
     /// A Seq/Accept already delivered means the sequencer resent history
-    /// this member did not need: with resync on, the answer is a report of
-    /// the true progress, so the resync stops targeting this member — at
-    /// most one per millisecond, and it restarts the status interval.
+    /// this member did not need: the answer is a report of the true
+    /// progress, so the resync stops targeting this member — at most one
+    /// per millisecond, and it restarts the status interval.
     pub fn on_frame(
         &mut self,
         kind: Kind,
@@ -630,16 +671,18 @@ impl MemberCore {
             }
             Kind::Req | Kind::ReqBb | Kind::RetransReq | Kind::Status => true,
         };
+        // Traffic past an open gap is no news: the gap's deadline keeps
+        // running under it.
+        if !self.gap_open() {
+            self.last_heard = now;
+        }
         if fresh
-            || !self.prompt
             || self.me == self.sequencer
             || now.saturating_duration_since(self.last_status_at) < SimDuration::from_millis(1)
         {
             return None;
         }
-        self.since_status = 0;
-        self.last_status_at = now;
-        Some(self.status_wire())
+        Some(self.report(now))
     }
 
     /// The ordering decision for a BB message arrived; it is placed once
@@ -714,25 +757,56 @@ impl MemberCore {
     /// [`MemberCore::on_frame`] returned leaves before both.
     pub fn after_receive(&mut self, now: SimTime) -> impl Iterator<Item = Wire> {
         let status = self.status_due(now);
-        status.into_iter().chain(self.gap_request())
+        status.into_iter().chain(self.gap_request(now))
     }
 
-    /// If a gap is visible (buffered messages ahead of the next one to
-    /// deliver), asks the sequencer to fill it — once per gap position.
-    fn gap_request(&mut self) -> Option<Wire> {
+    /// If a gap is visible, asks the sequencer to fill it — once per gap
+    /// position.
+    fn gap_request(&mut self, now: SimTime) -> Option<Wire> {
         let next = self.next_deliver;
-        let has_ahead = self.ooo.keys().next().is_some_and(|&k| k > next)
-            || self.accepts.keys().next().is_some_and(|&k| k > next);
-        if has_ahead && self.last_gap_request < next && self.me != self.sequencer {
+        if self.gap_open() && self.last_gap_request < next && self.me != self.sequencer {
             self.last_gap_request = next;
+            self.last_heard = now;
             Some(self.retrans_wire())
         } else {
             None
         }
     }
 
-    /// An unconditional retransmission request from the next message on.
-    pub fn retrans_wire(&self) -> Wire {
+    /// Buffered messages wait ahead of the next one to deliver.
+    fn gap_open(&self) -> bool {
+        let next = self.next_deliver;
+        self.ooo.keys().next().is_some_and(|&k| k > next)
+            || self.accepts.keys().next().is_some_and(|&k| k > next)
+    }
+
+    /// When this member next speaks up unasked: while it owes the sequencer
+    /// news (deliveries it has not reported, or an open gap), once it has
+    /// heard nothing and said nothing for half a `resync_interval` — frames
+    /// that arrive while a gap stays open do not count as heard. `None`
+    /// while it owes nothing; the sequencer's own member never does.
+    pub fn next_deadline(&self) -> Option<SimTime> {
+        let owes = self.since_status > 0 || self.gap_open();
+        (owes && self.me != self.sequencer).then(|| self.last_heard + self.quiet_period)
+    }
+
+    /// If [`MemberCore::next_deadline`] has passed at `now`: a retransmission
+    /// request if a gap is open, otherwise a progress report. Afterwards the
+    /// deadline is `None` or later than `now`.
+    pub fn on_deadline(&mut self, now: SimTime) -> Option<Wire> {
+        if self.next_deadline()? > now {
+            return None;
+        }
+        self.last_heard = now;
+        Some(if self.gap_open() {
+            self.retrans_wire()
+        } else {
+            self.report(now)
+        })
+    }
+
+    /// A retransmission request from the next message on.
+    fn retrans_wire(&self) -> Wire {
         Wire {
             kind: Kind::RetransReq,
             seq: self.next_deliver,
@@ -741,25 +815,18 @@ impl MemberCore {
     }
 
     /// A progress report is due when `status_interval` deliveries have
-    /// passed or — with resync on — as soon as the member is fully caught
-    /// up (at most every 10 ms): without the prompt report an idle stretch
-    /// makes the sequencer believe members lag and its resync resends
-    /// history nobody needs. The sequencer's own member never reports.
+    /// passed; the rest are reported on the deadline. The sequencer's own
+    /// member never reports.
     fn status_due(&mut self, now: SimTime) -> Option<Wire> {
-        if self.me == self.sequencer {
-            return None;
-        }
-        let prompt_due = self.prompt
-            && self.backlog() == 0
-            && self.since_status > 0
-            && now.saturating_duration_since(self.last_status_at) >= SimDuration::from_millis(10);
-        if self.since_status >= self.status_interval || prompt_due {
-            self.since_status = 0;
-            self.last_status_at = now;
-            Some(self.status_wire())
-        } else {
-            None
-        }
+        (self.me != self.sequencer && self.since_status >= self.status_interval)
+            .then(|| self.report(now))
+    }
+
+    /// A progress report sent at `now`: it restarts the status interval.
+    fn report(&mut self, now: SimTime) -> Wire {
+        self.since_status = 0;
+        self.last_status_at = now;
+        self.status_wire()
     }
 
     /// A progress report.
@@ -778,12 +845,6 @@ impl MemberCore {
     /// Highest sequence number delivered so far.
     pub fn delivered(&self) -> u64 {
         self.next_deliver - 1
-    }
-
-    /// Sequenced-but-undeliverable messages currently buffered (non-zero
-    /// implies a gap).
-    pub fn backlog(&self) -> usize {
-        self.ooo.len() + self.accepts.len()
     }
 
     /// BB data held for `(sender, msg_id)`, if any.

@@ -11,12 +11,17 @@
 //! sequencer sees member 0 only through the multicast loopback and refreshes
 //! its progress before every frame.
 //!
+//! Time reaches the cores only through their deadlines: the script may call
+//! a core's `on_deadline` (which acts only once its `next_deadline` has
+//! passed), and healing moves the clock from one earliest deadline to the
+//! next, as the shells' blocked threads do.
+//!
 //! This is the evidence that the harness reaches the `trim_history` bug
-//! (ROADMAP item 1: forgetting which `(sender, msg_id)` were sequenced when
-//! their history entry is trimmed): against the core as first extracted,
-//! where `trim_history` still removed the `seen` entry along with the
-//! history entry, `interleavings_keep_one_total_order` fails within 0.1 s
-//! with "(0, 4) sequenced twice".
+//! (forgetting which `(sender, msg_id)` were sequenced when their history
+//! entry is trimmed): against the core as first extracted, where
+//! `trim_history` still removed the `seen` entry along with the history
+//! entry, `interleavings_keep_one_total_order` fails within 0.1 s with
+//! "(0, 4) sequenced twice".
 
 use std::collections::HashMap;
 
@@ -29,12 +34,19 @@ use proptest::prelude::*;
 const MEMBERS: u32 = 3;
 const BB_THRESHOLD: usize = 16;
 const HISTORY_MAX: usize = 16;
+const RETRANS_CHUNK: u64 = 4;
+/// Deadline steps within which [`World::heal`] must converge: a laggard is
+/// at most `HISTORY_MAX` messages behind and one resync round resends
+/// `RETRANS_CHUNK` of them, and a round aimed at progress the sequencer has
+/// not heard of yet may be wasted, so twice that many rounds. (4000 cases
+/// of `interleavings_keep_one_total_order` needed at most 2.)
+const HEAL_STEPS: usize = 2 * HISTORY_MAX / RETRANS_CHUNK as usize;
 
 fn config() -> GroupConfig {
     GroupConfig {
         bb_threshold: BB_THRESHOLD,
         history_max: HISTORY_MAX,
-        retrans_chunk: 4,
+        retrans_chunk: RETRANS_CHUNK,
         status_interval: 3,
         resync_interval: SimDuration::from_millis(40),
         ..GroupConfig::default()
@@ -120,12 +132,41 @@ impl World {
         }
     }
 
+    /// User style: the sequencer thread reads member 0's progress before
+    /// each frame and before it waits for its deadline.
+    fn refresh(&mut self) {
+        if !self.kernel_style {
+            self.seq.status(0, self.members[0].delivered());
+        }
+    }
+
+    /// Checks a sequencer step's assignments against the reference order
+    /// and returns its wires.
+    fn sequenced(&mut self, outs: Vec<Out>) -> Vec<Wire> {
+        let mut wires = Vec::new();
+        for out in outs {
+            match out {
+                Out::Note(Note::SeqAssign {
+                    seq,
+                    sender,
+                    msg_id,
+                }) => {
+                    self.order.push((sender, msg_id));
+                    assert_eq!(seq, self.order.len() as u64, "seq numbers are contiguous");
+                    let again = self.assigned.insert((sender, msg_id), seq);
+                    assert_eq!(again, None, "({sender}, {msg_id}) sequenced twice");
+                }
+                Out::Note(_) => {}
+                Out::Wire(w) => wires.push(w),
+            }
+        }
+        wires
+    }
+
     fn arrive(&mut self, dest: Dest, w: Wire) {
         match dest {
             Dest::Sequencer => {
-                if !self.kernel_style {
-                    self.seq.status(0, self.members[0].delivered());
-                }
+                self.refresh();
                 let mut outs = Vec::new();
                 let member0 = &self.members[0];
                 let bb_data = || member0.bb_data(w.sender, w.msg_id);
@@ -137,23 +178,11 @@ impl World {
                     w.piggyback,
                     w.payload.clone(),
                     bb_data,
+                    self.now,
                     &mut outs,
                 );
-                for out in outs {
-                    match out {
-                        Out::Note(Note::SeqAssign {
-                            seq,
-                            sender,
-                            msg_id,
-                        }) => {
-                            self.order.push((sender, msg_id));
-                            assert_eq!(seq, self.order.len() as u64, "seq numbers are contiguous");
-                            let again = self.assigned.insert((sender, msg_id), seq);
-                            assert_eq!(again, None, "({sender}, {msg_id}) sequenced twice");
-                        }
-                        Out::Note(_) => {}
-                        Out::Wire(w) => self.launch(w),
-                    }
+                for w in self.sequenced(outs) {
+                    self.launch(w);
                 }
                 if self.kernel_style {
                     // The sequencer's own copy delivers in the same handler.
@@ -206,9 +235,67 @@ impl World {
         wires.into_iter().for_each(|w| self.launch(w));
     }
 
-    /// One scripted step; `a` and `b` select the member / frame it acts on.
+    /// The sequencer's resync round, if its deadline has passed.
+    fn seq_deadline(&mut self) -> Vec<Wire> {
+        self.refresh();
+        let mut outs = Vec::new();
+        self.seq.on_deadline(self.now, &mut outs);
+        self.sequenced(outs)
+    }
+
+    /// Every core whose deadline has passed acts on it; returns (and
+    /// launches) what they sent.
+    fn pass_deadlines(&mut self) -> Vec<Wire> {
+        let mut wires = self.seq_deadline();
+        for member in &mut self.members {
+            wires.extend(member.on_deadline(self.now));
+        }
+        wires.iter().for_each(|w| self.launch(w.clone()));
+        wires
+    }
+
+    /// The earliest deadline of any core.
+    fn next_deadline(&mut self) -> Option<SimTime> {
+        self.refresh();
+        let members = self.members.iter().map(MemberCore::next_deadline);
+        members.chain([self.seq.next_deadline()]).flatten().min()
+    }
+
+    /// Moves the clock to the earliest deadline, if any core has one, and
+    /// lets every core act on it.
+    fn advance_to_deadline(&mut self) -> Vec<Wire> {
+        match self.next_deadline() {
+            Some(t) => {
+                self.now = self.now.max(t);
+                self.pass_deadlines()
+            }
+            None => Vec::new(),
+        }
+    }
+
+    /// Every frame in flight arrives, oldest first, with no loss.
+    fn flush(&mut self) {
+        while !self.flight.is_empty() {
+            let (dest, w) = self.flight.remove(0);
+            self.arrive(dest, w);
+        }
+    }
+
+    /// Every send made so far is sequenced and delivered everywhere.
+    fn all_delivered(&self) -> bool {
+        self.outstanding.iter().all(Vec::is_empty)
+            && self.logs.iter().all(|&n| n == self.order.len())
+    }
+
+    /// One scripted step: the clock moves, then `act`.
     fn step(&mut self, op: u8, a: u64, b: u64) {
         self.now += SimDuration::from_millis(b % 12);
+        self.act(op, a, b);
+    }
+
+    /// One scripted action; `a` and `b` select the member / frame it acts
+    /// on.
+    fn act(&mut self, op: u8, a: u64, b: u64) {
         let m = (a % u64::from(MEMBERS)) as usize;
         let pick = (!self.flight.is_empty()).then(|| (a as usize) % self.flight.len().max(1));
         match op % 16 {
@@ -249,19 +336,17 @@ impl World {
                 }
             }
             7 => self.launch(status(&self.members[m], m as u32)),
-            8 => self.launch(self.members[m].retrans_wire()), // kernel `recv` poll
-            // Idle: only the clock moves, so throttles can lapse.
+            // A member's deadline (the blocked receive that waits for it).
+            8 => {
+                if let Some(w) = self.members[m].on_deadline(self.now) {
+                    self.launch(w);
+                }
+            }
+            // Idle: only the clock moves.
             9 => {}
             10 => {
-                let mut outs = Vec::new();
-                if !self.kernel_style {
-                    self.seq.status(0, self.members[0].delivered());
-                }
-                self.seq.resync_round(&mut outs);
-                for out in outs {
-                    if let Out::Wire(w) = out {
-                        self.launch(w);
-                    }
+                for w in self.seq_deadline() {
+                    self.launch(w);
                 }
             }
             _ => {
@@ -278,28 +363,30 @@ impl World {
         );
     }
 
-    /// The network heals: senders retry, the sequencer resyncs, members
-    /// report, nothing is lost. Everything sent must end up sequenced once
-    /// and delivered everywhere.
+    /// The network heals: nothing is lost any more, senders retry (the
+    /// shells' send loop), and time moves only from one core deadline to
+    /// the next. Everything sent must end up sequenced once and delivered
+    /// everywhere, and every core must fall silent, within [`HEAL_STEPS`]
+    /// deadline steps.
     fn heal(&mut self) {
-        for _ in 0..64 {
+        let mut steps = 0;
+        loop {
             for m in 0..MEMBERS as usize {
                 for (req, bb) in self.outstanding[m].clone() {
                     bb.into_iter().for_each(|bb| self.launch(bb));
                     self.launch(req);
                 }
-                self.launch(status(&self.members[m], m as u32));
             }
-            self.step(10, 0, 11);
-            while !self.flight.is_empty() {
-                let (dest, w) = self.flight.remove(0);
-                self.arrive(dest, w);
-            }
-            let done = self.outstanding.iter().all(Vec::is_empty)
-                && self.logs.iter().all(|&n| n == self.order.len());
-            if done && !self.seq.lagging() {
+            self.flush();
+            if self.all_delivered() && self.next_deadline().is_none() {
                 break;
             }
+            assert!(
+                steps < HEAL_STEPS,
+                "not healed after {HEAL_STEPS} deadline steps"
+            );
+            self.advance_to_deadline();
+            steps += 1;
         }
         for &(sender, msg_id, _) in &self.sent {
             assert!(
@@ -313,16 +400,43 @@ impl World {
         assert_eq!(self.seq.history_len(), 0, "acknowledged history is trimmed");
         assert_eq!(self.seq.overflow_drops(), 0);
     }
+
+    /// Everything is delivered: passing every deadline lets each member
+    /// report at most once and sends nothing else, and then no core has a
+    /// deadline left.
+    fn quiesce(&mut self) {
+        assert!(self.flight.is_empty() && self.all_delivered());
+        let mut reports = [0; MEMBERS as usize];
+        for _ in 0..=MEMBERS {
+            for w in self.advance_to_deadline() {
+                assert_eq!(
+                    w.kind,
+                    Kind::Status,
+                    "a delivered group only reports: {w:?}"
+                );
+                reports[w.sender as usize] += 1;
+                assert!(
+                    reports[w.sender as usize] <= 1,
+                    "member {} reported twice",
+                    w.sender
+                );
+            }
+            self.flush();
+        }
+        assert_eq!(self.next_deadline(), None, "a delivered group falls silent");
+        assert!(!self.seq.lagging());
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
     /// Random interleavings of request / duplicate / loss / reorder / sender
-    /// retransmit / retrans-request / status / idle / resync keep: at most
-    /// one seq per `(sender, msg_id)`, gap-free identical delivery at every
-    /// member, bounded history and dedup state — and once the network
-    /// heals, everything sent is delivered everywhere exactly once.
+    /// retransmit / status / idle / member and sequencer deadlines keep: at
+    /// most one seq per `(sender, msg_id)`, gap-free identical delivery at
+    /// every member, bounded history and dedup state — and once the network
+    /// heals, everything sent is delivered everywhere exactly once within
+    /// [`HEAL_STEPS`] deadline steps (bounded repair).
     #[test]
     fn interleavings_keep_one_total_order(
         kernel_style in any::<bool>(),
@@ -333,6 +447,35 @@ proptest! {
             world.step(op, a, b);
         }
         world.heal();
+    }
+
+    /// Quiescence: with no loss (but duplicates and any delivery order),
+    /// whenever everything is delivered, passing every deadline sends at
+    /// most one progress report per member, no retransmission request and
+    /// no resend, and leaves no core with a deadline. The clock moves only
+    /// while nothing is in flight.
+    #[test]
+    fn a_delivered_group_falls_silent(
+        kernel_style in any::<bool>(),
+        script in proptest::collection::vec((any::<u8>(), any::<u64>(), any::<u64>()), 0..300),
+    ) {
+        let mut world = World::new(kernel_style);
+        for (op, a, b) in script {
+            match op % 8 {
+                // Send, sender retransmit, duplicate, deliver.
+                0 => world.act(0, a, b),
+                1 => world.act(3, a, b),
+                2 => world.act(5, a, b),
+                3..=6 => world.act(11, a, b),
+                _ => {
+                    world.flush();
+                    world.quiesce();
+                    world.now += SimDuration::from_millis(b % 200);
+                }
+            }
+        }
+        world.flush();
+        world.quiesce();
     }
 
     /// Hostile header fields cannot panic either core: any kind, any member
@@ -365,16 +508,22 @@ proptest! {
             now += SimDuration::from_millis(seqno % 5);
             let mut outs = Vec::new();
             let bb_data = || members[0].bb_data(sender, msg_id);
-            let assigned =
-                seq.on_frame(kind, sender, msg_id, seqno, piggyback, body.clone(), bb_data, &mut outs);
+            let assigned = seq.on_frame(
+                kind, sender, msg_id, seqno, piggyback, body.clone(), bb_data, now, &mut outs,
+            );
             if let (true, Some(a)) = (kernel_style, assigned) {
                 members[0].place_own(a.seq, sender, msg_id, a.payload);
             }
-            seq.resync_round(&mut outs);
-            let _ = seq.lagging();
+            // Every deadline is passed at once, so each frame meets them.
+            if let Some(t) = seq.next_deadline() {
+                seq.on_deadline(t.max(now), &mut outs);
+            }
             for member in &mut members {
                 let stale = member.on_frame(kind, seqno, sender, msg_id, body.clone(), now);
                 let _ = drain(member, stale, now);
+                if let Some(t) = member.next_deadline() {
+                    let _ = member.on_deadline(t.max(now));
+                }
             }
             for out in outs {
                 if let Out::Wire(w) = out {
@@ -397,7 +546,17 @@ fn an_abandoned_message_cannot_grow_the_dedup_state() {
     let mut outs = Vec::new();
     let req = |seq: &mut SeqCore, msg_id, outs: &mut Vec<Out>| {
         let body = body(1, msg_id, false);
-        seq.on_frame(Kind::Req, 1, msg_id, 0, 0, body, || None, outs)
+        seq.on_frame(
+            Kind::Req,
+            1,
+            msg_id,
+            0,
+            0,
+            body,
+            || None,
+            SimTime::ZERO,
+            outs,
+        )
     };
     // msg 1 is lost on the way; 2.. arrive.
     for msg_id in 2..200 {
@@ -417,4 +576,67 @@ fn an_abandoned_message_cannot_grow_the_dedup_state() {
         "still known as sequenced"
     );
     assert!(outs.is_empty(), "trimmed duplicates are dropped silently");
+}
+
+/// The group's one timer has no "off": a zero `resync_interval` would make
+/// every deadline due at once, forever.
+#[test]
+#[should_panic(expected = "resync_interval must be non-zero")]
+fn a_zero_resync_interval_is_rejected_by_the_sequencer() {
+    let cfg = GroupConfig {
+        resync_interval: SimDuration::ZERO,
+        ..config()
+    };
+    let _ = SeqCore::new(MEMBERS as usize, &cfg);
+}
+
+/// As [`a_zero_resync_interval_is_rejected_by_the_sequencer`], for a member.
+#[test]
+#[should_panic(expected = "resync_interval must be non-zero")]
+fn a_zero_resync_interval_is_rejected_by_a_member() {
+    let cfg = GroupConfig {
+        resync_interval: SimDuration::ZERO,
+        ..config()
+    };
+    let _ = MemberCore::new(1, 0, &cfg);
+}
+
+/// A member whose first retransmission request is lost asks again every
+/// half `resync_interval` while the gap stays open, even though sequenced
+/// traffic keeps arriving past the gap: that traffic does not restart its
+/// deadline. (The sequencer's own deadline cannot help here: every new
+/// assignment restarts it.)
+#[test]
+fn a_lost_gap_request_is_repeated_under_sustained_traffic() {
+    let cfg = config();
+    let mut member = MemberCore::new(1, 0, &cfg);
+    let mut now = SimTime::ZERO;
+    let mut asked = Vec::new();
+    // Seq 1 is lost; seqs 2..=41 arrive every 5 ms.
+    for seq in 2..42 {
+        now += SimDuration::from_millis(5);
+        // The shell's blocked receive passes every deadline on the way.
+        while let Some(t) = member.next_deadline().filter(|&t| t <= now) {
+            asked.extend(member.on_deadline(t).map(|w| (t, w)));
+        }
+        let stale = member.on_frame(Kind::Seq, seq, 2, seq, body(2, seq, false), now);
+        let own: Vec<Wire> = drain(&mut member, stale, now).1;
+        if seq == 2 {
+            // The immediate request for the gap; it is lost.
+            assert_eq!(own.len(), 1);
+            assert_eq!((own[0].kind, own[0].seq), (Kind::RetransReq, 1));
+        } else {
+            assert!(own.is_empty(), "once per gap position");
+        }
+    }
+    assert_eq!(member.delivered(), 0);
+    let quiet = cfg.resync_interval / 2;
+    let times: Vec<SimTime> = asked.iter().map(|(t, _)| *t).collect();
+    let expect: Vec<SimTime> = (1..=9)
+        .map(|k| SimTime::ZERO + SimDuration::from_millis(5) + quiet * k)
+        .collect();
+    assert_eq!(times, expect, "asked again every half resync_interval");
+    for (_, w) in &asked {
+        assert_eq!((w.kind, w.seq, w.to), (Kind::RetransReq, 1, To::Sequencer));
+    }
 }

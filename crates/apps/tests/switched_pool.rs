@@ -24,11 +24,11 @@ fn asp_on_three_switched_segments_is_pinned() {
     for (imp, expected) in [
         (
             ProtoImpl::KernelSpace,
-            (506_450_900, 413, 99_552, 0xa707_9f39_4117_e86a),
+            (506_450_900, 452, 104_622, 0xa707_9f39_4117_e86a),
         ),
         (
             ProtoImpl::UserSpace,
-            (920_959_580, 1816, 261_540, 0xa707_9f39_4117_e86a),
+            (540_073_340, 447, 100_134, 0xa707_9f39_4117_e86a),
         ),
     ] {
         let r = apps::asp::run(&RunConfig::new(NODES, imp, 7), &params);

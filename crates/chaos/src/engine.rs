@@ -83,7 +83,6 @@ impl ChaosConfig {
             group_send_retries: 24,
             group_resync_interval: SimDuration::from_millis(40),
             group_status_interval: 8,
-            kernel_group_resync_interval: SimDuration::from_millis(40),
             ..PandaConfig::default()
         }
     }

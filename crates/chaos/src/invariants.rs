@@ -264,7 +264,9 @@ pub fn check(art: &RunArtifacts) -> Vec<String> {
     }
 
     // 7. Zero-fault discipline: a null plan must leave the network spotless
-    //    and the recovery machinery untouched.
+    //    and the recovery machinery untouched, the sequencer's resync rounds
+    //    included (they are not part of `recovery_traffic`, whose meaning
+    //    the benchmark freezes).
     if art.plan_is_null {
         let drops = art.stats.wire_drops
             + art.stats.rx_drops
@@ -281,6 +283,12 @@ pub fn check(art: &RunArtifacts) -> Vec<String> {
         if recovery > 0 {
             v.push(format!(
                 "null plan but recovery machinery engaged ({recovery} events)"
+            ));
+        }
+        let resyncs = counter(&art.counters, Layer::Group, "resync");
+        if resyncs > 0 {
+            v.push(format!(
+                "null plan but the sequencer resynced ({resyncs} rounds)"
             ));
         }
     }
@@ -351,6 +359,29 @@ mod tests {
     fn interleaved_monotone_processors_pass() {
         let art = artifacts(|procs, thread| events(procs, thread, &INTERLEAVED));
         assert_eq!(check(&art), Vec::<String>::new());
+    }
+
+    #[test]
+    fn a_resync_round_on_a_null_plan_is_a_violation() {
+        let mut on = Vec::new();
+        let mut art = artifacts(|procs, thread| {
+            on.extend(procs);
+            events(procs, thread, &INTERLEAVED)
+        });
+        art.plan_is_null = true;
+        assert_eq!(check(&art), Vec::<String>::new());
+        let resync = |proc| CounterSnapshot {
+            proc,
+            layer: Layer::Group,
+            name: "resync",
+            count: 1,
+            total: 0,
+        };
+        art.counters = vec![resync(on[0]), resync(on[1])];
+        assert_eq!(
+            check(&art),
+            ["null plan but the sequencer resynced (2 rounds)"]
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::core::{ThreadId, WakeStatus};
-use crate::time::SimDuration;
+use crate::time::{SimDuration, SimTime};
 use crate::Ctx;
 
 /// Error returned by [`SimChannel::send`] when the channel is closed.
@@ -28,7 +28,8 @@ impl<T> fmt::Display for SendError<T> {
 
 impl<T: fmt::Debug> std::error::Error for SendError<T> {}
 
-/// Error returned by [`SimChannel::recv_timeout`].
+/// Error returned by [`SimChannel::recv_until`] and
+/// [`SimChannel::recv_timeout`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecvTimeoutError {
     /// The timeout elapsed before a message arrived.
@@ -178,35 +179,28 @@ impl<T> SimChannel<T> {
     ///
     /// Returns `None` once the channel is closed and drained.
     pub fn recv(&self, ctx: &Ctx) -> Option<T> {
-        let me = ctx.thread_id();
-        loop {
-            let mut inner = self.inner.lock();
-            if let Some(v) = inner.queue.pop_front() {
-                return Some(v);
-            }
-            if inner.closed {
-                return None;
-            }
-            let mut core = ctx.core().state.lock();
-            let wid = core.prepare_block(me, "chan.recv");
-            inner.recv_waiters.push_back((me, wid));
-            drop(inner);
-            if ctx.yield_blocked(core) == WakeStatus::Shutdown {
-                ctx.shutdown_unwind();
-                return None; // benign value for unwinding destructors
-            }
-        }
+        self.recv_until(ctx, None).ok()
     }
 
     /// Receives the next message, waiting at most `timeout`.
     ///
     /// # Errors
     ///
+    /// As [`SimChannel::recv_until`].
+    pub fn recv_timeout(&self, ctx: &Ctx, timeout: SimDuration) -> Result<T, RecvTimeoutError> {
+        self.recv_until(ctx, Some(ctx.now() + timeout))
+    }
+
+    /// Receives the next message, waiting until `deadline` at the latest
+    /// (`None`: as long as it takes; a deadline already passed times out at
+    /// once unless a message is queued).
+    ///
+    /// # Errors
+    ///
     /// [`RecvTimeoutError::Timeout`] if nothing arrived in time,
     /// [`RecvTimeoutError::Closed`] if the channel is closed and drained.
-    pub fn recv_timeout(&self, ctx: &Ctx, timeout: SimDuration) -> Result<T, RecvTimeoutError> {
+    pub fn recv_until(&self, ctx: &Ctx, deadline: Option<SimTime>) -> Result<T, RecvTimeoutError> {
         let me = ctx.thread_id();
-        let deadline = ctx.now() + timeout;
         loop {
             let mut inner = self.inner.lock();
             if let Some(v) = inner.queue.pop_front() {
@@ -216,14 +210,16 @@ impl<T> SimChannel<T> {
                 return Err(RecvTimeoutError::Closed);
             }
             let mut core = ctx.core().state.lock();
-            if core.now >= deadline {
+            if deadline.is_some_and(|d| core.now >= d) {
                 // Deregister: a leftover entry would swallow a future
                 // sender's wake and starve a live receiver.
                 inner.recv_waiters.retain(|(t, _)| *t != me);
                 return Err(RecvTimeoutError::Timeout);
             }
-            let wid = core.prepare_block(me, "chan.recv_timeout");
-            core.schedule_wake(deadline, me, wid);
+            let wid = core.prepare_block(me, "chan.recv");
+            if let Some(d) = deadline {
+                core.schedule_wake(d, me, wid);
+            }
             inner.recv_waiters.push_back((me, wid));
             drop(inner);
             if ctx.yield_blocked(core) == WakeStatus::Shutdown {
@@ -307,6 +303,22 @@ mod tests {
             let r = ch.recv_timeout(ctx, us(100));
             assert_eq!(r, Ok(9));
             assert_eq!(ctx.now().as_micros_f64(), 30.0);
+        });
+        sim.run_until_finished(&h).expect("run");
+    }
+
+    #[test]
+    fn recv_until_a_passed_deadline_returns_queued_messages_first() {
+        let mut sim = Simulation::new(1);
+        let cpu = sim.add_processor("m0");
+        let ch = SimChannel::new();
+        let h = sim.spawn(cpu, "t", move |ctx| {
+            ctx.sleep(us(10));
+            let passed = Some(SimTime::ZERO);
+            ch.send(ctx, 7u8).expect("open");
+            assert_eq!(ch.recv_until(ctx, passed), Ok(7));
+            assert_eq!(ch.recv_until(ctx, passed), Err(RecvTimeoutError::Timeout));
+            assert_eq!(ctx.now().as_micros_f64(), 10.0);
         });
         sim.run_until_finished(&h).expect("run");
     }

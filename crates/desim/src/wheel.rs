@@ -2,7 +2,7 @@
 //! [`crate::queue::EventQueue`].
 //!
 //! The far tier holds every event strictly later than the instant the clock
-//! sits at. At fleet scale (ROADMAP item 1: 10k machines) that is thousands
+//! sits at. At fleet scale (10k machines) that is thousands
 //! of pending exponential think-time timers and wire-propagation sleeps per
 //! lane, and the old `BinaryHeap` paid an `O(log n)` sift over a
 //! cache-hostile array on every one of them. The wheel makes the push and

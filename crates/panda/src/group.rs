@@ -10,21 +10,21 @@
 //! evolve (the paper's Section 6 argument).
 //!
 //! This file is the user-space *placement*: the 40-byte Panda header, the
-//! receive-daemon upcall that runs the member core, the sequencer thread
-//! that runs the sequencer core (reaching its own member only through the
+//! receive-daemon upcall that runs the member core (the daemon also waits
+//! for its deadline), the sequencer thread that runs the sequencer core and
+//! waits for its deadline (reaching its own member only through the
 //! multicast loopback), the user-level CPU charges, and the nonblocking send.
 //! The send loop is the kernel's ([`amoeba::group::Sending`]).
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use amoeba::group::core::{Delivery, Kind, MemberCore, Note, Out, SeqCore, To, Wire};
-use amoeba::group::{trace_note, Sending};
+use amoeba::group::core::{Delivery, Kind, MemberCore, Out, SeqCore, To, Wire};
+use amoeba::group::{trace_note, trace_retrans_req, Sending};
 use amoeba::GroupConfig;
 use bytes::Bytes;
 use desim::trace::{Layer, Phase};
-use desim::{Ctx, On, RecvTimeoutError, SimChannel, Simulation};
+use desim::{Ctx, On, RecvTimeoutError, SimChannel, SimTime, Simulation};
 use parking_lot::Mutex;
 
 use crate::system::{Module, PandaHeader, SysLayer};
@@ -50,10 +50,6 @@ pub struct UserGroup {
     handler: Mutex<Option<GroupHandler>>,
     /// Present only on the sequencer node: feed to the sequencer thread.
     seq_chan: Option<SimChannel<SeqWork>>,
-    /// Sequencer node only: local delivery progress, written by the receive
-    /// daemon and read by the sequencer thread (cheaper than fake work
-    /// items for self-reporting).
-    local_delivered: AtomicU64,
 }
 
 impl fmt::Debug for UserGroup {
@@ -66,8 +62,8 @@ impl fmt::Debug for UserGroup {
 }
 
 impl UserGroup {
-    /// Creates the group module on `sys`, registering its upcall. If this
-    /// node is the sequencer, the sequencer thread is spawned here.
+    /// Creates the group module on `sys` and installs it there. If this node
+    /// is the sequencer, the sequencer thread is spawned here.
     pub fn start(
         sim: &mut Simulation,
         sys: Arc<SysLayer>,
@@ -88,12 +84,8 @@ impl UserGroup {
             config,
             handler: Mutex::new(None),
             seq_chan: seq_chan.clone(),
-            local_delivered: AtomicU64::new(0),
         });
-        let upcall_group = Arc::clone(&group);
-        sys.set_group_upcall(Arc::new(move |ctx, header, body| {
-            upcall_group.upcall(ctx, header, body);
-        }));
+        sys.set_group(Arc::clone(&group));
         if let Some(chan) = seq_chan {
             let seq_group = Arc::clone(&group);
             sim.spawn_daemon_on_lane(
@@ -115,15 +107,11 @@ impl UserGroup {
         *self.handler.lock() = Some(handler);
     }
 
-    /// Number of buffered not-yet-deliverable messages (diagnostics).
-    pub fn backlog(&self) -> usize {
-        self.member.lock().backlog()
-    }
-
     /// Sends one core output in the Panda wire format. Only the sending
     /// member's data multicast pays Panda's fragmentation layer: the
     /// sequencer orders at fragment level (paper, Section 4.3).
     fn transmit(&self, ctx: &Ctx, w: &Wire) {
+        trace_retrans_req(ctx, w);
         let header = PandaHeader {
             module: Module::Group,
             kind: w.kind.to_byte(),
@@ -226,7 +214,7 @@ impl UserGroup {
     /// The sequencer: an ordinary user thread fed by the receive daemon.
     /// The user placement: it owns the sequencer core outright, sees its
     /// own member only through the multicast loopback (and the member's BB
-    /// store), and doubles as the resync timer.
+    /// store), and waits for the core's resync deadline.
     fn sequencer_thread(&self, ctx: &Ctx, chan: SimChannel<SeqWork>) {
         let cost = self.sys.machine().cost().clone();
         let dispatch_charge = if self.dedicated {
@@ -237,27 +225,18 @@ impl UserGroup {
         let mut seq = SeqCore::new(self.n_members as usize, &self.config);
         let mut outs = Vec::new();
         loop {
-            // Refresh our own member's progress from the receive daemon.
-            seq.status(
-                self.sys.node(),
-                self.local_delivered.load(Ordering::Relaxed),
-            );
-            let work = if seq.lagging() {
-                match chan.recv_timeout(ctx, self.config.resync_interval) {
-                    Ok(w) => Some(w),
-                    Err(RecvTimeoutError::Timeout) => None,
-                    Err(RecvTimeoutError::Closed) => return,
+            // Work first: a round is due only once no work item waits.
+            let work = chan.recv_until(ctx, seq.next_deadline());
+            // Our own member's progress, as the receive daemon left it.
+            seq.status(self.sys.node(), self.member.lock().delivered());
+            let (kind, header, body) = match work {
+                Ok(w) => w,
+                Err(RecvTimeoutError::Timeout) => {
+                    seq.on_deadline(ctx.now(), &mut outs);
+                    self.replay(ctx, &mut outs);
+                    continue;
                 }
-            } else {
-                match chan.recv(ctx) {
-                    Some(w) => Some(w),
-                    None => return,
-                }
-            };
-            let Some((kind, header, body)) = work else {
-                seq.resync_round(&mut outs);
-                self.replay(ctx, &mut outs);
-                continue;
+                Err(RecvTimeoutError::Closed) => return,
             };
             // Dispatch from the interrupt path to this thread: the paper's
             // 110 us (60 us when this machine is a dedicated sequencer), paid
@@ -274,23 +253,19 @@ impl UserGroup {
             let (sender, msg_id) = (header.src, header.msg_id);
             let bb_data = || self.member.lock().bb_data(sender, msg_id);
             // No own copy to place: the member gets the multicast.
+            let now = ctx.now();
             seq.on_frame(
-                kind, sender, msg_id, header.a, header.b, body, bb_data, &mut outs,
+                kind, sender, msg_id, header.a, header.b, body, bb_data, now, &mut outs,
             );
             self.replay(ctx, &mut outs);
         }
     }
 
     /// Replays a sequencer step in order: trace the notes, send the wires
-    /// (each send blocks this thread in virtual time). Resync rounds are
-    /// not traced on this stack: this sequencer can resync after the last
-    /// delivery of a fault-free run (its view of the members' final
-    /// progress is stale), which the clean-network check in
-    /// `tests/fault_injection.rs` would count as recovery traffic.
+    /// (each send blocks this thread in virtual time).
     fn replay(&self, ctx: &Ctx, outs: &mut Vec<Out>) {
         for out in outs.drain(..) {
             match out {
-                Out::Note(Note::Resync { .. }) => {}
                 Out::Note(note) => trace_note(ctx, &note),
                 Out::Wire(w) => self.transmit(ctx, &w),
             }
@@ -299,8 +274,21 @@ impl UserGroup {
 
     // -- member-side receive path ------------------------------------------
 
+    /// The member's deadline (the receive daemon waits for it).
+    pub(crate) fn next_deadline(&self) -> Option<SimTime> {
+        self.member.lock().next_deadline()
+    }
+
+    /// Sends the member's own frame if its deadline has passed.
+    pub(crate) fn on_deadline(&self, ctx: &Ctx) {
+        let due = self.member.lock().on_deadline(ctx.now());
+        if let Some(w) = due {
+            self.transmit(ctx, &w);
+        }
+    }
+
     /// System-layer upcall for group traffic (receive daemon thread).
-    fn upcall(&self, ctx: &Ctx, header: PandaHeader, body: Bytes) {
+    pub(crate) fn upcall(&self, ctx: &Ctx, header: PandaHeader, body: Bytes) {
         let Some(kind) = Kind::from_byte(header.kind) else {
             return;
         };
@@ -319,8 +307,6 @@ impl UserGroup {
             let stale = member.on_frame(kind, header.a, header.src, header.msg_id, body, ctx.now());
             let deliveries: Vec<Delivery> =
                 std::iter::from_fn(|| member.pop_deliverable()).collect();
-            self.local_delivered
-                .store(member.delivered(), Ordering::Relaxed);
             (stale, deliveries)
         };
         if kind == Kind::BbData {

@@ -79,7 +79,7 @@ impl KernelSpacePanda {
         spec.config.send_timeout = config.group_send_timeout;
         spec.config.send_retries = config.group_send_retries;
         spec.config.status_interval = config.group_status_interval;
-        spec.config.resync_interval = config.kernel_group_resync_interval;
+        spec.config.resync_interval = config.group_resync_interval;
         let mut out = Vec::with_capacity(machines.len());
         for (i, machine) in machines.iter().enumerate() {
             let node = i as NodeId;
@@ -92,17 +92,6 @@ impl KernelSpacePanda {
                 },
             );
             let member = GroupMember::join(machine, spec.clone(), node);
-            // Sequencer laggard-resync daemon (kernel thread; only if the
-            // configuration enables it — see GroupConfig::resync_interval).
-            if member.is_sequencer() && !config.kernel_group_resync_interval.is_zero() {
-                let member_r = member.clone();
-                sim.spawn_daemon_on_lane(
-                    machine.lane(),
-                    machine.proc(),
-                    &format!("{}-gresync", machine.name()),
-                    move |ctx| member_r.run_resync_daemon(ctx),
-                );
-            }
             let panda = Arc::new(KernelSpacePanda {
                 node,
                 nodes: n,
@@ -147,7 +136,8 @@ impl KernelSpacePanda {
                 );
             }
             // Group receive daemon: pulls the kernel's ordered stream and
-            // upcalls the Panda group handler.
+            // upcalls the Panda group handler; blocked in `recv`, it also
+            // serves the group cores' deadlines.
             let member_d = member.clone();
             let panda_g = Arc::clone(&panda);
             sim.spawn_daemon_on_lane(

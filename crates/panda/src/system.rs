@@ -12,13 +12,14 @@ use std::sync::Arc;
 
 use bytes::{BufMut, Bytes, BytesMut};
 use desim::trace::Layer;
-use desim::{Ctx, On, SimChannel, Simulation};
+use desim::{Ctx, On, RecvTimeoutError, SimChannel, Simulation};
 use ethernet::McastAddr;
 use flip::{FlipAddr, FlipMessage};
 use parking_lot::Mutex;
 
 use amoeba::{FlipDest, Machine, Sink};
 
+use crate::group::UserGroup;
 use crate::transport::NodeId;
 
 /// Panda RPC header size on the wire (paper, Section 4.2).
@@ -144,7 +145,7 @@ pub type ModuleUpcall = Arc<dyn Fn(&Ctx, PandaHeader, Bytes) + Send + Sync>;
 #[derive(Default)]
 struct Upcalls {
     rpc: Option<ModuleUpcall>,
-    group: Option<ModuleUpcall>,
+    group: Option<Arc<UserGroup>>,
 }
 
 /// The per-node system layer: FLIP endpoint registration, the receive
@@ -185,7 +186,7 @@ impl SysLayer {
             &format!("{}-pandad", machine.name()),
             move |ctx| daemon_sys.receive_daemon(ctx, inbox),
         );
-        // The module upcalls capture `UserRpc`/`UserGroup`, which hold this
+        // `UserRpc` (captured by its upcall) and `UserGroup` hold this
         // layer: drop them once nothing can run any more.
         let upcalls = Arc::clone(&sys.upcalls);
         sim.on_teardown(move || *upcalls.lock() = Upcalls::default());
@@ -197,18 +198,29 @@ impl SysLayer {
         self.upcalls.lock().rpc = Some(up);
     }
 
-    /// Installs the group module upcall.
-    pub fn set_group_upcall(&self, up: ModuleUpcall) {
-        self.upcalls.lock().group = Some(up);
+    /// Installs the group module.
+    pub(crate) fn set_group(&self, group: Arc<UserGroup>) {
+        self.upcalls.lock().group = Some(group);
     }
 
     /// The system-level receive daemon: fetches messages from the kernel and
     /// upcalls the protocol modules. Being an ordinary thread, every message
     /// it handles costs a context switch (charged by the CPU model) plus the
     /// blocking-receive system call — the structural price of user space.
+    /// While no message is waiting, it also serves the group member's
+    /// deadline.
     fn receive_daemon(&self, ctx: &Ctx, inbox: SimChannel<FlipMessage>) {
         let cost = self.machine.cost().clone();
-        while let Some(fm) = inbox.recv(ctx) {
+        loop {
+            let group = self.upcalls.lock().group.clone();
+            let fm = match inbox.recv_until(ctx, group.as_ref().and_then(|g| g.next_deadline())) {
+                Ok(fm) => fm,
+                Err(RecvTimeoutError::Timeout) => {
+                    group.expect("a group deadline").on_deadline(ctx);
+                    continue;
+                }
+                Err(RecvTimeoutError::Closed) => return,
+            };
             // Return from the blocking receive syscall with Panda's deep
             // stack: all register windows fault back in.
             ctx.charge(
@@ -228,15 +240,11 @@ impl SysLayer {
                 "sys_upcall",
                 &[("src", u64::from(header.src)), ("bytes", body.len() as u64)],
             );
-            let up = {
-                let ups = self.upcalls.lock();
-                match header.module {
-                    Module::Rpc => ups.rpc.clone(),
-                    Module::Group => ups.group.clone(),
-                }
-            };
-            if let Some(up) = up {
-                up(ctx, header, body);
+            let rpc = self.upcalls.lock().rpc.clone();
+            match (header.module, rpc, group) {
+                (Module::Rpc, Some(up), _) => up(ctx, header, body),
+                (Module::Group, _, Some(group)) => group.upcall(ctx, header, body),
+                _ => {}
             }
         }
     }

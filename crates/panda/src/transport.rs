@@ -133,18 +133,13 @@ pub struct PandaConfig {
     /// User-space only: the sequencer runs on a dedicated extra machine
     /// (the paper's "User-space-dedicated" configuration).
     pub dedicated_sequencer: bool,
-    /// User-space only: sequencer resync interval while members lag (how
-    /// quickly laggards are brought back up to date when no new traffic
-    /// flows). Chaos tests shrink this so recovery converges fast.
+    /// Both stacks' (non-zero) group timer, `GroupConfig::resync_interval`:
+    /// how quickly laggards catch up when no new traffic flows. Chaos tests
+    /// shrink this so recovery converges fast.
     pub group_resync_interval: SimDuration,
     /// A member reports progress to the sequencer after this many
     /// deliveries.
     pub group_status_interval: u64,
-    /// Kernel-space only: sequencer-driven laggard resync interval for the
-    /// kernel group. `ZERO` disables it (the historical Amoeba behavior,
-    /// and the default: fault-free kernel traces stay bit-identical). The
-    /// user-space group always resyncs via `group_resync_interval`.
-    pub kernel_group_resync_interval: SimDuration,
 }
 
 impl Default for PandaConfig {
@@ -158,7 +153,6 @@ impl Default for PandaConfig {
             dedicated_sequencer: false,
             group_resync_interval: SimDuration::from_millis(250),
             group_status_interval: 20,
-            kernel_group_resync_interval: SimDuration::ZERO,
         }
     }
 }

@@ -444,3 +444,29 @@ fn nonblocking_flush_recovers_from_lost_request() {
         "delivered at both nodes"
     );
 }
+
+/// Builds a stack whose group timer is zero.
+fn build_with_zero_group_timer(which: Stack) {
+    let mut sim = Simulation::new(1);
+    let config = PandaConfig {
+        group_resync_interval: desim::SimDuration::ZERO,
+        ..PandaConfig::default()
+    };
+    let _ = testutil::build_world(&mut sim, 3, which, &config);
+}
+
+/// A zero group timer is not "off": every group deadline would be due at
+/// once, forever. Both stacks reject it when they are built.
+#[test]
+#[should_panic(expected = "resync_interval must be non-zero")]
+fn user_stack_rejects_a_zero_group_resync_interval() {
+    build_with_zero_group_timer(Stack::User);
+}
+
+/// As [`user_stack_rejects_a_zero_group_resync_interval`], for the kernel
+/// stack, where zero used to mean "no resync".
+#[test]
+#[should_panic(expected = "resync_interval must be non-zero")]
+fn kernel_stack_rejects_a_zero_group_resync_interval() {
+    build_with_zero_group_timer(Stack::Kernel);
+}

@@ -73,5 +73,5 @@ fn user_stack_sequencer_crash_golden() {
     check_golden(Stack::User, USER_GOLDEN_HASH);
 }
 
-const KERNEL_GOLDEN_HASH: u64 = 0x7cd2_e985_d90a_3418;
-const USER_GOLDEN_HASH: u64 = 0xcb73_f63e_c3ad_b4ba;
+const KERNEL_GOLDEN_HASH: u64 = 0x86b9_6d82_9f87_9686;
+const USER_GOLDEN_HASH: u64 = 0x5478_b480_a381_c026;

@@ -45,15 +45,7 @@ fn run(kernel_space: bool, inject: impl FnOnce(&mut FaultState)) -> FaultRun {
     } else {
         Stack::User
     };
-    // Enable the kernel sequencer's laggard resync (off by default, to keep
-    // the historical fault-free traces): wire-level loss can erase a tail
-    // broadcast for *every* member at once, and with no later traffic to
-    // reveal the gap only a sequencer-driven resync can close it.
-    let config = PandaConfig {
-        kernel_group_resync_interval: desim::SimDuration::from_millis(250),
-        ..PandaConfig::default()
-    };
-    let nodes = build_stack(&mut sim, &world.machines, stack, &config);
+    let nodes = build_stack(&mut sim, &world.machines, stack, &PandaConfig::default());
 
     let executions = Arc::new(AtomicU64::new(0));
     let exec2 = Arc::clone(&executions);

@@ -52,7 +52,7 @@ fn table1_spot_values_match_pre_tracing_documented_outputs() {
     let ms2 = |d: SimDuration| (d.as_millis_f64() * 100.0).round() / 100.0;
     assert_eq!(ms2(rpc_latency(0, Stack::User, &cost)), 1.49);
     assert_eq!(ms2(rpc_latency(0, Stack::Kernel, &cost)), 1.26);
-    assert_eq!(ms2(group_latency(0, Stack::User, &cost)), 1.60);
+    assert_eq!(ms2(group_latency(0, Stack::User, &cost)), 1.55);
     assert_eq!(ms2(group_latency(0, Stack::Kernel, &cost)), 1.27);
     assert_eq!(ms2(rpc_latency(1024, Stack::User, &cost)), 2.42);
     assert_eq!(ms2(rpc_latency(1024, Stack::Kernel, &cost)), 2.18);
