@@ -70,12 +70,14 @@ impl fmt::Display for GroupError {
 
 impl std::error::Error for GroupError {}
 
+/// Messages larger than this use the BB method (sender broadcasts data,
+/// sequencer broadcasts a small accept): whatever fits one FLIP fragment
+/// after the kernel's header goes PB.
+const BB_THRESHOLD: usize = flip::FLIP_FRAGMENT_BYTES - AMOEBA_GROUP_HEADER_BYTES;
+
 /// Group protocol tuning.
 #[derive(Debug, Clone)]
 pub struct GroupConfig {
-    /// Messages larger than this use the BB method (sender broadcasts data,
-    /// sequencer broadcasts a small accept).
-    pub bb_threshold: usize,
     /// Maximum history entries the sequencer retains past the slowest
     /// member's acknowledged point.
     pub history_max: usize,
@@ -99,7 +101,6 @@ pub struct GroupConfig {
 impl Default for GroupConfig {
     fn default() -> Self {
         GroupConfig {
-            bb_threshold: flip::FLIP_FRAGMENT_BYTES - AMOEBA_GROUP_HEADER_BYTES,
             history_max: 4096,
             retrans_chunk: 32,
             send_timeout: SimDuration::from_millis(400),
@@ -339,8 +340,8 @@ impl GroupMember {
     pub fn join(machine: &Machine, spec: GroupSpec, my_id: u32) -> GroupMember {
         let is_seq = my_id as usize == spec.sequencer;
         let state = Arc::new(Mutex::new(GroupState {
-            member: MemberCore::new(my_id, spec.sequencer as u32, &spec.config),
-            seq: is_seq.then(|| SeqCore::new(spec.member_addrs.len(), &spec.config)),
+            member: MemberCore::new(my_id, spec.sequencer as u32, BB_THRESHOLD, &spec.config),
+            seq: is_seq.then(|| SeqCore::new(spec.member_addrs.len(), BB_THRESHOLD, &spec.config)),
         }));
         let member = GroupMember {
             machine: machine.clone(),

@@ -255,15 +255,16 @@ pub struct SeqCore {
 }
 
 impl SeqCore {
-    /// A fresh sequencer for a group of `n_members`. Panics if
-    /// `config.resync_interval` is zero.
-    pub fn new(n_members: usize, config: &GroupConfig) -> SeqCore {
+    /// A fresh sequencer for a group of `n_members` whose messages above
+    /// `bb_threshold` bytes go by the BB method (the placement's fragment
+    /// size less its header). Panics if `config.resync_interval` is zero.
+    pub fn new(n_members: usize, bb_threshold: usize, config: &GroupConfig) -> SeqCore {
         assert!(
             !config.resync_interval.is_zero(),
             "resync_interval must be non-zero"
         );
         SeqCore {
-            bb_threshold: config.bb_threshold,
+            bb_threshold,
             history_max: config.history_max,
             retrans_chunk: config.retrans_chunk,
             next_seq: 1,
@@ -590,9 +591,10 @@ pub struct MemberCore {
 }
 
 impl MemberCore {
-    /// Member `me` of a group sequenced by member `sequencer`. Panics if
+    /// Member `me` of a group sequenced by member `sequencer`, sending
+    /// messages above `bb_threshold` bytes by the BB method. Panics if
     /// `config.resync_interval` is zero.
-    pub fn new(me: u32, sequencer: u32, config: &GroupConfig) -> MemberCore {
+    pub fn new(me: u32, sequencer: u32, bb_threshold: usize, config: &GroupConfig) -> MemberCore {
         assert!(
             !config.resync_interval.is_zero(),
             "resync_interval must be non-zero"
@@ -600,7 +602,7 @@ impl MemberCore {
         MemberCore {
             me,
             sequencer,
-            bb_threshold: config.bb_threshold,
+            bb_threshold,
             status_interval: config.status_interval,
             quiet_period: config.resync_interval / 2,
             next_msg_id: 1,

@@ -44,7 +44,6 @@ const HEAL_STEPS: usize = 2 * HISTORY_MAX / RETRANS_CHUNK as usize;
 
 fn config() -> GroupConfig {
     GroupConfig {
-        bb_threshold: BB_THRESHOLD,
         history_max: HISTORY_MAX,
         retrans_chunk: RETRANS_CHUNK,
         status_interval: 3,
@@ -109,8 +108,10 @@ impl World {
         World {
             kernel_style,
             now: SimTime::ZERO,
-            seq: SeqCore::new(MEMBERS as usize, &cfg),
-            members: (0..MEMBERS).map(|m| MemberCore::new(m, 0, &cfg)).collect(),
+            seq: SeqCore::new(MEMBERS as usize, BB_THRESHOLD, &cfg),
+            members: (0..MEMBERS)
+                .map(|m| MemberCore::new(m, 0, BB_THRESHOLD, &cfg))
+                .collect(),
             flight: Vec::new(),
             outstanding: vec![Vec::new(); MEMBERS as usize],
             sent: Vec::new(),
@@ -490,8 +491,8 @@ proptest! {
         ),
     ) {
         let cfg = config();
-        let mut seq = SeqCore::new(MEMBERS as usize, &cfg);
-        let mut members = [MemberCore::new(0, 0, &cfg), MemberCore::new(1, 0, &cfg)];
+        let mut seq = SeqCore::new(MEMBERS as usize, BB_THRESHOLD, &cfg);
+        let mut members = [MemberCore::new(0, 0, BB_THRESHOLD, &cfg), MemberCore::new(1, 0, BB_THRESHOLD, &cfg)];
         let mut now = SimTime::ZERO;
         let edge = |x: u64| match x % 5 {
             0 => x % 4,
@@ -542,7 +543,7 @@ proptest! {
 #[test]
 fn an_abandoned_message_cannot_grow_the_dedup_state() {
     let cfg = config();
-    let mut seq = SeqCore::new(MEMBERS as usize, &cfg);
+    let mut seq = SeqCore::new(MEMBERS as usize, BB_THRESHOLD, &cfg);
     let mut outs = Vec::new();
     let req = |seq: &mut SeqCore, msg_id, outs: &mut Vec<Out>| {
         let body = body(1, msg_id, false);
@@ -587,7 +588,7 @@ fn a_zero_resync_interval_is_rejected_by_the_sequencer() {
         resync_interval: SimDuration::ZERO,
         ..config()
     };
-    let _ = SeqCore::new(MEMBERS as usize, &cfg);
+    let _ = SeqCore::new(MEMBERS as usize, BB_THRESHOLD, &cfg);
 }
 
 /// As [`a_zero_resync_interval_is_rejected_by_the_sequencer`], for a member.
@@ -598,7 +599,7 @@ fn a_zero_resync_interval_is_rejected_by_a_member() {
         resync_interval: SimDuration::ZERO,
         ..config()
     };
-    let _ = MemberCore::new(1, 0, &cfg);
+    let _ = MemberCore::new(1, 0, BB_THRESHOLD, &cfg);
 }
 
 /// A member whose first retransmission request is lost asks again every
@@ -609,7 +610,7 @@ fn a_zero_resync_interval_is_rejected_by_a_member() {
 #[test]
 fn a_lost_gap_request_is_repeated_under_sustained_traffic() {
     let cfg = config();
-    let mut member = MemberCore::new(1, 0, &cfg);
+    let mut member = MemberCore::new(1, 0, BB_THRESHOLD, &cfg);
     let mut now = SimTime::ZERO;
     let mut asked = Vec::new();
     // Seq 1 is lost; seqs 2..=41 arrive every 5 ms.

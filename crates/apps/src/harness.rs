@@ -68,21 +68,21 @@ pub struct RunConfig {
     pub implementation: ProtoImpl,
     /// Simulation seed.
     pub seed: u64,
-    /// Machines per Ethernet segment (the paper's pool wires 8).
-    pub per_segment: u32,
 }
 
 impl RunConfig {
-    /// A run with the paper's pool layout.
+    /// A run on the paper's pool.
     pub fn new(nodes: u32, implementation: ProtoImpl, seed: u64) -> Self {
         RunConfig {
             nodes,
             implementation,
             seed,
-            per_segment: 8,
         }
     }
 }
+
+/// Machines per Ethernet segment: the paper's pool wires 8.
+const PER_SEGMENT: u32 = 8;
 
 /// Outcome of one application run.
 #[derive(Debug, Clone)]
@@ -137,7 +137,7 @@ impl fmt::Debug for Cluster {
     }
 }
 
-/// Builds the pool: machines spread over segments of `per_segment`, a switch
+/// Builds the pool: machines spread over segments of `PER_SEGMENT`, a switch
 /// when more than one segment, the chosen Panda implementation, and the Orca
 /// world on top.
 pub fn build_cluster(cfg: &RunConfig) -> Cluster {
@@ -147,7 +147,7 @@ pub fn build_cluster(cfg: &RunConfig) -> Cluster {
         ProtoImpl::UserSpaceDedicated => Stack::UserDedicated,
     };
     let mut sim = Simulation::new(cfg.seed);
-    let topology = TopologySpec::flat(stack.n_machines(cfg.nodes), cfg.per_segment);
+    let topology = TopologySpec::flat(stack.n_machines(cfg.nodes), PER_SEGMENT);
     let World { net, machines } = world::boot(&mut sim, &topology, CostModel::default());
     let pandas = world::build_stack(&mut sim, &machines, stack, &PandaConfig::default());
     assert_eq!(pandas.len() as u32, cfg.nodes);

@@ -13,6 +13,7 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex as StdMutex};
 
+use amoeba::{GroupConfig, RpcConfig};
 use bytes::Bytes;
 use desim::{SimDuration, Simulation};
 use panda::PandaConfig;
@@ -77,12 +78,17 @@ impl ChaosConfig {
     /// so no send gives up while a fault window (≤ 40% of the budget) heals.
     pub fn panda_config(&self) -> PandaConfig {
         PandaConfig {
-            rpc_timeout: SimDuration::from_millis(5),
-            rpc_retries: 24,
-            group_send_timeout: SimDuration::from_millis(10),
-            group_send_retries: 24,
-            group_resync_interval: SimDuration::from_millis(40),
-            group_status_interval: 8,
+            rpc: RpcConfig {
+                timeout: SimDuration::from_millis(5),
+                retries: 24,
+            },
+            group: GroupConfig {
+                send_timeout: SimDuration::from_millis(10),
+                send_retries: 24,
+                resync_interval: SimDuration::from_millis(40),
+                status_interval: 8,
+                ..GroupConfig::default()
+            },
             ..PandaConfig::default()
         }
     }

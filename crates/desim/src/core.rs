@@ -458,8 +458,6 @@ impl CoreState {
 
 pub(crate) struct Core {
     pub state: Mutex<CoreState>,
-    /// Usable stack size for each thread's fiber.
-    fiber_stack_size: usize,
     /// The scheduler's own saved context: where a yielding fiber switches
     /// to on a chain break, and what `resume_and_wait` saves into before
     /// switching a fiber in.
@@ -504,7 +502,7 @@ impl Core {
     /// this lane (the `expected_threads` builder hint; boot schedules one
     /// start wake per thread, all at the same instant). Floored at the
     /// historical 256 default so un-hinted worlds lose nothing.
-    pub(crate) fn new(seed: u64, fiber_stack_size: usize, queue_capacity: usize) -> Arc<Core> {
+    pub(crate) fn new(seed: u64, queue_capacity: usize) -> Arc<Core> {
         Arc::new(Core {
             state: Mutex::new(CoreState {
                 now: SimTime::ZERO,
@@ -521,7 +519,6 @@ impl Core {
                 perturb: None,
                 tracer: None,
             }),
-            fiber_stack_size,
             sched_ctx: fiber::ContextCell::new(),
             trace_on: AtomicBool::new(false),
             window_limit: AtomicU64::new(u64::MAX),
@@ -597,7 +594,7 @@ impl Core {
             drop(core);
             slot
         });
-        let fiber = Fiber::new(self.fiber_stack_size, entry);
+        let fiber = Fiber::new(entry);
         let tid = Self::register_thread(&mut st, proc, name, daemon, Some(fiber));
         debug_assert_eq!(tid, tid_for_entry);
         tid

@@ -19,8 +19,8 @@
 //!
 //! A dropped stack goes back to a process-wide pool (at most
 //! [`FIBER_STACK_POOL_CAP`] stacks) with its usable pages released by
-//! `madvise(MADV_DONTNEED)`, and the next fiber asking for the same length
-//! takes it from there. A reused stack is indistinguishable from a fresh
+//! `madvise(MADV_DONTNEED)`, and the next fiber takes it from there (every
+//! stack has the one length [`STACK_SIZE`] plus its guard page). A reused stack is indistinguishable from a fresh
 //! one — same guard page, zero-filled pages on first touch, nothing
 //! resident while it waits — but costs one syscall per thread instead of
 //! three (`mmap`, `mprotect`, `munmap`). Chaos sweeps build and drop
@@ -48,11 +48,12 @@
 use std::cell::{Cell, UnsafeCell};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Default usable stack size for fiber-backed simulated threads. The
-/// mapping is lazy (anonymous mmap), so untouched pages cost only address
-/// space; 1 MiB matches what the deepest workspace workloads (TSP branch
-/// and bound, Orca marshalling) need with a wide margin.
-pub(crate) const DEFAULT_STACK_SIZE: usize = 1 << 20;
+/// Usable stack size of every simulated thread's fiber, a whole number of
+/// pages on every supported host. The mapping is lazy (anonymous mmap), so
+/// untouched pages cost only address space; 1 MiB matches what the deepest
+/// workspace workloads (TSP branch and bound, Orca marshalling) need with
+/// a wide margin.
+const STACK_SIZE: usize = 1 << 20;
 
 /// Most fiber stacks the process keeps for reuse (see "Stack reuse" in the
 /// module docs). A pooled stack holds address space and two mappings but
@@ -233,9 +234,9 @@ fn page_size() -> usize {
     })
 }
 
-/// Free stacks as `(base, len)` mappings in `stacks[..len]`, the most
-/// recently dropped last. Every entry's usable pages were released
-/// with `MADV_DONTNEED`, and its guard page is still `PROT_NONE`.
+/// The bases of free stacks in `bases[..len]`, the most recently dropped
+/// last. Every entry's usable pages were released with `MADV_DONTNEED`,
+/// and its guard page is still `PROT_NONE`.
 ///
 /// A fixed array rather than a `Vec`: a block the pool allocated
 /// mid-run would stay live at the top of the malloc heap and keep the
@@ -243,20 +244,14 @@ fn page_size() -> usize {
 /// over the Table 3 worlds).
 struct FreeList {
     len: usize,
-    stacks: [(usize, usize); FIBER_STACK_POOL_CAP],
+    bases: [usize; FIBER_STACK_POOL_CAP],
 }
 
 impl FreeList {
-    /// Removes the most recently pooled stack of `len` bytes and
-    /// returns its base.
-    fn take(&mut self, len: usize) -> Option<usize> {
-        let i = self.stacks[..self.len]
-            .iter()
-            .rposition(|&(_, l)| l == len)?;
-        let base = self.stacks[i].0;
-        self.len -= 1;
-        self.stacks[i] = self.stacks[self.len];
-        Some(base)
+    /// Removes the most recently pooled stack and returns its base.
+    fn take(&mut self) -> Option<usize> {
+        self.len = self.len.checked_sub(1)?;
+        Some(self.bases[self.len])
     }
 }
 
@@ -266,7 +261,7 @@ impl StackPool {
     const fn new() -> StackPool {
         StackPool(Mutex::new(FreeList {
             len: 0,
-            stacks: [(0, 0); FIBER_STACK_POOL_CAP],
+            bases: [0; FIBER_STACK_POOL_CAP],
         }))
     }
 
@@ -280,41 +275,39 @@ impl StackPool {
 /// The pool every fiber stack of the process comes from and returns to.
 static STACKS: StackPool = StackPool::new();
 
-/// An anonymous mapping of `usable + guard page` bytes. The lowest
-/// page is `PROT_NONE`: stacks grow down, so overflow hits the guard
+/// An anonymous mapping of [`STACK_SIZE`] bytes above a guard page. The
+/// guard is `PROT_NONE`: stacks grow down, so overflow hits the guard
 /// and faults instead of silently corrupting the neighbouring
 /// allocation. Returned to its pool on drop, or unmapped when the
 /// pool is full.
 struct FiberStack {
     base: *mut u8,
-    len: usize,
     pool: &'static StackPool,
 }
 
+/// Bytes of one stack mapping: the usable pages and the guard page.
+fn stack_len() -> usize {
+    STACK_SIZE + page_size()
+}
+
 impl FiberStack {
-    fn new(stack_size: usize) -> FiberStack {
-        FiberStack::take(&STACKS, stack_size)
+    fn new() -> FiberStack {
+        FiberStack::take(&STACKS)
     }
 
-    /// A stack of `stack_size` usable bytes, rounded up to whole
-    /// pages, from `pool`; mapped fresh only when the pool holds no
-    /// stack of that length.
-    fn take(pool: &'static StackPool, stack_size: usize) -> FiberStack {
-        let page = page_size();
-        let usable = stack_size.max(page).div_ceil(page) * page;
-        let len = usable + page;
-        let pooled = pool.free().take(len);
-        let base = pooled.unwrap_or_else(|| map_stack(len, page));
+    /// A stack from `pool`, mapped fresh only when the pool is empty.
+    fn take(pool: &'static StackPool) -> FiberStack {
+        let pooled = pool.free().take();
+        let base = pooled.unwrap_or_else(|| map_stack(stack_len(), page_size()));
         FiberStack {
             base: base as *mut u8,
-            len,
             pool,
         }
     }
 
     /// One past the highest usable byte (stacks grow down from here).
     fn top(&self) -> usize {
-        self.base as usize + self.len
+        self.base as usize + stack_len()
     }
 }
 
@@ -360,16 +353,11 @@ impl Drop for FiberStack {
             // its final switch-out or without ever starting), so no
             // live frame sits in the pages released here; the guard
             // page below them is left as it is.
-            let rc = unsafe {
-                sys::madvise(
-                    self.base.add(page).cast(),
-                    self.len - page,
-                    sys::MADV_DONTNEED,
-                )
-            };
+            let rc =
+                unsafe { sys::madvise(self.base.add(page).cast(), STACK_SIZE, sys::MADV_DONTNEED) };
             if rc == 0 {
                 let at = free.len;
-                free.stacks[at] = (self.base as usize, self.len);
+                free.bases[at] = self.base as usize;
                 free.len += 1;
                 return;
             }
@@ -378,7 +366,7 @@ impl Drop for FiberStack {
         // SAFETY: the whole mapping this stack owns, which nothing
         // references any more (see above).
         unsafe {
-            sys::munmap(self.base.cast(), self.len);
+            sys::munmap(self.base.cast(), stack_len());
         }
     }
 }
@@ -408,12 +396,12 @@ unsafe impl Send for Fiber {}
 impl Fiber {
     /// Creates a fiber whose first resume runs `entry` from the top
     /// of a fresh guard-paged stack.
-    pub(crate) fn new(stack_size: usize, entry: EntryFn) -> Box<Fiber> {
+    pub(crate) fn new(entry: EntryFn) -> Box<Fiber> {
         let fiber = Box::new(Fiber {
             sp: UnsafeCell::new(0),
             grant: Cell::new(0),
             entry: UnsafeCell::new(Some(entry)),
-            stack: FiberStack::new(stack_size),
+            stack: FiberStack::new(),
         });
         let arg = &*fiber as *const Fiber as usize;
         unsafe {
@@ -525,7 +513,7 @@ mod tests {
         let self_sp = Arc::new(std::sync::Mutex::new(SelfSp(std::ptr::null_mut())));
         let self_sp2 = Arc::clone(&self_sp);
 
-        let fiber = Fiber::new(64 * 1024, {
+        let fiber = Fiber::new({
             Box::new(move || {
                 hits2.fetch_add(1, Ordering::Relaxed);
                 let my_sp = self_sp2.lock().unwrap().0;
@@ -561,10 +549,9 @@ mod tests {
     #[test]
     fn stack_has_guard_page() {
         let page = page_size();
-        let stack = FiberStack::new(8 * 1024);
-        assert_eq!(stack.len % page, 0);
-        assert!(stack.len >= 8 * 1024 + page);
-        assert_eq!(stack.top() - stack.base as usize, stack.len);
+        let stack = FiberStack::new();
+        assert_eq!(STACK_SIZE % page, 0);
+        assert_eq!(stack.top() - stack.base as usize, STACK_SIZE + page);
         assert_eq!(perms_at(stack.base as usize).as_deref(), Some("---p"));
         assert_eq!(
             perms_at(stack.base as usize + page).as_deref(),
@@ -579,18 +566,18 @@ mod tests {
     fn reused_stack_is_the_same_mapping_zero_filled_behind_its_guard() {
         static POOL: StackPool = StackPool::new();
         let page = page_size();
-        let first = FiberStack::take(&POOL, 4 * page);
-        let (base, len) = (first.base as usize, first.len);
+        let first = FiberStack::take(&POOL);
+        let base = first.base as usize;
         // SAFETY: the usable pages of a stack no fiber runs on.
-        unsafe { std::ptr::write_bytes(first.base.add(page), 0xa5, len - page) };
+        unsafe { std::ptr::write_bytes(first.base.add(page), 0xa5, STACK_SIZE) };
         drop(first);
         assert_eq!(POOL.free().len, 1);
 
-        let again = FiberStack::take(&POOL, 4 * page);
-        assert_eq!((again.base as usize, again.len), (base, len));
+        let again = FiberStack::take(&POOL);
+        assert_eq!(again.base as usize, base);
         assert_eq!(POOL.free().len, 0);
         // SAFETY: the same usable pages, now owned by `again`.
-        let usable = unsafe { std::slice::from_raw_parts(again.base.add(page), len - page) };
+        let usable = unsafe { std::slice::from_raw_parts(again.base.add(page), STACK_SIZE) };
         assert!(
             usable.iter().all(|&b| b == 0),
             "a reused stack must read as zero-filled"
@@ -600,30 +587,23 @@ mod tests {
     }
 
     #[test]
-    fn stacks_of_different_lengths_never_mix() {
+    fn the_most_recently_dropped_stack_is_taken_first() {
         static POOL: StackPool = StackPool::new();
-        let page = page_size();
-        let small = FiberStack::take(&POOL, 2 * page);
-        let small_base = small.base;
-        drop(small);
-
-        let big = FiberStack::take(&POOL, 3 * page);
-        assert_ne!(big.base, small_base);
-        assert_eq!(big.len, 4 * page);
-        assert_eq!(POOL.free().len, 1, "the small stack still waits");
-        drop(big);
-
-        let small = FiberStack::take(&POOL, 2 * page);
-        assert_eq!((small.base, small.len), (small_base, 3 * page));
-        assert_eq!(POOL.free().len, 1, "the big stack still waits");
+        let (a, b) = (FiberStack::take(&POOL), FiberStack::take(&POOL));
+        let (a_base, b_base) = (a.base, b.base);
+        drop(a);
+        drop(b);
+        let newer = FiberStack::take(&POOL);
+        assert_eq!(newer.base, b_base);
+        assert_eq!(POOL.free().len, 1, "the older stack still waits");
+        assert_eq!(FiberStack::take(&POOL).base, a_base);
     }
 
     #[test]
     fn pool_never_exceeds_its_cap() {
         static POOL: StackPool = StackPool::new();
-        let page = page_size();
         let stacks: Vec<FiberStack> = (0..FIBER_STACK_POOL_CAP + 8)
-            .map(|_| FiberStack::take(&POOL, page))
+            .map(|_| FiberStack::take(&POOL))
             .collect();
         let kept: Vec<usize> = stacks[..FIBER_STACK_POOL_CAP]
             .iter()
@@ -632,9 +612,6 @@ mod tests {
         drop(stacks);
         let free = POOL.free();
         assert_eq!(free.len, FIBER_STACK_POOL_CAP);
-        assert!(free.stacks[..free.len]
-            .iter()
-            .map(|&(base, _)| base)
-            .eq(kept));
+        assert_eq!(free.bases[..free.len], kept[..]);
     }
 }

@@ -13,7 +13,6 @@ use crate::core::{
     install_quiet_shutdown_hook, Core, ProcId, StepResult, ThreadId, ThreadState, WakeStatus,
 };
 use crate::ctx::Ctx;
-use crate::fiber;
 use crate::queue::QueueStats;
 use crate::shard::{self, LaneId, LaneSlot, LinkTable, ShardCount, WindowGate, XSender};
 use crate::time::{SimDuration, SimTime};
@@ -202,7 +201,6 @@ pub struct Simulation {
     /// Cumulative window-engine accounting (see [`Simulation::window_stats`]).
     window_stats: WindowStats,
     seed: u64,
-    fiber_stack_size: usize,
     /// Per-lane queue capacity hint (see
     /// [`SimulationBuilder::expected_threads`]); mirrored onto added lanes.
     expected_threads: usize,
@@ -243,7 +241,6 @@ impl fmt::Debug for Simulation {
 #[derive(Debug, Clone)]
 pub struct SimulationBuilder {
     seed: u64,
-    fiber_stack_size: usize,
     shards: Option<usize>,
     expected_threads: usize,
 }
@@ -252,14 +249,6 @@ impl SimulationBuilder {
     /// Seed for all simulation randomness (default 0).
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Usable stack size of each simulated thread's fiber (default 1 MiB).
-    /// Pages are mapped lazily, so a generous size costs only address
-    /// space; each stack additionally gets one guard page.
-    pub fn fiber_stack_size(mut self, bytes: usize) -> Self {
-        self.fiber_stack_size = bytes;
         self
     }
 
@@ -300,7 +289,6 @@ impl SimulationBuilder {
             shards,
             window_stats: WindowStats::default(),
             seed: self.seed,
-            fiber_stack_size: self.fiber_stack_size,
             expected_threads: self.expected_threads,
             max_events: None,
             perturb_seed: None,
@@ -318,12 +306,11 @@ impl Simulation {
         Self::builder().seed(seed).build()
     }
 
-    /// Returns a builder for configuring seed, shard count, fiber stack
-    /// size and queue capacity.
+    /// Returns a builder for configuring seed, shard count and queue
+    /// capacity.
     pub fn builder() -> SimulationBuilder {
         SimulationBuilder {
             seed: 0,
-            fiber_stack_size: fiber::DEFAULT_STACK_SIZE,
             shards: None,
             expected_threads: 0,
         }
@@ -373,7 +360,6 @@ impl Simulation {
         let idx = self.lanes.len();
         let core = Core::new(
             shard::lane_seed(self.seed, idx as u64),
-            self.fiber_stack_size,
             self.expected_threads,
         );
         {

@@ -20,13 +20,10 @@ fn mapping_count() -> usize {
         .count()
 }
 
-/// Builds a world of `fibers` threads with `stack` bytes each, parks them
-/// all mid-run, and drops the world.
-fn cycle(fibers: usize, stack: usize) {
-    let mut sim = Simulation::builder()
-        .seed(5)
-        .fiber_stack_size(stack)
-        .build();
+/// Builds a world of `fibers` threads, parks them all mid-run, and drops
+/// the world.
+fn cycle(fibers: usize) {
+    let mut sim = Simulation::new(5);
     let m0 = sim.add_processor("m0");
     let never: SimChannel<u8> = SimChannel::new();
     for i in 0..fibers {
@@ -47,10 +44,10 @@ fn fiber_create_drop_cycles_release_guard_paged_stacks() {
     // stacks, so the process mapping count stays flat instead of growing
     // by (threads × cycles) stack mappings.
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    cycle(8, 1 << 20); // warm up allocator, lazy runtime mappings, stack pool
+    cycle(8); // warm up allocator, lazy runtime mappings, stack pool
     let before = mapping_count();
     for _ in 0..100 {
-        cycle(8, 1 << 20);
+        cycle(8);
     }
     let after = mapping_count();
     // Allow a little allocator noise, but 100 cycles × 8 fibers would leak
@@ -62,15 +59,15 @@ fn fiber_create_drop_cycles_release_guard_paged_stacks() {
 }
 
 #[test]
-fn mixed_size_worlds_leave_at_most_the_pool_behind() {
-    // A world far larger than the stack pool, between two tiny worlds with
-    // another stack length: the pool keeps at most its cap of stacks (two
-    // mappings each: guard page and usable pages) and unmaps the rest.
+fn a_world_larger_than_the_pool_leaves_at_most_the_pool_behind() {
+    // A world far larger than the stack pool, between two tiny worlds: the
+    // pool keeps at most its cap of stacks (two mappings each: guard page
+    // and usable pages) and unmaps the rest.
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let before = mapping_count();
-    cycle(1, 64 << 10);
-    cycle(2000, 1 << 20);
-    cycle(1, 64 << 10);
+    cycle(1);
+    cycle(2000);
+    cycle(1);
     let after = mapping_count();
     assert!(
         after <= before + 2 * FIBER_STACK_POOL_CAP + 8,

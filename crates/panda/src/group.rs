@@ -27,8 +27,12 @@ use desim::trace::{Layer, Phase};
 use desim::{Ctx, On, RecvTimeoutError, SimChannel, SimTime, Simulation};
 use parking_lot::Mutex;
 
-use crate::system::{Module, PandaHeader, SysLayer};
+use crate::system::{Module, PandaHeader, SysLayer, PANDA_GROUP_HEADER_BYTES};
 use crate::transport::{CommError, GroupDelivery, GroupHandler, NodeId};
+
+/// Messages larger than this go by the BB method: whatever fits one FLIP
+/// fragment after Panda's header goes PB.
+const BB_THRESHOLD: usize = flip::FLIP_FRAGMENT_BYTES - PANDA_GROUP_HEADER_BYTES;
 
 /// A sequencer-role frame forwarded from the receive daemon to the
 /// sequencer thread (`BbData` stands for "the data is in the member's
@@ -79,7 +83,12 @@ impl UserGroup {
             n_members,
             sequencer,
             dedicated,
-            member: Mutex::new(MemberCore::new(sys.node(), sequencer, &config)),
+            member: Mutex::new(MemberCore::new(
+                sys.node(),
+                sequencer,
+                BB_THRESHOLD,
+                &config,
+            )),
             sending: Sending::default(),
             config,
             handler: Mutex::new(None),
@@ -222,7 +231,7 @@ impl UserGroup {
         } else {
             cost.sequencer_thread_switch
         };
-        let mut seq = SeqCore::new(self.n_members as usize, &self.config);
+        let mut seq = SeqCore::new(self.n_members as usize, BB_THRESHOLD, &self.config);
         let mut outs = Vec::new();
         loop {
             // Work first: a round is due only once no work item waits.

@@ -18,7 +18,7 @@ use bytes::{BufMut, Bytes, BytesMut};
 use desim::{Ctx, SimChannel, Simulation};
 use parking_lot::Mutex;
 
-use amoeba::{GroupMember, GroupSpec, Machine, Port, RpcClient, RpcConfig, RpcServer};
+use amoeba::{GroupMember, GroupSpec, Machine, Port, RpcClient, RpcServer};
 
 use crate::transport::{
     CommError, GroupHandler, NodeId, Panda, PandaConfig, ReplyTicket, RpcHandler, TicketInner,
@@ -68,29 +68,15 @@ impl KernelSpacePanda {
         machines: &[Machine],
         config: &PandaConfig,
     ) -> Vec<Arc<KernelSpacePanda>> {
-        assert!(
-            !config.dedicated_sequencer,
-            "a dedicated sequencer machine is a user-space configuration; \
-             the kernel sequencer always runs inside a member kernel"
-        );
         let n = machines.len() as u32;
         assert!(config.sequencer_node < n, "sequencer must be a node");
         let mut spec = GroupSpec::build(0x77, machines.len(), config.sequencer_node as usize);
-        spec.config.send_timeout = config.group_send_timeout;
-        spec.config.send_retries = config.group_send_retries;
-        spec.config.status_interval = config.group_status_interval;
-        spec.config.resync_interval = config.group_resync_interval;
+        spec.config = config.group.clone();
         let mut out = Vec::with_capacity(machines.len());
         for (i, machine) in machines.iter().enumerate() {
             let node = i as NodeId;
             let server = RpcServer::register(machine, node_port(node));
-            let client = RpcClient::install(
-                machine,
-                RpcConfig {
-                    timeout: config.rpc_timeout,
-                    retries: config.rpc_retries,
-                },
-            );
+            let client = RpcClient::install(machine, config.rpc.clone());
             let member = GroupMember::join(machine, spec.clone(), node);
             let panda = Arc::new(KernelSpacePanda {
                 node,
@@ -250,7 +236,7 @@ impl Panda for KernelSpacePanda {
 mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    use amoeba::CostModel;
+    use amoeba::{CostModel, RpcConfig};
     use ethernet::TopologySpec;
 
     use super::*;

@@ -24,18 +24,19 @@ use std::sync::Arc;
 
 use amoeba::rpc::core::{Action, Kind, Table};
 use amoeba::rpc::Waiting;
+use amoeba::RpcConfig;
 use bytes::Bytes;
 use desim::trace::{Layer, Phase};
 use desim::{Ctx, On, SimMutex, Simulation};
 use parking_lot::Mutex;
 
 use crate::system::{Module, PandaHeader, SysLayer};
-use crate::transport::{CommError, NodeId, PandaConfig, ReplyTicket, RpcHandler, TicketInner};
+use crate::transport::{CommError, NodeId, ReplyTicket, RpcHandler, TicketInner};
 
 /// The user-space Panda RPC module for one node.
 pub(crate) struct UserRpc {
     sys: Arc<SysLayer>,
-    config: PandaConfig,
+    config: RpcConfig,
     /// Client side: the next seq of each connection (this node -> one
     /// server), behind the `SimMutex` that serializes its calls
     /// (stop-and-wait).
@@ -60,7 +61,7 @@ impl UserRpc {
     pub(crate) fn start(
         sim: &mut Simulation,
         sys: Arc<SysLayer>,
-        config: PandaConfig,
+        config: RpcConfig,
     ) -> Arc<UserRpc> {
         let rpc = Arc::new(UserRpc {
             sys: Arc::clone(&sys),
@@ -124,7 +125,7 @@ impl UserRpc {
         );
         let protocol = self.sys.machine().cost().protocol_layer;
         ctx.charge(Layer::Rpc, On::Thread, &[("protocol_layer", protocol)]);
-        let (timeout, retries) = (self.config.rpc_timeout, self.config.rpc_retries);
+        let (timeout, retries) = (self.config.timeout, self.config.retries);
         let reply = self.waiting.wait(call, ctx, timeout, retries, &[], || {
             self.sys.send(ctx, dst, header, &request)
         });

@@ -20,7 +20,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use desim::{Ctx, SimChannel, SimDuration};
 
-use amoeba::Machine;
+use amoeba::{GroupConfig, Machine, RpcConfig};
 
 /// Identifies a Panda node (one per machine running the runtime).
 pub type NodeId = u32;
@@ -117,42 +117,32 @@ pub trait Panda: Send + Sync {
     fn group_send(&self, ctx: &Ctx, msg: Bytes) -> Result<(), CommError>;
 }
 
-/// Shared tuning for both Panda implementations.
+/// Shared tuning for both Panda implementations: the protocols' own
+/// configs, which both placements run, plus where the sequencer lives.
 #[derive(Debug, Clone)]
 pub struct PandaConfig {
-    /// RPC reply timeout before retransmission.
-    pub rpc_timeout: SimDuration,
-    /// RPC (re)transmissions before giving up.
-    pub rpc_retries: u32,
-    /// Group send timeout before the request to the sequencer is repeated.
-    pub group_send_timeout: SimDuration,
-    /// Group send transmissions before giving up.
-    pub group_send_retries: u32,
+    /// RPC retransmission policy.
+    pub rpc: RpcConfig,
+    /// Group protocol tuning. Its `resync_interval` is both stacks' one
+    /// (non-zero) group timer; chaos tests shrink it so recovery converges
+    /// fast.
+    pub group: GroupConfig,
     /// Which node hosts the sequencer.
     pub sequencer_node: NodeId,
-    /// User-space only: the sequencer runs on a dedicated extra machine
-    /// (the paper's "User-space-dedicated" configuration).
-    pub dedicated_sequencer: bool,
-    /// Both stacks' (non-zero) group timer, `GroupConfig::resync_interval`:
-    /// how quickly laggards catch up when no new traffic flows. Chaos tests
-    /// shrink this so recovery converges fast.
-    pub group_resync_interval: SimDuration,
-    /// A member reports progress to the sequencer after this many
-    /// deliveries.
-    pub group_status_interval: u64,
 }
 
 impl Default for PandaConfig {
     fn default() -> Self {
         PandaConfig {
-            rpc_timeout: SimDuration::from_millis(100),
-            rpc_retries: 8,
-            group_send_timeout: SimDuration::from_millis(400),
-            group_send_retries: 8,
+            rpc: RpcConfig {
+                timeout: SimDuration::from_millis(100),
+                retries: 8,
+            },
+            group: GroupConfig {
+                send_retries: 8,
+                ..GroupConfig::default()
+            },
             sequencer_node: 0,
-            dedicated_sequencer: false,
-            group_resync_interval: SimDuration::from_millis(250),
-            group_status_interval: 20,
         }
     }
 }

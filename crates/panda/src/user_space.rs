@@ -9,11 +9,11 @@ use std::sync::Arc;
 use bytes::Bytes;
 use desim::{Ctx, Simulation};
 
-use amoeba::{GroupConfig, Machine};
+use amoeba::Machine;
 
 use crate::group::UserGroup;
 use crate::rpc::UserRpc;
-use crate::system::{SysLayer, PANDA_GROUP_HEADER_BYTES};
+use crate::system::SysLayer;
 use crate::transport::{
     CommError, GroupHandler, NodeId, Panda, PandaConfig, ReplyTicket, RpcHandler, TicketInner,
 };
@@ -37,38 +37,35 @@ impl fmt::Debug for UserSpacePanda {
 }
 
 impl UserSpacePanda {
-    /// Builds the user-space Panda world.
-    ///
-    /// With `config.dedicated_sequencer` the **last** machine is sacrificed
-    /// to run only the sequencer (the paper's "User-space-dedicated" rows):
-    /// `machines.len() - 1` application nodes are returned. Otherwise every
-    /// machine is an application node and `config.sequencer_node` hosts the
-    /// sequencer thread alongside its application.
+    /// Builds the user-space Panda world: every machine is an application
+    /// node, and `config.sequencer_node` hosts the sequencer thread
+    /// alongside its application.
     pub fn build(
         sim: &mut Simulation,
         machines: &[Machine],
         config: &PandaConfig,
     ) -> Vec<Arc<UserSpacePanda>> {
-        let app_nodes = if config.dedicated_sequencer {
-            machines.len() - 1
-        } else {
-            machines.len()
-        } as u32;
+        UserSpacePanda::build_placed(sim, machines, config, false)
+    }
+
+    /// [`UserSpacePanda::build`], or with `dedicated` the paper's
+    /// "User-space-dedicated" rows: the **last** machine is sacrificed to
+    /// run only the sequencer, and `machines.len() - 1` application nodes
+    /// are returned.
+    pub(crate) fn build_placed(
+        sim: &mut Simulation,
+        machines: &[Machine],
+        config: &PandaConfig,
+        dedicated: bool,
+    ) -> Vec<Arc<UserSpacePanda>> {
         let n_members = machines.len() as u32; // a dedicated sequencer is still a member
-        let sequencer: NodeId = if config.dedicated_sequencer {
+        let app_nodes = n_members - u32::from(dedicated);
+        let sequencer: NodeId = if dedicated {
             app_nodes // the extra machine gets the last member id
         } else {
             config.sequencer_node
         };
         assert!(sequencer < n_members, "sequencer must be a member");
-        let group_config = GroupConfig {
-            bb_threshold: flip::FLIP_FRAGMENT_BYTES - PANDA_GROUP_HEADER_BYTES,
-            send_timeout: config.group_send_timeout,
-            send_retries: config.group_send_retries,
-            resync_interval: config.group_resync_interval,
-            status_interval: config.group_status_interval,
-            ..GroupConfig::default()
-        };
         let mut out = Vec::new();
         for (i, machine) in machines.iter().enumerate() {
             let node = i as NodeId;
@@ -76,13 +73,13 @@ impl UserSpacePanda {
             let group = UserGroup::start(
                 sim,
                 Arc::clone(&sys),
-                group_config.clone(),
+                config.group.clone(),
                 n_members,
                 sequencer,
-                config.dedicated_sequencer,
+                dedicated,
             );
             if node < app_nodes {
-                let rpc = UserRpc::start(sim, Arc::clone(&sys), config.clone());
+                let rpc = UserRpc::start(sim, Arc::clone(&sys), config.rpc.clone());
                 out.push(Arc::new(UserSpacePanda {
                     node,
                     nodes: app_nodes,

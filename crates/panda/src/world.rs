@@ -94,13 +94,7 @@ pub fn build_stack(
     match stack {
         Stack::Kernel => erase(KernelSpacePanda::build(sim, machines, config)),
         Stack::User => erase(UserSpacePanda::build(sim, machines, config)),
-        Stack::UserDedicated => {
-            let config = PandaConfig {
-                dedicated_sequencer: true,
-                ..config.clone()
-            };
-            erase(UserSpacePanda::build(sim, machines, &config))
-        }
+        Stack::UserDedicated => erase(UserSpacePanda::build_placed(sim, machines, config, true)),
     }
 }
 

@@ -5,9 +5,10 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex as StdMutex};
 
+use amoeba::GroupConfig;
 use bytes::Bytes;
 use chaos::testutil::{self, Stack};
-use desim::{ms, Layer, SimChannel, Simulation};
+use desim::{ms, Layer, Phase, SimChannel, Simulation};
 use ethernet::Network;
 use panda::{CommError, GroupDelivery, Panda, PandaConfig};
 
@@ -193,6 +194,47 @@ fn group_large_messages_bb_method() {
     }
 }
 
+/// Each shell's BB threshold is one FLIP fragment less its own group
+/// header: a payload that fills the fragment exactly goes PB, one byte
+/// more goes BB. Read from the `bb` argument of each `grp_send` begin.
+#[test]
+fn bb_threshold_is_one_fragment_less_the_shells_header() {
+    for (which, header) in [
+        (Stack::Kernel, amoeba::AMOEBA_GROUP_HEADER_BYTES),
+        (Stack::User, panda::PANDA_GROUP_HEADER_BYTES),
+    ] {
+        let fits = flip::FLIP_FRAGMENT_BYTES - header;
+        let mut sim = Simulation::new(6);
+        sim.enable_tracing();
+        let (_net, nodes) = build_world(&mut sim, 2, &which);
+        for n in &nodes {
+            n.set_group_handler(Arc::new(|_, _| {}));
+            n.set_rpc_handler(Arc::new(|_, _, _, _| {}));
+        }
+        let sender = Arc::clone(&nodes[1]);
+        let h = sim.spawn(sender.machine().proc(), "sender", move |ctx| {
+            for len in [fits, fits + 1] {
+                sender
+                    .group_send(ctx, Bytes::from(vec![5u8; len]))
+                    .expect("sequenced");
+            }
+        });
+        sim.run_until_finished(&h).expect("run");
+        let sends: Vec<(u64, u64)> = sim
+            .take_trace_events()
+            .iter()
+            .filter(|e| e.layer == Layer::Group && e.phase == Phase::Begin && e.name == "grp_send")
+            .map(|e| (e.args.get("bytes").unwrap(), e.args.get("bb").unwrap()))
+            .collect();
+        assert_eq!(
+            sends,
+            [(fits as u64, 0), (fits as u64 + 1, 1)],
+            "{}: (bytes, bb) per send",
+            which.name()
+        );
+    }
+}
+
 #[test]
 fn group_survives_packet_loss_both_impls() {
     for which in all_impls() {
@@ -225,7 +267,7 @@ fn group_survives_packet_loss_both_impls() {
 }
 
 /// With the sequencer's machine down for the whole send, a group send
-/// makes exactly `group_send_retries` transmissions — the first plus one
+/// makes exactly `send_retries` transmissions — the first plus one
 /// per `retransmit` note — and then reports the timeout, on every stack.
 #[test]
 fn group_send_gives_up_after_send_retries_transmissions() {
@@ -233,8 +275,11 @@ fn group_send_gives_up_after_send_retries_transmissions() {
         let mut sim = Simulation::new(17);
         sim.enable_tracing();
         let config = PandaConfig {
-            group_send_timeout: ms(10),
-            group_send_retries: 4,
+            group: GroupConfig {
+                send_timeout: ms(10),
+                send_retries: 4,
+                ..GroupConfig::default()
+            },
             ..PandaConfig::default()
         };
         let (world, nodes) = testutil::build_world(&mut sim, 2, which, &config);
@@ -260,7 +305,7 @@ fn group_send_gives_up_after_send_retries_transmissions() {
             .count() as u32;
         assert_eq!(
             retransmits + 1,
-            config.group_send_retries,
+            config.group.send_retries,
             "{}: transmissions",
             which.name()
         );
@@ -449,7 +494,10 @@ fn nonblocking_flush_recovers_from_lost_request() {
 fn build_with_zero_group_timer(which: Stack) {
     let mut sim = Simulation::new(1);
     let config = PandaConfig {
-        group_resync_interval: desim::SimDuration::ZERO,
+        group: GroupConfig {
+            resync_interval: desim::SimDuration::ZERO,
+            ..GroupConfig::default()
+        },
         ..PandaConfig::default()
     };
     let _ = testutil::build_world(&mut sim, 3, which, &config);
@@ -459,14 +507,14 @@ fn build_with_zero_group_timer(which: Stack) {
 /// once, forever. Both stacks reject it when they are built.
 #[test]
 #[should_panic(expected = "resync_interval must be non-zero")]
-fn user_stack_rejects_a_zero_group_resync_interval() {
+fn user_stack_rejects_a_zero_resync_interval() {
     build_with_zero_group_timer(Stack::User);
 }
 
-/// As [`user_stack_rejects_a_zero_group_resync_interval`], for the kernel
+/// As [`user_stack_rejects_a_zero_resync_interval`], for the kernel
 /// stack, where zero used to mean "no resync".
 #[test]
 #[should_panic(expected = "resync_interval must be non-zero")]
-fn kernel_stack_rejects_a_zero_group_resync_interval() {
+fn kernel_stack_rejects_a_zero_resync_interval() {
     build_with_zero_group_timer(Stack::Kernel);
 }

@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use amoeba::rpc::core::Kind;
-use amoeba::{FlipDest, Machine};
+use amoeba::{FlipDest, Machine, RpcConfig};
 use bytes::Bytes;
 use chaos::testutil;
 use desim::trace::Layer;
@@ -171,8 +171,10 @@ fn working_probe_waits_out_long_server_holds() {
     // the Working probe must keep the client from timing out.
     let mut sim = Simulation::new(4);
     let cfg = PandaConfig {
-        rpc_timeout: ms(5),
-        rpc_retries: 2, // raw budget (5+10+20 ms with backoff) << hold time
+        rpc: RpcConfig {
+            timeout: ms(5),
+            retries: 2, // raw budget (5+10+20 ms with backoff) << hold time
+        },
         ..PandaConfig::default()
     };
     let (_net, machines, nodes) = world(&mut sim, &cfg);
@@ -204,7 +206,10 @@ fn duplicate_requests_do_not_reexecute() {
     // from the reply cache, not by running the handler again.
     let mut sim = Simulation::new(5);
     let cfg = PandaConfig {
-        rpc_timeout: ms(10),
+        rpc: RpcConfig {
+            timeout: ms(10),
+            ..PandaConfig::default().rpc
+        },
         ..PandaConfig::default()
     };
     let (net, machines, nodes) = world(&mut sim, &cfg);
@@ -238,7 +243,10 @@ fn held_request_is_not_rerun_after_a_lost_first_transmission() {
     let mut sim = Simulation::new(6);
     sim.enable_tracing();
     let cfg = PandaConfig {
-        rpc_timeout: ms(5),
+        rpc: RpcConfig {
+            timeout: ms(5),
+            ..PandaConfig::default().rpc
+        },
         ..PandaConfig::default()
     };
     let (net, machines, nodes) = world(&mut sim, &cfg);

@@ -5,7 +5,7 @@
 //! sequencer (the paper's `User-space-dedicated`) buys the performance back
 //! at scale.
 //!
-//! Run with `cargo run --release --example dedicated_sequencer`.
+//! Run with `cargo run --release --example sequencer_overload`.
 
 use std::sync::Arc;
 
