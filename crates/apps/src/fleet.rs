@@ -21,8 +21,9 @@
 //!
 //! Both stacks avoid FLIP locate broadcast storms at fleet scale: client →
 //! server routes are pre-seeded at boot (`FlipIface::install_route`) and
-//! servers learn client routes from arriving requests (route learning), so
-//! a 10k-machine fleet performs zero locate floods.
+//! servers learn client routes from arriving requests (FLIP learns a route
+//! from every data packet), so a 10k-machine fleet performs zero locate
+//! floods.
 
 use std::sync::Arc;
 
@@ -554,9 +555,6 @@ fn build_kernel_fleet(
     let group_payload = Bytes::from(vec![0u8; GROUP_PAYLOAD_BYTES]);
     for s in 0..servers {
         let machine = &machines[s as usize];
-        // Replies and the unicast legs of the group protocol route by
-        // learned state instead of locate floods.
-        machine.iface().set_route_learning(true);
         let server = RpcServer::register(machine, server_port(s));
         let member = gspec.as_ref().map(|g| {
             // Member-to-sequencer unicasts are pre-seeded too.
@@ -645,7 +643,6 @@ fn build_user_fleet(
         node.set_group_handler(Arc::new(|_ctx, _delivery| {}));
         if (i as u32) < servers {
             let machine = node.machine();
-            machine.iface().set_route_learning(true);
             // Group broadcasts must not block the receive daemon the RPC
             // handler runs on, so the handler only enqueues a tick and a
             // per-server daemon performs the (blocking) sequenced send.

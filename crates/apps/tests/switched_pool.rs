@@ -24,11 +24,11 @@ fn asp_on_three_switched_segments_is_pinned() {
     for (imp, expected) in [
         (
             ProtoImpl::KernelSpace,
-            (506_450_900, 452, 104_622, 0xa707_9f39_4117_e86a),
+            (503_400_800, 339, 95_130, 0xa707_9f39_4117_e86a),
         ),
         (
             ProtoImpl::UserSpace,
-            (540_073_340, 447, 100_134, 0xa707_9f39_4117_e86a),
+            (536_901_040, 339, 91_062, 0xa707_9f39_4117_e86a),
         ),
     ] {
         let r = apps::asp::run(&RunConfig::new(NODES, imp, 7), &params);
@@ -42,11 +42,11 @@ fn sor_on_three_switched_segments_is_pinned() {
     for (imp, expected) in [
         (
             ProtoImpl::KernelSpace,
-            (250_008_200, 2776, 521_184, 0x314e_2eb8_68d4_1c27),
+            (245_574_100, 2588, 505_392, 0x314e_2eb8_68d4_1c27),
         ),
         (
             ProtoImpl::UserSpace,
-            (224_070_400, 1793, 408_212, 0x314e_2eb8_68d4_1c27),
+            (221_971_900, 1698, 400_232, 0x314e_2eb8_68d4_1c27),
         ),
     ] {
         let r = apps::sor::run(&RunConfig::new(NODES, imp, 7), &params);

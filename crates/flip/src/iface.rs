@@ -87,9 +87,6 @@ struct IfaceState {
     last_locate: HashMap<FlipAddr, SimTime>,
     reassembly: HashMap<(FlipAddr, u64), Partial>,
     next_msg_id: u64,
-    /// When set, routes are learned from the source of arriving data
-    /// packets (see [`FlipIface::set_route_learning`]). Off by default.
-    route_learning: bool,
     stats: FlipStats,
 }
 
@@ -127,7 +124,6 @@ impl FlipIface {
                 last_locate: HashMap::new(),
                 reassembly: HashMap::new(),
                 next_msg_id: 1,
-                route_learning: false,
                 stats: FlipStats::default(),
             })),
         }
@@ -164,16 +160,6 @@ impl FlipIface {
     /// falls back to a locate.
     pub fn install_route(&self, dst: FlipAddr, mac: MacAddr) {
         self.state.lock().routes.insert(dst, mac);
-    }
-
-    /// Enables (or disables) source learning: the interface remembers which
-    /// station each arriving data packet came from and uses it as the route
-    /// back to that sender — the lazy per-peer counterpart of
-    /// [`FlipIface::install_route`], so a server answering thousands of
-    /// clients never locate-floods. Off by default: learned routes suppress
-    /// locates and would perturb schedules pinned by golden traces.
-    pub fn set_route_learning(&self, on: bool) {
-        self.state.lock().route_learning = on;
     }
 
     /// Joins group `group` mapped onto the Ethernet multicast `eth`.
@@ -375,9 +361,10 @@ impl FlipIface {
 
         let now = ctx.now();
         st.stats.packets_received += 1;
-        if st.route_learning {
-            st.routes.entry(header.src).or_insert(from_mac);
-        }
+        // Source learning, as real FLIP does: the station a data packet
+        // came from is the route back to its sender, so a server answering
+        // thousands of clients never locate-floods.
+        st.routes.entry(header.src).or_insert(from_mac);
         // Lazy reassembly garbage collection. Runs for every data packet —
         // fast-path or not — so the set of partials that survive to a given
         // instant is independent of the delivery path taken.

@@ -128,18 +128,20 @@ fn quiet_call_sends_two_frames_and_holds_one_reply() {
     let frames = || net.total_stats().frames;
 
     call(&mut sim);
-    // A locate query and answer each way, the request and the reply.
-    assert_eq!(frames(), 6);
+    // The client's locate query and its answer, the request and the reply:
+    // the server learned the route back from the request, so it needs no
+    // locate of its own.
+    assert_eq!(frames(), 4);
     retransmit(&mut sim, &machines[0], 1);
-    assert_eq!(frames(), 8, "the retransmission and its answer");
+    assert_eq!(frames(), 6, "the retransmission and its answer");
     assert_eq!(counter(&sim, "reply_resend"), 1, "from the held reply");
 
     call(&mut sim);
-    assert_eq!(frames(), 10);
+    assert_eq!(frames(), 8);
     retransmit(&mut sim, &machines[0], 1);
-    assert_eq!(frames(), 11, "call 1's reply is no longer held");
+    assert_eq!(frames(), 9, "call 1's reply is no longer held");
     retransmit(&mut sim, &machines[0], 2);
-    assert_eq!(frames(), 13, "call 2's reply is held");
+    assert_eq!(frames(), 11, "call 2's reply is held");
     assert_eq!(counter(&sim, "reply_resend"), 2);
     assert_eq!(executions.load(Ordering::SeqCst), 2, "each call ran once");
 }
@@ -161,8 +163,9 @@ fn back_to_back_calls_send_two_frames_each() {
     });
     sim.run_until_finished(&h).expect("run");
     sim.run().expect("drain");
-    // 2 per call + a locate query and answer each way.
-    assert_eq!(net.total_stats().frames, 2 * calls + 4);
+    // 2 per call + the client's locate query and answer; the server routes
+    // its replies by the route it learned from the first request.
+    assert_eq!(net.total_stats().frames, 2 * calls + 2);
 }
 
 #[test]

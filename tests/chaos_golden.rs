@@ -73,5 +73,5 @@ fn user_stack_sequencer_crash_golden() {
     check_golden(Stack::User, USER_GOLDEN_HASH);
 }
 
-const KERNEL_GOLDEN_HASH: u64 = 0x86b9_6d82_9f87_9686;
-const USER_GOLDEN_HASH: u64 = 0x5478_b480_a381_c026;
+const KERNEL_GOLDEN_HASH: u64 = 0x2f72_03f6_a96a_f5f7;
+const USER_GOLDEN_HASH: u64 = 0x805e_3a62_7bdb_69da;
