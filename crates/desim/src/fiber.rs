@@ -587,19 +587,6 @@ mod tests {
     }
 
     #[test]
-    fn the_most_recently_dropped_stack_is_taken_first() {
-        static POOL: StackPool = StackPool::new();
-        let (a, b) = (FiberStack::take(&POOL), FiberStack::take(&POOL));
-        let (a_base, b_base) = (a.base, b.base);
-        drop(a);
-        drop(b);
-        let newer = FiberStack::take(&POOL);
-        assert_eq!(newer.base, b_base);
-        assert_eq!(POOL.free().len, 1, "the older stack still waits");
-        assert_eq!(FiberStack::take(&POOL).base, a_base);
-    }
-
-    #[test]
     fn pool_never_exceeds_its_cap() {
         static POOL: StackPool = StackPool::new();
         let stacks: Vec<FiberStack> = (0..FIBER_STACK_POOL_CAP + 8)
