@@ -4,6 +4,11 @@
 //! address's messages to a kernel handler or a user endpoint, and every frame
 //! leaves through one send (charged by [`Machine::kernel_send`],
 //! [`Machine::flip_send_syscall`], or a kernel protocol's own system call).
+//!
+//! A machine runs on its segment's scheduler lane, chosen once by
+//! [`Network::add_segment_on`]: boot reads it from the segment, and the
+//! machine's [`ProcId`] carries it, so every thread a protocol spawns on
+//! [`Machine::proc`] lands on that lane without being told.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -11,7 +16,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use desim::trace::Layer;
-use desim::{Ctx, LaneId, On, ProcId, SimChannel, Simulation};
+use desim::{Ctx, On, ProcId, SimChannel, Simulation};
 use ethernet::{MacAddr, McastAddr, Network, SegmentId};
 use flip::{FlipAddr, FlipIface, FlipMessage, FLIP_FRAGMENT_BYTES};
 use parking_lot::Mutex;
@@ -54,7 +59,6 @@ pub enum FlipDest {
 struct MachineInner {
     name: String,
     proc: ProcId,
-    lane: LaneId,
     iface: FlipIface,
     /// Shared, not cloned: at fleet scale thousands of machines reference
     /// one calibration instead of each carrying a private copy.
@@ -89,14 +93,14 @@ impl Machine {
         name: &str,
         cost: CostModel,
     ) -> Machine {
-        Machine::boot_on(sim, net, segment, mac, name, Arc::new(cost), LaneId::ZERO)
+        Machine::boot_on(sim, net, segment, mac, name, Arc::new(cost))
     }
 
-    /// Boots a machine on a specific scheduler lane. The lane must be the
-    /// lane `segment`'s daemon runs on: a machine interacts with the medium
-    /// through plain channels, which are only legal within one lane. The
-    /// cost model is shared (`Arc`), so a fleet of identical machines
-    /// carries one copy.
+    /// Boots a machine on `segment`'s scheduler lane, as [`Machine::boot`]
+    /// does, with a shared (`Arc`) cost model, so a fleet of identical
+    /// machines carries one copy. The machine talks to the medium through
+    /// plain channels, which are only legal within one lane, so its
+    /// processor is added on the lane the segment's daemon runs on.
     pub fn boot_on(
         sim: &mut Simulation,
         net: &mut Network,
@@ -104,21 +108,14 @@ impl Machine {
         mac: MacAddr,
         name: &str,
         cost: Arc<CostModel>,
-        lane: LaneId,
     ) -> Machine {
-        assert_eq!(
-            net.segment_lane(segment),
-            lane,
-            "machine {name} must boot on its segment's lane (NIC channels do not cross lanes)"
-        );
-        let proc = sim.add_processor_with_switch_cost_on(lane, name, cost.context_switch);
+        let proc = sim.add_processor_on(net.segment_lane(segment), name, cost.context_switch);
         let nic = net.attach(mac, segment);
         let iface = FlipIface::new(nic);
         let machine = Machine {
             inner: Arc::new(MachineInner {
                 name: name.to_owned(),
                 proc,
-                lane,
                 iface,
                 cost,
                 sinks: Mutex::new(HashMap::new()),
@@ -126,7 +123,7 @@ impl Machine {
             }),
         };
         let rx_machine = machine.clone();
-        sim.spawn_daemon_on_lane(lane, proc, &format!("{name}-netisr"), move |ctx| {
+        sim.spawn_daemon(proc, &format!("{name}-netisr"), move |ctx| {
             rx_machine.rx_loop(ctx);
         });
         // Kernel handlers capture protocol objects that hold this machine;
@@ -243,16 +240,9 @@ impl Machine {
         self.send(ctx, src, dst, payload);
     }
 
-    /// The machine's CPU.
+    /// The machine's CPU; it carries the machine's scheduler lane.
     pub fn proc(&self) -> ProcId {
         self.inner.proc
-    }
-
-    /// The scheduler lane the machine (its processor and all its daemons)
-    /// runs on. [`ProcId`]s are per-lane indices, so protocol modules that
-    /// spawn threads on [`Machine::proc`] must do so on this lane.
-    pub fn lane(&self) -> LaneId {
-        self.inner.lane
     }
 
     /// The machine's name.

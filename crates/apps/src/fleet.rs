@@ -514,8 +514,7 @@ fn spawn_client<F>(
     let think_dist = spec.think;
     let mean_think = spec.mean_think;
     let agg = Arc::clone(agg);
-    sim.spawn_on_lane(
-        machine.lane(),
+    sim.spawn(
         machine.proc(),
         &format!("client-{client_idx}"),
         move |ctx| loop {
@@ -568,14 +567,9 @@ fn build_kernel_fleet(
         if let Some(member) = &member {
             // Drain ordered deliveries so the backlog stays bounded.
             let drain = Arc::clone(member);
-            sim.spawn_daemon_on_lane(
-                machine.lane(),
-                machine.proc(),
-                &format!("srv{s}-gdrain"),
-                move |ctx| loop {
-                    let _ = drain.recv(ctx);
-                },
-            );
+            sim.spawn_daemon(machine.proc(), &format!("srv{s}-gdrain"), move |ctx| loop {
+                let _ = drain.recv(ctx);
+            });
         }
         let handled = Arc::new(std::sync::atomic::AtomicU64::new(0));
         for w in 0..KERNEL_SERVER_POOL {
@@ -586,27 +580,22 @@ fn build_kernel_fleet(
             let group_payload = group_payload.clone();
             let agg = Arc::clone(agg);
             let every = u64::from(spec.group_every);
-            sim.spawn_daemon_on_lane(
-                machine.lane(),
-                machine.proc(),
-                &format!("srv{s}-w{w}"),
-                move |ctx| loop {
-                    let (_req, token) = server.get_request(ctx);
-                    let n = handled.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
-                    server.put_reply(ctx, token, reply.clone());
-                    if let Some(member) = &member {
-                        if every > 0 && n.is_multiple_of(every) {
-                            let ok = member.send(ctx, group_payload.clone()).is_ok();
-                            let mut a = agg.lock();
-                            if ok {
-                                a.group_sends += 1;
-                            } else {
-                                a.group_timeouts += 1;
-                            }
+            sim.spawn_daemon(machine.proc(), &format!("srv{s}-w{w}"), move |ctx| loop {
+                let (_req, token) = server.get_request(ctx);
+                let n = handled.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
+                server.put_reply(ctx, token, reply.clone());
+                if let Some(member) = &member {
+                    if every > 0 && n.is_multiple_of(every) {
+                        let ok = member.send(ctx, group_payload.clone()).is_ok();
+                        let mut a = agg.lock();
+                        if ok {
+                            a.group_sends += 1;
+                        } else {
+                            a.group_timeouts += 1;
                         }
                     }
-                },
-            );
+                }
+            });
         }
     }
     let request = Bytes::from(vec![0u8; spec.request_bytes]);
@@ -652,22 +641,17 @@ fn build_user_fleet(
                 let ticks_rx = ticks.clone();
                 let group_payload = group_payload.clone();
                 let agg = Arc::clone(agg);
-                sim.spawn_daemon_on_lane(
-                    machine.lane(),
-                    machine.proc(),
-                    &format!("srv{i}-gsend"),
-                    move |ctx| {
-                        while ticks_rx.recv(ctx).is_some() {
-                            let ok = sender.group_send(ctx, group_payload.clone()).is_ok();
-                            let mut a = agg.lock();
-                            if ok {
-                                a.group_sends += 1;
-                            } else {
-                                a.group_timeouts += 1;
-                            }
+                sim.spawn_daemon(machine.proc(), &format!("srv{i}-gsend"), move |ctx| {
+                    while ticks_rx.recv(ctx).is_some() {
+                        let ok = sender.group_send(ctx, group_payload.clone()).is_ok();
+                        let mut a = agg.lock();
+                        if ok {
+                            a.group_sends += 1;
+                        } else {
+                            a.group_timeouts += 1;
                         }
-                    },
-                );
+                    }
+                });
             }
             let replier = Arc::clone(node);
             let reply = reply.clone();

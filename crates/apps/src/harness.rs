@@ -176,10 +176,9 @@ where
         let worker = Arc::clone(&worker);
         let results = Arc::clone(&results);
         let proc = rts.panda().machine().proc();
-        let lane = rts.panda().machine().lane();
         cluster
             .sim
-            .spawn_on_lane(lane, proc, &format!("orca-p{node}"), move |ctx| {
+            .spawn(proc, &format!("orca-p{node}"), move |ctx| {
                 let r = worker(ctx, node, Arc::clone(&rts));
                 results.lock()[node as usize] = r;
             });

@@ -36,6 +36,7 @@ use rand::{RngExt, SeedableRng};
 
 use crate::fiber::{self, Fiber};
 use crate::queue::{Event, EventQueue};
+use crate::shard::LaneId;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{ArgVec, Layer, Phase, TraceEvent, Tracer};
 use crate::Ctx;
@@ -68,12 +69,37 @@ pub(crate) trait LaneInjector: Send + Sync {
 }
 
 /// Identifies a simulated processor (one CPU) within one [`crate::Simulation`].
+///
+/// A processor belongs to exactly one lane, fixed when it is added, and its
+/// id carries that lane: every thread spawned on it runs there, so
+/// placement is derived from the id and never passed beside it. The index
+/// (what [`fmt::Display`] prints, `p{n}`) counts that lane's processors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ProcId(pub(crate) usize);
+pub struct ProcId {
+    lane: LaneId,
+    idx: u32,
+}
+
+impl ProcId {
+    pub(crate) fn new(lane: LaneId, idx: usize) -> Self {
+        let idx = u32::try_from(idx).expect("at most u32::MAX processors per lane");
+        ProcId { lane, idx }
+    }
+
+    /// The lane this processor (and every thread on it) runs on.
+    pub fn lane(self) -> LaneId {
+        self.lane
+    }
+
+    /// The processor's index among its lane's processors.
+    pub(crate) fn index(self) -> usize {
+        self.idx as usize
+    }
+}
 
 impl fmt::Display for ProcId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "p{}", self.0)
+        write!(f, "p{}", self.idx)
     }
 }
 
@@ -532,9 +558,15 @@ impl Core {
         self.trace_on.load(AtomicOrdering::Relaxed)
     }
 
-    pub(crate) fn add_processor(self: &Arc<Self>, name: &str, switch_cost: SimDuration) -> ProcId {
+    /// Adds a processor; `lane` is this core's own lane.
+    pub(crate) fn add_processor(
+        &self,
+        lane: LaneId,
+        name: &str,
+        switch_cost: SimDuration,
+    ) -> ProcId {
         let mut st = self.state.lock();
-        let id = ProcId(st.procs.len());
+        let id = ProcId::new(lane, st.procs.len());
         st.procs.push(ProcRecord {
             name: name.to_owned(),
             holder: None,
@@ -612,7 +644,7 @@ impl Core {
         fiber: Option<Box<Fiber>>,
     ) -> ThreadId {
         assert!(
-            proc.0 < st.procs.len(),
+            proc.index() < st.procs.len(),
             "spawn: unknown processor {proc}; call add_processor first"
         );
         let tid = ThreadId(st.threads.len());

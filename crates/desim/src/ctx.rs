@@ -216,25 +216,25 @@ impl Ctx {
         let proc = self.proc;
         let mut st = self.core.state.lock();
         // Acquire the CPU.
-        let pr = &mut st.procs[proc.0];
+        let pr = &mut st.procs[proc.index()];
         debug_assert_ne!(pr.holder, Some(me), "recursive compute on one CPU");
         if pr.holder.is_none() {
             pr.holder = Some(me);
         } else {
             let wid = st.prepare_block(me, "cpu");
-            st.procs[proc.0].waiters.push_back((me, wid));
+            st.procs[proc.index()].waiters.push_back((me, wid));
             if self.yield_blocked(st) == WakeStatus::Shutdown {
                 self.shutdown_unwind();
             }
             st = self.core.state.lock();
             debug_assert_eq!(
-                st.procs[proc.0].holder,
+                st.procs[proc.index()].holder,
                 Some(me),
                 "woken CPU waiter must have been granted the CPU"
             );
         }
         // Context-switch charge.
-        let pr = &mut st.procs[proc.0];
+        let pr = &mut st.procs[proc.index()];
         let cs = match switch {
             None => {
                 if pr.last_thread_holder.is_some() && pr.last_thread_holder != Some(me) {
@@ -264,14 +264,14 @@ impl Ctx {
         let start = st.now;
         let mut remaining = d + cs;
         while !remaining.is_zero() {
-            let s0 = st.procs[proc.0].stolen_total;
+            let s0 = st.procs[proc.index()].stolen_total;
             self.sleep_locked(st, remaining);
             st = self.core.state.lock();
-            remaining = st.procs[proc.0].stolen_total - s0;
+            remaining = st.procs[proc.index()].stolen_total - s0;
         }
         // Release and grant to the next waiter, if any.
         let elapsed = st.now.saturating_duration_since(start);
-        let pr = &mut st.procs[proc.0];
+        let pr = &mut st.procs[proc.index()];
         pr.busy += elapsed;
         pr.holder = None;
         pr.last_thread_holder = Some(me);
@@ -288,7 +288,7 @@ impl Ctx {
         }
         self.sleep(d);
         let mut st = self.core.state.lock();
-        let pr = &mut st.procs[self.proc.0];
+        let pr = &mut st.procs[self.proc.index()];
         pr.stolen_total += d;
         pr.interrupt_time += d;
     }
@@ -302,10 +302,23 @@ impl Ctx {
     }
 
     /// Spawns a new simulated thread on the given processor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `proc` belongs to another lane than this thread's: a
+    /// thread runs only on its processor's lane, and lanes interact only
+    /// through cross-lane links.
     pub fn spawn_on<F>(&self, proc: ProcId, name: &str, f: F) -> ThreadHandle
     where
         F: FnOnce(&Ctx) + Send + 'static,
     {
+        assert!(
+            proc.lane() == self.proc.lane(),
+            "spawn: {proc} is a processor of {}, but the spawning thread runs \
+             on {}; a thread runs only on its processor's lane",
+            proc.lane(),
+            self.proc.lane()
+        );
         let tid = self.core.spawn_thread(proc, name, false, f);
         ThreadHandle::new(Arc::clone(&self.core), tid)
     }

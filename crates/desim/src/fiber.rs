@@ -35,6 +35,14 @@
 //! only written by the context itself (as it suspends) and only read by
 //! the single party that resumes it; there is never a concurrent reader.
 //!
+//! Alternation holds per lane, and a thread runs only on its processor's
+//! lane: the lane is part of its `ProcId`, and every spawn checks it, so
+//! no fiber is ever switched to by another lane's scheduler or runner
+//! thread.
+//!
+//! Every `unsafe` block and impl below says which part of this model (or
+//! which ownership fact) makes it sound, in a `SAFETY` comment.
+//!
 //! # Teardown
 //!
 //! Fibers unwind with the `ShutdownUnwind` payload; each fiber's entry has
@@ -70,7 +78,11 @@ pub const FIBER_STACK_POOL_CAP: usize = 1024;
 /// and read by the one party resuming it, never concurrently.
 pub(crate) struct ContextCell(UnsafeCell<usize>);
 
+// SAFETY: the cell holds a plain word; strict alternation (module docs,
+// "Safety model") serializes every read and write of it, so sharing or
+// moving it between OS threads never races.
 unsafe impl Send for ContextCell {}
+// SAFETY: as for `Send` above.
 unsafe impl Sync for ContextCell {}
 
 impl ContextCell {
@@ -228,6 +240,8 @@ fn page_size() -> usize {
     use std::sync::OnceLock;
     static PAGE: OnceLock<usize> = OnceLock::new();
     *PAGE.get_or_init(|| {
+        // SAFETY: `sysconf` reads a process constant and touches no
+        // memory of ours.
         let p = unsafe { sys::sysconf(sys::_SC_PAGESIZE) };
         assert!(p > 0, "sysconf(_SC_PAGESIZE) failed");
         p as usize
@@ -391,6 +405,12 @@ pub(crate) struct Fiber {
     stack: FiberStack,
 }
 
+// SAFETY: a fiber is only ever run or touched by the party that holds the
+// turn of its lane (module docs, "Safety model"), so moving its box to a
+// runner OS thread never lets two parties use its cells at once. Field by
+// field: `sp` and `grant` are plain words; `entry` wraps a thread body that
+// `Core::spawn_thread` requires to be `Send`; `stack` owns its mapping
+// outright.
 unsafe impl Send for Fiber {}
 
 impl Fiber {
@@ -404,6 +424,9 @@ impl Fiber {
             stack: FiberStack::new(),
         });
         let arg = &*fiber as *const Fiber as usize;
+        // SAFETY: the stack was just taken for this fiber and nothing runs
+        // on it, so `init_stack` may write its top frame; the `sp` cell is
+        // ours alone until the fiber is first resumed.
         unsafe {
             *fiber.sp.get() = init_stack(fiber.stack.top(), arg);
         }
@@ -428,6 +451,12 @@ impl Fiber {
 
 /// Crafts the initial stack image so that restoring it "returns" into
 /// `desim_fiber_boot` with the `Fiber` pointer in a callee-saved slot.
+///
+/// # Safety
+///
+/// `top` must be one past the highest usable byte of a stack that no
+/// context runs on, with at least one restore frame of writable memory
+/// below it.
 #[cfg(target_arch = "x86_64")]
 unsafe fn init_stack(top: usize, arg: usize) -> usize {
     // Layout (ascending): r15 r14 r13 r12 rbx rbp <boot return addr>.
@@ -437,14 +466,24 @@ unsafe fn init_stack(top: usize, arg: usize) -> usize {
     let top = top & !0xf;
     let sp = top - 7 * 8;
     let slots = sp as *mut usize;
-    for i in 0..6 {
-        slots.add(i).write(0);
+    // SAFETY: the seven words below `top` lie in the idle stack the
+    // caller vouches for, and `sp` is word-aligned.
+    unsafe {
+        for i in 0..6 {
+            slots.add(i).write(0);
+        }
+        slots.add(3).write(arg); // popped into r12
+        slots.add(6).write(desim_fiber_boot as *const () as usize);
     }
-    slots.add(3).write(arg); // popped into r12
-    slots.add(6).write(desim_fiber_boot as *const () as usize);
     sp
 }
 
+/// Crafts the initial stack image so that restoring it "returns" into
+/// `desim_fiber_boot` with the `Fiber` pointer in a callee-saved slot.
+///
+/// # Safety
+///
+/// As for the x86_64 version.
 #[cfg(target_arch = "aarch64")]
 unsafe fn init_stack(top: usize, arg: usize) -> usize {
     // One 160-byte restore frame: x19 gets the Fiber pointer, the
@@ -453,11 +492,15 @@ unsafe fn init_stack(top: usize, arg: usize) -> usize {
     let top = top & !0xf;
     let sp = top - 160;
     let slots = sp as *mut usize;
-    for i in 0..20 {
-        slots.add(i).write(0);
+    // SAFETY: the twenty words below `top` lie in the idle stack the
+    // caller vouches for, and `sp` is word-aligned.
+    unsafe {
+        for i in 0..20 {
+            slots.add(i).write(0);
+        }
+        slots.write(arg); // x19
+        slots.add(11).write(desim_fiber_boot as *const () as usize); // x30
     }
-    slots.write(arg); // x19
-    slots.add(11).write(desim_fiber_boot as *const () as usize); // x30
     sp
 }
 
@@ -471,7 +514,9 @@ unsafe fn init_stack(top: usize, arg: usize) -> usize {
 /// strict alternation must guarantee no other party touches either
 /// slot concurrently.
 pub(crate) unsafe fn switch(save: *mut usize, resume: *mut usize) {
-    desim_fiber_switch(save, *resume);
+    // SAFETY: the caller's contract above: `*resume` is a valid suspended
+    // stack pointer and nobody else touches either slot while we switch.
+    unsafe { desim_fiber_switch(save, *resume) };
 }
 
 /// First (and only) frame of every fiber. Runs the entry closure,
@@ -482,9 +527,16 @@ pub(crate) unsafe fn switch(save: *mut usize, resume: *mut usize) {
 #[no_mangle]
 extern "C" fn desim_fiber_entry(fiber: *mut Fiber) -> ! {
     let sched_slot = {
+        // SAFETY: `fiber` is the live boxed `Fiber` whose stack this frame
+        // runs on (`Fiber::new` staged the pointer), and only the running
+        // fiber touches its own `entry` cell.
         let entry = unsafe { (*(*fiber).entry.get()).take().expect("fiber started twice") };
         entry()
     };
+    // SAFETY: the fiber is still alive (its record outlives the final
+    // switch-out), `sp` is its own save slot, and `sched_slot` is the
+    // scheduler's, which is suspended in `resume_and_wait` while this
+    // fiber holds the turn (strict alternation).
     unsafe {
         desim_fiber_switch((*fiber).sp.get(), *sched_slot);
     }
@@ -509,6 +561,8 @@ mod tests {
         // The entry bumps the counter, yields back to main, bumps
         // again, and returns main's slot for its final switch-out.
         struct SelfSp(*mut usize);
+        // SAFETY: the pointer is only dereferenced by `switch` on this
+        // test's one OS thread.
         unsafe impl Send for SelfSp {}
         let self_sp = Arc::new(std::sync::Mutex::new(SelfSp(std::ptr::null_mut())));
         let self_sp2 = Arc::clone(&self_sp);
@@ -517,6 +571,8 @@ mod tests {
             Box::new(move || {
                 hits2.fetch_add(1, Ordering::Relaxed);
                 let my_sp = self_sp2.lock().unwrap().0;
+                // SAFETY: `my_sp` is this fiber's own slot, and main is
+                // suspended in its switch below.
                 unsafe { switch(my_sp, MAIN_CTX.slot()) };
                 hits2.fetch_add(1, Ordering::Relaxed);
                 MAIN_CTX.slot()
@@ -524,8 +580,11 @@ mod tests {
         });
         self_sp.lock().unwrap().0 = fiber.sp_slot();
 
+        // SAFETY: main owns `MAIN_CTX`, and the fiber is fresh (its slot
+        // holds `init_stack`'s frame).
         unsafe { switch(MAIN_CTX.slot(), fiber.sp_slot()) };
         assert_eq!(hits.load(Ordering::Relaxed), 1);
+        // SAFETY: as above; the fiber is suspended in its own switch.
         unsafe { switch(MAIN_CTX.slot(), fiber.sp_slot()) };
         assert_eq!(hits.load(Ordering::Relaxed), 2);
     }

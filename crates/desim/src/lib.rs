@@ -43,6 +43,8 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![deny(unsafe_op_in_unsafe_fn)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 // The fiber context switch is vendored assembly for these targets only, and
 // it is the only way a simulated thread runs.

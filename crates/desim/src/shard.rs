@@ -11,6 +11,13 @@
 //! or after instant `T` cannot take effect on another lane before
 //! `T + lookahead`.
 //!
+//! **Placement is chosen once.** A processor's lane is fixed by
+//! [`crate::Simulation::add_processor_on`] and carried in its
+//! [`crate::ProcId`]; threads spawned on the processor run on that lane,
+//! and a cross-lane link names only its two lanes. A network chooses the
+//! lane once per segment (`ethernet::Network::add_segment_on`) and derives
+//! every machine's, daemon's and link's placement from it.
+//!
 //! The driver exploits that bound with the classic conservative-window
 //! scheme. Each round it computes `T_min`, the earliest queued instant
 //! across all lanes, opens the window `[T_min, T_min + lookahead)`, lets
@@ -206,7 +213,7 @@ impl LinkTable {
     pub(crate) fn register<T: Send + 'static>(
         &mut self,
         delay: SimDuration,
-        src_core: &Arc<Core>,
+        src_lane: LaneId,
         dst_core: &Arc<Core>,
         dst_lane: usize,
         dst: SimChannel<T>,
@@ -236,7 +243,7 @@ impl LinkTable {
             }),
             dst_core: Arc::clone(dst_core),
             dst,
-            src_core_addr: Arc::as_ptr(src_core) as usize,
+            src_lane,
         });
         let registered = dst_core.register_injector(Arc::clone(&shared) as Arc<dyn LaneInjector>);
         debug_assert_eq!(registered, idx);
@@ -302,9 +309,8 @@ struct XShared<T> {
     pending: Mutex<PendingBox<T>>,
     dst_core: Arc<Core>,
     dst: SimChannel<T>,
-    /// `Arc::as_ptr` of the source lane's core, for the debug-only
-    /// wrong-lane check in `send`.
-    src_core_addr: usize,
+    /// The source lane, for the debug-only wrong-lane check in `send`.
+    src_lane: LaneId,
 }
 
 struct PendingBox<T> {
@@ -434,8 +440,8 @@ impl<T: Send + 'static> XSender<T> {
     /// lookahead guarantees is before the delivery instant).
     pub fn send(&self, ctx: &Ctx, value: T) {
         debug_assert_eq!(
-            Arc::as_ptr(ctx.core()) as usize,
-            self.shared.src_core_addr,
+            ctx.processor().lane(),
+            self.shared.src_lane,
             "XSender used from a lane other than its source lane"
         );
         let at = ctx.now() + self.shared.delay;

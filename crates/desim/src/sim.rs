@@ -191,8 +191,7 @@ impl ThreadHandle {
 /// ```
 pub struct Simulation {
     /// Every lane, indexed by [`LaneId`] (see [`Simulation::add_lane`]);
-    /// lane 0 is the one the lane-less API (`spawn`, `add_processor`, …)
-    /// targets.
+    /// lane 0 is the one [`Simulation::add_processor`] targets.
     lanes: Vec<Arc<Core>>,
     /// Cross-lane links in registration order — which is the barrier-time
     /// flush order, part of the deterministic merge.
@@ -350,9 +349,14 @@ impl Simulation {
     /// The lane is a complete independent scheduler: its own event queue,
     /// clock, sequence counter, RNG (seeded deterministically from the
     /// simulation seed and the lane index), perturbation stream, and trace
-    /// buffers. Processors and threads are placed on it with
-    /// [`Simulation::add_processor_on`] / [`Simulation::spawn_on_lane`];
-    /// lanes interact only through [`Simulation::cross_link`]. With more
+    /// buffers. Placement is decided once, when a processor is added with
+    /// [`Simulation::add_processor_on`]: the returned [`ProcId`] carries
+    /// the lane, and every thread spawned on that processor
+    /// ([`Simulation::spawn`], [`Simulation::spawn_daemon`],
+    /// [`Ctx::spawn_on`]) runs there, so no caller passes a lane beside a
+    /// processor. (A network built on top chooses a lane once per segment
+    /// and derives everything else from it.) Lanes interact only through
+    /// [`Simulation::cross_link`]. With more
     /// than one lane, [`Simulation::run`]'s windows run the lanes in
     /// parallel up to the configured shard count (see
     /// [`SimulationBuilder::shards`]) — observably identical to serial.
@@ -380,54 +384,17 @@ impl Simulation {
         LaneId(idx as u32)
     }
 
-    /// Adds a processor with no context-switch cost on the given lane (see
-    /// [`Simulation::add_processor`]).
-    pub fn add_processor_on(&mut self, lane: LaneId, name: &str) -> ProcId {
-        self.lane_core(lane).add_processor(name, SimDuration::ZERO)
-    }
-
     /// Adds a processor with an explicit context-switch cost on the given
-    /// lane (the lane-aware form of
-    /// [`Simulation::add_processor_with_switch_cost`]). Processor ids are
-    /// per-lane indices: the returned id is only meaningful together with
-    /// `lane` and must be paired with [`Simulation::spawn_on_lane`] /
-    /// [`Simulation::spawn_daemon_on_lane`] on the same lane.
-    pub fn add_processor_with_switch_cost_on(
+    /// lane (the lane-aware form of [`Simulation::add_processor`]). The
+    /// returned id carries the lane: every thread spawned on the processor
+    /// runs there.
+    pub fn add_processor_on(
         &mut self,
         lane: LaneId,
         name: &str,
-        cost: SimDuration,
+        switch_cost: SimDuration,
     ) -> ProcId {
-        self.lane_core(lane).add_processor(name, cost)
-    }
-
-    /// Spawns a simulated thread on a processor of the given lane.
-    ///
-    /// The returned handle must only be joined from the same lane.
-    pub fn spawn_on_lane<F>(&mut self, lane: LaneId, proc: ProcId, name: &str, f: F) -> ThreadHandle
-    where
-        F: FnOnce(&Ctx) + Send + 'static,
-    {
-        let core = Arc::clone(self.lane_core(lane));
-        let tid = core.spawn_thread(proc, name, false, f);
-        ThreadHandle::new(core, tid)
-    }
-
-    /// Spawns a daemon thread on a processor of the given lane (see
-    /// [`Simulation::spawn_daemon`]).
-    pub fn spawn_daemon_on_lane<F>(
-        &mut self,
-        lane: LaneId,
-        proc: ProcId,
-        name: &str,
-        f: F,
-    ) -> ThreadHandle
-    where
-        F: FnOnce(&Ctx) + Send + 'static,
-    {
-        let core = Arc::clone(self.lane_core(lane));
-        let tid = core.spawn_thread(proc, name, true, f);
-        ThreadHandle::new(core, tid)
+        self.lane_core(lane).add_processor(lane, name, switch_cost)
     }
 
     /// Creates a cross-lane link: the only legal way for code on
@@ -440,38 +407,29 @@ impl Simulation {
     /// channel messages with the correct timestamp and pick order, with no
     /// daemon wake or channel hop charged per frame. `delay` must be
     /// positive: the minimum over all links is the lookahead that makes
-    /// parallel windows safe. `dst_proc` must be a processor of `dst_lane`
-    /// (kept for placement symmetry with the rest of the lane API), and the
-    /// sender must only be used from `src_lane` (debug-asserted on send).
+    /// parallel windows safe. The sender must only be used from `src_lane`
+    /// (debug-asserted on send).
     ///
     /// # Panics
     ///
-    /// Panics if `delay` is zero, the lanes are equal, or `dst_proc` is not
-    /// a processor of `dst_lane`.
+    /// Panics if `delay` is zero or the lanes are equal.
     pub fn cross_link<T: Send + 'static>(
         &mut self,
         name: &str,
         delay: SimDuration,
         src_lane: LaneId,
         dst_lane: LaneId,
-        dst_proc: ProcId,
         dst: SimChannel<T>,
     ) -> XSender<T> {
         assert_ne!(
             src_lane, dst_lane,
-            "cross_link connects two different lanes; same-lane traffic \
-             uses plain channels"
+            "cross_link {name} connects two different lanes; same-lane \
+             traffic uses plain channels"
         );
-        assert!(
-            dst_proc.0 < self.lane_core(dst_lane).state.lock().procs.len(),
-            "cross_link {name}: {dst_proc:?} is not a processor of {dst_lane}"
-        );
-        let (src, dst_core) = (
-            Arc::clone(self.lane_core(src_lane)),
-            Arc::clone(self.lane_core(dst_lane)),
-        );
+        self.lane_core(src_lane); // panics on an unknown lane
+        let dst_core = Arc::clone(self.lane_core(dst_lane));
         self.links
-            .register(delay, &src, &dst_core, dst_lane.index(), dst)
+            .register(delay, src_lane, &dst_core, dst_lane.index(), dst)
     }
 
     /// Caps the total number of wake events; [`Simulation::run`] returns
@@ -524,33 +482,34 @@ impl Simulation {
         self.teardown.push(Box::new(f));
     }
 
-    /// Adds a processor (one CPU) on lane 0 and returns its id.
+    /// Adds a processor (one CPU) with no context-switch cost on lane 0 and
+    /// returns its id.
     pub fn add_processor(&mut self, name: &str) -> ProcId {
-        self.add_processor_on(LaneId::ZERO, name)
+        self.add_processor_on(LaneId::ZERO, name, SimDuration::ZERO)
     }
 
-    /// Adds a processor with an explicit context-switch cost on lane 0.
-    pub fn add_processor_with_switch_cost(&mut self, name: &str, cost: SimDuration) -> ProcId {
-        self.add_processor_with_switch_cost_on(LaneId::ZERO, name, cost)
-    }
-
-    /// Spawns a simulated thread on lane 0's `proc`; it starts when the run
-    /// begins.
+    /// Spawns a simulated thread on `proc`, on `proc`'s lane; it starts
+    /// when the run begins. The returned handle must only be joined from
+    /// that lane.
     pub fn spawn<F>(&mut self, proc: ProcId, name: &str, f: F) -> ThreadHandle
     where
         F: FnOnce(&Ctx) + Send + 'static,
     {
-        self.spawn_on_lane(LaneId::ZERO, proc, name, f)
+        let core = Arc::clone(self.lane_core(proc.lane()));
+        let tid = core.spawn_thread(proc, name, false, f);
+        ThreadHandle::new(core, tid)
     }
 
-    /// Spawns a daemon thread on lane 0: it may remain blocked forever
-    /// without the run being reported as a deadlock (e.g. protocol receive
-    /// daemons).
+    /// Spawns a daemon thread on `proc`, on `proc`'s lane: it may remain
+    /// blocked forever without the run being reported as a deadlock (e.g.
+    /// protocol receive daemons).
     pub fn spawn_daemon<F>(&mut self, proc: ProcId, name: &str, f: F) -> ThreadHandle
     where
         F: FnOnce(&Ctx) + Send + 'static,
     {
-        self.spawn_daemon_on_lane(LaneId::ZERO, proc, name, f)
+        let core = Arc::clone(self.lane_core(proc.lane()));
+        let tid = core.spawn_thread(proc, name, true, f);
+        ThreadHandle::new(core, tid)
     }
 
     /// Runs until the event queue drains.
@@ -1012,7 +971,9 @@ impl Simulation {
             threads.extend(st.threads.iter().map(|t| t.name.to_string()));
             if let Some(tr) = st.tracer.as_ref() {
                 events.extend(tr.snapshot().into_iter().map(|mut e| {
-                    e.proc = ProcId(e.proc.0 + p_off);
+                    // Dense lane-major pid: an export index, not a
+                    // processor of any lane.
+                    e.proc = ProcId::new(e.proc.lane(), e.proc.index() + p_off);
                     e.thread = ThreadId(e.thread.0 + t_off);
                     e
                 }));

@@ -287,7 +287,7 @@ pub fn chrome_trace_json(
     let mut thread_pid = vec![0usize; thread_names.len()];
     for ev in events {
         if let Some(slot) = thread_pid.get_mut(ev.thread.0) {
-            *slot = ev.proc.0;
+            *slot = ev.proc.index();
         }
     }
     for (tid, name) in thread_names.iter().enumerate() {
@@ -329,7 +329,7 @@ pub fn chrome_trace_json(
                 ev.layer,
                 ts_ns / 1_000,
                 ts_ns % 1_000,
-                ev.proc.0,
+                ev.proc.index(),
                 ev.thread.0,
             ),
         );
@@ -363,7 +363,7 @@ mod tests {
     fn ev(t: u64, name: &'static str, phase: Phase, arg: u64) -> TraceEvent {
         TraceEvent {
             time: SimTime::from_nanos(t),
-            proc: ProcId(0),
+            proc: ProcId::new(crate::LaneId::ZERO, 0),
             thread: ThreadId(1),
             layer: Layer::Flip,
             phase,

@@ -69,7 +69,7 @@ fn compute_parallel_on_two_cpus() {
 #[test]
 fn context_switch_charged_between_threads_not_within() {
     let mut sim = Simulation::new(0);
-    let cpu = sim.add_processor_with_switch_cost("m0", us(70));
+    let cpu = sim.add_processor_on(LaneId::ZERO, "m0", us(70));
     // Thread A computes twice in a row: second compute pays no switch.
     let ha = sim.spawn(cpu, "a", |ctx| {
         ctx.compute(us(10));
@@ -97,7 +97,7 @@ fn context_switch_charged_between_threads_not_within() {
 #[test]
 fn switch_charge_policies() {
     let mut sim = Simulation::new(0);
-    let cpu = sim.add_processor_with_switch_cost("m0", us(70));
+    let cpu = sim.add_processor_on(LaneId::ZERO, "m0", us(70));
     let h = sim.spawn(cpu, "a", |ctx| {
         let work = [("work", us(10))];
         ctx.charge(Layer::App, On::ThreadSwitch(SimDuration::ZERO), &work);
@@ -146,7 +146,7 @@ fn charge_emits_one_instant_per_nonzero_term_at_the_call_instant() {
 #[test]
 fn thread_charge_occupies_the_sum_and_pays_one_switch() {
     let mut sim = Simulation::new(0);
-    let cpu = sim.add_processor_with_switch_cost("m0", us(70));
+    let cpu = sim.add_processor_on(LaneId::ZERO, "m0", us(70));
     let a = sim.spawn(cpu, "a", |ctx| ctx.compute(us(10)));
     sim.run_until_finished(&a).expect("a");
     let b = sim.spawn(cpu, "b", |ctx| {
@@ -168,7 +168,7 @@ fn thread_charge_occupies_the_sum_and_pays_one_switch() {
 #[test]
 fn zero_sum_thread_charge_still_takes_the_cpu() {
     let mut sim = Simulation::new(0);
-    let cpu = sim.add_processor_with_switch_cost("m0", us(70));
+    let cpu = sim.add_processor_on(LaneId::ZERO, "m0", us(70));
     let a = sim.spawn(cpu, "a", |ctx| ctx.compute(us(10)));
     sim.run_until_finished(&a).expect("a");
     let b = sim.spawn(cpu, "b", |ctx| {
@@ -188,7 +188,7 @@ fn zero_sum_thread_charge_still_takes_the_cpu() {
 fn off_charge_takes_no_time_and_no_cpu() {
     let mut sim = Simulation::new(0);
     sim.enable_tracing();
-    let cpu = sim.add_processor_with_switch_cost("m0", us(70));
+    let cpu = sim.add_processor_on(LaneId::ZERO, "m0", us(70));
     let busy = sim.spawn(cpu, "busy", |ctx| {
         ctx.compute(us(100));
         assert_eq!(ctx.now().as_micros_f64(), 100.0, "not extended");
@@ -239,7 +239,7 @@ fn interrupt_does_not_update_last_thread_holder() {
     // The kernel-space fast path: after interrupt-level work, the previous
     // thread resumes with no context-switch charge.
     let mut sim = Simulation::new(0);
-    let cpu = sim.add_processor_with_switch_cost("m0", us(70));
+    let cpu = sim.add_processor_on(LaneId::ZERO, "m0", us(70));
     let h = sim.spawn(cpu, "client", |ctx| {
         ctx.compute(us(10)); // t=10
         ctx.sleep(us(100)); // blocked, e.g. awaiting a reply
@@ -336,9 +336,9 @@ fn rerunning_a_finished_target_processes_nothing() {
         } else {
             LaneId::ZERO
         };
-        let cpu = sim.add_processor_on(lane, "m0");
-        let quick = sim.spawn_on_lane(lane, cpu, "quick", |ctx| ctx.sleep(us(1)));
-        let sleeper = sim.spawn_on_lane(lane, cpu, "sleeper", |ctx| ctx.sleep(us(100)));
+        let cpu = sim.add_processor_on(lane, "m0", SimDuration::ZERO);
+        let quick = sim.spawn(cpu, "quick", |ctx| ctx.sleep(us(1)));
+        let sleeper = sim.spawn(cpu, "sleeper", |ctx| ctx.sleep(us(100)));
         sim.run_until_finished(&quick).expect("quick finishes");
         assert!(!sleeper.is_finished(), "lanes {lanes} shards {shards}");
         let events = sim.report().events;
@@ -405,7 +405,7 @@ fn long_compute_lets_a_short_one_run_within_one_quantum() {
     // processor is released every 1 ms quantum, so the short one runs after
     // the first quantum, not after the whole slab.
     let mut sim = Simulation::new(0);
-    let cpu = sim.add_processor_with_switch_cost("m0", us(70));
+    let cpu = sim.add_processor_on(LaneId::ZERO, "m0", us(70));
     sim.spawn(cpu, "big", |ctx| {
         ctx.compute(ms(100));
     });
@@ -423,7 +423,7 @@ fn long_compute_lets_a_short_one_run_within_one_quantum() {
 #[test]
 fn compute_alone_takes_exactly_its_duration() {
     let mut sim = Simulation::new(0);
-    let cpu = sim.add_processor_with_switch_cost("m0", us(70));
+    let cpu = sim.add_processor_on(LaneId::ZERO, "m0", us(70));
     let h = sim.spawn(cpu, "only", |ctx| {
         ctx.compute(us(37_500));
         assert_eq!(ctx.now(), SimTime::ZERO + us(37_500), "alone on the CPU");
@@ -442,7 +442,7 @@ fn zero_compute_takes_no_time_no_cpu_and_no_switch() {
     // processor nor becomes its last holder, so `a`'s next slice pays no
     // switch either.
     let mut sim = Simulation::new(0);
-    let cpu = sim.add_processor_with_switch_cost("m0", us(70));
+    let cpu = sim.add_processor_on(LaneId::ZERO, "m0", us(70));
     sim.spawn(cpu, "a", |ctx| {
         ctx.compute(us(10));
         ctx.compute(us(10));

@@ -9,7 +9,7 @@
 //! and reports — matches a serial (`shards(1)`) reference execution exactly.
 //! Failures minimize through proptest's shrinking.
 
-use desim::{us, LaneId, Layer, SimChannel, SimTime, Simulation, WindowStats};
+use desim::{us, LaneId, Layer, SimChannel, SimDuration, SimTime, Simulation, WindowStats};
 use proptest::prelude::*;
 
 /// Everything observable about one run, for exact comparison.
@@ -50,7 +50,7 @@ fn run_ring(seed: u64, specs: &[LaneSpec], delays_us: &[u64], shards: usize) -> 
     let procs: Vec<_> = lanes
         .iter()
         .enumerate()
-        .map(|(i, &l)| sim.add_processor_on(l, &format!("m{i}")))
+        .map(|(i, &l)| sim.add_processor_on(l, &format!("m{i}"), SimDuration::ZERO))
         .collect();
     let inboxes: Vec<SimChannel<u64>> = (0..n).map(|_| SimChannel::new()).collect();
 
@@ -64,7 +64,6 @@ fn run_ring(seed: u64, specs: &[LaneSpec], delays_us: &[u64], shards: usize) -> 
                     us(delays_us[i]),
                     lanes[i],
                     lanes[dst],
-                    procs[dst],
                     inboxes[dst].clone(),
                 ))
             })
@@ -77,21 +76,19 @@ fn run_ring(seed: u64, specs: &[LaneSpec], delays_us: &[u64], shards: usize) -> 
     for (i, spec) in specs.iter().enumerate() {
         let tx = senders[i].clone();
         let spec = spec.clone();
-        handles.push(
-            sim.spawn_on_lane(lanes[i], procs[i], &format!("sender-{i}"), move |ctx| {
-                for round in 0..spec.rounds {
-                    ctx.sleep(us(1 + ctx.rand_range(50)));
-                    if spec.compute {
-                        ctx.compute(us(1 + ctx.rand_range(10)));
-                    }
-                    if let Some(tx) = tx.as_ref() {
-                        tx.send(ctx, (i as u64) << 32 | round);
-                    }
+        handles.push(sim.spawn(procs[i], &format!("sender-{i}"), move |ctx| {
+            for round in 0..spec.rounds {
+                ctx.sleep(us(1 + ctx.rand_range(50)));
+                if spec.compute {
+                    ctx.compute(us(1 + ctx.rand_range(10)));
                 }
-            }),
-        );
+                if let Some(tx) = tx.as_ref() {
+                    tx.send(ctx, (i as u64) << 32 | round);
+                }
+            }
+        }));
         let inbox = inboxes[i].clone();
-        sim.spawn_daemon_on_lane(lanes[i], procs[i], &format!("recv-{i}"), move |ctx| {
+        sim.spawn_daemon(procs[i], &format!("recv-{i}"), move |ctx| {
             while let Some(v) = inbox.recv(ctx) {
                 ctx.trace_instant(Layer::App, "got", &[("v", v)]);
             }
@@ -136,16 +133,16 @@ fn cross_link_delivers_at_exactly_send_plus_delay() {
         let mut sim = Simulation::builder().seed(7).shards(shards).build();
         let l1 = sim.add_lane();
         let p0 = sim.add_processor("m0");
-        let p1 = sim.add_processor_on(l1, "m1");
+        let p1 = sim.add_processor_on(l1, "m1", SimDuration::ZERO);
         let inbox: SimChannel<u64> = SimChannel::new();
-        let tx = sim.cross_link("l01", us(30), LaneId::ZERO, l1, p1, inbox.clone());
+        let tx = sim.cross_link("l01", us(30), LaneId::ZERO, l1, inbox.clone());
         sim.spawn(p0, "src", move |ctx| {
             ctx.sleep(us(5));
             tx.send(ctx, 42);
             ctx.sleep(us(100));
             tx.send(ctx, 43);
         });
-        let sink = sim.spawn_on_lane(l1, p1, "sink", move |ctx| {
+        let sink = sim.spawn(p1, "sink", move |ctx| {
             assert_eq!(inbox.recv(ctx), Some(42));
             assert_eq!(ctx.now(), SimTime::ZERO + us(5) + us(30));
             assert_eq!(inbox.recv(ctx), Some(43));
@@ -162,9 +159,9 @@ fn independent_lanes_drain_in_one_unbounded_window() {
         let mut sim = Simulation::builder().seed(3).shards(shards).build();
         let l1 = sim.add_lane();
         let p0 = sim.add_processor("a");
-        let p1 = sim.add_processor_on(l1, "b");
+        let p1 = sim.add_processor_on(l1, "b", SimDuration::ZERO);
         sim.spawn(p0, "ta", |ctx| ctx.sleep(us(10)));
-        sim.spawn_on_lane(l1, p1, "tb", |ctx| ctx.sleep(us(25)));
+        sim.spawn(p1, "tb", |ctx| ctx.sleep(us(25)));
         let report = sim.run().expect("independent lanes drain");
         assert_eq!(sim.lookahead(), None);
         assert_eq!(report.final_time, SimTime::ZERO + us(25));
@@ -173,28 +170,65 @@ fn independent_lanes_drain_in_one_unbounded_window() {
     }
 }
 
+/// A processor's id carries its lane: `Simulation::spawn`,
+/// `Simulation::spawn_daemon` and `Ctx::spawn_on` all place the thread
+/// there, so its sleep advances that lane's clock and no other.
+#[test]
+fn spawn_places_a_thread_on_its_processors_lane() {
+    for shards in [1, 2] {
+        let mut sim = Simulation::builder().seed(5).shards(shards).build();
+        let l1 = sim.add_lane();
+        let l2 = sim.add_lane();
+        let p1 = sim.add_processor_on(l1, "m1", us(70));
+        let p2 = sim.add_processor_on(l2, "m2", SimDuration::ZERO);
+        assert_eq!((p1.lane(), p2.lane()), (l1, l2));
+        let h = sim.spawn(p1, "sleeper", move |ctx| {
+            assert_eq!(ctx.processor(), p1);
+            ctx.sleep(us(40));
+            // A sibling on the same lane's processor is legal.
+            let kid = ctx.spawn_on(p1, "kid", |ctx| ctx.sleep(us(2)));
+            kid.join(ctx);
+        });
+        sim.spawn_daemon(p2, "idler", |ctx| ctx.sleep(us(7)));
+        sim.run().expect("lanes drain");
+        assert!(h.is_finished());
+        assert_eq!(sim.lane_now(LaneId::ZERO), SimTime::ZERO, "shards {shards}");
+        assert_eq!(sim.lane_now(l1), SimTime::ZERO + us(42), "shards {shards}");
+        assert_eq!(sim.lane_now(l2), SimTime::ZERO + us(7), "shards {shards}");
+    }
+}
+
+/// A thread cannot spawn onto another lane's processor, even one whose
+/// index names a processor of its own lane too: the spawn panics and names
+/// both lanes instead of landing on the wrong processor.
+#[test]
+#[should_panic(expected = "p0 is a processor of lane1, but the spawning thread runs on lane0")]
+fn spawn_on_another_lanes_processor_names_both_lanes() {
+    let mut sim = Simulation::builder().shards(1).build();
+    let l1 = sim.add_lane();
+    let p0 = sim.add_processor("m0");
+    let far = sim.add_processor_on(l1, "m1", SimDuration::ZERO);
+    sim.spawn(p0, "parent", move |ctx| {
+        ctx.spawn_on(far, "stray", |ctx| ctx.sleep(us(1)));
+    });
+    let _ = sim.run();
+}
+
 #[test]
 fn event_budget_stops_a_windowed_run() {
     for shards in [1, 2, 0] {
         let mut sim = Simulation::builder().seed(11).shards(shards).build();
         let l1 = sim.add_lane();
         let p0 = sim.add_processor("a");
-        let p1 = sim.add_processor_on(l1, "b");
+        let p1 = sim.add_processor_on(l1, "b", SimDuration::ZERO);
         let inbox: SimChannel<u64> = SimChannel::new();
-        let tx = sim.cross_link("x", us(10), LaneId::ZERO, l1, p1, inbox.clone());
+        let tx = sim.cross_link("x", us(10), LaneId::ZERO, l1, inbox.clone());
         sim.set_max_events(500);
         sim.spawn(p0, "spin", move |ctx| loop {
             ctx.sleep(us(1));
             tx.send(ctx, 0);
         });
-        sim.spawn_daemon_on_lane(
-            l1,
-            p1,
-            "drain",
-            move |ctx| {
-                while inbox.recv(ctx).is_some() {}
-            },
-        );
+        sim.spawn_daemon(p1, "drain", move |ctx| while inbox.recv(ctx).is_some() {});
         match sim.run() {
             Err(desim::SimError::EventLimitExceeded { limit }) => {
                 assert_eq!(limit, 500, "shards {shards}")
@@ -240,15 +274,15 @@ fn quiet_windows_elide_flush_work() {
     let mut sim = Simulation::builder().seed(5).shards(2).build();
     let l1 = sim.add_lane();
     let p0 = sim.add_processor("m0");
-    let p1 = sim.add_processor_on(l1, "m1");
+    let p1 = sim.add_processor_on(l1, "m1", SimDuration::ZERO);
     let inbox: SimChannel<u64> = SimChannel::new();
-    let tx = sim.cross_link("burst", us(10), LaneId::ZERO, l1, p1, inbox.clone());
+    let tx = sim.cross_link("burst", us(10), LaneId::ZERO, l1, inbox.clone());
     sim.spawn(p0, "burst", move |ctx| {
         for i in 0..3 {
             tx.send(ctx, i);
         }
     });
-    sim.spawn_on_lane(l1, p1, "grind", move |ctx| {
+    sim.spawn(p1, "grind", move |ctx| {
         for _ in 0..3 {
             inbox.recv(ctx);
         }
@@ -297,7 +331,7 @@ fn run_fan_in(shards: usize) -> (Vec<(u64, SimTime)>, WindowStats) {
     let procs: Vec<_> = senders
         .iter()
         .enumerate()
-        .map(|(i, &l)| sim.add_processor_on(l, &format!("src{i}")))
+        .map(|(i, &l)| sim.add_processor_on(l, &format!("src{i}"), SimDuration::ZERO))
         .collect();
     let inbox: SimChannel<u64> = SimChannel::new();
     let mut per_lane: Vec<Vec<(u64, desim::XSender<u64>)>> = vec![Vec::new(); 3];
@@ -308,13 +342,12 @@ fn run_fan_in(shards: usize) -> (Vec<(u64, SimTime)>, WindowStats) {
             us(20),
             senders[s],
             LaneId::ZERO,
-            sink_proc,
             inbox.clone(),
         );
         per_lane[s].push((k, tx));
     }
     for (s, links) in per_lane.into_iter().enumerate() {
-        sim.spawn_on_lane(senders[s], procs[s], &format!("send{s}"), move |ctx| {
+        sim.spawn(procs[s], &format!("send{s}"), move |ctx| {
             ctx.sleep(us(5));
             for (k, tx) in links.iter().rev() {
                 tx.send(ctx, *k);
@@ -369,8 +402,8 @@ fn trace_dropped_counts_every_lane() {
         let mut sim = Simulation::builder().seed(4).shards(shards).build();
         sim.enable_tracing_with_capacity(8);
         let l1 = sim.add_lane();
-        let p1 = sim.add_processor_on(l1, "m1");
-        sim.spawn_on_lane(l1, p1, "chatty", |ctx| {
+        let p1 = sim.add_processor_on(l1, "m1", SimDuration::ZERO);
+        sim.spawn(p1, "chatty", |ctx| {
             for i in 0..100 {
                 ctx.trace_instant(Layer::App, "tick", &[("i", i)]);
             }
@@ -388,15 +421,15 @@ fn windowed_deadlock_names_the_lane() {
     let mut sim = Simulation::builder().seed(2).shards(2).build();
     let l1 = sim.add_lane();
     let p0 = sim.add_processor("m0");
-    let p1 = sim.add_processor_on(l1, "m1");
+    let p1 = sim.add_processor_on(l1, "m1", SimDuration::ZERO);
     let inbox: SimChannel<u64> = SimChannel::new();
-    let tx = sim.cross_link("x", us(10), LaneId::ZERO, l1, p1, inbox.clone());
+    let tx = sim.cross_link("x", us(10), LaneId::ZERO, l1, inbox.clone());
     let never: SimChannel<u64> = SimChannel::new();
     sim.spawn(p0, "waiter", move |ctx| {
         tx.send(ctx, 1);
         let _ = never.recv(ctx); // nobody ever sends
     });
-    sim.spawn_on_lane(l1, p1, "waiter", move |ctx| {
+    sim.spawn(p1, "waiter", move |ctx| {
         assert_eq!(inbox.recv(ctx), Some(1));
         let _ = inbox.recv(ctx); // the only sender is stuck
     });

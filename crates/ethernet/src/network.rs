@@ -283,17 +283,14 @@ struct SegmentInner {
     attachments: Vec<Attachment>,
     stats: SegmentStats,
     held: Vec<HeldDelivery>,
-    /// Scheduler lane this segment's daemon runs on.
-    lane: LaneId,
-    /// The segment daemon's processor (the cross-lane links' destination
-    /// placement; delivery itself is injected into the lane's event queue
-    /// at window-flush time, no daemon involved).
+    /// The segment daemon's processor; it carries the segment's lane, which
+    /// every machine, switch port and link on the segment derives from.
     proc: ProcId,
     /// Serialization rate of this medium (per-segment: a backbone segment
     /// may be faster than the default leaf bandwidth).
     ns_per_byte: u64,
     /// Multicast membership count per group on this segment (kept by
-    /// join/leave so switch trees can prune floods to memberless subtrees).
+    /// joins so switch trees can prune floods to memberless subtrees).
     mcast_members: HashMap<McastAddr, u32>,
 }
 
@@ -388,6 +385,11 @@ impl Network {
     /// given scheduler lane. Segments on different lanes advance in parallel
     /// under the windowed driver; connect them with [`Network::add_switch`],
     /// which builds cross-lane links automatically.
+    ///
+    /// This is the one place a lane is chosen: the segment's processor
+    /// carries it, and machines booted on the segment, its switch ports and
+    /// their links all derive their placement from it
+    /// ([`Network::segment_lane`]).
     pub fn add_segment_on(&mut self, sim: &mut Simulation, name: &str, lane: LaneId) -> SegmentId {
         self.add_segment_on_with_bandwidth(sim, name, lane, self.cfg.bandwidth_bps)
     }
@@ -403,12 +405,12 @@ impl Network {
         bandwidth_bps: u64,
     ) -> SegmentId {
         let tx = SimChannel::new();
-        let proc = sim.add_processor_on(lane, &format!("net-{name}"));
+        let proc = sim.add_processor_on(lane, &format!("net-{name}"), SimDuration::ZERO);
         let id = {
             let mut inner = self.inner.lock();
             let id = SegmentId(inner.segments.len());
             if let Some(first) = inner.segments.first() {
-                if first.lane != lane {
+                if first.proc.lane() != lane {
                     inner.multi_lane = true;
                 }
             }
@@ -417,7 +419,6 @@ impl Network {
                 attachments: Vec::new(),
                 stats: SegmentStats::default(),
                 held: Vec::new(),
-                lane,
                 proc,
                 ns_per_byte: 8_000_000_000 / bandwidth_bps,
                 mcast_members: HashMap::new(),
@@ -425,7 +426,7 @@ impl Network {
             id
         };
         let net = self.clone();
-        sim.spawn_daemon_on_lane(lane, proc, &format!("eth-{name}"), move |ctx| {
+        sim.spawn_daemon(proc, &format!("eth-{name}"), move |ctx| {
             net.segment_daemon(ctx, id);
         });
         id
@@ -433,7 +434,7 @@ impl Network {
 
     /// The scheduler lane a segment's daemon runs on.
     pub fn segment_lane(&self, segment: SegmentId) -> LaneId {
-        self.inner.lock().segments[segment.0].lane
+        self.inner.lock().segments[segment.0].proc.lane()
     }
 
     /// Attaches a station to `segment` and returns its NIC.
@@ -525,24 +526,24 @@ impl Network {
         name: &str,
     ) {
         let ports: Vec<SegmentId> = leaves.iter().copied().chain(uplink).collect();
-        let placed: Vec<(LaneId, ProcId, SimChannel<Frame>)> = {
+        let placed: Vec<(ProcId, SimChannel<Frame>)> = {
             let inner = self.inner.lock();
             ports
                 .iter()
                 .map(|s| {
                     let s = &inner.segments[s.0];
-                    (s.lane, s.proc, s.tx.clone())
+                    (s.proc, s.tx.clone())
                 })
                 .collect()
         };
-        for (&seg, &(lane, proc, _)) in ports.iter().zip(&placed) {
+        for (&seg, &(proc, _)) in ports.iter().zip(&placed) {
             let rx = self.add_switch_port(seg);
             let mut links = Vec::with_capacity(ports.len() - 1);
-            for (&dst, (dst_lane, dst_proc, dst_tx)) in ports.iter().zip(&placed) {
+            for (&dst, (dst_proc, dst_tx)) in ports.iter().zip(&placed) {
                 if dst == seg {
                     continue;
                 }
-                let link = if *dst_lane == lane {
+                let link = if dst_proc.lane() == proc.lane() {
                     PortLink::Local(dst_tx.clone())
                 } else {
                     assert!(
@@ -552,9 +553,8 @@ impl Network {
                     PortLink::Cross(sim.cross_link(
                         &format!("sw-{name}-{seg}-{dst}"),
                         self.cfg.switch_latency,
-                        lane,
-                        *dst_lane,
-                        *dst_proc,
+                        proc.lane(),
+                        dst_proc.lane(),
                         dst_tx.clone(),
                     ))
                 };
@@ -568,7 +568,7 @@ impl Network {
                 links,
             };
             let net = self.clone();
-            sim.spawn_daemon_on_lane(lane, proc, &format!("sw-{name}-{seg}"), move |ctx| {
+            sim.spawn_daemon(proc, &format!("sw-{name}-{seg}"), move |ctx| {
                 net.switch_port_daemon(ctx, &port);
             });
         }
@@ -1081,30 +1081,6 @@ impl Nic {
         }
         if joined {
             *inner.mcast_total.entry(group).or_insert(0) += 1;
-        }
-    }
-
-    /// Unsubscribes this NIC from a multicast group.
-    pub fn leave_group(&self, group: McastAddr) {
-        let mut inner = self.net.lock();
-        let mut left = false;
-        {
-            let seg = &mut inner.segments[self.segment.0];
-            for a in &mut seg.attachments {
-                if a.mac == Some(self.mac) {
-                    left |= a.groups.remove(&group);
-                }
-            }
-            if left {
-                if let Some(n) = seg.mcast_members.get_mut(&group) {
-                    *n = n.saturating_sub(1);
-                }
-            }
-        }
-        if left {
-            if let Some(n) = inner.mcast_total.get_mut(&group) {
-                *n = n.saturating_sub(1);
-            }
         }
     }
 }

@@ -98,9 +98,9 @@ impl TopologySpec {
     /// returns the placement map. `name` names the flat switch (the
     /// harnesses' historical `"pool"`) or prefixes the edge switches.
     ///
-    /// Stations are *not* attached here — callers boot machines with
-    /// [`Topology::segment_of`] / [`Topology::lane_of`] so the network
-    /// crate stays protocol-agnostic.
+    /// Stations are *not* attached here — callers boot machines on
+    /// [`Topology::segment_of`], whose lane ([`Network::segment_lane`]) the
+    /// machine derives, so the network crate stays protocol-agnostic.
     pub fn build(&self, sim: &mut Simulation, net: &mut Network, name: &str) -> Topology {
         assert!(self.per_segment > 0, "per_segment must be positive");
         assert!(self.lanes >= 1, "at least one lane");
@@ -139,7 +139,6 @@ impl TopologySpec {
             net.add_switch(sim, &leaf_segments, name);
         }
         Topology {
-            lanes,
             leaf_segments,
             backbone,
             spec: self.clone(),
@@ -147,11 +146,11 @@ impl TopologySpec {
     }
 }
 
-/// A realized [`TopologySpec`]: the lanes and segments it created, plus the
-/// machine→segment→lane placement map.
+/// A realized [`TopologySpec`]: the segments it created, plus the
+/// machine→segment placement map (a segment's lane is the network's to
+/// answer, [`Network::segment_lane`]).
 #[derive(Debug, Clone)]
 pub struct Topology {
-    lanes: Vec<LaneId>,
     leaf_segments: Vec<SegmentId>,
     backbone: Option<SegmentId>,
     spec: TopologySpec,
@@ -161,12 +160,6 @@ impl Topology {
     /// The spec this topology was built from.
     pub fn spec(&self) -> &TopologySpec {
         &self.spec
-    }
-
-    /// The scheduler lanes, root lane first (`lanes[i]` hosts the leaf
-    /// segments with index ≡ i mod lanes).
-    pub fn lanes(&self) -> &[LaneId] {
-        &self.lanes
     }
 
     /// The leaf segments in index order.
@@ -179,15 +172,6 @@ impl Topology {
         self.backbone
     }
 
-    /// The leaf index machine `m` lives on (`None` for backbone stations).
-    fn leaf_index_of(&self, machine: u32) -> Option<usize> {
-        if machine < self.spec.backbone_stations {
-            None
-        } else {
-            Some(((machine - self.spec.backbone_stations) / self.spec.per_segment) as usize)
-        }
-    }
-
     /// Home segment of machine `m`: the backbone for the first
     /// `backbone_stations` machines, then leaves filled `per_segment` at a
     /// time in machine order.
@@ -196,22 +180,9 @@ impl Topology {
             machine < self.spec.machines,
             "machine {machine} out of range"
         );
-        match self.leaf_index_of(machine) {
+        match machine.checked_sub(self.spec.backbone_stations) {
             None => self.backbone.expect("backbone stations imply a backbone"),
-            Some(leaf) => self.leaf_segments[leaf],
-        }
-    }
-
-    /// Scheduler lane of machine `m`'s home segment (machines must run on
-    /// their segment's lane).
-    pub fn lane_of(&self, machine: u32) -> LaneId {
-        assert!(
-            machine < self.spec.machines,
-            "machine {machine} out of range"
-        );
-        match self.leaf_index_of(machine) {
-            None => LaneId::ZERO,
-            Some(leaf) => self.lanes[leaf % self.lanes.len()],
+            Some(m) => self.leaf_segments[(m / self.spec.per_segment) as usize],
         }
     }
 }

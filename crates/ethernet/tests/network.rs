@@ -102,25 +102,6 @@ fn multicast_reaches_subscribers_only() {
 }
 
 #[test]
-fn leave_group_stops_delivery() {
-    let mut sim = Simulation::new(1);
-    let mut net = Network::new(NetConfig::default());
-    let seg = net.add_segment(&mut sim, "s0");
-    let a = net.attach(MacAddr(0), seg);
-    let b = net.attach(MacAddr(1), seg);
-    let g = McastAddr(4);
-    b.join_group(g);
-    b.leave_group(g);
-    let m = sim.add_processor("m");
-    let h = sim.spawn(m, "t", move |ctx| {
-        a.send(ctx, Dest::Multicast(g), payload(10));
-        ctx.sleep(us(500));
-        assert!(b.rx().is_empty());
-    });
-    sim.run_until_finished(&h).expect("run");
-}
-
-#[test]
 fn broadcast_reaches_everyone() {
     let mut sim = Simulation::new(1);
     let mut net = Network::new(NetConfig::default());
@@ -271,12 +252,11 @@ fn flat_switch_arrivals(lane_per_segment: bool) -> (Vec<ArrivalLog>, Option<desi
     net.add_switch(&mut sim, &segs, "sw");
     let logs: Vec<Arc<Mutex<ArrivalLog>>> = (0..3).map(|_| Arc::default()).collect();
     for i in 0..3 {
-        let lane = lane_ids[i];
         let nic = net.attach(MacAddr(i as u32), segs[i]);
-        let proc = sim.add_processor_on(lane, &format!("m{i}"));
+        let proc = sim.add_processor_on(lane_ids[i], &format!("m{i}"), desim::SimDuration::ZERO);
         let tx = nic.clone();
         let dst = MacAddr(((i + 1) % 3) as u32);
-        sim.spawn_on_lane(lane, proc, &format!("tx{i}"), move |ctx| {
+        sim.spawn(proc, &format!("tx{i}"), move |ctx| {
             let wait_for_slot = |round: u64, slot: u64| {
                 let at = SimTime::ZERO + us(1000 * round + 300 * slot);
                 ctx.sleep(at.duration_since(ctx.now()));
@@ -291,7 +271,7 @@ fn flat_switch_arrivals(lane_per_segment: bool) -> (Vec<ArrivalLog>, Option<desi
             }
         });
         let log = Arc::clone(&logs[i]);
-        sim.spawn_daemon_on_lane(lane, proc, &format!("rx{i}"), move |ctx| {
+        sim.spawn_daemon(proc, &format!("rx{i}"), move |ctx| {
             while let Some(f) = nic.rx().recv(ctx) {
                 log.lock().push((f.src.0, ctx.now().as_nanos()));
             }

@@ -19,11 +19,7 @@ fn placement(spec: &TopologySpec, shards: usize) -> Vec<(String, String)> {
     (0..spec.machines)
         .map(|m| {
             let seg = topo.segment_of(m);
-            let lane = topo.lane_of(m);
-            // The placement map must agree with where the builder actually
-            // put the segment.
-            assert_eq!(net.segment_lane(seg), lane, "machine {m} lane mismatch");
-            (format!("{seg:?}"), format!("{lane:?}"))
+            (format!("{seg:?}"), format!("{:?}", net.segment_lane(seg)))
         })
         .collect()
 }
@@ -67,7 +63,7 @@ proptest! {
             if m < spec.backbone_stations {
                 // Servers sit on the backbone, which lives on the root lane.
                 prop_assert_eq!(Some(seg), topo.backbone());
-                prop_assert_eq!(topo.lane_of(m), LaneId::ZERO);
+                prop_assert_eq!(net.segment_lane(seg), LaneId::ZERO);
             } else {
                 let leaf = topo
                     .leaf_segments()
@@ -75,10 +71,15 @@ proptest! {
                     .position(|s| *s == seg)
                     .expect("client machines live on a leaf");
                 leaf_load[leaf] += 1;
-                // Leaves fill in machine order, `per_segment` at a time.
+                // Leaves fill in machine order, `per_segment` at a time,
+                // and spread round-robin over the lanes.
                 prop_assert_eq!(
                     leaf as u32,
                     (m - spec.backbone_stations) / spec.per_segment
+                );
+                prop_assert_eq!(
+                    net.segment_lane(seg).index(),
+                    leaf % spec.lanes as usize
                 );
             }
         }
@@ -102,7 +103,9 @@ proptest! {
         let topo = spec.build(&mut sim, &mut net, "pool");
         let mut lane_load = std::collections::HashMap::new();
         for m in 0..spec.machines {
-            *lane_load.entry(topo.lane_of(m)).or_insert(0u32) += 1;
+            *lane_load
+                .entry(net.segment_lane(topo.segment_of(m)))
+                .or_insert(0u32) += 1;
         }
         let busiest = lane_load.values().copied().max().unwrap_or(0);
         prop_assert!(
@@ -130,7 +133,7 @@ fn flat_spec_matches_historical_shapes() {
     let topo = spec.build(&mut sim, &mut net, "pool");
     assert!(topo.backbone().is_none());
     for m in 0..32 {
-        assert_eq!(topo.lane_of(m), LaneId::ZERO);
+        assert_eq!(net.segment_lane(topo.segment_of(m)), LaneId::ZERO);
         assert_eq!(topo.segment_of(m), topo.leaf_segments()[(m / 8) as usize]);
     }
 }

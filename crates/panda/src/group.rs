@@ -97,8 +97,7 @@ impl UserGroup {
         sys.set_group(Arc::clone(&group));
         if let Some(chan) = seq_chan {
             let seq_group = Arc::clone(&group);
-            sim.spawn_daemon_on_lane(
-                sys.machine().lane(),
+            sim.spawn_daemon(
                 sys.machine().proc(),
                 &format!("{}-seqr", sys.machine().name()),
                 move |ctx| seq_group.sequencer_thread(ctx, chan),

@@ -92,8 +92,7 @@ impl KernelSpacePanda {
             for d in 0..KERNEL_SERVER_POOL {
                 let server = server.clone();
                 let panda_d = Arc::clone(&panda);
-                sim.spawn_daemon_on_lane(
-                    machine.lane(),
+                sim.spawn_daemon(
                     machine.proc(),
                     &format!("{}-rpcd{}", machine.name(), d),
                     move |ctx| loop {
@@ -126,8 +125,7 @@ impl KernelSpacePanda {
             // serves the group cores' deadlines.
             let member_d = member.clone();
             let panda_g = Arc::clone(&panda);
-            sim.spawn_daemon_on_lane(
-                machine.lane(),
+            sim.spawn_daemon(
                 machine.proc(),
                 &format!("{}-grpd", machine.name()),
                 move |ctx| loop {

@@ -180,8 +180,7 @@ impl SysLayer {
             upcalls: Arc::default(),
         });
         let daemon_sys = Arc::clone(&sys);
-        sim.spawn_daemon_on_lane(
-            machine.lane(),
+        sim.spawn_daemon(
             machine.proc(),
             &format!("{}-pandad", machine.name()),
             move |ctx| daemon_sys.receive_daemon(ctx, inbox),

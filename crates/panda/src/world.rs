@@ -69,7 +69,6 @@ pub fn boot(sim: &mut Simulation, topology: &TopologySpec, cost: CostModel) -> W
                 MacAddr(i),
                 &format!("m{i}"),
                 Arc::clone(&cost),
-                topo.lane_of(i),
             )
         })
         .collect();

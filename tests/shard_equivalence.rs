@@ -226,8 +226,8 @@ fn faulted_multiseg(seed: u64) -> LanedArtifacts {
         let lane = lanes[home];
         let nic = net.attach(MacAddr(i as u32), segs[home]);
         let dst = MacAddr(((i + 1) % 4) as u32);
-        let tx_proc = sim.add_processor_on(lane, &format!("station{i}"));
-        sim.spawn_on_lane(lane, tx_proc, &format!("tx{i}"), {
+        let tx_proc = sim.add_processor_on(lane, &format!("station{i}"), SimDuration::ZERO);
+        sim.spawn(tx_proc, &format!("tx{i}"), {
             let nic = nic.clone();
             move |ctx| {
                 let payload = bytes::Bytes::from_static(&[0xAB; 48]);
@@ -241,7 +241,7 @@ fn faulted_multiseg(seed: u64) -> LanedArtifacts {
             }
         });
         let count = Arc::clone(&counts[i]);
-        sim.spawn_daemon_on_lane(lane, tx_proc, &format!("rx{i}"), move |ctx| {
+        sim.spawn_daemon(tx_proc, &format!("rx{i}"), move |ctx| {
             while nic.rx().recv(ctx).is_some() {
                 count.fetch_add(1, Ordering::Relaxed);
             }
@@ -292,8 +292,8 @@ fn many_idle_lanes(seed: u64) -> (LanedArtifacts, desim::WindowStats) {
         let lane = lanes[home];
         let nic = net.attach(MacAddr(i as u32), segs[home]);
         let dst = MacAddr(((i + 1) % 2) as u32);
-        let proc = sim.add_processor_on(lane, &format!("station{i}"));
-        sim.spawn_on_lane(lane, proc, &format!("tx{i}"), {
+        let proc = sim.add_processor_on(lane, &format!("station{i}"), SimDuration::ZERO);
+        sim.spawn(proc, &format!("tx{i}"), {
             let nic = nic.clone();
             move |ctx| {
                 let payload = bytes::Bytes::from_static(&[0xCD; 32]);
@@ -304,7 +304,7 @@ fn many_idle_lanes(seed: u64) -> (LanedArtifacts, desim::WindowStats) {
             }
         });
         let count = Arc::clone(&counts[i]);
-        sim.spawn_daemon_on_lane(lane, proc, &format!("rx{i}"), move |ctx| {
+        sim.spawn_daemon(proc, &format!("rx{i}"), move |ctx| {
             while nic.rx().recv(ctx).is_some() {
                 count.fetch_add(1, Ordering::Relaxed);
             }

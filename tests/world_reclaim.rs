@@ -66,23 +66,18 @@ fn drive(
     rpcs: u64,
     broadcasts: u64,
 ) {
-    let done = sim.spawn_on_lane(
-        machines[0].lane(),
-        machines[0].proc(),
-        "client",
-        move |ctx| {
-            for i in 0..rpcs {
-                let body = Bytes::from(i.to_be_bytes().to_vec());
-                let reply = client.rpc(ctx, 1, body.clone()).expect("rpc");
-                assert_eq!(reply, body);
-            }
-            for _ in 0..broadcasts {
-                client
-                    .group_send(ctx, Bytes::from_static(&[7; 100]))
-                    .expect("broadcast");
-            }
-        },
-    );
+    let done = sim.spawn(machines[0].proc(), "client", move |ctx| {
+        for i in 0..rpcs {
+            let body = Bytes::from(i.to_be_bytes().to_vec());
+            let reply = client.rpc(ctx, 1, body.clone()).expect("rpc");
+            assert_eq!(reply, body);
+        }
+        for _ in 0..broadcasts {
+            client
+                .group_send(ctx, Bytes::from_static(&[7; 100]))
+                .expect("broadcast");
+        }
+    });
     sim.run_until_finished(&done).expect("run");
 }
 
