@@ -11,12 +11,15 @@
 //! ways: [`Network::add_switch`] joins peer segments (a *flat* switch, the
 //! paper's processor pool), and [`Network::add_switch_with_uplink`] joins
 //! leaf segments to a shared backbone (an *edge* switch, one level of a
-//! switch tree). Every port is a promiscuous capture attachment on its
-//! segment plus one daemon on that segment's processor, holding a link to
-//! every other port of the switch. A port forwards only frames that entered
-//! the switch through it: a unicast goes out of the port that leads to the
+//! switch tree). Every port is a capture attachment on its segment plus one
+//! daemon on that segment's processor, holding a link to every other port
+//! of the switch. A port forwards only frames that entered the switch
+//! through it: a unicast goes out of the port that leads to the
 //! destination's home segment, and multicast and broadcast frames are
-//! flooded. The two shapes differ only in their uplink:
+//! flooded. That decision is made once, by the segment daemon's fan-out
+//! (`PortSpec::route`), so a port is handed only the frames it forwards,
+//! each with its route: a frame that leads nowhere through a port never
+//! wakes it. The two shapes differ only in their uplink:
 //!
 //! - a flat switch has none: a unicast to a station behind no port is
 //!   dropped, and every multicast is flooded to every other port;
@@ -135,6 +138,14 @@ impl GilbertElliott {
 /// RNG only when the corresponding knob is active — so a default
 /// `FaultState` leaves the schedule bit-identical to a build without fault
 /// injection (the zero-cost discipline the golden-trace tests pin).
+///
+/// The per-receiver knobs (`rx_loss_prob`, `reorder_prob`, `dup_prob`) draw
+/// once per delivery, and a switch port is a receiver only for the frames it
+/// forwards. A port that would not forward a frame is not handed it and
+/// draws nothing for it, so a switched world with these knobs on takes a
+/// different (equally valid) random path than when every port captured
+/// every frame. Wire loss, crashes and partitions draw per frame or not at
+/// all, so they are unaffected.
 #[derive(Debug, Clone, Default)]
 pub struct FaultState {
     /// Probability that a frame is lost on the wire (all receivers miss it).
@@ -262,19 +273,51 @@ impl SegmentStats {
     }
 }
 
-struct Attachment {
-    mac: Option<MacAddr>,
-    promiscuous: bool,
-    groups: HashSet<McastAddr>,
-    rx: SimChannel<Frame>,
+/// A receiver on a segment, in attach order.
+enum Attachment {
+    /// A NIC: frames addressed to it, its groups, or broadcast.
+    Station {
+        mac: MacAddr,
+        groups: HashSet<McastAddr>,
+        rx: SimChannel<Frame>,
+    },
+    /// A switch port: the frames [`PortSpec::route`] sends somewhere.
+    Port {
+        spec: PortSpec,
+        rx: SimChannel<(Route, Frame)>,
+    },
+}
+
+/// One receiver a carried frame reaches, as the fan-out decided it.
+#[derive(Clone)]
+enum Delivery {
+    Station(MacAddr, SimChannel<Frame>),
+    Port(Route, SimChannel<(Route, Frame)>),
+}
+
+impl Delivery {
+    /// The receiving station, if this is not a switch port.
+    fn station(&self) -> Option<MacAddr> {
+        match self {
+            Delivery::Station(mac, _) => Some(*mac),
+            Delivery::Port(..) => None,
+        }
+    }
+
+    /// Enqueues `frame` and returns the receiver wake to commit, if any.
+    fn send_deferred(&self, frame: Frame) -> Option<PendingWake> {
+        match self {
+            Delivery::Station(_, rx) => rx.send_deferred(frame).ok().flatten(),
+            Delivery::Port(route, rx) => rx.send_deferred((*route, frame)).ok().flatten(),
+        }
+    }
 }
 
 /// A delivery held back by reorder injection: released onto its receiver's
 /// queue after `remaining` more frames have crossed the medium.
 struct HeldDelivery {
     remaining: u64,
-    rx: SimChannel<Frame>,
-    dst_mac: Option<MacAddr>,
+    to: Delivery,
     frame: Frame,
 }
 
@@ -303,12 +346,6 @@ struct NetInner {
     /// True once segments span more than one scheduler lane; gates the
     /// fault knobs that mutate shared state per carried frame.
     multi_lane: bool,
-}
-
-impl NetInner {
-    fn home_of(&self, mac: MacAddr) -> Option<SegmentId> {
-        self.mac_home.get(mac.0 as usize).copied().flatten()
-    }
 }
 
 /// A simulated multi-segment Ethernet.
@@ -453,12 +490,13 @@ impl Network {
         inner.mac_home[idx] = Some(segment);
         let rx = SimChannel::new();
         let tx = inner.segments[segment.0].tx.clone();
-        inner.segments[segment.0].attachments.push(Attachment {
-            mac: Some(mac),
-            promiscuous: false,
-            groups: HashSet::new(),
-            rx: rx.clone(),
-        });
+        inner.segments[segment.0]
+            .attachments
+            .push(Attachment::Station {
+                mac,
+                groups: HashSet::new(),
+                rx: rx.clone(),
+            });
         Nic {
             mac,
             segment,
@@ -537,7 +575,12 @@ impl Network {
                 .collect()
         };
         for (&seg, &(proc, _)) in ports.iter().zip(&placed) {
-            let rx = self.add_switch_port(seg);
+            let spec = PortSpec {
+                seg,
+                leaves: leaves.to_vec(),
+                uplink,
+            };
+            let rx = self.add_switch_port(spec.clone());
             let mut links = Vec::with_capacity(ports.len() - 1);
             for (&dst, (dst_proc, dst_tx)) in ports.iter().zip(&placed) {
                 if dst == seg {
@@ -560,13 +603,7 @@ impl Network {
                 };
                 links.push((dst, link));
             }
-            let port = SwitchPort {
-                seg,
-                rx,
-                leaves: leaves.to_vec(),
-                uplink,
-                links,
-            };
+            let port = SwitchPort { spec, rx, links };
             let net = self.clone();
             sim.spawn_daemon(proc, &format!("sw-{name}-{seg}"), move |ctx| {
                 net.switch_port_daemon(ctx, &port);
@@ -574,17 +611,18 @@ impl Network {
         }
     }
 
-    /// Attaches a promiscuous capture port for a switch to `seg` and returns
-    /// its receive queue.
-    fn add_switch_port(&mut self, seg: SegmentId) -> SimChannel<Frame> {
+    /// Attaches a switch port to its segment and returns its receive queue.
+    /// The segment daemon hands the port only the frames `spec` routes out
+    /// of the switch, each with its route.
+    fn add_switch_port(&mut self, spec: PortSpec) -> SimChannel<(Route, Frame)> {
         let port_rx = SimChannel::new();
         let mut inner = self.inner.lock();
-        inner.segments[seg.0].attachments.push(Attachment {
-            mac: None,
-            promiscuous: true,
-            groups: HashSet::new(),
-            rx: port_rx.clone(),
-        });
+        inner.segments[spec.seg.0]
+            .attachments
+            .push(Attachment::Port {
+                spec,
+                rx: port_rx.clone(),
+            });
         port_rx
     }
 
@@ -628,7 +666,7 @@ impl Network {
         };
         // Reused across frames: one carried frame's receivers and the wakes
         // its fan-out defers.
-        let mut targets: Vec<(Option<MacAddr>, SimChannel<Frame>)> = Vec::new();
+        let mut targets: Vec<Delivery> = Vec::new();
         let mut wakes: Vec<PendingWake> = Vec::new();
         while let Some(frame) = tx.recv(ctx) {
             // A crashed sender's NIC transmits nothing: the frame vanishes
@@ -693,30 +731,37 @@ impl Network {
                 (dropped, faults.clone())
             };
             // One segment-state acquisition: the medium's stats and, for a
-            // carried frame, the receivers it reaches.
+            // carried frame, the receivers it reaches. A switch port is one
+            // only if its route leads the frame out of the switch.
             let mut held = {
                 let mut inner = self.inner.lock();
-                let seg = &mut inner.segments[id.0];
+                let NetInner {
+                    segments, mac_home, ..
+                } = &mut *inner;
+                let seg = &mut segments[id.0];
                 seg.stats.busy += wire;
                 if dropped {
                     seg.stats.wire_drops += 1;
                 } else {
                     seg.stats.frames += 1;
                     seg.stats.wire_bytes += frame.wire_bytes() as u64;
-                    targets.extend(
-                        seg.attachments
-                            .iter()
-                            .filter(|a| {
-                                a.promiscuous
-                                    || match frame.dst {
-                                        Dest::Unicast(m) => a.mac == Some(m),
-                                        Dest::Multicast(g) => a.groups.contains(&g),
-                                        Dest::Broadcast => true,
-                                    }
-                            })
-                            .filter(|a| a.mac != Some(frame.src)) // no self-delivery
-                            .map(|a| (a.mac, a.rx.clone())),
-                    );
+                    targets.extend(seg.attachments.iter().filter_map(|a| {
+                        match a {
+                            Attachment::Station { mac, groups, rx } => {
+                                let addressed = match frame.dst {
+                                    Dest::Unicast(m) => *mac == m,
+                                    Dest::Multicast(g) => groups.contains(&g),
+                                    Dest::Broadcast => true,
+                                };
+                                // No self-delivery.
+                                (addressed && *mac != frame.src)
+                                    .then(|| Delivery::Station(*mac, rx.clone()))
+                            }
+                            Attachment::Port { spec, rx } => spec
+                                .route(mac_home, &frame)
+                                .map(|route| Delivery::Port(route, rx.clone())),
+                        }
+                    }));
                 }
                 !seg.held.is_empty()
             };
@@ -746,9 +791,9 @@ impl Network {
             // draws, and per-receiver pick order are bit-identical to
             // unbatched delivery. Fault draws stay per delivery, in the
             // same RNG order (reachability, rx-loss, reorder, dup).
-            for (mac, target) in targets.drain(..) {
+            for target in targets.drain(..) {
                 // Reachability first — purely deterministic, no RNG draws.
-                if let Some(m) = mac {
+                if let Some(m) = target.station() {
                     if f.is_down(m) || f.is_partitioned(frame.src, m) {
                         self.inner.lock().segments[id.0].stats.link_drops += 1;
                         ctx.trace_instant(
@@ -772,8 +817,7 @@ impl Network {
                     seg.stats.held_deliveries += 1;
                     seg.held.push(HeldDelivery {
                         remaining,
-                        rx: target,
-                        dst_mac: mac,
+                        to: target,
                         frame: frame.clone(),
                     });
                     held = true;
@@ -785,15 +829,11 @@ impl Network {
                     continue;
                 }
                 ctx.trace_instant(Layer::Net, "rx", &[("src", u64::from(frame.src.0))]);
-                if let Ok(Some(w)) = target.send_deferred(frame.clone()) {
-                    wakes.push(w);
-                }
+                wakes.extend(target.send_deferred(frame.clone()));
                 if f.dup_prob > 0.0 && ctx.rand_bool(f.dup_prob) {
                     self.inner.lock().segments[id.0].stats.dup_deliveries += 1;
                     ctx.trace_instant(Layer::Net, "rx_dup", &[("src", u64::from(frame.src.0))]);
-                    if let Ok(Some(w)) = target.send_deferred(frame.clone()) {
-                        wakes.push(w);
-                    }
+                    wakes.extend(target.send_deferred(frame.clone()));
                 }
             }
             if !wakes.is_empty() {
@@ -826,8 +866,7 @@ impl Network {
                 if h.remaining == 0 {
                     due.push(HeldDelivery {
                         remaining: 0,
-                        rx: h.rx.clone(),
-                        dst_mac: h.dst_mac,
+                        to: h.to.clone(),
                         frame: h.frame.clone(),
                     });
                     false
@@ -839,7 +878,7 @@ impl Network {
         };
         let mut wakes: Vec<PendingWake> = Vec::new();
         for h in due {
-            let unreachable = match h.dst_mac {
+            let unreachable = match h.to.station() {
                 Some(m) => {
                     let f = self.faults.lock();
                     f.is_down(m) || f.is_partitioned(h.frame.src, m)
@@ -860,66 +899,35 @@ impl Network {
                 "rx_release",
                 &[("src", u64::from(h.frame.src.0))],
             );
-            if let Ok(Some(w)) = h.rx.send_deferred(h.frame) {
-                wakes.push(w);
-            }
+            wakes.extend(h.to.send_deferred(h.frame));
         }
         if !wakes.is_empty() {
             ctx.commit_wakes(wakes);
         }
     }
 
-    /// Forwards every frame that entered the switch through `port` (see the
-    /// module docs).
+    /// Forwards every frame the segment daemon routed to `port`: charges the
+    /// hop, then sleeps it and enqueues on a same-lane segment or hands the
+    /// frame to a cross-lane link; a flood goes through [`Network::flood`].
     fn switch_port_daemon(&self, ctx: &Ctx, port: &SwitchPort) {
-        let is_uplink = port.uplink == Some(port.seg);
-        while let Some(frame) = port.rx.recv(ctx) {
-            let Some(src) = self.inner.lock().home_of(frame.src) else {
+        while let Some((route, frame)) = port.rx.recv(ctx) {
+            let Route::To(out) = route else {
+                self.flood(ctx, port, &frame);
                 continue;
             };
-            // Inbound gate: forward only frames whose source lives on this
-            // port's side of the switch — everything else is a copy this
-            // switch (or a sibling on the backbone) injected itself.
-            let inbound = if is_uplink {
-                !port.leaves.contains(&src)
-            } else {
-                src == port.seg
-            };
-            if !inbound {
-                continue;
-            }
-            match frame.dst {
-                Dest::Unicast(mac) => {
-                    let Some(dst) = self.inner.lock().home_of(mac) else {
-                        continue;
-                    };
-                    let out = if port.leaves.contains(&dst) {
-                        dst
-                    } else {
-                        // Not behind this switch: route toward the backbone,
-                        // unless the frame came from there.
-                        match port.uplink {
-                            Some(up) if !is_uplink => up,
-                            _ => continue,
-                        }
-                    };
-                    // A port has no link to its own segment: local traffic
-                    // is not forwarded.
-                    let Some((_, link)) = port.links.iter().find(|(s, _)| *s == out) else {
-                        continue;
-                    };
-                    let hop = self.cfg.switch_latency;
-                    ctx.charge(Layer::Net, On::Off, &[("switch_hop", hop)]);
-                    match link {
-                        PortLink::Local(tx) => {
-                            ctx.sleep(hop);
-                            let _ = tx.send(ctx, frame);
-                        }
-                        PortLink::Cross(x) => x.send(ctx, frame),
-                    }
+            let (_, link) = port
+                .links
+                .iter()
+                .find(|(s, _)| *s == out)
+                .expect("a route leads to another port of the switch");
+            let hop = self.cfg.switch_latency;
+            ctx.charge(Layer::Net, On::Off, &[("switch_hop", hop)]);
+            match link {
+                PortLink::Local(tx) => {
+                    ctx.sleep(hop);
+                    let _ = tx.send(ctx, frame);
                 }
-                Dest::Multicast(g) => self.flood(ctx, port, &frame, Some(g)),
-                Dest::Broadcast => self.flood(ctx, port, &frame, None),
+                PortLink::Cross(x) => x.send(ctx, frame),
             }
         }
     }
@@ -930,7 +938,11 @@ impl Network {
     /// arrival `switch_latency` from now), then the port sleeps the hop and
     /// enqueues on its same-lane segments in one batch, so every
     /// destination sees the frame at the same instant.
-    fn flood(&self, ctx: &Ctx, port: &SwitchPort, frame: &Frame, group: Option<McastAddr>) {
+    fn flood(&self, ctx: &Ctx, port: &SwitchPort, frame: &Frame) {
+        let group = match frame.dst {
+            Dest::Multicast(g) => Some(g),
+            _ => None,
+        };
         let targets: Vec<&PortLink> = {
             let inner = self.inner.lock();
             let members = |g: McastAddr, s: SegmentId| {
@@ -940,12 +952,13 @@ impl Network {
                     .copied()
                     .unwrap_or(0)
             };
+            let spec = &port.spec;
             port.links
                 .iter()
-                .filter(|(s, _)| match (group, port.uplink) {
+                .filter(|(s, _)| match (group, spec.uplink) {
                     (Some(g), Some(up)) if *s == up => {
                         // Up the tree only if members exist beyond our leaves.
-                        let under: u32 = port.leaves.iter().map(|&l| members(g, l)).sum();
+                        let under: u32 = spec.leaves.iter().map(|&l| members(g, l)).sum();
                         inner.mcast_total.get(&g).copied().unwrap_or(0) > under
                     }
                     (Some(g), Some(_)) => members(g, *s) > 0,
@@ -983,16 +996,69 @@ impl Network {
     }
 }
 
-/// One port of a switch: everything its daemon forwards by.
-struct SwitchPort {
+/// Where a switch port sends a frame it captured.
+#[derive(Clone, Copy)]
+enum Route {
+    /// Out of the port on this segment.
+    To(SegmentId),
+    /// Out of every other port, pruned at send time ([`Network::flood`]).
+    Flood,
+}
+
+/// Where a switch port sits: its segment and the shape of its switch.
+#[derive(Clone)]
+struct PortSpec {
     /// The segment this port captures from.
     seg: SegmentId,
-    /// The capture queue (a promiscuous attachment on `seg`).
-    rx: SimChannel<Frame>,
     /// Every port's segment but the uplink (all of them on a flat switch).
     leaves: Vec<SegmentId>,
     /// The backbone segment of an edge switch; `None` on a flat switch.
     uplink: Option<SegmentId>,
+}
+
+impl PortSpec {
+    /// The port's forwarding decision for a frame carried on its segment,
+    /// given the station directory `homes` (`mac -> segment`). `None` means
+    /// the frame does not leave the switch through this port:
+    ///
+    /// - it did not enter through this port (its source lives on another
+    ///   port's side, so it is a copy this switch or a sibling on the
+    ///   backbone injected), or its source is unknown;
+    /// - it is a unicast to an unknown station, to one on this port's own
+    ///   segment (local traffic), or, on the uplink port, to one behind
+    ///   none of the leaves (no unicast goes back up the backbone).
+    fn route(&self, homes: &[Option<SegmentId>], frame: &Frame) -> Option<Route> {
+        let home = |m: MacAddr| homes.get(m.0 as usize).copied().flatten();
+        let src = home(frame.src)?;
+        let is_uplink = self.uplink == Some(self.seg);
+        let inbound = if is_uplink {
+            !self.leaves.contains(&src)
+        } else {
+            src == self.seg
+        };
+        if !inbound {
+            return None;
+        }
+        let Dest::Unicast(mac) = frame.dst else {
+            return Some(Route::Flood);
+        };
+        let dst = home(mac)?;
+        let out = if self.leaves.contains(&dst) {
+            dst
+        } else {
+            // Not behind this switch: route toward the backbone, unless the
+            // frame came from there.
+            self.uplink.filter(|_| !is_uplink)?
+        };
+        (out != self.seg).then_some(Route::To(out))
+    }
+}
+
+/// One port of a switch: everything its daemon forwards by.
+struct SwitchPort {
+    spec: PortSpec,
+    /// The frames the segment daemon routed out through this port.
+    rx: SimChannel<(Route, Frame)>,
     /// A link to every other port, in port order.
     links: Vec<(SegmentId, PortLink)>,
 }
@@ -1071,8 +1137,10 @@ impl Nic {
         {
             let seg = &mut inner.segments[self.segment.0];
             for a in &mut seg.attachments {
-                if a.mac == Some(self.mac) {
-                    joined |= a.groups.insert(group);
+                if let Attachment::Station { mac, groups, .. } = a {
+                    if *mac == self.mac {
+                        joined |= groups.insert(group);
+                    }
                 }
             }
             if joined {

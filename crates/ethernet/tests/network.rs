@@ -371,29 +371,34 @@ fn utilization_reflects_busy_medium() {
     let _: SimChannel<u8> = SimChannel::new(); // keep import used
 }
 
-/// Two edge switches sharing a backbone: `a` on a leaf behind switch A,
-/// `b` on a leaf behind switch B, `srv` directly on the backbone.
+/// `edges` (at least two) edge switches sharing a backbone, one leaf each.
+/// Returns the leaves of the first two switches and the backbone; tests put
+/// `a` behind the first, `b` behind the second, `srv` on the backbone, and
+/// leave any further switch a bystander.
 fn tree(
     sim: &mut Simulation,
     net: &mut Network,
+    edges: usize,
 ) -> (
     ethernet::SegmentId,
     ethernet::SegmentId,
     ethernet::SegmentId,
 ) {
-    let s0 = net.add_segment(sim, "s0");
-    let s1 = net.add_segment(sim, "s1");
+    let leaves: Vec<_> = (0..edges)
+        .map(|i| net.add_segment(sim, &format!("s{i}")))
+        .collect();
     let bb = net.add_segment(sim, "backbone");
-    net.add_switch_with_uplink(sim, &[s0], bb, "swA");
-    net.add_switch_with_uplink(sim, &[s1], bb, "swB");
-    (s0, s1, bb)
+    for (i, &leaf) in leaves.iter().enumerate() {
+        net.add_switch_with_uplink(sim, &[leaf], bb, &format!("sw{i}"));
+    }
+    (leaves[0], leaves[1], bb)
 }
 
 #[test]
 fn tree_switch_routes_unicast_between_edge_switches() {
     let mut sim = Simulation::new(1);
     let mut net = Network::new(NetConfig::default());
-    let (s0, s1, bb) = tree(&mut sim, &mut net);
+    let (s0, s1, bb) = tree(&mut sim, &mut net, 2);
     let a = net.attach(MacAddr(0), s0);
     let b = net.attach(MacAddr(1), s1);
     let srv = net.attach(MacAddr(2), bb);
@@ -457,7 +462,7 @@ fn tree_switch_floods_multicast_only_toward_members() {
 fn tree_switch_keeps_local_multicast_off_the_backbone() {
     let mut sim = Simulation::new(1);
     let mut net = Network::new(NetConfig::default());
-    let (s0, _s1, bb) = tree(&mut sim, &mut net);
+    let (s0, _s1, bb) = tree(&mut sim, &mut net, 2);
     let a = net.attach(MacAddr(0), s0);
     let b = net.attach(MacAddr(1), s0);
     let g = McastAddr(7);
@@ -479,7 +484,7 @@ fn tree_switch_keeps_local_multicast_off_the_backbone() {
 fn tree_switch_broadcast_reaches_every_segment() {
     let mut sim = Simulation::new(1);
     let mut net = Network::new(NetConfig::default());
-    let (s0, s1, bb) = tree(&mut sim, &mut net);
+    let (s0, s1, bb) = tree(&mut sim, &mut net, 2);
     let a = net.attach(MacAddr(0), s0);
     let b = net.attach(MacAddr(1), s1);
     let srv = net.attach(MacAddr(2), bb);
@@ -490,6 +495,87 @@ fn tree_switch_broadcast_reaches_every_segment() {
         assert!(srv.rx().recv(ctx).is_some(), "backbone station");
     });
     sim.run_until_finished(&h).expect("run");
+}
+
+/// Runs `exchange` on its own processor once the network's daemons have
+/// started and blocked. Returns the events the exchange cost, beyond that
+/// start-up.
+fn exchange_events(
+    sim: &mut Simulation,
+    exchange: impl FnOnce(&desim::Ctx) + Send + 'static,
+) -> u64 {
+    let idle = sim.run().expect("daemons start").events;
+    let m = sim.add_processor("m");
+    let h = sim.spawn(m, "exchange", exchange);
+    sim.run_until_finished(&h).expect("run").events - idle
+}
+
+/// Five rounds of backbone station → leaf station → backbone station
+/// unicasts, to the leaves behind the first two of `edges` edge switches.
+/// Returns each frame's arrival instant (ns) and the events it all cost.
+fn backbone_exchange(edges: usize) -> (Vec<u64>, u64) {
+    let mut sim = Simulation::new(1);
+    let mut net = Network::new(NetConfig::default());
+    let (s0, s1, bb) = tree(&mut sim, &mut net, edges);
+    let a = net.attach(MacAddr(0), s0);
+    let b = net.attach(MacAddr(1), s1);
+    let srv = net.attach(MacAddr(2), bb);
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let log2 = Arc::clone(&log);
+    let events = exchange_events(&mut sim, move |ctx| {
+        for _ in 0..5 {
+            for leaf in [&a, &b] {
+                srv.send(ctx, Dest::Unicast(leaf.mac()), payload(100));
+                leaf.rx().recv(ctx).expect("down to the leaf");
+                log2.lock().push(ctx.now().as_nanos());
+                leaf.send(ctx, Dest::Unicast(srv.mac()), payload(60));
+                srv.rx().recv(ctx).expect("up to the backbone");
+                log2.lock().push(ctx.now().as_nanos());
+            }
+        }
+    });
+    let arrivals = log.lock().clone();
+    (arrivals, events)
+}
+
+#[test]
+fn bystander_edge_switches_cost_no_events() {
+    let (two, two_events) = backbone_exchange(2);
+    let (eight, eight_events) = backbone_exchange(8);
+    assert_eq!(two.len(), 20);
+    assert_eq!(eight, two, "bystander switches move no arrival");
+    assert_eq!(
+        eight_events, two_events,
+        "a switch that forwards none of the frames is never woken by them"
+    );
+}
+
+/// One same-segment unicast, on a segment that is or is not a port of a
+/// flat switch. Returns the arrival instant (ns) and the events it cost.
+fn same_segment_unicast(switched: bool) -> (u64, u64) {
+    let mut sim = Simulation::new(1);
+    let mut net = Network::new(NetConfig::default());
+    let s0 = net.add_segment(&mut sim, "s0");
+    let s1 = net.add_segment(&mut sim, "s1");
+    if switched {
+        net.add_switch(&mut sim, &[s0, s1], "sw");
+    }
+    let a = net.attach(MacAddr(0), s0);
+    let b = net.attach(MacAddr(1), s0);
+    let at = Arc::new(Mutex::new(0));
+    let at2 = Arc::clone(&at);
+    let events = exchange_events(&mut sim, move |ctx| {
+        a.send(ctx, Dest::Unicast(MacAddr(1)), payload(50));
+        b.rx().recv(ctx).expect("local delivery");
+        *at2.lock() = ctx.now().as_nanos();
+    });
+    let at = *at.lock();
+    (at, events)
+}
+
+#[test]
+fn flat_switch_costs_no_events_for_local_unicast() {
+    assert_eq!(same_segment_unicast(true), same_segment_unicast(false));
 }
 
 #[test]
