@@ -16,10 +16,11 @@
 //! of the switch. A port forwards only frames that entered the switch
 //! through it: a unicast goes out of the port that leads to the
 //! destination's home segment, and multicast and broadcast frames are
-//! flooded. That decision is made once, by the segment daemon's fan-out
-//! (`PortSpec::route`), so a port is handed only the frames it forwards,
-//! each with its route: a frame that leads nowhere through a port never
-//! wakes it. The two shapes differ only in their uplink:
+//! flooded. That decision, flood pruning included, is made once, by the
+//! segment daemon's fan-out (`PortSpec::route`), so a port is handed only
+//! the frames it forwards, each with its route: a frame that leads nowhere
+//! through a port never wakes it. The two shapes differ only in their
+//! uplink:
 //!
 //! - a flat switch has none: a unicast to a station behind no port is
 //!   dropped, and every multicast is flooded to every other port;
@@ -308,7 +309,7 @@ impl Delivery {
     fn send_deferred(&self, frame: Frame) -> Option<PendingWake> {
         match self {
             Delivery::Station(_, rx) => rx.send_deferred(frame).ok().flatten(),
-            Delivery::Port(route, rx) => rx.send_deferred((*route, frame)).ok().flatten(),
+            Delivery::Port(route, rx) => rx.send_deferred((route.clone(), frame)).ok().flatten(),
         }
     }
 }
@@ -575,12 +576,11 @@ impl Network {
                 .collect()
         };
         for (&seg, &(proc, _)) in ports.iter().zip(&placed) {
-            let spec = PortSpec {
+            let rx = self.add_switch_port(PortSpec {
                 seg,
                 leaves: leaves.to_vec(),
                 uplink,
-            };
-            let rx = self.add_switch_port(spec.clone());
+            });
             let mut links = Vec::with_capacity(ports.len() - 1);
             for (&dst, (dst_proc, dst_tx)) in ports.iter().zip(&placed) {
                 if dst == seg {
@@ -603,7 +603,7 @@ impl Network {
                 };
                 links.push((dst, link));
             }
-            let port = SwitchPort { spec, rx, links };
+            let port = SwitchPort { rx, links };
             let net = self.clone();
             sim.spawn_daemon(proc, &format!("sw-{name}-{seg}"), move |ctx| {
                 net.switch_port_daemon(ctx, &port);
@@ -735,16 +735,15 @@ impl Network {
             // only if its route leads the frame out of the switch.
             let mut held = {
                 let mut inner = self.inner.lock();
-                let NetInner {
-                    segments, mac_home, ..
-                } = &mut *inner;
-                let seg = &mut segments[id.0];
+                let seg = &mut inner.segments[id.0];
                 seg.stats.busy += wire;
                 if dropped {
                     seg.stats.wire_drops += 1;
                 } else {
                     seg.stats.frames += 1;
                     seg.stats.wire_bytes += frame.wire_bytes() as u64;
+                    let inner = &*inner;
+                    let seg = &inner.segments[id.0];
                     targets.extend(seg.attachments.iter().filter_map(|a| {
                         match a {
                             Attachment::Station { mac, groups, rx } => {
@@ -758,12 +757,12 @@ impl Network {
                                     .then(|| Delivery::Station(*mac, rx.clone()))
                             }
                             Attachment::Port { spec, rx } => spec
-                                .route(mac_home, &frame)
+                                .route(inner, &frame)
                                 .map(|route| Delivery::Port(route, rx.clone())),
                         }
                     }));
                 }
-                !seg.held.is_empty()
+                !inner.segments[id.0].held.is_empty()
             };
             if dropped {
                 ctx.trace_instant(
@@ -911,9 +910,12 @@ impl Network {
     /// frame to a cross-lane link; a flood goes through [`Network::flood`].
     fn switch_port_daemon(&self, ctx: &Ctx, port: &SwitchPort) {
         while let Some((route, frame)) = port.rx.recv(ctx) {
-            let Route::To(out) = route else {
-                self.flood(ctx, port, &frame);
-                continue;
+            let out = match route {
+                Route::To(out) => out,
+                Route::Flood(outs) => {
+                    self.flood(ctx, port, &outs, &frame);
+                    continue;
+                }
             };
             let (_, link) = port
                 .links
@@ -932,44 +934,17 @@ impl Network {
         }
     }
 
-    /// Floods a frame out of every other port of the switch. An edge switch
-    /// prunes a multicast to the ports that lead to members; a flat switch
-    /// floods it everywhere. Cross-lane sends go first (the link stamps
-    /// arrival `switch_latency` from now), then the port sleeps the hop and
-    /// enqueues on its same-lane segments in one batch, so every
-    /// destination sees the frame at the same instant.
-    fn flood(&self, ctx: &Ctx, port: &SwitchPort, frame: &Frame) {
-        let group = match frame.dst {
-            Dest::Multicast(g) => Some(g),
-            _ => None,
-        };
-        let targets: Vec<&PortLink> = {
-            let inner = self.inner.lock();
-            let members = |g: McastAddr, s: SegmentId| {
-                inner.segments[s.0]
-                    .mcast_members
-                    .get(&g)
-                    .copied()
-                    .unwrap_or(0)
-            };
-            let spec = &port.spec;
-            port.links
-                .iter()
-                .filter(|(s, _)| match (group, spec.uplink) {
-                    (Some(g), Some(up)) if *s == up => {
-                        // Up the tree only if members exist beyond our leaves.
-                        let under: u32 = spec.leaves.iter().map(|&l| members(g, l)).sum();
-                        inner.mcast_total.get(&g).copied().unwrap_or(0) > under
-                    }
-                    (Some(g), Some(_)) => members(g, *s) > 0,
-                    _ => true,
-                })
-                .map(|(_, l)| l)
-                .collect()
-        };
-        if targets.is_empty() {
-            return;
-        }
+    /// Floods a frame out of the ports `outs` names. Cross-lane sends go
+    /// first (the link stamps arrival `switch_latency` from now), then the
+    /// port sleeps the hop and enqueues on its same-lane segments in one
+    /// batch, so every destination sees the frame at the same instant.
+    fn flood(&self, ctx: &Ctx, port: &SwitchPort, outs: &[SegmentId], frame: &Frame) {
+        let targets: Vec<&PortLink> = port
+            .links
+            .iter()
+            .filter(|(s, _)| outs.contains(s))
+            .map(|(_, l)| l)
+            .collect();
         let hop = self.cfg.switch_latency;
         ctx.charge(Layer::Net, On::Off, &[("switch_hop", hop)]);
         let mut any_local = false;
@@ -997,16 +972,15 @@ impl Network {
 }
 
 /// Where a switch port sends a frame it captured.
-#[derive(Clone, Copy)]
+#[derive(Clone)]
 enum Route {
     /// Out of the port on this segment.
     To(SegmentId),
-    /// Out of every other port, pruned at send time ([`Network::flood`]).
-    Flood,
+    /// Out of the ports on these segments, in port order (never empty).
+    Flood(Vec<SegmentId>),
 }
 
 /// Where a switch port sits: its segment and the shape of its switch.
-#[derive(Clone)]
 struct PortSpec {
     /// The segment this port captures from.
     seg: SegmentId,
@@ -1018,17 +992,18 @@ struct PortSpec {
 
 impl PortSpec {
     /// The port's forwarding decision for a frame carried on its segment,
-    /// given the station directory `homes` (`mac -> segment`). `None` means
-    /// the frame does not leave the switch through this port:
+    /// given the network's station directory and multicast membership.
+    /// `None` means the frame does not leave the switch through this port:
     ///
     /// - it did not enter through this port (its source lives on another
     ///   port's side, so it is a copy this switch or a sibling on the
     ///   backbone injected), or its source is unknown;
     /// - it is a unicast to an unknown station, to one on this port's own
     ///   segment (local traffic), or, on the uplink port, to one behind
-    ///   none of the leaves (no unicast goes back up the backbone).
-    fn route(&self, homes: &[Option<SegmentId>], frame: &Frame) -> Option<Route> {
-        let home = |m: MacAddr| homes.get(m.0 as usize).copied().flatten();
+    ///   none of the leaves (no unicast goes back up the backbone);
+    /// - it is a flood that leads to no port ([`PortSpec::flood`]).
+    fn route(&self, net: &NetInner, frame: &Frame) -> Option<Route> {
+        let home = |m: MacAddr| net.mac_home.get(m.0 as usize).copied().flatten();
         let src = home(frame.src)?;
         let is_uplink = self.uplink == Some(self.seg);
         let inbound = if is_uplink {
@@ -1039,8 +1014,10 @@ impl PortSpec {
         if !inbound {
             return None;
         }
-        let Dest::Unicast(mac) = frame.dst else {
-            return Some(Route::Flood);
+        let mac = match frame.dst {
+            Dest::Unicast(mac) => mac,
+            Dest::Multicast(g) => return self.flood(net, Some(g)),
+            Dest::Broadcast => return self.flood(net, None),
         };
         let dst = home(mac)?;
         let out = if self.leaves.contains(&dst) {
@@ -1052,11 +1029,40 @@ impl PortSpec {
         };
         (out != self.seg).then_some(Route::To(out))
     }
+
+    /// The ports a flood of `group` (`None`: a broadcast) leaves by: every
+    /// other port, except that an edge switch sends a multicast only toward
+    /// members — down a leaf that has some, up the uplink if some live
+    /// beyond its leaves. `None` if that leaves no port.
+    fn flood(&self, net: &NetInner, group: Option<McastAddr>) -> Option<Route> {
+        let members = |g: McastAddr, s: SegmentId| {
+            net.segments[s.0]
+                .mcast_members
+                .get(&g)
+                .copied()
+                .unwrap_or(0)
+        };
+        let outs: Vec<SegmentId> = self
+            .leaves
+            .iter()
+            .copied()
+            .chain(self.uplink)
+            .filter(|&s| s != self.seg)
+            .filter(|&s| match (group, self.uplink) {
+                (Some(g), Some(up)) if s == up => {
+                    let under: u32 = self.leaves.iter().map(|&l| members(g, l)).sum();
+                    net.mcast_total.get(&g).copied().unwrap_or(0) > under
+                }
+                (Some(g), Some(_)) => members(g, s) > 0,
+                _ => true,
+            })
+            .collect();
+        (!outs.is_empty()).then_some(Route::Flood(outs))
+    }
 }
 
 /// One port of a switch: everything its daemon forwards by.
 struct SwitchPort {
-    spec: PortSpec,
     /// The frames the segment daemon routed out through this port.
     rx: SimChannel<(Route, Frame)>,
     /// A link to every other port, in port order.

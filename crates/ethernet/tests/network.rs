@@ -511,8 +511,10 @@ fn exchange_events(
 }
 
 /// Five rounds of backbone station → leaf station → backbone station
-/// unicasts, to the leaves behind the first two of `edges` edge switches.
-/// Returns each frame's arrival instant (ns) and the events it all cost.
+/// unicasts, to the leaves behind the first two of `edges` edge switches,
+/// each round closed by a multicast to a group whose only other member is
+/// a second backbone station. Returns each frame's arrival instant (ns) and
+/// the events it all cost.
 fn backbone_exchange(edges: usize) -> (Vec<u64>, u64) {
     let mut sim = Simulation::new(1);
     let mut net = Network::new(NetConfig::default());
@@ -520,6 +522,10 @@ fn backbone_exchange(edges: usize) -> (Vec<u64>, u64) {
     let a = net.attach(MacAddr(0), s0);
     let b = net.attach(MacAddr(1), s1);
     let srv = net.attach(MacAddr(2), bb);
+    let peer = net.attach(MacAddr(3), bb);
+    let g = McastAddr(5);
+    srv.join_group(g);
+    peer.join_group(g);
     let log = Arc::new(Mutex::new(Vec::new()));
     let log2 = Arc::clone(&log);
     let events = exchange_events(&mut sim, move |ctx| {
@@ -532,6 +538,9 @@ fn backbone_exchange(edges: usize) -> (Vec<u64>, u64) {
                 srv.rx().recv(ctx).expect("up to the backbone");
                 log2.lock().push(ctx.now().as_nanos());
             }
+            srv.send(ctx, Dest::Multicast(g), payload(40));
+            peer.rx().recv(ctx).expect("multicast on the backbone");
+            log2.lock().push(ctx.now().as_nanos());
         }
     });
     let arrivals = log.lock().clone();
@@ -542,7 +551,7 @@ fn backbone_exchange(edges: usize) -> (Vec<u64>, u64) {
 fn bystander_edge_switches_cost_no_events() {
     let (two, two_events) = backbone_exchange(2);
     let (eight, eight_events) = backbone_exchange(8);
-    assert_eq!(two.len(), 20);
+    assert_eq!(two.len(), 25);
     assert_eq!(eight, two, "bystander switches move no arrival");
     assert_eq!(
         eight_events, two_events,

@@ -64,11 +64,13 @@ fn percentiles_are_sane(r: &FleetReport) {
 ///
 /// `events` alone was re-pinned (24 182 → 19 872) when the segment daemon
 /// began routing for the switch ports: a port is no longer woken by the
-/// frames it does not forward, and those bystander wakes were events. The
-/// other counters did not move.
+/// frames it does not forward, and those bystander wakes were events. It
+/// moved again (19 872 → 19 795) when multicast floods began to be pruned
+/// at capture, so a flood that leads to no port wakes none. The other
+/// counters did not move.
 const KERNEL_96_WINDOWS: WindowStats = WindowStats {
     windows: 2523,
-    events: 19872,
+    events: 19795,
     flushes: 1029,
     flushes_elided: 115075,
     lanes_skipped: 4948,
@@ -143,7 +145,7 @@ fn heavy_tailed_arrivals_are_deterministic_too() {
 #[test]
 #[ignore = "minutes in debug builds; run with --release -- --ignored"]
 fn fleet_scale_1k() {
-    for (stack, events) in [(FleetStack::Kernel, 50_249), (FleetStack::User, 317_571)] {
+    for (stack, events) in [(FleetStack::Kernel, 49_770), (FleetStack::User, 317_571)] {
         let mut spec = FleetSpec::new(1024, 16, stack);
         spec.lanes = 8;
         spec.duration = desim::ms(50);
