@@ -10,8 +10,16 @@
 //! latency in a log-bucketed histogram. The next think time starts only
 //! then, so each client has at most one request outstanding and slows down
 //! when the servers queue. Every `group_every`-th request a server
-//! additionally broadcasts to the group service, so both protocol families
-//! carry load.
+//! additionally broadcasts to the group of servers, so both protocol
+//! families carry load; each server checks that it delivers those
+//! broadcasts in sequence ([`FleetReport::group_gaps`]).
+//!
+//! The fleet is one Panda world built by `panda::world::build_stack`, with
+//! [`PandaConfig::servers`] set to the spec's servers: servers answer
+//! through `Panda::set_rpc_handler` and `Panda::reply` and form the group,
+//! and clients only call `Panda::rpc`. The two fleets therefore differ only
+//! in the `Stack` beneath that one application layer, which is the paper's
+//! comparison.
 //!
 //! Arrivals depend only on the per-client RNG and virtual time — never on
 //! wall-clock or the shard count — so one spec
@@ -19,52 +27,32 @@
 //! [`FleetReport::result_hash`]) under every runner configuration. That is
 //! the scale-out determinism contract the `fleet_scale` tests pin.
 //!
-//! Both stacks avoid FLIP locate broadcast storms at fleet scale: client →
-//! server routes are pre-seeded at boot (`FlipIface::install_route`) and
-//! servers learn client routes from arriving requests (FLIP learns a route
-//! from every data packet), so a 10k-machine fleet performs zero locate
-//! floods.
+//! Every node knows the servers' routes from boot and servers learn client
+//! routes from arriving requests (FLIP learns a route from every data
+//! packet), so a 10k-machine fleet performs zero locate floods.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use amoeba::{
-    port_addr, CostModel, GroupMember, GroupSpec, Machine, Port, RpcClient, RpcConfig, RpcServer,
-};
+use amoeba::CostModel;
 use bytes::Bytes;
-use desim::{Backend, Ctx, SimDuration, Simulation};
-use ethernet::{MacAddr, Network, TopologySpec};
+use desim::{Backend, Ctx, SimChannel, SimDuration, Simulation};
+use ethernet::{Network, TopologySpec};
 use panda::world::{self, Stack, World};
-use panda::{panda_addr, PandaConfig, ReplyTicket, KERNEL_SERVER_POOL};
+use panda::{GroupDelivery, Panda, PandaConfig, ReplyTicket};
 use parking_lot::Mutex;
 
-/// Base port servers listen on: server `s` serves `Port(FLEET_PORT_BASE + s)`.
-const FLEET_PORT_BASE: u64 = 0x6000;
-/// Group id of the kernel-space server replication group.
-const FLEET_GROUP_ID: u64 = 0x88;
 /// Payload of the group broadcast a server issues every `group_every` ops.
 const GROUP_PAYLOAD_BYTES: usize = 32;
 
-/// Which protocol family the fleet exercises.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FleetStack {
-    /// Amoeba kernel-space RPC + kernel group among the servers. Clients are
-    /// bare [`RpcClient`] endpoints — two threads per machine — so this
-    /// stack scales to 10k machines inside the pid and memory budget.
-    Kernel,
-    /// Panda user-space RPC over FLIP (full per-node stack, group spanning
-    /// all nodes). Heavier per machine; sized for fleets up to ~1k.
-    User,
-}
-
-impl FleetStack {
-    /// Short lowercase name for reports and CLI flags.
-    pub fn name(self) -> &'static str {
-        match self {
-            FleetStack::Kernel => "kernel",
-            FleetStack::User => "user",
-        }
-    }
-}
+/// Which Panda implementation the fleet runs; nothing else differs.
+///
+/// On [`Stack::Kernel`] a client machine runs two threads (its kernel's
+/// netisr and the client), so that fleet scales to 10k machines inside the
+/// pid and memory budget; on [`Stack::User`] it also runs the Panda receive
+/// daemon, and fleets are sized up to ~1k. [`Stack::UserDedicated`] has no
+/// servers-only form: building a fleet on it panics.
+pub type FleetStack = Stack;
 
 /// Think-time distribution between a client's requests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -322,6 +310,8 @@ struct FleetAgg {
     timeouts: u64,
     group_sends: u64,
     group_timeouts: u64,
+    group_deliveries: u64,
+    group_gaps: u64,
 }
 
 /// Outcome of one fleet run.
@@ -335,6 +325,15 @@ pub struct FleetReport {
     pub group_sends: u64,
     /// Group broadcasts that timed out.
     pub group_timeouts: u64,
+    /// Group broadcasts delivered, summed over the servers: every server
+    /// delivers every sequenced broadcast, so `group_sends × servers` when
+    /// no send timed out.
+    pub group_deliveries: u64,
+    /// Deliveries whose sequence number did not follow the same server's
+    /// previous delivery: a total-order violation, so 0 on a correct run.
+    /// A check, not an observable: it stays out of
+    /// [`FleetReport::result_hash`].
+    pub group_gaps: u64,
     /// Latency distribution of the completed RPCs.
     pub hist: LatencyHistogram,
     /// Virtual time from boot until the queue drained.
@@ -449,6 +448,8 @@ impl FleetWorld {
             timeouts: agg.timeouts,
             group_sends: agg.group_sends,
             group_timeouts: agg.group_timeouts,
+            group_deliveries: agg.group_deliveries,
+            group_gaps: agg.group_gaps,
             hist: agg.hist.clone(),
             elapsed,
             frames: net_stats.frames,
@@ -466,9 +467,10 @@ impl FleetWorld {
 /// `benchmark/` scoreboard calls this signature (see `desim::Backend`).
 pub fn build_fleet(spec: &FleetSpec, _backend: Backend, shards: usize) -> FleetWorld {
     let topo_spec = spec.topology();
-    // Every machine runs a netisr daemon plus one to six role threads; three
-    // per machine covers the client-heavy lanes that dominate at scale.
-    // Purely a sizing hint — run results are identical without it.
+    // A client machine runs its netisr daemon, the client, and on the user
+    // stack the Panda receive daemon; three per machine covers the
+    // client-heavy lanes that dominate at scale. Purely a sizing hint — run
+    // results are identical without it.
     let expected = topo_spec.max_machines_per_lane() as usize * 3;
     let mut sim = Simulation::builder()
         .seed(spec.seed)
@@ -476,10 +478,19 @@ pub fn build_fleet(spec: &FleetSpec, _backend: Backend, shards: usize) -> FleetW
         .expected_threads(expected)
         .build();
     let World { net, machines } = world::boot(&mut sim, &topo_spec, CostModel::default());
+    let config = PandaConfig {
+        servers: Some(spec.servers),
+        ..PandaConfig::default()
+    };
+    let nodes = world::build_stack(&mut sim, &machines, spec.stack, &config);
     let agg = Arc::new(Mutex::new(FleetAgg::default()));
-    match spec.stack {
-        FleetStack::Kernel => build_kernel_fleet(&mut sim, spec, &machines, &agg),
-        FleetStack::User => build_user_fleet(&mut sim, spec, &machines, &agg),
+    let (servers, clients) = nodes.split_at(spec.servers as usize);
+    for node in servers {
+        serve(&mut sim, spec, node, &agg);
+    }
+    let request = Bytes::from(vec![0u8; spec.request_bytes]);
+    for node in clients {
+        spawn_client(&mut sim, spec, Arc::clone(node), request.clone(), &agg);
     }
     FleetWorld { sim, net, agg }
 }
@@ -491,198 +502,93 @@ pub fn run_fleet(spec: &FleetSpec, shards: usize) -> FleetReport {
     build_fleet(spec, Backend::Fibers, shards).run()
 }
 
-/// The port server `s` answers on.
-fn server_port(s: u32) -> Port {
-    Port(FLEET_PORT_BASE + u64::from(s))
-}
-
-/// Spawns one client loop: think, fire, record — until `duration` elapses.
-#[allow(clippy::too_many_arguments)]
-fn spawn_client<F>(
+/// Makes `node` a server: it answers every request at once, checks the
+/// order of its group deliveries, and with `group_every` set a `gsend`
+/// daemon broadcasts once per `group_every` requests handled (a group send
+/// blocks, so the handler's thread only hands it a tick).
+fn serve(
     sim: &mut Simulation,
     spec: &FleetSpec,
-    machine: &Machine,
-    client_idx: u32,
+    node: &Arc<dyn Panda>,
     agg: &Arc<Mutex<FleetAgg>>,
-    op: F,
-) where
-    F: Fn(&Ctx, u32) -> bool + Send + 'static,
-{
-    let mut rng = ClientRng::new(spec.seed, client_idx);
+) {
+    let last_seq = AtomicU64::new(0);
+    let checker = Arc::clone(agg);
+    node.set_group_handler(Arc::new(move |_ctx, d: GroupDelivery| {
+        let prev = last_seq.swap(d.seq, Ordering::Relaxed);
+        let mut a = checker.lock();
+        a.group_deliveries += 1;
+        if d.seq != prev + 1 {
+            a.group_gaps += 1;
+        }
+    }));
+    let ticks: SimChannel<()> = SimChannel::new();
+    if spec.group_every > 0 {
+        let sender = Arc::clone(node);
+        let ticks = ticks.clone();
+        let payload = Bytes::from(vec![0u8; GROUP_PAYLOAD_BYTES]);
+        let agg = Arc::clone(agg);
+        let name = format!("srv{}-gsend", node.node());
+        sim.spawn_daemon(node.machine().proc(), &name, move |ctx| {
+            while ticks.recv(ctx).is_some() {
+                let ok = sender.group_send(ctx, payload.clone()).is_ok();
+                let mut a = agg.lock();
+                if ok {
+                    a.group_sends += 1;
+                } else {
+                    a.group_timeouts += 1;
+                }
+            }
+        });
+    }
+    let replier = Arc::clone(node);
+    let reply = Bytes::from(vec![0u8; spec.reply_bytes]);
+    let every = u64::from(spec.group_every);
+    let handled = AtomicU64::new(0);
+    node.set_rpc_handler(Arc::new(
+        move |ctx: &Ctx, _from, _req: Bytes, ticket: ReplyTicket| {
+            replier.reply(ctx, ticket, reply.clone());
+            let n = handled.fetch_add(1, Ordering::Relaxed) + 1;
+            if every > 0 && n.is_multiple_of(every) {
+                let _ = ticks.send(ctx, ());
+            }
+        },
+    ));
+}
+
+/// Spawns one client loop on `node`: think, call a random server, record —
+/// until `duration` elapses.
+fn spawn_client(
+    sim: &mut Simulation,
+    spec: &FleetSpec,
+    node: Arc<dyn Panda>,
+    request: Bytes,
+    agg: &Arc<Mutex<FleetAgg>>,
+) {
+    let mut rng = ClientRng::new(spec.seed, node.node());
     let end = spec.duration;
     let servers = spec.servers;
     let think_dist = spec.think;
     let mean_think = spec.mean_think;
     let agg = Arc::clone(agg);
-    sim.spawn(
-        machine.proc(),
-        &format!("client-{client_idx}"),
-        move |ctx| loop {
-            ctx.sleep(rng.think(think_dist, mean_think));
-            if ctx.now().as_nanos() >= end.as_nanos() {
-                break;
-            }
-            let server = (rng.next() % u64::from(servers)) as u32;
-            let t0 = ctx.now();
-            let ok = op(ctx, server);
-            let latency = ctx.now().saturating_duration_since(t0);
-            let mut a = agg.lock();
-            if ok {
-                a.ops += 1;
-                a.hist.record(latency);
-            } else {
-                a.timeouts += 1;
-            }
-        },
-    );
-}
-
-/// Kernel-space fleet: bare Amoeba RPC endpoints, servers in a kernel group.
-fn build_kernel_fleet(
-    sim: &mut Simulation,
-    spec: &FleetSpec,
-    machines: &[Machine],
-    agg: &Arc<Mutex<FleetAgg>>,
-) {
-    let servers = spec.servers;
-    let gspec = if spec.group_every > 0 && servers > 1 {
-        Some(GroupSpec::build(FLEET_GROUP_ID, servers as usize, 0))
-    } else {
-        None
-    };
-    let reply = Bytes::from(vec![0u8; spec.reply_bytes]);
-    let group_payload = Bytes::from(vec![0u8; GROUP_PAYLOAD_BYTES]);
-    for s in 0..servers {
-        let machine = &machines[s as usize];
-        let server = RpcServer::register(machine, server_port(s));
-        let member = gspec.as_ref().map(|g| {
-            // Member-to-sequencer unicasts are pre-seeded too.
-            for (j, addr) in g.member_addrs.iter().enumerate() {
-                if j as u32 != s {
-                    machine.iface().install_route(*addr, MacAddr(j as u32));
-                }
-            }
-            Arc::new(GroupMember::join(machine, g.clone(), s))
-        });
-        if let Some(member) = &member {
-            // Drain ordered deliveries so the backlog stays bounded.
-            let drain = Arc::clone(member);
-            sim.spawn_daemon(machine.proc(), &format!("srv{s}-gdrain"), move |ctx| loop {
-                let _ = drain.recv(ctx);
-            });
+    let proc = node.machine().proc();
+    sim.spawn(proc, &format!("client-{}", node.node()), move |ctx| loop {
+        ctx.sleep(rng.think(think_dist, mean_think));
+        if ctx.now().as_nanos() >= end.as_nanos() {
+            break;
         }
-        let handled = Arc::new(std::sync::atomic::AtomicU64::new(0));
-        for w in 0..KERNEL_SERVER_POOL {
-            let server = server.clone();
-            let member = member.clone();
-            let handled = Arc::clone(&handled);
-            let reply = reply.clone();
-            let group_payload = group_payload.clone();
-            let agg = Arc::clone(agg);
-            let every = u64::from(spec.group_every);
-            sim.spawn_daemon(machine.proc(), &format!("srv{s}-w{w}"), move |ctx| loop {
-                let (_req, token) = server.get_request(ctx);
-                let n = handled.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
-                server.put_reply(ctx, token, reply.clone());
-                if let Some(member) = &member {
-                    if every > 0 && n.is_multiple_of(every) {
-                        let ok = member.send(ctx, group_payload.clone()).is_ok();
-                        let mut a = agg.lock();
-                        if ok {
-                            a.group_sends += 1;
-                        } else {
-                            a.group_timeouts += 1;
-                        }
-                    }
-                }
-            });
+        let server = (rng.next() % u64::from(servers)) as u32;
+        let t0 = ctx.now();
+        let ok = node.rpc(ctx, server, request.clone()).is_ok();
+        let latency = ctx.now().saturating_duration_since(t0);
+        let mut a = agg.lock();
+        if ok {
+            a.ops += 1;
+            a.hist.record(latency);
+        } else {
+            a.timeouts += 1;
         }
-    }
-    let request = Bytes::from(vec![0u8; spec.request_bytes]);
-    for c in servers..spec.machines {
-        let machine = &machines[c as usize];
-        // Clients know where every server lives: no locate broadcasts.
-        for s in 0..servers {
-            machine
-                .iface()
-                .install_route(port_addr(server_port(s)), MacAddr(s));
-        }
-        let client = RpcClient::install(machine, RpcConfig::default());
-        let request = request.clone();
-        spawn_client(sim, spec, machine, c, agg, move |ctx, s| {
-            client.trans(ctx, server_port(s), request.clone()).is_ok()
-        });
-    }
-}
-
-/// User-space fleet: the full Panda stack on every node; the first
-/// `spec.servers` nodes answer RPCs, the group spans all nodes.
-fn build_user_fleet(
-    sim: &mut Simulation,
-    spec: &FleetSpec,
-    machines: &[Machine],
-    agg: &Arc<Mutex<FleetAgg>>,
-) {
-    let servers = spec.servers;
-    let nodes = world::build_stack(sim, machines, Stack::User, &PandaConfig::default());
-    let reply = Bytes::from(vec![0u8; spec.reply_bytes]);
-    let group_payload = Bytes::from(vec![0u8; GROUP_PAYLOAD_BYTES]);
-    for (i, node) in nodes.iter().enumerate() {
-        // Group deliveries are consumed on the spot.
-        node.set_group_handler(Arc::new(|_ctx, _delivery| {}));
-        if (i as u32) < servers {
-            let machine = node.machine();
-            // Group broadcasts must not block the receive daemon the RPC
-            // handler runs on, so the handler only enqueues a tick and a
-            // per-server daemon performs the (blocking) sequenced send.
-            let ticks: desim::SimChannel<()> = desim::SimChannel::new();
-            if spec.group_every > 0 {
-                let sender = Arc::clone(node);
-                let ticks_rx = ticks.clone();
-                let group_payload = group_payload.clone();
-                let agg = Arc::clone(agg);
-                sim.spawn_daemon(machine.proc(), &format!("srv{i}-gsend"), move |ctx| {
-                    while ticks_rx.recv(ctx).is_some() {
-                        let ok = sender.group_send(ctx, group_payload.clone()).is_ok();
-                        let mut a = agg.lock();
-                        if ok {
-                            a.group_sends += 1;
-                        } else {
-                            a.group_timeouts += 1;
-                        }
-                    }
-                });
-            }
-            let replier = Arc::clone(node);
-            let reply = reply.clone();
-            let every = u64::from(spec.group_every);
-            let handled = Arc::new(std::sync::atomic::AtomicU64::new(0));
-            node.set_rpc_handler(Arc::new(
-                move |ctx: &Ctx, _from, _req: Bytes, ticket: ReplyTicket| {
-                    replier.reply(ctx, ticket, reply.clone());
-                    if every > 0 {
-                        let n = handled.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
-                        if n.is_multiple_of(every) {
-                            let _ = ticks.send(ctx, ());
-                        }
-                    }
-                },
-            ));
-        }
-    }
-    let request = Bytes::from(vec![0u8; spec.request_bytes]);
-    for c in servers..spec.machines {
-        let node = Arc::clone(&nodes[c as usize]);
-        let machine = machines[c as usize].clone();
-        // Clients know where every server lives: no locate broadcasts.
-        for s in 0..servers {
-            machine.iface().install_route(panda_addr(s), MacAddr(s));
-        }
-        let request = request.clone();
-        spawn_client(sim, spec, &machine, c, agg, move |ctx, s| {
-            node.rpc(ctx, s, request.clone()).is_ok()
-        });
-    }
+    });
 }
 
 #[cfg(test)]

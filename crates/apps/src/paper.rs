@@ -140,8 +140,8 @@ pub const PAPER_TABLE1: [Table1Row; 5] = [
 pub fn system_layer_latency(size: usize, multicast: bool, cost: &CostModel) -> SimDuration {
     let mut sim = Simulation::new(42);
     let world = boot(&mut sim, &TopologySpec::flat(2, 2), cost.clone());
-    let sys0 = SysLayer::start(&mut sim, &world.machines[0], 0);
-    let sys1 = SysLayer::start(&mut sim, &world.machines[1], 1);
+    let sys0 = SysLayer::start(&mut sim, &world.machines[0], 0, true);
+    let sys1 = SysLayer::start(&mut sim, &world.machines[1], 1, true);
     let iters = TABLE1_ITERS;
     let payload = Bytes::from(vec![0u8; size]);
     let done: SimChannel<u64> = SimChannel::new();

@@ -18,7 +18,8 @@ use bytes::{BufMut, Bytes, BytesMut};
 use desim::{Ctx, SimChannel, Simulation};
 use parking_lot::Mutex;
 
-use amoeba::{GroupMember, GroupSpec, Machine, Port, RpcClient, RpcServer};
+use amoeba::{port_addr, GroupMember, GroupSpec, Machine, Port, RpcClient, RpcServer};
+use flip::FlipAddr;
 
 use crate::transport::{
     CommError, GroupHandler, NodeId, Panda, PandaConfig, ReplyTicket, RpcHandler, TicketInner,
@@ -26,7 +27,10 @@ use crate::transport::{
 
 /// Server threads each kernel-space node parks in `get_request` (Amoeba
 /// servers block there, so implicit receipt needs a pool of them).
-pub const KERNEL_SERVER_POOL: usize = 4;
+const KERNEL_SERVER_POOL: usize = 4;
+
+/// The kernel group every world's servers form.
+const GROUP_ID: u64 = 0x77;
 
 /// RPC service port of node `n`.
 fn node_port(n: NodeId) -> Port {
@@ -45,7 +49,8 @@ pub struct KernelSpacePanda {
     nodes: u32,
     machine: Machine,
     client: RpcClient,
-    member: GroupMember,
+    /// `None` on a client node (see [`PandaConfig::servers`]).
+    member: Option<GroupMember>,
     handlers: Arc<Mutex<Handlers>>,
 }
 
@@ -59,25 +64,31 @@ impl fmt::Debug for KernelSpacePanda {
 }
 
 impl KernelSpacePanda {
-    /// Builds the kernel-space Panda world: one node per machine, RPC
-    /// services registered in each kernel, one kernel group spanning all
-    /// nodes, and the daemon threads that turn Amoeba's explicit receipt
-    /// into Panda's implicit receipt.
+    /// Builds the kernel-space Panda world: one node per machine, and on
+    /// each server (every node, unless [`PandaConfig::servers`] says
+    /// otherwise) an RPC service registered in its kernel, membership of
+    /// the one kernel group, and the daemon threads that turn Amoeba's
+    /// explicit receipt into Panda's implicit receipt.
     pub fn build(
         sim: &mut Simulation,
         machines: &[Machine],
         config: &PandaConfig,
     ) -> Vec<Arc<KernelSpacePanda>> {
         let n = machines.len() as u32;
-        assert!(config.sequencer_node < n, "sequencer must be a node");
-        let mut spec = GroupSpec::build(0x77, machines.len(), config.sequencer_node as usize);
+        let members = config.members(n);
+        assert!(
+            config.sequencer_node < members,
+            "sequencer must be a server"
+        );
+        let mut spec = GroupSpec::build(GROUP_ID, members as usize, config.sequencer_node as usize);
         spec.config = config.group.clone();
         let mut out = Vec::with_capacity(machines.len());
         for (i, machine) in machines.iter().enumerate() {
             let node = i as NodeId;
-            let server = RpcServer::register(machine, node_port(node));
+            let serves = node < members;
+            let server = serves.then(|| RpcServer::register(machine, node_port(node)));
             let client = RpcClient::install(machine, config.rpc.clone());
-            let member = GroupMember::join(machine, spec.clone(), node);
+            let member = serves.then(|| GroupMember::join(machine, spec.clone(), node));
             let panda = Arc::new(KernelSpacePanda {
                 node,
                 nodes: n,
@@ -86,6 +97,10 @@ impl KernelSpacePanda {
                 member: member.clone(),
                 handlers: Arc::default(),
             });
+            out.push(Arc::clone(&panda));
+            let (Some(server), Some(member)) = (server, member) else {
+                continue; // a client runs no daemons
+            };
             // RPC daemon pool: each thread loops get_request -> upcall ->
             // put_reply. A deferred reply parks the daemon on a slot until
             // some other thread calls Panda::reply (the workaround).
@@ -146,7 +161,6 @@ impl KernelSpacePanda {
                     );
                 },
             );
-            out.push(panda);
         }
         // The handlers installed from above capture objects that hold these
         // nodes (an `OrcaRts`, a test's replier): drop them at teardown.
@@ -158,6 +172,16 @@ impl KernelSpacePanda {
         });
         out
     }
+}
+
+/// The endpoints a node routes to on server `s` of a world with `members`
+/// servers: its RPC port and, on the sequencer, its group member.
+pub(crate) fn server_addrs(s: NodeId, members: u32, config: &PandaConfig) -> Vec<FlipAddr> {
+    let group = GroupSpec::build(GROUP_ID, members as usize, config.sequencer_node as usize);
+    let seq = (s == config.sequencer_node).then(|| group.member_addrs[s as usize]);
+    std::iter::once(port_addr(node_port(s)))
+        .chain(seq)
+        .collect()
 }
 
 /// Requests carry the caller's node id in a 4-byte prefix (Panda-level
@@ -224,6 +248,8 @@ impl Panda for KernelSpacePanda {
 
     fn group_send(&self, ctx: &Ctx, msg: Bytes) -> Result<(), CommError> {
         self.member
+            .as_ref()
+            .unwrap_or_else(|| panic!("node {} is a client: it is in no group", self.node))
             .send(ctx, msg)
             .map(|_seq| ())
             .map_err(|amoeba::GroupError::Timeout| CommError::Timeout)

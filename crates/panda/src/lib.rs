@@ -42,7 +42,7 @@ mod user_space;
 pub mod world;
 
 pub use group::UserGroup;
-pub use kernel_space::{KernelSpacePanda, KERNEL_SERVER_POOL};
+pub use kernel_space::KernelSpacePanda;
 pub use system::{
     panda_addr, panda_eth_group, panda_group_addr, Module, ModuleUpcall, PandaHeader, SysLayer,
     PANDA_GROUP_HEADER_BYTES, PANDA_RPC_HEADER_BYTES,

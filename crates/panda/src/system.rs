@@ -167,13 +167,20 @@ impl fmt::Debug for SysLayer {
 
 impl SysLayer {
     /// Brings up the system layer on `machine` as node `node`: registers the
-    /// Panda endpoint and group with the kernel and starts the receive
-    /// daemon.
-    pub fn start(sim: &mut Simulation, machine: &Machine, node: NodeId) -> Arc<SysLayer> {
+    /// Panda endpoint (and, for a group `member`, the Panda group) with the
+    /// kernel and starts the receive daemon.
+    pub fn start(
+        sim: &mut Simulation,
+        machine: &Machine,
+        node: NodeId,
+        member: bool,
+    ) -> Arc<SysLayer> {
         let inbox: SimChannel<FlipMessage> = SimChannel::new();
         let sink = Sink::User(inbox.clone());
         machine.bind(panda_addr(node), sink.clone());
-        machine.join(panda_group_addr(), panda_eth_group(), sink);
+        if member {
+            machine.join(panda_group_addr(), panda_eth_group(), sink);
+        }
         let sys = Arc::new(SysLayer {
             machine: machine.clone(),
             node,

@@ -118,7 +118,8 @@ pub trait Panda: Send + Sync {
 }
 
 /// Shared tuning for both Panda implementations: the protocols' own
-/// configs, which both placements run, plus where the sequencer lives.
+/// configs, which both placements run, plus where the sequencer lives and
+/// which nodes serve.
 #[derive(Debug, Clone)]
 pub struct PandaConfig {
     /// RPC retransmission policy.
@@ -129,6 +130,23 @@ pub struct PandaConfig {
     pub group: GroupConfig,
     /// Which node hosts the sequencer.
     pub sequencer_node: NodeId,
+    /// `None`: every node serves RPCs and is a group member. `Some(k)`:
+    /// nodes `0..k` serve RPCs and form the group (the sequencer among
+    /// them), and nodes `k..` are clients that only call them. A client
+    /// runs no server threads, joins no group and gets no group deliveries
+    /// (its [`Panda::group_send`] panics), and every node knows each
+    /// server's endpoints from boot, so none ever broadcasts a FLIP locate.
+    /// A dedicated-sequencer world has no servers-only form.
+    pub servers: Option<NodeId>,
+}
+
+impl PandaConfig {
+    /// The group's size in a world of `nodes` nodes: the servers.
+    pub(crate) fn members(&self, nodes: u32) -> u32 {
+        let members = self.servers.unwrap_or(nodes);
+        assert!(members <= nodes, "{members} servers among {nodes} nodes");
+        members
+    }
 }
 
 impl Default for PandaConfig {
@@ -143,6 +161,7 @@ impl Default for PandaConfig {
                 ..GroupConfig::default()
             },
             sequencer_node: 0,
+            servers: None,
         }
     }
 }

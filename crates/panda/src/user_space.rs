@@ -24,7 +24,8 @@ pub struct UserSpacePanda {
     nodes: u32,
     sys: Arc<SysLayer>,
     rpc: Arc<UserRpc>,
-    group: Arc<UserGroup>,
+    /// `None` on a client node (see [`PandaConfig::servers`]).
+    group: Option<Arc<UserGroup>>,
 }
 
 impl fmt::Debug for UserSpacePanda {
@@ -38,8 +39,9 @@ impl fmt::Debug for UserSpacePanda {
 
 impl UserSpacePanda {
     /// Builds the user-space Panda world: every machine is an application
-    /// node, and `config.sequencer_node` hosts the sequencer thread
-    /// alongside its application.
+    /// node, the servers (every node, unless [`PandaConfig::servers`] says
+    /// otherwise) form the group, and `config.sequencer_node` hosts the
+    /// sequencer thread alongside its application.
     pub fn build(
         sim: &mut Simulation,
         machines: &[Machine],
@@ -51,15 +53,20 @@ impl UserSpacePanda {
     /// [`UserSpacePanda::build`], or with `dedicated` the paper's
     /// "User-space-dedicated" rows: the **last** machine is sacrificed to
     /// run only the sequencer, and `machines.len() - 1` application nodes
-    /// are returned.
+    /// are returned. A dedicated world has no servers-only form.
     pub(crate) fn build_placed(
         sim: &mut Simulation,
         machines: &[Machine],
         config: &PandaConfig,
         dedicated: bool,
     ) -> Vec<Arc<UserSpacePanda>> {
-        let n_members = machines.len() as u32; // a dedicated sequencer is still a member
-        let app_nodes = n_members - u32::from(dedicated);
+        assert!(
+            !(dedicated && config.servers.is_some()),
+            "a dedicated-sequencer world has no PandaConfig::servers form"
+        );
+        // A dedicated sequencer is still a member.
+        let n_members = config.members(machines.len() as u32);
+        let app_nodes = machines.len() as u32 - u32::from(dedicated);
         let sequencer: NodeId = if dedicated {
             app_nodes // the extra machine gets the last member id
         } else {
@@ -69,15 +76,18 @@ impl UserSpacePanda {
         let mut out = Vec::new();
         for (i, machine) in machines.iter().enumerate() {
             let node = i as NodeId;
-            let sys = SysLayer::start(sim, machine, node);
-            let group = UserGroup::start(
-                sim,
-                Arc::clone(&sys),
-                config.group.clone(),
-                n_members,
-                sequencer,
-                dedicated,
-            );
+            let member = node < n_members;
+            let sys = SysLayer::start(sim, machine, node, member);
+            let group = member.then(|| {
+                UserGroup::start(
+                    sim,
+                    Arc::clone(&sys),
+                    config.group.clone(),
+                    n_members,
+                    sequencer,
+                    dedicated,
+                )
+            });
             if node < app_nodes {
                 let rpc = UserRpc::start(sim, Arc::clone(&sys), config.rpc.clone());
                 out.push(Arc::new(UserSpacePanda {
@@ -90,15 +100,18 @@ impl UserSpacePanda {
             } else {
                 // Dedicated sequencer machine: member of the group, no
                 // application. Deliveries are acknowledged and discarded.
+                let group = group.expect("the dedicated sequencer is a member");
                 group.set_handler(Arc::new(|_ctx, _msg| {}));
             }
         }
         out
     }
 
-    /// The user-space group module (diagnostics).
+    /// The user-space group module (diagnostics). Panics on a client node.
     pub fn group_module(&self) -> &Arc<UserGroup> {
-        &self.group
+        self.group
+            .as_ref()
+            .unwrap_or_else(|| panic!("node {} is a client: it is in no group", self.node))
     }
 }
 
@@ -120,7 +133,10 @@ impl Panda for UserSpacePanda {
     }
 
     fn set_group_handler(&self, handler: GroupHandler) {
-        self.group.set_handler(handler);
+        // A client gets no deliveries, so its handler would never run.
+        if let Some(group) = &self.group {
+            group.set_handler(handler);
+        }
     }
 
     fn rpc(&self, ctx: &Ctx, dst: NodeId, request: Bytes) -> Result<Bytes, CommError> {
@@ -137,6 +153,6 @@ impl Panda for UserSpacePanda {
     }
 
     fn group_send(&self, ctx: &Ctx, msg: Bytes) -> Result<(), CommError> {
-        self.group.send(ctx, msg)
+        self.group_module().send(ctx, msg)
     }
 }

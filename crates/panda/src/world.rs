@@ -12,7 +12,9 @@ use amoeba::{CostModel, Machine};
 use desim::Simulation;
 use ethernet::{MacAddr, NetConfig, Network, TopologySpec};
 
-use crate::{KernelSpacePanda, Panda, PandaConfig, UserSpacePanda};
+use crate::{
+    kernel_space, panda_addr, KernelSpacePanda, NodeId, Panda, PandaConfig, UserSpacePanda,
+};
 
 /// Which Panda implementation a world runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,6 +83,11 @@ pub fn boot(sim: &mut Simulation, topology: &TopologySpec, cost: CostModel) -> W
 /// sequencer machine (see [`Stack::n_machines`]); the last machine then
 /// runs only the sequencer, and the `machines.len() - 1` application nodes
 /// are returned. Every other stack returns one node per machine.
+///
+/// With [`PandaConfig::servers`] set, every node is told at boot where each
+/// server's RPC endpoint and the sequencer's group endpoint live, so no
+/// node of such a world broadcasts a FLIP locate; servers learn their
+/// callers' routes from the requests.
 pub fn build_stack(
     sim: &mut Simulation,
     machines: &[Machine],
@@ -90,11 +97,26 @@ pub fn build_stack(
     fn erase<P: Panda + 'static>(nodes: Vec<Arc<P>>) -> Vec<Arc<dyn Panda>> {
         nodes.into_iter().map(|p| p as Arc<dyn Panda>).collect()
     }
-    match stack {
+    let nodes = match stack {
         Stack::Kernel => erase(KernelSpacePanda::build(sim, machines, config)),
         Stack::User => erase(UserSpacePanda::build(sim, machines, config)),
         Stack::UserDedicated => erase(UserSpacePanda::build_placed(sim, machines, config, true)),
+    };
+    if let Some(servers) = config.servers {
+        for (s, server) in machines[..servers as usize].iter().enumerate() {
+            let s = s as NodeId;
+            let addrs = match stack {
+                Stack::Kernel => kernel_space::server_addrs(s, servers, config),
+                _ => vec![panda_addr(s)],
+            };
+            for machine in machines.iter().filter(|m| m.mac() != server.mac()) {
+                for &addr in &addrs {
+                    machine.iface().install_route(addr, server.mac());
+                }
+            }
+        }
     }
+    nodes
 }
 
 #[cfg(test)]

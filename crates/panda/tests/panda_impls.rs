@@ -7,7 +7,7 @@ use std::sync::{Arc, Mutex as StdMutex};
 
 use amoeba::GroupConfig;
 use bytes::Bytes;
-use chaos::testutil::{self, Stack};
+use chaos::testutil::{self, Stack, World};
 use desim::{ms, Layer, Phase, SimChannel, Simulation};
 use ethernet::Network;
 use panda::{CommError, GroupDelivery, Panda, PandaConfig};
@@ -517,4 +517,175 @@ fn user_stack_rejects_a_zero_resync_interval() {
 #[should_panic(expected = "resync_interval must be non-zero")]
 fn kernel_stack_rejects_a_zero_resync_interval() {
     build_with_zero_group_timer(Stack::Kernel);
+}
+
+/// A 4-node world in which nodes 0 and 1 serve and nodes 2 and 3 are
+/// clients (`PandaConfig::servers`).
+fn servers_only_world(sim: &mut Simulation, which: Stack) -> (World, Vec<Arc<dyn Panda>>) {
+    let config = PandaConfig {
+        servers: Some(2),
+        ..PandaConfig::default()
+    };
+    testutil::build_world(sim, 4, which, &config)
+}
+
+/// The stacks that have a servers-only form.
+const SERVERS_ONLY_STACKS: [Stack; 2] = [Stack::Kernel, Stack::User];
+
+/// Servers reply with their node id; every node logs its group deliveries.
+fn serve_node_ids(nodes: &[Arc<dyn Panda>]) -> Log {
+    let log = install_collectors(nodes);
+    for server in &nodes[..2] {
+        let replier = Arc::clone(server);
+        server.set_rpc_handler(Arc::new(move |ctx, _from, _req, ticket| {
+            let id = Bytes::from(vec![replier.node() as u8]);
+            replier.reply(ctx, ticket, id);
+        }));
+    }
+    log
+}
+
+#[test]
+fn servers_only_clients_reach_every_server() {
+    for which in SERVERS_ONLY_STACKS {
+        let mut sim = Simulation::new(7);
+        let (_world, nodes) = servers_only_world(&mut sim, which);
+        serve_node_ids(&nodes);
+        let answered = Arc::new(AtomicU64::new(0));
+        for client in &nodes[2..] {
+            let (client, answered) = (Arc::clone(client), Arc::clone(&answered));
+            sim.spawn(client.machine().proc(), "client", move |ctx| {
+                for server in 0..2u32 {
+                    let reply = client.rpc(ctx, server, Bytes::from_static(b"hi"));
+                    assert_eq!(reply, Ok(Bytes::from(vec![server as u8])), "{which:?}");
+                    answered.fetch_add(1, Ordering::Relaxed);
+                }
+            });
+        }
+        sim.run().expect("run");
+        assert_eq!(answered.load(Ordering::Relaxed), 4, "{which:?}");
+    }
+}
+
+#[test]
+fn servers_only_group_spans_the_servers_alone() {
+    for which in SERVERS_ONLY_STACKS {
+        let mut sim = Simulation::new(8);
+        let (_world, nodes) = servers_only_world(&mut sim, which);
+        let log = serve_node_ids(&nodes);
+        for server in &nodes[..2] {
+            let server = Arc::clone(server);
+            sim.spawn(server.machine().proc(), "send", move |ctx| {
+                for k in 0..3u8 {
+                    server
+                        .group_send(ctx, Bytes::from(vec![k; 16]))
+                        .expect("sequenced");
+                }
+            });
+        }
+        sim.run().expect("run");
+        let log = log.lock().expect("log");
+        assert_eq!(
+            log[0].len(),
+            6,
+            "{which:?}: every broadcast reaches server 0"
+        );
+        assert_eq!(
+            log[1], log[0],
+            "{which:?}: both servers deliver in one order"
+        );
+        for (idx, (_, seq, _)) in log[0].iter().enumerate() {
+            assert_eq!(
+                *seq,
+                idx as u64 + 1,
+                "{which:?}: contiguous sequence numbers"
+            );
+        }
+        assert!(
+            log[2].is_empty() && log[3].is_empty(),
+            "{which:?}: no client delivers"
+        );
+    }
+}
+
+#[test]
+fn servers_only_clients_run_no_server_threads() {
+    for which in SERVERS_ONLY_STACKS {
+        let mut sim = Simulation::new(9);
+        let _world = servers_only_world(&mut sim, which);
+        let names = sim.thread_names();
+        let serving = |name: &String| ["rpcd", "grpd", "seqr"].iter().any(|t| name.contains(t));
+        let on_client = |name: &String| name.starts_with("m2-") || name.starts_with("m3-");
+        assert!(
+            names.iter().any(serving),
+            "{which:?}: the servers run daemons"
+        );
+        let stray: Vec<_> = names
+            .iter()
+            .filter(|n| on_client(n) && serving(n))
+            .collect();
+        assert!(
+            stray.is_empty(),
+            "{which:?}: server threads on a client: {stray:?}"
+        );
+    }
+}
+
+#[test]
+fn servers_only_world_sends_no_locate() {
+    for which in SERVERS_ONLY_STACKS {
+        let mut sim = Simulation::new(10);
+        let (world, nodes) = servers_only_world(&mut sim, which);
+        serve_node_ids(&nodes);
+        for node in &nodes {
+            let node = Arc::clone(node);
+            sim.spawn(node.machine().proc(), "traffic", move |ctx| {
+                if node.node() < 2 {
+                    node.group_send(ctx, Bytes::from_static(b"g"))
+                        .expect("sequenced");
+                } else {
+                    for server in 0..2u32 {
+                        node.rpc(ctx, server, Bytes::from_static(b"r"))
+                            .expect("rpc");
+                    }
+                }
+            });
+        }
+        sim.run().expect("run");
+        for machine in &world.machines {
+            let locates = machine.iface().stats().locates_sent;
+            assert_eq!(locates, 0, "{which:?}: {} located", machine.name());
+        }
+    }
+}
+
+/// Has client node 2 of a servers-only world call `group_send`.
+fn client_group_send(which: Stack) {
+    let mut sim = Simulation::new(11);
+    let (_world, nodes) = servers_only_world(&mut sim, which);
+    let client = Arc::clone(&nodes[2]);
+    sim.spawn(client.machine().proc(), "send", move |ctx| {
+        let _ = client.group_send(ctx, Bytes::from_static(b"g"));
+    });
+    let _ = sim.run();
+}
+
+#[test]
+#[should_panic(expected = "node 2 is a client")]
+fn kernel_client_group_send_panics_naming_the_node() {
+    client_group_send(Stack::Kernel);
+}
+
+#[test]
+#[should_panic(expected = "node 2 is a client")]
+fn user_client_group_send_panics_naming_the_node() {
+    client_group_send(Stack::User);
+}
+
+/// A dedicated sequencer serves an every-node world only.
+#[test]
+#[should_panic(expected = "no PandaConfig::servers form")]
+fn dedicated_sequencer_has_no_servers_only_form() {
+    let mut sim = Simulation::new(12);
+    let _ = servers_only_world(&mut sim, Stack::UserDedicated);
 }

@@ -49,6 +49,33 @@ fn assert_matrix_identical(spec: &FleetSpec) -> FleetReport {
     reference
 }
 
+/// Every server delivered every sequenced broadcast, each in sequence.
+fn group_deliveries_are_complete(spec: &FleetSpec, r: &FleetReport) {
+    assert!(
+        r.group_sends > 0,
+        "group service exercised: {}",
+        r.summary()
+    );
+    assert_eq!(
+        r.group_timeouts,
+        0,
+        "no group send timed out: {}",
+        r.summary()
+    );
+    assert_eq!(
+        r.group_gaps,
+        0,
+        "deliveries out of sequence: {}",
+        r.summary()
+    );
+    assert_eq!(
+        r.group_deliveries,
+        r.group_sends * u64::from(spec.servers),
+        "every server delivered every broadcast: {}",
+        r.summary()
+    );
+}
+
 fn percentiles_are_sane(r: &FleetReport) {
     assert!(r.p50().as_nanos() > 0, "p50 emitted: {}", r.summary());
     assert!(r.p99() >= r.p50(), "p99 >= p50: {}", r.summary());
@@ -68,24 +95,33 @@ fn percentiles_are_sane(r: &FleetReport) {
 /// moved again (19 872 → 19 795) when multicast floods began to be pruned
 /// at capture, so a flood that leads to no port wakes none. The other
 /// counters did not move.
+///
+/// All five were re-pinned when both fleets began to build through
+/// `panda::world` (windows 2 523 → 2 513, events 19 795 → 19 634, flushes
+/// 1 029 → 954, flushes elided 115 075 → 114 690, lanes skipped 4 948 →
+/// 5 071): the servers answer through Panda's RPC daemons, and a request
+/// carries the caller's node id.
 const KERNEL_96_WINDOWS: WindowStats = WindowStats {
-    windows: 2523,
-    events: 19795,
-    flushes: 1029,
-    flushes_elided: 115075,
-    lanes_skipped: 4948,
+    windows: 2513,
+    events: 19634,
+    flushes: 954,
+    flushes_elided: 114690,
+    lanes_skipped: 5071,
     barrier_wait_ns: 0,
 };
 
 /// Window counters of the 48-machine user fleet below (see
 /// [`KERNEL_96_WINDOWS`]; `events` went 15 981 → 14 761 for the same
-/// reason).
+/// reason). Re-pinned when the group shrank from every node to the four
+/// servers (windows 2 220 → 1 955, events 14 761 → 9 323, flushes 408 →
+/// 322, flushes elided 44 012 → 38 798, lanes skipped 2 811 → 2 551): the
+/// clients no longer receive, acknowledge or report on group traffic.
 const USER_48_WINDOWS: WindowStats = WindowStats {
-    windows: 2220,
-    events: 14761,
-    flushes: 408,
-    flushes_elided: 44012,
-    lanes_skipped: 2811,
+    windows: 1955,
+    events: 9323,
+    flushes: 322,
+    flushes_elided: 38798,
+    lanes_skipped: 2551,
     barrier_wait_ns: 0,
 };
 
@@ -102,11 +138,7 @@ fn kernel_fleet_identical_across_shards() {
     percentiles_are_sane(&r);
     assert_eq!(window_counters(&r), KERNEL_96_WINDOWS);
     assert_eq!(r.timeouts, 0, "no timeouts at this load: {}", r.summary());
-    assert!(
-        r.group_sends > 0,
-        "group service exercised: {}",
-        r.summary()
-    );
+    group_deliveries_are_complete(&spec, &r);
 }
 
 #[test]
@@ -118,11 +150,7 @@ fn user_fleet_identical_across_shards() {
     let r = assert_matrix_identical(&spec);
     percentiles_are_sane(&r);
     assert_eq!(window_counters(&r), USER_48_WINDOWS);
-    assert!(
-        r.group_sends > 0,
-        "group service exercised: {}",
-        r.summary()
-    );
+    group_deliveries_are_complete(&spec, &r);
 }
 
 #[test]
@@ -141,11 +169,15 @@ fn heavy_tailed_arrivals_are_deterministic_too() {
 /// 1k machines, both stacks, each pinned to its scheduler event count:
 /// every switch-port wake is an event, so a port handed frames it does not
 /// forward (32 uplink ports share this fleet's backbone) shows here at
-/// fleet depth. Release-only (CI `scale-smoke`).
+/// fleet depth. The two stacks run one application layer over the same
+/// servers-only group, so their events per op must stay within 1.5× of
+/// each other; a layering that drifts apart fails here. Release-only (CI
+/// `scale-smoke`).
 #[test]
 #[ignore = "minutes in debug builds; run with --release -- --ignored"]
 fn fleet_scale_1k() {
-    for (stack, events) in [(FleetStack::Kernel, 49_770), (FleetStack::User, 317_571)] {
+    let mut events_per_op = Vec::new();
+    for (stack, events) in [(FleetStack::Kernel, 51_563), (FleetStack::User, 46_228)] {
         let mut spec = FleetSpec::new(1024, 16, stack);
         spec.lanes = 8;
         spec.duration = desim::ms(50);
@@ -153,9 +185,24 @@ fn fleet_scale_1k() {
         spec.group_every = 64;
         let r = assert_matrix_identical(&spec);
         percentiles_are_sane(&r);
-        println!("1k {}: {}", stack.name(), r.summary());
+        group_deliveries_are_complete(&spec, &r);
+        println!(
+            "1k {}: {} ({} events)",
+            stack.name(),
+            r.summary(),
+            r.sim_events
+        );
         assert_eq!(r.sim_events, events, "1k {} scheduler events", stack.name());
+        events_per_op.push(r.sim_events as f64 / r.ops as f64);
     }
+    let (lo, hi) = (
+        events_per_op[0].min(events_per_op[1]),
+        events_per_op[0].max(events_per_op[1]),
+    );
+    assert!(
+        hi <= 1.5 * lo,
+        "the stacks' events per op (kernel, user) drifted apart: {events_per_op:?}"
+    );
 }
 
 /// The 10k-machine kernel fleet both 10k cells run.
@@ -176,10 +223,13 @@ fn lock_10k() -> MutexGuard<'static, ()> {
     TEN_K.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The 10k-machine fleet of the scale study: 20k+ fiber stacks are two
-/// mappings each, which fits the default `vm.max_map_count`. Kernel stack
-/// only (the user stack's five-plus threads per node would blow that
-/// budget). Asserts bit-identity across shard counts and emits the
+/// The 10k-machine fleet of the scale study. A kernel-space client machine
+/// runs two threads (netisr and the client): 20k+ fiber stacks of two
+/// mappings each, which fits the default `vm.max_map_count` (65 530). Only
+/// the 16 servers run Panda's RPC and group daemons; on every machine they
+/// would need about 140k mappings. Kernel stack only: a user-space client
+/// also runs the Panda receive daemon, and 60k mappings leave too little
+/// headroom. Asserts bit-identity across shard counts and emits the
 /// percentile summary. Release-only.
 #[test]
 #[ignore = "tens of thousands of simulated threads; run with --release -- --ignored"]
@@ -214,7 +264,10 @@ fn fleet_scale_10k() {
 fn fleet_scale_10k_pinned() {
     // Recorded on the binary-heap far tier and unchanged by the timer-wheel
     // far tier — pop order is the public invariant both implement.
-    const PINNED_HASH: u64 = 0x9391712da17eb8b6;
+    // Re-pinned (0x9391712da17eb8b6) when the fleet began to build through
+    // `panda::world`: each request now pays the kernel-space reply signal
+    // and carries the caller's node id.
+    const PINNED_HASH: u64 = 0xcd1b907e41d0da06;
     let _one_at_a_time = lock_10k();
     let r = run_fleet(&spec_10k(), 0);
     assert_eq!(
