@@ -76,10 +76,7 @@ impl KernelSpacePanda {
     ) -> Vec<Arc<KernelSpacePanda>> {
         let n = machines.len() as u32;
         let members = config.members(n);
-        assert!(
-            config.sequencer_node < members,
-            "sequencer must be a server"
-        );
+        assert!(config.sequencer_node < members, "sequencer must be a node");
         let mut spec = GroupSpec::build(GROUP_ID, members as usize, config.sequencer_node as usize);
         spec.config = config.group.clone();
         let mut out = Vec::with_capacity(machines.len());

@@ -12,7 +12,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, Weak};
 
-use apps::fleet::{run_fleet, FleetSpec, FleetStack};
+use apps::fleet::{run_fleet, FleetSpec};
 use apps::{asp, build_cluster, leq, run_workers, ProtoImpl, RunConfig};
 use bytes::Bytes;
 use chaos::engine::{run_chaos, ChaosConfig};
@@ -172,14 +172,11 @@ fn cluster_world_is_freed_after_a_run() {
 #[test]
 fn fleet_sized_world_is_freed_after_a_run() {
     let _guard = process_lock();
-    for (fleet_stack, stack) in [
-        (FleetStack::Kernel, Stack::Kernel),
-        (FleetStack::User, Stack::User),
-    ] {
+    for stack in [Stack::Kernel, Stack::User] {
         // The fleet's own topology (servers on a backbone, leaves over
         // four lanes): the windowed driver and its runner threads tear
         // down through the same `Drop`.
-        let mut spec = FleetSpec::new(96, 4, fleet_stack);
+        let mut spec = FleetSpec::new(96, 4, stack);
         spec.lanes = 4;
         let canary = Arc::new(());
         let weak = Arc::downgrade(&canary);
@@ -323,7 +320,7 @@ fn worlds_retain_nothing() {
             leq::run(&cfg, &leq::LeqParams::small());
         });
     }
-    for stack in [FleetStack::Kernel, FleetStack::User] {
+    for stack in [Stack::Kernel, Stack::User] {
         let mut spec = FleetSpec::new(96, 4, stack);
         spec.lanes = 4;
         spec.duration = desim::ms(50);
