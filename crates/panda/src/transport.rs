@@ -134,9 +134,9 @@ pub struct PandaConfig {
     /// nodes `0..k` serve RPCs and form the group (the sequencer among
     /// them), and nodes `k..` are clients that only call them. A client
     /// runs no server threads, joins no group and gets no group deliveries
-    /// (its [`Panda::group_send`] panics), and every node knows each
-    /// server's endpoints from boot, so none ever broadcasts a FLIP locate.
-    /// A dedicated-sequencer world has no servers-only form.
+    /// (its [`Panda::group_send`] panics). [`crate::world::build_stack`]
+    /// tells every node where the servers are, so none broadcasts a FLIP
+    /// locate. A dedicated-sequencer world has no servers-only form.
     pub servers: Option<NodeId>,
 }
 
