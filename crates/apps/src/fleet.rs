@@ -338,6 +338,10 @@ pub struct FleetReport {
     pub hist: LatencyHistogram,
     /// Virtual time from boot until the queue drained.
     pub elapsed: SimDuration,
+    /// Virtual time during which the clients issued requests: the spec's
+    /// [`FleetSpec::duration`]. Set by the spec, not observed, so it stays
+    /// out of [`FleetReport::result_hash`].
+    pub duration: SimDuration,
     /// Total frames the network carried.
     pub frames: u64,
     /// Total wire bytes the network carried.
@@ -351,7 +355,7 @@ pub struct FleetReport {
     /// [`FleetReport::result_hash`].
     pub window_stats: desim::WindowStats,
     /// Event-queue accounting summed over every scheduler lane (peak depth,
-    /// tier routing, cascades). Deterministic per spec, but diagnostic — it
+    /// tier routing, re-placements). Deterministic per spec, but diagnostic — it
     /// describes *how* the queue ran, not *what* the fleet computed — so it
     /// stays out of [`FleetReport::result_hash`].
     pub queue_stats: desim::QueueStats,
@@ -373,12 +377,13 @@ impl FleetReport {
         self.hist.quantile(0.999)
     }
 
-    /// Completed RPCs per virtual second.
+    /// Completed RPCs per virtual second of the issuing phase, not of the
+    /// drain tail after it (protocol housekeeping, not service).
     pub fn throughput(&self) -> f64 {
-        if self.elapsed.is_zero() {
+        if self.duration.is_zero() {
             0.0
         } else {
-            self.ops as f64 / self.elapsed.as_secs_f64()
+            self.ops as f64 / self.duration.as_secs_f64()
         }
     }
 
@@ -431,6 +436,7 @@ pub struct FleetWorld {
     sim: Simulation,
     net: Network,
     agg: Arc<Mutex<FleetAgg>>,
+    duration: SimDuration,
 }
 
 impl FleetWorld {
@@ -452,6 +458,7 @@ impl FleetWorld {
             group_gaps: agg.group_gaps,
             hist: agg.hist.clone(),
             elapsed,
+            duration: self.duration,
             frames: net_stats.frames,
             wire_bytes: net_stats.wire_bytes,
             sim_events: report.events,
@@ -492,7 +499,12 @@ pub fn build_fleet(spec: &FleetSpec, _backend: Backend, shards: usize) -> FleetW
     for node in clients {
         spawn_client(&mut sim, spec, Arc::clone(node), request.clone(), &agg);
     }
-    FleetWorld { sim, net, agg }
+    FleetWorld {
+        sim,
+        net,
+        agg,
+        duration: spec.duration,
+    }
 }
 
 /// Boots the fleet described by `spec` on the given shard count and runs it

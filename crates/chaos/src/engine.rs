@@ -347,7 +347,7 @@ fn run_chaos_inner(cfg: &ChaosConfig) -> ChaosOutcome {
             .map(|m| m.lock().unwrap().clone())
             .collect(),
         counters: sim.trace_counters(),
-        events: sim.trace_events(),
+        events: sim.take_trace_events(),
         stats: net.total_stats(),
         held_pending: net.held_pending(),
         partitions_left,

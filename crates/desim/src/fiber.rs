@@ -11,21 +11,24 @@
 //!
 //! The primitive is vendored in-tree (no external crate): `global_asm!`
 //! blocks for x86_64 and aarch64 Linux, and direct `extern "C"`
-//! declarations of `mmap`/`mprotect`/`madvise`/`munmap` for the
+//! declarations of `mmap`/`mprotect`/`munmap` for the
 //! guard-paged stacks (std already links libc, so the symbols are always
 //! available).
 //!
 //! # Stack reuse
 //!
-//! A dropped stack goes back to a process-wide pool (at most
-//! [`FIBER_STACK_POOL_CAP`] stacks) with its usable pages released by
-//! `madvise(MADV_DONTNEED)`, and the next fiber takes it from there (every
-//! stack has the one length [`STACK_SIZE`] plus its guard page). A reused stack is indistinguishable from a fresh
-//! one — same guard page, zero-filled pages on first touch, nothing
-//! resident while it waits — but costs one syscall per thread instead of
-//! three (`mmap`, `mprotect`, `munmap`). Chaos sweeps build and drop
-//! thousands of worlds of about 18 threads each and pay that cost for
-//! every one.
+//! A dropped stack goes back, as it is, to a process-wide pool (at most
+//! [`FIBER_STACK_POOL_CAP`] stacks), and the next fiber takes it from there
+//! (every stack has the one length [`STACK_SIZE`] plus its guard page). A
+//! reused stack keeps its guard page and the pages its last thread touched,
+//! so the next thread runs on resident top pages instead of faulting them
+//! in, and the reuse costs no syscall where a fresh stack costs three
+//! (`mmap`, `mprotect`, `munmap`). Chaos sweeps build and drop thousands of
+//! worlds of about 18 threads each and would pay that cost for every one.
+//!
+//! The pages are not zero-filled again, and no code can tell: `init_stack`
+//! writes the boot frame before anything runs on the stack, and compiled
+//! code never reads a stack slot it has not written.
 //!
 //! # Safety model
 //!
@@ -64,10 +67,10 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 const STACK_SIZE: usize = 1 << 20;
 
 /// Most fiber stacks the process keeps for reuse (see "Stack reuse" in the
-/// module docs). A pooled stack holds address space and two mappings but
-/// no resident pages; stacks dropped beyond this bound are unmapped. 1024
-/// covers every world short of a fleet (a chaos world has about 18
-/// threads).
+/// module docs). A pooled stack holds address space, two mappings and the
+/// pages its last thread touched; stacks dropped beyond this bound are
+/// unmapped. 1024 covers every world short of a fleet (a chaos world has
+/// about 18 threads).
 pub const FIBER_STACK_POOL_CAP: usize = 1024;
 
 /// A suspended execution context's save slot: the stack pointer written by
@@ -222,7 +225,6 @@ mod sys {
         ) -> *mut c_void;
         pub fn munmap(addr: *mut c_void, len: usize) -> i32;
         pub fn mprotect(addr: *mut c_void, len: usize, prot: i32) -> i32;
-        pub fn madvise(addr: *mut c_void, len: usize, advice: i32) -> i32;
         pub fn sysconf(name: i32) -> i64;
     }
 
@@ -232,7 +234,6 @@ mod sys {
     pub const MAP_PRIVATE: i32 = 0x2;
     pub const MAP_ANONYMOUS: i32 = 0x20;
     pub const MAP_STACK: i32 = 0x20000;
-    pub const MADV_DONTNEED: i32 = 4;
     pub const _SC_PAGESIZE: i32 = 30;
 }
 
@@ -249,8 +250,8 @@ fn page_size() -> usize {
 }
 
 /// The bases of free stacks in `bases[..len]`, the most recently dropped
-/// last. Every entry's usable pages were released with `MADV_DONTNEED`,
-/// and its guard page is still `PROT_NONE`.
+/// last. Every entry's guard page is still `PROT_NONE`; its usable pages
+/// hold whatever its last thread left there.
 ///
 /// A fixed array rather than a `Vec`: a block the pool allocated
 /// mid-run would stay live at the top of the malloc heap and keep the
@@ -359,22 +360,15 @@ fn map_stack(len: usize, page: usize) -> usize {
 
 impl Drop for FiberStack {
     fn drop(&mut self) {
-        let page = page_size();
+        // Its fiber never runs again (a `Fiber` drops only after its final
+        // switch-out or without ever starting), so no live frame sits on
+        // the stack pooled or unmapped here.
         let mut free = self.pool.free();
         if free.len < FIBER_STACK_POOL_CAP {
-            // SAFETY: the usable part of a mapping this stack owns.
-            // Its fiber never runs again (a `Fiber` drops only after
-            // its final switch-out or without ever starting), so no
-            // live frame sits in the pages released here; the guard
-            // page below them is left as it is.
-            let rc =
-                unsafe { sys::madvise(self.base.add(page).cast(), STACK_SIZE, sys::MADV_DONTNEED) };
-            if rc == 0 {
-                let at = free.len;
-                free.bases[at] = self.base as usize;
-                free.len += 1;
-                return;
-            }
+            let at = free.len;
+            free.bases[at] = self.base as usize;
+            free.len += 1;
+            return;
         }
         drop(free);
         // SAFETY: the whole mapping this stack owns, which nothing
@@ -622,7 +616,7 @@ mod tests {
     /// their fibers, which use the process-wide pool) cannot take or
     /// evict its stacks.
     #[test]
-    fn reused_stack_is_the_same_mapping_zero_filled_behind_its_guard() {
+    fn reused_stack_is_the_same_mapping_behind_its_guard() {
         static POOL: StackPool = StackPool::new();
         let page = page_size();
         let first = FiberStack::take(&POOL);
@@ -635,14 +629,10 @@ mod tests {
         let again = FiberStack::take(&POOL);
         assert_eq!(again.base as usize, base);
         assert_eq!(POOL.free().len, 0);
-        // SAFETY: the same usable pages, now owned by `again`.
-        let usable = unsafe { std::slice::from_raw_parts(again.base.add(page), STACK_SIZE) };
-        assert!(
-            usable.iter().all(|&b| b == 0),
-            "a reused stack must read as zero-filled"
-        );
         assert_eq!(perms_at(base).as_deref(), Some("---p"));
         assert_eq!(perms_at(base + page).as_deref(), Some("rw-p"));
+        drop(again);
+        assert_eq!(POOL.free().len, 1);
     }
 
     #[test]

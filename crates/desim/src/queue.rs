@@ -173,7 +173,8 @@ pub struct QueueStats {
     pub wheel_pushes: u64,
     /// Pushes that landed past the wheel span, in the overflow heap.
     pub overflow_pushes: u64,
-    /// Wheel slot redistributions (one per cascaded slot, not per event).
+    /// Wheel extractions that re-placed later events of the minimum's slot
+    /// (one per extraction, not per re-placed event).
     pub cascades: u64,
 }
 
@@ -371,7 +372,7 @@ mod tests {
     }
 
     /// Events packed into one wheel slot at a coarse level must come back
-    /// out in full-key order across the cascade, interleaved correctly with
+    /// out in full-key order across re-placement, interleaved correctly with
     /// finer-level residents and the far-future overflow heap.
     #[test]
     fn cascade_preserves_full_key_order() {
@@ -413,6 +414,27 @@ mod tests {
         assert!(stats.cascades > 0, "coarse slot cascaded: {stats:?}");
         assert_eq!(stats.overflow_pushes, 2, "{stats:?}");
         assert_eq!(stats.peak_depth, times.len() as u64, "{stats:?}");
+    }
+
+    /// An event alone in its slot pops straight out of it, whatever its
+    /// level: nothing else is re-placed, so no extraction counts.
+    #[test]
+    fn lone_coarse_slot_events_pop_without_cascades() {
+        let mut q = EventQueue::with_capacity(8);
+        // Levels 2, 2, 3, 4, 5, 5 from a cursor at 0, one event per slot;
+        // each stays alone in its slot as the cursor moves to the one
+        // before it.
+        let times = [1u64 << 12, 2 << 12, 1 << 18, 1 << 24, 1 << 30, 3 << 30];
+        for (seq, &t) in times.iter().rev().enumerate() {
+            q.push(ev(t, 0, seq as u64));
+        }
+        let popped: Vec<u64> = std::iter::from_fn(|| q.pop())
+            .map(|e| e.time.as_nanos())
+            .collect();
+        assert_eq!(popped, times);
+        let stats = q.stats();
+        assert_eq!(stats.wheel_pushes, times.len() as u64, "{stats:?}");
+        assert_eq!(stats.cascades, 0, "{stats:?}");
     }
 
     /// Same-instant events split across the far tier's slot extraction and

@@ -1014,7 +1014,7 @@ impl Simulation {
     }
 
     /// Event-queue accounting summed over lanes (see [`QueueStats`]): tier
-    /// and overflow push counts, wheel cascades, and the sum of per-lane
+    /// and overflow push counts, wheel re-placements, and the sum of per-lane
     /// peak depths. Deterministic — a property of the simulated program,
     /// not of wall-clock or shard count.
     pub fn queue_stats(&self) -> QueueStats {

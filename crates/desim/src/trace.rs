@@ -16,6 +16,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 use crate::core::{ProcId, ThreadId};
 use crate::time::SimTime;
@@ -190,12 +191,61 @@ struct CounterCell {
     total: u64,
 }
 
+/// An event name keyed by its call site: compared and hashed by the
+/// `&'static str`'s address and length, never by its text. Two sites that
+/// emit one text from two addresses get two cells, which
+/// [`Tracer::counters`] merges.
+struct Site(&'static str);
+
+impl PartialEq for Site {
+    fn eq(&self, other: &Site) -> bool {
+        std::ptr::eq(self.0, other.0)
+    }
+}
+impl Eq for Site {}
+
+impl Hash for Site {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_usize(self.0.as_ptr() as usize);
+        state.write_usize(self.0.len());
+    }
+}
+
+/// One multiply and rotate per word (the FxHash recipe). The counter keys
+/// are a handful of simulator-made words, not adversarial input, so
+/// SipHash's flood resistance buys nothing here.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl WordHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        // Unused by the counter key, whose every field hashes as an integer.
+        bytes.iter().for_each(|&b| self.add(u64::from(b)));
+    }
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// The collector: bounded ring buffer plus counters.
 pub(crate) struct Tracer {
     ring: VecDeque<TraceEvent>,
     cap: usize,
     dropped: u64,
-    counters: HashMap<(ProcId, Layer, &'static str), CounterCell>,
+    counters: HashMap<(ProcId, Layer, Site), CounterCell, BuildHasherDefault<WordHasher>>,
 }
 
 impl Tracer {
@@ -204,14 +254,14 @@ impl Tracer {
             ring: VecDeque::new(),
             cap: cap.max(1),
             dropped: 0,
-            counters: HashMap::new(),
+            counters: HashMap::default(),
         }
     }
 
     pub(crate) fn record(&mut self, ev: TraceEvent) {
         let cell = self
             .counters
-            .entry((ev.proc, ev.layer, ev.name))
+            .entry((ev.proc, ev.layer, Site(ev.name)))
             .or_default();
         cell.count += 1;
         cell.total += ev.args.as_slice().first().map_or(0, |(_, v)| *v);
@@ -234,20 +284,31 @@ impl Tracer {
         self.dropped
     }
 
+    /// One snapshot per `(processor, layer, name)` text, sorted: cells of
+    /// equal text from different call sites are summed.
     pub(crate) fn counters(&self) -> Vec<CounterSnapshot> {
         let mut out: Vec<CounterSnapshot> = self
             .counters
             .iter()
-            .map(|((proc, layer, name), cell)| CounterSnapshot {
+            .map(|((proc, layer, site), cell)| CounterSnapshot {
                 proc: *proc,
                 layer: *layer,
-                name,
+                name: site.0,
                 count: cell.count,
                 total: cell.total,
             })
             .collect();
         // HashMap iteration order is nondeterministic; sort for stable output.
         out.sort_by_key(|c| (c.proc, c.layer, c.name));
+        // `dedup_by` hands the later element first and keeps the earlier.
+        out.dedup_by(|later, kept| {
+            let same = (later.proc, later.layer, later.name) == (kept.proc, kept.layer, kept.name);
+            if same {
+                kept.count += later.count;
+                kept.total += later.total;
+            }
+            same
+        });
         out
     }
 }
@@ -388,6 +449,26 @@ mod tests {
         assert_eq!(counters[0].name, "a");
         assert_eq!(counters[0].count, 2);
         assert_eq!(counters[0].total, 30);
+    }
+
+    /// Counters are keyed by call site, but two sites emitting one text
+    /// still read as one counter.
+    #[test]
+    fn equal_text_at_two_addresses_is_one_counter() {
+        let one: &'static str = String::from("send").leak();
+        let two: &'static str = String::from("send").leak();
+        assert!(!std::ptr::eq(one, two));
+        let mut tr = Tracer::new(8);
+        tr.record(ev(1, one, Phase::Instant, 10));
+        tr.record(ev(2, two, Phase::Instant, 20));
+        tr.record(ev(3, one, Phase::Instant, 5));
+        tr.record(ev(4, "recv", Phase::Instant, 1));
+        let counters = tr.counters();
+        assert_eq!(counters.len(), 2);
+        assert_eq!(counters[0].name, "recv");
+        assert_eq!((counters[0].count, counters[0].total), (1, 1));
+        assert_eq!(counters[1].name, "send");
+        assert_eq!((counters[1].count, counters[1].total), (3, 35));
     }
 
     #[test]

@@ -30,10 +30,11 @@
 //! golden trace and chaos hash hangs off it. Exactness falls out of three
 //! structural facts:
 //!
-//! 1. **Level-0 slots are single instants.** A level-0 slot is 1 ns wide,
-//!    so once the minimum lives at level 0 the whole slot shares one `time`
-//!    and draining it in `(tie, seq)` order — one `sort_unstable` at
-//!    extraction — is full-key order.
+//! 1. **All events of one instant share one slot.** An event's level and
+//!    slot are functions of its time and the cursor alone, so equal times
+//!    file together. Draining the minimum instant is taking the events at
+//!    that time out of one slot and sorting them by `(tie, seq)` — one
+//!    `sort_unstable` at extraction — which is full-key order.
 //! 2. **Lower level ⇒ earlier time.** A resident's level is the highest
 //!    bit it disagrees with the cursor on, and every resident is in the
 //!    cursor's future, so level-`l` residents agree with the cursor above
@@ -41,13 +42,16 @@
 //!    therefore precedes any level-`m` event for `l < m`, and within one
 //!    level lower slot index ⇒ earlier time range. The global minimum is
 //!    always in the first occupied slot of the lowest occupied level.
-//! 3. **Cascading preserves residency.** Advancing the cursor to the start
-//!    of the first occupied slot of level `l > 0` and re-placing that
-//!    slot's events moves each of them to some level `< l` (their times
-//!    differ from the new cursor only below bit `6l`) and touches no other
-//!    slot's residency (the cursor changed only in bits the other levels
-//!    don't index). Each event cascades at most `LEVELS - 1` times in its
-//!    lifetime, so the amortized pop cost is `O(1)`.
+//! 3. **In-place extraction preserves residency.** Let the minimum instant
+//!    `t` sit in slot `s` of the lowest occupied level `l`. Moving the
+//!    cursor to `t` changes it only in digits `≤ l` and sets digit `l` to
+//!    `s`, so every other resident keeps its level and slot: a level-`m > l`
+//!    resident still first differs from the cursor at digit `m`, another
+//!    level-`l` resident at its own digit `≠ s`. The slot's later events
+//!    agree with `t` from digit `l` up, so re-placing them lands each
+//!    strictly lower, where nothing lived: the earliest of them is the next
+//!    minimum, with no rescan. Each event is re-placed at most `LEVELS - 1`
+//!    times in its lifetime, so the amortized pop cost is `O(1)`.
 //!
 //! # The cursor only moves at committed pops
 //!
@@ -55,10 +59,10 @@
 //! at. Pushes are bounded below by the near tier's `bucket_time`, so the
 //! cursor is only advanced inside [`Wheel::take_min`] — the committed
 //! extraction of the global minimum instant, which is exactly the moment
-//! `bucket_time` jumps to that instant. Peeks never cascade: the earliest
+//! `bucket_time` jumps to that instant. Peeks never re-place: the earliest
 //! pending time is kept in a cache (`min_time`) maintained on push and
-//! recomputed — by scanning the one slot that must contain the minimum —
-//! only when an extraction empties it.
+//! extraction, and recomputed — by scanning the one slot that must contain
+//! the minimum — only when an extraction leaves no later event behind.
 
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -100,15 +104,14 @@ pub(crate) struct Wheel {
     /// Total events held (wheel proper + overflow).
     len: usize,
     /// Exact earliest wheel-proper time, [`NO_MIN`] when empty. Lets
-    /// `peek_time` answer without cascading.
+    /// `peek_time` answer without re-placing anything.
     min_time: u64,
-    /// Reusable redistribution buffer, so cascades don't allocate.
-    scratch: Vec<Event>,
     /// Lifetime pushes that landed in the wheel proper.
     pub(crate) wheel_pushes: u64,
     /// Lifetime pushes that landed in the overflow heap.
     pub(crate) overflow_pushes: u64,
-    /// Lifetime slot redistributions (counted per slot, not per event).
+    /// Lifetime extractions that re-placed later events of the minimum's
+    /// slot (counted per extraction, not per event).
     pub(crate) cascades: u64,
 }
 
@@ -122,7 +125,6 @@ impl Wheel {
             overflow: BinaryHeap::with_capacity(cap.min(64)),
             len: 0,
             min_time: NO_MIN,
-            scratch: Vec::new(),
             wheel_pushes: 0,
             overflow_pushes: 0,
             cascades: 0,
@@ -133,7 +135,7 @@ impl Wheel {
         self.len
     }
 
-    /// The earliest pending time, without popping or cascading. Exact: the
+    /// The earliest pending time, without popping or re-placing. Exact: the
     /// windowed driver publishes this as the lane's next-event time, so a
     /// lower bound would let pops cross a window edge.
     pub(crate) fn peek_time(&self) -> Option<SimTime> {
@@ -185,7 +187,7 @@ impl Wheel {
 
     /// Files `ev` into the slot its residency invariant dictates: level =
     /// highest 6-bit digit in which its time differs from the cursor, slot =
-    /// that digit of the time. Shared by `push` and the cascade loop (whose
+    /// that digit of the time. Shared by `push` and the extraction (whose
     /// re-placed events never overflow: they only move down-level).
     #[inline]
     fn place(&mut self, ev: Event) {
@@ -238,51 +240,52 @@ impl Wheel {
         Some(SimTime::from_nanos(t))
     }
 
-    /// Cascades until the minimum sits at level 0, then drains that slot —
-    /// a single exact instant — sorted by `(tie, seq)`. Caller guarantees
-    /// the wheel proper is non-empty.
+    /// Drains the events at `min_time` — sorted by `(tie, seq)` — out of the
+    /// first occupied slot of the lowest occupied level, moves the cursor to
+    /// that instant and re-places the slot's later events (module docs,
+    /// fact 3). Caller guarantees the wheel proper is non-empty.
     fn extract_min_slot(&mut self, out: &mut VecDeque<Event>) {
-        loop {
-            let level = (0..LEVELS)
-                .find(|&l| self.occupied[l] != 0)
-                .expect("cached min set but wheel empty");
-            let slot = self.occupied[level].trailing_zeros() as usize;
-            let mut batch = std::mem::take(&mut self.scratch);
-            std::mem::swap(&mut batch, &mut self.slots[level * SLOTS + slot]);
-            self.occupied[level] &= !(1u64 << slot);
-            if level == 0 {
-                // A level-0 slot is one exact instant: the cursor's 64-ns
-                // line with the low digit replaced by the slot index.
-                let t = (self.elapsed & !(SLOTS as u64 - 1)) | slot as u64;
-                debug_assert_eq!(t, self.min_time, "first level-0 slot is the minimum");
-                self.elapsed = t;
-                self.len -= batch.len();
-                batch.sort_unstable_by_key(|e| (e.tie, e.seq));
-                out.extend(batch.drain(..));
-                self.scratch = batch;
-                self.min_time = self.recompute_min();
-                return;
-            }
-            // Advance the cursor to the slot's start and redistribute: every
-            // event here now differs from the cursor only below bit
-            // `6 * level`, so each lands at a strictly lower level. Other
-            // levels' residency is untouched — the cursor changed only in
-            // bits this level and lower index.
-            let shift = SLOT_BITS * level as u32;
-            let below = (1u64 << (shift + SLOT_BITS)) - 1;
-            self.elapsed = (self.elapsed & !below) | ((slot as u64) << shift);
-            self.cascades += 1;
-            for ev in batch.drain(..) {
+        let t = self.min_time;
+        let level = self
+            .occupied
+            .iter()
+            .position(|&o| o != 0)
+            .expect("cached min set but wheel empty");
+        let slot = self.occupied[level].trailing_zeros() as usize;
+        let idx = level * SLOTS + slot;
+        let mut batch = std::mem::take(&mut self.slots[idx]);
+        self.occupied[level] &= !(1u64 << slot);
+        self.elapsed = t;
+        let mut next = NO_MIN;
+        for ev in batch.drain(..) {
+            let et = ev.time.as_nanos();
+            if et == t {
+                out.push_back(ev);
+            } else {
+                // Strictly lower than `level`, where nothing else lives.
+                next = next.min(et);
                 self.place(ev);
             }
-            self.scratch = batch;
         }
+        // `take_min` hands in an empty `out`.
+        self.len -= out.len();
+        // The slot keeps its capacity: nothing was re-placed into it.
+        self.slots[idx] = batch;
+        debug_assert!(!out.is_empty(), "first occupied slot holds the minimum");
+        out.make_contiguous()
+            .sort_unstable_by_key(|e| (e.tie, e.seq));
+        self.min_time = if next != NO_MIN {
+            self.cascades += 1;
+            next
+        } else {
+            self.recompute_min()
+        };
     }
 
-    /// Recomputes the cached minimum after an extraction emptied it. The
-    /// minimum must live in the first occupied slot of the lowest occupied
-    /// level (module docs, fact 2), so one slot scan suffices — no cascade,
-    /// no cursor movement.
+    /// Recomputes the cached minimum after an extraction left no later
+    /// event behind. The minimum must live in the first occupied slot of the
+    /// lowest occupied level (module docs, fact 2), so one slot scan
+    /// suffices — no re-placement, no cursor movement.
     fn recompute_min(&self) -> u64 {
         for level in 0..LEVELS {
             if self.occupied[level] != 0 {

@@ -26,11 +26,17 @@ fn window_counters(r: &FleetReport) -> WindowStats {
 }
 
 /// Runs `spec` over shards {1, 2, auto} and asserts every run hashes
-/// identically and has identical window counters. Returns the shards-1
-/// report.
+/// identically and has identical window counters, and that the shards-1
+/// report's throughput counts the issuing phase. Returns that report.
 fn assert_matrix_identical(spec: &FleetSpec) -> FleetReport {
     let reference = run_fleet(spec, 1);
     assert!(reference.ops > 0, "fleet did work: {}", reference.summary());
+    assert_eq!(
+        reference.throughput(),
+        reference.ops as f64 / spec.duration.as_secs_f64(),
+        "throughput is over the issuing phase: {}",
+        reference.summary()
+    );
     for shards in [2usize, 0] {
         let r = run_fleet(spec, shards);
         assert_eq!(
