@@ -3,15 +3,20 @@
 //! [`SimChannel`] is the workhorse of the protocol stack: NIC receive queues,
 //! daemon-thread inboxes, and reply slots are all channels. A channel is a
 //! clonable handle; all clones share the same queue.
+//!
+//! A channel serves one lane: the first operation binds it to the caller's
+//! lane, and an operation from any other lane panics instead of racing on
+//! the queue (see [`LaneKey`]). Within its lane only the turn holder runs,
+//! so the queue sits in a [`TurnCell`] and takes no lock.
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
-use crate::core::{ThreadId, WakeStatus};
+use crate::core::{LaneKey, ThreadId, WakeStatus};
 use crate::time::{SimDuration, SimTime};
+use crate::turn::{TurnCell, TurnGuard};
 use crate::Ctx;
 
 /// Error returned by [`SimChannel::send`] when the channel is closed.
@@ -55,6 +60,13 @@ struct Inner<T> {
     closed: bool,
 }
 
+struct Shared<T> {
+    /// [`LaneKey::raw`] of the lane this channel serves; 0 until its first
+    /// operation binds it.
+    lane: AtomicU64,
+    inner: TurnCell<Inner<T>>,
+}
+
 /// A receiver wake captured by [`SimChannel::send_deferred`] and not yet
 /// scheduled. Commit it (and any siblings, in capture order) with
 /// [`Ctx::commit_wakes`]; dropping it instead would strand a blocked
@@ -73,6 +85,10 @@ impl PendingWake {
 }
 
 /// An unbounded multi-producer multi-consumer FIFO channel in virtual time.
+///
+/// Every operation must come from one lane: the first binds the channel to
+/// its caller's lane, and one from another lane panics. Traffic between
+/// lanes goes through [`crate::Simulation::cross_link`].
 ///
 /// # Examples
 ///
@@ -93,24 +109,26 @@ impl PendingWake {
 /// sim.run_until_finished(&consumer).expect("run");
 /// ```
 pub struct SimChannel<T> {
-    inner: Arc<Mutex<Inner<T>>>,
+    shared: Arc<Shared<T>>,
 }
 
 impl<T> Clone for SimChannel<T> {
     fn clone(&self) -> Self {
         SimChannel {
-            inner: Arc::clone(&self.inner),
+            shared: Arc::clone(&self.shared),
         }
     }
 }
 
+/// Shows only the lane the channel serves (`None` before its first
+/// operation): the queue belongs to that lane's turn, which a formatter
+/// elsewhere does not hold.
 impl<T> fmt::Debug for SimChannel<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let inner = self.inner.lock();
+        let lane = LaneKey::from_raw(self.shared.lane.load(Ordering::Relaxed)).map(LaneKey::lane);
         f.debug_struct("SimChannel")
-            .field("len", &inner.queue.len())
-            .field("closed", &inner.closed)
-            .finish()
+            .field("lane", &lane)
+            .finish_non_exhaustive()
     }
 }
 
@@ -124,11 +142,58 @@ impl<T> SimChannel<T> {
     /// Creates an empty open channel.
     pub fn new() -> Self {
         SimChannel {
-            inner: Arc::new(Mutex::new(Inner {
-                queue: VecDeque::new(),
-                recv_waiters: VecDeque::new(),
-                closed: false,
-            })),
+            shared: Arc::new(Shared {
+                lane: AtomicU64::new(0),
+                inner: TurnCell::new(Inner {
+                    queue: VecDeque::new(),
+                    recv_waiters: VecDeque::new(),
+                    closed: false,
+                }),
+            }),
+        }
+    }
+
+    /// Borrows the queue for an operation of `lane`'s turn holder, binding
+    /// the channel to `lane` on its first operation. After that the check
+    /// is one plain compare.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming both lanes, if the channel serves another lane.
+    #[inline]
+    #[track_caller]
+    fn inner(&self, lane: LaneKey) -> TurnGuard<'_, Inner<T>> {
+        if self.shared.lane.load(Ordering::Relaxed) != lane.raw() {
+            self.bind(lane);
+        }
+        self.shared.inner.borrow_mut()
+    }
+
+    /// First operation: claim the channel for `lane`, once. `Relaxed`
+    /// suffices because the binding publishes nothing: the loser of a race
+    /// panics before it touches the queue, and the winner's queue accesses
+    /// are ordered by its lane's turns.
+    #[cold]
+    #[inline(never)]
+    #[track_caller]
+    fn bind(&self, lane: LaneKey) {
+        if let Err(bound) =
+            self.shared
+                .lane
+                .compare_exchange(0, lane.raw(), Ordering::Relaxed, Ordering::Relaxed)
+        {
+            let bound = LaneKey::from_raw(bound).expect("a failed bind saw a key");
+            let other = if bound.lane() == lane.lane() {
+                " of another simulation"
+            } else {
+                ""
+            };
+            panic!(
+                "SimChannel used from {} but it serves {}{other}: a channel serves \
+                 one lane; traffic between lanes goes through Simulation::cross_link",
+                lane.lane(),
+                bound.lane()
+            );
         }
     }
 
@@ -138,13 +203,13 @@ impl<T> SimChannel<T> {
     ///
     /// Returns [`SendError`] with the value if the channel is closed.
     pub fn send(&self, ctx: &Ctx, value: T) -> Result<(), SendError<T>> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner(ctx.lane_key());
         if inner.closed {
             return Err(SendError(value));
         }
         inner.queue.push_back(value);
         if let Some((t, w)) = inner.recv_waiters.pop_front() {
-            ctx.core().state.lock().schedule_wake_now(t, w);
+            ctx.core().state.borrow_mut().schedule_wake_now(t, w);
         }
         Ok(())
     }
@@ -154,8 +219,8 @@ impl<T> SimChannel<T> {
     /// for the caller to commit via [`Ctx::commit_wakes`].
     ///
     /// This exists for broadcast fan-out: delivering one frame to N group
-    /// members costs N scheduler-lock round-trips with plain `send`; with
-    /// deferred sends the frames are enqueued first and all wakes are
+    /// members costs N borrows of the scheduler state with plain `send`;
+    /// with deferred sends the frames are enqueued first and all wakes are
     /// scheduled in one batch. Committing the wakes in capture order makes
     /// the result bit-identical to the unbatched sequence, because only the
     /// sending thread runs between the enqueue and the commit.
@@ -163,8 +228,19 @@ impl<T> SimChannel<T> {
     /// # Errors
     ///
     /// Returns [`SendError`] with the value if the channel is closed.
-    pub fn send_deferred(&self, value: T) -> Result<Option<PendingWake>, SendError<T>> {
-        let mut inner = self.inner.lock();
+    pub fn send_deferred(&self, ctx: &Ctx, value: T) -> Result<Option<PendingWake>, SendError<T>> {
+        self.send_deferred_on(ctx.lane_key(), value)
+    }
+
+    /// [`SimChannel::send_deferred`] for the holder of `lane`'s turn; the
+    /// cross-lane injector, which runs inside the destination lane's event
+    /// loop and has no [`Ctx`], passes that lane.
+    pub(crate) fn send_deferred_on(
+        &self,
+        lane: LaneKey,
+        value: T,
+    ) -> Result<Option<PendingWake>, SendError<T>> {
+        let mut inner = self.inner(lane);
         if inner.closed {
             return Err(SendError(value));
         }
@@ -202,14 +278,14 @@ impl<T> SimChannel<T> {
     pub fn recv_until(&self, ctx: &Ctx, deadline: Option<SimTime>) -> Result<T, RecvTimeoutError> {
         let me = ctx.thread_id();
         loop {
-            let mut inner = self.inner.lock();
+            let mut inner = self.inner(ctx.lane_key());
             if let Some(v) = inner.queue.pop_front() {
                 return Ok(v);
             }
             if inner.closed {
                 return Err(RecvTimeoutError::Closed);
             }
-            let mut core = ctx.core().state.lock();
+            let mut core = ctx.core().state.borrow_mut();
             if deadline.is_some_and(|d| core.now >= d) {
                 // Deregister: a leftover entry would swallow a future
                 // sender's wake and starve a live receiver.
@@ -232,22 +308,22 @@ impl<T> SimChannel<T> {
     /// Closes the channel: future sends fail, receivers drain then observe
     /// closure. Wakes all waiting receivers.
     pub fn close(&self, ctx: &Ctx) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner(ctx.lane_key());
         inner.closed = true;
-        let mut core = ctx.core().state.lock();
+        let mut core = ctx.core().state.borrow_mut();
         for (t, w) in inner.recv_waiters.drain(..) {
             core.schedule_wake_now(t, w);
         }
     }
 
     /// Number of queued messages.
-    pub fn len(&self) -> usize {
-        self.inner.lock().queue.len()
+    pub fn len(&self, ctx: &Ctx) -> usize {
+        self.inner(ctx.lane_key()).queue.len()
     }
 
     /// Returns `true` if no messages are queued.
-    pub fn is_empty(&self) -> bool {
-        self.inner.lock().queue.is_empty()
+    pub fn is_empty(&self, ctx: &Ctx) -> bool {
+        self.inner(ctx.lane_key()).queue.is_empty()
     }
 }
 
@@ -363,11 +439,11 @@ mod tests {
         let cpu = sim.add_processor("m0");
         let ch = SimChannel::new();
         let h = sim.spawn(cpu, "t", move |ctx| {
-            assert!(ch.is_empty());
+            assert!(ch.is_empty(ctx));
             ch.send(ctx, 5u8).expect("open");
-            assert_eq!(ch.len(), 1);
+            assert_eq!(ch.len(ctx), 1);
             assert_eq!(ch.recv(ctx), Some(5));
-            assert!(ch.is_empty());
+            assert!(ch.is_empty(ctx));
         });
         sim.run_until_finished(&h).expect("run");
     }

@@ -5,20 +5,24 @@
 //! `Simulation::run*`) or a single simulated thread. Every simulated thread
 //! is a stackful user-space fiber on the scheduler's OS thread (see
 //! `crate::fiber`), and control moves between them with one register
-//! save/restore. Because of the strict alternation the global
-//! [`CoreState`] mutex is never contended; it exists to satisfy the borrow
-//! checker and `Send` bounds, not for parallelism.
+//! save/restore. Because of the strict alternation [`CoreState`] takes no
+//! lock: it sits in a [`TurnCell`], which only the holder of the lane's
+//! turn borrows, and whose flag is there to turn a re-entrant borrow (what
+//! would deadlock a mutex) into a panic. The cell is sound because nothing
+//! outside the turn ever touches a lane's state — see "Safety model" in
+//! `crate::fiber` for the whole argument, and [`LaneKey`] for how a
+//! [`crate::SimChannel`] holds itself to one lane.
 //!
 //! # Hot-path hand-off
 //!
 //! The scheduler is not the only party allowed to pop events. A thread that
-//! blocks pops the next live event itself under the same lock acquisition
-//! that would otherwise just publish its block: if the event wakes *itself*
-//! (a timer that is already due — the common case for `sleep`) it simply
-//! keeps running with **zero** switches of any kind; if it wakes another
-//! thread it grants that thread directly — one context switch instead of
-//! the two of a round trip through the scheduler. The scheduler only
-//! regains the turn when the chain breaks: the queue drains, the event
+//! blocks pops the next live event itself under the same borrow of the
+//! state that would otherwise just publish its block: if the event wakes
+//! *itself* (a timer that is already due — the common case for `sleep`) it
+//! simply keeps running with **zero** switches of any kind; if it wakes
+//! another thread it grants that thread directly — one context switch
+//! instead of the two of a round trip through the scheduler. The scheduler
+//! only regains the turn when the chain breaks: the queue drains, the event
 //! budget runs out, or a thread finishes. Everything the scheduler observed
 //! per event before — clock advance, event counts, stale-wake skips, trace
 //! emission — happens identically inside [`CoreState::next_live`], which
@@ -26,11 +30,11 @@
 //! scheduler-centric design.
 
 use std::fmt;
+use std::num::NonZeroU64;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, MutexGuard};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
@@ -39,7 +43,8 @@ use crate::queue::{Event, EventQueue};
 use crate::shard::LaneId;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{ArgVec, Layer, Phase, TraceEvent, Tracer};
-use crate::Ctx;
+use crate::turn::{TurnCell, TurnGuard};
+use crate::{Ctx, ThreadHandle};
 
 /// Identifies a simulated thread within one [`crate::Simulation`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -58,7 +63,7 @@ pub(crate) const INJECT_THREAD: ThreadId = ThreadId(usize::MAX);
 
 /// Delivery hook of one cross-lane link, registered with its destination
 /// lane (see `crate::shard`). When an injection event pops, the lane calls
-/// `deliver_due` under its own state lock: the hook moves every value due
+/// `deliver_due` under its own state borrow: the hook moves every value due
 /// at `now` into its destination channel (scheduling receiver wakes exactly
 /// as an in-lane `send` would) and returns the instant the next injection
 /// event should fire at, if any — the caller queues it. This replaces the
@@ -103,6 +108,43 @@ impl fmt::Display for ProcId {
     }
 }
 
+/// A lane's identity across every [`crate::Simulation`] in the process: a
+/// serial number drawn once per [`Core`], with the lane's index in the low
+/// [`LaneKey::LANE_BITS`] bits so a mismatch can name both lanes.
+///
+/// A [`crate::SimChannel`] binds to the key of its first user and compares
+/// every later user's key with it (one plain compare); a key, unlike a
+/// `Core` address, is never reused by a later simulation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct LaneKey(NonZeroU64);
+
+impl LaneKey {
+    const LANE_BITS: u32 = 24;
+
+    fn fresh(lane: LaneId) -> LaneKey {
+        static SERIAL: AtomicU64 = AtomicU64::new(1);
+        assert!(lane.index() < 1 << Self::LANE_BITS, "too many lanes");
+        let serial = SERIAL.fetch_add(1, AtomicOrdering::Relaxed);
+        let key = serial << Self::LANE_BITS | lane.index() as u64;
+        LaneKey(NonZeroU64::new(key).expect("serials start at 1"))
+    }
+
+    /// The key as one word; no key is 0.
+    pub(crate) fn raw(self) -> u64 {
+        self.0.get()
+    }
+
+    /// The key [`LaneKey::raw`] gave, or `None` for 0.
+    pub(crate) fn from_raw(raw: u64) -> Option<LaneKey> {
+        NonZeroU64::new(raw).map(LaneKey)
+    }
+
+    /// The lane within its simulation.
+    pub(crate) fn lane(self) -> LaneId {
+        LaneId((self.0.get() & ((1 << Self::LANE_BITS) - 1)) as u32)
+    }
+}
+
 /// Why a blocked thread resumed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum WakeStatus {
@@ -126,8 +168,8 @@ pub(crate) enum ThreadState {
 }
 
 /// Grant kinds staged in a fiber's grant cell: why the thread was resumed.
-/// Replaces the post-wake `shutdown` re-check under the state lock — the
-/// granter already knows, so the woken side pays zero lock acquisitions.
+/// Replaces a post-wake `shutdown` re-check of the state — the granter
+/// already knows, so the woken side borrows nothing.
 pub(crate) const GRANT_RUN: u8 = 0;
 pub(crate) const GRANT_SHUTDOWN: u8 = 1;
 
@@ -147,17 +189,19 @@ pub(crate) struct ThreadRecord {
     pub daemon: bool,
     pub joiners: Vec<(ThreadId, u64)>,
     pub panic: Option<String>,
+    /// Set by `finish_thread`: the one piece of a thread's state that
+    /// [`ThreadHandle::is_finished`] reads, from any lane or OS thread.
+    pub done: Arc<AtomicBool>,
 }
 
 impl ThreadRecord {
     /// The resumable address of this thread, for whichever party (the
     /// scheduler or a yielding thread) performs the switch.
     ///
-    /// A raw pointer instead of a borrow: the fiber must outlive the
-    /// state-lock release in `step`/`yield_blocked`, which it does because
-    /// thread records are never removed while the owning `Core` is alive
-    /// and the boxed fiber is heap-stable across `threads` Vec
-    /// reallocations.
+    /// A raw pointer instead of a borrow: the fiber must outlive the state
+    /// borrow in `step`/`yield_blocked`, which it does because thread
+    /// records are never removed while the owning `Core` is alive and the
+    /// boxed fiber is heap-stable across `threads` Vec reallocations.
     pub(crate) fn fiber_ptr(&self) -> *const Fiber {
         self.fiber
             .as_deref()
@@ -318,7 +362,7 @@ pub(crate) struct CoreState {
 
 impl CoreState {
     /// Records a structured event on behalf of `thread`. Call sites must
-    /// already hold the state lock; emission touches nothing the scheduler
+    /// already hold the state borrow; emission touches nothing the scheduler
     /// uses, so virtual time is unaffected.
     pub(crate) fn trace_event(
         &mut self,
@@ -392,7 +436,7 @@ impl CoreState {
     /// instants this lane may process, `u64::MAX` for none — the caller
     /// reads it from [`Core::window_limit`], so an unbounded window (one
     /// lane, or lanes without links) pays one integer compare per pop and
-    /// no lock traffic. Events at or past the bound stay queued and
+    /// no other work. Events at or past the bound stay queued and
     /// [`NextEvent::Paused`] is reported, as for an empty queue.
     pub(crate) fn next_live(&mut self, window_limit: u64) -> NextEvent {
         loop {
@@ -474,7 +518,7 @@ impl CoreState {
     /// `T_min`; a lane whose own clock lags it keeps its weaker local bound
     /// instead, because lagging lanes legitimately schedule at their own
     /// `now`. Debug builds only — the floor is assertion-only state and
-    /// release builds skip even the per-lane lock to maintain it.
+    /// release builds skip even the per-lane borrow to maintain it.
     #[cfg(debug_assertions)]
     pub(crate) fn set_window_floor(&mut self, floor: SimTime) {
         let bound = floor.min(self.now);
@@ -483,19 +527,21 @@ impl CoreState {
 }
 
 pub(crate) struct Core {
-    pub state: Mutex<CoreState>,
+    pub state: TurnCell<CoreState>,
+    /// This lane's identity, which every channel it uses binds to.
+    pub(crate) key: LaneKey,
     /// The scheduler's own saved context: where a yielding fiber switches
     /// to on a chain break, and what `resume_and_wait` saves into before
     /// switching a fiber in.
     sched_ctx: fiber::ContextCell,
-    /// Mirrors `CoreState::tracer.is_some()`; lives outside the mutex so
+    /// Mirrors `CoreState::tracer.is_some()`; lives outside the cell so
     /// disabled-tracing call sites pay one relaxed load and nothing else.
     pub trace_on: AtomicBool,
     /// Exclusive upper bound (nanoseconds) on the instants this lane may
     /// process in the current window; `u64::MAX` = unbounded (between runs,
-    /// and in link-free windows). Lives outside the mutex so the
-    /// windowed driver can set every lane's bound without a single lock
-    /// acquisition; the window gate's release/acquire edges order the
+    /// and in link-free windows). Lives outside the cell so the
+    /// windowed driver can set every lane's bound without borrowing any
+    /// lane's state; the window gate's release/acquire edges order the
     /// stores against runner reads, and within one turn plain program order
     /// does (strict alternation).
     pub(crate) window_limit: AtomicU64,
@@ -528,9 +574,9 @@ impl Core {
     /// this lane (the `expected_threads` builder hint; boot schedules one
     /// start wake per thread, all at the same instant). Floored at the
     /// historical 256 default so un-hinted worlds lose nothing.
-    pub(crate) fn new(seed: u64, queue_capacity: usize) -> Arc<Core> {
+    pub(crate) fn new(seed: u64, queue_capacity: usize, lane: LaneId) -> Arc<Core> {
         Arc::new(Core {
-            state: Mutex::new(CoreState {
+            state: TurnCell::new(CoreState {
                 now: SimTime::ZERO,
                 seq: 0,
                 queue: EventQueue::with_capacity(queue_capacity.max(256)),
@@ -545,6 +591,7 @@ impl Core {
                 perturb: None,
                 tracer: None,
             }),
+            key: LaneKey::fresh(lane),
             sched_ctx: fiber::ContextCell::new(),
             trace_on: AtomicBool::new(false),
             window_limit: AtomicU64::new(u64::MAX),
@@ -565,7 +612,7 @@ impl Core {
         name: &str,
         switch_cost: SimDuration,
     ) -> ProcId {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         let id = ProcId::new(lane, st.procs.len());
         st.procs.push(ProcRecord {
             name: name.to_owned(),
@@ -603,33 +650,32 @@ impl Core {
         name: &str,
         daemon: bool,
         f: F,
-    ) -> ThreadId
+    ) -> ThreadHandle
     where
         F: FnOnce(&Ctx) + Send + 'static,
     {
-        let mut st = self.state.lock();
-        if st.shutdown {
-            // Never build a fiber during teardown: its entry closure would
-            // hold an `Arc<Core>` in a cycle nothing is left to break.
-            return Self::register_thread(&mut st, proc, name, daemon, None);
-        }
-        let core = Arc::clone(self);
-        let tid_for_entry = ThreadId(st.threads.len());
-        let entry: fiber::EntryFn = Box::new(move || {
-            let panic_msg = run_thread_body(&core, tid_for_entry, f);
-            finish_thread(&core, tid_for_entry, panic_msg);
-            // Return the scheduler slot and drop every capture (notably the
-            // `Arc<Core>`) *before* the final switch-out, so a finished
-            // fiber's dead stack keeps nothing alive. The slot stays valid:
-            // the driving `Simulation` owns its own `Arc<Core>`.
-            let slot = core.sched_ctx.slot();
-            drop(core);
-            slot
+        let mut st = self.state.borrow_mut();
+        // Never build a fiber during teardown: its entry closure would hold
+        // an `Arc<Core>` in a cycle nothing is left to break.
+        let fiber = (!st.shutdown).then(|| {
+            let core = Arc::clone(self);
+            let tid = ThreadId(st.threads.len());
+            Fiber::new(Box::new(move || {
+                let panic_msg = run_thread_body(&core, tid, f);
+                finish_thread(&core, tid, panic_msg);
+                // Return the scheduler slot and drop every capture (notably
+                // the `Arc<Core>`) *before* the final switch-out, so a
+                // finished fiber's dead stack keeps nothing alive. The slot
+                // stays valid: the driving `Simulation` owns its own
+                // `Arc<Core>`.
+                let slot = core.sched_ctx.slot();
+                drop(core);
+                slot
+            }))
         });
-        let fiber = Fiber::new(entry);
-        let tid = Self::register_thread(&mut st, proc, name, daemon, Some(fiber));
-        debug_assert_eq!(tid, tid_for_entry);
-        tid
+        let tid = Self::register_thread(&mut st, proc, name, daemon, fiber);
+        let done = Arc::clone(&st.threads[tid.0].done);
+        ThreadHandle::new(Arc::clone(self), tid, done)
     }
 
     /// Registers the bookkeeping every new thread shares: the record, its
@@ -663,6 +709,7 @@ impl Core {
             daemon,
             joiners: Vec::new(),
             panic: None,
+            done: Arc::new(AtomicBool::new(!live)),
         });
         if live {
             st.wake.push_live();
@@ -675,7 +722,7 @@ impl Core {
     }
 
     /// Advances the simulation by (at least) one thread resumption: pops
-    /// events — skipping cancelled wakes without releasing the state lock —
+    /// events — skipping cancelled wakes within one borrow of the state —
     /// until one resumes a thread, the queue drains, `stop_on` finishes, or
     /// the event budget runs out. The resumed thread may keep the event loop
     /// going through direct hand-offs (see the module docs); the scheduler
@@ -687,7 +734,7 @@ impl Core {
     pub(crate) fn step(self: &Arc<Self>, stop_on: Option<ThreadId>) -> StepResult {
         let window_limit = self.window_limit.load(AtomicOrdering::Relaxed);
         let target = {
-            let mut st = self.state.lock();
+            let mut st = self.state.borrow_mut();
             if let Some(t) = stop_on {
                 if st.threads[t.0].state == ThreadState::Finished {
                     return StepResult::TargetFinished;
@@ -703,7 +750,7 @@ impl Core {
         if self.panicked_tid.load(AtomicOrdering::Acquire) != NO_PANIC {
             let panicker = self.panicked_tid.swap(NO_PANIC, AtomicOrdering::AcqRel);
             let panic_info = {
-                let mut st = self.state.lock();
+                let mut st = self.state.borrow_mut();
                 let rec = &mut st.threads[panicker];
                 rec.panic.take().map(|msg| (Arc::clone(&rec.name), msg))
             };
@@ -721,14 +768,14 @@ impl Core {
     /// Registers a cross-lane delivery hook for this lane and returns the
     /// index injection events must carry in their `wait_id`.
     pub(crate) fn register_injector(self: &Arc<Self>, inj: Arc<dyn LaneInjector>) -> usize {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         st.injectors.push(inj);
         st.injectors.len() - 1
     }
 
     pub(crate) fn initiate_shutdown(self: &Arc<Self>) {
         {
-            let mut st = self.state.lock();
+            let mut st = self.state.borrow_mut();
             st.shutdown = true;
             // Each injector holds an `Arc` of this core (its destination);
             // dropping the registrations breaks the cycle so the cores can
@@ -740,7 +787,7 @@ impl Core {
         // fallback values), so several rounds can be needed.
         for _ in 0..64 {
             let pending: Vec<*const Fiber> = {
-                let st = self.state.lock();
+                let st = self.state.borrow_mut();
                 st.threads
                     .iter()
                     .filter(|t| t.state != ThreadState::Finished)
@@ -768,7 +815,7 @@ fn run_thread_body<F>(core: &Arc<Core>, tid: ThreadId, f: F) -> Option<String>
 where
     F: FnOnce(&Ctx) + Send + 'static,
 {
-    let run_body = !core.state.lock().shutdown;
+    let run_body = !core.state.borrow_mut().shutdown;
     let mut panic_msg = None;
     if run_body {
         let ctx = Ctx::new(Arc::clone(core), tid);
@@ -788,7 +835,7 @@ where
 /// Records a thread's exit: panic flag, wake disarm, `Finished` state, and
 /// joiner wakes.
 fn finish_thread(core: &Core, tid: ThreadId, panic_msg: Option<String>) {
-    let mut st = core.state.lock();
+    let mut st = core.state.borrow_mut();
     if panic_msg.is_some() {
         core.panicked_tid.store(tid.0, AtomicOrdering::Release);
     }
@@ -797,6 +844,7 @@ fn finish_thread(core: &Core, tid: ThreadId, panic_msg: Option<String>) {
         let rec = &mut st.threads[tid.0];
         rec.state = ThreadState::Finished;
         rec.panic = panic_msg;
+        rec.done.store(true, AtomicOrdering::Release);
         std::mem::take(&mut rec.joiners)
     };
     for (jt, jw) in joiners {
@@ -809,15 +857,16 @@ fn finish_thread(core: &Core, tid: ThreadId, panic_msg: Option<String>) {
 /// Lives here (not in `ctx.rs`) so all turn-protocol code sits next to
 /// [`Core::resume_and_wait`]. Called by `Ctx::yield_blocked` with the guard
 /// under which the caller ran `prepare_block` and registered its wake:
-/// `next_live` runs under that same acquisition, so one blocking transition
-/// costs one state-lock round trip. The guard is dropped before any switch.
+/// `next_live` runs under that same borrow, so one blocking transition
+/// borrows the state once. The guard is dropped before any switch: the
+/// party switched to borrows the state next.
 ///
 /// The branch structure — shutdown check, then one `next_live` call, then
 /// self-wake / direct grant / chain break — fixes the *order* of queue
 /// pops, RNG draws and trace events, and with it every golden hash.
 pub(crate) fn yield_blocked(
     core: &Core,
-    mut st: MutexGuard<'_, CoreState>,
+    mut st: TurnGuard<'_, CoreState>,
     tid: ThreadId,
     me: *const Fiber,
 ) -> WakeStatus {

@@ -5,13 +5,13 @@ use std::cell::Cell;
 use std::panic;
 use std::sync::Arc;
 
-use parking_lot::MutexGuard;
 use rand::RngExt;
 
-use crate::core::{Core, CoreState, ProcId, ShutdownUnwind, ThreadId, WakeStatus};
+use crate::core::{Core, CoreState, LaneKey, ProcId, ShutdownUnwind, ThreadId, WakeStatus};
 use crate::fiber::Fiber;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Layer, Phase};
+use crate::turn::TurnGuard;
 use crate::ThreadHandle;
 
 /// The longest stretch of [`Ctx::compute`] work that holds the processor.
@@ -54,13 +54,16 @@ pub struct Ctx {
     core: Arc<Core>,
     tid: ThreadId,
     /// This thread's own fiber, cached once at construction so blocking
-    /// never re-fetches it from the thread table under the state lock. The
+    /// never re-fetches it from the thread table under the state borrow. The
     /// pointer stays valid for the `Ctx`'s whole life: the boxed fiber is
     /// heap-stable and thread records are never removed while `core` is
     /// alive.
     exec: *const Fiber,
     /// The processor this thread runs on; a thread never migrates.
     proc: ProcId,
+    /// The key of this thread's lane, cached from `core` for the channel
+    /// binding check every channel operation makes.
+    lane: LaneKey,
     /// Set once this thread has raised its `ShutdownUnwind` (see
     /// [`Ctx::shutdown_unwind`]).
     shutdown_raised: Cell<bool>,
@@ -75,11 +78,12 @@ impl std::fmt::Debug for Ctx {
 impl Ctx {
     pub(crate) fn new(core: Arc<Core>, tid: ThreadId) -> Self {
         let (exec, proc) = {
-            let st = core.state.lock();
+            let st = core.state.borrow_mut();
             let rec = &st.threads[tid.0];
             (rec.fiber_ptr(), rec.proc)
         };
         Ctx {
+            lane: core.key,
             core,
             tid,
             exec,
@@ -92,9 +96,14 @@ impl Ctx {
         &self.core
     }
 
+    /// The key of the lane this thread runs on.
+    pub(crate) fn lane_key(&self) -> LaneKey {
+        self.lane
+    }
+
     /// Returns the current virtual time.
     pub fn now(&self) -> SimTime {
-        self.core.state.lock().now
+        self.core.state.borrow_mut().now
     }
 
     /// Returns this thread's identifier.
@@ -109,21 +118,23 @@ impl Ctx {
 
     /// Returns this thread's diagnostic name.
     pub fn name(&self) -> String {
-        self.core.state.lock().threads[self.tid.0].name.to_string()
+        self.core.state.borrow_mut().threads[self.tid.0]
+            .name
+            .to_string()
     }
 
     /// Yields control and resumes once the registered wake fires.
     ///
     /// `st` is the guard under which the caller registered its wait via
     /// `prepare_block`; the next event is popped under it, so a blocking
-    /// transition takes the state lock once. Returns
+    /// transition borrows the state once. Returns
     /// [`WakeStatus::Shutdown`] if the simulation is shutting down.
     ///
     /// This is the entry to the hand-off fast path (see `core`'s module
     /// docs): if this thread's own wake heads the queue it returns without
     /// any OS-level switch, and if another thread's wake does it grants that
     /// thread directly instead of detouring through the scheduler.
-    pub(crate) fn yield_blocked(&self, st: MutexGuard<'_, CoreState>) -> WakeStatus {
+    pub(crate) fn yield_blocked(&self, st: TurnGuard<'_, CoreState>) -> WakeStatus {
         crate::core::yield_blocked(&self.core, st, self.tid, self.exec)
     }
 
@@ -153,11 +164,11 @@ impl Ctx {
     /// Use this to model pure waiting (timers, wire propagation). To model
     /// work that keeps the processor busy, use [`Ctx::compute`].
     pub fn sleep(&self, d: SimDuration) {
-        self.sleep_locked(self.core.state.lock(), d);
+        self.sleep_borrowed(self.core.state.borrow_mut(), d);
     }
 
-    /// [`Ctx::sleep`] under a state-lock acquisition the caller already holds.
-    fn sleep_locked(&self, mut st: MutexGuard<'_, CoreState>, d: SimDuration) {
+    /// [`Ctx::sleep`] under a state borrow the caller already holds.
+    fn sleep_borrowed(&self, mut st: TurnGuard<'_, CoreState>, d: SimDuration) {
         let wid = st.prepare_block(self.tid, "sleep");
         let at = st.now + d;
         st.schedule_wake(at, self.tid, wid);
@@ -207,14 +218,14 @@ impl Ctx {
     /// Thread-level CPU work; `switch` overrides the processor's
     /// context-switch cost (`None` charges it iff another thread ran last).
     ///
-    /// Two state-lock acquisitions when the CPU is free: one acquires it,
-    /// charges the switch and blocks for the occupancy; one per wake reads
-    /// the theft and releases (or re-blocks for the stolen time). Waiting
-    /// for a held CPU adds one for the wait and one after the grant.
+    /// Two state borrows when the CPU is free: one acquires it, charges the
+    /// switch and blocks for the occupancy; one per wake reads the theft
+    /// and releases (or re-blocks for the stolen time). Waiting for a held
+    /// CPU adds one for the wait and one after the grant.
     fn thread_compute(&self, d: SimDuration, switch: Option<SimDuration>) {
         let me = self.tid;
         let proc = self.proc;
-        let mut st = self.core.state.lock();
+        let mut st = self.core.state.borrow_mut();
         // Acquire the CPU.
         let pr = &mut st.procs[proc.index()];
         debug_assert_ne!(pr.holder, Some(me), "recursive compute on one CPU");
@@ -226,7 +237,7 @@ impl Ctx {
             if self.yield_blocked(st) == WakeStatus::Shutdown {
                 self.shutdown_unwind();
             }
-            st = self.core.state.lock();
+            st = self.core.state.borrow_mut();
             debug_assert_eq!(
                 st.procs[proc.index()].holder,
                 Some(me),
@@ -265,8 +276,8 @@ impl Ctx {
         let mut remaining = d + cs;
         while !remaining.is_zero() {
             let s0 = st.procs[proc.index()].stolen_total;
-            self.sleep_locked(st, remaining);
-            st = self.core.state.lock();
+            self.sleep_borrowed(st, remaining);
+            st = self.core.state.borrow_mut();
             remaining = st.procs[proc.index()].stolen_total - s0;
         }
         // Release and grant to the next waiter, if any.
@@ -287,7 +298,7 @@ impl Ctx {
             return;
         }
         self.sleep(d);
-        let mut st = self.core.state.lock();
+        let mut st = self.core.state.borrow_mut();
         let pr = &mut st.procs[self.proc.index()];
         pr.stolen_total += d;
         pr.interrupt_time += d;
@@ -319,22 +330,21 @@ impl Ctx {
             proc.lane(),
             self.proc.lane()
         );
-        let tid = self.core.spawn_thread(proc, name, false, f);
-        ThreadHandle::new(Arc::clone(&self.core), tid)
+        self.core.spawn_thread(proc, name, false, f)
     }
 
     /// Commits wakes captured by [`crate::SimChannel::send_deferred`], in
-    /// order, at the current instant, under a single scheduler-lock
-    /// acquisition.
+    /// order, at the current instant, under a single borrow of the
+    /// scheduler state.
     ///
     /// Equivalent to having called [`crate::SimChannel::send`] for each
     /// message as long as nothing ran in between the deferred sends — which
     /// is guaranteed inside one simulated thread, since only one thread runs
     /// at a time. This is the fan-out batching primitive: a broadcast
     /// delivery enqueues the frame on every receiver first, then schedules
-    /// every wake with one lock round-trip instead of one per receiver.
+    /// every wake under one state borrow instead of one per receiver.
     pub fn commit_wakes(&self, wakes: impl IntoIterator<Item = crate::PendingWake>) {
-        let mut st = self.core.state.lock();
+        let mut st = self.core.state.borrow_mut();
         for w in wakes {
             let (thread, wait_id) = w.into_parts();
             st.schedule_wake_now(thread, wait_id);
@@ -348,12 +358,12 @@ impl Ctx {
     /// Panics if `n` is zero.
     pub fn rand_range(&self, n: u64) -> u64 {
         assert!(n > 0, "rand_range: n must be positive");
-        self.core.state.lock().rng.random_range(0..n)
+        self.core.state.borrow_mut().rng.random_range(0..n)
     }
 
     /// Returns a uniformly distributed `f64` in `[0, 1)`.
     fn rand_f64(&self) -> f64 {
-        self.core.state.lock().rng.random()
+        self.core.state.borrow_mut().rng.random()
     }
 
     /// Returns `true` with probability `p` (clamped to `[0, 1]`).
@@ -385,7 +395,7 @@ impl Ctx {
         }
         self.core
             .state
-            .lock()
+            .borrow_mut()
             .trace_event(self.tid, layer, phase, name, args);
     }
 

@@ -43,6 +43,33 @@
 //! no fiber is ever switched to by another lane's scheduler or runner
 //! thread.
 //!
+//! The same model makes `crate::turn::TurnCell` sound, the lock-free cell
+//! that holds each lane's scheduler state and each channel's queue. Call
+//! the party allowed to touch a lane's cells the *turn holder*. It is, at
+//! any instant, exactly one of:
+//!
+//! - inside a window, the lane's runner or one of the lane's fibers, which
+//!   pass the turn to each other by strict alternation on one OS thread;
+//! - between windows, the windowed driver, which flushes cross-lane links
+//!   into lanes while every runner waits at the `WindowGate` — its
+//!   release/acquire edges (`done`/`wait_done`, `open`/`wait_open`) order
+//!   each window's accesses before the driver's and the driver's before
+//!   the next window's, so a lane may move between OS threads;
+//! - outside a run, the owner of the `&mut Simulation` (or of the
+//!   `&Simulation`, which is `!Sync`, so one OS thread at a time).
+//!
+//! The cell's flag does not synchronize; it catches a re-entrant borrow by
+//! the turn holder itself, where a mutex would deadlock. What must never
+//! happen is an access from *off* the turn, and every path that could make
+//! one is closed: `ThreadHandle::is_finished` reads the thread's own
+//! atomic flag, a cross-lane `join` fails a hard assert before it borrows
+//! anything, and a channel binds to the lane of its first operation (one
+//! compare-and-swap of its `LaneKey`) and panics on any other lane's
+//! operation before it borrows the queue. The cross-lane injector delivers
+//! into a channel from inside the destination lane's event loop and passes
+//! that lane's key. What lanes do share — the links' `XShared` buffers, a
+//! `SimMutex`, the protocol crates' state — keeps real locks.
+//!
 //! Every `unsafe` block and impl below says which part of this model (or
 //! which ownership fact) makes it sound, in a `SAFETY` comment.
 //!

@@ -69,6 +69,7 @@ mod sim;
 mod sync;
 mod time;
 pub mod trace;
+mod turn;
 mod wheel;
 
 pub use backend::Backend;

@@ -227,7 +227,7 @@ impl LinkTable {
         if i / 64 == self.dirty.len() {
             self.dirty.push(Arc::new(AtomicU64::new(0)));
         }
-        let idx = dst_core.state.lock().injectors.len();
+        let idx = dst_core.state.borrow_mut().injectors.len();
         let shared = Arc::new(XShared {
             delay,
             dst_lane,
@@ -287,7 +287,7 @@ impl LinkTable {
 ///    pending instant.
 /// 3. When the injection event pops — at exactly the delivery instant, on
 ///    the destination lane — [`XShared::deliver_due`] runs under that
-///    lane's state lock and enqueues every due value with a deferred
+///    lane's state borrow and enqueues every due value with a deferred
 ///    channel send, so the receiving side sees a plain in-lane message
 ///    with the correct timestamp and pick order. No injector daemon, no
 ///    daemon wake, no channel hop: a cross-lane frame costs one queue pop.
@@ -349,7 +349,7 @@ impl<T: Send + 'static> LaneInjector for XShared<T> {
         while p.q.front().is_some_and(|e| e.0 <= now) {
             let (_, v) = p.q.pop_front().expect("peeked");
             // A closed channel drops the value, like the daemon's send did.
-            if let Ok(Some(w)) = self.dst.send_deferred(v) {
+            if let Ok(Some(w)) = self.dst.send_deferred_on(self.dst_core.key, v) {
                 let (t, wid) = w.into_parts();
                 st.schedule_wake_now(t, wid);
             }
@@ -391,14 +391,14 @@ impl<T: Send + 'static> XPort for XShared<T> {
             }
             p.armed.push(front);
             front
-            // Pending lock released before the destination state lock:
+            // Pending lock released before the destination state borrow:
             // barrier-time flushes and in-window deliveries never overlap
-            // (every lane is stopped here), but keeping the lock ranges
+            // (every lane is stopped here), but keeping the two ranges
             // disjoint keeps the ordering trivially sound.
         };
         self.dst_core
             .state
-            .lock()
+            .borrow_mut()
             .schedule_injection(front, self.idx);
         Some(front)
     }
@@ -410,9 +410,10 @@ impl<T: Send + 'static> XPort for XShared<T> {
 ///
 /// This is the **only** legal way for simulated code on one lane to affect
 /// another lane. Sharing a [`SimChannel`], [`crate::SimMutex`], or
-/// [`crate::ThreadHandle::join`] across lanes is a bug (and debug-asserted
-/// where cheap): those primitives schedule wakes directly into a core and
-/// would bypass the lookahead bound that makes parallel windows safe.
+/// [`crate::ThreadHandle::join`] across lanes is a bug: those primitives
+/// schedule wakes directly into a core and would bypass the lookahead bound
+/// that makes parallel windows safe. A channel and a join panic when used
+/// from a second lane.
 pub struct XSender<T> {
     shared: Arc<XShared<T>>,
 }
@@ -466,7 +467,7 @@ impl<T: Send + 'static> XSender<T> {
 /// drove the lane last: the earliest queued instant (`u64::MAX` = drained)
 /// and the lane's cumulative event count. Lets the coordinator compute
 /// `T_min`, the summed event-budget check, and the idle-lane skip without
-/// touching any lane's state lock between windows.
+/// borrowing any lane's state between windows.
 pub(crate) struct LaneSlot {
     /// Nanoseconds of the lane's earliest queued event; `u64::MAX` when
     /// the lane is drained.

@@ -3,7 +3,10 @@
 //! no links is its one-window case: the window is unbounded and the lane
 //! runs until its queue drains.
 
+use std::cell::Cell;
 use std::fmt;
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -104,7 +107,7 @@ pub struct WindowStats {
     /// in the dirty bitmap were clear.
     pub flushes_elided: u64,
     /// Lane-windows skipped because the lane's published next event lay at
-    /// or past the window edge (no state lock taken).
+    /// or past the window edge (its state never borrowed).
     pub lanes_skipped: u64,
     /// Wall-clock nanoseconds the coordinator spent in the windowed
     /// driver's gate waiting for worker runners. Zero on single-runner
@@ -120,6 +123,10 @@ pub struct WindowStats {
 pub struct ThreadHandle {
     core: Arc<Core>,
     tid: ThreadId,
+    /// The thread record's `done` flag: all [`ThreadHandle::is_finished`]
+    /// reads, so a handle on any lane or OS thread never touches the
+    /// owning lane's state.
+    done: Arc<AtomicBool>,
 }
 
 impl fmt::Debug for ThreadHandle {
@@ -131,8 +138,8 @@ impl fmt::Debug for ThreadHandle {
 }
 
 impl ThreadHandle {
-    pub(crate) fn new(core: Arc<Core>, tid: ThreadId) -> Self {
-        ThreadHandle { core, tid }
+    pub(crate) fn new(core: Arc<Core>, tid: ThreadId, done: Arc<AtomicBool>) -> Self {
+        ThreadHandle { core, tid, done }
     }
 
     /// Returns the thread's identifier.
@@ -140,9 +147,12 @@ impl ThreadHandle {
         self.tid
     }
 
-    /// Returns `true` once the thread body has returned.
+    /// Returns `true` once the thread body has returned. May be called
+    /// from anywhere, a thread on another lane included; a thread that
+    /// finishes during a window of another lane shows up there no later
+    /// than the next window.
     pub fn is_finished(&self) -> bool {
-        self.core.state.lock().threads[self.tid.0].state == ThreadState::Finished
+        self.done.load(Ordering::Acquire)
     }
 
     /// Blocks the calling simulated thread until this thread finishes.
@@ -151,13 +161,20 @@ impl ThreadHandle {
     /// would schedule a wake into another lane's queue, bypassing the
     /// lookahead bound that makes parallel windows safe. Route cross-lane
     /// completion through a [`crate::XSender`] link instead.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the caller runs on another lane (or simulation) than the
+    /// target.
     pub fn join(&self, ctx: &Ctx) {
-        debug_assert!(
+        assert!(
             Arc::ptr_eq(&self.core, ctx.core()),
-            "cross-lane join: use a cross-lane link instead"
+            "cross-lane join: {} joins a thread of {}; use a cross-lane link instead",
+            ctx.lane_key().lane(),
+            self.core.key.lane()
         );
         loop {
-            let mut st = ctx.core().state.lock();
+            let mut st = ctx.core().state.borrow_mut();
             if st.threads[self.tid.0].state == ThreadState::Finished {
                 return;
             }
@@ -189,6 +206,14 @@ impl ThreadHandle {
 /// let report = sim.run().expect("run");
 /// assert_eq!(report.final_time.as_micros_f64(), 100.0);
 /// ```
+///
+/// A `Simulation` is `Send` but not `Sync`: its `&self` accessors read the
+/// lanes' turn-owned state, which only one OS thread may hold at a time.
+///
+/// ```compile_fail
+/// fn shared_across_threads<T: Sync>() {}
+/// shared_across_threads::<desim::Simulation>();
+/// ```
 pub struct Simulation {
     /// Every lane, indexed by [`LaneId`] (see [`Simulation::add_lane`]);
     /// lane 0 is the one [`Simulation::add_processor`] targets.
@@ -210,11 +235,14 @@ pub struct Simulation {
     /// Run by `Drop` once every thread has unwound (see
     /// [`Simulation::on_teardown`]).
     teardown: Vec<Box<dyn FnOnce() + Send>>,
+    /// `!Sync`: the owner of `&self` borrows lane state without a turn
+    /// hand-off, which is sound only while no other OS thread can.
+    _not_sync: PhantomData<Cell<()>>,
 }
 
 impl fmt::Debug for Simulation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let st = self.lanes[0].state.lock();
+        let st = self.lanes[0].state.borrow_mut();
         f.debug_struct("Simulation")
             .field("now", &st.now)
             .field("threads", &st.threads.len())
@@ -293,6 +321,7 @@ impl SimulationBuilder {
             perturb_seed: None,
             tracing_cap: None,
             teardown: Vec::new(),
+            _not_sync: PhantomData,
         };
         sim.add_lane();
         sim
@@ -362,12 +391,14 @@ impl Simulation {
     /// [`SimulationBuilder::shards`]) — observably identical to serial.
     pub fn add_lane(&mut self) -> LaneId {
         let idx = self.lanes.len();
+        let lane = LaneId(idx as u32);
         let core = Core::new(
             shard::lane_seed(self.seed, idx as u64),
             self.expected_threads,
+            lane,
         );
         {
-            let mut st = core.state.lock();
+            let mut st = core.state.borrow_mut();
             st.max_events = self.max_events;
             if let Some(ps) = self.perturb_seed {
                 use rand::rngs::SmallRng;
@@ -381,7 +412,7 @@ impl Simulation {
             }
         }
         self.lanes.push(core);
-        LaneId(idx as u32)
+        lane
     }
 
     /// Adds a processor with an explicit context-switch cost on the given
@@ -436,13 +467,13 @@ impl Simulation {
     /// [`SimError::EventLimitExceeded`] past the cap. A safety net against
     /// runaway protocols (e.g. retransmission storms).
     ///
-    /// The budget lives in the shared scheduler state because both the
+    /// The budget lives in the lane's scheduler state because both the
     /// scheduler and the thread-side hand-off fast path check it before
     /// every pop.
     pub fn set_max_events(&mut self, limit: u64) {
         self.max_events = Some(limit);
         for core in self.lanes.iter() {
-            core.state.lock().max_events = Some(limit);
+            core.state.borrow_mut().max_events = Some(limit);
         }
     }
 
@@ -464,7 +495,7 @@ impl Simulation {
             // Per-lane derived streams (lane 0 keeps `seed` verbatim), so a
             // lane's tie draws depend only on its own schedule — never on
             // how other lanes interleave.
-            core.state.lock().perturb =
+            core.state.borrow_mut().perturb =
                 Some(SmallRng::seed_from_u64(shard::lane_seed(seed, idx as u64)));
         }
     }
@@ -495,9 +526,8 @@ impl Simulation {
     where
         F: FnOnce(&Ctx) + Send + 'static,
     {
-        let core = Arc::clone(self.lane_core(proc.lane()));
-        let tid = core.spawn_thread(proc, name, false, f);
-        ThreadHandle::new(core, tid)
+        self.lane_core(proc.lane())
+            .spawn_thread(proc, name, false, f)
     }
 
     /// Spawns a daemon thread on `proc`, on `proc`'s lane: it may remain
@@ -507,9 +537,8 @@ impl Simulation {
     where
         F: FnOnce(&Ctx) + Send + 'static,
     {
-        let core = Arc::clone(self.lane_core(proc.lane()));
-        let tid = core.spawn_thread(proc, name, true, f);
-        ThreadHandle::new(core, tid)
+        self.lane_core(proc.lane())
+            .spawn_thread(proc, name, true, f)
     }
 
     /// Runs until the event queue drains.
@@ -558,7 +587,7 @@ impl Simulation {
         let multi = self.lanes() > 1;
         let mut blocked: Vec<(String, &'static str)> = Vec::new();
         for (lane, core) in self.lanes.iter().enumerate() {
-            let st = core.state.lock();
+            let st = core.state.borrow_mut();
             blocked.extend(
                 st.threads
                     .iter()
@@ -588,7 +617,7 @@ impl Simulation {
     ///    never touched;
     /// 2. stop if the target finished, a lane hit its event budget, or the
     ///    summed budget is exhausted — all read from the lanes' published
-    ///    atomic slots, no state lock;
+    ///    atomic slots, no lane state borrowed;
     /// 3. `T_min` ← earliest published instant over all lanes (none = done);
     /// 4. open the window `[T_min, T_min + lookahead)` on every lane
     ///    (unbounded when no links exist — the lanes are independent);
@@ -596,9 +625,8 @@ impl Simulation {
     ///    runner pool (lane→runner assignment is round-robin; any
     ///    assignment is correct, parallelism only affects wall-clock). A
     ///    lane whose published next event lies at or past the window edge
-    ///    is skipped without taking its state lock; each driven lane
-    ///    republishes its slot under the one lock acquisition it already
-    ///    pays.
+    ///    is skipped without borrowing its state; each driven lane
+    ///    republishes its slot under one more borrow.
     ///
     /// One lane with no links is the one-window case: the window is
     /// unbounded, one runner (the caller) steps the lane until it pauses
@@ -622,17 +650,17 @@ impl Simulation {
         // driver before it runs a window (the pre-diet driver checked the
         // target's thread state directly at the barrier).
         if let Some((sl, t)) = stop {
-            if cores[sl].state.lock().threads[t.0].state == ThreadState::Finished {
+            if cores[sl].state.borrow_mut().threads[t.0].state == ThreadState::Finished {
                 outcomes[sl].store(OUT_TARGET, AO::Relaxed);
             }
         }
         // Published lane positions: the coordinator's entire between-window
         // bookkeeping (`T_min`, budget, target, idle-lane skip) reads these
-        // slots instead of taking lane state locks.
+        // slots instead of borrowing lane state.
         let slots: Vec<LaneSlot> = cores
             .iter()
             .map(|c| {
-                let st = c.state.lock();
+                let st = c.state.borrow_mut();
                 LaneSlot {
                     next: AtomicU64::new(st.peek_time().map_or(u64::MAX, |t| t.as_nanos())),
                     events: AtomicU64::new(st.events_processed),
@@ -671,7 +699,7 @@ impl Simulation {
                 match result {
                     Ok(o) => {
                         {
-                            let st = core.state.lock();
+                            let st = core.state.borrow_mut();
                             slots[li].next.store(
                                 st.peek_time().map_or(u64::MAX, |t| t.as_nanos()),
                                 AO::Relaxed,
@@ -762,7 +790,9 @@ impl Simulation {
                 }
                 #[cfg(debug_assertions)]
                 for c in cores {
-                    c.state.lock().set_window_floor(SimTime::from_nanos(t_min));
+                    c.state
+                        .borrow_mut()
+                        .set_window_floor(SimTime::from_nanos(t_min));
                 }
                 stats.windows += 1;
                 gate.open();
@@ -807,7 +837,7 @@ impl Simulation {
         }
         #[cfg(debug_assertions)]
         for c in cores {
-            c.state.lock().set_window_floor(SimTime::ZERO);
+            c.state.borrow_mut().set_window_floor(SimTime::ZERO);
         }
         stats.events = slots
             .iter()
@@ -846,7 +876,7 @@ impl Simulation {
     pub fn now(&self) -> SimTime {
         self.lanes
             .iter()
-            .map(|c| c.state.lock().now)
+            .map(|c| c.state.borrow_mut().now)
             .max()
             .expect("at least one lane")
     }
@@ -854,7 +884,7 @@ impl Simulation {
     /// Returns one lane's virtual clock (lanes advance independently
     /// between window barriers, so clocks legitimately differ).
     pub fn lane_now(&self, lane: LaneId) -> SimTime {
-        self.lane_core(lane).state.lock().now
+        self.lane_core(lane).state.borrow_mut().now
     }
 
     /// Returns a snapshot report of the accounting so far. Multi-lane:
@@ -865,7 +895,7 @@ impl Simulation {
         let mut events = 0u64;
         let mut procs = Vec::new();
         for core in self.lanes.iter() {
-            let st = core.state.lock();
+            let st = core.state.borrow_mut();
             final_time = final_time.max(st.now);
             events += st.events_processed;
             procs.extend(st.procs.iter().map(|p| ProcReport {
@@ -893,7 +923,7 @@ impl Simulation {
     pub fn enable_tracing_with_capacity(&mut self, cap: usize) {
         self.tracing_cap = Some(cap);
         for core in self.lanes.iter() {
-            core.state.lock().tracer = Some(Tracer::new(cap));
+            core.state.borrow_mut().tracer = Some(Tracer::new(cap));
             core.trace_on
                 .store(true, std::sync::atomic::Ordering::Relaxed);
         }
@@ -905,7 +935,7 @@ impl Simulation {
         for core in self.lanes.iter() {
             core.trace_on
                 .store(false, std::sync::atomic::Ordering::Relaxed);
-            core.state.lock().tracer = None;
+            core.state.borrow_mut().tracer = None;
         }
     }
 
@@ -914,7 +944,7 @@ impl Simulation {
     /// [`Simulation::lane_trace_events`] for other lanes (thread and
     /// processor ids in trace events are lane-local).
     pub fn take_trace_events(&mut self) -> Vec<TraceEvent> {
-        match self.lanes[0].state.lock().tracer.as_mut() {
+        match self.lanes[0].state.borrow_mut().tracer.as_mut() {
             Some(tr) => tr.drain(),
             None => Vec::new(),
         }
@@ -929,7 +959,7 @@ impl Simulation {
     /// Returns a copy of one lane's buffered structured events without
     /// draining. Thread and processor ids are local to that lane.
     pub fn lane_trace_events(&self, lane: LaneId) -> Vec<TraceEvent> {
-        match self.lane_core(lane).state.lock().tracer.as_ref() {
+        match self.lane_core(lane).state.borrow_mut().tracer.as_ref() {
             Some(tr) => tr.snapshot(),
             None => Vec::new(),
         }
@@ -938,7 +968,7 @@ impl Simulation {
     /// Returns aggregate per-`(processor, layer, name)` counters, sorted.
     /// Lane 0 only (`ProcId`s are lane-local).
     pub fn trace_counters(&self) -> Vec<CounterSnapshot> {
-        match self.lanes[0].state.lock().tracer.as_ref() {
+        match self.lanes[0].state.borrow_mut().tracer.as_ref() {
             Some(tr) => tr.counters(),
             None => Vec::new(),
         }
@@ -949,7 +979,13 @@ impl Simulation {
     pub fn trace_dropped(&self) -> u64 {
         self.lanes
             .iter()
-            .map(|c| c.state.lock().tracer.as_ref().map_or(0, Tracer::dropped))
+            .map(|c| {
+                c.state
+                    .borrow_mut()
+                    .tracer
+                    .as_ref()
+                    .map_or(0, Tracer::dropped)
+            })
             .sum()
     }
 
@@ -966,7 +1002,7 @@ impl Simulation {
         let mut threads = Vec::new();
         for core in self.lanes.iter() {
             let (p_off, t_off) = (procs.len(), threads.len());
-            let st = core.state.lock();
+            let st = core.state.borrow_mut();
             procs.extend(st.procs.iter().map(|p| p.name.clone()));
             threads.extend(st.threads.iter().map(|t| t.name.to_string()));
             if let Some(tr) = st.tracer.as_ref() {
@@ -990,7 +1026,7 @@ impl Simulation {
     pub fn proc_names(&self) -> Vec<String> {
         let mut names = Vec::new();
         for core in self.lanes.iter() {
-            names.extend(core.state.lock().procs.iter().map(|p| p.name.clone()));
+            names.extend(core.state.borrow_mut().procs.iter().map(|p| p.name.clone()));
         }
         names
     }
@@ -1000,7 +1036,13 @@ impl Simulation {
     pub fn thread_names(&self) -> Vec<String> {
         let mut names = Vec::new();
         for core in self.lanes.iter() {
-            names.extend(core.state.lock().threads.iter().map(|t| t.name.to_string()));
+            names.extend(
+                core.state
+                    .borrow_mut()
+                    .threads
+                    .iter()
+                    .map(|t| t.name.to_string()),
+            );
         }
         names
     }
@@ -1010,7 +1052,10 @@ impl Simulation {
     /// popped — virtual time is independent of how cheaply they are
     /// recognized.
     pub fn stale_wakes(&self) -> u64 {
-        self.lanes.iter().map(|c| c.state.lock().wake.stale()).sum()
+        self.lanes
+            .iter()
+            .map(|c| c.state.borrow_mut().wake.stale())
+            .sum()
     }
 
     /// Event-queue accounting summed over lanes (see [`QueueStats`]): tier
@@ -1020,7 +1065,7 @@ impl Simulation {
     pub fn queue_stats(&self) -> QueueStats {
         let mut total = QueueStats::default();
         for core in self.lanes.iter() {
-            total.merge(&core.state.lock().queue_stats());
+            total.merge(&core.state.borrow_mut().queue_stats());
         }
         total
     }

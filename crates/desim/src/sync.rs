@@ -4,6 +4,11 @@
 //! must never be held across a simulated block (the scheduler would stall);
 //! any state that must stay locked while a thread sleeps, computes, or waits
 //! belongs under a [`SimMutex`].
+//!
+//! Unlike a [`crate::SimChannel`], a `SimMutex` keeps its state under real
+//! locks and binds to no lane: nothing stops one from outliving a
+//! simulation and serving the next (the test below shares one between two
+//! live simulations), so its own state is not any one lane's to own.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -106,7 +111,7 @@ impl<T> SimMutex<T> {
                 break;
             }
             assert_ne!(st.owner, Some(me), "SimMutex is not reentrant");
-            let mut core = ctx.core().state.lock();
+            let mut core = ctx.core().state.borrow_mut();
             let wid = core.prepare_block(me, "mutex");
             st.waiters.push_back((me, wid));
             registered = true;
@@ -144,7 +149,7 @@ impl<T> SimMutex<T> {
             // Hand-off: mark locked for the woken thread so nobody barges in.
             st.locked = true;
             st.owner = Some(t);
-            ctx.core().state.lock().schedule_wake_now(t, w);
+            ctx.core().state.borrow_mut().schedule_wake_now(t, w);
         }
     }
 }

@@ -272,8 +272,10 @@ impl Tracer {
         self.ring.push_back(ev);
     }
 
+    /// Hands over the ring's own buffer (oldest first) instead of copying
+    /// it; the ring starts over empty. `dropped` and the counters stay.
     pub(crate) fn drain(&mut self) -> Vec<TraceEvent> {
-        self.ring.drain(..).collect()
+        Vec::from(std::mem::take(&mut self.ring))
     }
 
     pub(crate) fn snapshot(&self) -> Vec<TraceEvent> {

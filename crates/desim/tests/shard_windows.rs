@@ -214,6 +214,85 @@ fn spawn_on_another_lanes_processor_names_both_lanes() {
     let _ = sim.run();
 }
 
+/// The panic message a run's unwind carries.
+fn panic_message(run: impl FnOnce()) -> String {
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+        .expect_err("the run must panic");
+    match payload.downcast::<String>() {
+        Ok(s) => *s,
+        Err(p) => (*p.downcast::<&str>().expect("a string payload")).to_owned(),
+    }
+}
+
+/// A channel serves one lane. Threads on two lanes running in parallel
+/// must not both reach its queue: whichever lane comes second panics, and
+/// the message names both lanes.
+#[test]
+fn a_channel_used_from_two_lanes_panics_naming_both() {
+    let mut sim = Simulation::builder().shards(2).build();
+    let l1 = sim.add_lane();
+    let p0 = sim.add_processor("m0");
+    let p1 = sim.add_processor_on(l1, "m1", SimDuration::ZERO);
+    let ch: SimChannel<u32> = SimChannel::new();
+    for (p, name) in [(p0, "left"), (p1, "right")] {
+        let ch = ch.clone();
+        sim.spawn(p, name, move |ctx| {
+            for i in 0..100 {
+                ch.send(ctx, i).expect("open");
+                ctx.sleep(us(1));
+            }
+        });
+    }
+    let msg = panic_message(|| {
+        let _ = sim.run();
+    });
+    assert!(msg.contains("SimChannel used from lane"), "{msg}");
+    assert!(msg.contains("lane0") && msg.contains("lane1"), "{msg}");
+}
+
+/// `is_finished` reads only the thread's own flag, so a thread on another
+/// lane may poll it while both lanes run in parallel. It sees the finish
+/// within a window of when it happened (the link's 5 µs lookahead).
+#[test]
+fn is_finished_is_polled_from_another_lane() {
+    let mut sim = Simulation::builder().shards(2).build();
+    let l1 = sim.add_lane();
+    let p0 = sim.add_processor("m0");
+    let p1 = sim.add_processor_on(l1, "m1", SimDuration::ZERO);
+    let idle: SimChannel<()> = SimChannel::new();
+    let _link = sim.cross_link("window", us(5), LaneId::ZERO, l1, idle);
+    let worker = sim.spawn(p0, "worker", |ctx| ctx.sleep(us(50)));
+    let w = worker.clone();
+    let poller = sim.spawn(p1, "poller", move |ctx| {
+        while !w.is_finished() {
+            ctx.sleep(us(1));
+        }
+        let seen = ctx.now();
+        assert!(
+            seen >= SimTime::ZERO + us(45) && seen <= SimTime::ZERO + us(60),
+            "finish at 50 µs seen at {seen}"
+        );
+    });
+    assert_eq!(sim.shards(), 2);
+    sim.run_until_finished(&poller)
+        .expect("the poller sees the finish");
+    assert!(worker.is_finished());
+}
+
+/// A cross-lane join would queue a wake in another lane's state; it panics
+/// in every build, release included, before touching that state.
+#[test]
+#[should_panic(expected = "cross-lane join: lane0 joins a thread of lane1")]
+fn joining_a_thread_of_another_lane_panics() {
+    let mut sim = Simulation::builder().shards(1).build();
+    let l1 = sim.add_lane();
+    let p0 = sim.add_processor("m0");
+    let p1 = sim.add_processor_on(l1, "m1", SimDuration::ZERO);
+    let far = sim.spawn(p1, "far", |ctx| ctx.sleep(us(1)));
+    sim.spawn(p0, "joiner", move |ctx| far.join(ctx));
+    let _ = sim.run();
+}
+
 #[test]
 fn event_budget_stops_a_windowed_run() {
     for shards in [1, 2, 0] {

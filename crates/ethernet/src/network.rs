@@ -306,10 +306,12 @@ impl Delivery {
     }
 
     /// Enqueues `frame` and returns the receiver wake to commit, if any.
-    fn send_deferred(&self, frame: Frame) -> Option<PendingWake> {
+    fn send_deferred(&self, ctx: &Ctx, frame: Frame) -> Option<PendingWake> {
         match self {
-            Delivery::Station(_, rx) => rx.send_deferred(frame).ok().flatten(),
-            Delivery::Port(route, rx) => rx.send_deferred((route.clone(), frame)).ok().flatten(),
+            Delivery::Station(_, rx) => rx.send_deferred(ctx, frame).ok().flatten(),
+            Delivery::Port(route, rx) => {
+                rx.send_deferred(ctx, (route.clone(), frame)).ok().flatten()
+            }
         }
     }
 }
@@ -828,11 +830,11 @@ impl Network {
                     continue;
                 }
                 ctx.trace_instant(Layer::Net, "rx", &[("src", u64::from(frame.src.0))]);
-                wakes.extend(target.send_deferred(frame.clone()));
+                wakes.extend(target.send_deferred(ctx, frame.clone()));
                 if f.dup_prob > 0.0 && ctx.rand_bool(f.dup_prob) {
                     self.inner.lock().segments[id.0].stats.dup_deliveries += 1;
                     ctx.trace_instant(Layer::Net, "rx_dup", &[("src", u64::from(frame.src.0))]);
-                    wakes.extend(target.send_deferred(frame.clone()));
+                    wakes.extend(target.send_deferred(ctx, frame.clone()));
                 }
             }
             if !wakes.is_empty() {
@@ -898,7 +900,7 @@ impl Network {
                 "rx_release",
                 &[("src", u64::from(h.frame.src.0))],
             );
-            wakes.extend(h.to.send_deferred(h.frame));
+            wakes.extend(h.to.send_deferred(ctx, h.frame));
         }
         if !wakes.is_empty() {
             ctx.commit_wakes(wakes);
@@ -959,7 +961,7 @@ impl Network {
             let mut wakes: Vec<PendingWake> = Vec::new();
             for link in &targets {
                 if let PortLink::Local(tx) = link {
-                    if let Ok(Some(w)) = tx.send_deferred(frame.clone()) {
+                    if let Ok(Some(w)) = tx.send_deferred(ctx, frame.clone()) {
                         wakes.push(w);
                     }
                 }

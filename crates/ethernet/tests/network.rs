@@ -31,8 +31,8 @@ fn unicast_delivered_to_addressee_only() {
         let f = b.rx().recv(ctx).expect("b gets the frame");
         assert_eq!(f.src, MacAddr(0));
         assert_eq!(f.payload.len(), 100);
-        assert!(c.rx().is_empty(), "bystander receives nothing");
-        assert!(a.rx().is_empty(), "no self-delivery");
+        assert!(c.rx().is_empty(ctx), "bystander receives nothing");
+        assert!(a.rx().is_empty(ctx), "no self-delivery");
     });
     sim.run_until_finished(&h).expect("run");
 }
@@ -96,7 +96,7 @@ fn multicast_reaches_subscribers_only() {
     });
     let h = sim.spawn(m, "check", move |ctx| {
         assert!(b.rx().recv(ctx).is_some(), "subscriber receives");
-        assert!(c.rx().is_empty(), "non-subscriber filtered in hardware");
+        assert!(c.rx().is_empty(ctx), "non-subscriber filtered in hardware");
     });
     sim.run_until_finished(&h).expect("run");
 }
@@ -191,8 +191,8 @@ fn switch_floods_multicast_to_other_segments_once() {
         for seg in [s0, s1, s2] {
             assert_eq!(net2.segment_stats(seg).frames, 1, "{seg}");
         }
-        assert!(b.rx().is_empty());
-        assert!(c.rx().is_empty());
+        assert!(b.rx().is_empty(ctx));
+        assert!(c.rx().is_empty(ctx));
     });
     sim.run_until_finished(&h).expect("run");
 }
@@ -215,7 +215,7 @@ fn flat_switch_floods_multicast_to_memberless_segments() {
         a.send(ctx, Dest::Multicast(g), payload(10));
         assert!(b.rx().recv(ctx).is_some(), "member behind the switch");
         ctx.sleep(us(2000));
-        assert!(c.rx().is_empty(), "non-member filtered in hardware");
+        assert!(c.rx().is_empty(ctx), "non-member filtered in hardware");
     });
     sim.run_until_finished(&h).expect("run");
     assert_eq!(

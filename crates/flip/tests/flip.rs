@@ -143,7 +143,7 @@ fn group_multicast_delivers_to_members_and_self() {
         assert_eq!(msg.payload, payload(100));
         assert!(msg.multicast);
         ctx.sleep(ms(5));
-        assert!(outsider_inbox.is_empty(), "non-member must not receive");
+        assert!(outsider_inbox.is_empty(ctx), "non-member must not receive");
     });
     sim.run_until_finished(&h).expect("run");
 }
@@ -211,7 +211,7 @@ fn lost_fragment_drops_whole_message_not_later_ones() {
         let msg = inbox.recv(ctx).expect("intact message delivered");
         assert_eq!(msg.payload.len(), 32, "the mutilated 4 KB message is gone");
         ctx.sleep(ms(5));
-        assert!(inbox.is_empty());
+        assert!(inbox.is_empty(ctx));
     });
     sim.run_until_finished(&h).expect("run");
 }
