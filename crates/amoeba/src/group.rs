@@ -444,15 +444,16 @@ impl GroupMember {
     /// Receives the next message in total order (every member sees the same
     /// sequence). Blocks until one is available; while none is, it acts on
     /// the deadlines of this machine's cores — the member's, and on the
-    /// sequencer's machine the sequencer's.
-    pub fn recv(&self, ctx: &Ctx) -> GroupMessage {
+    /// sequencer's machine the sequencer's. `None` only for a daemon parked
+    /// here when the simulation drops: its receive loop ends.
+    pub fn recv(&self, ctx: &Ctx) -> Option<GroupMessage> {
         let cost = self.machine.cost().clone();
         ctx.charge(Layer::Group, On::Thread, &[("syscall", cost.syscall_enter)]);
         let msg = loop {
             match self.inbox.recv_until(ctx, self.next_deadline()) {
                 Ok(m) => break m,
                 Err(RecvTimeoutError::Timeout) => self.on_deadline(ctx),
-                Err(RecvTimeoutError::Closed) => unreachable!("inbox never closes"),
+                Err(RecvTimeoutError::Closed) => return None,
             }
         };
         ctx.charge(
@@ -460,7 +461,7 @@ impl GroupMember {
             On::Thread,
             &[("window_trap", cost.window_trap * cost.shallow_call_depth)],
         );
-        msg
+        Some(msg)
     }
 
     /// Sends `wire` from this member's endpoint to `to` (no charge; callers

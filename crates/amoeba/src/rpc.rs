@@ -233,15 +233,14 @@ impl RpcServer {
     }
 
     /// Blocks until a request arrives; returns it with the reply capability.
+    /// `None` only for a daemon parked here when the simulation drops: its
+    /// serving loop ends.
     ///
     /// Charged as a blocking system call on the calling thread.
-    pub fn get_request(&self, ctx: &Ctx) -> (Bytes, ReplyToken) {
+    pub fn get_request(&self, ctx: &Ctx) -> Option<(Bytes, ReplyToken)> {
         let cost = self.machine.cost();
         ctx.charge(Layer::Rpc, On::Thread, &[("syscall", cost.syscall_enter)]);
-        let (body, mut token) = self
-            .queue
-            .recv(ctx)
-            .expect("service queue lives as long as the server");
+        let (body, mut token) = self.queue.recv(ctx)?;
         // Returning from the blocking syscall: window traps on the way out.
         ctx.charge(
             Layer::Rpc,
@@ -249,7 +248,7 @@ impl RpcServer {
             &[("window_trap", cost.window_trap * cost.shallow_call_depth)],
         );
         token.served_by = Some(ctx.thread_id());
-        (body, token)
+        Some((body, token))
     }
 
     /// Sends the reply for `token`.
@@ -608,7 +607,9 @@ mod tests {
         let stale_tx = SimChannel::<Call<()>>::new();
         let stale_rx = stale_tx.clone();
         sim.spawn_daemon(cpu, "late-reply", move |ctx| {
-            let stale = stale_rx.recv(ctx).expect("the stale handle arrives");
+            let Some(stale) = stale_rx.recv(ctx) else {
+                return;
+            };
             ctx.sleep(us(500));
             stale.reply(ctx, Bytes::from_static(b"late"));
         });

@@ -32,11 +32,12 @@ fn rpc_request_reply_roundtrip() {
     let server = RpcServer::register(&machines[1], port);
     let client = RpcClient::install(&machines[0], RpcConfig::default());
 
-    sim.spawn_daemon(machines[1].proc(), "server", move |ctx| loop {
-        let (req, token) = server.get_request(ctx);
-        let mut reply = req.to_vec();
-        reply.reverse();
-        server.put_reply(ctx, token, Bytes::from(reply));
+    sim.spawn_daemon(machines[1].proc(), "server", move |ctx| {
+        while let Some((req, token)) = server.get_request(ctx) {
+            let mut reply = req.to_vec();
+            reply.reverse();
+            server.put_reply(ctx, token, Bytes::from(reply));
+        }
     });
     let h = sim.spawn(machines[0].proc(), "client", move |ctx| {
         let reply = client
@@ -57,9 +58,10 @@ fn rpc_client_pays_no_context_switch() {
     let port = Port(7);
     let server = RpcServer::register(&machines[1], port);
     let client = RpcClient::install(&machines[0], RpcConfig::default());
-    sim.spawn_daemon(machines[1].proc(), "server", move |ctx| loop {
-        let (req, token) = server.get_request(ctx);
-        server.put_reply(ctx, token, req);
+    sim.spawn_daemon(machines[1].proc(), "server", move |ctx| {
+        while let Some((req, token)) = server.get_request(ctx) {
+            server.put_reply(ctx, token, req);
+        }
     });
     let h = sim.spawn(machines[0].proc(), "client", move |ctx| {
         for _ in 0..5 {
@@ -87,10 +89,11 @@ fn rpc_large_request_fragments() {
     let port = Port(9);
     let server = RpcServer::register(&machines[1], port);
     let client = RpcClient::install(&machines[0], RpcConfig::default());
-    sim.spawn_daemon(machines[1].proc(), "server", move |ctx| loop {
-        let (req, token) = server.get_request(ctx);
-        assert_eq!(req, payload(8000));
-        server.put_reply(ctx, token, Bytes::new());
+    sim.spawn_daemon(machines[1].proc(), "server", move |ctx| {
+        while let Some((req, token)) = server.get_request(ctx) {
+            assert_eq!(req, payload(8000));
+            server.put_reply(ctx, token, Bytes::new());
+        }
     });
     let h = sim.spawn(machines[0].proc(), "client", move |ctx| {
         client.trans(ctx, port, payload(8000)).expect("rpc ok");
@@ -115,10 +118,11 @@ fn rpc_survives_lost_request_and_reply() {
     );
     let executions = std::sync::Arc::new(std::sync::atomic::AtomicU32::new(0));
     let exec2 = executions.clone();
-    sim.spawn_daemon(machines[1].proc(), "server", move |ctx| loop {
-        let (req, token) = server.get_request(ctx);
-        exec2.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-        server.put_reply(ctx, token, req);
+    sim.spawn_daemon(machines[1].proc(), "server", move |ctx| {
+        while let Some((req, token)) = server.get_request(ctx) {
+            exec2.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            server.put_reply(ctx, token, req);
+        }
     });
     let net2 = net.clone();
     let h = sim.spawn(machines[0].proc(), "client", move |ctx| {
@@ -163,15 +167,16 @@ fn race_two_calls(a_delay: u64, b_delay: u64, lose: Lose) -> u32 {
     let executions = Arc::new(AtomicU32::new(0));
     for d in 0..2 {
         let (server, net, executions) = (server.clone(), net.clone(), executions.clone());
-        sim.spawn_daemon(machines[1].proc(), &format!("server{d}"), move |ctx| loop {
-            let (req, token) = server.get_request(ctx);
-            executions.fetch_add(1, Ordering::SeqCst);
-            if lose == Lose::Reply && &req[..] == b"A" {
-                // Long enough for B's call to be answered and acked.
-                ctx.sleep(ms(50));
-                net.faults().lock().force_drop_next = 1;
+        sim.spawn_daemon(machines[1].proc(), &format!("server{d}"), move |ctx| {
+            while let Some((req, token)) = server.get_request(ctx) {
+                executions.fetch_add(1, Ordering::SeqCst);
+                if lose == Lose::Reply && &req[..] == b"A" {
+                    // Long enough for B's call to be answered and acked.
+                    ctx.sleep(ms(50));
+                    net.faults().lock().force_drop_next = 1;
+                }
+                server.put_reply(ctx, token, req);
             }
-            server.put_reply(ctx, token, req);
         });
     }
     let client = RpcClient::install(&machines[0], RpcConfig::default());
@@ -238,7 +243,9 @@ fn rpc_reply_from_wrong_thread_rejected() {
     let client = RpcClient::install(&machines[0], RpcConfig::default());
     let server2 = server.clone();
     sim.spawn_daemon(machines[1].proc(), "server", move |ctx| {
-        let (req, token) = server.get_request(ctx);
+        let Some((req, token)) = server.get_request(ctx) else {
+            return;
+        };
         // Hand the token to a different thread — Amoeba forbids this.
         let srv = server2.clone();
         let helper = ctx.spawn("helper", move |ctx2| {
@@ -272,7 +279,7 @@ fn spawn_collectors(
         let log = log.clone();
         sim.spawn(m.machine().proc(), &format!("collect{i}"), move |ctx| {
             for _ in 0..expect_each {
-                let msg = m.recv(ctx);
+                let msg = m.recv(ctx).expect("only a daemon reads None");
                 log.lock().expect("log")[i].push((
                     msg.sender,
                     msg.seq,
@@ -351,7 +358,7 @@ fn group_large_messages_use_bb_and_arrive_intact() {
         let check = check.clone();
         let expected = body.clone();
         sim.spawn(m.machine().proc(), &format!("collect{i}"), move |ctx| {
-            let msg = m.recv(ctx);
+            let msg = m.recv(ctx).expect("only a daemon reads None");
             assert_eq!(msg.payload, expected, "BB payload intact at member {i}");
             check.lock().expect("log")[i].push((msg.sender, msg.seq, 0));
         });

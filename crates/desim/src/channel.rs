@@ -253,7 +253,10 @@ impl<T> SimChannel<T> {
 
     /// Receives the next message, blocking until one is available.
     ///
-    /// Returns `None` once the channel is closed and drained.
+    /// Returns `None` once the channel is closed and drained. A daemon
+    /// parked here when its [`crate::Simulation`] drops also reads `None`,
+    /// once, so its receive loop ends by returning; see
+    /// [`SimChannel::recv_until`].
     pub fn recv(&self, ctx: &Ctx) -> Option<T> {
         self.recv_until(ctx, None).ok()
     }
@@ -275,6 +278,15 @@ impl<T> SimChannel<T> {
     ///
     /// [`RecvTimeoutError::Timeout`] if nothing arrived in time,
     /// [`RecvTimeoutError::Closed`] if the channel is closed and drained.
+    ///
+    /// # Teardown
+    ///
+    /// When the [`crate::Simulation`] drops, a daemon thread
+    /// ([`crate::Simulation::spawn_daemon`]) parked here reads the channel
+    /// as closed on that first teardown wake and can leave by returning.
+    /// Its next blocking call of any kind unwinds instead, as does a
+    /// non-daemon thread parked here: both leave through the simulator's
+    /// teardown unwind, which the thread's entry catches.
     pub fn recv_until(&self, ctx: &Ctx, deadline: Option<SimTime>) -> Result<T, RecvTimeoutError> {
         let me = ctx.thread_id();
         loop {
@@ -299,7 +311,7 @@ impl<T> SimChannel<T> {
             inner.recv_waiters.push_back((me, wid));
             drop(inner);
             if ctx.yield_blocked(core) == WakeStatus::Shutdown {
-                ctx.shutdown_unwind();
+                ctx.shutdown_recv();
                 return Err(RecvTimeoutError::Closed);
             }
         }

@@ -150,7 +150,8 @@ impl LaneKey {
 pub(crate) enum WakeStatus {
     /// A wake event fired for the registered wait.
     Woken,
-    /// The simulation is shutting down; the thread must unwind.
+    /// The simulation is shutting down; the thread must unwind (or, a
+    /// daemon's first receive, read its channel as closed).
     Shutdown,
 }
 
@@ -756,7 +757,7 @@ impl Core {
             };
             if let Some((name, msg)) = panic_info {
                 // Tear the simulation down *before* unwinding the scheduler,
-                // so every remaining thread unwinds here and the later
+                // so every remaining thread finishes here and the later
                 // `Drop` shutdown becomes a no-op.
                 self.initiate_shutdown();
                 panic!("simulated thread '{name}' panicked: {msg}");
@@ -782,9 +783,11 @@ impl Core {
             // actually be freed when the `Simulation` goes away.
             st.injectors.clear();
         }
-        // Round-robin resume every unfinished thread until all have unwound.
-        // A destructor may block again during unwinding (it receives benign
-        // fallback values), so several rounds can be needed.
+        // Round-robin resume every unfinished thread until all have
+        // finished: a daemon parked in a channel receive returns from its
+        // body, every other thread unwinds once. A destructor may block
+        // again during unwinding (it receives benign fallback values), so
+        // several rounds can be needed.
         for _ in 0..64 {
             let pending: Vec<*const Fiber> = {
                 let st = self.state.borrow_mut();

@@ -64,9 +64,15 @@ pub struct Ctx {
     /// The key of this thread's lane, cached from `core` for the channel
     /// binding check every channel operation makes.
     lane: LaneKey,
+    /// Whether this thread was spawned as a daemon; only a daemon may
+    /// leave a dropped simulation by returning (see [`Ctx::shutdown_recv`]).
+    daemon: bool,
     /// Set once this thread has raised its `ShutdownUnwind` (see
     /// [`Ctx::shutdown_unwind`]).
     shutdown_raised: Cell<bool>,
+    /// Set once this daemon's receive has read its channel as closed on
+    /// its first teardown wake (see [`Ctx::shutdown_recv`]).
+    shutdown_read_closed: Cell<bool>,
 }
 
 impl std::fmt::Debug for Ctx {
@@ -77,10 +83,10 @@ impl std::fmt::Debug for Ctx {
 
 impl Ctx {
     pub(crate) fn new(core: Arc<Core>, tid: ThreadId) -> Self {
-        let (exec, proc) = {
+        let (exec, proc, daemon) = {
             let st = core.state.borrow_mut();
             let rec = &st.threads[tid.0];
-            (rec.fiber_ptr(), rec.proc)
+            (rec.fiber_ptr(), rec.proc, rec.daemon)
         };
         Ctx {
             lane: core.key,
@@ -88,7 +94,9 @@ impl Ctx {
             tid,
             exec,
             proc,
+            daemon,
             shutdown_raised: Cell::new(false),
+            shutdown_read_closed: Cell::new(false),
         }
     }
 
@@ -152,6 +160,20 @@ impl Ctx {
         if !self.shutdown_raised.replace(true) {
             panic::panic_any(ShutdownUnwind);
         }
+    }
+
+    /// The teardown exit of a channel receive. A daemon's first teardown
+    /// wake in a receive returns, so the receive reads its channel as
+    /// closed and the daemon's loop ends by returning: no unwind, which is
+    /// most of what dropping a world of parked protocol daemons costs.
+    /// Every other case unwinds through [`Ctx::shutdown_unwind`]: a
+    /// non-daemon thread, a daemon's second blocking call (a loop that
+    /// ignores the closed read cannot spin), and a daemon already unwinding.
+    pub(crate) fn shutdown_recv(&self) {
+        if self.daemon && !self.shutdown_raised.get() && !self.shutdown_read_closed.replace(true) {
+            return;
+        }
+        self.shutdown_unwind();
     }
 
     /// True once this thread has raised its `ShutdownUnwind`.

@@ -75,11 +75,12 @@
 //!
 //! # Teardown
 //!
-//! Fibers unwind with the `ShutdownUnwind` payload; each fiber's entry has
+//! A daemon parked in a channel receive returns from its body; every other
+//! fiber unwinds with the `ShutdownUnwind` payload. Each fiber's entry has
 //! a `catch_unwind` boundary, so the unwind never crosses the assembly
 //! switch. Whether a thread still has to raise it is its own flag, not the
 //! host thread's `std::thread::panicking()`, which every fiber shares (see
-//! `Ctx::shutdown_unwind`).
+//! `Ctx::shutdown_unwind` and `Ctx::shutdown_recv`).
 
 #![allow(unsafe_code)]
 

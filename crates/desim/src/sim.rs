@@ -532,7 +532,9 @@ impl Simulation {
 
     /// Spawns a daemon thread on `proc`, on `proc`'s lane: it may remain
     /// blocked forever without the run being reported as a deadlock (e.g.
-    /// protocol receive daemons).
+    /// protocol receive daemons). A daemon parked in a channel receive when
+    /// the simulation drops reads the channel as closed and can finish by
+    /// returning (see [`SimChannel::recv_until`](crate::SimChannel::recv_until)).
     pub fn spawn_daemon<F>(&mut self, proc: ProcId, name: &str, f: F) -> ThreadHandle
     where
         F: FnOnce(&Ctx) + Send + 'static,

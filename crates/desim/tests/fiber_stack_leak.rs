@@ -40,9 +40,10 @@ fn cycle(fibers: usize) {
 #[test]
 fn fiber_create_drop_cycles_release_guard_paged_stacks() {
     // 100 create/drop cycles with fibers parked mid-run each time: every
-    // cycle must unwind all live fibers and release their guard-paged
-    // stacks, so the process mapping count stays flat instead of growing
-    // by (threads × cycles) stack mappings.
+    // cycle must finish all live fibers (these non-daemons unwind; a parked
+    // daemon would return) and release their guard-paged stacks, so the
+    // process mapping count stays flat instead of growing by
+    // (threads × cycles) stack mappings.
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     cycle(8); // warm up allocator, lazy runtime mappings, stack pool
     let before = mapping_count();

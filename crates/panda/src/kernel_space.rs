@@ -108,7 +108,10 @@ impl KernelSpacePanda {
                     machine.proc(),
                     &format!("{}-rpcd{}", machine.name(), d),
                     move |ctx| loop {
-                        let (req, token) = server.get_request(ctx);
+                        // `None` only once the world is dropped.
+                        let Some((req, token)) = server.get_request(ctx) else {
+                            return;
+                        };
                         let Some((from, body)) = decode_from(&req) else {
                             // No node-id prefix: not a Panda request. Answer
                             // it empty, with no upcall, and keep serving.
@@ -127,7 +130,9 @@ impl KernelSpacePanda {
                         // Wait for the reply (immediate if the handler
                         // answered inside the upcall) and send it from THIS
                         // thread, as the Amoeba kernel demands.
-                        let reply = slot.recv(ctx).expect("reply slot never closes");
+                        let Some(reply) = slot.recv(ctx) else {
+                            return;
+                        };
                         server.put_reply(ctx, token, reply);
                     },
                 );
@@ -141,7 +146,9 @@ impl KernelSpacePanda {
                 machine.proc(),
                 &format!("{}-grpd", machine.name()),
                 move |ctx| loop {
-                    let msg = member_d.recv(ctx);
+                    let Some(msg) = member_d.recv(ctx) else {
+                        return;
+                    };
                     let handler = panda_g
                         .handlers
                         .lock()

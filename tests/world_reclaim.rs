@@ -9,8 +9,8 @@
 //! tests pin both halves of that contract.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicIsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, Weak};
+use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, Once, OnceLock, Weak};
 
 use apps::fleet::{run_fleet, FleetSpec};
 use apps::{asp, build_cluster, leq, run_workers, ProtoImpl, RunConfig};
@@ -199,6 +199,86 @@ fn fleet_sized_world_is_freed_after_a_run() {
         assert_dead(&weak, "handler canary", stack);
         assert_dead(&last, "panda node", stack);
     }
+}
+
+/// Panics raised anywhere in the process, teardown unwinds included.
+static PANICS: AtomicUsize = AtomicUsize::new(0);
+
+/// Chains a hook that counts every panic in front of desim's quiet hook
+/// (installed by the first `Simulation`).
+fn count_panics() {
+    static ONCE: Once = Once::new();
+    ONCE.call_once(|| {
+        drop(Simulation::new(0));
+        let quiet = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            PANICS.fetch_add(1, Ordering::Relaxed);
+            quiet(info);
+        }));
+    });
+}
+
+/// Every thread still alive when these worlds drop is a protocol daemon
+/// parked in a channel receive, and each leaves by returning: dropping
+/// them raises no teardown unwind at all.
+#[test]
+fn parked_daemons_leave_dropped_worlds_without_unwinding() {
+    let _guard = process_lock();
+    count_panics();
+    let mut unwinds: Vec<(String, usize)> = Vec::new();
+    let mut count = |what: String, world: &mut dyn FnMut()| {
+        let before = PANICS.load(Ordering::Relaxed);
+        world();
+        unwinds.push((what, PANICS.load(Ordering::Relaxed) - before));
+    };
+    for stack in STACKS {
+        // `run_chaos` builds, runs and drops its world, as `chaos_sweep`
+        // and `chaos-explore` do.
+        for seed in 0..8 {
+            let cfg = ChaosConfig::for_seed(stack, seed, 10, 8, desim::ms(500));
+            count(format!("run_chaos/{}/{seed}", stack.name()), &mut || {
+                let _ = run_chaos(&cfg);
+            });
+        }
+    }
+    for imp in [ProtoImpl::KernelSpace, ProtoImpl::UserSpace] {
+        let mut cluster = build_cluster(&RunConfig::new(4, imp, 3));
+        let board = orca::ObjId(1);
+        cluster.world.create_replicated(board, IterBoard::new);
+        run_workers(&mut cluster, move |ctx, node, rts| {
+            let board = BoardHandle::new(Arc::clone(&rts), board);
+            board
+                .publish(ctx, 0, node, &[node as u8; 64])
+                .expect("publish");
+            for peer in 0..rts.nodes() {
+                assert_eq!(board.get(ctx, 0, peer).expect("get")[0], peer as u8);
+            }
+            0
+        });
+        let mut cluster = Some(cluster);
+        count(format!("cluster/{imp}"), &mut || drop(cluster.take()));
+    }
+    for stack in STACKS {
+        let mut spec = FleetSpec::new(96, 4, stack);
+        spec.lanes = 2;
+        let mut sim = Simulation::new(4);
+        let (_net, machines, nodes) = boot(&mut sim, &spec.topology(), stack);
+        assert_eq!(sim.lanes(), 2, "the fleet world runs on two lanes");
+        let canary = Arc::new(());
+        for n in &nodes {
+            install_canary_handlers(n, &canary);
+        }
+        drive(&mut sim, &machines, Arc::clone(&nodes[0]), 5, 2);
+        // Let the last broadcast's deliveries and acknowledgements land.
+        sim.run().expect("the fleet world drains");
+        drop((nodes, machines));
+        let mut sim = Some(sim);
+        count(format!("fleet/{}", stack.name()), &mut || drop(sim.take()));
+    }
+    assert!(
+        unwinds.iter().all(|(_, n)| *n == 0),
+        "teardown unwinds per dropped world: {unwinds:?}"
+    );
 }
 
 /// The trap a `Weak`-upcall design falls into: harnesses drop their node
