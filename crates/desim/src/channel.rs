@@ -14,7 +14,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::core::{LaneKey, ThreadId, WakeStatus};
+use crate::core::{CoreState, LaneKey, ThreadId, WakeStatus};
 use crate::time::{SimDuration, SimTime};
 use crate::turn::{TurnCell, TurnGuard};
 use crate::Ctx;
@@ -65,23 +65,6 @@ struct Shared<T> {
     /// operation binds it.
     lane: AtomicU64,
     inner: TurnCell<Inner<T>>,
-}
-
-/// A receiver wake captured by [`SimChannel::send_deferred`] and not yet
-/// scheduled. Commit it (and any siblings, in capture order) with
-/// [`Ctx::commit_wakes`]; dropping it instead would strand a blocked
-/// receiver until its next timeout.
-#[derive(Debug)]
-#[must_use = "an uncommitted wake strands the blocked receiver"]
-pub struct PendingWake {
-    thread: ThreadId,
-    wait_id: u64,
-}
-
-impl PendingWake {
-    pub(crate) fn into_parts(self) -> (ThreadId, u64) {
-        (self.thread, self.wait_id)
-    }
 }
 
 /// An unbounded multi-producer multi-consumer FIFO channel in virtual time.
@@ -199,56 +182,38 @@ impl<T> SimChannel<T> {
 
     /// Enqueues `value` and wakes one waiting receiver.
     ///
+    /// Receivers woken at one instant run in the order they were sent to
+    /// (under [`crate::Simulation::set_schedule_perturbation`], in that
+    /// seed's order): a fan-out that sends one frame to many receivers
+    /// needs nothing more to keep its pick order.
+    ///
     /// # Errors
     ///
     /// Returns [`SendError`] with the value if the channel is closed.
     pub fn send(&self, ctx: &Ctx, value: T) -> Result<(), SendError<T>> {
-        let mut inner = self.inner(ctx.lane_key());
-        if inner.closed {
-            return Err(SendError(value));
-        }
-        inner.queue.push_back(value);
-        if let Some((t, w)) = inner.recv_waiters.pop_front() {
-            ctx.core().state.borrow_mut().schedule_wake_now(t, w);
-        }
-        Ok(())
+        self.send_on(ctx.lane_key(), &mut ctx.core().state.borrow_mut(), value)
     }
 
-    /// Enqueues `value` like [`SimChannel::send`] but *defers* scheduling
-    /// the receiver's wake: if a receiver was blocked, its wake is returned
-    /// for the caller to commit via [`Ctx::commit_wakes`].
-    ///
-    /// This exists for broadcast fan-out: delivering one frame to N group
-    /// members costs N borrows of the scheduler state with plain `send`;
-    /// with deferred sends the frames are enqueued first and all wakes are
-    /// scheduled in one batch. Committing the wakes in capture order makes
-    /// the result bit-identical to the unbatched sequence, because only the
-    /// sending thread runs between the enqueue and the commit.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SendError`] with the value if the channel is closed.
-    pub fn send_deferred(&self, ctx: &Ctx, value: T) -> Result<Option<PendingWake>, SendError<T>> {
-        self.send_deferred_on(ctx.lane_key(), value)
-    }
-
-    /// [`SimChannel::send_deferred`] for the holder of `lane`'s turn; the
-    /// cross-lane injector, which runs inside the destination lane's event
-    /// loop and has no [`Ctx`], passes that lane.
-    pub(crate) fn send_deferred_on(
+    /// The one send path: enqueues `value` and schedules the first waiting
+    /// receiver's wake in `core`, the state of `lane`, whose turn the caller
+    /// holds. [`SimChannel::send`] borrows that state through its [`Ctx`];
+    /// the cross-lane injector, which runs inside the destination lane's
+    /// event loop under its state borrow and has no `Ctx`, passes it in.
+    pub(crate) fn send_on(
         &self,
         lane: LaneKey,
+        core: &mut CoreState,
         value: T,
-    ) -> Result<Option<PendingWake>, SendError<T>> {
+    ) -> Result<(), SendError<T>> {
         let mut inner = self.inner(lane);
         if inner.closed {
             return Err(SendError(value));
         }
         inner.queue.push_back(value);
-        Ok(inner
-            .recv_waiters
-            .pop_front()
-            .map(|(thread, wait_id)| PendingWake { thread, wait_id }))
+        if let Some((t, w)) = inner.recv_waiters.pop_front() {
+            core.schedule_wake_now(t, w);
+        }
+        Ok(())
     }
 
     /// Receives the next message, blocking until one is available.
@@ -443,6 +408,55 @@ mod tests {
             assert_eq!(ctx.now().as_micros_f64(), 40.0);
         });
         sim.run_until_finished(&h).expect("run");
+    }
+
+    /// Receivers `0..6`, each blocked on its own channel, and one sender
+    /// that sends to them at 10 µs in `SEND_ORDER`. Returns the order in
+    /// which the receivers woke.
+    fn same_instant_wake_order(perturbation: Option<u64>) -> Vec<usize> {
+        const SEND_ORDER: [usize; 6] = [3, 0, 5, 1, 4, 2];
+        let mut sim = Simulation::new(1);
+        if let Some(seed) = perturbation {
+            sim.set_schedule_perturbation(seed);
+        }
+        let cpu = sim.add_processor("m0");
+        let woke = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let chans: Vec<SimChannel<u8>> = (0..6).map(|_| SimChannel::new()).collect();
+        for (i, ch) in chans.iter().enumerate() {
+            let (ch, woke) = (ch.clone(), std::sync::Arc::clone(&woke));
+            sim.spawn(cpu, &format!("rx{i}"), move |ctx| {
+                assert_eq!(ch.recv(ctx), Some(7));
+                assert_eq!(ctx.now().as_micros_f64(), 10.0);
+                woke.lock().expect("log").push(i);
+            });
+        }
+        sim.spawn(cpu, "tx", move |ctx| {
+            ctx.sleep(us(10));
+            for i in SEND_ORDER {
+                chans[i].send(ctx, 7).expect("open");
+            }
+        });
+        sim.run().expect("run");
+        let order = woke.lock().expect("log").clone();
+        if perturbation.is_none() {
+            assert_eq!(
+                order, SEND_ORDER,
+                "same-instant receivers wake in send order"
+            );
+        }
+        order
+    }
+
+    #[test]
+    fn same_instant_sends_wake_receivers_in_send_order() {
+        same_instant_wake_order(None);
+        for seed in [1, 2, 3] {
+            let order = same_instant_wake_order(Some(seed));
+            let mut sorted = order.clone();
+            sorted.sort_unstable();
+            assert_eq!(sorted, [0, 1, 2, 3, 4, 5], "every receiver woke once");
+            assert_eq!(order, same_instant_wake_order(Some(seed)), "seed {seed}");
+        }
     }
 
     #[test]

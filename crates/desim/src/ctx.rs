@@ -355,24 +355,6 @@ impl Ctx {
         self.core.spawn_thread(proc, name, false, f)
     }
 
-    /// Commits wakes captured by [`crate::SimChannel::send_deferred`], in
-    /// order, at the current instant, under a single borrow of the
-    /// scheduler state.
-    ///
-    /// Equivalent to having called [`crate::SimChannel::send`] for each
-    /// message as long as nothing ran in between the deferred sends — which
-    /// is guaranteed inside one simulated thread, since only one thread runs
-    /// at a time. This is the fan-out batching primitive: a broadcast
-    /// delivery enqueues the frame on every receiver first, then schedules
-    /// every wake under one state borrow instead of one per receiver.
-    pub fn commit_wakes(&self, wakes: impl IntoIterator<Item = crate::PendingWake>) {
-        let mut st = self.core.state.borrow_mut();
-        for w in wakes {
-            let (thread, wait_id) = w.into_parts();
-            st.schedule_wake_now(thread, wait_id);
-        }
-    }
-
     /// Returns a uniformly distributed value in `[0, n)`.
     ///
     /// # Panics

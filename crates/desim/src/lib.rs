@@ -73,7 +73,7 @@ mod turn;
 mod wheel;
 
 pub use backend::Backend;
-pub use channel::{PendingWake, RecvTimeoutError, SendError, SimChannel};
+pub use channel::{RecvTimeoutError, SendError, SimChannel};
 pub use core::{ProcId, ThreadId};
 pub use ctx::{Ctx, On};
 pub use fiber::FIBER_STACK_POOL_CAP;

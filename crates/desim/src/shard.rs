@@ -287,8 +287,8 @@ impl LinkTable {
 ///    pending instant.
 /// 3. When the injection event pops — at exactly the delivery instant, on
 ///    the destination lane — [`XShared::deliver_due`] runs under that
-///    lane's state borrow and enqueues every due value with a deferred
-///    channel send, so the receiving side sees a plain in-lane message
+///    lane's state borrow and sends every due value through the channel's
+///    one send path, so the receiving side sees a plain in-lane message
 ///    with the correct timestamp and pick order. No injector daemon, no
 ///    daemon wake, no channel hop: a cross-lane frame costs one queue pop.
 struct XShared<T> {
@@ -335,9 +335,9 @@ impl<T: Send + 'static> LaneInjector for XShared<T> {
     /// Runs on the destination lane when one of this link's injection
     /// events pops at `now`: delivers every pending value due by `now` and
     /// reports when the next one falls due (if no later queued injection
-    /// event covers it). Receiver wakes go through the deferred-send path,
-    /// which is the exact enqueue+wake sequence of an in-lane
-    /// `SimChannel::send` — same `(time, tie, seq)` draws, same pick order.
+    /// event covers it). Each value goes through `SimChannel::send`'s own
+    /// enqueue+wake path under this lane's state borrow, so it takes the
+    /// same `(time, tie, seq)` draws and pick order as an in-lane send.
     fn deliver_due(&self, st: &mut CoreState, now: SimTime) -> Option<SimTime> {
         let mut p = self.pending.lock();
         debug_assert_eq!(
@@ -349,10 +349,7 @@ impl<T: Send + 'static> LaneInjector for XShared<T> {
         while p.q.front().is_some_and(|e| e.0 <= now) {
             let (_, v) = p.q.pop_front().expect("peeked");
             // A closed channel drops the value, like the daemon's send did.
-            if let Ok(Some(w)) = self.dst.send_deferred_on(self.dst_core.key, v) {
-                let (t, wid) = w.into_parts();
-                st.schedule_wake_now(t, wid);
-            }
+            let _ = self.dst.send_on(self.dst_core.key, st, v);
         }
         let front = p.q.front().map(|e| e.0)?;
         if p.needs_arm(front) {

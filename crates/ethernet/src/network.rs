@@ -5,6 +5,18 @@
 //! bandwidth (half-duplex, like the paper's 10 Mbit/s Ethernet) and then
 //! delivers the frame to every matching attachment.
 //!
+//! # The fan-out
+//!
+//! After a frame's wire time the segment daemon takes the fault state, then
+//! the network state (the lock order: `faults` before `inner`; neither is
+//! held across a sleep), and makes one pass over the segment's attachments
+//! in attach order. For each: addressing (a station) or the switch route (a
+//! port), reachability, the rx-loss, reorder and dup draws, then a plain
+//! channel send. Receivers woken at one instant run in send order, so the
+//! fan-out needs no batching to keep its pick order. Held deliveries whose
+//! countdown expires are released in the same pass, and the frame's
+//! counters are written to [`SegmentStats`] once.
+//!
 //! # The switch
 //!
 //! Switches join segments store-and-forward. There is one switch, built two
@@ -46,10 +58,11 @@
 //!
 //! ## Fault injection under sharding
 //!
-//! Each segment daemon draws fault coin flips from its own lane's RNG, so
-//! probability knobs ([`FaultState::wire_loss_prob`] etc.) and static
-//! topology faults ([`FaultState::crash`], [`FaultState::partition`]) remain
-//! bit-identical across shard counts. Two knobs mutate shared state per
+//! Each segment daemon draws fault coin flips from its own lane's RNG, in
+//! the fan-out's attachment order, so probability knobs
+//! ([`FaultState::wire_loss_prob`] etc.) and static topology faults
+//! ([`FaultState::crash`], [`FaultState::partition`]) remain bit-identical
+//! across shard counts. Two knobs mutate shared state per
 //! carried frame and are therefore restricted to single-lane topologies:
 //! [`FaultState::gilbert`] and [`FaultState::force_drop_next`]. The
 //! restriction is enforced: a segment daemon that sees either knob active
@@ -64,7 +77,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use desim::trace::{Layer, Phase};
-use desim::{Ctx, LaneId, On, PendingWake, ProcId, SimChannel, SimDuration, Simulation, XSender};
+use desim::{Ctx, LaneId, On, ProcId, SimChannel, SimDuration, Simulation, XSender};
 use parking_lot::Mutex;
 
 use crate::frame::{Dest, Frame, MacAddr, McastAddr};
@@ -165,11 +178,14 @@ pub struct FaultState {
     /// receiver (duplicate generation, e.g. a confused repeater).
     pub dup_prob: f64,
     /// Probability that an individual delivery is held back and released
-    /// only after later frames have been carried (reordering/jitter).
+    /// behind its frame's other deliveries or behind later frames
+    /// (reordering/jitter).
     pub reorder_prob: f64,
-    /// Maximum number of subsequent carried frames a held delivery waits
-    /// behind (the actual hold is uniform in `1..=reorder_span`); `0` is
-    /// treated as `1`.
+    /// Bounds a hold: uniform in `1..=reorder_span` frames carried or
+    /// dropped on the segment, counting the frame that carried the held
+    /// delivery. A hold of 1 releases it at the end of that frame's own
+    /// fan-out, so a held delivery waits behind at most `reorder_span - 1`
+    /// later frames. `0` is treated as `1`.
     pub reorder_span: u64,
     /// Optional burst-loss channel model layered over `wire_loss_prob`.
     ///
@@ -236,6 +252,48 @@ impl FaultState {
     pub fn down_count(&self) -> usize {
         self.down.len()
     }
+
+    /// Whether a frame just carried on a segment is lost on the wire: a
+    /// forced drop, else one draw against the larger of `wire_loss_prob`
+    /// and the Gilbert–Elliott state's loss rate. `multi_lane` says whether
+    /// the network's segments span lanes.
+    fn wire_drop(&mut self, ctx: &Ctx, multi_lane: bool) -> bool {
+        if self.force_drop_next > 0 {
+            assert!(
+                !multi_lane,
+                "FaultState::force_drop_next is restricted to single-lane networks: \
+                 it decrements shared fault state per carried frame, which races \
+                 between lanes under the windowed driver; keep every segment on one \
+                 lane (LaneId::ZERO) to use it"
+            );
+            self.force_drop_next -= 1;
+            return true;
+        }
+        let mut p = self.wire_loss_prob;
+        if let Some(ge) = self.gilbert.as_mut() {
+            assert!(
+                !multi_lane,
+                "FaultState::gilbert (Gilbert–Elliott burst loss) is restricted \
+                 to single-lane networks: the channel state advances per carried \
+                 frame in shared fault state, which races between lanes under the \
+                 windowed driver; keep every segment on one lane (LaneId::ZERO) \
+                 to use it"
+            );
+            // The channel state advances once per frame carried on
+            // the medium.
+            let flip = if ge.bad {
+                ge.p_exit_bad
+            } else {
+                ge.p_enter_bad
+            };
+            if flip > 0.0 && ctx.rand_bool(flip) {
+                ge.bad = !ge.bad;
+            }
+            let burst = if ge.bad { ge.loss_bad } else { ge.loss_good };
+            p = p.max(burst);
+        }
+        p > 0.0 && ctx.rand_bool(p)
+    }
 }
 
 /// Cumulative per-segment counters.
@@ -264,6 +322,19 @@ pub struct SegmentStats {
 }
 
 impl SegmentStats {
+    /// Adds every counter of `other` to this one.
+    fn absorb(&mut self, other: &SegmentStats) {
+        self.frames += other.frames;
+        self.wire_bytes += other.wire_bytes;
+        self.busy += other.busy;
+        self.wire_drops += other.wire_drops;
+        self.rx_drops += other.rx_drops;
+        self.down_tx_drops += other.down_tx_drops;
+        self.link_drops += other.link_drops;
+        self.dup_deliveries += other.dup_deliveries;
+        self.held_deliveries += other.held_deliveries;
+    }
+
     /// Fraction of `elapsed` during which the medium was busy.
     pub fn utilization(&self, elapsed: SimDuration) -> f64 {
         if elapsed.is_zero() {
@@ -289,28 +360,17 @@ enum Attachment {
     },
 }
 
-/// One receiver a carried frame reaches, as the fan-out decided it.
-#[derive(Clone)]
-enum Delivery {
-    Station(MacAddr, SimChannel<Frame>),
-    Port(Route, SimChannel<(Route, Frame)>),
-}
-
-impl Delivery {
-    /// The receiving station, if this is not a switch port.
-    fn station(&self) -> Option<MacAddr> {
+impl Attachment {
+    /// Enqueues `frame` on this receiver; a port's copy carries `route`,
+    /// the forwarding decision [`PortSpec::route`] made for it.
+    fn send(&self, ctx: &Ctx, route: Option<Route>, frame: Frame) {
         match self {
-            Delivery::Station(mac, _) => Some(*mac),
-            Delivery::Port(..) => None,
-        }
-    }
-
-    /// Enqueues `frame` and returns the receiver wake to commit, if any.
-    fn send_deferred(&self, ctx: &Ctx, frame: Frame) -> Option<PendingWake> {
-        match self {
-            Delivery::Station(_, rx) => rx.send_deferred(ctx, frame).ok().flatten(),
-            Delivery::Port(route, rx) => {
-                rx.send_deferred(ctx, (route.clone(), frame)).ok().flatten()
+            Attachment::Station { rx, .. } => {
+                let _ = rx.send(ctx, frame);
+            }
+            Attachment::Port { rx, .. } => {
+                let route = route.expect("a port is handed only the frames it routes");
+                let _ = rx.send(ctx, (route, frame));
             }
         }
     }
@@ -320,7 +380,11 @@ impl Delivery {
 /// queue after `remaining` more frames have crossed the medium.
 struct HeldDelivery {
     remaining: u64,
-    to: Delivery,
+    /// The receiver: an index into the segment's attachments, which are
+    /// only ever appended to.
+    to: usize,
+    /// The route a port forwards the frame by; `None` for a station.
+    route: Option<Route>,
     frame: Frame,
 }
 
@@ -381,6 +445,7 @@ struct NetInner {
 #[derive(Clone)]
 pub struct Network {
     cfg: NetConfig,
+    /// Locked after `faults` by whoever holds both (see the module docs).
     inner: Arc<Mutex<NetInner>>,
     faults: Arc<Mutex<FaultState>>,
 }
@@ -411,6 +476,8 @@ impl Network {
     }
 
     /// Returns the shared fault-injection state for runtime adjustment.
+    /// A segment daemon holds it for one carried frame's fan-out; never
+    /// hold it across a blocking call.
     pub fn faults(&self) -> Arc<Mutex<FaultState>> {
         Arc::clone(&self.faults)
     }
@@ -638,15 +705,7 @@ impl Network {
         let inner = self.inner.lock();
         let mut total = SegmentStats::default();
         for s in &inner.segments {
-            total.frames += s.stats.frames;
-            total.wire_bytes += s.stats.wire_bytes;
-            total.busy += s.stats.busy;
-            total.wire_drops += s.stats.wire_drops;
-            total.rx_drops += s.stats.rx_drops;
-            total.down_tx_drops += s.stats.down_tx_drops;
-            total.link_drops += s.stats.link_drops;
-            total.dup_deliveries += s.stats.dup_deliveries;
-            total.held_deliveries += s.stats.held_deliveries;
+            total.absorb(&s.stats);
         }
         total
     }
@@ -666,10 +725,6 @@ impl Network {
             let seg = &inner.segments[id.0];
             (seg.tx.clone(), seg.ns_per_byte, inner.multi_lane)
         };
-        // Reused across frames: one carried frame's receivers and the wakes
-        // its fan-out defers.
-        let mut targets: Vec<Delivery> = Vec::new();
-        let mut wakes: Vec<PendingWake> = Vec::new();
         while let Some(frame) = tx.recv(ctx) {
             // A crashed sender's NIC transmits nothing: the frame vanishes
             // before it touches the medium (no busy time, no wire drop).
@@ -678,232 +733,47 @@ impl Network {
                 ctx.trace_instant(Layer::Net, "down_drop", &[("src", u64::from(frame.src.0))]);
                 continue;
             }
-            let wire = SimDuration::from_nanos(frame.wire_bytes() as u64 * ns_per_byte);
+            let bytes = frame.wire_bytes() as u64;
+            let wire = SimDuration::from_nanos(bytes * ns_per_byte);
             ctx.trace_emit(
                 Layer::Net,
                 Phase::Begin,
                 "wire",
-                &[
-                    ("bytes", frame.wire_bytes() as u64),
-                    ("src", u64::from(frame.src.0)),
-                ],
+                &[("bytes", bytes), ("src", u64::from(frame.src.0))],
             );
             ctx.sleep(wire); // the medium is busy; later frames queue behind
             ctx.trace_emit(Layer::Net, Phase::End, "wire", &[("ns", wire.as_nanos())]);
-            // One fault-state acquisition after the wire: the loss draw, then
-            // the snapshot the fan-out below reads.
-            let (dropped, f) = {
-                let mut faults = self.faults.lock();
-                let dropped = if faults.force_drop_next > 0 {
-                    assert!(
-                        !multi_lane,
-                        "FaultState::force_drop_next is restricted to single-lane networks: \
-                         it decrements shared fault state per carried frame, which races \
-                         between lanes under the windowed driver; keep every segment on one \
-                         lane (LaneId::ZERO) to use it"
-                    );
-                    faults.force_drop_next -= 1;
-                    true
-                } else {
-                    let mut p = faults.wire_loss_prob;
-                    if let Some(ge) = faults.gilbert.as_mut() {
-                        assert!(
-                            !multi_lane,
-                            "FaultState::gilbert (Gilbert–Elliott burst loss) is restricted \
-                             to single-lane networks: the channel state advances per carried \
-                             frame in shared fault state, which races between lanes under the \
-                             windowed driver; keep every segment on one lane (LaneId::ZERO) \
-                             to use it"
-                        );
-                        // The channel state advances once per frame carried
-                        // on the medium.
-                        let flip = if ge.bad {
-                            ge.p_exit_bad
-                        } else {
-                            ge.p_enter_bad
-                        };
-                        if flip > 0.0 && ctx.rand_bool(flip) {
-                            ge.bad = !ge.bad;
-                        }
-                        let burst = if ge.bad { ge.loss_bad } else { ge.loss_good };
-                        p = p.max(burst);
-                    }
-                    p > 0.0 && ctx.rand_bool(p)
-                };
-                (dropped, faults.clone())
-            };
-            // One segment-state acquisition: the medium's stats and, for a
-            // carried frame, the receivers it reaches. A switch port is one
-            // only if its route leads the frame out of the switch.
-            let mut held = {
-                let mut inner = self.inner.lock();
-                let seg = &mut inner.segments[id.0];
-                seg.stats.busy += wire;
-                if dropped {
-                    seg.stats.wire_drops += 1;
-                } else {
-                    seg.stats.frames += 1;
-                    seg.stats.wire_bytes += frame.wire_bytes() as u64;
-                    let inner = &*inner;
-                    let seg = &inner.segments[id.0];
-                    targets.extend(seg.attachments.iter().filter_map(|a| {
-                        match a {
-                            Attachment::Station { mac, groups, rx } => {
-                                let addressed = match frame.dst {
-                                    Dest::Unicast(m) => *mac == m,
-                                    Dest::Multicast(g) => groups.contains(&g),
-                                    Dest::Broadcast => true,
-                                };
-                                // No self-delivery.
-                                (addressed && *mac != frame.src)
-                                    .then(|| Delivery::Station(*mac, rx.clone()))
-                            }
-                            Attachment::Port { spec, rx } => spec
-                                .route(inner, &frame)
-                                .map(|route| Delivery::Port(route, rx.clone())),
-                        }
-                    }));
-                }
-                !inner.segments[id.0].held.is_empty()
+            // One pass after the wire, under the fault state and then the
+            // segment state (see `Network`'s lock order): the loss draw, the
+            // fan-out, the hold-back releases, and the frame's counters.
+            let mut faults = self.faults.lock();
+            let dropped = faults.wire_drop(ctx, multi_lane);
+            let mut inner = self.inner.lock();
+            let net = &mut *inner;
+            // Only this daemon touches its segment's hold-backs; they sit
+            // out of the segment while the fan-out reads the network.
+            let mut held = std::mem::take(&mut net.segments[id.0].held);
+            let mut stats = SegmentStats {
+                busy: wire,
+                ..SegmentStats::default()
             };
             if dropped {
+                stats.wire_drops = 1;
+                ctx.trace_instant(Layer::Net, "wire_drop", &[("bytes", bytes)]);
+            } else {
+                stats.frames = 1;
+                stats.wire_bytes = bytes;
                 ctx.trace_instant(
                     Layer::Net,
-                    "wire_drop",
-                    &[("bytes", frame.wire_bytes() as u64)],
+                    "frame",
+                    &[("bytes", bytes), ("src", u64::from(frame.src.0))],
                 );
-                if held {
-                    self.release_held(ctx, id);
-                }
-                continue;
+                fan_out(ctx, net, id, &faults, &frame, &mut held, &mut stats);
             }
-            ctx.trace_instant(
-                Layer::Net,
-                "frame",
-                &[
-                    ("bytes", frame.wire_bytes() as u64),
-                    ("src", u64::from(frame.src.0)),
-                ],
-            );
-            // One fan-out: enqueue the frame on every reachable attachment
-            // first, then commit all receiver wakes in one batch below.
-            // Capture order == the old per-target send order, and only this
-            // daemon runs in between, so seq assignment, perturbation tie
-            // draws, and per-receiver pick order are bit-identical to
-            // unbatched delivery. Fault draws stay per delivery, in the
-            // same RNG order (reachability, rx-loss, reorder, dup).
-            for target in targets.drain(..) {
-                // Reachability first — purely deterministic, no RNG draws.
-                if let Some(m) = target.station() {
-                    if f.is_down(m) || f.is_partitioned(frame.src, m) {
-                        self.inner.lock().segments[id.0].stats.link_drops += 1;
-                        ctx.trace_instant(
-                            Layer::Net,
-                            "link_drop",
-                            &[("src", u64::from(frame.src.0)), ("dst", u64::from(m.0))],
-                        );
-                        continue;
-                    }
-                }
-                if f.rx_loss_prob > 0.0 && ctx.rand_bool(f.rx_loss_prob) {
-                    self.inner.lock().segments[id.0].stats.rx_drops += 1;
-                    ctx.trace_instant(Layer::Net, "rx_drop", &[("src", u64::from(frame.src.0))]);
-                    continue;
-                }
-                if f.reorder_prob > 0.0 && ctx.rand_bool(f.reorder_prob) {
-                    let span = f.reorder_span.max(1);
-                    let remaining = 1 + ctx.rand_range(span);
-                    let mut inner = self.inner.lock();
-                    let seg = &mut inner.segments[id.0];
-                    seg.stats.held_deliveries += 1;
-                    seg.held.push(HeldDelivery {
-                        remaining,
-                        to: target,
-                        frame: frame.clone(),
-                    });
-                    held = true;
-                    ctx.trace_instant(
-                        Layer::Net,
-                        "rx_held",
-                        &[("src", u64::from(frame.src.0)), ("frames", remaining)],
-                    );
-                    continue;
-                }
-                ctx.trace_instant(Layer::Net, "rx", &[("src", u64::from(frame.src.0))]);
-                wakes.extend(target.send_deferred(ctx, frame.clone()));
-                if f.dup_prob > 0.0 && ctx.rand_bool(f.dup_prob) {
-                    self.inner.lock().segments[id.0].stats.dup_deliveries += 1;
-                    ctx.trace_instant(Layer::Net, "rx_dup", &[("src", u64::from(frame.src.0))]);
-                    wakes.extend(target.send_deferred(ctx, frame.clone()));
-                }
-            }
-            if !wakes.is_empty() {
-                ctx.commit_wakes(wakes.drain(..));
-            }
-            // Only this daemon queues hold-backs on its segment, so with
-            // none outstanding and none added the release would be a no-op.
-            if held {
-                self.release_held(ctx, id);
-            }
-        }
-    }
-
-    /// Advances reorder hold-backs by one carried-or-dropped frame and
-    /// releases the deliveries whose countdown expired (in hold order). A
-    /// release re-checks reachability: a receiver that crashed or was
-    /// partitioned away while the frame was held loses it.
-    fn release_held(&self, ctx: &Ctx, id: SegmentId) {
-        let due: Vec<HeldDelivery> = {
-            let mut inner = self.inner.lock();
-            let seg = &mut inner.segments[id.0];
-            if seg.held.is_empty() {
-                return;
-            }
-            for h in &mut seg.held {
-                h.remaining -= 1;
-            }
-            let mut due = Vec::new();
-            seg.held.retain_mut(|h| {
-                if h.remaining == 0 {
-                    due.push(HeldDelivery {
-                        remaining: 0,
-                        to: h.to.clone(),
-                        frame: h.frame.clone(),
-                    });
-                    false
-                } else {
-                    true
-                }
-            });
-            due
-        };
-        let mut wakes: Vec<PendingWake> = Vec::new();
-        for h in due {
-            let unreachable = match h.to.station() {
-                Some(m) => {
-                    let f = self.faults.lock();
-                    f.is_down(m) || f.is_partitioned(h.frame.src, m)
-                }
-                None => false,
-            };
-            if unreachable {
-                self.inner.lock().segments[id.0].stats.link_drops += 1;
-                ctx.trace_instant(
-                    Layer::Net,
-                    "link_drop",
-                    &[("src", u64::from(h.frame.src.0))],
-                );
-                continue;
-            }
-            ctx.trace_instant(
-                Layer::Net,
-                "rx_release",
-                &[("src", u64::from(h.frame.src.0))],
-            );
-            wakes.extend(h.to.send_deferred(ctx, h.frame));
-        }
-        if !wakes.is_empty() {
-            ctx.commit_wakes(wakes);
+            let seg = &mut net.segments[id.0];
+            release_held(ctx, &seg.attachments, &faults, &mut held, &mut stats);
+            seg.held = held;
+            seg.stats.absorb(&stats);
         }
     }
 
@@ -938,19 +808,19 @@ impl Network {
 
     /// Floods a frame out of the ports `outs` names. Cross-lane sends go
     /// first (the link stamps arrival `switch_latency` from now), then the
-    /// port sleeps the hop and enqueues on its same-lane segments in one
-    /// batch, so every destination sees the frame at the same instant.
+    /// port sleeps the hop once and enqueues on each of its same-lane
+    /// segments, so every destination sees the frame at the same instant.
     fn flood(&self, ctx: &Ctx, port: &SwitchPort, outs: &[SegmentId], frame: &Frame) {
-        let targets: Vec<&PortLink> = port
-            .links
-            .iter()
-            .filter(|(s, _)| outs.contains(s))
-            .map(|(_, l)| l)
-            .collect();
+        let targets = || {
+            port.links
+                .iter()
+                .filter(|(s, _)| outs.contains(s))
+                .map(|(_, l)| l)
+        };
         let hop = self.cfg.switch_latency;
         ctx.charge(Layer::Net, On::Off, &[("switch_hop", hop)]);
         let mut any_local = false;
-        for link in &targets {
+        for link in targets() {
             match link {
                 PortLink::Cross(x) => x.send(ctx, frame.clone()),
                 PortLink::Local(_) => any_local = true,
@@ -958,18 +828,118 @@ impl Network {
         }
         if any_local {
             ctx.sleep(hop);
-            let mut wakes: Vec<PendingWake> = Vec::new();
-            for link in &targets {
+            for link in targets() {
                 if let PortLink::Local(tx) = link {
-                    if let Ok(Some(w)) = tx.send_deferred(ctx, frame.clone()) {
-                        wakes.push(w);
-                    }
+                    let _ = tx.send(ctx, frame.clone());
                 }
             }
-            if !wakes.is_empty() {
-                ctx.commit_wakes(wakes);
+        }
+    }
+}
+
+/// Hands a frame carried on segment `id` to every attachment it reaches,
+/// in one pass in attach order. For each attachment: addressing (a
+/// station) or the switch route (a port), then reachability (a station;
+/// no draw), then the rx-loss, reorder and dup draws, then a plain channel
+/// send. A delivery held for reordering joins `held`; per-receiver drops,
+/// holds and duplicates are counted into `stats`.
+fn fan_out(
+    ctx: &Ctx,
+    net: &NetInner,
+    id: SegmentId,
+    faults: &FaultState,
+    frame: &Frame,
+    held: &mut Vec<HeldDelivery>,
+    stats: &mut SegmentStats,
+) {
+    let src = u64::from(frame.src.0);
+    for (to, a) in net.segments[id.0].attachments.iter().enumerate() {
+        let route = match a {
+            Attachment::Station { mac, groups, .. } => {
+                let addressed = match frame.dst {
+                    Dest::Unicast(m) => *mac == m,
+                    Dest::Multicast(g) => groups.contains(&g),
+                    Dest::Broadcast => true,
+                };
+                // No self-delivery.
+                if !addressed || *mac == frame.src {
+                    continue;
+                }
+                // Reachability first: deterministic, no draw.
+                if faults.is_down(*mac) || faults.is_partitioned(frame.src, *mac) {
+                    stats.link_drops += 1;
+                    ctx.trace_instant(
+                        Layer::Net,
+                        "link_drop",
+                        &[("src", src), ("dst", u64::from(mac.0))],
+                    );
+                    continue;
+                }
+                None
+            }
+            Attachment::Port { spec, .. } => match spec.route(net, frame) {
+                None => continue,
+                route => route,
+            },
+        };
+        if faults.rx_loss_prob > 0.0 && ctx.rand_bool(faults.rx_loss_prob) {
+            stats.rx_drops += 1;
+            ctx.trace_instant(Layer::Net, "rx_drop", &[("src", src)]);
+            continue;
+        }
+        if faults.reorder_prob > 0.0 && ctx.rand_bool(faults.reorder_prob) {
+            let remaining = 1 + ctx.rand_range(faults.reorder_span.max(1));
+            stats.held_deliveries += 1;
+            held.push(HeldDelivery {
+                remaining,
+                to,
+                route,
+                frame: frame.clone(),
+            });
+            ctx.trace_instant(
+                Layer::Net,
+                "rx_held",
+                &[("src", src), ("frames", remaining)],
+            );
+            continue;
+        }
+        ctx.trace_instant(Layer::Net, "rx", &[("src", src)]);
+        a.send(ctx, route.clone(), frame.clone());
+        if faults.dup_prob > 0.0 && ctx.rand_bool(faults.dup_prob) {
+            stats.dup_deliveries += 1;
+            ctx.trace_instant(Layer::Net, "rx_dup", &[("src", src)]);
+            a.send(ctx, route, frame.clone());
+        }
+    }
+}
+
+/// Advances a segment's reorder hold-backs by one carried-or-dropped frame
+/// and moves out and sends the deliveries whose countdown expired, in hold
+/// order. A release re-checks reachability: a receiver that crashed or was
+/// partitioned away while the frame was held loses it (`link_drops`).
+fn release_held(
+    ctx: &Ctx,
+    attachments: &[Attachment],
+    faults: &FaultState,
+    held: &mut Vec<HeldDelivery>,
+    stats: &mut SegmentStats,
+) {
+    let due = held.extract_if(.., |h| {
+        h.remaining -= 1;
+        h.remaining == 0
+    });
+    for h in due {
+        let to = &attachments[h.to];
+        let src = u64::from(h.frame.src.0);
+        if let Attachment::Station { mac, .. } = to {
+            if faults.is_down(*mac) || faults.is_partitioned(h.frame.src, *mac) {
+                stats.link_drops += 1;
+                ctx.trace_instant(Layer::Net, "link_drop", &[("src", src)]);
+                continue;
             }
         }
+        ctx.trace_instant(Layer::Net, "rx_release", &[("src", src)]);
+        to.send(ctx, h.route, h.frame);
     }
 }
 

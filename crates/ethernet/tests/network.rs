@@ -6,7 +6,8 @@ use std::sync::Arc;
 use bytes::Bytes;
 use desim::{us, LaneId, SimChannel, SimTime, Simulation};
 use ethernet::{
-    Dest, GilbertElliott, MacAddr, McastAddr, NetConfig, Network, FRAME_OVERHEAD_BYTES,
+    Dest, FaultState, GilbertElliott, MacAddr, McastAddr, NetConfig, Network, SegmentStats,
+    FRAME_OVERHEAD_BYTES,
 };
 use parking_lot::Mutex;
 
@@ -627,4 +628,239 @@ fn gilbert_panics_on_multi_lane_network() {
         a.send(ctx, Dest::Unicast(MacAddr(1)), payload(10));
     });
     let _ = sim.run();
+}
+
+// --- Per-delivery fault paths -------------------------------------------
+//
+// `fault_world` is one segment where station 0 sends and stations 1..=3
+// receive. Each test asserts every arrival instant and every
+// `SegmentStats` counter.
+
+/// The multicast group of [`fault_world`].
+const G: McastAddr = McastAddr(4);
+
+/// Wire time of one [`tagged`] frame: 100 payload bytes plus framing at
+/// 10 Mbit/s.
+const WIRE_NS: u64 = (100 + FRAME_OVERHEAD_BYTES) as u64 * 800;
+
+/// A 100-byte payload whose every byte is `tag`.
+fn tagged(tag: u8) -> Bytes {
+    Bytes::from(vec![tag; 100])
+}
+
+/// `(station, payload tag, arrival ns)` of every frame stations 1..=3
+/// received, in the order their receivers ran.
+type TaggedLog = Vec<(u32, u8, u64)>;
+
+/// Runs `script` on station 0's machine in a world seeded `seed`, where
+/// the stations in `members` have joined [`G`]. Returns the arrival log and
+/// the segment's counters once every daemon has parked. `script` gets the
+/// sender's NIC and the network's fault knobs.
+fn fault_world(
+    seed: u64,
+    members: &[u32],
+    script: impl FnOnce(&desim::Ctx, &ethernet::Nic, &Mutex<FaultState>) + Send + 'static,
+) -> (TaggedLog, SegmentStats) {
+    let mut sim = Simulation::new(seed);
+    let mut net = Network::new(NetConfig::default());
+    let seg = net.add_segment(&mut sim, "s0");
+    let a = net.attach(MacAddr(0), seg);
+    let m = sim.add_processor("m0");
+    let log = Arc::new(Mutex::new(Vec::new()));
+    for i in 1..=3 {
+        let nic = net.attach(MacAddr(i), seg);
+        if members.contains(&i) {
+            nic.join_group(G);
+        }
+        let log = Arc::clone(&log);
+        sim.spawn_daemon(m, &format!("rx{i}"), move |ctx| {
+            while let Some(f) = nic.rx().recv(ctx) {
+                log.lock().push((i, f.payload[0], ctx.now().as_nanos()));
+            }
+        });
+    }
+    let faults = net.faults();
+    sim.spawn(m, "script", move |ctx| script(ctx, &a, &faults));
+    sim.run().expect("run");
+    let log = log.lock().clone();
+    (log, net.segment_stats(seg))
+}
+
+/// Counters of `frames` carried and `wire_drops` lost [`tagged`] frames.
+fn wire_stats(frames: u64, wire_drops: u64) -> SegmentStats {
+    let wire_bytes = frames * (100 + FRAME_OVERHEAD_BYTES) as u64;
+    SegmentStats {
+        frames,
+        wire_bytes,
+        busy: desim::SimDuration::from_nanos((frames + wire_drops) * WIRE_NS),
+        wire_drops,
+        ..SegmentStats::default()
+    }
+}
+
+/// The seed [`held_twice`] runs under: its first reorder draw holds the
+/// delivery for two frames, so the next carried or dropped frame releases
+/// it (`1 + rand_range(2)` draws 2; a hold of 1 would release within the
+/// carrying frame).
+const TWO_FRAME_HOLD_SEED: u64 = 1;
+
+/// Station 0 unicasts tag 1 to station 1 with every delivery held
+/// (`reorder_span = 2`), waits out its wire time, switches reordering off,
+/// runs `between`, then sends tag 2 to `second_to`. The second frame's wire
+/// ends at 200 µs + [`WIRE_NS`].
+fn held_twice(
+    second_to: u32,
+    between: impl FnOnce(&mut FaultState) + Send + 'static,
+) -> (TaggedLog, SegmentStats) {
+    fault_world(TWO_FRAME_HOLD_SEED, &[], move |ctx, a, faults| {
+        {
+            let mut f = faults.lock();
+            f.reorder_prob = 1.0;
+            f.reorder_span = 2;
+        }
+        a.send(ctx, Dest::Unicast(MacAddr(1)), tagged(1));
+        ctx.sleep(us(200));
+        {
+            let mut f = faults.lock();
+            f.reorder_prob = 0.0;
+            between(&mut f);
+        }
+        a.send(ctx, Dest::Unicast(MacAddr(second_to)), tagged(2));
+    })
+}
+
+#[test]
+fn dup_prob_one_delivers_each_member_the_frame_twice() {
+    let (log, stats) = fault_world(1, &[1, 2], |ctx, a, faults| {
+        faults.lock().dup_prob = 1.0;
+        a.send(ctx, Dest::Multicast(G), tagged(1));
+    });
+    let w = WIRE_NS;
+    assert_eq!(log, [(1, 1, w), (1, 1, w), (2, 1, w), (2, 1, w)]);
+    let want = SegmentStats {
+        dup_deliveries: 2,
+        ..wire_stats(1, 0)
+    };
+    assert_eq!(stats, want);
+}
+
+#[test]
+fn rx_loss_prob_one_drops_every_member_delivery() {
+    let (log, stats) = fault_world(1, &[1, 2, 3], |ctx, a, faults| {
+        faults.lock().rx_loss_prob = 1.0;
+        a.send(ctx, Dest::Multicast(G), tagged(1));
+    });
+    assert_eq!(log, []);
+    let want = SegmentStats {
+        rx_drops: 3,
+        ..wire_stats(1, 0)
+    };
+    assert_eq!(stats, want);
+}
+
+#[test]
+fn one_frame_hold_releases_within_the_carrying_frame() {
+    // A hold counts the frame that carried it: with `reorder_span = 1`
+    // every delivery is released at that frame's own wire end, in hold
+    // order.
+    let (log, stats) = fault_world(1, &[1, 2], |ctx, a, faults| {
+        {
+            let mut f = faults.lock();
+            f.reorder_prob = 1.0;
+            f.reorder_span = 1;
+        }
+        a.send(ctx, Dest::Multicast(G), tagged(1));
+        a.send(ctx, Dest::Multicast(G), tagged(2));
+    });
+    let (w1, w2) = (WIRE_NS, 2 * WIRE_NS);
+    assert_eq!(log, [(1, 1, w1), (2, 1, w1), (1, 2, w2), (2, 2, w2)]);
+    let want = SegmentStats {
+        held_deliveries: 4,
+        ..wire_stats(2, 0)
+    };
+    assert_eq!(stats, want);
+}
+
+#[test]
+fn held_delivery_arrives_behind_the_next_carried_frame() {
+    let (log, stats) = held_twice(1, |_| {});
+    let at = 200_000 + WIRE_NS;
+    assert_eq!(log, [(1, 2, at), (1, 1, at)], "the held frame is overtaken");
+    let want = SegmentStats {
+        held_deliveries: 1,
+        ..wire_stats(2, 0)
+    };
+    assert_eq!(stats, want);
+}
+
+#[test]
+fn wire_dropped_frame_advances_the_hold_countdown() {
+    let (log, stats) = held_twice(1, |f| f.force_drop_next = 1);
+    assert_eq!(log, [(1, 1, 200_000 + WIRE_NS)]);
+    let want = SegmentStats {
+        held_deliveries: 1,
+        ..wire_stats(1, 1)
+    };
+    assert_eq!(stats, want);
+}
+
+#[test]
+fn receiver_crashed_while_held_loses_the_delivery_at_release() {
+    let (log, stats) = held_twice(2, |f| f.crash(MacAddr(1)));
+    assert_eq!(log, [(2, 2, 200_000 + WIRE_NS)]);
+    let want = SegmentStats {
+        held_deliveries: 1,
+        link_drops: 1,
+        ..wire_stats(2, 0)
+    };
+    assert_eq!(stats, want);
+}
+
+#[test]
+fn partitioned_member_is_skipped_while_the_others_receive() {
+    let (log, stats) = fault_world(1, &[1, 2, 3], |ctx, a, faults| {
+        faults.lock().partition(MacAddr(0), MacAddr(2));
+        a.send(ctx, Dest::Multicast(G), tagged(1));
+    });
+    let w = WIRE_NS;
+    assert_eq!(log, [(1, 1, w), (3, 1, w)]);
+    let want = SegmentStats {
+        link_drops: 1,
+        ..wire_stats(1, 0)
+    };
+    assert_eq!(stats, want);
+}
+
+#[test]
+fn held_delivery_to_a_switch_port_keeps_its_route() {
+    let mut sim = Simulation::new(1);
+    let mut net = Network::new(NetConfig::default());
+    let s0 = net.add_segment(&mut sim, "s0");
+    let s1 = net.add_segment(&mut sim, "s1");
+    net.add_switch(&mut sim, &[s0, s1], "sw");
+    let a = net.attach(MacAddr(0), s0);
+    let b = net.attach(MacAddr(1), s1);
+    {
+        let faults = net.faults();
+        let mut f = faults.lock();
+        f.reorder_prob = 1.0;
+        f.reorder_span = 1;
+    }
+    let m = sim.add_processor("m");
+    sim.spawn(m, "send", move |ctx| {
+        a.send(ctx, Dest::Unicast(MacAddr(1)), tagged(1));
+    });
+    let h = sim.spawn(m, "check", move |ctx| {
+        let f = b.rx().recv(ctx).expect("forwarded after its hold");
+        assert_eq!(f.payload[0], 1);
+        assert_eq!(ctx.now().as_nanos(), 2 * WIRE_NS + 30_000);
+    });
+    sim.run_until_finished(&h).expect("run");
+    // On s0 the port's delivery was held, on s1 the station's.
+    let want = SegmentStats {
+        held_deliveries: 1,
+        ..wire_stats(1, 0)
+    };
+    assert_eq!(net.segment_stats(s0), want);
+    assert_eq!(net.segment_stats(s1), want);
 }
