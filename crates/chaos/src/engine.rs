@@ -193,7 +193,10 @@ fn run_chaos_inner(cfg: &ChaosConfig) -> ChaosOutcome {
     if let Some(ps) = cfg.plan.sched_perturb {
         sim.set_schedule_perturbation(ps);
     }
-    sim.enable_tracing_with_capacity(1 << 15);
+    // Every check and the trace hash read counters; only the CHAOS_DUMP
+    // debugging aid (`=<layer|all>`) reads events, so only it gets a ring.
+    let dump = std::env::var("CHAOS_DUMP").ok();
+    sim.enable_tracing_with_capacity(if dump.is_some() { 1 << 15 } else { 0 });
     sim.set_max_events(5_000_000);
 
     let world = testutil::boot_machines(&mut sim, cfg.stack.n_machines(N_NODES));
@@ -348,6 +351,7 @@ fn run_chaos_inner(cfg: &ChaosConfig) -> ChaosOutcome {
             .collect(),
         counters: sim.trace_counters(),
         events: sim.take_trace_events(),
+        clock_violation: sim.trace_clock_violation(),
         stats: net.total_stats(),
         held_pending: net.held_pending(),
         partitions_left,
@@ -361,8 +365,7 @@ fn run_chaos_inner(cfg: &ChaosConfig) -> ChaosOutcome {
     };
     let violations = invariants::check(&art);
 
-    // Debugging aid: CHAOS_DUMP=<layer|all> prints the run's trace events.
-    if let Ok(filter) = std::env::var("CHAOS_DUMP") {
+    if let Some(filter) = dump {
         for e in &art.events {
             let layer = e.layer.to_string();
             if filter == "all" || layer.eq_ignore_ascii_case(&filter) {

@@ -6,8 +6,8 @@
 
 use std::collections::HashMap;
 
-use desim::trace::{CounterSnapshot, Layer, TraceEvent};
-use desim::{ProcId, SimDuration, SimError, SimReport};
+use desim::trace::{ClockViolation, CounterSnapshot, Layer, TraceEvent};
+use desim::{SimDuration, SimError, SimReport};
 use ethernet::SegmentStats;
 
 /// How one RPC call ended, from the client's point of view.
@@ -34,8 +34,12 @@ pub struct RunArtifacts {
     pub deliveries: Vec<Vec<u64>>,
     /// Aggregate trace counters.
     pub counters: Vec<CounterSnapshot>,
-    /// Ring-buffer snapshot of trace events (most recent window).
+    /// Ring-buffer snapshot of trace events (most recent window). Filled
+    /// only when the run asked for a ring (`CHAOS_DUMP`); empty otherwise.
+    /// No check reads it.
     pub events: Vec<TraceEvent>,
+    /// The first traced event that ran its processor's clock backwards.
+    pub clock_violation: Option<ClockViolation>,
     /// Network counters summed over all segments.
     pub stats: SegmentStats,
     /// Reorder hold-backs never released (still in flight at the end).
@@ -79,27 +83,6 @@ pub(crate) fn recovery_traffic(counters: &[CounterSnapshot]) -> u64 {
     .into_iter()
     .map(|(layer, name)| counter(counters, layer, name))
     .sum()
-}
-
-/// The first event that runs its processor's clock backwards, rendered as
-/// a violation. A world has a handful of processors, so the last time per
-/// processor lives in a short list scanned linearly.
-fn clock_violation(events: &[TraceEvent]) -> Option<String> {
-    let mut last: Vec<(ProcId, u64)> = Vec::new();
-    for e in events {
-        let t = e.time.duration_since(desim::SimTime::ZERO).as_nanos();
-        match last.iter_mut().find(|(p, _)| *p == e.proc) {
-            Some((_, prev)) if t < *prev => {
-                return Some(format!(
-                    "clock ran backwards on {}: {} -> {} ns at {}/{}",
-                    e.proc, prev, t, e.layer, e.name
-                ));
-            }
-            Some((_, prev)) => *prev = t,
-            None => last.push((e.proc, t)),
-        }
-    }
-    None
 }
 
 /// Runs every invariant check; returns the violations found (empty = pass).
@@ -194,11 +177,19 @@ pub fn check(art: &RunArtifacts) -> Vec<String> {
         }
     }
 
-    // 4. Per-processor clock monotonicity over the trace window: the ring
-    //    buffer holds events in emission order, and emission order must
-    //    never run backwards on any one processor.
-    if let Some(backwards) = clock_violation(&art.events) {
-        v.push(backwards);
+    // 4. Per-processor clock monotonicity over every traced event: the
+    //    tracer checks each event against its processor's last instant as
+    //    it records it, and emission order must never run backwards on any
+    //    one processor.
+    if let Some(c) = art.clock_violation {
+        v.push(format!(
+            "clock ran backwards on {}: {} -> {} ns at {}/{}",
+            c.proc,
+            c.prev.as_nanos(),
+            c.at.as_nanos(),
+            c.layer,
+            c.name
+        ));
     }
 
     // 5. Frame conservation: every transmitted frame is accounted for —
@@ -299,23 +290,22 @@ pub fn check(art: &RunArtifacts) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use desim::trace::{ArgVec, Phase};
-    use desim::{SimTime, Simulation, ThreadId};
+    use desim::{ProcId, SimTime, Simulation};
 
-    /// Artifacts of a run that passes every check but the clock check,
-    /// carrying `events` (built by `trace`) as its trace window.
-    fn artifacts(trace: impl FnOnce([ProcId; 3], ThreadId) -> Vec<TraceEvent>) -> RunArtifacts {
+    /// Artifacts of a run on processors `m0..m2` that passes every check.
+    fn artifacts() -> (RunArtifacts, [ProcId; 3]) {
         let mut sim = Simulation::new(1);
         let procs = ["m0", "m1", "m2"].map(|name| sim.add_processor(name));
-        let thread = sim.spawn(procs[0], "t", |_| {}).id();
+        sim.spawn(procs[0], "t", |_| {});
         let sim_result = sim.run();
-        RunArtifacts {
+        let art = RunArtifacts {
             executions: HashMap::new(),
             rpc_outcomes: Vec::new(),
             send_failures: Vec::new(),
             deliveries: Vec::new(),
             counters: Vec::new(),
-            events: trace(procs, thread),
+            events: Vec::new(),
+            clock_violation: None,
             stats: SegmentStats::default(),
             held_pending: 0,
             partitions_left: 0,
@@ -326,48 +316,13 @@ mod tests {
             plan_is_null: false,
             max_virtual: SimDuration::from_millis(1),
             sim_result,
-        }
-    }
-
-    /// `(processor index, ns)` pairs as events in that emission order.
-    fn events(procs: [ProcId; 3], thread: ThreadId, at: &[(usize, u64)]) -> Vec<TraceEvent> {
-        at.iter()
-            .map(|&(p, ns)| TraceEvent {
-                time: SimTime::ZERO + SimDuration::from_nanos(ns),
-                proc: procs[p],
-                thread,
-                layer: Layer::Rpc,
-                phase: Phase::Instant,
-                name: "tx",
-                args: ArgVec::from_slice(&[]),
-            })
-            .collect()
-    }
-
-    /// Each processor's clock is monotone, the interleaving is not.
-    const INTERLEAVED: [(usize, u64); 7] = [
-        (0, 100),
-        (1, 50),
-        (2, 10),
-        (0, 100),
-        (1, 60),
-        (2, 200),
-        (0, 150),
-    ];
-
-    #[test]
-    fn interleaved_monotone_processors_pass() {
-        let art = artifacts(|procs, thread| events(procs, thread, &INTERLEAVED));
-        assert_eq!(check(&art), Vec::<String>::new());
+        };
+        (art, procs)
     }
 
     #[test]
     fn a_resync_round_on_a_null_plan_is_a_violation() {
-        let mut on = Vec::new();
-        let mut art = artifacts(|procs, thread| {
-            on.extend(procs);
-            events(procs, thread, &INTERLEAVED)
-        });
+        let (mut art, on) = artifacts();
         art.plan_is_null = true;
         assert_eq!(check(&art), Vec::<String>::new());
         let resync = |proc| CounterSnapshot {
@@ -386,10 +341,13 @@ mod tests {
 
     #[test]
     fn one_backwards_event_is_one_violation() {
-        let art = artifacts(|procs, thread| {
-            let mut at = INTERLEAVED.to_vec();
-            at.extend([(1, 40), (2, 300), (1, 70)]);
-            events(procs, thread, &at)
+        let (mut art, on) = artifacts();
+        art.clock_violation = Some(ClockViolation {
+            proc: on[1],
+            prev: SimTime::from_nanos(60),
+            at: SimTime::from_nanos(40),
+            layer: Layer::Rpc,
+            name: "tx",
         });
         assert_eq!(
             check(&art),

@@ -84,4 +84,4 @@ pub use sim::{
 };
 pub use sync::{SimMutex, SimMutexGuard};
 pub use time::{ms, secs, us, SimDuration, SimTime};
-pub use trace::{CounterSnapshot, Layer, Phase, TraceEvent};
+pub use trace::{ClockViolation, CounterSnapshot, Layer, Phase, TraceEvent};

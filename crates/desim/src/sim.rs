@@ -19,7 +19,7 @@ use crate::ctx::Ctx;
 use crate::queue::QueueStats;
 use crate::shard::{self, LaneId, LaneSlot, LinkTable, ShardCount, WindowGate, XSender};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{CounterSnapshot, TraceEvent, Tracer};
+use crate::trace::{ClockViolation, CounterSnapshot, TraceEvent, Tracer};
 
 /// Errors reported by [`Simulation::run`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -921,7 +921,10 @@ impl Simulation {
     }
 
     /// Starts structured tracing, keeping at most `cap` most-recent events
-    /// (per lane, on a multi-lane simulation).
+    /// (per lane, on a multi-lane simulation). A `cap` of 0 keeps counters
+    /// and the clock check ([`Simulation::trace_clock_violation`]) but no
+    /// ring: no event is stored, [`Simulation::trace_events`] stays empty
+    /// and [`Simulation::trace_dropped`] stays 0.
     pub fn enable_tracing_with_capacity(&mut self, cap: usize) {
         self.tracing_cap = Some(cap);
         for core in self.lanes.iter() {
@@ -977,7 +980,8 @@ impl Simulation {
     }
 
     /// Number of events evicted from the ring buffers so far, summed over
-    /// lanes (each lane keeps its own ring).
+    /// lanes (each lane keeps its own ring). Only a ring that exists evicts:
+    /// with a capacity of 0 this reads 0 however many events were counted.
     pub fn trace_dropped(&self) -> u64 {
         self.lanes
             .iter()
@@ -989,6 +993,19 @@ impl Simulation {
                     .map_or(0, Tracer::dropped)
             })
             .sum()
+    }
+
+    /// The first traced event that ran its processor's clock backwards, if
+    /// any: every event is checked as it is recorded, whether or not a ring
+    /// keeps it. Lanes are searched in order; the `ProcId` names the lane.
+    pub fn trace_clock_violation(&self) -> Option<ClockViolation> {
+        self.lanes.iter().find_map(|c| {
+            c.state
+                .borrow_mut()
+                .tracer
+                .as_ref()
+                .and_then(Tracer::clock_violation)
+        })
     }
 
     /// Serializes currently buffered events as chrome://tracing JSON

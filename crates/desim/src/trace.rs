@@ -2,11 +2,13 @@
 //!
 //! Every layer of the simulated stack — scheduler, Ethernet, FLIP, the RPC
 //! and group protocols, the Orca runtime — can emit [`TraceEvent`]s stamped
-//! with the virtual clock, the emitting thread, and its processor. Events
-//! land in a bounded ring buffer and simultaneously feed per-processor /
-//! per-layer [`CounterSnapshot`]s, so a run can be inspected either as a
-//! timeline (see [`chrome_trace_json`]) or as aggregate protocol statistics
-//! (retransmits, duplicates, per-category cost totals).
+//! with the virtual clock, the emitting thread, and its processor. Every
+//! event feeds per-processor / per-layer [`CounterSnapshot`]s and a
+//! per-processor clock check ([`ClockViolation`]); a bounded ring buffer
+//! keeps the most recent events too, unless its capacity is 0
+//! (counters only). A run can thus be inspected either as a timeline (see
+//! [`chrome_trace_json`]) or as aggregate protocol statistics (retransmits,
+//! duplicates, per-category cost totals).
 //!
 //! Tracing is **zero-cost in virtual time by construction**: emission never
 //! sleeps, computes, draws randomness, or schedules wakes, so the virtual
@@ -240,21 +242,44 @@ impl Hasher for WordHasher {
     }
 }
 
-/// The collector: bounded ring buffer plus counters.
+/// The first event that ran its processor's clock backwards: emitted at
+/// `at`, after an earlier event on the same processor at `prev`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ClockViolation {
+    /// Processor whose clock ran backwards.
+    pub proc: ProcId,
+    /// Instant of the processor's previous event.
+    pub prev: SimTime,
+    /// Instant of the offending event, earlier than `prev`.
+    pub at: SimTime,
+    /// Layer of the offending event.
+    pub layer: Layer,
+    /// Name of the offending event.
+    pub name: &'static str,
+}
+
+/// The collector: counters, a per-processor clock check, and a bounded
+/// ring of events when its capacity is not 0.
 pub(crate) struct Tracer {
     ring: VecDeque<TraceEvent>,
+    /// Ring capacity; 0 keeps no ring.
     cap: usize,
     dropped: u64,
     counters: HashMap<(ProcId, Layer, Site), CounterCell, BuildHasherDefault<WordHasher>>,
+    /// Instant of each processor's last event, indexed by processor index.
+    last: Vec<SimTime>,
+    clock_violation: Option<ClockViolation>,
 }
 
 impl Tracer {
     pub(crate) fn new(cap: usize) -> Tracer {
         Tracer {
             ring: VecDeque::new(),
-            cap: cap.max(1),
+            cap,
             dropped: 0,
             counters: HashMap::default(),
+            last: Vec::new(),
+            clock_violation: None,
         }
     }
 
@@ -265,11 +290,32 @@ impl Tracer {
             .or_default();
         cell.count += 1;
         cell.total += ev.args.as_slice().first().map_or(0, |(_, v)| *v);
+        let i = ev.proc.index();
+        if i >= self.last.len() {
+            self.last.resize(i + 1, SimTime::ZERO);
+        }
+        let prev = std::mem::replace(&mut self.last[i], ev.time);
+        if ev.time < prev && self.clock_violation.is_none() {
+            self.clock_violation = Some(ClockViolation {
+                proc: ev.proc,
+                prev,
+                at: ev.time,
+                layer: ev.layer,
+                name: ev.name,
+            });
+        }
+        if self.cap == 0 {
+            return;
+        }
         if self.ring.len() == self.cap {
             self.ring.pop_front();
             self.dropped += 1;
         }
         self.ring.push_back(ev);
+    }
+
+    pub(crate) fn clock_violation(&self) -> Option<ClockViolation> {
+        self.clock_violation
     }
 
     /// Hands over the ring's own buffer (oldest first) instead of copying
@@ -471,6 +517,119 @@ mod tests {
         assert_eq!((counters[0].count, counters[0].total), (1, 1));
         assert_eq!(counters[1].name, "send");
         assert_eq!((counters[1].count, counters[1].total), (3, 35));
+    }
+
+    /// `counters()` against a reference model — a plain map keyed by text,
+    /// which sorts and merges by construction — over random streams that
+    /// mix sparse processor indices, one name in two layers, one text at
+    /// two addresses, and first arguments of 0 or none at all.
+    #[test]
+    fn counters_match_a_text_keyed_reference_model() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        use std::collections::BTreeMap;
+
+        let other_send: &'static str = String::from("send").leak();
+        let names = ["send", other_send, "recv", "retransmit", "switch"];
+        let layers = [Layer::Rpc, Layer::Group, Layer::Sched];
+        let procs = [0, 3, 9, 40].map(|i| ProcId::new(crate::LaneId::ZERO, i));
+        fn pick<T: Copy>(rng: &mut SmallRng, from: &[T]) -> T {
+            from[rng.random_range(0..from.len() as u64) as usize]
+        }
+        for seed in 0..16 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let n = rng.random_range(0..400);
+            let stream: Vec<TraceEvent> = (0..n)
+                .map(|t| {
+                    let args = match rng.random_range(0..3) {
+                        0 => ArgVec::from_slice(&[]),
+                        1 => ArgVec::from_slice(&[("ns", 0), ("x", 7)]),
+                        _ => ArgVec::from_slice(&[("ns", rng.random_range(1..1_000))]),
+                    };
+                    TraceEvent {
+                        time: SimTime::from_nanos(t),
+                        proc: pick(&mut rng, &procs),
+                        thread: ThreadId(1),
+                        layer: pick(&mut rng, &layers),
+                        phase: Phase::Instant,
+                        name: pick(&mut rng, &names),
+                        args,
+                    }
+                })
+                .collect();
+            let mut model: BTreeMap<(ProcId, Layer, &str), (u64, u64)> = BTreeMap::new();
+            for e in &stream {
+                let cell = model.entry((e.proc, e.layer, e.name)).or_default();
+                cell.0 += 1;
+                cell.1 += e.args.as_slice().first().map_or(0, |(_, v)| *v);
+            }
+            let want: Vec<CounterSnapshot> = model
+                .into_iter()
+                .map(|((proc, layer, name), (count, total))| CounterSnapshot {
+                    proc,
+                    layer,
+                    name,
+                    count,
+                    total,
+                })
+                .collect();
+            for cap in [0usize, 1, 8] {
+                let mut tr = Tracer::new(cap);
+                stream.iter().cloned().for_each(|e| tr.record(e));
+                assert_eq!(tr.counters(), want, "seed {seed}, ring capacity {cap}");
+                // A ring of capacity 0 does not exist, so it evicts nothing.
+                let kept = (n as usize).min(cap);
+                let dropped = if cap == 0 { 0 } else { n - kept as u64 };
+                assert_eq!(tr.dropped(), dropped, "seed {seed}, cap {cap}");
+                assert_eq!(tr.snapshot(), stream[n as usize - kept..], "seed {seed}");
+            }
+        }
+    }
+
+    /// `(processor index, ns)` pairs recorded in that emission order.
+    fn clock_run(at: &[(usize, u64)]) -> Tracer {
+        let mut tr = Tracer::new(0);
+        for &(p, ns) in at {
+            tr.record(TraceEvent {
+                proc: ProcId::new(crate::LaneId::ZERO, p),
+                layer: Layer::Rpc,
+                ..ev(ns, "tx", Phase::Instant, 0)
+            });
+        }
+        tr
+    }
+
+    /// Each processor's clock is monotone, the interleaving is not.
+    const INTERLEAVED: [(usize, u64); 7] = [
+        (0, 100),
+        (1, 50),
+        (2, 10),
+        (0, 100),
+        (1, 60),
+        (2, 200),
+        (0, 150),
+    ];
+
+    #[test]
+    fn interleaved_monotone_processors_pass_the_clock_check() {
+        assert_eq!(clock_run(&INTERLEAVED).clock_violation(), None);
+    }
+
+    /// The first backwards event is kept; later ones do not replace it.
+    #[test]
+    fn one_backwards_event_is_the_clock_violation() {
+        let mut at = INTERLEAVED.to_vec();
+        at.extend([(1, 40), (2, 300), (1, 70), (2, 30)]);
+        assert_eq!(
+            clock_run(&at).clock_violation(),
+            Some(ClockViolation {
+                proc: ProcId::new(crate::LaneId::ZERO, 1),
+                prev: SimTime::from_nanos(60),
+                at: SimTime::from_nanos(40),
+                layer: Layer::Rpc,
+                name: "tx",
+            })
+        );
     }
 
     #[test]

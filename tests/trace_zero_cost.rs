@@ -4,6 +4,8 @@
 //!   measured latency by a single nanosecond, and the Table 1 numbers with
 //!   tracing off are bit-identical to the values recorded in EXPERIMENTS.md
 //!   before the tracing layer existed;
+//! - counters-only tracing (a ring of capacity 0) is zero-cost too and
+//!   counts exactly what a full ring's run counts;
 //! - the chrome://tracing export is valid JSON carrying events from at
 //!   least four layers of the stack;
 //! - the trace-derived Section 4 budget agrees with the `ablation` bench's
@@ -14,8 +16,12 @@ use apps::paper::{
     budget_total, derive_budget, group_latency, group_span, group_trace, group_world, rpc_latency,
     rpc_span, rpc_trace, rpc_world, RpcTraceRun, TABLE1_ITERS,
 };
+use bytes::Bytes;
 use desim::{SimDuration, SimTime, Simulation};
-use panda::world::Stack;
+use ethernet::TopologySpec;
+use panda::world::{boot, build_stack, Stack};
+use panda::PandaConfig;
+use std::sync::Arc;
 
 /// The Table 1 RPC and group worlds, traced and untraced, measure the same
 /// virtual time to the nanosecond.
@@ -39,6 +45,58 @@ fn tracing_is_zero_cost_in_virtual_time() {
                 "group {stack:?} @ {size}: tracing must not move the virtual clock"
             );
         }
+    }
+}
+
+/// [`rpc_world`]'s null-RPC world (route warmup, then [`TABLE1_ITERS`]
+/// calls), traced with a ring of `cap` events or untraced (`None`).
+fn null_rpc_world(stack: Stack, cap: Option<usize>) -> Simulation {
+    let mut sim = Simulation::new(43);
+    if let Some(cap) = cap {
+        sim.enable_tracing_with_capacity(cap);
+    }
+    let n = stack.n_machines(2);
+    let world = boot(&mut sim, &TopologySpec::flat(n, n), CostModel::default());
+    let nodes = build_stack(&mut sim, &world.machines, stack, &PandaConfig::default());
+    let replier = Arc::clone(&nodes[1]);
+    nodes[1].set_rpc_handler(Arc::new(move |ctx, _from, _req, ticket| {
+        replier.reply(ctx, ticket, Bytes::new());
+    }));
+    for n in &nodes {
+        n.set_group_handler(Arc::new(|_, _| {}));
+    }
+    nodes[0].set_rpc_handler(Arc::new(|_, _, _, _| {}));
+    let client = Arc::clone(&nodes[0]);
+    let h = sim.spawn(world.machines[0].proc(), "client", move |ctx| {
+        for _ in 0..=TABLE1_ITERS {
+            client.rpc(ctx, 1, Bytes::new()).expect("rpc");
+        }
+    });
+    sim.run_until_finished(&h).expect("rpc bench completes");
+    sim
+}
+
+/// A ring of capacity 0 keeps counters and nothing else: the clock and the
+/// event count match the untraced run, the counters match a run whose ring
+/// holds every event, and no event is stored or dropped.
+#[test]
+fn counters_only_tracing_is_zero_cost_and_counts_everything() {
+    for stack in [Stack::Kernel, Stack::User] {
+        let plain = null_rpc_world(stack, None).report();
+        let counted = null_rpc_world(stack, Some(0));
+        let full = null_rpc_world(stack, Some(1 << 20));
+        let report = counted.report();
+        assert_eq!(
+            report.final_time, plain.final_time,
+            "{stack:?}: virtual time"
+        );
+        assert_eq!(report.events, plain.events, "{stack:?}: event count");
+        assert!(!full.trace_counters().is_empty());
+        assert_eq!(counted.trace_counters(), full.trace_counters(), "{stack:?}");
+        assert!(counted.trace_events().is_empty(), "{stack:?}: no ring");
+        assert_eq!(counted.trace_dropped(), 0, "{stack:?}: nothing evicted");
+        assert_eq!(full.trace_dropped(), 0, "{stack:?}: the full ring held all");
+        assert_eq!(counted.trace_clock_violation(), None, "{stack:?}");
     }
 }
 
