@@ -16,9 +16,8 @@
 //! enabled or not. When disabled, the only real-time overhead is one relaxed
 //! atomic load per call site.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 use crate::core::{ProcId, ThreadId};
 use crate::time::SimTime;
@@ -187,59 +186,91 @@ pub struct CounterSnapshot {
     pub total: u64,
 }
 
-#[derive(Default)]
+#[derive(Clone, Copy, Default)]
 struct CounterCell {
     count: u64,
     total: u64,
 }
 
-/// An event name keyed by its call site: compared and hashed by the
-/// `&'static str`'s address and length, never by its text. Two sites that
-/// emit one text from two addresses get two cells, which
-/// [`Tracer::counters`] merges.
-struct Site(&'static str);
-
-impl PartialEq for Site {
-    fn eq(&self, other: &Site) -> bool {
-        std::ptr::eq(self.0, other.0)
-    }
-}
-impl Eq for Site {}
-
-impl Hash for Site {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_usize(self.0.as_ptr() as usize);
-        state.write_usize(self.0.len());
-    }
+/// Dense ids for trace sites, handed out in first-use order. A site is a
+/// `(layer, name)` pair keyed by the name's address and length, never by
+/// its text: two sites that emit one text from two addresses get two ids,
+/// which [`Tracer::counters`] merges. A run uses a few dozen sites, so the
+/// table is open-addressed (linear probing, power-of-two size, at most
+/// half full) and a hit is one probe.
+struct CallSites {
+    /// A site id per slot, or [`CallSites::FREE`].
+    slots: Vec<u32>,
+    /// `64 - log2(slots.len())`: a hash's top bits pick the home slot.
+    shift: u32,
+    /// Each id's site.
+    keys: Vec<(Layer, &'static str)>,
 }
 
-/// One multiply and rotate per word (the FxHash recipe). The counter keys
-/// are a handful of simulator-made words, not adversarial input, so
-/// SipHash's flood resistance buys nothing here.
-#[derive(Default)]
-struct WordHasher(u64);
+impl CallSites {
+    const FREE: u32 = u32::MAX;
 
-impl WordHasher {
+    fn new() -> CallSites {
+        CallSites {
+            slots: vec![CallSites::FREE; 64],
+            shift: 64 - 6,
+            keys: Vec::new(),
+        }
+    }
+
+    /// Fibonacci hashing of the name's address and length and the layer.
+    fn home(shift: u32, layer: Layer, name: &'static str) -> usize {
+        let word = name.as_ptr() as u64 ^ ((name.len() as u64) << 40) ^ ((layer as u64) << 56);
+        (word.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> shift) as usize
+    }
+
+    /// The id of `(layer, name)`, assigned on its first use.
     #[inline]
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    fn id(&mut self, layer: Layer, name: &'static str) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut slot = CallSites::home(self.shift, layer, name);
+        loop {
+            let id = self.slots[slot];
+            if id == CallSites::FREE {
+                return self.insert(slot, layer, name);
+            }
+            let (l, n) = self.keys[id as usize];
+            if l == layer && std::ptr::eq(n, name) {
+                return id as usize;
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    #[cold]
+    fn insert(&mut self, slot: usize, layer: Layer, name: &'static str) -> usize {
+        let id = self.keys.len();
+        self.keys.push((layer, name));
+        self.slots[slot] = u32::try_from(id).expect("fewer than u32::MAX trace sites");
+        if 2 * self.keys.len() > self.slots.len() {
+            self.shift -= 1;
+            self.slots = vec![CallSites::FREE; 2 * self.slots.len()];
+            let mask = self.slots.len() - 1;
+            for (id, &(layer, name)) in self.keys.iter().enumerate() {
+                let mut slot = CallSites::home(self.shift, layer, name);
+                while self.slots[slot] != CallSites::FREE {
+                    slot = (slot + 1) & mask;
+                }
+                self.slots[slot] = id as u32;
+            }
+        }
+        id
     }
 }
 
-impl Hasher for WordHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        // Unused by the counter key, whose every field hashes as an integer.
-        bytes.iter().for_each(|&b| self.add(u64::from(b)));
-    }
-    fn write_u32(&mut self, n: u32) {
-        self.add(u64::from(n));
-    }
-    fn write_usize(&mut self, n: usize) {
-        self.add(n as u64);
-    }
-    fn finish(&self) -> u64 {
-        self.0
-    }
+/// One processor's counters, indexed by site id, and its clock.
+#[derive(Default)]
+struct ProcRow {
+    /// The processor, once an event has named its index.
+    proc: Option<ProcId>,
+    /// Instant of its last event.
+    last: SimTime,
+    cells: Vec<CounterCell>,
 }
 
 /// The first event that ran its processor's clock backwards: emitted at
@@ -258,16 +289,16 @@ pub struct ClockViolation {
     pub name: &'static str,
 }
 
-/// The collector: counters, a per-processor clock check, and a bounded
-/// ring of events when its capacity is not 0.
+/// The collector: a dense counter table, a per-processor clock check, and
+/// a bounded ring of events when its capacity is not 0.
 pub(crate) struct Tracer {
     ring: VecDeque<TraceEvent>,
     /// Ring capacity; 0 keeps no ring.
     cap: usize,
     dropped: u64,
-    counters: HashMap<(ProcId, Layer, Site), CounterCell, BuildHasherDefault<WordHasher>>,
-    /// Instant of each processor's last event, indexed by processor index.
-    last: Vec<SimTime>,
+    sites: CallSites,
+    /// Indexed by processor index.
+    procs: Vec<ProcRow>,
     clock_violation: Option<ClockViolation>,
 }
 
@@ -277,24 +308,27 @@ impl Tracer {
             ring: VecDeque::new(),
             cap,
             dropped: 0,
-            counters: HashMap::default(),
-            last: Vec::new(),
+            sites: CallSites::new(),
+            procs: Vec::new(),
             clock_violation: None,
         }
     }
 
     pub(crate) fn record(&mut self, ev: TraceEvent) {
-        let cell = self
-            .counters
-            .entry((ev.proc, ev.layer, Site(ev.name)))
-            .or_default();
+        let site = self.sites.id(ev.layer, ev.name);
+        let i = ev.proc.index();
+        if i >= self.procs.len() {
+            self.procs.resize_with(i + 1, ProcRow::default);
+        }
+        let row = &mut self.procs[i];
+        row.proc = Some(ev.proc);
+        if site >= row.cells.len() {
+            row.cells.resize(site + 1, CounterCell::default());
+        }
+        let cell = &mut row.cells[site];
         cell.count += 1;
         cell.total += ev.args.as_slice().first().map_or(0, |(_, v)| *v);
-        let i = ev.proc.index();
-        if i >= self.last.len() {
-            self.last.resize(i + 1, SimTime::ZERO);
-        }
-        let prev = std::mem::replace(&mut self.last[i], ev.time);
+        let prev = std::mem::replace(&mut row.last, ev.time);
         if ev.time < prev && self.clock_violation.is_none() {
             self.clock_violation = Some(ClockViolation {
                 proc: ev.proc,
@@ -335,18 +369,25 @@ impl Tracer {
     /// One snapshot per `(processor, layer, name)` text, sorted: cells of
     /// equal text from different call sites are summed.
     pub(crate) fn counters(&self) -> Vec<CounterSnapshot> {
+        let keys = &self.sites.keys;
         let mut out: Vec<CounterSnapshot> = self
-            .counters
+            .procs
             .iter()
-            .map(|((proc, layer, site), cell)| CounterSnapshot {
-                proc: *proc,
-                layer: *layer,
-                name: site.0,
-                count: cell.count,
-                total: cell.total,
+            .filter_map(|row| Some((row.proc?, &row.cells)))
+            .flat_map(|(proc, cells)| {
+                cells
+                    .iter()
+                    .zip(keys)
+                    .filter(|(cell, _)| cell.count > 0)
+                    .map(move |(cell, &(layer, name))| CounterSnapshot {
+                        proc,
+                        layer,
+                        name,
+                        count: cell.count,
+                        total: cell.total,
+                    })
             })
             .collect();
-        // HashMap iteration order is nondeterministic; sort for stable output.
         out.sort_by_key(|c| (c.proc, c.layer, c.name));
         // `dedup_by` hands the later element first and keeps the earlier.
         out.dedup_by(|later, kept| {
@@ -530,7 +571,9 @@ mod tests {
         use std::collections::BTreeMap;
 
         let other_send: &'static str = String::from("send").leak();
-        let names = ["send", other_send, "recv", "retransmit", "switch"];
+        // Enough sites in three layers to grow the site table twice.
+        let mut names = vec!["send", other_send, "recv", "retransmit", "switch"];
+        names.extend((0..40).map(|i| &*format!("site{i}").leak()));
         let layers = [Layer::Rpc, Layer::Group, Layer::Sched];
         let procs = [0, 3, 9, 40].map(|i| ProcId::new(crate::LaneId::ZERO, i));
         fn pick<T: Copy>(rng: &mut SmallRng, from: &[T]) -> T {
@@ -538,7 +581,7 @@ mod tests {
         }
         for seed in 0..16 {
             let mut rng = SmallRng::seed_from_u64(seed);
-            let n = rng.random_range(0..400);
+            let n = rng.random_range(0..1_000);
             let stream: Vec<TraceEvent> = (0..n)
                 .map(|t| {
                     let args = match rng.random_range(0..3) {
