@@ -197,23 +197,24 @@ pub fn system_layer_latency(size: usize, multicast: bool, cost: &CostModel) -> S
 /// Measures Panda RPC latency: requests of `size` bytes, empty replies,
 /// reply sent from within the upcall (Table 1, RPC columns).
 pub fn rpc_latency(size: usize, stack: Stack, cost: &CostModel) -> SimDuration {
-    rpc_world(size, stack, cost, false, TABLE1_ITERS, 43).0 / TABLE1_ITERS
+    rpc_world(size, stack, cost, None, TABLE1_ITERS, 43).0 / TABLE1_ITERS
 }
 
-/// The Table 1 RPC world, seeded with `seed` and traced when `trace`: a
-/// route warmup, then `iters` measured calls. Returns the total measured
-/// time and the simulation, for its trace.
+/// The Table 1 RPC world, seeded with `seed` and traced with a ring of
+/// `trace` events when it is `Some` (0: counters only): a route warmup,
+/// then `iters` measured calls. Returns the total measured time and the
+/// simulation, for its trace.
 pub fn rpc_world(
     size: usize,
     stack: Stack,
     cost: &CostModel,
-    trace: bool,
+    trace: Option<usize>,
     iters: u64,
     seed: u64,
 ) -> (SimDuration, Simulation) {
     let mut sim = Simulation::new(seed);
-    if trace {
-        sim.enable_tracing();
+    if let Some(cap) = trace {
+        sim.enable_tracing_with_capacity(cap);
     }
     let n = stack.n_machines(2);
     let world = boot(&mut sim, &TopologySpec::flat(n, n), cost.clone());
@@ -351,7 +352,7 @@ pub const PAPER_TABLE2: Table2Row = Table2Row {
 fn rpc_throughput(stack: Stack, cost: &CostModel) -> f64 {
     const ITERS: u64 = 30;
     const SIZE: usize = 8000;
-    let (elapsed, _) = rpc_world(SIZE, stack, cost, false, ITERS, 45);
+    let (elapsed, _) = rpc_world(SIZE, stack, cost, None, ITERS, 45);
     let secs = elapsed.as_nanos() as f64 / 1e9;
     (ITERS as usize * SIZE) as f64 / 1024.0 / secs
 }
@@ -502,7 +503,7 @@ pub struct RpcTraceRun {
 /// together with the latency of the last call: [`rpc_latency`]'s world,
 /// just fewer iterations (route warmup plus `iters` measured calls).
 pub fn rpc_trace(size: usize, stack: Stack, cost: &CostModel, iters: u64) -> RpcTraceRun {
-    let (_, sim) = rpc_world(size, stack, cost, true, iters.max(1), 43);
+    let (_, sim) = rpc_world(size, stack, cost, Some(1 << 20), iters.max(1), 43);
     trace_run(sim, rpc_span)
 }
 

@@ -10,6 +10,11 @@
 //! [`chrome_trace_json`]) or as aggregate protocol statistics (retransmits,
 //! duplicates, per-category cost totals).
 //!
+//! The counters are a dense table: each lane's tracer numbers a call site
+//! (layer and name address) the first time it sees it, and each processor
+//! keeps a row of cells indexed by that number, so counting an event is
+//! one probe and one array index.
+//!
 //! Tracing is **zero-cost in virtual time by construction**: emission never
 //! sleeps, computes, draws randomness, or schedules wakes, so the virtual
 //! clock and every scheduling decision are bit-identical whether tracing is

@@ -16,12 +16,8 @@ use apps::paper::{
     budget_total, derive_budget, group_latency, group_span, group_trace, group_world, rpc_latency,
     rpc_span, rpc_trace, rpc_world, RpcTraceRun, TABLE1_ITERS,
 };
-use bytes::Bytes;
 use desim::{SimDuration, SimTime, Simulation};
-use ethernet::TopologySpec;
-use panda::world::{boot, build_stack, Stack};
-use panda::PandaConfig;
-use std::sync::Arc;
+use panda::world::Stack;
 
 /// The Table 1 RPC and group worlds, traced and untraced, measure the same
 /// virtual time to the nanosecond.
@@ -32,8 +28,8 @@ fn tracing_is_zero_cost_in_virtual_time() {
         for size in [0usize, 1024, 4096] {
             let rpc = |trace| rpc_world(size, stack, &cost, trace, TABLE1_ITERS, 43).0;
             assert_eq!(
-                rpc(false),
-                rpc(true),
+                rpc(None),
+                rpc(Some(1 << 20)),
                 "rpc {stack:?} @ {size}: tracing must not move the virtual clock"
             );
         }
@@ -48,43 +44,17 @@ fn tracing_is_zero_cost_in_virtual_time() {
     }
 }
 
-/// [`rpc_world`]'s null-RPC world (route warmup, then [`TABLE1_ITERS`]
-/// calls), traced with a ring of `cap` events or untraced (`None`).
-fn null_rpc_world(stack: Stack, cap: Option<usize>) -> Simulation {
-    let mut sim = Simulation::new(43);
-    if let Some(cap) = cap {
-        sim.enable_tracing_with_capacity(cap);
-    }
-    let n = stack.n_machines(2);
-    let world = boot(&mut sim, &TopologySpec::flat(n, n), CostModel::default());
-    let nodes = build_stack(&mut sim, &world.machines, stack, &PandaConfig::default());
-    let replier = Arc::clone(&nodes[1]);
-    nodes[1].set_rpc_handler(Arc::new(move |ctx, _from, _req, ticket| {
-        replier.reply(ctx, ticket, Bytes::new());
-    }));
-    for n in &nodes {
-        n.set_group_handler(Arc::new(|_, _| {}));
-    }
-    nodes[0].set_rpc_handler(Arc::new(|_, _, _, _| {}));
-    let client = Arc::clone(&nodes[0]);
-    let h = sim.spawn(world.machines[0].proc(), "client", move |ctx| {
-        for _ in 0..=TABLE1_ITERS {
-            client.rpc(ctx, 1, Bytes::new()).expect("rpc");
-        }
-    });
-    sim.run_until_finished(&h).expect("rpc bench completes");
-    sim
-}
-
 /// A ring of capacity 0 keeps counters and nothing else: the clock and the
 /// event count match the untraced run, the counters match a run whose ring
 /// holds every event, and no event is stored or dropped.
 #[test]
 fn counters_only_tracing_is_zero_cost_and_counts_everything() {
+    let cost = CostModel::default();
     for stack in [Stack::Kernel, Stack::User] {
-        let plain = null_rpc_world(stack, None).report();
-        let counted = null_rpc_world(stack, Some(0));
-        let full = null_rpc_world(stack, Some(1 << 20));
+        let world = |trace| rpc_world(0, stack, &cost, trace, TABLE1_ITERS, 43).1;
+        let plain = world(None).report();
+        let counted = world(Some(0));
+        let full = world(Some(1 << 20));
         let report = counted.report();
         assert_eq!(
             report.final_time, plain.final_time,
